@@ -1118,9 +1118,10 @@ fn call_once(addr: &str, line: &str) -> Result<String, String> {
         .and_then(|()| stream.set_write_timeout(Some(CALL_IO_TIMEOUT)))
         .map_err(|e| e.to_string())?;
     let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
+    // One write for the whole line: a separate newline write would wait
+    // for the daemon's delayed ACK on a Nagle socket.
     writer
-        .write_all(line.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
+        .write_all(format!("{line}\n").as_bytes())
         .and_then(|()| writer.flush())
         .map_err(|e| e.to_string())?;
     let mut reader = std::io::BufReader::new(stream);
@@ -1274,6 +1275,9 @@ struct ProfileReport {
     /// when `--timeline` is active.
     dropped_events: u64,
     stages: Vec<wfms_obs::StageSummary>,
+    /// Each stage's smallest per-run total over the runs that recorded
+    /// it: the time the `--baseline` gate compares.
+    run_min_ns: std::collections::BTreeMap<String, u64>,
     counters: std::collections::BTreeMap<String, u64>,
     gauges: std::collections::BTreeMap<String, f64>,
     histograms: std::collections::BTreeMap<String, wfms_obs::HistogramSnapshot>,
@@ -1292,35 +1296,49 @@ const GATE_ABS_FLOOR: f64 = 0.01;
 /// shares are invariant under a uniformly faster or slower machine, so a
 /// committed baseline stays meaningful across hosts, while anything that
 /// selectively slows one stage (a perf regression, an injected delay)
-/// shifts that stage's share and trips the gate.
+/// shifts that stage's share and trips the gate. A stage's time is its
+/// smallest per-run total: a preemption or a cache miss that slows one
+/// run inflates a sum over runs, but not the run that escaped it, while
+/// a regression slows every run.
 #[derive(Debug, Clone, Serialize)]
 struct GateEntry {
     stage: String,
-    baseline_total_ns: u64,
-    current_total_ns: u64,
+    baseline_run_ns: u64,
+    current_run_ns: u64,
     baseline_share: f64,
     current_share: f64,
     regressed: bool,
 }
 
-/// Reads the `--baseline` file: either a `wfms profile --json` report
+/// Reads the `--baseline` file — either a `wfms profile --json` report
 /// (anything with a top-level `stages` array) or a `BENCH_obs.json`
 /// experiment map, disambiguated by `--baseline-key` when it holds more
-/// than one experiment.
-fn load_baseline_stages(
-    path: &str,
-    key: Option<&str>,
-) -> Result<Vec<wfms_obs::StageSummary>, CliError> {
+/// than one experiment — as each stage's per-run time: its `run_min_ns`
+/// entry, or its total for a one-run record that has none.
+fn load_baseline_stages(path: &str, key: Option<&str>) -> Result<Vec<(String, u64)>, CliError> {
     #[derive(Deserialize)]
     struct StagesOnly {
         stages: Vec<wfms_obs::StageSummary>,
+        run_min_ns: Option<std::collections::BTreeMap<String, u64>>,
+    }
+    impl StagesOnly {
+        fn per_run(self) -> Vec<(String, u64)> {
+            let run_min = self.run_min_ns.unwrap_or_default();
+            self.stages
+                .into_iter()
+                .map(|s| {
+                    let ns = run_min.get(&s.name).copied().unwrap_or(s.total_ns);
+                    (s.name, ns)
+                })
+                .collect()
+        }
     }
     let text = std::fs::read_to_string(path).map_err(|e| CliError::Io {
         path: path.to_string(),
         message: e.to_string(),
     })?;
     if let Ok(report) = serde_json::from_str::<StagesOnly>(&text) {
-        return Ok(report.stages);
+        return Ok(report.per_run());
     }
     let mut map: std::collections::BTreeMap<String, StagesOnly> = serde_json::from_str(&text)
         .map_err(|e| CliError::Json {
@@ -1333,7 +1351,7 @@ fn load_baseline_stages(
         None => None,
     };
     match chosen {
-        Some(record) => Ok(record.stages),
+        Some(record) => Ok(record.per_run()),
         None => Err(CliError::Arg(ArgError::InvalidValue {
             option: "baseline-key".into(),
             value: key.unwrap_or("<missing>").into(),
@@ -1345,37 +1363,60 @@ fn load_baseline_stages(
     }
 }
 
+/// Each stage's smallest per-run total, where `run_ends[i]` counts the
+/// spans recorded by the end of run `i`. A stage that a run did not
+/// record does not count for that run.
+fn stage_run_minima(
+    spans: &[wfms_obs::SpanRecord],
+    run_ends: &[usize],
+) -> std::collections::BTreeMap<String, u64> {
+    let mut minima = std::collections::BTreeMap::new();
+    let mut begin = 0;
+    for &end in run_ends {
+        let mut totals: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
+        for span in spans.get(begin..end).unwrap_or_default() {
+            let total = totals.entry(span.name.as_str()).or_default();
+            *total = total.saturating_add(span.duration_ns);
+        }
+        for (name, total) in totals {
+            minima
+                .entry(name.to_string())
+                .and_modify(|m: &mut u64| *m = (*m).min(total))
+                .or_insert(total);
+        }
+        begin = end;
+    }
+    minima
+}
+
 /// Compares the current per-stage shares against the baseline's over
-/// the stages both runs recorded. A stage regresses when its share
-/// grew by more than `gate_pct` percent relative **and** by at least
+/// the stages both runs recorded, each stage timed by its per-run time
+/// (see [`GateEntry`]). A stage regresses when its share grew by more
+/// than `gate_pct` percent relative **and** by at least
 /// [`GATE_ABS_FLOOR`] absolute.
 fn gate_compare(
-    baseline: &[wfms_obs::StageSummary],
-    current: &[wfms_obs::StageSummary],
+    baseline: &[(String, u64)],
+    current: &std::collections::BTreeMap<String, u64>,
     gate_pct: f64,
 ) -> Vec<GateEntry> {
-    let cur: std::collections::BTreeMap<&str, u64> = current
+    let shared: Vec<(&str, u64, u64)> = baseline
         .iter()
-        .map(|s| (s.name.as_str(), s.total_ns))
+        .filter_map(|(name, b)| current.get(name).map(|&c| (name.as_str(), *b, c)))
         .collect();
-    let shared: Vec<(&wfms_obs::StageSummary, u64)> = baseline
-        .iter()
-        .filter_map(|b| cur.get(b.name.as_str()).map(|&c| (b, c)))
-        .collect();
-    let base_total: u64 = shared.iter().map(|(b, _)| b.total_ns).sum();
-    let cur_total: u64 = shared.iter().map(|(_, c)| *c).sum();
+    let base_total: u64 = shared.iter().map(|(_, b, _)| b).sum();
+    let cur_total: u64 = shared.iter().map(|(_, _, c)| c).sum();
     if base_total == 0 || cur_total == 0 {
         return Vec::new();
     }
     shared
         .iter()
-        .map(|(b, c)| {
-            let baseline_share = b.total_ns as f64 / base_total as f64;
-            let current_share = *c as f64 / cur_total as f64;
+        .map(|&(stage, b, c)| {
+            let baseline_share = b as f64 / base_total as f64;
+            let current_share = c as f64 / cur_total as f64;
             GateEntry {
-                stage: b.name.clone(),
-                baseline_total_ns: b.total_ns,
-                current_total_ns: *c,
+                stage: stage.to_string(),
+                baseline_run_ns: b,
+                current_run_ns: c,
                 baseline_share,
                 current_share,
                 regressed: current_share > baseline_share * (1.0 + gate_pct / 100.0)
@@ -1463,8 +1504,10 @@ fn cmd_profile(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> 
     recorder.enable();
     let started = std::time::Instant::now();
     let mut outcome = Ok(());
+    let mut run_ends = Vec::with_capacity(runs);
     for _ in 0..runs {
         outcome = profile_once(&tool, &config, &goals, base, epsilon);
+        run_ends.push(recorder.snapshot().spans.len());
         if outcome.is_err() {
             break;
         }
@@ -1494,11 +1537,12 @@ fn cmd_profile(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> 
     }
 
     let stages = wfms_obs::aggregate_stages(&snapshot);
+    let run_min_ns = stage_run_minima(&snapshot.spans, &run_ends);
     let gate_pct = args.get_f64("gate")?.unwrap_or(25.0);
     let gate = match args.get("baseline") {
         Some(bpath) => {
             let base = load_baseline_stages(bpath, args.get("baseline-key"))?;
-            let entries = gate_compare(&base, &stages, gate_pct);
+            let entries = gate_compare(&base, &run_min_ns, gate_pct);
             if entries.is_empty() {
                 return Err(CliError::Arg(ArgError::InvalidValue {
                     option: "baseline".into(),
@@ -1522,6 +1566,7 @@ fn cmd_profile(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> 
         dropped_spans: snapshot.dropped_spans,
         dropped_events: wfms_obs::timeline::snapshot().dropped_events(),
         stages,
+        run_min_ns,
         counters: snapshot.counters.clone(),
         gauges: snapshot.gauges.clone(),
         histograms: snapshot.histograms.clone(),
@@ -1585,15 +1630,15 @@ fn cmd_profile(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> 
         writeln!(
             out,
             "    {:<28} {:>12} {:>12} {:>11} {:>11}  verdict",
-            "stage", "base ms", "now ms", "base share", "now share"
+            "stage", "base ms/run", "now ms/run", "base share", "now share"
         )?;
         for e in entries {
             writeln!(
                 out,
                 "    {:<28} {:>12.3} {:>12.3} {:>10.1}% {:>10.1}%  {}",
                 e.stage,
-                e.baseline_total_ns as f64 / 1e6,
-                e.current_total_ns as f64 / 1e6,
+                e.baseline_run_ns as f64 / 1e6,
+                e.current_run_ns as f64 / 1e6,
                 e.baseline_share * 100.0,
                 e.current_share * 100.0,
                 if e.regressed { "REGRESSED" } else { "ok" }

@@ -6,6 +6,19 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests of this file. The profile gate compares
+/// wall-clock stage shares between two `wfms` processes; a sibling test
+/// starting or finishing partway through one of them slows the stages
+/// that run during that window and not the others, which moves shares
+/// as much as a real regression does.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A failed sibling poisons the lock but leaves nothing to repair.
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 fn spec(scenario: &str, file: &str) -> String {
     format!(
@@ -53,6 +66,7 @@ fn recommend_enterprise(journal: &Path) -> std::process::Output {
 
 #[test]
 fn explain_replays_an_enterprise_recommendation_byte_stably() {
+    let _serial = one_at_a_time();
     let j1 = tmp("explain-1.jsonl");
     let j2 = tmp("explain-2.jsonl");
     let _cleanup = Cleanup(vec![j1.clone(), j2.clone()]);
@@ -114,6 +128,7 @@ fn explain_replays_an_enterprise_recommendation_byte_stably() {
 
 #[test]
 fn timeline_writes_valid_chrome_trace_json() {
+    let _serial = one_at_a_time();
     let path = tmp("timeline.json");
     let _cleanup = Cleanup(vec![path.clone()]);
     let output = wfms()
@@ -147,6 +162,7 @@ fn timeline_writes_valid_chrome_trace_json() {
 
 #[test]
 fn observability_outputs_refuse_to_clobber_without_force() {
+    let _serial = one_at_a_time();
     let path = tmp("clobber.jsonl");
     let _cleanup = Cleanup(vec![path.clone()]);
     let args = [
@@ -182,6 +198,7 @@ fn observability_outputs_refuse_to_clobber_without_force() {
 
 #[test]
 fn profile_gate_passes_clean_and_fails_under_injected_delay() {
+    let _serial = one_at_a_time();
     let baseline = tmp("gate-baseline.json");
     let _cleanup = Cleanup(vec![baseline.clone()]);
 
@@ -202,6 +219,19 @@ fn profile_gate_passes_clean_and_fails_under_injected_delay() {
         .expect("run wfms");
     assert!(output.status.success(), "{output:?}");
     std::fs::write(&baseline, &output.stdout).unwrap();
+
+    // The gate times each stage by its smallest per-run total, which is
+    // at most half the two-run sum of a stage that ran in both runs.
+    let report: serde_json::Value =
+        serde_json::from_str(std::str::from_utf8(&output.stdout).unwrap()).unwrap();
+    for stage in report["stages"].as_array().unwrap() {
+        let name = stage["name"].as_str().unwrap();
+        let run_min = report["run_min_ns"][name].as_u64().unwrap();
+        assert!(
+            2 * run_min <= stage["total_ns"].as_u64().unwrap(),
+            "{name}: {stage:?}"
+        );
+    }
 
     let gate_args = [
         "profile",
@@ -241,6 +271,7 @@ fn profile_gate_passes_clean_and_fails_under_injected_delay() {
 
 #[test]
 fn explain_without_winner_or_journal_reports_cleanly() {
+    let _serial = one_at_a_time();
     let missing = tmp("missing.jsonl");
     let output = wfms()
         .args(["explain", "--journal", &missing.display().to_string()])

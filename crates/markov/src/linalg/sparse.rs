@@ -9,6 +9,7 @@
 //! the uniformized chain.
 
 use crate::linalg::iterative::{GaussSeidelOptions, IterativeError, IterativeSolution};
+use crate::linalg::Matrix;
 
 /// A compressed-sparse-row matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,6 +106,30 @@ impl CsrMatrix {
         })
     }
 
+    /// The non-zero entries of a dense matrix, in CSR form.
+    pub fn from_dense(m: &Matrix) -> Self {
+        let mut indptr = Vec::with_capacity(m.rows() + 1);
+        let mut indices = Vec::new();
+        let mut values = Vec::new();
+        indptr.push(0);
+        for r in 0..m.rows() {
+            for (c, &v) in m.row(r).iter().enumerate() {
+                if v != 0.0 {
+                    indices.push(c);
+                    values.push(v);
+                }
+            }
+            indptr.push(indices.len());
+        }
+        CsrMatrix {
+            rows: m.rows(),
+            cols: m.cols(),
+            indptr,
+            indices,
+            values,
+        }
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -167,17 +192,33 @@ impl CsrMatrix {
     /// # Panics
     /// Panics on a length mismatch.
     pub fn vec_mul(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.rows, "length mismatch");
         let mut out = vec![0.0; self.cols];
+        self.vec_mul_into(v, &mut out);
+        out
+    }
+
+    /// Row-vector product `v · A` written into `out`, which is
+    /// overwritten. Each `out[c]` accumulates its products in ascending
+    /// row order, as [`Matrix::vec_mul`] does; the structural zeros it
+    /// skips would only add `+0.0`, so on non-negative inputs (stochastic
+    /// matrices and distributions) both products agree bit for bit.
+    ///
+    /// # Panics
+    /// Panics on a length mismatch.
+    pub fn vec_mul_into(&self, v: &[f64], out: &mut [f64]) {
+        assert_eq!(v.len(), self.rows, "length mismatch");
+        assert_eq!(out.len(), self.cols, "length mismatch");
+        out.fill(0.0);
         for (r, &vr) in v.iter().enumerate() {
             if vr == 0.0 {
                 continue;
             }
-            for (c, a) in self.row(r) {
+            let lo = self.indptr[r];
+            let hi = self.indptr[r + 1];
+            for (&c, &a) in self.indices[lo..hi].iter().zip(&self.values[lo..hi]) {
                 out[c] += vr * a;
             }
         }
-        out
     }
 }
 

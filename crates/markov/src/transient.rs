@@ -6,19 +6,28 @@
 //! steps without having visited the taboo/absorbing state), the
 //! data-driven choice of the truncation depth `z_max` (the number of steps
 //! not exceeded with e.g. 99 % probability), and — as an extension — the
-//! Poisson-weighted transient state distribution at a wall-clock time `t`,
+//! Poisson-weighted absorption probability at a wall-clock time `t`,
 //! which yields the full turnaround-time *distribution* rather than only
 //! its mean.
+//!
+//! All four share one stepping kernel, [`AbsorptionSequence`]: the taboo
+//! recursion run once, lazily, which records the absorbed mass
+//! `a_z = P(absorbed within z uniformized steps)`. A turnaround CDF is
+//! then the dot product `Σ_z PoissonPmf(v·t, z) · a_z`, so any number of
+//! CDF evaluations over one chain cost a single pass of `P̄` products.
 
 use crate::ctmc::Ctmc;
 use crate::error::ChainError;
-use crate::linalg::Matrix;
+use crate::linalg::{CsrMatrix, Matrix};
 
 /// A CTMC together with its uniformized one-step jump matrix.
 #[derive(Debug, Clone)]
 pub struct Uniformized {
     rate: f64,
     p_bar: Matrix,
+    /// `P̄` in CSR form, for the stepping kernel: workflow chains have a
+    /// handful of successors per state.
+    p_bar_sparse: CsrMatrix,
     absorbing: Vec<usize>,
 }
 
@@ -43,6 +52,7 @@ impl Uniformized {
         let p_bar = ctmc.uniformized_jump(v)?;
         Ok(Uniformized {
             rate: v,
+            p_bar_sparse: CsrMatrix::from_dense(&p_bar),
             p_bar,
             absorbing: ctmc.absorbing_states(),
         })
@@ -63,24 +73,57 @@ impl Uniformized {
         self.p_bar.rows()
     }
 
-    /// One taboo step: propagates `dist` through `P̄` and then zeroes the
-    /// mass that entered a taboo state, returning the dropped mass.
+    /// The absorbed-mass sequence of `start` with the chain's absorbing
+    /// states as the taboo set: `a_z` is the probability that the chain
+    /// has been absorbed within `z` uniformized steps. The sequence is
+    /// local to its caller and grows as its CDF evaluations need more
+    /// terms; it opens one `transient-distribution` span, whose `terms`
+    /// field is the number of `P̄` products it ran.
     ///
-    /// `dist` is indexed over all states; taboo entries must already be
-    /// zero on entry (they are on every vector this module produces).
-    fn taboo_step(&self, dist: &mut Vec<f64>, taboo: &[usize]) -> Result<f64, ChainError> {
-        let mut next = self.p_bar.vec_mul(dist)?;
-        let mut dropped = 0.0;
-        for &t in taboo {
-            dropped += next[t];
-            next[t] = 0.0;
+    /// # Errors
+    /// [`ChainError::StateOutOfRange`] on a bad start,
+    /// [`ChainError::NoAbsorbingState`] for a chain without absorbing
+    /// states.
+    pub fn absorption_sequence(&self, start: usize) -> Result<AbsorptionSequence<'_>, ChainError> {
+        if self.absorbing.is_empty() {
+            return Err(ChainError::NoAbsorbingState);
         }
-        debug_assert!(
-            next.iter().all(|x| x.is_finite() && *x >= -1e-9),
-            "taboo step produced an invalid sub-distribution"
-        );
-        *dist = next;
-        Ok(dropped)
+        let mut sequence = self.taboo_sequence(start, &self.absorbing)?;
+        sequence.obs_span = Some(wfms_obs::span!("transient-distribution", terms = 0_u64));
+        Ok(sequence)
+    }
+
+    /// The taboo recursion from `start` with taboo set `taboo`, not yet
+    /// stepped.
+    fn taboo_sequence<'a>(
+        &'a self,
+        start: usize,
+        taboo: &'a [usize],
+    ) -> Result<AbsorptionSequence<'a>, ChainError> {
+        let n = self.n();
+        if start >= n {
+            return Err(ChainError::StateOutOfRange { state: start, n });
+        }
+        if let Some(&t) = taboo.iter().find(|&&t| t >= n) {
+            return Err(ChainError::StateOutOfRange { state: t, n });
+        }
+        let mut dist = vec![0.0; n];
+        dist[start] = 1.0;
+        let mut absorbed = 0.0;
+        if taboo.contains(&start) {
+            // Starting in the taboo set: absorbed before the first step.
+            dist[start] = 0.0;
+            absorbed = 1.0;
+        }
+        Ok(AbsorptionSequence {
+            rate: self.rate,
+            p_bar: &self.p_bar_sparse,
+            taboo,
+            dist,
+            next: vec![0.0; n],
+            absorbed: vec![absorbed],
+            obs_span: None,
+        })
     }
 
     /// Taboo probabilities `p̄_{start,a}(z)` for `z = 0 … z_max`: element
@@ -96,25 +139,12 @@ impl Uniformized {
         taboo: &[usize],
         z_max: usize,
     ) -> Result<Vec<Vec<f64>>, ChainError> {
-        let n = self.n();
-        if start >= n {
-            return Err(ChainError::StateOutOfRange { state: start, n });
-        }
-        for &t in taboo {
-            if t >= n {
-                return Err(ChainError::StateOutOfRange { state: t, n });
-            }
-        }
-        let mut dist = vec![0.0; n];
-        dist[start] = 1.0;
-        for &t in taboo {
-            dist[t] = 0.0; // starting in the taboo set means zero taboo mass
-        }
+        let mut sequence = self.taboo_sequence(start, taboo)?;
         let mut out = Vec::with_capacity(z_max + 1);
-        out.push(dist.clone());
+        out.push(sequence.distribution().to_vec());
         for _ in 0..z_max {
-            self.taboo_step(&mut dist, taboo)?;
-            out.push(dist.clone());
+            sequence.step();
+            out.push(sequence.distribution().to_vec());
         }
         Ok(out)
     }
@@ -133,25 +163,14 @@ impl Uniformized {
         quantile: f64,
         hard_cap: usize,
     ) -> Result<usize, ChainError> {
-        let n = self.n();
-        if start >= n {
-            return Err(ChainError::StateOutOfRange { state: start, n });
-        }
-        for &t in taboo {
-            if t >= n {
-                return Err(ChainError::StateOutOfRange { state: t, n });
-            }
-        }
-        let mut dist = vec![0.0; n];
-        dist[start] = 1.0;
-        let mut absorbed = 0.0;
+        let mut sequence = self.taboo_sequence(start, taboo)?;
         let mut z_max = hard_cap;
         for z in 0..hard_cap {
-            if absorbed >= quantile {
+            if sequence.absorbed()[z] >= quantile {
                 z_max = z;
                 break;
             }
-            absorbed += self.taboo_step(&mut dist, taboo)?;
+            sequence.step();
         }
         wfms_obs::histogram("markov.poisson.truncation-steps", z_max as u64);
         Ok(z_max)
@@ -163,9 +182,10 @@ impl Uniformized {
     /// truncated when the remaining Poisson tail mass drops below
     /// `epsilon`.
     ///
-    /// For a workflow chain, the entry at the absorbing state is the
-    /// probability that the workflow has *finished* by time `t` — i.e. the
-    /// turnaround-time CDF.
+    /// This is the direct dense evaluation, one full power series per
+    /// call. The production CDF path ([`Self::absorption_cdf`],
+    /// [`AbsorptionSequence::cdf`]) never calls it; it stays as the
+    /// reference the absorbed-mass sequence is tested against.
     ///
     /// # Errors
     /// [`ChainError::LengthMismatch`] on a wrong `initial` length.
@@ -187,7 +207,6 @@ impl Uniformized {
             return Ok(initial.to_vec());
         }
         let weights = poisson_weights(self.rate * t, epsilon);
-        let _obs_span = wfms_obs::span!("transient-distribution", terms = weights.len(), time = t);
         let mut dist = initial.to_vec();
         let mut out = vec![0.0; n];
         for (z, &w) in weights.iter().enumerate() {
@@ -205,24 +224,109 @@ impl Uniformized {
 
     /// Probability that the chain has reached any absorbing state by time
     /// `t`, starting from state `start` — the turnaround-time CDF of a
-    /// workflow chain.
+    /// workflow chain. One evaluation builds its own
+    /// [`AbsorptionSequence`]; callers evaluating many times (a
+    /// percentile search) should keep one sequence instead.
     ///
     /// # Errors
     /// [`ChainError::StateOutOfRange`] on a bad start,
     /// [`ChainError::NoAbsorbingState`] for a chain without absorbing
     /// states.
     pub fn absorption_cdf(&self, start: usize, t: f64, epsilon: f64) -> Result<f64, ChainError> {
-        let n = self.n();
-        if start >= n {
-            return Err(ChainError::StateOutOfRange { state: start, n });
+        Ok(self.absorption_sequence(start)?.cdf(t, epsilon))
+    }
+}
+
+/// The absorbed-mass sequence `a_z` of one start state: Sec. 4.2.1's
+/// taboo recursion `p̄(z+1) = p̄(z) · P̄` with the taboo entries dropped
+/// after each step, and `a_{z+1} = a_z + (mass dropped in step z+1)`.
+///
+/// It is extended lazily and never shrinks, so a caller that evaluates
+/// the CDF at many times pays for the longest Poisson window only once.
+/// The two step buffers are reused; each step is one sparse `P̄` product.
+///
+/// With a single taboo state at the last index — every workflow chain,
+/// whose absorbing state `StateMapping` puts last — each `a_z` is
+/// bit-identical to the absorbing entry of
+/// [`Uniformized::transient_distribution`]'s power series, and so is
+/// [`AbsorptionSequence::cdf`]: both sum the same products in the same
+/// order (see DESIGN.md §5, "Transient analysis").
+pub struct AbsorptionSequence<'a> {
+    rate: f64,
+    p_bar: &'a CsrMatrix,
+    taboo: &'a [usize],
+    /// The taboo sub-distribution after `absorbed.len() - 1` steps.
+    dist: Vec<f64>,
+    /// Scratch buffer the next step writes into.
+    next: Vec<f64>,
+    /// `absorbed[z] = a_z`; never empty.
+    absorbed: Vec<f64>,
+    obs_span: Option<wfms_obs::Span<'static>>,
+}
+
+impl AbsorptionSequence<'_> {
+    /// The terms computed so far: `a_0 … a_z`.
+    pub fn absorbed(&self) -> &[f64] {
+        &self.absorbed
+    }
+
+    /// The taboo sub-distribution after the last computed step.
+    fn distribution(&self) -> &[f64] {
+        &self.dist
+    }
+
+    /// `P̄` products run so far.
+    fn products(&self) -> usize {
+        self.absorbed.len() - 1
+    }
+
+    /// One uniformized step; appends the next `a_z`.
+    fn step(&mut self) {
+        self.p_bar.vec_mul_into(&self.dist, &mut self.next);
+        let mut dropped = 0.0;
+        for &t in self.taboo {
+            dropped += self.next[t];
+            self.next[t] = 0.0;
         }
-        if self.absorbing.is_empty() {
-            return Err(ChainError::NoAbsorbingState);
+        debug_assert!(
+            self.next.iter().all(|x| x.is_finite() && *x >= -1e-9),
+            "taboo step produced an invalid sub-distribution"
+        );
+        std::mem::swap(&mut self.dist, &mut self.next);
+        let a = self.absorbed.last().copied().unwrap_or(0.0) + dropped;
+        self.absorbed.push(a);
+    }
+
+    /// Extends the sequence until it holds at least `terms` values.
+    fn extend_to(&mut self, terms: usize) {
+        while self.absorbed.len() < terms {
+            self.step();
         }
-        let mut initial = vec![0.0; n];
-        initial[start] = 1.0;
-        let dist = self.transient_distribution(&initial, t, epsilon)?;
-        Ok(self.absorbing.iter().map(|&a| dist[a]).sum())
+    }
+
+    /// `P(absorbed by time t) = Σ_z PoissonPmf(v·t, z) · a_z`, with the
+    /// Poisson weights truncated once their tail mass is below `epsilon`
+    /// ([`poisson_weights`]). Extends the sequence to the window's length
+    /// first; `t ≤ 0` gives `a_0`.
+    pub fn cdf(&mut self, t: f64, epsilon: f64) -> f64 {
+        if t <= 0.0 {
+            return self.absorbed[0];
+        }
+        let weights = poisson_weights(self.rate * t, epsilon);
+        self.extend_to(weights.len());
+        weights
+            .iter()
+            .zip(&self.absorbed)
+            .fold(0.0, |sum, (&w, &a)| sum + w * a)
+    }
+}
+
+impl Drop for AbsorptionSequence<'_> {
+    fn drop(&mut self) {
+        let products = self.products() as u64;
+        if let Some(span) = self.obs_span.as_mut() {
+            span.record("terms", products);
+        }
     }
 }
 
@@ -468,5 +572,221 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn poisson_weights_reject_negative_mean() {
         poisson_weights(-1.0, 1e-9);
+    }
+
+    /// The taboo step as it stood before the absorbed-mass sequence: a
+    /// dense `P̄` product into a fresh vector.
+    fn reference_taboo_step(u: &Uniformized, dist: &mut Vec<f64>, taboo: &[usize]) -> f64 {
+        let mut next = u.p_bar().vec_mul(dist).unwrap();
+        let mut dropped = 0.0;
+        for &t in taboo {
+            dropped += next[t];
+            next[t] = 0.0;
+        }
+        *dist = next;
+        dropped
+    }
+
+    /// `steps_quantile` as it stood before the absorbed-mass sequence.
+    pub(super) fn reference_steps_quantile(
+        u: &Uniformized,
+        start: usize,
+        taboo: &[usize],
+        quantile: f64,
+        hard_cap: usize,
+    ) -> usize {
+        let mut dist = vec![0.0; u.n()];
+        dist[start] = 1.0;
+        let mut absorbed = 0.0;
+        for z in 0..hard_cap {
+            if absorbed >= quantile {
+                return z;
+            }
+            absorbed += reference_taboo_step(u, &mut dist, taboo);
+        }
+        hard_cap
+    }
+
+    #[test]
+    fn taboo_probabilities_match_the_dense_reference_bitwise() {
+        let c = loopy_workflow();
+        let u = Uniformized::new(&c).unwrap();
+        let tp = u.taboo_probabilities(0, &[2], 40).unwrap();
+        let mut dist = vec![1.0, 0.0, 0.0];
+        for (z, got) in tp.iter().enumerate() {
+            assert_eq!(got, &dist, "z = {z}");
+            reference_taboo_step(&u, &mut dist, &[2]);
+        }
+    }
+
+    #[test]
+    fn absorbing_start_is_absorbed_at_step_zero() {
+        let c = loopy_workflow();
+        let u = Uniformized::new(&c).unwrap();
+        assert_eq!(u.steps_quantile(2, &[2], 0.99, 100).unwrap(), 0);
+        let mut seq = u.absorption_sequence(2).unwrap();
+        assert_eq!(seq.absorbed(), &[1.0]);
+        assert_eq!(seq.cdf(0.0, 1e-9), 1.0);
+        let oracle = u
+            .transient_distribution(&[0.0, 0.0, 1.0], 3.0, 1e-9)
+            .unwrap();
+        assert_eq!(seq.cdf(3.0, 1e-9).to_bits(), oracle[2].to_bits());
+    }
+
+    #[test]
+    fn sequence_grows_only_to_the_longest_window() {
+        let c = loopy_workflow();
+        let u = Uniformized::new(&c).unwrap();
+        let mut seq = u.absorption_sequence(0).unwrap();
+        let long = poisson_weights(u.rate() * 40.0, 1e-9).len();
+        seq.cdf(40.0, 1e-9);
+        assert_eq!(seq.products(), long - 1);
+        for t in [1.0, 5.0, 20.0, 39.0] {
+            seq.cdf(t, 1e-9);
+        }
+        assert_eq!(seq.products(), long - 1, "shorter windows must not step");
+        let a = seq.absorbed();
+        assert!(a.windows(2).all(|w| w[0] <= w[1]), "a_z is non-decreasing");
+    }
+
+    #[test]
+    fn sequence_validates_its_start() {
+        let c = loopy_workflow();
+        let u = Uniformized::new(&c).unwrap();
+        assert!(matches!(
+            u.absorption_sequence(3),
+            Err(ChainError::StateOutOfRange { state: 3, n: 3 })
+        ));
+        assert!(matches!(
+            u.steps_quantile(0, &[7], 0.5, 10),
+            Err(ChainError::StateOutOfRange { state: 7, n: 3 })
+        ));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::linalg::Matrix;
+    use proptest::prelude::*;
+
+    /// A random chain over `n` states whose `absorbing` states have
+    /// identity rows. Every transient state jumps straight into the
+    /// first absorbing state with some probability, so absorption is
+    /// certain; about a third of the other jumps are structurally zero,
+    /// so `P̄` is sparse like a workflow chain's.
+    fn random_chain(
+        n: usize,
+        absorbing: Vec<usize>,
+        weights: Vec<f64>,
+        residence: Vec<f64>,
+    ) -> Ctmc {
+        let mut jump = Matrix::zeros(n, n);
+        let mut h = residence;
+        for i in 0..n {
+            if absorbing.contains(&i) {
+                jump[(i, i)] = 1.0;
+                h[i] = f64::INFINITY;
+                continue;
+            }
+            let mut row: Vec<f64> = (0..n)
+                .map(|j| {
+                    let w = weights[i * n + j];
+                    if j == i || w < 0.35 {
+                        0.0
+                    } else {
+                        w
+                    }
+                })
+                .collect();
+            row[absorbing[0]] += 0.05;
+            let total: f64 = row.iter().sum();
+            for (j, w) in row.into_iter().enumerate() {
+                jump[(i, j)] = w / total;
+            }
+        }
+        Ctmc::from_jump_chain(jump, h).expect("valid chain")
+    }
+
+    /// A workflow-shaped chain (one absorbing state, the last), a start
+    /// state and a time.
+    fn workflow_case() -> impl Strategy<Value = (Ctmc, usize, f64)> {
+        (2usize..=8).prop_flat_map(|n| {
+            (
+                collection::vec(0.0f64..1.0, n * n),
+                collection::vec(0.1f64..10.0, n),
+                0..n,
+                0.01f64..40.0,
+            )
+                .prop_map(move |(w, h, start, t)| (random_chain(n, vec![n - 1], w, h), start, t))
+        })
+    }
+
+    /// A chain with one or two absorbing states anywhere.
+    fn general_case() -> impl Strategy<Value = (Ctmc, usize, f64)> {
+        (3usize..=8).prop_flat_map(|n| {
+            (
+                collection::vec(0.0f64..1.0, n * n),
+                collection::vec(0.1f64..10.0, n),
+                (0..n, 0..n),
+                0..n,
+                0.01f64..40.0,
+            )
+                .prop_map(move |(w, h, (a, b), start, t)| {
+                    let mut absorbing = vec![a];
+                    if b != a {
+                        absorbing.push(b);
+                    }
+                    (random_chain(n, absorbing, w, h), start, t)
+                })
+        })
+    }
+
+    fn point_mass(n: usize, start: usize) -> Vec<f64> {
+        let mut initial = vec![0.0; n];
+        initial[start] = 1.0;
+        initial
+    }
+
+    proptest! {
+        #[test]
+        fn workflow_cdf_is_bit_identical_to_the_power_series((c, start, t) in workflow_case()) {
+            let u = Uniformized::new(&c).unwrap();
+            let n = c.n();
+            let mut seq = u.absorption_sequence(start).unwrap();
+            for time in [t, 0.25 * t, 3.0 * t] {
+                let oracle = u.transient_distribution(&point_mass(n, start), time, 1e-9).unwrap();
+                let got = seq.cdf(time, 1e-9);
+                prop_assert_eq!(got.to_bits(), oracle[n - 1].to_bits());
+                prop_assert_eq!(
+                    u.absorption_cdf(start, time, 1e-12).unwrap().to_bits(),
+                    u.transient_distribution(&point_mass(n, start), time, 1e-12).unwrap()[n - 1]
+                        .to_bits()
+                );
+            }
+        }
+
+        #[test]
+        fn general_cdf_matches_the_power_series((c, start, t) in general_case()) {
+            let u = Uniformized::new(&c).unwrap();
+            let oracle = u.transient_distribution(&point_mass(c.n(), start), t, 1e-10).unwrap();
+            let expect: f64 = c.absorbing_states().iter().map(|&a| oracle[a]).sum();
+            let got = u.absorption_cdf(start, t, 1e-10).unwrap();
+            prop_assert!((got - expect).abs() <= 1e-12, "{} vs {}", got, expect);
+        }
+
+        #[test]
+        fn steps_quantile_matches_the_dense_reference((c, start, _t) in general_case()) {
+            let u = Uniformized::new(&c).unwrap();
+            let taboo = c.absorbing_states();
+            if !taboo.contains(&start) {
+                for q in [0.5, 0.9, 0.99, 0.999_999] {
+                    prop_assert_eq!(
+                        u.steps_quantile(start, &taboo, q, 5_000).unwrap(),
+                        super::tests::reference_steps_quantile(&u, start, &taboo, q, 5_000)
+                    );
+                }
+            }
+        }
     }
 }

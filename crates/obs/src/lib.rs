@@ -43,7 +43,7 @@
 //! | `turnaround-distribution` | `wfms-perf` | `states`, `epsilon` |
 //! | `first-passage` | `wfms-markov` | `states`, `solver` |
 //! | `uniformize` | `wfms-markov` | `states`, `rate` |
-//! | `transient-distribution` | `wfms-markov` | `terms`, `time` |
+//! | `transient-distribution` | `wfms-markov` | `terms` (one span per absorbed-mass sequence — one per turnaround percentile or CDF call — and `terms` counts its `P̄` products) |
 //! | `reward-uniformized` | `wfms-markov` | `z_max`, `residual_mass` |
 //! | `linear-solve` | `wfms-markov` | `n`, `iterations`, `residual`, `spectral_radius_est` |
 //! | `steady-state` | `wfms-markov` | `states`, `method`, `iterations` |

@@ -27,6 +27,14 @@ pub enum PerfError {
         /// Offending rate.
         rate: f64,
     },
+    /// A turnaround percentile was asked for a `q` outside `(0, 1 − ε)`,
+    /// where `ε` is the distribution's truncation tolerance.
+    InvalidQuantile {
+        /// The requested quantile.
+        q: f64,
+        /// The distribution's truncation tolerance.
+        epsilon: f64,
+    },
     /// A load/rate vector length does not match the registry.
     LengthMismatch {
         /// What the vector described.
@@ -50,6 +58,13 @@ impl fmt::Display for PerfError {
                 write!(
                     f,
                     "invalid arrival rate {rate} for workflow type {workflow:?}"
+                )
+            }
+            PerfError::InvalidQuantile { q, epsilon } => {
+                write!(
+                    f,
+                    "percentile {q} is outside (0, 1 - {epsilon}); a CDF truncated at \
+                     {epsilon} cannot resolve it"
                 )
             }
             PerfError::LengthMismatch {

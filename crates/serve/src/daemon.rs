@@ -300,6 +300,10 @@ pub fn serve(opts: &ServeOptions, out: &mut impl Write) -> Result<(), ServeError
         let stream = match conn {
             Ok(stream) => {
                 accept_failures = 0;
+                // Responses go out as soon as they are written: Nagle
+                // would hold the tail of a multi-segment response until
+                // the client's delayed ACK.
+                drop(stream.set_nodelay(true));
                 stream
             }
             Err(_) => {
@@ -611,17 +615,67 @@ fn shed(mut stream: TcpStream) -> std::io::Result<()> {
     write_line(&mut stream, &response)
 }
 
-/// Writes one response as a compact JSON line.
-fn write_line(stream: &mut TcpStream, response: &Response) -> std::io::Result<()> {
+/// Writes one response as a compact JSON line, in a single write: a
+/// second small write (the newline) would sit behind the client's
+/// delayed ACK on a Nagle socket and stall every response.
+fn write_line(stream: &mut impl Write, response: &Response) -> std::io::Result<()> {
     if wfms_fault::point!("serve.write").is_some() {
         return Err(std::io::Error::new(
             std::io::ErrorKind::BrokenPipe,
             "injected write fault (serve.write)",
         ));
     }
-    let text = serde_json::to_string(response)
+    let mut line = serde_json::to_string(response)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    stream.write_all(text.as_bytes())?;
-    stream.write_all(b"\n")?;
+    line.push('\n');
+    stream.write_all(line.as_bytes())?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wfms_proto::Request;
+
+    /// Records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_line_is_one_write() {
+        let request: Request = serde_json::from_str(
+            r#"{"v":1,"id":"h-1","tenant":"t","method":"health","params":null}"#,
+        )
+        .unwrap();
+        let responses = [
+            Response::success(
+                &request,
+                serde_json::from_str(r#"{"state":"ready","breakers":[]}"#).unwrap(),
+            ),
+            Response::failure(&request, ERR_BAD_REQUEST, "bad"),
+            Response::failure_for_id(None, ERR_OVERLOADED, "connection queue is full"),
+        ];
+        for response in &responses {
+            let mut writer = CountingWriter::default();
+            write_line(&mut writer, response).unwrap();
+            assert_eq!(writer.writes, 1);
+            let expect = format!("{}\n", serde_json::to_string(response).unwrap());
+            assert_eq!(writer.bytes, expect.as_bytes());
+        }
+    }
 }

@@ -17,7 +17,11 @@
 //! * the exact WFMS availability `Π_x (1 − m_x[0])` (the closed form of
 //!   [`crate::model::closed_form_unavailability`], reached through the
 //!   same marginals the state probabilities use),
-//! * the probability of any individual system state, and
+//! * the probability of any individual system state,
+//! * the full stationary vector in encoding order
+//!   ([`ProductFormModel::steady_state`]) — the assessment engine's exact
+//!   (`ε = 0`) solve, `O(Π_x (Y_x + 1))` multiplications instead of an
+//!   LU factorization of the generator, and
 //! * a lazy best-first enumeration of system states in **descending
 //!   `π` order** ([`ProductFormModel::enumerate_descending`]) — the
 //!   primitive behind ε-truncated performability evaluation, which
@@ -61,11 +65,16 @@ use crate::state_space::StateSpace;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum AvailBackend {
     /// Pick automatically: the product form when the policy factorizes
-    /// and the caller tolerates truncation (`ε > 0`), else dense LU up
-    /// to [`DEFAULT_STATE_CAP`] states, else sparse Gauss–Seidel.
+    /// and the caller tolerates truncation (`ε > 0`), else the exact
+    /// dense path up to [`DEFAULT_STATE_CAP`] states, else sparse
+    /// Gauss–Seidel.
     #[default]
     Auto,
-    /// Dense generator + LU solve (bit-for-bit the historical path).
+    /// The exact stationary vector of every state, in encoding order.
+    /// The assessment engine (independent repair) materializes it from
+    /// the product form ([`ProductFormModel::steady_state`]), with no
+    /// generator and no LU solve; [`crate::AvailabilityModel`]'s dense
+    /// generator and LU solve remain its test oracle.
     Dense,
     /// Transposed-CSR generator + sparse Gauss–Seidel sweeps.
     Sparse,
@@ -108,7 +117,7 @@ impl FromStr for AvailBackend {
 ///
 /// `Auto` prefers the product form whenever the policy factorizes and
 /// the caller opted into truncation (`ε > 0`); with `ε = 0` it keeps
-/// the dense path (bit-identical results) while it fits under
+/// the exact, exhaustive dense path while it fits under
 /// [`DEFAULT_STATE_CAP`], falling back to the sparse model beyond.
 /// An explicit `Product` request under a non-factorizing policy
 /// degrades to `Sparse` — the documented single-repairman fallback.
@@ -316,12 +325,20 @@ impl ProductFormModel {
         p
     }
 
-    /// Materializes the full stationary vector in encoding order — a
-    /// cross-check helper; the point of the product form is to *avoid*
-    /// this `O(Π (Y_x + 1))` walk.
+    /// Materializes the full stationary vector in encoding order: the
+    /// exact solve of the independent-repair chain, with no generator
+    /// and no factorization. Each entry is the float product of
+    /// [`ProductFormModel::state_probability`] (`1.0 · m_0[X_0] · m_1[X_1]
+    /// · …`, in type order), built by expanding one type at a time, so
+    /// the walk costs `O(Π (Y_x + 1))` multiplications.
+    ///
+    /// Shares the `avail.steady-state` failpoint with the dense and
+    /// sparse models: error injection surfaces as a solver
+    /// non-convergence, NaN injection poisons the full-strength state.
     ///
     /// # Errors
-    /// [`AvailError::StateSpaceTooLarge`] beyond [`SPARSE_STATE_CAP`].
+    /// * [`AvailError::StateSpaceTooLarge`] beyond [`SPARSE_STATE_CAP`].
+    /// * [`AvailError::Chain`] under error injection.
     pub fn steady_state(&self) -> Result<Vec<f64>, AvailError> {
         let n = self.space.len();
         if n > SPARSE_STATE_CAP {
@@ -330,9 +347,45 @@ impl ProductFormModel {
                 cap: SPARSE_STATE_CAP,
             });
         }
-        let mut pi = vec![0.0; n];
-        for (idx, x) in self.space.iter() {
-            pi[idx] = self.unchecked_probability(&x);
+        let _obs_span = wfms_obs::span!("avail-steady-state", states = n, backend = "product");
+        wfms_obs::gauge("avail.state-space.size", n as f64);
+        let mut poison_solution = false;
+        match wfms_fault::point!("avail.steady-state") {
+            Some(wfms_fault::Injection::Error) => {
+                return Err(AvailError::Chain(wfms_markov::ChainError::Iterative(
+                    wfms_markov::linalg::IterativeError::NotConverged {
+                        iterations: 0,
+                        last_residual: f64::INFINITY,
+                    },
+                )));
+            }
+            Some(wfms_fault::Injection::Nan) => poison_solution = true,
+            None => {}
+        }
+        // Type `x` is digit `x` of the mixed-radix encoding (type 0
+        // fastest): after expanding types `0..x`, `pi` holds the partial
+        // products over those types in encoding order, and type `x`'s
+        // up-count `u` becomes the block of `pi` at offset `u · len`.
+        // Blocks are filled from the top so block 0 is read before it is
+        // overwritten.
+        let mut pi = Vec::with_capacity(n);
+        pi.push(1.0);
+        for m in &self.marginals {
+            let len = pi.len();
+            pi.resize(len * m.len(), 0.0);
+            for (u, &p) in m.iter().enumerate().rev() {
+                for i in 0..len {
+                    pi[u * len + i] = pi[i] * p;
+                }
+            }
+        }
+        if poison_solution {
+            // Poison the full-strength state (last in encoding order): it
+            // is always an up state, so the NaN reaches the availability
+            // sum rather than hiding in the all-down state's mass.
+            if let Some(last) = pi.last_mut() {
+                *last = f64::NAN;
+            }
         }
         Ok(pi)
     }
@@ -761,7 +814,8 @@ mod proptests {
 
         /// Satellite invariant: the product-form π matches both the
         /// dense LU solve and the sparse Gauss–Seidel solve element-wise
-        /// under independent repair.
+        /// under independent repair, and each entry is bit-identical to
+        /// the point query's float product.
         #[test]
         fn product_pi_matches_dense_and_sparse(
             (reg, config) in arbitrary_registry_and_config()
@@ -781,7 +835,8 @@ mod proptests {
                 relaxation: 1.0,
             }).unwrap();
 
-            for idx in 0..pi_pf.len() {
+            for (idx, x) in product.state_space().iter() {
+                prop_assert_eq!(pi_pf[idx], product.state_probability(&x).unwrap());
                 prop_assert!((pi_pf[idx] - pi_lu[idx]).abs() < 1e-9,
                     "idx {idx}: product {:e} vs LU {:e}", pi_pf[idx], pi_lu[idx]);
                 prop_assert!((pi_pf[idx] - pi_gs[idx]).abs() < 1e-9,

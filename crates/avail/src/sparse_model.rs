@@ -188,19 +188,7 @@ impl SparseAvailabilityModel {
     /// # Errors
     /// [`AvailError::LengthMismatch`] on a wrong `pi` length.
     pub fn availability(&self, pi: &[f64]) -> Result<f64, AvailError> {
-        if pi.len() != self.space.len() {
-            return Err(AvailError::LengthMismatch {
-                expected: self.space.len(),
-                actual: pi.len(),
-            });
-        }
-        let mut up = 0.0;
-        for (idx, x) in self.space.iter() {
-            if StateSpace::is_operational(&x) {
-                up += pi[idx];
-            }
-        }
-        Ok(up)
+        self.space.operational_mass(pi)
     }
 
     /// `1 - availability`.

@@ -101,6 +101,28 @@ impl StateSpace {
     pub fn is_operational(x: &[usize]) -> bool {
         x.iter().all(|&v| v > 0)
     }
+
+    /// The WFMS availability under a stationary distribution `pi`: the
+    /// mass of the operational states, summed in encoding order. Every
+    /// availability backend that materializes `pi` reports this sum.
+    ///
+    /// # Errors
+    /// [`AvailError::LengthMismatch`] unless `pi` has one entry per state.
+    pub fn operational_mass(&self, pi: &[f64]) -> Result<f64, AvailError> {
+        if pi.len() != self.len() {
+            return Err(AvailError::LengthMismatch {
+                expected: self.len(),
+                actual: pi.len(),
+            });
+        }
+        let mut up = 0.0;
+        for (idx, x) in self.iter() {
+            if Self::is_operational(&x) {
+                up += pi[idx];
+            }
+        }
+        Ok(up)
+    }
 }
 
 /// Iterator over all states of a [`StateSpace`].

@@ -375,11 +375,11 @@ COMMANDS
                [--solver-tol <t>] [--solver-max-iter <n>] [--strict]
                [--optimal | --annealing] [--screen-epsilon <e>]
                [--rank-moves] [--no-incremental] [--json]
-               without --strict, failed availability solves escalate to a
-               dense LU fallback, failed state evaluations are charged at
-               their pessimistic waiting-time caps (reported as DEGRADED),
-               and irrecoverable candidates are quarantined rather than
-               aborting the search; --strict restores fail-fast.
+               without --strict, failed availability solves escalate to the
+               exact product-form solve, failed state evaluations are
+               charged at their pessimistic waiting-time caps (reported as
+               DEGRADED), and irrecoverable candidates are quarantined
+               rather than aborting the search; --strict restores fail-fast.
                one-replica neighbours reuse the incumbent's cached
                per-type marginals (disable with --no-incremental);
                --screen-epsilon > 0 prunes candidates the loose-e

@@ -45,8 +45,8 @@ pub struct DegradationReport {
     /// Total stationary mass of those states.
     pub charged_mass: f64,
     /// Availability-solver escalations taken while producing this
-    /// assessment's stationary vector (e.g. sparse Gauss–Seidel → dense
-    /// LU). Mirrors the `solver.fallback` obs counter.
+    /// assessment's stationary vector (sparse Gauss–Seidel → the exact
+    /// product-form solve). Mirrors the `solver.fallback` obs counter.
     pub solver_fallbacks: u32,
     /// Per-state failure detail, capped at [`DEGRADATION_DETAIL_CAP`]
     /// entries ([`DegradationReport::failed_states`] stays exact).

@@ -17,12 +17,20 @@
 //!    whole search.
 //! 2. **Birth–death-block cache** — keyed by `(type, Y_x)`, holding the
 //!    per-type rate ladders ([`wfms_avail::BirthDeathBlock`]) of the
-//!    availability CTMC, so the generator for `Y + e_k` reuses the
-//!    blocks of every unchanged type.
+//!    availability CTMC, so the chain for `Y + e_k` reuses the blocks of
+//!    every unchanged type.
 //! 3. **Availability-solution cache** — keyed by `Y`, holding the
 //!    steady-state vector and availability, so re-assessing a candidate
-//!    (greedy revisits, annealing walks, warm re-runs) skips the LU
-//!    solve entirely.
+//!    (greedy revisits, annealing walks, warm re-runs) skips the
+//!    availability solve entirely.
+//!
+//! The engine models independent repair throughout, so the
+//! availability chain is a product of per-type birth–death chains and
+//! its exact stationary vector is `π(X) = Π_x m_x[X_x]`
+//! ([`wfms_avail::ProductFormModel`]). The default (`ε = 0`) path
+//! materializes that product in encoding order — no generator, no LU
+//! factorization — and folds every state; `ε > 0` folds only the
+//! heaviest states of the same product.
 //!
 //! Candidate evaluation over the exhaustive/B&B frontier — and the
 //! per-state kernel over the independent degraded states of one
@@ -60,10 +68,9 @@ use std::sync::{Arc, Mutex};
 use rayon::prelude::*;
 
 use wfms_avail::{
-    select_backend, AvailBackend, AvailabilityModel, BirthDeathBlock, ProductFormModel,
-    RepairPolicy, SparseAvailabilityModel, StateSpace, MINUTES_PER_YEAR,
+    select_backend, AvailBackend, BirthDeathBlock, ProductFormModel, RepairPolicy,
+    SparseAvailabilityModel, StateSpace, MINUTES_PER_YEAR,
 };
-use wfms_markov::ctmc::SteadyStateMethod;
 use wfms_markov::linalg::GaussSeidelOptions;
 use wfms_perf::{SystemLoad, WaitingOutcome};
 use wfms_performability::{
@@ -253,14 +260,36 @@ fn poison_first_stable(evaluation: &mut StateEvaluation) {
     }
 }
 
+/// The exact availability solve of an independent-repair chain from its
+/// product form: `π(X) = Π_x m_x[X_x]` materialized in encoding order
+/// (no generator, no factorization), and the availability summed over
+/// the operational states in that order, as the dense model sums it.
+/// Answers the `ε = 0` default and the sparse solver's escalation;
+/// `fallbacks` is the escalation count the solution is born with.
+fn exact_solution(
+    config: &Configuration,
+    blocks: &[Arc<BirthDeathBlock>],
+    fallbacks: u32,
+) -> Result<AvailabilitySolution, ConfigError> {
+    let model = ProductFormModel::from_blocks(config, blocks)?;
+    let pi = model.steady_state()?;
+    let availability = model.state_space().operational_mass(&pi)?;
+    Ok(AvailabilitySolution::Explicit {
+        pi,
+        availability,
+        fallbacks,
+    })
+}
+
 /// A cached availability solve for one candidate `Y`, shaped by the
 /// backend that produced it.
 #[derive(Debug)]
 enum AvailabilitySolution {
-    /// Dense LU or sparse Gauss–Seidel: the materialized stationary
-    /// vector in encoding order. `fallbacks` counts solver escalations
-    /// taken to produce the vector (sparse Gauss–Seidel → dense LU), so
-    /// warm cache hits still report the degradation they were born with.
+    /// The exact product form or sparse Gauss–Seidel: the materialized
+    /// stationary vector in encoding order. `fallbacks` counts solver
+    /// escalations taken to produce the vector (sparse Gauss–Seidel →
+    /// the exact product form), so warm cache hits still report the
+    /// degradation they were born with.
     Explicit {
         pi: Vec<f64>,
         availability: f64,
@@ -273,8 +302,9 @@ enum AvailabilitySolution {
 }
 
 /// Key of the availability-solution cache: the candidate `Y` plus the
-/// backend that solved it, so e.g. an exact dense reference can coexist
-/// with the product form for the same candidate.
+/// backend that solved it, so e.g. the exhaustive `ε = 0` solve can
+/// coexist with the lazily enumerated product form for the same
+/// candidate.
 type SolutionKey = (Vec<usize>, AvailBackend);
 
 impl AvailabilitySolution {
@@ -491,11 +521,11 @@ impl AssessmentEngine {
 
     /// The availability solve for `config` under the resolved `backend`,
     /// from the solution cache. On a miss, assembles the chosen model
-    /// from cached per-type blocks: dense LU is the same float pipeline
-    /// as [`AvailabilityModel::new`] (bit-identical vector); sparse runs
-    /// tight Gauss–Seidel sweeps; product computes the closed-form
-    /// marginals only. The cache key carries the backend, so solutions
-    /// produced by different backends never alias.
+    /// from cached per-type blocks: dense (the `ε = 0` default) takes the
+    /// exact path of [`exact_solution`]; sparse runs tight Gauss–Seidel
+    /// sweeps; product computes the closed-form marginals only. The cache
+    /// key carries the backend, so solutions produced by different
+    /// backends never alias.
     fn availability_solution(
         &self,
         config: &Configuration,
@@ -535,17 +565,7 @@ impl AssessmentEngine {
             blocks.push(self.block(j, y, counters)?);
         }
         let solution = match backend {
-            AvailBackend::Auto | AvailBackend::Dense => {
-                let model =
-                    AvailabilityModel::from_blocks(config, &blocks, RepairPolicy::Independent)?;
-                let pi = model.steady_state(SteadyStateMethod::Lu)?;
-                let availability = model.availability(&pi)?;
-                AvailabilitySolution::Explicit {
-                    pi,
-                    availability,
-                    fallbacks: 0,
-                }
-            }
+            AvailBackend::Auto | AvailBackend::Dense => exact_solution(config, &blocks, 0)?,
             AvailBackend::Sparse => {
                 let model = SparseAvailabilityModel::from_blocks(
                     config,
@@ -583,23 +603,12 @@ impl AssessmentEngine {
                             };
                         }
                         // Graceful degradation: escalate the failed (or
-                        // non-finite) Gauss–Seidel solve to a dense LU
-                        // factorization of the same chain.
+                        // non-finite) Gauss–Seidel solve to the exact
+                        // product form of the same chain.
                         wfms_obs::counter("solver.fallback", 1);
                         let mut span = wfms_obs::span!("solver-fallback");
                         span.record("from", "sparse-gauss-seidel");
-                        let model = AvailabilityModel::from_blocks(
-                            config,
-                            &blocks,
-                            RepairPolicy::Independent,
-                        )?;
-                        let pi = model.steady_state(SteadyStateMethod::Lu)?;
-                        let availability = model.availability(&pi)?;
-                        AvailabilitySolution::Explicit {
-                            pi,
-                            availability,
-                            fallbacks: 1,
-                        }
+                        exact_solution(config, &blocks, 1)?
                     }
                 }
             }
@@ -934,8 +943,8 @@ impl AssessmentEngine {
 
         let perf = match &*solution {
             AvailabilitySolution::Explicit { pi, .. } => {
-                // Exhaustive fold over the encoding order: bit-identical
-                // to the historical (pre-backend) path when dense.
+                // Exhaustive fold over the encoding order, the order the
+                // dense model's `distribution` walks.
                 let space = StateSpace::new(config);
                 self.populate_state_cache(&space, &counters).and_then(|()| {
                     fold_states(
@@ -1715,7 +1724,10 @@ mod tests {
     use crate::assess::assess;
     use crate::search::{exhaustive_search, greedy_search};
     use proptest::prelude::*;
-    use wfms_statechart::paper_section52_registry;
+    use wfms_avail::{closed_form_unavailability, AvailabilityModel};
+    use wfms_markov::ctmc::SteadyStateMethod;
+    use wfms_performability::evaluate_with_model;
+    use wfms_statechart::{paper_section52_registry, ServerType, ServerTypeKind};
 
     fn load_at(rho_single: f64, reg: &ServerTypeRegistry) -> SystemLoad {
         let rates: Vec<f64> = reg
@@ -1969,12 +1981,13 @@ mod tests {
     }
 
     #[test]
-    fn starved_sparse_solver_degrades_to_dense_lu() {
+    fn starved_sparse_solver_degrades_to_the_exact_path() {
         let reg = paper_section52_registry();
         let load = load_at(0.8, &reg);
         let goals = Goals::new(0.01, 0.9999).unwrap();
         // One Gauss–Seidel sweep cannot reach 1e-12: the solve reports
-        // NotConverged and the supervision layer escalates to dense LU.
+        // NotConverged and the supervision layer escalates to the exact
+        // product-form path.
         let starved_opts = SearchOptions::builder()
             .avail_backend(AvailBackend::Sparse)
             .solver_max_iterations(1)
@@ -1987,7 +2000,7 @@ mod tests {
         assert_eq!(d.failed_states, 0);
         assert_eq!(d.charged_mass, 0.0);
         assert!(d.details.is_empty());
-        // The fallback runs the exact dense pipeline: bit-identical
+        // The fallback runs the engine's exact path: bit-identical
         // numbers to a Dense-backend engine, modulo the report itself.
         let dense_opts = SearchOptions::builder()
             .avail_backend(AvailBackend::Dense)
@@ -2089,6 +2102,103 @@ mod tests {
             prop_assert_eq!(&direct, &cold);
             let warm = engine.assess(&config).unwrap();
             prop_assert_eq!(&direct, &warm);
+        }
+
+        /// The default (`ε = 0`) path takes π from the product form; the
+        /// dense generator plus LU solve stays its oracle. On arbitrary
+        /// registries, loads and candidates the two agree to round-off
+        /// and classify every state alike.
+        #[test]
+        fn default_assessment_matches_the_dense_lu_oracle(
+            types in proptest::collection::vec(
+                (1e-5f64..1e-2, 0.01f64..1.0, 0.005f64..0.5, 0.05f64..2.5),
+                1..4,
+            ),
+            y in proptest::collection::vec(1usize..4, 3),
+        ) {
+            let mut reg = ServerTypeRegistry::new();
+            let mut request_rates = Vec::new();
+            for (i, &(lambda, mu, service, rho)) in types.iter().enumerate() {
+                reg.register(ServerType::with_exponential_service(
+                    format!("t{i}"),
+                    ServerTypeKind::WorkflowEngine,
+                    lambda,
+                    mu,
+                    service,
+                ))
+                .unwrap();
+                request_rates.push(rho / service);
+            }
+            let load = SystemLoad {
+                request_rates,
+                total_arrival_rate: 1.0,
+                active_instances: vec![],
+            };
+            let config = Configuration::new(&reg, y[..types.len()].to_vec()).unwrap();
+            let goals = Goals::new(0.01, 0.9999).unwrap();
+            let engine =
+                AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default()).unwrap();
+            let a = engine.assess(&config).unwrap();
+
+            let blocks: Vec<Arc<BirthDeathBlock>> = reg
+                .iter()
+                .map(|(id, st)| {
+                    Arc::new(BirthDeathBlock::for_type(
+                        st,
+                        config.as_slice()[id.0],
+                        RepairPolicy::Independent,
+                    ))
+                })
+                .collect();
+            let model =
+                AvailabilityModel::from_blocks(&config, &blocks, RepairPolicy::Independent)
+                    .unwrap();
+            let pi = model.steady_state(SteadyStateMethod::Lu).unwrap();
+            let oracle =
+                evaluate_with_model(&model, &pi, &reg, &load, DegradedPolicy::Conditional);
+
+            let lu_availability = model.availability(&pi).unwrap();
+            prop_assert!(
+                (a.availability - lu_availability).abs() <= 1e-12,
+                "availability {:e} vs LU {lu_availability:e}", a.availability
+            );
+            let closed = 1.0 - closed_form_unavailability(&reg, &config).unwrap();
+            prop_assert!(
+                (a.availability - closed).abs() <= 1e-12,
+                "availability {:e} vs closed form {closed:e}", a.availability
+            );
+            prop_assert!(a.truncation.is_none());
+
+            match oracle {
+                Ok(report) => {
+                    let waits = a.expected_waiting.clone().unwrap();
+                    for (x, (w, w_lu)) in waits.iter().zip(&report.expected_waiting).enumerate() {
+                        prop_assert!(
+                            (w - w_lu).abs() <= 1e-12 * w_lu.abs(),
+                            "type {x}: wait {w:e} vs LU {w_lu:e}"
+                        );
+                    }
+                    prop_assert!(
+                        (a.probability_saturated - report.probability_saturated).abs() <= 1e-12
+                    );
+                }
+                Err(PerformabilityError::NoServingStates) => {
+                    prop_assert!(a.expected_waiting.is_none());
+                }
+                Err(e) => prop_assert!(false, "oracle failed: {e}"),
+            }
+            // Every state the oracle folds sits in the same class (down,
+            // saturated, serving) in the engine's state cache.
+            for (x, _) in model.distribution(&pi).unwrap() {
+                let expected = evaluate_state(&load, &reg, &x).unwrap();
+                let cached = lock_cache(&engine.states)
+                    .get(&x)
+                    .expect("the exact path caches every state");
+                prop_assert_eq!(
+                    (cached.down, cached.saturated),
+                    (expected.down, expected.saturated)
+                );
+            }
         }
     }
 }

@@ -59,7 +59,7 @@ pub struct SearchOptions {
     /// product-form backend and evaluate states in descending `π` order
     /// only until the covered mass reaches `1 − ε`, reporting a sound
     /// bound on the waiting-time error. `0.0` (the default) keeps the
-    /// exhaustive fold — bit-identical to the historical path.
+    /// exhaustive fold over every state in encoding order.
     pub epsilon: f64,
     /// Which availability solver evaluates each candidate's chain; see
     /// [`AvailBackend`]. The default `Auto` resolves per candidate from
@@ -80,11 +80,11 @@ pub struct SearchOptions {
     /// Fail-fast mode: when `true`, any candidate-level solver or model
     /// failure aborts the assessment or search immediately (the
     /// historical behaviour). When `false` (the default), the engine
-    /// degrades gracefully: failed availability solves fall back to a
-    /// dense LU solve, failed degraded-state evaluations are charged
-    /// with their sound pessimistic waiting-time cap and recorded in
-    /// [`Assessment::degradation`](crate::Assessment), and searches
-    /// quarantine irrecoverable candidates in
+    /// degrades gracefully: failed availability solves fall back to the
+    /// exact product-form solve, failed degraded-state evaluations are
+    /// charged with their sound pessimistic waiting-time cap and
+    /// recorded in [`Assessment::degradation`](crate::Assessment), and
+    /// searches quarantine irrecoverable candidates in
     /// [`SearchResult::quarantined`] instead of aborting.
     #[serde(default)]
     pub strict: bool,
@@ -194,7 +194,7 @@ impl SearchOptionsBuilder {
     }
 
     /// Sets the performability mass-truncation tolerance (`0.0` =
-    /// exhaustive, bit-identical to the historical path). Validated by
+    /// exhaustive, every state folded). Validated by
     /// [`AssessmentEngine::new`](crate::AssessmentEngine::new).
     #[must_use]
     pub fn epsilon(mut self, epsilon: f64) -> Self {

@@ -48,7 +48,7 @@
 //! | `linear-solve` | `wfms-markov` | `n`, `iterations`, `residual`, `spectral_radius_est` |
 //! | `steady-state` | `wfms-markov` | `states`, `method`, `iterations` |
 //! | `avail-build` | `wfms-avail` | `states`, `types`, `backend` |
-//! | `avail-steady-state` | `wfms-avail` | `states`, `backend` |
+//! | `avail-steady-state` | `wfms-avail` | `states`, `backend` (`dense`, `sparse`, or `product` — the assessment engine's exact default path) |
 //! | `avail-product-form` | `wfms-avail` | `states`, `types` |
 //! | `mg1-waiting` | `wfms-perf` | `types`, `evaluations` |
 //! | `performability` | `wfms-performability` | `states`, `degraded`, `serving`, `pruned` (ε-truncated fold only) |
@@ -97,7 +97,7 @@
 //!
 //! | metric | kind | emitted by | meaning |
 //! |---|---|---|---|
-//! | `solver.fallback` | counter | `wfms-markov` / `wfms-config` | solves that escalated down a fallback ladder (e.g. sparse Gauss–Seidel → dense LU), each paired with a `solver-fallback` span |
+//! | `solver.fallback` | counter | `wfms-markov` / `wfms-config` | solves that escalated down a fallback ladder (e.g. sparse Gauss–Seidel → the exact product form), each paired with a `solver-fallback` span |
 //! | `config.quarantined` | counter | `wfms-config` | candidates whose assessment failed irrecoverably and were skipped by a search |
 //! | `config.degraded-assessments` | counter | `wfms-config` | assessments that carried a `DegradationReport` |
 //! | `solver.budget-exhausted` | counter | `wfms-markov` | resilient-solve stages that ran out of iterations before converging |

@@ -5,7 +5,8 @@
 //! invariant that `wfms audit` enforces statically over the workspace
 //! sources and documentation. The numbers are stable identifiers —
 //! renaming or renumbering one is a breaking change to downstream
-//! tooling, exactly like an obs span name or a failpoint site.
+//! tooling, exactly like an obs span name or a failpoint site — so a
+//! retired code is never reused.
 //!
 //! Codes are grouped by pass:
 //!
@@ -16,28 +17,20 @@
 //!   structures or unordered parallel reductions in the solver crates;
 //! * `A008`–`A010` — **panic safety**: no `unwrap`/`expect`/`panic!`
 //!   in hot-path library code without a justified allow;
-//! * `A011` — **API hygiene**: no internal callers of the deprecated
-//!   free-function search API;
+//! * `A011` — *retired*: it policed callers of the free-function search
+//!   API, which is gone;
 //! * `A012`–`A013` — the allowlist itself is machine-checked: pragmas
 //!   must be well-formed and must actually suppress something;
-//! * `A014` — **registry consistency, continued**: the decision-journal
-//!   vocabulary (`wfms-config::journal`) must agree with the DESIGN.md
-//!   §7 decision-vocabulary table and the README Explainability table
-//!   in both directions.
-//! * `A015` — **registry consistency, continued**: the wire method
-//!   names (`METHOD_*` constants in `wfms-proto`) must agree with the
-//!   DESIGN.md §13 protocol method table and the README Serving table
-//!   in both directions.
-//! * `A016` — **registry consistency, continued**: the wire error
-//!   vocabulary (`ERR_*` constants in `wfms-proto`) must agree with the
-//!   DESIGN.md §13 error-vocabulary table and the README error
-//!   vocabulary table in both directions.
+//! * `A014`–`A017` — **registry consistency, continued**: the
+//!   decision-journal vocabulary (`wfms-config::journal`), the wire
+//!   method names and the wire error vocabulary (`wfms-proto`), and this
+//!   registry itself must each agree with their DESIGN.md and README
+//!   tables in both directions.
 //!
 //! The [`all`] table carries the default severity, a one-line summary,
 //! and the DESIGN.md section whose contract the check enforces;
-//! `DESIGN.md` §11 documents the same table, and the registry pass of
-//! the auditor would flag drift between the two if the analogous check
-//! for its own table were ever added.
+//! `DESIGN.md` §11 documents the same table, and the registry pass
+//! reports drift between the two as `A017`.
 
 use wfms_diag::Severity;
 
@@ -80,13 +73,6 @@ pub const A_PANIC: &str = "A009";
 /// Direct slice indexing in the CLI crate (user-input boundary).
 pub const A_DIRECT_INDEX: &str = "A010";
 
-// ------------------------------------------------- API hygiene
-
-/// An internal (non-test) caller of the deprecated free-function
-/// search API (`assess` / `greedy_search` / `exhaustive_search` /
-/// `branch_and_bound_search` / `annealing_search`).
-pub const A_DEPRECATED_SEARCH_API: &str = "A011";
-
 // -------------------------------------------------- allowlist
 
 /// A malformed `audit:allow` pragma (unparseable, unknown code, or
@@ -118,6 +104,10 @@ pub const A_PROTO_METHOD_DRIFT: &str = "A015";
 /// `unavailable`, and `deadline-exceeded`), so they carry the same
 /// stability contract as the method names — and the same drift check.
 pub const A_PROTO_ERROR_DRIFT: &str = "A016";
+
+/// The audit codes themselves (the `A_*` constants of this module)
+/// drifted from the DESIGN.md §11 code table (either direction).
+pub const A_AUDIT_CODE_DRIFT: &str = "A017";
 
 /// One row of the audit-code registry.
 #[derive(Debug, Clone)]
@@ -206,12 +196,6 @@ pub fn all() -> Vec<CodeInfo> {
             "DESIGN.md \u{a7}10",
         ),
         info(
-            A_DEPRECATED_SEARCH_API,
-            Error,
-            "internal code must use AssessmentEngine, not the deprecated free functions",
-            "DESIGN.md \u{a7}8",
-        ),
-        info(
             A_MALFORMED_ALLOW,
             Error,
             "audit:allow pragmas must name a known code and give a reason",
@@ -240,6 +224,12 @@ pub fn all() -> Vec<CodeInfo> {
             Error,
             "the wire error vocabulary and its doc tables must match exactly",
             "DESIGN.md \u{a7}13",
+        ),
+        info(
+            A_AUDIT_CODE_DRIFT,
+            Error,
+            "the audit codes and the DESIGN.md \u{a7}11 code table must match exactly",
+            "DESIGN.md \u{a7}11",
         ),
     ]
 }

@@ -6,20 +6,20 @@
 //! still honour its own contracts?" — statically, over the sources and
 //! the documentation, with no execution.
 //!
-//! Four passes, each owning a band of the stable `A0xx` registry
+//! Three passes, each owning a band of the stable `A0xx` registry
 //! ([`codes`]):
 //!
-//! 1. **registry consistency** ([`registry`], `A001`–`A005`) — obs
-//!    span/metric names, failpoint sites, and diagnostic codes must
-//!    match their documentation tables in both directions;
+//! 1. **registry consistency** ([`registry`], `A001`–`A005` and
+//!    `A014`–`A017`) — obs span/metric names, failpoint sites,
+//!    diagnostic codes, the decision and wire vocabularies, and the
+//!    audit codes themselves must match their documentation tables in
+//!    both directions;
 //! 2. **determinism** ([`determinism`], `A006`–`A007`) — no
 //!    hash-order-dependent collections or unordered parallel
 //!    reductions in the solver crates;
 //! 3. **panic safety** ([`panic_safety`], `A008`–`A010`) — no
 //!    `unwrap`/`expect`/`panic!` in hot-path library code without a
-//!    justified allow;
-//! 4. **API hygiene** ([`api_hygiene`], `A011`) — no internal callers
-//!    of the deprecated free-function search API.
+//!    justified allow.
 //!
 //! Findings reuse the `wfms-diag` vocabulary (`Severity`, `Location`,
 //! `Diagnostic`, `Diagnostics`) so they serialize, render, and gate
@@ -39,7 +39,6 @@
 //! }
 //! ```
 
-pub mod api_hygiene;
 pub mod codes;
 pub mod determinism;
 pub mod panic_safety;
@@ -83,7 +82,6 @@ pub fn audit_workspace(workspace: &Workspace) -> Diagnostics {
     registry::run(workspace, &mut diags);
     determinism::run(workspace, &mut diags);
     panic_safety::run(workspace, &mut diags);
-    api_hygiene::run(workspace, &mut diags);
     // Allowlist hygiene last: only now is it known which pragmas fired.
     for file in &workspace.files {
         for allow in &file.allows {

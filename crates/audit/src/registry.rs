@@ -1,21 +1,17 @@
-//! Pass 1 — registry consistency (`A001`–`A005`, `A014`–`A016`).
+//! Pass 1 — registry consistency (`A001`–`A005`, `A014`–`A017`).
 //!
 //! The repo's stable-name vocabularies each live in two places: the
-//! emission sites in code and a documentation table. This pass parses
-//! both sides and errors on any drift, in both directions:
+//! names in code and a documentation table. One checker compares the
+//! two, in both directions, for every row of the `VOCABULARIES` table:
 //!
-//! * obs **span** names — `span!("…")` sites vs the span table in
-//!   `crates/obs/src/lib.rs` *and* the README Observability table;
-//! * obs **metric** names — `wfms_obs::counter/gauge/histogram("…")`
-//!   sites vs the metric tables in `crates/obs/src/lib.rs`;
-//! * the CLI `REQUIRED_STAGES` / `REQUIRED_COUNTERS` /
-//!   `REQUIRED_ZERO_COUNTERS` gates — every entry must name an emitted
-//!   span or counter;
+//! * obs **span** and **metric** names — `span!("…")` and
+//!   `wfms_obs::counter/gauge/histogram("…")` sites vs the stable-name
+//!   tables in `crates/obs/src/lib.rs`, and the spans alone vs the
+//!   README Observability table;
 //! * **failpoint** sites — `point!("…")` sites vs the DESIGN.md §10
 //!   site table;
 //! * **diagnostic** codes — the `wfms-diag` `codes.rs` constants vs the
-//!   README Diagnostics tables, and every constant must be registered
-//!   in `codes::all()`;
+//!   README Diagnostics tables;
 //! * the **decision vocabulary** — the `OUTCOME_*`/`REASON_*`/`EVENT_*`
 //!   constants of `wfms-config::journal` vs the DESIGN.md §7
 //!   decision-vocabulary table and the README Explainability table;
@@ -24,11 +20,19 @@
 //!   README Serving table;
 //! * the **wire error vocabulary** — the `ERR_*` constants of
 //!   `wfms-proto` vs the DESIGN.md §13 error-vocabulary table and the
-//!   README error vocabulary table.
+//!   README error vocabulary table;
+//! * the **audit codes** — the `A_*` constants of this crate's
+//!   [`codes`] module vs the DESIGN.md §11 code table.
 //!
-//! Doc checks are skipped when the corresponding file is absent, so
-//! fixture workspaces only need the files relevant to the invariant
-//! under test.
+//! Two checks are not pairings and run beside the table: the CLI
+//! `REQUIRED_STAGES` / `REQUIRED_COUNTERS` / `REQUIRED_ZERO_COUNTERS`
+//! gates must name emitted spans or counters (`A003`), and every
+//! diagnostic-code constant must be registered in `codes::all()`
+//! (`A005`).
+//!
+//! A doc table is skipped when its file is absent, and a
+//! constant-backed row when its source file is absent, so fixture
+//! workspaces only need the files relevant to the invariant under test.
 
 use std::collections::BTreeMap;
 
@@ -42,39 +46,183 @@ use crate::scan::{backticked, first_cell_names, first_cell_plain, SourceFile, Wo
 /// are therefore excluded from the emission scan.
 const EMISSION_EXEMPT: &[&str] = &["crates/obs/", "crates/fault/", "crates/audit/"];
 
-/// An emitted stable name and its first emission site.
+/// A stable name and its first site in code (file, one-based line).
 type Sites = BTreeMap<String, (String, usize)>;
 
+/// Doc table names with the line each first appeared on.
+type DocNames = BTreeMap<String, usize>;
+
+/// An instrumentation-site kind the emission scan collects.
+#[derive(Clone, Copy)]
+enum Emission {
+    Span,
+    Metric,
+    Failpoint,
+}
+
+/// Where a vocabulary's code-side names come from.
+enum Source {
+    /// Names emitted at instrumentation sites, outside
+    /// [`EMISSION_EXEMPT`] and `src/bin/` drivers.
+    Emitted(&'static [Emission]),
+    /// The values of the `pub const NAME: &str` declarations in one file
+    /// whose `NAME` starts with one of the prefixes (every one when
+    /// there are none).
+    Consts(&'static str, &'static [&'static str]),
+}
+
+/// One documentation table a vocabulary must match.
+struct DocTable {
+    file: &'static str,
+    /// Only rows under a heading whose lowercased line contains this
+    /// text count; any other heading closes the section. `None` scans
+    /// the whole file.
+    heading: Option<&'static str>,
+    /// The names one table line lists.
+    cell: fn(&str) -> Vec<String>,
+}
+
+const fn table(
+    file: &'static str,
+    heading: Option<&'static str>,
+    cell: fn(&str) -> Vec<String>,
+) -> DocTable {
+    DocTable {
+        file,
+        heading,
+        cell,
+    }
+}
+
+/// One vocabulary pairing: where the names live in code, the tables
+/// that must list exactly them, and the code each direction of drift
+/// reports under.
+struct Vocabulary {
+    /// What one name is, as findings call it.
+    noun: &'static str,
+    source: Source,
+    docs: &'static [DocTable],
+    /// A name in code that a table lacks.
+    undocumented: &'static str,
+    /// A table name that code lacks.
+    stale: &'static str,
+}
+
+/// Every code ↔ doc pairing the registry pass checks.
+const VOCABULARIES: &[Vocabulary] = &[
+    Vocabulary {
+        noun: "obs name",
+        source: Source::Emitted(&[Emission::Span, Emission::Metric]),
+        docs: &[table("crates/obs/src/lib.rs", None, first_cell_names)],
+        undocumented: codes::A_OBS_NAME_UNDOCUMENTED,
+        stale: codes::A_OBS_NAME_STALE,
+    },
+    Vocabulary {
+        noun: "span",
+        source: Source::Emitted(&[Emission::Span]),
+        docs: &[table("README.md", Some("observability"), first_cell_names)],
+        undocumented: codes::A_OBS_NAME_UNDOCUMENTED,
+        stale: codes::A_OBS_NAME_STALE,
+    },
+    Vocabulary {
+        noun: "failpoint site",
+        source: Source::Emitted(&[Emission::Failpoint]),
+        docs: &[table("DESIGN.md", None, site_cells)],
+        undocumented: codes::A_FAILPOINT_DRIFT,
+        stale: codes::A_FAILPOINT_DRIFT,
+    },
+    Vocabulary {
+        noun: "diagnostic code",
+        source: Source::Consts("crates/diag/src/codes.rs", &[]),
+        docs: &[table("README.md", Some("diagnostics"), diag_code_cells)],
+        undocumented: codes::A_DIAG_TABLE_DRIFT,
+        stale: codes::A_DIAG_TABLE_DRIFT,
+    },
+    Vocabulary {
+        noun: "decision-vocabulary name",
+        source: Source::Consts(
+            "crates/config/src/journal.rs",
+            &["OUTCOME_", "REASON_", "EVENT_"],
+        ),
+        docs: &[
+            table("DESIGN.md", Some("decision vocabulary"), first_cell_names),
+            table("README.md", Some("explainability"), first_cell_names),
+        ],
+        undocumented: codes::A_DECISION_VOCAB_DRIFT,
+        stale: codes::A_DECISION_VOCAB_DRIFT,
+    },
+    Vocabulary {
+        noun: "wire method",
+        source: Source::Consts("crates/proto/src/lib.rs", &["METHOD_"]),
+        docs: &[
+            table("DESIGN.md", Some("serving protocol"), first_cell_names),
+            table("README.md", Some("serving"), first_cell_names),
+        ],
+        undocumented: codes::A_PROTO_METHOD_DRIFT,
+        stale: codes::A_PROTO_METHOD_DRIFT,
+    },
+    Vocabulary {
+        noun: "wire error kind",
+        source: Source::Consts("crates/proto/src/lib.rs", &["ERR_"]),
+        docs: &[
+            table("DESIGN.md", Some("error vocabulary"), first_cell_names),
+            table("README.md", Some("error vocabulary"), first_cell_names),
+        ],
+        undocumented: codes::A_PROTO_ERROR_DRIFT,
+        stale: codes::A_PROTO_ERROR_DRIFT,
+    },
+    Vocabulary {
+        noun: "audit code",
+        source: Source::Consts("crates/audit/src/codes.rs", &["A_"]),
+        docs: &[table(
+            "DESIGN.md",
+            Some("implementation audit"),
+            first_cell_names,
+        )],
+        undocumented: codes::A_AUDIT_CODE_DRIFT,
+        stale: codes::A_AUDIT_CODE_DRIFT,
+    },
+];
+
+/// Every emitted stable name, by instrumentation-site kind.
+#[derive(Default)]
+struct Emissions {
+    spans: Sites,
+    metrics: Sites,
+    failpoints: Sites,
+}
+
+impl Emissions {
+    fn of(&self, kind: Emission) -> &Sites {
+        match kind {
+            Emission::Span => &self.spans,
+            Emission::Metric => &self.metrics,
+            Emission::Failpoint => &self.failpoints,
+        }
+    }
+}
+
 pub fn run(ws: &Workspace, diags: &mut Diagnostics) {
-    let mut spans = Sites::new();
-    let mut metrics = Sites::new();
-    let mut failpoints = Sites::new();
+    let mut emitted = Emissions::default();
     for file in &ws.files {
         if EMISSION_EXEMPT.iter().any(|p| file.rel.starts_with(p)) || file.is_bin() {
             continue;
         }
-        collect_emissions(file, &mut spans, &mut metrics, &mut failpoints);
+        collect_emissions(file, &mut emitted);
     }
-    check_obs_names(ws, &spans, &metrics, diags);
-    check_required_gates(ws, &spans, &metrics, diags);
-    check_failpoints(ws, &failpoints, diags);
-    check_diag_codes(ws, diags);
-    check_decision_vocab(ws, diags);
-    check_proto_methods(ws, diags);
-    check_proto_errors(ws, diags);
+    for vocabulary in VOCABULARIES {
+        check_vocabulary(ws, vocabulary, &emitted, diags);
+    }
+    check_required_gates(ws, &emitted.spans, &emitted.metrics, diags);
+    check_diag_registration(ws, diags);
 }
 
-fn collect_emissions(
-    file: &SourceFile,
-    spans: &mut Sites,
-    metrics: &mut Sites,
-    points: &mut Sites,
-) {
+fn collect_emissions(file: &SourceFile, emitted: &mut Emissions) {
     for (idx, code) in file.code.iter().enumerate() {
         let line = idx + 1;
         if code.contains("span!(") {
             if let Some(name) = file.literal_near(line, 2) {
-                record(spans, name, file, line);
+                record(&mut emitted.spans, name, file, line);
             }
         }
         for needle in [
@@ -84,13 +232,13 @@ fn collect_emissions(
         ] {
             if code.contains(needle) {
                 if let Some(name) = file.literal_near(line, 2) {
-                    record(metrics, name, file, line);
+                    record(&mut emitted.metrics, name, file, line);
                 }
             }
         }
         if code.contains("point!(") {
             match file.literal_near(line, 1).filter(|n| is_site_name(n)) {
-                Some(name) => record(points, name, file, line),
+                Some(name) => record(&mut emitted.failpoints, name, file, line),
                 // Variable-site macros (`point!(fault_site)`): the
                 // candidate site names are string literals defined a few
                 // lines earlier — collect every site-shaped literal in
@@ -101,7 +249,7 @@ fn collect_emissions(
                     for lits in &file.literals[lo..hi] {
                         for lit in lits {
                             if is_site_name(lit) {
-                                record(points, lit, file, line);
+                                record(&mut emitted.failpoints, lit, file, line);
                             }
                         }
                     }
@@ -127,111 +275,190 @@ fn is_site_name(name: &str) -> bool {
         })
 }
 
-/// Doc table names with the line each first appeared on.
-type DocNames = BTreeMap<String, usize>;
+impl Source {
+    /// The code-side names with their first sites, or `None` when the
+    /// defining file is absent.
+    fn names(&self, ws: &Workspace, emitted: &Emissions) -> Option<Sites> {
+        match self {
+            Source::Emitted(kinds) => {
+                let mut names = Sites::new();
+                for &kind in *kinds {
+                    for (name, site) in emitted.of(kind) {
+                        names.entry(name.clone()).or_insert_with(|| site.clone());
+                    }
+                }
+                Some(names)
+            }
+            Source::Consts(file, prefixes) => {
+                let file = ws.file(file)?;
+                let mut names = Sites::new();
+                for (idx, value) in const_str_values(file) {
+                    let declared = const_name(&file.code[idx]);
+                    if prefixes.is_empty() || prefixes.iter().any(|p| declared.starts_with(p)) {
+                        names
+                            .entry(value)
+                            .or_insert_with(|| (file.rel.clone(), idx + 1));
+                    }
+                }
+                Some(names)
+            }
+        }
+    }
 
-/// First-cell backticked names of every markdown table row in `lines`
-/// (optionally restricted to one `## section`).
-fn table_names(lines: &[String], section: Option<&str>) -> DocNames {
+    /// How a finding says where the name sits in code.
+    fn verb(&self) -> &'static str {
+        match self {
+            Source::Emitted(_) => "emitted",
+            Source::Consts(..) => "declared",
+        }
+    }
+
+    /// How a finding says that code lacks a documented name.
+    fn absence(&self) -> String {
+        match self {
+            Source::Emitted(_) => "no code emits it".to_string(),
+            Source::Consts(file, _) => format!("{file} does not declare it"),
+        }
+    }
+}
+
+/// Compares one vocabulary's code-side names with each of its doc
+/// tables, in both directions.
+fn check_vocabulary(
+    ws: &Workspace,
+    vocabulary: &Vocabulary,
+    emitted: &Emissions,
+    diags: &mut Diagnostics,
+) {
+    let Some(names) = vocabulary.source.names(ws, emitted) else {
+        return;
+    };
+    let noun = vocabulary.noun;
+    for table in vocabulary.docs {
+        let Some(lines) = ws.doc_lines(table.file) else {
+            continue;
+        };
+        let documented = doc_names(&lines, table);
+        let what = match table.heading {
+            Some(heading) => format!("{} table under \"{heading}\"", table.file),
+            None => format!("{} tables", table.file),
+        };
+        for (name, (file, line)) in &names {
+            if ws
+                .file(file)
+                .is_some_and(|f| f.allowed(vocabulary.undocumented, *line))
+            {
+                continue;
+            }
+            if !documented.contains_key(name) {
+                emit(
+                    diags,
+                    vocabulary.undocumented,
+                    format!(
+                        "{noun} `{name}` is {} here but missing from the {what}",
+                        vocabulary.source.verb()
+                    ),
+                    file,
+                    *line,
+                );
+            }
+        }
+        for (name, line) in &documented {
+            if !names.contains_key(name) {
+                emit(
+                    diags,
+                    vocabulary.stale,
+                    format!(
+                        "{noun} `{name}` is listed in the {what}, but {}",
+                        vocabulary.source.absence()
+                    ),
+                    table.file,
+                    *line,
+                );
+            }
+        }
+    }
+}
+
+/// The names `table` lists in `lines`, with the line each first
+/// appears on.
+fn doc_names(lines: &[String], table: &DocTable) -> DocNames {
     let mut names = DocNames::new();
-    let mut in_section = section.is_none();
+    let mut in_section = table.heading.is_none();
     for (idx, line) in lines.iter().enumerate() {
-        if let Some(heading) = section {
-            let trimmed = line.trim_start().trim_start_matches("//!").trim_start();
-            if let Some(title) = trimmed.strip_prefix("## ") {
-                in_section = title.trim_start().starts_with(heading);
+        if let Some(heading) = table.heading {
+            if line.trim_start().starts_with('#') {
+                in_section = line.to_lowercase().contains(heading);
                 continue;
             }
         }
-        if !in_section {
-            continue;
-        }
-        for name in first_cell_names(line) {
-            names.entry(name).or_insert(idx + 1);
+        if in_section {
+            for name in (table.cell)(line) {
+                names.entry(name).or_insert(idx + 1);
+            }
         }
     }
     names
 }
 
-fn check_obs_names(ws: &Workspace, spans: &Sites, metrics: &Sites, diags: &mut Diagnostics) {
-    const OBS_DOC: &str = "crates/obs/src/lib.rs";
-    let obs_table = ws
-        .file(OBS_DOC)
-        .map(|f| table_names(&f.raw, None))
-        .unwrap_or_default();
-    let readme = ws.doc_lines("README.md");
-    let readme_spans = readme
-        .as_deref()
-        .map(|lines| table_names(lines, Some("Observability")))
-        .unwrap_or_default();
-    let have_obs_doc = ws.file(OBS_DOC).is_some();
-    let have_readme = readme.is_some();
+/// Failpoint-site-shaped names in a line's first cell.
+fn site_cells(line: &str) -> Vec<String> {
+    first_cell_names(line)
+        .into_iter()
+        .filter(|name| is_site_name(name))
+        .collect()
+}
 
-    for (name, (file, line)) in spans {
-        if ws
-            .file(file)
-            .is_some_and(|f| f.allowed(codes::A_OBS_NAME_UNDOCUMENTED, *line))
-        {
+/// `W001`-shaped codes in a line's first cell, bare or backticked.
+fn diag_code_cells(line: &str) -> Vec<String> {
+    let Some(cell) = first_cell_plain(line) else {
+        return Vec::new();
+    };
+    std::iter::once(cell.clone())
+        .chain(backticked(&cell))
+        .filter(|code| is_diag_code(code))
+        .collect()
+}
+
+/// The zero-based line and value of every `pub const …: &str`
+/// declaration in `file`.
+fn const_str_values(file: &SourceFile) -> Vec<(usize, String)> {
+    file.code
+        .iter()
+        .enumerate()
+        .filter(|(_, code)| code.contains("pub const") && code.contains("&str"))
+        .filter_map(|(idx, _)| Some((idx, file.literals[idx].first()?.clone())))
+        .collect()
+}
+
+/// The identifier a `const` declaration line declares (empty when the
+/// line declares none).
+fn const_name(code: &str) -> &str {
+    code.split_whitespace()
+        .skip_while(|w| *w != "const")
+        .nth(1)
+        .map_or("", |w| w.trim_end_matches(':'))
+}
+
+/// `A005`'s second half: every diagnostic-code constant must be wired
+/// into the `codes::all()` table, i.e. named again beyond its
+/// declaration.
+fn check_diag_registration(ws: &Workspace, diags: &mut Diagnostics) {
+    const DIAG: &str = "crates/diag/src/codes.rs";
+    let Some(file) = ws.file(DIAG) else { return };
+    for (idx, value) in const_str_values(file) {
+        let declared = const_name(&file.code[idx]);
+        if declared.is_empty() {
             continue;
         }
-        if have_obs_doc && !obs_table.contains_key(name) {
+        let uses: usize = file.code.iter().map(|l| l.matches(declared).count()).sum();
+        if uses < 2 {
             emit(
                 diags,
-                codes::A_OBS_NAME_UNDOCUMENTED,
-                format!("span `{name}` is emitted here but missing from the {OBS_DOC} stable-name table"),
-                file,
-                *line,
-            );
-        }
-        if have_readme && !readme_spans.contains_key(name) {
-            emit(
-                diags,
-                codes::A_OBS_NAME_UNDOCUMENTED,
-                format!("span `{name}` is emitted here but missing from the README.md Observability span table"),
-                file,
-                *line,
-            );
-        }
-    }
-    for (name, (file, line)) in metrics {
-        if ws
-            .file(file)
-            .is_some_and(|f| f.allowed(codes::A_OBS_NAME_UNDOCUMENTED, *line))
-        {
-            continue;
-        }
-        if have_obs_doc && !obs_table.contains_key(name) {
-            emit(
-                diags,
-                codes::A_OBS_NAME_UNDOCUMENTED,
-                format!(
-                    "metric `{name}` is emitted here but missing from the {OBS_DOC} metric tables"
-                ),
-                file,
-                *line,
-            );
-        }
-    }
-    // Reverse direction: documented names must be emitted somewhere.
-    for (name, line) in &obs_table {
-        if !spans.contains_key(name) && !metrics.contains_key(name) {
-            emit(
-                diags,
-                codes::A_OBS_NAME_STALE,
-                format!("documented obs name `{name}` is not emitted by any instrumentation site"),
-                OBS_DOC,
-                *line,
-            );
-        }
-    }
-    for (name, line) in &readme_spans {
-        if !spans.contains_key(name) {
-            emit(
-                diags,
-                codes::A_OBS_NAME_STALE,
-                format!("README.md Observability table lists span `{name}`, which no code emits"),
-                "README.md",
-                *line,
+                codes::A_DIAG_TABLE_DRIFT,
+                format!("diagnostic code {value} ({declared}) is declared but never registered in codes::all()"),
+                DIAG,
+                idx + 1,
             );
         }
     }
@@ -279,368 +506,6 @@ fn const_table_entries(file: &SourceFile, name: &str) -> Vec<(String, usize)> {
         }
     }
     entries
-}
-
-fn check_failpoints(ws: &Workspace, failpoints: &Sites, diags: &mut Diagnostics) {
-    let Some(design) = ws.doc_lines("DESIGN.md") else {
-        return;
-    };
-    let documented = failpoint_table(&design);
-    for (name, (file, line)) in failpoints {
-        if ws
-            .file(file)
-            .is_some_and(|f| f.allowed(codes::A_FAILPOINT_DRIFT, *line))
-        {
-            continue;
-        }
-        if !documented.contains_key(name) {
-            emit(
-                diags,
-                codes::A_FAILPOINT_DRIFT,
-                format!("failpoint site `{name}` is planted here but missing from the DESIGN.md robustness-contract site table"),
-                file,
-                *line,
-            );
-        }
-    }
-    for (name, line) in &documented {
-        if !failpoints.contains_key(name) {
-            emit(
-                diags,
-                codes::A_FAILPOINT_DRIFT,
-                format!(
-                    "DESIGN.md documents failpoint site `{name}`, which no `point!` site plants"
-                ),
-                "DESIGN.md",
-                *line,
-            );
-        }
-    }
-}
-
-/// The site column of the DESIGN.md robustness-contract table: the
-/// first table whose rows are dotted site names.
-fn failpoint_table(lines: &[String]) -> DocNames {
-    let mut names = DocNames::new();
-    for (idx, line) in lines.iter().enumerate() {
-        for name in first_cell_names(line) {
-            if is_site_name(&name) {
-                names.entry(name).or_insert(idx + 1);
-            }
-        }
-    }
-    names
-}
-
-fn check_diag_codes(ws: &Workspace, diags: &mut Diagnostics) {
-    const DIAG: &str = "crates/diag/src/codes.rs";
-    let Some(file) = ws.file(DIAG) else { return };
-    let mut registered = DocNames::new();
-    for (idx, code) in file.code.iter().enumerate() {
-        if !(code.contains("pub const") && code.contains("&str")) {
-            continue;
-        }
-        let Some(value) = file.literals[idx].first() else {
-            continue;
-        };
-        registered.entry(value.clone()).or_insert(idx + 1);
-        // Every registered constant must also be wired into the
-        // `codes::all()` table — count its uses beyond the declaration.
-        if let Some(const_name) = code
-            .split_whitespace()
-            .skip_while(|w| *w != "const")
-            .nth(1)
-            .map(|w| w.trim_end_matches(':'))
-        {
-            let uses: usize = file
-                .code
-                .iter()
-                .map(|l| l.matches(const_name).count())
-                .sum();
-            if uses < 2 {
-                emit(
-                    diags,
-                    codes::A_DIAG_TABLE_DRIFT,
-                    format!("diagnostic code {value} ({const_name}) is declared but never registered in codes::all()"),
-                    DIAG,
-                    idx + 1,
-                );
-            }
-        }
-    }
-    let Some(readme) = ws.doc_lines("README.md") else {
-        return;
-    };
-    let mut documented = DocNames::new();
-    let mut in_section = false;
-    for (idx, line) in readme.iter().enumerate() {
-        if let Some(title) = line.strip_prefix("## ") {
-            in_section = title.trim_start().starts_with("Diagnostics");
-            continue;
-        }
-        if !in_section {
-            continue;
-        }
-        if let Some(cell) = first_cell_plain(line) {
-            for code in std::iter::once(cell.clone()).chain(backticked(&cell)) {
-                if is_diag_code(&code) {
-                    documented.entry(code).or_insert(idx + 1);
-                }
-            }
-        }
-    }
-    for (code, line) in &registered {
-        if !documented.contains_key(code) {
-            emit(
-                diags,
-                codes::A_DIAG_TABLE_DRIFT,
-                format!("diagnostic code {code} is registered in wfms-diag but missing from the README.md Diagnostics tables"),
-                DIAG,
-                *line,
-            );
-        }
-    }
-    for (code, line) in &documented {
-        if !registered.contains_key(code) {
-            emit(
-                diags,
-                codes::A_DIAG_TABLE_DRIFT,
-                format!(
-                    "README.md documents diagnostic code {code}, which wfms-diag does not register"
-                ),
-                "README.md",
-                *line,
-            );
-        }
-    }
-}
-
-/// First-cell backticked names of every table row under headings whose
-/// title contains `heading_needle` (case-insensitive). A heading that
-/// does not match closes the section, so the scan never bleeds into
-/// neighbouring tables.
-fn heading_scoped_names(lines: &[String], heading_needle: &str) -> DocNames {
-    let mut names = DocNames::new();
-    let mut in_section = false;
-    for (idx, line) in lines.iter().enumerate() {
-        if line.trim_start().starts_with('#') {
-            in_section = line.to_lowercase().contains(heading_needle);
-            continue;
-        }
-        if !in_section {
-            continue;
-        }
-        for name in first_cell_names(line) {
-            names.entry(name).or_insert(idx + 1);
-        }
-    }
-    names
-}
-
-/// The decision-journal vocabulary: `pub const OUTCOME_* / REASON_* /
-/// EVENT_*: &str` declarations in `wfms-config::journal` vs the
-/// DESIGN.md §7 decision-vocabulary table and the README Explainability
-/// table, in both directions. These names reach disk (`--journal`
-/// JSONL, timeline instants), so they carry the same stability contract
-/// as obs span names — and the same drift check.
-fn check_decision_vocab(ws: &Workspace, diags: &mut Diagnostics) {
-    const JOURNAL: &str = "crates/config/src/journal.rs";
-    let Some(file) = ws.file(JOURNAL) else { return };
-    let mut vocab = DocNames::new();
-    for (idx, code) in file.code.iter().enumerate() {
-        if !(code.contains("pub const") && code.contains("&str")) {
-            continue;
-        }
-        let is_vocab_const = code
-            .split_whitespace()
-            .skip_while(|w| *w != "const")
-            .nth(1)
-            .is_some_and(|w| {
-                w.starts_with("OUTCOME_") || w.starts_with("REASON_") || w.starts_with("EVENT_")
-            });
-        if !is_vocab_const {
-            continue;
-        }
-        if let Some(value) = file.literals[idx].first() {
-            vocab.entry(value.clone()).or_insert(idx + 1);
-        }
-    }
-
-    for (doc, needle, what) in [
-        (
-            "DESIGN.md",
-            "decision vocabulary",
-            "DESIGN.md \u{a7}7 decision-vocabulary table",
-        ),
-        (
-            "README.md",
-            "explainability",
-            "README.md Explainability table",
-        ),
-    ] {
-        let Some(lines) = ws.doc_lines(doc) else {
-            continue;
-        };
-        let documented = heading_scoped_names(&lines, needle);
-        for (name, line) in &vocab {
-            if file.allowed(codes::A_DECISION_VOCAB_DRIFT, *line) {
-                continue;
-            }
-            if !documented.contains_key(name) {
-                emit(
-                    diags,
-                    codes::A_DECISION_VOCAB_DRIFT,
-                    format!("decision-vocabulary name `{name}` is declared here but missing from the {what}"),
-                    JOURNAL,
-                    *line,
-                );
-            }
-        }
-        for (name, line) in &documented {
-            if !vocab.contains_key(name) {
-                emit(
-                    diags,
-                    codes::A_DECISION_VOCAB_DRIFT,
-                    format!("{what} lists `{name}`, which wfms-config::journal does not declare"),
-                    doc,
-                    *line,
-                );
-            }
-        }
-    }
-}
-
-/// The wire protocol's method vocabulary: `pub const METHOD_*: &str`
-/// declarations in `wfms-proto` vs the DESIGN.md §13 protocol method
-/// table and the README Serving table, in both directions. Method
-/// names reach clients over TCP (and are matched by the daemon's
-/// dispatcher), so they carry the same stability contract as the
-/// decision-journal vocabulary — and the same drift check.
-fn check_proto_methods(ws: &Workspace, diags: &mut Diagnostics) {
-    const PROTO: &str = "crates/proto/src/lib.rs";
-    let Some(file) = ws.file(PROTO) else { return };
-    let mut methods = DocNames::new();
-    for (idx, code) in file.code.iter().enumerate() {
-        if !(code.contains("pub const") && code.contains("&str")) {
-            continue;
-        }
-        let is_method_const = code
-            .split_whitespace()
-            .skip_while(|w| *w != "const")
-            .nth(1)
-            .is_some_and(|w| w.starts_with("METHOD_"));
-        if !is_method_const {
-            continue;
-        }
-        if let Some(value) = file.literals[idx].first() {
-            methods.entry(value.clone()).or_insert(idx + 1);
-        }
-    }
-
-    for (doc, needle, what) in [
-        (
-            "DESIGN.md",
-            "serving protocol",
-            "DESIGN.md \u{a7}13 protocol method table",
-        ),
-        ("README.md", "serving", "README.md Serving table"),
-    ] {
-        let Some(lines) = ws.doc_lines(doc) else {
-            continue;
-        };
-        let documented = heading_scoped_names(&lines, needle);
-        for (name, line) in &methods {
-            if file.allowed(codes::A_PROTO_METHOD_DRIFT, *line) {
-                continue;
-            }
-            if !documented.contains_key(name) {
-                emit(
-                    diags,
-                    codes::A_PROTO_METHOD_DRIFT,
-                    format!("wire method `{name}` is declared here but missing from the {what}"),
-                    PROTO,
-                    *line,
-                );
-            }
-        }
-        for (name, line) in &documented {
-            if !methods.contains_key(name) {
-                emit(
-                    diags,
-                    codes::A_PROTO_METHOD_DRIFT,
-                    format!("{what} lists `{name}`, which wfms-proto does not declare"),
-                    doc,
-                    *line,
-                );
-            }
-        }
-    }
-}
-
-/// The wire protocol's error vocabulary: `pub const ERR_*: &str`
-/// declarations in `wfms-proto` vs the DESIGN.md §13 error-vocabulary
-/// table and the README error vocabulary table, in both directions.
-/// Error kinds drive client retry policy (the retry client retries
-/// exactly the kinds `wfms_proto::is_retryable` blesses), so they carry
-/// the same stability contract as the method names — and the same
-/// drift check.
-fn check_proto_errors(ws: &Workspace, diags: &mut Diagnostics) {
-    const PROTO: &str = "crates/proto/src/lib.rs";
-    let Some(file) = ws.file(PROTO) else { return };
-    let mut errors = DocNames::new();
-    for (idx, code) in file.code.iter().enumerate() {
-        if !(code.contains("pub const") && code.contains("&str")) {
-            continue;
-        }
-        let is_error_const = code
-            .split_whitespace()
-            .skip_while(|w| *w != "const")
-            .nth(1)
-            .is_some_and(|w| w.starts_with("ERR_"));
-        if !is_error_const {
-            continue;
-        }
-        if let Some(value) = file.literals[idx].first() {
-            errors.entry(value.clone()).or_insert(idx + 1);
-        }
-    }
-
-    for (doc, what) in [
-        ("DESIGN.md", "DESIGN.md \u{a7}13 error-vocabulary table"),
-        ("README.md", "README.md error vocabulary table"),
-    ] {
-        let Some(lines) = ws.doc_lines(doc) else {
-            continue;
-        };
-        let documented = heading_scoped_names(&lines, "error vocabulary");
-        for (name, line) in &errors {
-            if file.allowed(codes::A_PROTO_ERROR_DRIFT, *line) {
-                continue;
-            }
-            if !documented.contains_key(name) {
-                emit(
-                    diags,
-                    codes::A_PROTO_ERROR_DRIFT,
-                    format!(
-                        "wire error kind `{name}` is declared here but missing from the {what}"
-                    ),
-                    PROTO,
-                    *line,
-                );
-            }
-        }
-        for (name, line) in &documented {
-            if !errors.contains_key(name) {
-                emit(
-                    diags,
-                    codes::A_PROTO_ERROR_DRIFT,
-                    format!("{what} lists `{name}`, which wfms-proto does not declare"),
-                    doc,
-                    *line,
-                );
-            }
-        }
-    }
 }
 
 /// `W001`-shaped: one uppercase letter then exactly three digits.

@@ -198,20 +198,6 @@ fn direct_index_in_cli_fires_a010_warning() {
 }
 
 #[test]
-fn deprecated_search_call_fires_a011() {
-    let fx = Fixture::new("a011");
-    fx.file(
-        "crates/core/src/tool.rs",
-        "pub fn f() {\n    let _ = wfms_config::greedy_search(&registry, &load, &goals, &opts);\n}\n",
-    );
-    let report = fx.audit();
-    assert_eq!(codes(&report), ["A011"], "report: {}", report.summary());
-    assert!(report
-        .with_code("A011")
-        .any(|d| d.message.contains("greedy_search")));
-}
-
-#[test]
 fn malformed_pragma_fires_a012() {
     let fx = Fixture::new("a012");
     fx.file(
@@ -520,4 +506,55 @@ fn matching_wire_errors_are_clean() {
     .file("DESIGN.md", &error_doc(&["fixture-error"]));
     let report = fx.audit();
     assert!(report.is_empty(), "report: {}", report.summary());
+}
+
+/// A minimal DESIGN.md whose implementation-audit code table lists
+/// exactly the given codes.
+fn audit_doc(names: &[&str]) -> String {
+    let mut doc =
+        String::from("## 11. The implementation audit\n\n| code | severity |\n|---|---|\n");
+    for name in names {
+        doc.push_str(&format!("| `{name}` | error |\n"));
+    }
+    doc
+}
+
+/// An audit `codes.rs` declaring exactly the given codes.
+fn audit_codes_src(values: &[&str]) -> String {
+    let mut src = String::new();
+    for (idx, value) in values.iter().enumerate() {
+        src.push_str(&format!("pub const A_FIXTURE{idx}: &str = \"{value}\";\n"));
+    }
+    src
+}
+
+#[test]
+fn undocumented_audit_code_fires_a017() {
+    let fx = Fixture::new("a017-code");
+    fx.file(
+        "crates/audit/src/codes.rs",
+        &audit_codes_src(&["A001", "A098"]),
+    )
+    .file("DESIGN.md", &audit_doc(&["A001"]));
+    let report = fx.audit();
+    assert!(
+        report.with_code("A017").any(|d| d.message.contains("A098")),
+        "expected A017 for the undocumented audit code, got: {}",
+        report.summary()
+    );
+    assert_eq!(codes(&report), vec!["A017"]);
+}
+
+#[test]
+fn stale_documented_audit_code_fires_a017() {
+    let fx = Fixture::new("a017-doc");
+    fx.file("crates/audit/src/codes.rs", &audit_codes_src(&["A001"]))
+        .file("DESIGN.md", &audit_doc(&["A001", "A099"]));
+    let report = fx.audit();
+    assert!(
+        report.with_code("A017").any(|d| d.message.contains("A099")),
+        "expected A017 for the stale documented audit code, got: {}",
+        report.summary()
+    );
+    assert_eq!(codes(&report), vec!["A017"]);
 }

@@ -1,10 +1,11 @@
 //! End-to-end assessment cost: what one candidate-configuration
 //! evaluation (availability CTMC + performability MRM) costs the
-//! configuration-search loop.
+//! configuration-search loop. Each iteration builds a fresh engine, so
+//! every sample times a cold assessment.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use wfms_config::{assess, Goals};
+use wfms_config::{AssessmentEngine, Goals, SearchOptions};
 use wfms_perf::{aggregate_load, analyze_workflow, AnalysisOptions, WorkloadItem};
 use wfms_statechart::{paper_section52_registry, Configuration};
 use wfms_workloads::{ep_workflow, EP_DEFAULT_ARRIVAL_RATE};
@@ -26,7 +27,11 @@ fn bench_assess(c: &mut Criterion) {
     for y in [1usize, 2, 3, 4] {
         let config = Configuration::uniform(&reg, y).expect("valid");
         group.bench_with_input(BenchmarkId::from_parameter(y), &config, |b, config| {
-            b.iter(|| assess(&reg, config, &load, &goals).expect("assesses"))
+            b.iter(|| {
+                AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default())
+                    .and_then(|engine| engine.assess(config))
+                    .expect("assesses")
+            })
         });
     }
     group.finish();

@@ -1,9 +1,10 @@
 //! Configuration-search benchmarks: the greedy heuristic versus the
-//! exhaustive baseline for the EP scenario.
+//! exhaustive baseline for the EP scenario. Each iteration builds a
+//! fresh engine, so every sample times a cold search.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use wfms_config::{exhaustive_search, greedy_search, Goals, SearchOptions};
+use wfms_config::{AssessmentEngine, Goals, SearchOptions};
 use wfms_perf::{aggregate_load, analyze_workflow, AnalysisOptions, SystemLoad, WorkloadItem};
 use wfms_statechart::{paper_section52_registry, ServerTypeRegistry};
 use wfms_workloads::{ep_workflow, EP_DEFAULT_ARRIVAL_RATE};
@@ -28,16 +29,15 @@ fn bench_search(c: &mut Criterion) {
     let opts = SearchOptions::default();
     let mut group = c.benchmark_group("configuration_search");
     group.sample_size(20);
+    let engine = || AssessmentEngine::new(&reg, &load, &goals, opts).expect("valid inputs");
     group.bench_function("greedy_ep", |b| {
-        b.iter(|| greedy_search(&reg, &load, &goals, &opts).expect("reachable"))
+        b.iter(|| engine().greedy().expect("reachable"))
     });
     group.bench_function("branch_and_bound_ep", |b| {
-        b.iter(|| {
-            wfms_config::branch_and_bound_search(&reg, &load, &goals, &opts).expect("reachable")
-        })
+        b.iter(|| engine().branch_and_bound().expect("reachable"))
     });
     group.bench_function("exhaustive_ep", |b| {
-        b.iter(|| exhaustive_search(&reg, &load, &goals, &opts).expect("reachable"))
+        b.iter(|| engine().exhaustive().expect("reachable"))
     });
     group.finish();
 }

@@ -4,7 +4,7 @@
 //! five-type `examples/specs/enterprise` scenario three ways:
 //!
 //! 1. **serial / cold** — a fresh [`AssessmentEngine`] with `jobs = 1`,
-//!    equivalent to the deprecated free-function path;
+//!    the reference path of the determinism contract;
 //! 2. **parallel / cold** — a fresh engine with `jobs = 4`;
 //! 3. **parallel / warm** — the same engine again, replaying every
 //!    candidate from the degraded-state, birth–death-block, and

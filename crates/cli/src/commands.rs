@@ -350,8 +350,8 @@ COMMANDS
                exits non-zero when errors are present
   audit        [--root <dir>] [--format text|json]
                workspace invariant audit: scans the repository sources and
-               docs for registry drift, determinism hazards, panic-safety
-               violations, and deprecated-API callers (stable A-codes);
+               docs for registry drift, determinism hazards, and
+               panic-safety violations (stable A-codes);
                exits non-zero when errors are present
   analyze      --registry <file> --workload <file> [--json]
                per-workflow turnaround, request counts, percentiles

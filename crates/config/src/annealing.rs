@@ -12,15 +12,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use wfms_perf::SystemLoad;
-use wfms_statechart::{Configuration, ServerTypeRegistry};
+use wfms_statechart::Configuration;
 
 use crate::assess::Assessment;
 use crate::engine::AssessmentEngine;
 use crate::error::ConfigError;
 use crate::goals::Goals;
 use crate::journal;
-use crate::search::{QuarantinedCandidate, SearchOptions, SearchResult};
+use crate::search::{QuarantinedCandidate, SearchResult};
 
 /// Annealing schedule and move parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -86,43 +85,12 @@ fn objective(assessment: &Assessment, goals: &Goals) -> f64 {
     value
 }
 
-/// Simulated-annealing search for a (near-)minimum-cost configuration
-/// meeting the goals. Starts from the unreplicated configuration, walks
-/// with ±1-replica moves, and returns the cheapest feasible configuration
-/// visited.
-///
-/// Thin wrapper over [`AssessmentEngine::annealing`] on a fresh engine —
-/// **deprecated doc note**: construct an [`AssessmentEngine`] to share
-/// caches with other searches (revisited candidates then replay from the
-/// solution cache).
-///
-/// # Errors
-/// * [`ConfigError::GoalsUnreachable`] when no feasible configuration was
-///   visited within the step budget.
-/// * Model failures as [`ConfigError`].
-pub fn annealing_search(
-    registry: &ServerTypeRegistry,
-    load: &SystemLoad,
-    goals: &Goals,
-    opts: &AnnealingOptions,
-) -> Result<SearchResult, ConfigError> {
-    let engine = AssessmentEngine::new(
-        registry,
-        load,
-        goals,
-        SearchOptions::builder()
-            .max_total_servers(opts.max_total_servers)
-            .build(),
-    )?;
-    engine.annealing(opts)
-}
-
-/// The Metropolis walk behind [`annealing_search`] and
-/// [`AssessmentEngine::annealing`], assessing candidates through the
-/// engine's caches. The walk is sequential (each step depends on the
-/// previous accept/reject), so `jobs` only parallelises the per-state
-/// kernel inside each assessment; the RNG stream — and therefore the
-/// trace — is untouched by the thread count.
+/// The Metropolis walk behind [`AssessmentEngine::annealing`],
+/// assessing candidates through the engine's caches. The walk is
+/// sequential (each step depends on the previous accept/reject), so
+/// `jobs` only parallelises the per-state kernel inside each
+/// assessment; the RNG stream — and therefore the trace — is untouched
+/// by the thread count.
 ///
 /// Because the walk moves one ±1-replica coordinate at a time, every
 /// product-backend availability solve after the first is answered by
@@ -268,9 +236,9 @@ pub(crate) fn annealing_walk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assess::assess;
-    use crate::search::greedy_search;
-    use wfms_statechart::paper_section52_registry;
+    use crate::search::SearchOptions;
+    use wfms_perf::SystemLoad;
+    use wfms_statechart::{paper_section52_registry, ServerTypeRegistry};
 
     fn load_at(rho_single: f64, reg: &ServerTypeRegistry) -> SystemLoad {
         let rates: Vec<f64> = reg
@@ -284,12 +252,28 @@ mod tests {
         }
     }
 
+    /// An engine sized by the walk's budget alone, with every other
+    /// option at its default.
+    fn budget_engine(
+        reg: &ServerTypeRegistry,
+        load: &SystemLoad,
+        goals: &Goals,
+        opts: &AnnealingOptions,
+    ) -> AssessmentEngine {
+        let search = SearchOptions::builder()
+            .max_total_servers(opts.max_total_servers)
+            .build();
+        AssessmentEngine::new(reg, load, goals, search).unwrap()
+    }
+
     #[test]
     fn annealing_finds_a_feasible_configuration() {
         let reg = paper_section52_registry();
         let load = load_at(1.5, &reg);
         let goals = Goals::new(0.01, 0.9999).unwrap();
-        let result = annealing_search(&reg, &load, &goals, &AnnealingOptions::default()).unwrap();
+        let result = budget_engine(&reg, &load, &goals, &AnnealingOptions::default())
+            .annealing(&AnnealingOptions::default())
+            .unwrap();
         assert!(result.assessment.meets_goals());
     }
 
@@ -298,8 +282,13 @@ mod tests {
         let reg = paper_section52_registry();
         let load = load_at(1.5, &reg);
         let goals = Goals::new(0.01, 0.9999).unwrap();
-        let greedy = greedy_search(&reg, &load, &goals, &SearchOptions::default()).unwrap();
-        let annealed = annealing_search(&reg, &load, &goals, &AnnealingOptions::default()).unwrap();
+        let greedy = AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default())
+            .unwrap()
+            .greedy()
+            .unwrap();
+        let annealed = budget_engine(&reg, &load, &goals, &AnnealingOptions::default())
+            .annealing(&AnnealingOptions::default())
+            .unwrap();
         assert!(
             annealed.cost() <= greedy.cost() + 2,
             "annealing {} vs greedy {}",
@@ -314,8 +303,12 @@ mod tests {
         let load = load_at(0.8, &reg);
         let goals = Goals::availability_only(0.9999).unwrap();
         let opts = AnnealingOptions::default();
-        let a = annealing_search(&reg, &load, &goals, &opts).unwrap();
-        let b = annealing_search(&reg, &load, &goals, &opts).unwrap();
+        let a = budget_engine(&reg, &load, &goals, &opts)
+            .annealing(&opts)
+            .unwrap();
+        let b = budget_engine(&reg, &load, &goals, &opts)
+            .annealing(&opts)
+            .unwrap();
         assert_eq!(a.assessment, b.assessment);
         assert_eq!(a.evaluations, b.evaluations);
     }
@@ -332,7 +325,7 @@ mod tests {
             ..AnnealingOptions::default()
         };
         assert!(matches!(
-            annealing_search(&reg, &load, &goals, &opts),
+            budget_engine(&reg, &load, &goals, &opts).annealing(&opts),
             Err(ConfigError::GoalsUnreachable { .. })
         ));
     }
@@ -346,7 +339,9 @@ mod tests {
             .unwrap()
             .with_type_waiting(2, 0.001)
             .unwrap();
-        let result = annealing_search(&reg, &load, &goals, &AnnealingOptions::default()).unwrap();
+        let result = budget_engine(&reg, &load, &goals, &AnnealingOptions::default())
+            .annealing(&AnnealingOptions::default())
+            .unwrap();
         assert!(result.assessment.meets_goals());
         let y = &result.assessment.replicas;
         assert!(y[2] >= y[0], "app type must be replicated hardest: {y:?}");
@@ -357,14 +352,11 @@ mod tests {
         let reg = paper_section52_registry();
         let load = load_at(0.5, &reg);
         let goals = Goals::availability_only(0.999_999).unwrap();
-        let cheap_bad = assess(&reg, &Configuration::minimal(&reg), &load, &goals).unwrap();
-        let pricey_good = assess(
-            &reg,
-            &Configuration::uniform(&reg, 3).unwrap(),
-            &load,
-            &goals,
-        )
-        .unwrap();
+        let engine = AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default()).unwrap();
+        let cheap_bad = engine.assess(&Configuration::minimal(&reg)).unwrap();
+        let pricey_good = engine
+            .assess(&Configuration::uniform(&reg, 3).unwrap())
+            .unwrap();
         assert!(objective(&cheap_bad, &goals) > objective(&pricey_good, &goals));
     }
 }

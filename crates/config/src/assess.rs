@@ -4,12 +4,10 @@ use serde::{Deserialize, Serialize};
 
 use wfms_perf::SystemLoad;
 use wfms_performability::TruncationReport;
-use wfms_statechart::{Configuration, ServerTypeRegistry};
+use wfms_statechart::ServerTypeRegistry;
 
-use crate::engine::AssessmentEngine;
 use crate::error::ConfigError;
-use crate::goals::{GoalCheck, Goals};
-use crate::search::SearchOptions;
+use crate::goals::GoalCheck;
 
 /// Cap on the per-state failure records kept in a
 /// [`DegradationReport`]; the `failed_states` count is always exact.
@@ -113,8 +111,9 @@ impl Assessment {
 /// Runs the static preflight pass of `wfms-analysis` over the inputs and
 /// fails fast with the **complete** finding list when it reports errors.
 ///
-/// Shared by [`assess`] and the searches; saturation is deliberately not
-/// a preflight error (see `wfms_analysis::preflight`).
+/// Run by [`AssessmentEngine::new`](crate::AssessmentEngine::new) over
+/// the inputs and again over each assessed candidate; saturation is
+/// deliberately not a preflight error (see `wfms_analysis::preflight`).
 pub(crate) fn run_preflight(
     registry: &ServerTypeRegistry,
     load: &SystemLoad,
@@ -127,37 +126,13 @@ pub(crate) fn run_preflight(
     Ok(())
 }
 
-/// Evaluates `config` against `goals` under `load`: availability from the
-/// Sec. 5 model, waiting times from the Sec. 6 performability model.
-///
-/// A configuration whose full-strength state cannot serve the load is not
-/// an error — it simply fails the waiting-time goal
-/// (`expected_waiting = None`; see [`Assessment::expected_waiting`] for
-/// the exact semantics).
-///
-/// Thin wrapper over [`AssessmentEngine::assess`] on a fresh,
-/// single-shot engine — **deprecated doc note**: callers assessing more
-/// than one candidate should construct an [`AssessmentEngine`] and reuse
-/// its caches.
-///
-/// # Errors
-/// Model failures as [`ConfigError`] (goal violations are reported
-/// in-band, not as errors).
-pub fn assess(
-    registry: &ServerTypeRegistry,
-    config: &Configuration,
-    load: &SystemLoad,
-    goals: &Goals,
-) -> Result<Assessment, ConfigError> {
-    goals.validate()?;
-    run_preflight(registry, load, Some(config.as_slice()))?;
-    AssessmentEngine::new(registry, load, goals, SearchOptions::default())?.assess(config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wfms_statechart::paper_section52_registry;
+    use crate::engine::AssessmentEngine;
+    use crate::goals::Goals;
+    use crate::search::SearchOptions;
+    use wfms_statechart::{paper_section52_registry, Configuration};
 
     fn load_at(rho_single: f64, reg: &ServerTypeRegistry) -> SystemLoad {
         let rates: Vec<f64> = reg
@@ -171,17 +146,20 @@ mod tests {
         }
     }
 
+    fn engine(reg: &ServerTypeRegistry, load: &SystemLoad, goals: &Goals) -> AssessmentEngine {
+        AssessmentEngine::new(reg, load, goals, SearchOptions::default()).unwrap()
+    }
+
     #[test]
     fn preflight_rejects_malformed_load_with_all_findings() {
         let reg = paper_section52_registry();
-        let config = Configuration::minimal(&reg);
         let goals = Goals::waiting_time_only(1.0).unwrap();
         let bad = SystemLoad {
             request_rates: vec![f64::NAN, -1.0, 0.5],
             total_arrival_rate: 1.0,
             active_instances: vec![],
         };
-        match assess(&reg, &config, &bad, &goals) {
+        match AssessmentEngine::new(&reg, &bad, &goals, SearchOptions::default()) {
             Err(ConfigError::Preflight(findings)) => {
                 assert_eq!(findings.error_count(), 2, "{findings}");
             }
@@ -193,12 +171,7 @@ mod tests {
             active_instances: vec![],
         };
         assert!(matches!(
-            crate::search::greedy_search(
-                &reg,
-                &short,
-                &goals,
-                &crate::search::SearchOptions::default()
-            ),
+            AssessmentEngine::new(&reg, &short, &goals, SearchOptions::default()),
             Err(ConfigError::Preflight(_))
         ));
     }
@@ -208,7 +181,9 @@ mod tests {
         let reg = paper_section52_registry();
         let config = Configuration::new(&reg, vec![2, 2, 3]).unwrap();
         let goals = Goals::new(1.0, 0.999).unwrap();
-        let a = assess(&reg, &config, &load_at(0.3, &reg), &goals).unwrap();
+        let a = engine(&reg, &load_at(0.3, &reg), &goals)
+            .assess(&config)
+            .unwrap();
         assert_eq!(a.cost, 7);
         assert_eq!(a.replicas, vec![2, 2, 3]);
         assert!(a.availability > 0.999_99);
@@ -221,7 +196,9 @@ mod tests {
         let reg = paper_section52_registry();
         let config = Configuration::minimal(&reg);
         let goals = Goals::availability_only(0.9999).unwrap();
-        let a = assess(&reg, &config, &load_at(0.3, &reg), &goals).unwrap();
+        let a = engine(&reg, &load_at(0.3, &reg), &goals)
+            .assess(&config)
+            .unwrap();
         // 71 h/year downtime => availability ≈ 0.9919.
         assert!(!a.goals.availability_met);
         assert!(a.goals.waiting_time_met, "unset goal is vacuously met");
@@ -233,7 +210,9 @@ mod tests {
         let reg = paper_section52_registry();
         let config = Configuration::minimal(&reg);
         let goals = Goals::waiting_time_only(1.0).unwrap();
-        let a = assess(&reg, &config, &load_at(2.0, &reg), &goals).unwrap();
+        let a = engine(&reg, &load_at(2.0, &reg), &goals)
+            .assess(&config)
+            .unwrap();
         assert_eq!(a.expected_waiting, None);
         assert_eq!(a.max_expected_waiting, None);
         assert!(!a.goals.waiting_time_met);
@@ -246,25 +225,24 @@ mod tests {
         let config = Configuration::uniform(&reg, 2).unwrap();
         let load = load_at(1.2, &reg);
         let loose = Goals::waiting_time_only(10.0).unwrap();
-        let a = assess(&reg, &config, &load, &loose).unwrap();
+        let a = engine(&reg, &load, &loose).assess(&config).unwrap();
         assert!(a.goals.waiting_time_met);
         let w = a.max_expected_waiting.unwrap();
         let tight = Goals::waiting_time_only(w * 0.5).unwrap();
-        let b = assess(&reg, &config, &load, &tight).unwrap();
+        let b = engine(&reg, &load, &tight).assess(&config).unwrap();
         assert!(!b.goals.waiting_time_met);
     }
 
     #[test]
     fn invalid_goals_propagate() {
         let reg = paper_section52_registry();
-        let config = Configuration::minimal(&reg);
         let goals = Goals {
             max_waiting_time: None,
             min_availability: None,
             per_type_waiting: Vec::new(),
         };
         assert!(matches!(
-            assess(&reg, &config, &load_at(0.1, &reg), &goals),
+            AssessmentEngine::new(&reg, &load_at(0.1, &reg), &goals, SearchOptions::default()),
             Err(ConfigError::NoGoals)
         ));
     }
@@ -276,7 +254,7 @@ mod tests {
         let load = load_at(1.2, &reg);
         // Baseline: generous global threshold passes.
         let loose = Goals::waiting_time_only(10.0).unwrap();
-        let a = assess(&reg, &config, &load, &loose).unwrap();
+        let a = engine(&reg, &load, &loose).assess(&config).unwrap();
         assert!(a.goals.waiting_time_met);
         let w_engine = a.expected_waiting.as_ref().unwrap()[1];
         // Tighten only the engine type below its actual waiting time.
@@ -284,14 +262,14 @@ mod tests {
             .unwrap()
             .with_type_waiting(1, w_engine * 0.5)
             .unwrap();
-        let b = assess(&reg, &config, &load, &tight_engine).unwrap();
+        let b = engine(&reg, &load, &tight_engine).assess(&config).unwrap();
         assert!(!b.goals.waiting_time_met);
         // Tightening an already-comfortable type changes nothing.
         let slack_comm = Goals::waiting_time_only(10.0)
             .unwrap()
             .with_type_waiting(0, 9.9)
             .unwrap();
-        let c = assess(&reg, &config, &load, &slack_comm).unwrap();
+        let c = engine(&reg, &load, &slack_comm).assess(&config).unwrap();
         assert!(c.goals.waiting_time_met);
     }
 }

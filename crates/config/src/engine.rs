@@ -1,10 +1,10 @@
 //! The assessment engine: a session-style, memoizing, parallel
 //! evaluation core behind the configuration searches.
 //!
-//! The free functions of [`crate::assess`] and [`crate::search`]
-//! recompute every degraded-state waiting-time vector and every
-//! availability chain from scratch for each candidate — yet neighbouring
-//! candidates (`Y` vs `Y + e_k`) share almost their entire state space.
+//! Assessing each candidate in isolation would recompute every
+//! degraded-state waiting-time vector and every availability chain from
+//! scratch — yet neighbouring candidates (`Y` vs `Y + e_k`) share almost
+//! their entire state space.
 //! [`AssessmentEngine`] owns the search inputs ([`ServerTypeRegistry`],
 //! [`SystemLoad`], [`Goals`], [`SearchOptions`]) and threads three
 //! shared memo layers through all assessments:
@@ -38,8 +38,8 @@
 //!
 //! # Determinism contract
 //!
-//! Results are **bit-identical** to the serial free-function path for
-//! every `jobs` value. Three properties guarantee it: the cached values
+//! Results are **bit-identical** to the `jobs = 1` path for every
+//! `jobs` value. Three properties guarantee it: the cached values
 //! are outputs of pure functions evaluated with exactly the same float
 //! operations as the direct path; parallel maps reduce in input order;
 //! and the frontier is scanned in enumeration order with fixed-size
@@ -440,7 +440,7 @@ impl AssessmentEngine {
     }
 
     /// The registry the engine assesses against.
-    pub(crate) fn registry(&self) -> &ServerTypeRegistry {
+    pub fn registry(&self) -> &ServerTypeRegistry {
         &self.registry
     }
 
@@ -822,18 +822,24 @@ impl AssessmentEngine {
 
     // -- assessment -------------------------------------------------------
 
-    /// Assesses one candidate configuration against the engine's goals,
-    /// through the caches. Field-for-field identical to
-    /// [`crate::assess::assess`] (see the module docs).
+    /// Evaluates `config` against the engine's goals, through the
+    /// caches: availability from the Sec. 5 model, waiting times from the
+    /// Sec. 6 performability model. Cold and warm engines return
+    /// field-for-field identical assessments (see the module docs).
+    ///
+    /// A configuration whose full-strength state cannot serve the load is
+    /// not an error — it simply fails the waiting-time goal
+    /// (`expected_waiting = None`; see [`Assessment::expected_waiting`]
+    /// for the exact semantics).
     ///
     /// # Errors
-    /// Model failures as [`ConfigError`]; goal violations are reported
-    /// in-band.
+    /// Model failures as [`ConfigError`], including
+    /// [`ConfigError::Preflight`] when static analysis rejects `config`;
+    /// goal violations are reported in-band.
     ///
     /// When the decision journal is enabled, every direct call is
-    /// journaled as a single-shot `assess` decision; the searches use
-    /// [`assess_with_provenance`](Self::assess_with_provenance) and
-    /// journal at their own consumption points instead.
+    /// journaled as a single-shot `assess` decision; the searches journal
+    /// at their own consumption points instead.
     pub fn assess(&self, config: &Configuration) -> Result<Assessment, ConfigError> {
         let (assessment, provenance) = self.assess_with_provenance(config)?;
         journal::record_assessed("assess", &assessment, &self.goals, provenance, None);
@@ -1501,13 +1507,17 @@ impl AssessmentEngine {
 
     // -- searches ---------------------------------------------------------
 
-    /// The greedy minimum-cost search of Sec. 7.2 (see
-    /// [`crate::search::greedy_search`]), assessed through the caches.
-    /// The candidate chain is inherently sequential; the per-state
-    /// kernel of each assessment still runs on the pool.
+    /// The greedy minimum-cost search of Sec. 7.2, starting from the
+    /// unreplicated configuration `Y = (1, …, 1)` and assessed through
+    /// the caches (see the [`crate::search`] module docs for the growth
+    /// rule). The candidate chain is inherently sequential; the
+    /// per-state kernel of each assessment still runs on the pool.
     ///
     /// # Errors
-    /// As [`crate::search::greedy_search`].
+    /// * [`ConfigError::LoadUnsustainable`] when some server type needs
+    ///   more replicas for stability than the budget can ever grant.
+    /// * [`ConfigError::GoalsUnreachable`] when the budget runs out.
+    /// * Model failures as [`ConfigError`].
     pub fn greedy(&self) -> Result<SearchResult, ConfigError> {
         let opts = &self.options;
         // Fast infeasibility check: stability alone may exceed the budget.
@@ -1604,12 +1614,15 @@ impl AssessmentEngine {
         }
     }
 
-    /// The exhaustive minimum-cost baseline (see
-    /// [`crate::search::exhaustive_search`]): enumerates each cost
-    /// level's frontier and evaluates it in parallel batches.
+    /// The exhaustive minimum-cost baseline: enumerates replication
+    /// vectors in order of increasing total cost and returns the first
+    /// (hence cost-optimal) configuration meeting the goals, evaluating
+    /// each cost level's frontier in parallel batches. Exponential in
+    /// the number of server types — use it to validate the greedy
+    /// heuristic on small systems (the EXP-C1 experiment).
     ///
     /// # Errors
-    /// As [`crate::search::exhaustive_search`].
+    /// As [`AssessmentEngine::greedy`].
     pub fn exhaustive(&self) -> Result<SearchResult, ConfigError> {
         let opts = &self.options;
         let k = self.registry.len();
@@ -1648,13 +1661,16 @@ impl AssessmentEngine {
         })
     }
 
-    /// The branch-and-bound minimum-cost search (see
-    /// [`crate::search::branch_and_bound_search`]): goal-derived lower
-    /// bounds prune the frontier, which is then evaluated in parallel
-    /// batches.
+    /// Branch-and-bound minimum-cost search — the other "full-fledged
+    /// algorithm for mathematical optimization" Sec. 7.2 names. Provably
+    /// cost-optimal like [`AssessmentEngine::exhaustive`], but prunes
+    /// with the per-type [`goal_lower_bounds`]: candidates below any
+    /// bound are never assessed, which typically cuts the evaluation
+    /// count by an order of magnitude. The pruned frontier is evaluated
+    /// in parallel batches.
     ///
     /// # Errors
-    /// As [`crate::search::branch_and_bound_search`].
+    /// As [`AssessmentEngine::greedy`].
     pub fn branch_and_bound(&self) -> Result<SearchResult, ConfigError> {
         let opts = &self.options;
         let k = self.registry.len();
@@ -1706,13 +1722,19 @@ impl AssessmentEngine {
         })
     }
 
-    /// The simulated-annealing search (see
-    /// [`crate::annealing::annealing_search`]): the Metropolis walk is
-    /// sequential by construction, but revisited candidates hit the
-    /// solution cache and every assessment shares the state cache.
+    /// Simulated-annealing search for a (near-)minimum-cost
+    /// configuration meeting the goals: starts from the unreplicated
+    /// configuration, walks with ±1-replica moves under the schedule in
+    /// `opts`, and returns the cheapest feasible configuration visited.
+    /// The Metropolis walk is sequential by construction, but revisited
+    /// candidates hit the solution cache and every assessment shares the
+    /// state cache. The walk's bounds come from `opts`, not from the
+    /// engine's [`SearchOptions::max_total_servers`].
     ///
     /// # Errors
-    /// As [`crate::annealing::annealing_search`].
+    /// * [`ConfigError::GoalsUnreachable`] when no feasible configuration
+    ///   was visited within the step budget.
+    /// * Model failures as [`ConfigError`].
     pub fn annealing(&self, opts: &AnnealingOptions) -> Result<SearchResult, ConfigError> {
         crate::annealing::annealing_walk(self, opts)
     }
@@ -1721,8 +1743,6 @@ impl AssessmentEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assess::assess;
-    use crate::search::{exhaustive_search, greedy_search};
     use proptest::prelude::*;
     use wfms_avail::{closed_form_unavailability, AvailabilityModel};
     use wfms_markov::ctmc::SteadyStateMethod;
@@ -1741,15 +1761,21 @@ mod tests {
         }
     }
 
+    /// A single-shot engine with default options: the cold reference
+    /// every warm engine must reproduce.
+    fn fresh(reg: &ServerTypeRegistry, load: &SystemLoad, goals: &Goals) -> AssessmentEngine {
+        AssessmentEngine::new(reg, load, goals, SearchOptions::default()).unwrap()
+    }
+
     #[test]
-    fn engine_assessment_is_bit_identical_to_free_function() {
+    fn engine_assessment_is_bit_identical_to_a_fresh_engine() {
         let reg = paper_section52_registry();
         let load = load_at(0.8, &reg);
         let goals = Goals::new(0.01, 0.9999).unwrap();
-        let engine = AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default()).unwrap();
+        let engine = fresh(&reg, &load, &goals);
         for y in [vec![1, 1, 1], vec![2, 2, 2], vec![2, 1, 3], vec![3, 3, 3]] {
             let config = Configuration::new(&reg, y).unwrap();
-            let direct = assess(&reg, &config, &load, &goals).unwrap();
+            let direct = fresh(&reg, &load, &goals).assess(&config).unwrap();
             let cold = engine.assess(&config).unwrap();
             let warm = engine.assess(&config).unwrap();
             assert_eq!(direct, cold);
@@ -1790,16 +1816,15 @@ mod tests {
     }
 
     #[test]
-    fn searches_match_free_functions_bitwise() {
+    fn searches_match_a_fresh_engine_bitwise() {
         let reg = paper_section52_registry();
         let load = load_at(0.5, &reg);
         let goals = Goals::new(0.005, 0.999).unwrap();
-        let opts = SearchOptions::default();
-        let engine = AssessmentEngine::new(&reg, &load, &goals, opts).unwrap();
-        let free_greedy = greedy_search(&reg, &load, &goals, &opts).unwrap();
-        assert_eq!(engine.greedy().unwrap(), free_greedy);
-        let free_exhaustive = exhaustive_search(&reg, &load, &goals, &opts).unwrap();
-        assert_eq!(engine.exhaustive().unwrap(), free_exhaustive);
+        let engine = fresh(&reg, &load, &goals);
+        let fresh_greedy = fresh(&reg, &load, &goals).greedy().unwrap();
+        assert_eq!(engine.greedy().unwrap(), fresh_greedy);
+        let fresh_exhaustive = fresh(&reg, &load, &goals).exhaustive().unwrap();
+        assert_eq!(engine.exhaustive().unwrap(), fresh_exhaustive);
     }
 
     #[test]
@@ -2083,11 +2108,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// The tentpole invariant: an engine-cached assessment equals the
-        /// uncached free-function assessment field-for-field, cold and
-        /// warm, for arbitrary loads and candidates.
+        /// The tentpole invariant: an engine-cached assessment equals a
+        /// fresh single-shot engine's assessment field-for-field, cold
+        /// and warm, for arbitrary loads and candidates.
         #[test]
-        fn engine_cached_equals_uncached_assessment(
+        fn engine_cached_equals_fresh_engine_assessment(
             rho in 0.05f64..2.5,
             y in proptest::collection::vec(1usize..4, 3),
         ) {
@@ -2095,9 +2120,8 @@ mod tests {
             let load = load_at(rho, &reg);
             let goals = Goals::new(0.01, 0.9999).unwrap();
             let config = Configuration::new(&reg, y).unwrap();
-            let direct = assess(&reg, &config, &load, &goals).unwrap();
-            let engine =
-                AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default()).unwrap();
+            let direct = fresh(&reg, &load, &goals).assess(&config).unwrap();
+            let engine = fresh(&reg, &load, &goals);
             let cold = engine.assess(&config).unwrap();
             prop_assert_eq!(&direct, &cold);
             let warm = engine.assess(&config).unwrap();

@@ -8,11 +8,17 @@
 //! * **Calibration** ([`calibrate`]) — transition probabilities,
 //!   residence times, and service moments estimated from audit trails
 //!   and online statistics.
-//! * **Evaluation** ([`mod@assess`]) — availability (Sec. 5) and
-//!   performability (Sec. 6) of a candidate configuration against
-//!   administrator [`goals::Goals`].
-//! * **Recommendation** ([`search`]) — the greedy minimum-cost heuristic
-//!   of Sec. 7.2, plus an exhaustive baseline for validating it.
+//! * **Evaluation** ([`AssessmentEngine::assess`], reporting an
+//!   [`assess::Assessment`]) — availability (Sec. 5) and performability
+//!   (Sec. 6) of a candidate configuration against administrator
+//!   [`goals::Goals`].
+//! * **Recommendation** ([`AssessmentEngine::greedy`] and its sibling
+//!   searches, tuned by [`search::SearchOptions`]) — the greedy
+//!   minimum-cost heuristic of Sec. 7.2, plus exact baselines for
+//!   validating it.
+//!
+//! Both run on one [`AssessmentEngine`]; its results are bit-identical
+//! to the `jobs = 1` path for every worker count.
 //!
 //! A fifth, cross-cutting component is the **decision journal**
 //! ([`journal`]): every search emits a structured [`journal::DecisionEvent`]
@@ -33,10 +39,8 @@ pub mod moves;
 pub mod search;
 pub mod sensitivity;
 
-pub use annealing::{annealing_search, AnnealingOptions};
-pub use assess::{
-    assess, Assessment, DegradationReport, DegradedStateRecord, DEGRADATION_DETAIL_CAP,
-};
+pub use annealing::AnnealingOptions;
+pub use assess::{Assessment, DegradationReport, DegradedStateRecord, DEGRADATION_DETAIL_CAP};
 pub use calibrate::{
     apply_to_spec, calibrate_from_traces, ApplyOptions, ApplyReport, CalibratedChart, StateVisit,
     WorkflowTrace, TRACE_FINAL,
@@ -50,9 +54,8 @@ pub use journal::{
 };
 pub use moves::{best_availability_move, best_waiting_move, move_sensitivities, MoveSensitivity};
 pub use search::{
-    branch_and_bound_search, exhaustive_search, goal_lower_bounds, greedy_search,
-    minimum_stable_replicas, QuarantinedCandidate, SearchOptions, SearchOptionsBuilder,
-    SearchResult,
+    goal_lower_bounds, minimum_stable_replicas, QuarantinedCandidate, SearchOptions,
+    SearchOptionsBuilder, SearchResult,
 };
 pub use sensitivity::{sensitivity, Parameter, SensitivityEntry, SensitivityOptions};
 pub use wfms_avail::AvailBackend;

@@ -146,7 +146,7 @@ pub fn move_sensitivities(
 }
 
 /// The move index with the largest availability gain — the closed-form
-/// twin of [`crate::search::availability_critical_type`]-style ranking
+/// twin of the greedy search's availability-critical-type ranking
 /// (first index wins ties, like every search tie-break).
 pub fn best_availability_move(moves: &[MoveSensitivity]) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;

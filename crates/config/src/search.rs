@@ -23,7 +23,6 @@ use wfms_perf::SystemLoad;
 use wfms_statechart::{ServerTypeId, ServerTypeRegistry};
 
 use crate::assess::Assessment;
-use crate::engine::AssessmentEngine;
 use crate::error::ConfigError;
 use crate::goals::Goals;
 
@@ -46,7 +45,7 @@ pub struct SearchOptions {
     /// Worker threads for candidate and per-state evaluation: `0` =
     /// automatic (`RAYON_NUM_THREADS`, else available cores), `1` =
     /// serial. Results are bit-identical for every value (see
-    /// [`AssessmentEngine`]).
+    /// [`AssessmentEngine`](crate::AssessmentEngine)).
     pub jobs: usize,
     /// Maximum entries of the degraded-state cache (`X → w^X`); `0`
     /// disables it. Overflowing states are recomputed per assessment.
@@ -422,51 +421,8 @@ pub(crate) fn availability_critical_type(
     ServerTypeId(best)
 }
 
-/// The greedy minimum-cost search of Sec. 7.2, starting from the
-/// unreplicated configuration `Y = (1, …, 1)`.
-///
-/// Thin wrapper over [`AssessmentEngine::greedy`] on a fresh engine —
-/// **deprecated doc note**: callers assessing more than one scenario
-/// should construct an [`AssessmentEngine`] and reuse its caches.
-///
-/// # Errors
-/// * [`ConfigError::LoadUnsustainable`] when some server type needs more
-///   replicas for stability than the budget can ever grant.
-/// * [`ConfigError::GoalsUnreachable`] when the budget runs out.
-/// * Model failures as [`ConfigError`].
-pub fn greedy_search(
-    registry: &ServerTypeRegistry,
-    load: &SystemLoad,
-    goals: &Goals,
-    opts: &SearchOptions,
-) -> Result<SearchResult, ConfigError> {
-    AssessmentEngine::new(registry, load, goals, *opts)?.greedy()
-}
-
-/// Exhaustive minimum-cost baseline: enumerates replication vectors in
-/// order of increasing total cost and returns the first (hence
-/// cost-optimal) configuration meeting the goals. Exponential in the
-/// number of server types — use for validating the greedy heuristic on
-/// small systems (the EXP-C1 experiment).
-///
-/// Thin wrapper over [`AssessmentEngine::exhaustive`] on a fresh engine
-/// — **deprecated doc note**: construct an [`AssessmentEngine`] to reuse
-/// caches across searches (and set [`SearchOptions::jobs`] to evaluate
-/// the frontier in parallel).
-///
-/// # Errors
-/// As [`greedy_search`].
-pub fn exhaustive_search(
-    registry: &ServerTypeRegistry,
-    load: &SystemLoad,
-    goals: &Goals,
-    opts: &SearchOptions,
-) -> Result<SearchResult, ConfigError> {
-    AssessmentEngine::new(registry, load, goals, *opts)?.exhaustive()
-}
-
 /// Per-type replica lower bounds implied by the goals — the pruning core
-/// of [`branch_and_bound_search`]:
+/// of [`AssessmentEngine::branch_and_bound`](crate::AssessmentEngine::branch_and_bound):
 ///
 /// * a waiting-time goal requires stability, `Y_x > l_x · b_x`, and (the
 ///   per-type waiting time depending only on `Y_x`) enough replicas that
@@ -522,28 +478,6 @@ pub fn goal_lower_bounds(
         }
     }
     Ok(bounds)
-}
-
-/// Branch-and-bound minimum-cost search — the other "full-fledged
-/// algorithm for mathematical optimization" Sec. 7.2 names. Provably
-/// cost-optimal like [`exhaustive_search`], but prunes with the
-/// per-type [`goal_lower_bounds`]: candidates below any bound are never
-/// assessed, which typically cuts the evaluation count by an order of
-/// magnitude.
-///
-/// Thin wrapper over [`AssessmentEngine::branch_and_bound`] on a fresh
-/// engine — **deprecated doc note**: construct an [`AssessmentEngine`]
-/// to reuse caches across searches.
-///
-/// # Errors
-/// As [`exhaustive_search`].
-pub fn branch_and_bound_search(
-    registry: &ServerTypeRegistry,
-    load: &SystemLoad,
-    goals: &Goals,
-    opts: &SearchOptions,
-) -> Result<SearchResult, ConfigError> {
-    AssessmentEngine::new(registry, load, goals, *opts)?.branch_and_bound()
 }
 
 /// Enumerates all vectors of length `k` with `current[i] ≥ lower[i]`
@@ -604,6 +538,7 @@ pub(crate) fn enumerate_compositions(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::AssessmentEngine;
     use wfms_statechart::paper_section52_registry;
 
     fn load_at(rho_single: f64, reg: &ServerTypeRegistry) -> SystemLoad {
@@ -618,6 +553,15 @@ mod tests {
         }
     }
 
+    fn engine(
+        reg: &ServerTypeRegistry,
+        load: &SystemLoad,
+        goals: &Goals,
+        opts: SearchOptions,
+    ) -> AssessmentEngine {
+        AssessmentEngine::new(reg, load, goals, opts).unwrap()
+    }
+
     #[test]
     fn greedy_meets_availability_goal_with_asymmetric_replication() {
         // Availability-only goal: the app server (most failure-prone) should
@@ -625,7 +569,9 @@ mod tests {
         let reg = paper_section52_registry();
         let goals = Goals::availability_only(0.999_999).unwrap();
         let load = load_at(0.1, &reg);
-        let result = greedy_search(&reg, &load, &goals, &SearchOptions::default()).unwrap();
+        let result = engine(&reg, &load, &goals, SearchOptions::default())
+            .greedy()
+            .unwrap();
         assert!(result.assessment.meets_goals());
         let y = result.replicas();
         assert!(
@@ -642,7 +588,9 @@ mod tests {
         let reg = paper_section52_registry();
         let goals = Goals::new(0.01, 0.9999).unwrap();
         let load = load_at(0.8, &reg);
-        let result = greedy_search(&reg, &load, &goals, &SearchOptions::default()).unwrap();
+        let result = engine(&reg, &load, &goals, SearchOptions::default())
+            .greedy()
+            .unwrap();
         for pair in result.trace.windows(2) {
             assert_eq!(
                 pair[1].cost,
@@ -662,9 +610,12 @@ mod tests {
             Goals::new(0.005, 0.999).unwrap(),
             Goals::waiting_time_only(0.002).unwrap(),
         ] {
-            let greedy = greedy_search(&reg, &load, &goals, &SearchOptions::default()).unwrap();
-            let optimal =
-                exhaustive_search(&reg, &load, &goals, &SearchOptions::default()).unwrap();
+            let greedy = engine(&reg, &load, &goals, SearchOptions::default())
+                .greedy()
+                .unwrap();
+            let optimal = engine(&reg, &load, &goals, SearchOptions::default())
+                .exhaustive()
+                .unwrap();
             assert!(
                 greedy.cost() <= optimal.cost() + 1,
                 "greedy {} vs optimal {} for {goals:?}",
@@ -683,7 +634,9 @@ mod tests {
         let reg = paper_section52_registry();
         let load = load_at(0.3, &reg);
         let goals = Goals::availability_only(0.999).unwrap();
-        let result = exhaustive_search(&reg, &load, &goals, &SearchOptions::default()).unwrap();
+        let result = engine(&reg, &load, &goals, SearchOptions::default())
+            .exhaustive()
+            .unwrap();
         // Every cheaper or equal-cost earlier candidate in the trace fails.
         for a in &result.trace {
             if a.cost < result.cost() {
@@ -706,11 +659,11 @@ mod tests {
             ..SearchOptions::default()
         };
         assert!(matches!(
-            greedy_search(&reg, &load, &goals, &opts),
+            engine(&reg, &load, &goals, opts).greedy(),
             Err(ConfigError::GoalsUnreachable { budget: 4, .. })
         ));
         assert!(matches!(
-            exhaustive_search(&reg, &load, &goals, &opts),
+            engine(&reg, &load, &goals, opts).exhaustive(),
             Err(ConfigError::GoalsUnreachable { .. })
         ));
     }
@@ -723,7 +676,7 @@ mod tests {
         let goals = Goals::waiting_time_only(1.0).unwrap();
         let opts = SearchOptions::builder().max_total_servers(12).build();
         assert!(matches!(
-            greedy_search(&reg, &load, &goals, &opts),
+            engine(&reg, &load, &goals, opts).greedy(),
             Err(ConfigError::LoadUnsustainable { .. })
         ));
     }
@@ -740,10 +693,12 @@ mod tests {
     fn heavier_load_needs_costlier_configuration() {
         let reg = paper_section52_registry();
         let goals = Goals::waiting_time_only(0.001).unwrap();
-        let light = greedy_search(&reg, &load_at(0.5, &reg), &goals, &SearchOptions::default())
+        let light = engine(&reg, &load_at(0.5, &reg), &goals, SearchOptions::default())
+            .greedy()
             .unwrap()
             .cost();
-        let heavy = greedy_search(&reg, &load_at(2.5, &reg), &goals, &SearchOptions::default())
+        let heavy = engine(&reg, &load_at(2.5, &reg), &goals, SearchOptions::default())
+            .greedy()
             .unwrap()
             .cost();
         assert!(heavy > light, "heavy {heavy} !> light {light}");
@@ -758,10 +713,12 @@ mod tests {
             Goals::new(0.01, 0.999_999).unwrap(),
             Goals::waiting_time_only(0.002).unwrap(),
         ] {
-            let exhaustive =
-                exhaustive_search(&reg, &load, &goals, &SearchOptions::default()).unwrap();
-            let bnb =
-                branch_and_bound_search(&reg, &load, &goals, &SearchOptions::default()).unwrap();
+            let exhaustive = engine(&reg, &load, &goals, SearchOptions::default())
+                .exhaustive()
+                .unwrap();
+            let bnb = engine(&reg, &load, &goals, SearchOptions::default())
+                .branch_and_bound()
+                .unwrap();
             assert_eq!(bnb.cost(), exhaustive.cost(), "optimality for {goals:?}");
             assert!(
                 bnb.evaluations <= exhaustive.evaluations,
@@ -794,13 +751,9 @@ mod tests {
         let reg = paper_section52_registry();
         let load = load_at(100.0, &reg);
         let goals = Goals::waiting_time_only(1.0).unwrap();
+        let opts = SearchOptions::builder().max_total_servers(12).build();
         assert!(matches!(
-            branch_and_bound_search(
-                &reg,
-                &load,
-                &goals,
-                &SearchOptions::builder().max_total_servers(12).build()
-            ),
+            engine(&reg, &load, &goals, opts).branch_and_bound(),
             Err(ConfigError::GoalsUnreachable { .. })
         ));
     }

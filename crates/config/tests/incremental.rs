@@ -12,7 +12,7 @@
 use std::sync::Mutex;
 
 use proptest::prelude::*;
-use wfms_config::{assess, AssessmentEngine, AvailBackend, Goals, SearchOptions, SearchResult};
+use wfms_config::{AssessmentEngine, AvailBackend, Goals, SearchOptions, SearchResult};
 use wfms_perf::SystemLoad;
 use wfms_statechart::{paper_section52_registry, Configuration, ServerTypeId, ServerTypeRegistry};
 
@@ -256,11 +256,14 @@ proptest! {
         let scratch = cold.assess(&grown).unwrap();
         prop_assert_eq!(&delta, &scratch);
 
-        // And against the engineless free-function assessment, which is
-        // the original bit-for-bit reference (dense path only — the
-        // free function has no backend selector).
+        // And against a fresh engine on default options, the original
+        // bit-for-bit reference (dense path only — its `Auto` backend
+        // resolves to the dense path at ε = 0).
         if backend == AvailBackend::Dense {
-            let direct = assess(&reg, &grown, &load, &goals).unwrap();
+            let direct = AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default())
+                .unwrap()
+                .assess(&grown)
+                .unwrap();
             prop_assert_eq!(&delta, &direct);
         }
     }

@@ -125,11 +125,10 @@ impl ConfigurationTool {
         )?)
     }
 
-    /// Aggregated system load of the full mix (Sec. 4.3).
-    ///
-    /// # Errors
-    /// [`ConfigError`] when no workflows are registered or analysis fails.
-    pub fn system_load(&self) -> Result<SystemLoad, ConfigError> {
+    /// Every registered workflow type analyzed once, in registration
+    /// order, with its arrival rate: the mix
+    /// [`ConfigurationTool::system_load`] aggregates.
+    fn workload_items(&self) -> Result<Vec<WorkloadItem>, ConfigError> {
         let mut items = Vec::with_capacity(self.workloads.len());
         for (spec, rate) in &self.workloads {
             items.push(WorkloadItem {
@@ -137,7 +136,15 @@ impl ConfigurationTool {
                 arrival_rate: *rate,
             });
         }
-        Ok(aggregate_load(&items, &self.registry)?)
+        Ok(items)
+    }
+
+    /// Aggregated system load of the full mix (Sec. 4.3).
+    ///
+    /// # Errors
+    /// [`ConfigError`] when no workflows are registered or analysis fails.
+    pub fn system_load(&self) -> Result<SystemLoad, ConfigError> {
+        Ok(aggregate_load(&self.workload_items()?, &self.registry)?)
     }
 
     /// Availability of a configuration (Sec. 5), via the CTMC model.
@@ -296,6 +303,40 @@ impl ConfigurationTool {
         validate_spec(spec, &registry)?;
         Ok(report)
     }
+}
+
+/// A warm engine plus each workflow's analysis, built by a transient
+/// [`ConfigurationTool`]: `workflows` are registered in order with the
+/// checks of [`ConfigurationTool::add_workflow`], each is analyzed once,
+/// and the engine runs on the aggregate load of those analyses (the
+/// tool's [`ConfigurationTool::system_load`]). Returns the engine and
+/// each workflow's spec name with its analysis, in workload order. The
+/// spec name is kept because [`WorkflowAnalysis::name`] is the chart's
+/// name, and the two can differ.
+///
+/// # Errors
+/// As [`ConfigurationTool::add_workflow`] for the first rejected entry,
+/// then as [`ConfigurationTool::engine`].
+pub fn analyzed_engine(
+    registry: ServerTypeRegistry,
+    workflows: impl IntoIterator<Item = (WorkflowSpec, f64)>,
+    goals: &Goals,
+    opts: SearchOptions,
+) -> Result<(AssessmentEngine, Vec<(String, WorkflowAnalysis)>), ConfigError> {
+    let mut tool = ConfigurationTool::new(registry);
+    for (spec, rate) in workflows {
+        tool.add_workflow(spec, rate)?;
+    }
+    let items = tool.workload_items()?;
+    let load = aggregate_load(&items, &tool.registry)?;
+    let engine = AssessmentEngine::new(&tool.registry, &load, goals, opts)?;
+    let analyses = tool
+        .workloads
+        .into_iter()
+        .zip(items)
+        .map(|((spec, _), item)| (spec.name, item.analysis))
+        .collect();
+    Ok((engine, analyses))
 }
 
 #[cfg(test)]

@@ -15,8 +15,9 @@ use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
 use wfms_core::avail::AvailBackend;
-use wfms_core::config::{AnnealingOptions, Goals, SearchOptions, SearchResult};
-use wfms_core::{Configuration, ConfigurationTool, ServerTypeRegistry, WorkflowSpec};
+use wfms_core::config::{AnnealingOptions, AssessmentEngine, Goals, SearchOptions, SearchResult};
+use wfms_core::perf::WorkflowAnalysis;
+use wfms_core::{Configuration, ServerTypeRegistry, WorkflowSpec};
 use wfms_proto::{
     AssessParams, AssessResult, HealthResult, LintParams, LintResult, MetricsResult, PerTypeWait,
     ProfileSnapshotResult, QueueGauges, RecommendParams, RecommendResult, Request, Response,
@@ -112,14 +113,15 @@ impl QueueTelemetry {
     }
 }
 
-/// One tenant's warm state: the tool (registry + workload analyses)
-/// and the memoizing engine, plus the fingerprint of the inputs they
-/// were built from. Shared via `Arc` so concurrent requests against
-/// one tenant run on the same engine (the engine is `Sync`).
+/// One tenant's warm state: the memoizing engine (which owns the
+/// registry) and each workflow's spec name and analysis in workload
+/// order, plus the fingerprint of the inputs they were built from.
+/// Shared via `Arc` so concurrent requests against one tenant run on
+/// the same engine (the engine is `Sync`).
 struct TenantState {
     fingerprint: String,
-    tool: ConfigurationTool,
-    engine: wfms_core::config::AssessmentEngine,
+    engine: AssessmentEngine,
+    workflows: Vec<(String, WorkflowAnalysis)>,
 }
 
 /// A tenant-map slot: the state plus its last-use stamp for LRU
@@ -316,31 +318,27 @@ impl Handler {
             &goals,
             opts,
         )?;
-        let config = Configuration::new(state.tool.registry(), params.config)
+        let config = Configuration::new(state.engine.registry(), params.config)
             .map_err(|e| Failure::tool(wfms_core::ConfigError::Arch(e)))?;
         let assessment = state.engine.assess(&config).map_err(Failure::tool)?;
         // Turnaround distributions per workflow type (the transient
         // analysis of Sec. 4.1, extended to percentiles).
         let mut turnarounds = Vec::new();
-        for (spec, _) in state.tool.workloads() {
-            let analysis = state
-                .tool
-                .workflow_analysis(&spec.name)
-                .map_err(Failure::tool)?;
-            let dist = wfms_core::perf::TurnaroundDistribution::new(&analysis, 1e-9)
+        for (name, analysis) in &state.workflows {
+            let dist = wfms_core::perf::TurnaroundDistribution::new(analysis, 1e-9)
                 .map_err(|e| Failure::tool(wfms_core::ConfigError::Perf(e)))?;
             let p90 = dist
                 .percentile(0.9)
                 .map_err(|e| Failure::tool(wfms_core::ConfigError::Perf(e)))?;
             turnarounds.push(TurnaroundSummary {
-                workflow: spec.name.clone(),
+                workflow: name.clone(),
                 mean_minutes: dist.mean(),
                 p90_minutes: p90,
             });
         }
         encode(&AssessResult {
             configuration: config.to_string(),
-            server_types: server_type_names(state.tool.registry()),
+            server_types: server_type_names(state.engine.registry()),
             assessment: encode(&assessment)?,
             turnarounds,
         })
@@ -408,7 +406,7 @@ impl Handler {
             }
         };
         let configuration =
-            Configuration::new(state.tool.registry(), result.assessment.replicas.clone())
+            Configuration::new(state.engine.registry(), result.assessment.replicas.clone())
                 .map(|c| c.to_string())
                 .unwrap_or_default();
         encode(&RecommendResult {
@@ -547,8 +545,8 @@ impl Handler {
     }
 }
 
-/// Builds one tenant's tool + engine from inline registry/workload
-/// documents.
+/// Builds one tenant's engine and workflow analyses from inline
+/// registry/workload documents, analyzing each workflow once.
 fn build_tenant_state(
     fingerprint: String,
     registry: &Value,
@@ -558,16 +556,16 @@ fn build_tenant_state(
 ) -> Result<TenantState, Failure> {
     let registry: ServerTypeRegistry = decode_doc("registry", registry)?;
     let workload: WorkloadFile = decode_doc("workload", workload)?;
-    let mut tool = ConfigurationTool::new(registry);
-    for entry in workload.workflows {
-        tool.add_workflow(entry.spec, entry.arrival_rate)
-            .map_err(Failure::tool)?;
-    }
-    let engine = tool.engine(goals, opts).map_err(Failure::tool)?;
+    let workflows = workload
+        .workflows
+        .into_iter()
+        .map(|entry| (entry.spec, entry.arrival_rate));
+    let (engine, workflows) =
+        wfms_core::analyzed_engine(registry, workflows, goals, opts).map_err(Failure::tool)?;
     Ok(TenantState {
         fingerprint,
-        tool,
         engine,
+        workflows,
     })
 }
 

@@ -12,7 +12,7 @@ use wfms_proto::{
     METHOD_ASSESS, METHOD_HEALTH, METHOD_LINT, METHOD_METRICS, METHOD_RECOMMEND, METHOD_SHUTDOWN,
     PROTOCOL_VERSION,
 };
-use wfms_serve::{BreakerPolicy, Handler};
+use wfms_serve::{BreakerPolicy, Handler, WorkloadEntry, WorkloadFile};
 
 fn spec(scenario: &str, file: &str) -> Value {
     let path = format!(
@@ -508,4 +508,40 @@ fn recommend_incremental_and_screened_match_the_baseline_winner() {
         serde_json::to_string(&base.assessment).expect("baseline assessment"),
         serde_json::to_string(&scr.assessment).expect("screened assessment"),
     );
+}
+
+#[test]
+fn same_named_workflows_each_report_their_own_turnaround() {
+    let ep: WorkloadFile =
+        serde_json::from_value(spec("ep", "workload.json")).expect("ep workload decodes");
+    let first = WorkloadEntry {
+        arrival_rate: 5.0,
+        ..ep.workflows[0].clone()
+    };
+    // Same spec name, four times slower activities.
+    let mut slow = first.clone();
+    for activity in slow.spec.activities.values_mut() {
+        activity.mean_duration *= 4.0;
+    }
+    let assess = |workflows: Vec<WorkloadEntry>| -> AssessResult {
+        let params = obj(vec![
+            ("registry", spec("ep", "registry.json")),
+            ("workload", json(WorkloadFile { workflows })),
+            ("config", json(vec![2u64, 2, 2])),
+            ("max_wait", json(0.05)),
+            ("min_availability", json(0.9999)),
+        ]);
+        let response = Handler::new(1).handle(&request(METHOD_ASSESS, "twins", params));
+        assert!(response.ok, "assess succeeds: {:?}", response.error);
+        serde_json::from_value(response.result.expect("result populated")).expect("typed result")
+    };
+    let both = assess(vec![first, slow.clone()]);
+    let alone = assess(vec![slow]);
+    assert_eq!(both.turnarounds.len(), 2);
+    assert_eq!(both.turnarounds[0].workflow, both.turnarounds[1].workflow);
+    assert_eq!(
+        both.turnarounds[1], alone.turnarounds[0],
+        "the second same-named workflow must report its own turnaround"
+    );
+    assert_ne!(both.turnarounds[0], both.turnarounds[1]);
 }

@@ -1,11 +1,12 @@
 //! Integration tests for the assessment engine's determinism contract:
-//! every search result must be bit-identical to the serial free-function
-//! path for any `jobs` value, on both example workloads.
+//! on both example workloads, every search result must be bit-identical
+//! to the `jobs = 1` path for any `jobs` value, and a warm engine's
+//! results to a fresh engine's.
 
-use wfms::config::{branch_and_bound_search, exhaustive_search, greedy_search};
+use wfms::config::AnnealingOptions;
 use wfms::statechart::paper_section52_registry;
 use wfms::workloads::{enterprise_mix, enterprise_registry, ep_workflow, EP_DEFAULT_ARRIVAL_RATE};
-use wfms::{ConfigurationTool, Goals, SearchOptions};
+use wfms::{AssessmentEngine, ConfigurationTool, Goals, SearchOptions};
 
 /// The two example workloads as ready-to-search tools.
 fn scenarios() -> Vec<(&'static str, ConfigurationTool, Goals)> {
@@ -68,30 +69,27 @@ fn parallel_searches_are_bit_identical_to_serial() {
 }
 
 #[test]
-fn engine_searches_match_deprecated_free_functions() {
+fn shared_engine_searches_match_fresh_engines() {
+    let annealing = AnnealingOptions::default();
     for (name, tool, goals) in scenarios() {
-        let registry = tool.registry().clone();
-        let load = tool.system_load().unwrap();
-        let opts = options(1);
-        let engine = tool.engine(&goals, opts).unwrap();
-        let free_greedy = greedy_search(&registry, &load, &goals, &opts).unwrap();
-        assert_eq!(
-            engine.greedy().unwrap().assessment,
-            free_greedy.assessment,
-            "{name}: engine greedy diverges from free function"
-        );
-        let free_bnb = branch_and_bound_search(&registry, &load, &goals, &opts).unwrap();
-        assert_eq!(
-            engine.branch_and_bound().unwrap().assessment,
-            free_bnb.assessment,
-            "{name}: engine B&B diverges from free function"
-        );
-        if name == "ep" {
-            let free_opt = exhaustive_search(&registry, &load, &goals, &opts).unwrap();
+        // `options(1)` sets only the budget, and to the annealing
+        // default, so it is also the budget-alone engine annealing uses.
+        let fresh = || tool.engine(&goals, options(1)).unwrap();
+        let shared = fresh();
+        for method in ["greedy", "branch-and-bound", "exhaustive", "annealing"] {
+            if method == "exhaustive" && name != "ep" {
+                continue;
+            }
+            let search = |engine: &AssessmentEngine| match method {
+                "greedy" => engine.greedy(),
+                "branch-and-bound" => engine.branch_and_bound(),
+                "exhaustive" => engine.exhaustive(),
+                _ => engine.annealing(&annealing),
+            };
             assert_eq!(
-                engine.exhaustive().unwrap().assessment,
-                free_opt.assessment,
-                "{name}: engine exhaustive diverges from free function"
+                search(&shared).unwrap(),
+                search(&fresh()).unwrap(),
+                "{name}/{method}: the shared engine diverges from a fresh one"
             );
         }
     }

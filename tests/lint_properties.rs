@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use wfms::analysis::{analyze, GoalTargets, SystemUnderAnalysis};
-use wfms::config::{assess, Goals};
+use wfms::config::{AssessmentEngine, Goals, SearchOptions};
 use wfms::perf::{aggregate_load, analyze_workflow, AnalysisOptions, WorkloadItem};
 use wfms::statechart::{
     ActivityKind, ActivitySpec, ChartBuilder, Configuration, EcaRule, ServerType, ServerTypeKind,
@@ -122,7 +122,9 @@ proptest! {
             let load = aggregate_load(&items, &reg).expect("lint-clean load aggregates");
             let config = Configuration::new(&reg, reps.clone()).unwrap();
             let goals = Goals::new(1.0, 0.99).unwrap();
-            let a = assess(&reg, &config, &load, &goals).expect("lint-clean system assesses");
+            let a = AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default())
+                .and_then(|engine| engine.assess(&config))
+                .expect("lint-clean system assesses");
             prop_assert!(a.availability > 0.0 && a.availability <= 1.0);
         }
     }

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use wfms::avail::closed_form_unavailability;
-use wfms::config::{assess, Goals};
+use wfms::config::{AssessmentEngine, Goals, SearchOptions};
 use wfms::markov::TruncationOptions;
 use wfms::perf::{
     aggregate_load, analyze_workflow, waiting_times, AnalysisOptions, RequestMethod, WorkloadItem,
@@ -174,7 +174,10 @@ proptest! {
         ).unwrap();
         let config = Configuration::new(&reg, y).unwrap();
         let goals = Goals::availability_only(0.5).unwrap();
-        let a = assess(&reg, &config, &load, &goals).unwrap();
+        let a = AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default())
+            .unwrap()
+            .assess(&config)
+            .unwrap();
         let closed = 1.0 - closed_form_unavailability(&reg, &config).unwrap();
         prop_assert!((a.availability - closed).abs() < 1e-9,
             "assessment {} vs closed form {closed}", a.availability);

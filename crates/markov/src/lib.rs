@@ -57,4 +57,4 @@ pub use reward::{
     reward_until_absorption_exact, reward_until_absorption_uniformized, steady_state_reward,
     TruncatedReward, TruncationOptions,
 };
-pub use transient::{poisson_weights, AbsorptionSequence, Uniformized};
+pub use transient::{AbsorptionSequence, Uniformized};

@@ -4,9 +4,8 @@
 //! `O(k)` transitions per state, so its generator is extremely sparse.
 //! The dense path ([`crate::linalg::Matrix`]) is fine up to a few
 //! thousand states; beyond that, this module provides a CSR
-//! representation and the two iterative solvers that only need
-//! row access — Gauss–Seidel sweeps on `πQ = 0` and power iteration on
-//! the uniformized chain.
+//! representation and an iterative solver that only needs row access:
+//! Gauss–Seidel sweeps on `πQ = 0`.
 
 use crate::linalg::iterative::{GaussSeidelOptions, IterativeError, IterativeSolution};
 use crate::linalg::Matrix;
@@ -159,6 +158,13 @@ impl CsrMatrix {
             .zip(self.values[lo..hi].iter().copied())
     }
 
+    /// The `(columns, values)` slices of every row, in row order.
+    pub(crate) fn row_slices(&self) -> impl Iterator<Item = (&[usize], &[f64])> + '_ {
+        self.indptr
+            .windows(2)
+            .map(|w| (&self.indices[w[0]..w[1]], &self.values[w[0]..w[1]]))
+    }
+
     /// Entry lookup (binary search within the row).
     ///
     /// # Panics
@@ -185,40 +191,6 @@ impl CsrMatrix {
         (0..self.rows)
             .map(|r| self.row(r).map(|(c, a)| a * v[c]).sum())
             .collect()
-    }
-
-    /// Row-vector product `v · A`.
-    ///
-    /// # Panics
-    /// Panics on a length mismatch.
-    pub fn vec_mul(&self, v: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.cols];
-        self.vec_mul_into(v, &mut out);
-        out
-    }
-
-    /// Row-vector product `v · A` written into `out`, which is
-    /// overwritten. Each `out[c]` accumulates its products in ascending
-    /// row order, as [`Matrix::vec_mul`] does; the structural zeros it
-    /// skips would only add `+0.0`, so on non-negative inputs (stochastic
-    /// matrices and distributions) both products agree bit for bit.
-    ///
-    /// # Panics
-    /// Panics on a length mismatch.
-    pub fn vec_mul_into(&self, v: &[f64], out: &mut [f64]) {
-        assert_eq!(v.len(), self.rows, "length mismatch");
-        assert_eq!(out.len(), self.cols, "length mismatch");
-        out.fill(0.0);
-        for (r, &vr) in v.iter().enumerate() {
-            if vr == 0.0 {
-                continue;
-            }
-            let lo = self.indptr[r];
-            let hi = self.indptr[r + 1];
-            for (&c, &a) in self.indices[lo..hi].iter().zip(&self.values[lo..hi]) {
-                out[c] += vr * a;
-            }
-        }
     }
 }
 
@@ -342,8 +314,6 @@ mod tests {
         let sparse = CsrMatrix::from_triplets(2, 3, triplets).unwrap();
         let v3 = [1.0, 2.0, 3.0];
         assert_eq!(sparse.mul_vec(&v3), dense.mul_vec(&v3).unwrap());
-        let v2 = [2.0, -1.0];
-        assert_eq!(sparse.vec_mul(&v2), dense.vec_mul(&v2).unwrap());
     }
 
     #[test]

@@ -25,9 +25,10 @@ use crate::linalg::{CsrMatrix, Matrix};
 pub struct Uniformized {
     rate: f64,
     p_bar: Matrix,
-    /// `P̄` in CSR form, for the stepping kernel: workflow chains have a
-    /// handful of successors per state.
-    p_bar_sparse: CsrMatrix,
+    /// `P̄ᵀ` in CSR form, for the stepping kernel: row `c` lists column
+    /// `c` of `P̄` in ascending row order, and workflow chains have a
+    /// handful of predecessors per state.
+    p_bar_t: CsrMatrix,
     absorbing: Vec<usize>,
 }
 
@@ -52,7 +53,7 @@ impl Uniformized {
         let p_bar = ctmc.uniformized_jump(v)?;
         Ok(Uniformized {
             rate: v,
-            p_bar_sparse: CsrMatrix::from_dense(&p_bar),
+            p_bar_t: CsrMatrix::from_dense(&p_bar.transpose()),
             p_bar,
             absorbing: ctmc.absorbing_states(),
         })
@@ -95,30 +96,34 @@ impl Uniformized {
 
     /// The taboo recursion from `start` with taboo set `taboo`, not yet
     /// stepped.
-    fn taboo_sequence<'a>(
-        &'a self,
+    fn taboo_sequence(
+        &self,
         start: usize,
-        taboo: &'a [usize],
-    ) -> Result<AbsorptionSequence<'a>, ChainError> {
+        taboo: &[usize],
+    ) -> Result<AbsorptionSequence<'_>, ChainError> {
         let n = self.n();
         if start >= n {
             return Err(ChainError::StateOutOfRange { state: start, n });
         }
-        if let Some(&t) = taboo.iter().find(|&&t| t >= n) {
-            return Err(ChainError::StateOutOfRange { state: t, n });
+        let mut is_taboo = vec![false; n];
+        for &t in taboo {
+            if t >= n {
+                return Err(ChainError::StateOutOfRange { state: t, n });
+            }
+            is_taboo[t] = true;
         }
         let mut dist = vec![0.0; n];
         dist[start] = 1.0;
         let mut absorbed = 0.0;
-        if taboo.contains(&start) {
+        if is_taboo[start] {
             // Starting in the taboo set: absorbed before the first step.
             dist[start] = 0.0;
             absorbed = 1.0;
         }
         Ok(AbsorptionSequence {
             rate: self.rate,
-            p_bar: &self.p_bar_sparse,
-            taboo,
+            p_bar_t: &self.p_bar_t,
+            is_taboo,
             dist,
             next: vec![0.0; n],
             absorbed: vec![absorbed],
@@ -129,7 +134,8 @@ impl Uniformized {
     /// Taboo probabilities `p̄_{start,a}(z)` for `z = 0 … z_max`: element
     /// `[z][a]` is the probability of being in state `a` after `z`
     /// uniformized steps without having visited any state in `taboo`,
-    /// starting from `start`.
+    /// starting from `start`. Entries that fall below `f64::MIN_POSITIVE`
+    /// read `0.0` (see [`AbsorptionSequence`]).
     ///
     /// # Errors
     /// [`ChainError::StateOutOfRange`] on bad indices.
@@ -183,9 +189,11 @@ impl Uniformized {
     /// `epsilon`.
     ///
     /// This is the direct dense evaluation, one full power series per
-    /// call. The production CDF path ([`Self::absorption_cdf`],
-    /// [`AbsorptionSequence::cdf`]) never calls it; it stays as the
-    /// reference the absorbed-mass sequence is tested against.
+    /// call, with no flushing of tiny entries. The production CDF path
+    /// ([`Self::absorption_cdf`], [`AbsorptionSequence::cdf`]) never calls
+    /// it; it stays as the reference the absorbed-mass sequence is tested
+    /// against. It takes the same Poisson window as the CDF: the terms
+    /// below the window's first nonzero weight are stepped, not summed.
     ///
     /// # Errors
     /// [`ChainError::LengthMismatch`] on a wrong `initial` length.
@@ -206,17 +214,18 @@ impl Uniformized {
         if t <= 0.0 {
             return Ok(initial.to_vec());
         }
-        let weights = poisson_weights(self.rate * t, epsilon);
+        let window = poisson_window(self.rate * t, epsilon);
         let mut dist = initial.to_vec();
+        for _ in 0..window.left {
+            dist = self.p_bar.vec_mul(&dist)?;
+        }
         let mut out = vec![0.0; n];
-        for (z, &w) in weights.iter().enumerate() {
-            if z > 0 {
+        for (i, &w) in window.weights.iter().enumerate() {
+            if i > 0 {
                 dist = self.p_bar.vec_mul(&dist)?;
             }
-            if w > 0.0 {
-                for (o, &d) in out.iter_mut().zip(&dist) {
-                    *o += w * d;
-                }
+            for (o, &d) in out.iter_mut().zip(&dist) {
+                *o += w * d;
             }
         }
         Ok(out)
@@ -243,18 +252,30 @@ impl Uniformized {
 ///
 /// It is extended lazily and never shrinks, so a caller that evaluates
 /// the CDF at many times pays for the longest Poisson window only once.
-/// The two step buffers are reused; each step is one sparse `P̄` product.
+/// The two step buffers are reused; each step gathers every entry of
+/// `p̄(z+1)` from one column of `P̄`.
+///
+/// After each step, a transient entry below `f64::MIN_POSITIVE` is
+/// flushed to `+0.0`; taboo entries are dropped into `a_z` first, so no
+/// absorbed mass is flushed. Without the flush a subnormal can stick: a
+/// self-loop of 0.9 maps `2⁻¹⁰⁷⁴` back onto itself, and every later
+/// step pays for subnormal arithmetic. A flushed entry is below
+/// `2⁻¹⁰²²`, so it can change a later sum only where that sum's other
+/// terms are below about `2⁻⁹⁶⁹` or the sum falls on an exact rounding
+/// tie. That is not a proof of exactness, but every `a_z` stays
+/// bit-identical to the unflushed recursion on every chain tested.
 ///
 /// With a single taboo state at the last index — every workflow chain,
 /// whose absorbing state `StateMapping` puts last — each `a_z` is
 /// bit-identical to the absorbing entry of
-/// [`Uniformized::transient_distribution`]'s power series, and so is
-/// [`AbsorptionSequence::cdf`]: both sum the same products in the same
-/// order (see DESIGN.md §5, "Transient analysis").
+/// [`Uniformized::transient_distribution`]'s power series on every chain
+/// tested, and so is [`AbsorptionSequence::cdf`]: both sum the same
+/// products in the same order (see DESIGN.md §5, "Transient analysis").
 pub struct AbsorptionSequence<'a> {
     rate: f64,
-    p_bar: &'a CsrMatrix,
-    taboo: &'a [usize],
+    p_bar_t: &'a CsrMatrix,
+    /// `is_taboo[s]`: whether state `s` is in the taboo set.
+    is_taboo: Vec<bool>,
     /// The taboo sub-distribution after `absorbed.len() - 1` steps.
     dist: Vec<f64>,
     /// Scratch buffer the next step writes into.
@@ -281,12 +302,29 @@ impl AbsorptionSequence<'_> {
     }
 
     /// One uniformized step; appends the next `a_z`.
+    ///
+    /// `next[c]` folds column `c` of `P̄` from `0.0` in ascending row
+    /// order, the order in which the row-by-row dense product accumulates
+    /// it, so the two round alike; the rows with `dist[r] = 0`, which the
+    /// dense product skips, add `+0.0`, which leaves a non-negative sum
+    /// unchanged. The taboo mass is summed in ascending state order.
     fn step(&mut self) {
-        self.p_bar.vec_mul_into(&self.dist, &mut self.next);
+        let dist = &self.dist;
         let mut dropped = 0.0;
-        for &t in self.taboo {
-            dropped += self.next[t];
-            self.next[t] = 0.0;
+        let columns = self.p_bar_t.row_slices().zip(&self.is_taboo);
+        for (next, ((rows, probs), &taboo)) in self.next.iter_mut().zip(columns) {
+            let mass = rows
+                .iter()
+                .zip(probs)
+                .fold(0.0, |sum, (&r, &p)| sum + dist[r] * p);
+            *next = if taboo {
+                dropped += mass;
+                0.0
+            } else if mass < f64::MIN_POSITIVE {
+                0.0
+            } else {
+                mass
+            };
         }
         debug_assert!(
             self.next.iter().all(|x| x.is_finite() && *x >= -1e-9),
@@ -305,18 +343,20 @@ impl AbsorptionSequence<'_> {
     }
 
     /// `P(absorbed by time t) = Σ_z PoissonPmf(v·t, z) · a_z`, with the
-    /// Poisson weights truncated once their tail mass is below `epsilon`
-    /// ([`poisson_weights`]). Extends the sequence to the window's length
-    /// first; `t ≤ 0` gives `a_0`.
+    /// Poisson weights truncated once their tail mass is below `epsilon`.
+    /// Only the nonzero weights are summed, in `z` order; the sequence is
+    /// first extended to the truncation point, so its length bounds the
+    /// steps any probe so far has needed. `t ≤ 0` gives `a_0`.
     pub fn cdf(&mut self, t: f64, epsilon: f64) -> f64 {
         if t <= 0.0 {
             return self.absorbed[0];
         }
-        let weights = poisson_weights(self.rate * t, epsilon);
-        self.extend_to(weights.len());
-        weights
+        let window = poisson_window(self.rate * t, epsilon);
+        self.extend_to(window.end);
+        window
+            .weights
             .iter()
-            .zip(&self.absorbed)
+            .zip(&self.absorbed[window.left..])
             .fold(0.0, |sum, (&w, &a)| sum + w * a)
     }
 }
@@ -330,52 +370,78 @@ impl Drop for AbsorptionSequence<'_> {
     }
 }
 
-/// Poisson probabilities `PoissonPmf(mean, z)` for `z = 0, 1, …`, truncated
-/// once the accumulated mass exceeds `1 - epsilon`. Uses a mode-centred,
-/// overflow-safe recursion so large means (long workflows) are fine.
-pub fn poisson_weights(mean: f64, epsilon: f64) -> Vec<f64> {
+/// The nonzero Poisson probabilities `PoissonPmf(mean, z)` for
+/// `z ∈ [left, left + weights.len())`, truncated at `end`: the first `z`
+/// at which their accumulated mass reaches `1 − ε`, plus one. Every
+/// weight outside the window is exactly zero, so a sum over the window
+/// equals the sum over `0..end` bit for bit. When the mass never reaches
+/// `1 − ε`, `end` is one past the support bound `mode + 12√mean + 30`.
+struct PoissonWindow {
+    left: usize,
+    weights: Vec<f64>,
+    end: usize,
+}
+
+/// The Poisson window of `mean` truncated at tail mass `epsilon`, from a
+/// mode-centred, overflow-safe recursion, so large means (long
+/// workflows) are fine. Records `end` as `markov.poisson.terms`.
+fn poisson_window(mean: f64, epsilon: f64) -> PoissonWindow {
     assert!(mean >= 0.0, "Poisson mean must be non-negative");
     assert!((0.0..1.0).contains(&epsilon), "epsilon must be in [0, 1)");
     if mean == 0.0 {
-        return vec![1.0];
+        return PoissonWindow {
+            left: 0,
+            weights: vec![1.0],
+            end: 1,
+        };
     }
-    // Unnormalized weights around the mode, then normalize; this never
-    // over- or underflows for any realistic mean.
+    // Unnormalized weights outwards from the mode, each side until a
+    // weight drops below 1e-280 (it never reaches zero first) or the
+    // side hits the support bound `hi`: mean + 12 sqrt(mean) + 30 covers
+    // far beyond any epsilon >= 1e-15. The two sides are independent
+    // chains of dependent divisions, so they run side by side. `below`
+    // has room for the whole window, so it grows into it without
+    // reallocating.
     let mode = mean.floor() as usize;
-    // Generous upper bound on the support we may need:
-    // mean + 12 sqrt(mean) + 30 covers far beyond any epsilon >= 1e-15.
     let hi = mode + (12.0 * mean.sqrt()) as usize + 30;
-    let mut w = vec![0.0f64; hi + 1];
-    w[mode] = 1.0;
-    for z in (0..mode).rev() {
-        w[z] = w[z + 1] * ((z + 1) as f64) / mean;
-        if w[z] < 1e-280 {
-            break;
+    let (mut below, mut above) = (Vec::with_capacity(hi + 1), Vec::with_capacity(hi - mode));
+    let (mut left, mut right) = (mode, mode);
+    let (mut down, mut up) = (1.0f64, 1.0f64);
+    let (mut down_open, mut up_open) = (left > 0, right < hi);
+    while down_open || up_open {
+        if down_open {
+            left -= 1;
+            down = down * ((left + 1) as f64) / mean;
+            below.push(down);
+            down_open = left > 0 && down >= 1e-280;
+        }
+        if up_open {
+            right += 1;
+            up = up * mean / (right as f64);
+            above.push(up);
+            up_open = right < hi && up >= 1e-280;
         }
     }
-    for z in (mode + 1)..=hi {
-        w[z] = w[z - 1] * mean / (z as f64);
-        if w[z] < 1e-280 {
-            break;
-        }
-    }
-    let total: f64 = w.iter().sum();
-    for v in w.iter_mut() {
-        *v /= total;
-    }
-    // Truncate the high tail once cumulative mass reaches 1 - epsilon.
+    let mut weights = below;
+    weights.reverse();
+    weights.push(1.0);
+    weights.append(&mut above);
+    // Normalize in index order, up to the point where the accumulated
+    // mass reaches 1 - epsilon.
+    let total: f64 = weights.iter().sum();
     let mut acc = 0.0;
-    let mut cut = w.len();
-    for (z, &v) in w.iter().enumerate() {
-        acc += v;
+    let mut end = hi + 1;
+    for (i, w) in weights.iter_mut().enumerate() {
+        *w /= total;
+        acc += *w;
         if acc >= 1.0 - epsilon {
-            cut = z + 1;
+            end = left + i + 1;
             break;
         }
     }
-    w.truncate(cut);
-    wfms_obs::histogram("markov.poisson.terms", w.len() as u64);
-    w
+    weights.truncate(end - left);
+    wfms_obs::histogram("markov.poisson.terms", end as u64);
+    PoissonWindow { left, weights, end }
 }
 
 #[cfg(test)]
@@ -543,23 +609,25 @@ mod tests {
     }
 
     #[test]
-    fn poisson_weights_basic_properties() {
+    fn poisson_window_basic_properties() {
         for mean in [0.0, 0.3, 1.0, 7.5, 120.0, 5000.0] {
-            let w = poisson_weights(mean, 1e-10);
-            let total: f64 = w.iter().sum();
+            let w = poisson_window(mean, 1e-10);
+            let total: f64 = w.weights.iter().sum();
             assert!(
                 total > 1.0 - 1e-9 && total <= 1.0 + 1e-9,
                 "mean={mean}: {total}"
             );
-            assert!(w.iter().all(|&x| x >= 0.0));
+            assert!(w.weights.iter().all(|&x| x > 0.0));
+            assert_eq!(w.left + w.weights.len(), w.end, "mean={mean}");
         }
     }
 
     #[test]
-    fn poisson_weights_match_pmf_for_small_mean() {
+    fn poisson_window_matches_pmf_for_small_mean() {
         let mean = 2.0f64;
-        let w = poisson_weights(mean, 1e-12);
-        for (z, &v) in w.iter().take(6).enumerate() {
+        let w = poisson_window(mean, 1e-12);
+        assert_eq!(w.left, 0);
+        for (z, &v) in w.weights.iter().take(6).enumerate() {
             let pmf = (-mean).exp() * mean.powi(z as i32) / factorial(z);
             assert!((v - pmf).abs() < 1e-10, "z={z}: {v} vs {pmf}");
         }
@@ -570,8 +638,86 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "non-negative")]
-    fn poisson_weights_reject_negative_mean() {
-        poisson_weights(-1.0, 1e-9);
+    fn poisson_window_rejects_negative_mean() {
+        poisson_window(-1.0, 1e-9);
+    }
+
+    /// The Poisson weights as they stood before the zero-free window:
+    /// the full vector `0..end`, zeros included, normalized in full
+    /// before the cut.
+    fn poisson_weights(mean: f64, epsilon: f64) -> Vec<f64> {
+        assert!(mean >= 0.0, "Poisson mean must be non-negative");
+        assert!((0.0..1.0).contains(&epsilon), "epsilon must be in [0, 1)");
+        if mean == 0.0 {
+            return vec![1.0];
+        }
+        let mode = mean.floor() as usize;
+        let hi = mode + (12.0 * mean.sqrt()) as usize + 30;
+        let mut w = vec![0.0f64; hi + 1];
+        w[mode] = 1.0;
+        for z in (0..mode).rev() {
+            w[z] = w[z + 1] * ((z + 1) as f64) / mean;
+            if w[z] < 1e-280 {
+                break;
+            }
+        }
+        for z in (mode + 1)..=hi {
+            w[z] = w[z - 1] * mean / (z as f64);
+            if w[z] < 1e-280 {
+                break;
+            }
+        }
+        let total: f64 = w.iter().sum();
+        for v in w.iter_mut() {
+            *v /= total;
+        }
+        let mut acc = 0.0;
+        let mut cut = w.len();
+        for (z, &v) in w.iter().enumerate() {
+            acc += v;
+            if acc >= 1.0 - epsilon {
+                cut = z + 1;
+                break;
+            }
+        }
+        w.truncate(cut);
+        w
+    }
+
+    #[test]
+    fn poisson_window_is_the_nonzero_part_of_the_full_weights_bitwise() {
+        let mut means = vec![1.0, 2.0, 10.0, 10_000.0, 60_000.0];
+        let mut mean = 0.01;
+        while mean <= 6e4 {
+            means.push(mean);
+            mean *= 1.37;
+        }
+        // ε = 0 asks for the whole mass; rounding leaves some means short
+        // of it, and then no cut happens at all.
+        let mut uncut = 0;
+        for mean in means {
+            for epsilon in [0.3, 1e-9, 1e-10, 1e-12, 0.0] {
+                let full = poisson_weights(mean, epsilon);
+                let w = poisson_window(mean, epsilon);
+                assert_eq!(w.end, full.len(), "mean {mean}, ε {epsilon}");
+                for (z, &f) in full.iter().enumerate() {
+                    let got = z
+                        .checked_sub(w.left)
+                        .and_then(|i| w.weights.get(i))
+                        .map_or(0.0, |&v| v);
+                    assert_eq!(
+                        got.to_bits(),
+                        f.to_bits(),
+                        "mean {mean}, ε {epsilon}, z {z}"
+                    );
+                }
+                let mass: f64 = full.iter().sum();
+                if mass < 1.0 - epsilon {
+                    uncut += 1;
+                }
+            }
+        }
+        assert!(uncut > 0, "no case ran past the cut");
     }
 
     /// The taboo step as it stood before the absorbed-mass sequence: a
@@ -620,6 +766,32 @@ mod tests {
     }
 
     #[test]
+    fn a_stuck_subnormal_is_flushed_without_moving_the_absorbed_mass() {
+        // P̄ = [[0.9, 0.1], [0, 1]]. Unflushed, state 0's mass turns
+        // subnormal near step 6,700 and then sticks at some k · 2⁻¹⁰⁷⁴
+        // with k ≤ 5, which the self-loop of 0.9 rounds back onto itself.
+        let jump = Matrix::from_nested(&[&[0.0, 1.0], &[0.0, 1.0]]);
+        let c = Ctmc::from_jump_chain(jump, vec![1.0, f64::INFINITY]).unwrap();
+        let u = Uniformized::with_rate(&c, 10.0).unwrap();
+        const STEPS: usize = 10_000;
+        let mut seq = u.absorption_sequence(0).unwrap();
+        seq.extend_to(STEPS + 1);
+        let mut dist = vec![1.0, 0.0];
+        let mut absorbed = 0.0f64;
+        for z in 0..=STEPS {
+            assert_eq!(seq.absorbed()[z].to_bits(), absorbed.to_bits(), "z = {z}");
+            if z < STEPS {
+                absorbed += reference_taboo_step(&u, &mut dist, &[1]);
+            }
+        }
+        let stuck = dist[0];
+        assert!(stuck > 0.0 && stuck < f64::MIN_POSITIVE, "{stuck:e}");
+        reference_taboo_step(&u, &mut dist, &[1]);
+        assert_eq!(dist[0], stuck, "the unflushed mass no longer decays");
+        assert_eq!(seq.distribution()[0].to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
     fn absorbing_start_is_absorbed_at_step_zero() {
         let c = loopy_workflow();
         let u = Uniformized::new(&c).unwrap();
@@ -638,7 +810,7 @@ mod tests {
         let c = loopy_workflow();
         let u = Uniformized::new(&c).unwrap();
         let mut seq = u.absorption_sequence(0).unwrap();
-        let long = poisson_weights(u.rate() * 40.0, 1e-9).len();
+        let long = poisson_window(u.rate() * 40.0, 1e-9).end;
         seq.cdf(40.0, 1e-9);
         assert_eq!(seq.products(), long - 1);
         for t in [1.0, 5.0, 20.0, 39.0] {

@@ -69,7 +69,7 @@
 //! | `markov.power-iteration.iterations` | histogram | `wfms-markov` | power-iteration steps per steady-state fallback |
 //! | `markov.steady-state.iterations` | histogram | `wfms-markov` | sweeps per CTMC steady-state solve |
 //! | `markov.poisson.truncation-steps` | histogram | `wfms-markov` | uniformization truncation depth `z_max` |
-//! | `markov.poisson.terms` | histogram | `wfms-markov` | Poisson weights kept per transient solve |
+//! | `markov.poisson.terms` | histogram | `wfms-markov` | end `z` of the Poisson window per CDF evaluation: the terms `0..end` it covers, the leading zero weights it skips included |
 //! | `avail.state-space.size` | gauge | `wfms-avail` | `∏(Y_x+1)` states of the last availability model |
 //! | `perf.mg1.evaluations` | counter | `wfms-perf` | M/G/1 waiting-time kernel evaluations |
 //! | `performability.state-evaluations` | counter | `wfms-performability` | system states evaluated by a fold |

@@ -395,6 +395,39 @@ mod tests {
     }
 
     #[test]
+    fn absorbed_mass_matches_the_unflushed_dense_recursion() {
+        // 60,000 steps run far into the range where each chain's unflushed
+        // taboo vector holds subnormals (from step ≈ 6,700 on ep), which
+        // the sequence flushes to zero.
+        const STEPS: usize = 60_000;
+        let cases = [
+            (ep_workflow(), paper_section52_registry()),
+            (order_fulfillment_workflow(), enterprise_registry()),
+            (insurance_claim_workflow(), enterprise_registry()),
+            (loan_approval_workflow(), enterprise_registry()),
+            (ladder_m_chart(), paper_section52_registry()),
+        ];
+        for (spec, reg) in cases {
+            let analysis = analyze_workflow(&spec, &reg, &AnalysisOptions::default()).unwrap();
+            let u = Uniformized::new(&analysis.ctmc).unwrap();
+            let mut seq = u.absorption_sequence(analysis.start).unwrap();
+            seq.cdf(STEPS as f64 / u.rate(), 1e-9);
+            assert!(seq.absorbed().len() > STEPS, "{}", spec.name);
+            let mut dist = vec![0.0; u.n()];
+            dist[analysis.start] = 1.0;
+            let mut absorbed = 0.0f64;
+            let mut subnormals = 0;
+            for (z, &got) in seq.absorbed()[..=STEPS].iter().enumerate() {
+                assert_eq!(got.to_bits(), absorbed.to_bits(), "{}: z = {z}", spec.name);
+                dist = u.p_bar().vec_mul(&dist).unwrap();
+                absorbed += std::mem::take(&mut dist[analysis.absorbing]);
+                subnormals += dist.iter().filter(|x| x.is_subnormal()).count();
+            }
+            assert!(subnormals > 0, "{} never turns subnormal", spec.name);
+        }
+    }
+
+    #[test]
     fn ep_like_branching_sla_question() {
         // A branchy workflow: 80% finish fast (1 min), 20% take a slow path
         // (100 min). The 0.75-percentile must sit on the fast side and the

@@ -18,10 +18,10 @@
 //!   [`crate::model::closed_form_unavailability`], reached through the
 //!   same marginals the state probabilities use),
 //! * the probability of any individual system state,
-//! * the full stationary vector in encoding order
-//!   ([`ProductFormModel::steady_state`]) — the assessment engine's exact
-//!   (`ε = 0`) solve, `O(Π_x (Y_x + 1))` multiplications instead of an
-//!   LU factorization of the generator, and
+//! * one type's marginal on its own ([`steady_state_marginal`]) — the
+//!   assessment engine's exact (`ε = 0`) solve, which folds the
+//!   performability reward one type at a time and never materializes
+//!   the `Π_x (Y_x + 1)` joint states, and
 //! * a lazy best-first enumeration of system states in **descending
 //!   `π` order** ([`ProductFormModel::enumerate_descending`]) — the
 //!   primitive behind ε-truncated performability evaluation, which
@@ -58,7 +58,6 @@ use wfms_statechart::{Configuration, ServerTypeId, ServerTypeRegistry};
 use crate::blocks::BirthDeathBlock;
 use crate::error::AvailError;
 use crate::model::{RepairPolicy, DEFAULT_STATE_CAP};
-use crate::sparse_model::SPARSE_STATE_CAP;
 use crate::state_space::StateSpace;
 
 /// Which steady-state solver evaluates the availability chain.
@@ -70,11 +69,12 @@ pub enum AvailBackend {
     /// Gauss–Seidel.
     #[default]
     Auto,
-    /// The exact stationary vector of every state, in encoding order.
-    /// The assessment engine (independent repair) materializes it from
-    /// the product form ([`ProductFormModel::steady_state`]), with no
-    /// generator and no LU solve; [`crate::AvailabilityModel`]'s dense
-    /// generator and LU solve remain its test oracle.
+    /// The exact solve over every state. The assessment engine
+    /// (independent repair) answers it from the product form's per-type
+    /// marginals ([`steady_state_marginal`]), with no generator, no LU
+    /// solve and no materialized joint vector;
+    /// [`crate::AvailabilityModel`]'s dense generator and LU solve
+    /// remain its test oracle.
     Dense,
     /// Transposed-CSR generator + sparse Gauss–Seidel sweeps.
     Sparse,
@@ -325,71 +325,6 @@ impl ProductFormModel {
         p
     }
 
-    /// Materializes the full stationary vector in encoding order: the
-    /// exact solve of the independent-repair chain, with no generator
-    /// and no factorization. Each entry is the float product of
-    /// [`ProductFormModel::state_probability`] (`1.0 · m_0[X_0] · m_1[X_1]
-    /// · …`, in type order), built by expanding one type at a time, so
-    /// the walk costs `O(Π (Y_x + 1))` multiplications.
-    ///
-    /// Shares the `avail.steady-state` failpoint with the dense and
-    /// sparse models: error injection surfaces as a solver
-    /// non-convergence, NaN injection poisons the full-strength state.
-    ///
-    /// # Errors
-    /// * [`AvailError::StateSpaceTooLarge`] beyond [`SPARSE_STATE_CAP`].
-    /// * [`AvailError::Chain`] under error injection.
-    pub fn steady_state(&self) -> Result<Vec<f64>, AvailError> {
-        let n = self.space.len();
-        if n > SPARSE_STATE_CAP {
-            return Err(AvailError::StateSpaceTooLarge {
-                states: n,
-                cap: SPARSE_STATE_CAP,
-            });
-        }
-        let _obs_span = wfms_obs::span!("avail-steady-state", states = n, backend = "product");
-        wfms_obs::gauge("avail.state-space.size", n as f64);
-        let mut poison_solution = false;
-        match wfms_fault::point!("avail.steady-state") {
-            Some(wfms_fault::Injection::Error) => {
-                return Err(AvailError::Chain(wfms_markov::ChainError::Iterative(
-                    wfms_markov::linalg::IterativeError::NotConverged {
-                        iterations: 0,
-                        last_residual: f64::INFINITY,
-                    },
-                )));
-            }
-            Some(wfms_fault::Injection::Nan) => poison_solution = true,
-            None => {}
-        }
-        // Type `x` is digit `x` of the mixed-radix encoding (type 0
-        // fastest): after expanding types `0..x`, `pi` holds the partial
-        // products over those types in encoding order, and type `x`'s
-        // up-count `u` becomes the block of `pi` at offset `u · len`.
-        // Blocks are filled from the top so block 0 is read before it is
-        // overwritten.
-        let mut pi = Vec::with_capacity(n);
-        pi.push(1.0);
-        for m in &self.marginals {
-            let len = pi.len();
-            pi.resize(len * m.len(), 0.0);
-            for (u, &p) in m.iter().enumerate().rev() {
-                for i in 0..len {
-                    pi[u * len + i] = pi[i] * p;
-                }
-            }
-        }
-        if poison_solution {
-            // Poison the full-strength state (last in encoding order): it
-            // is always an up state, so the NaN reaches the availability
-            // sum rather than hiding in the all-down state's mass.
-            if let Some(last) = pi.last_mut() {
-                *last = f64::NAN;
-            }
-        }
-        Ok(pi)
-    }
-
     /// Lazily yields `(state, π)` pairs in descending `π` order (ties
     /// broken deterministically). Pull only as many states as needed:
     /// each step costs `O(k log heap)` and the heap grows by at most
@@ -397,6 +332,44 @@ impl ProductFormModel {
     pub fn enumerate_descending(&self) -> BestFirstStates {
         BestFirstStates::new(&self.marginals)
     }
+}
+
+/// The stationary up-count marginal of one type's birth–death block,
+/// `m[u]` = P(exactly `u` of the `Y_x` replicas up): the per-type factor
+/// of the product form, and the whole availability solve of the
+/// assessment engine's exact default path for that type.
+///
+/// Shares the `avail.steady-state` failpoint with the dense and sparse
+/// models: error injection surfaces as a solver non-convergence, NaN
+/// injection poisons the all-down entry `m[0]`, which always reaches the
+/// availability product `Π_x (1 − m_x[0])`.
+///
+/// # Errors
+/// [`AvailError::Chain`] under error injection.
+pub fn steady_state_marginal(block: &BirthDeathBlock) -> Result<Vec<f64>, AvailError> {
+    let _obs_span = wfms_obs::span!(
+        "avail-steady-state",
+        states = block.replicas() + 1,
+        backend = "product"
+    );
+    let mut poison_solution = false;
+    match wfms_fault::point!("avail.steady-state") {
+        Some(wfms_fault::Injection::Error) => {
+            return Err(AvailError::Chain(wfms_markov::ChainError::Iterative(
+                wfms_markov::linalg::IterativeError::NotConverged {
+                    iterations: 0,
+                    last_residual: f64::INFINITY,
+                },
+            )));
+        }
+        Some(wfms_fault::Injection::Nan) => poison_solution = true,
+        None => {}
+    }
+    let mut marginal = block.marginal_distribution();
+    if poison_solution {
+        marginal[0] = f64::NAN;
+    }
+    Ok(marginal)
 }
 
 /// The multiplicative factor a one-coordinate move `Y_x → Y'_x` applies
@@ -667,13 +640,12 @@ mod tests {
         let dense = AvailabilityModel::new(&reg, &config).unwrap();
         let pi_lu = dense.steady_state(SteadyStateMethod::Lu).unwrap();
         let product = ProductFormModel::new(&reg, &config).unwrap();
-        let pi_pf = product.steady_state().unwrap();
         for (idx, x) in product.state_space().iter() {
+            let p = product.state_probability(&x).unwrap();
             assert!(
-                (pi_lu[idx] - pi_pf[idx]).abs() < 1e-10,
-                "state {x:?}: LU {} vs product {}",
-                pi_lu[idx],
-                pi_pf[idx]
+                (pi_lu[idx] - p).abs() < 1e-10,
+                "state {x:?}: LU {} vs product {p}",
+                pi_lu[idx]
             );
         }
     }
@@ -770,9 +742,21 @@ mod tests {
             SparseAvailabilityModel::new(&reg, &config, RepairPolicy::Independent).unwrap();
         let pi_gs = sparse.steady_state(gs()).unwrap();
         let product = ProductFormModel::new(&reg, &config).unwrap();
-        let pi_pf = product.steady_state().unwrap();
-        for idx in 0..pi_gs.len() {
-            assert!((pi_gs[idx] - pi_pf[idx]).abs() < 1e-9);
+        for (idx, x) in product.state_space().iter() {
+            assert!((pi_gs[idx] - product.state_probability(&x).unwrap()).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn steady_state_marginal_is_the_blocks_marginal() {
+        let reg = paper_section52_registry();
+        let config = Configuration::new(&reg, vec![2, 1, 3]).unwrap();
+        let model = ProductFormModel::new(&reg, &config).unwrap();
+        for (id, st) in reg.iter() {
+            let block =
+                BirthDeathBlock::for_type(st, config.as_slice()[id.0], RepairPolicy::Independent);
+            let marginal = steady_state_marginal(&block).unwrap();
+            assert_eq!(marginal, model.marginals()[id.0]);
         }
     }
 }
@@ -814,14 +798,12 @@ mod proptests {
 
         /// Satellite invariant: the product-form π matches both the
         /// dense LU solve and the sparse Gauss–Seidel solve element-wise
-        /// under independent repair, and each entry is bit-identical to
-        /// the point query's float product.
+        /// under independent repair.
         #[test]
         fn product_pi_matches_dense_and_sparse(
             (reg, config) in arbitrary_registry_and_config()
         ) {
             let product = ProductFormModel::new(&reg, &config).unwrap();
-            let pi_pf = product.steady_state().unwrap();
 
             let dense = AvailabilityModel::new(&reg, &config).unwrap();
             let pi_lu = dense.steady_state(SteadyStateMethod::Lu).unwrap();
@@ -836,11 +818,11 @@ mod proptests {
             }).unwrap();
 
             for (idx, x) in product.state_space().iter() {
-                prop_assert_eq!(pi_pf[idx], product.state_probability(&x).unwrap());
-                prop_assert!((pi_pf[idx] - pi_lu[idx]).abs() < 1e-9,
-                    "idx {idx}: product {:e} vs LU {:e}", pi_pf[idx], pi_lu[idx]);
-                prop_assert!((pi_pf[idx] - pi_gs[idx]).abs() < 1e-9,
-                    "idx {idx}: product {:e} vs GS {:e}", pi_pf[idx], pi_gs[idx]);
+                let p = product.state_probability(&x).unwrap();
+                prop_assert!((p - pi_lu[idx]).abs() < 1e-9,
+                    "idx {idx}: product {p:e} vs LU {:e}", pi_lu[idx]);
+                prop_assert!((p - pi_gs[idx]).abs() < 1e-9,
+                    "idx {idx}: product {p:e} vs GS {:e}", pi_gs[idx]);
             }
         }
 

@@ -7,8 +7,7 @@
 //!    the reference path of the determinism contract;
 //! 2. **parallel / cold** — a fresh engine with `jobs = 4`;
 //! 3. **parallel / warm** — the same engine again, replaying every
-//!    candidate from the degraded-state, birth–death-block, and
-//!    availability-solution caches.
+//!    candidate from the per-type record cache.
 //!
 //! Asserts the winning [`Assessment`] (and the full trace) is
 //! bit-identical across all three runs — the engine's determinism

@@ -241,7 +241,7 @@ fn parse_backend(args: &ParsedArgs) -> Result<AvailBackend, CliError> {
 /// fail-fast switch. `recommend` adds the incremental-path knobs:
 /// `--screen-epsilon` (adaptive-ε screening), `--rank-moves`
 /// (sensitivity-ranked screened growth), and `--no-incremental`
-/// (disable the delta patch, for A/B timing). Out-of-range values are
+/// (disable the `ε > 0` path's delta patch, for A/B timing). Out-of-range values are
 /// rejected by [`wfms_core::config::AssessmentEngine::new`] as
 /// `InvalidOption`.
 fn parse_search_options(args: &ParsedArgs) -> Result<SearchOptions, CliError> {
@@ -266,21 +266,23 @@ fn parse_search_options(args: &ParsedArgs) -> Result<SearchOptions, CliError> {
 }
 
 /// Renders the graceful-degradation accounting of an assessment: solver
-/// fallbacks taken and failed state evaluations charged at their
-/// pessimistic caps.
+/// fallbacks taken and failed evaluations charged at their pessimistic
+/// caps (per `(type, up-count)` on the exact path, where a detail's
+/// state is `Y` with the failed type at that up-count and its mass is
+/// the up-count's marginal).
 fn write_degradation(
     out: &mut impl Write,
     d: &wfms_core::DegradationReport,
 ) -> Result<(), CliError> {
     writeln!(
         out,
-        "  DEGRADED: {} solver fallback(s), {} failed state(s) charged at the pessimistic cap (mass {:.3e})",
+        "  DEGRADED: {} solver fallback(s), {} failed evaluation(s) charged at the pessimistic cap (mass {:.3e})",
         d.solver_fallbacks, d.failed_states, d.charged_mass
     )?;
     for r in d.details.iter().take(3) {
         writeln!(
             out,
-            "    state {:?} (\u{3c0} = {:.3e}): {}",
+            "    state {:?} (mass {:.3e}): {}",
             r.state, r.probability, r.error
         )?;
     }
@@ -375,13 +377,16 @@ COMMANDS
                [--solver-tol <t>] [--solver-max-iter <n>] [--strict]
                [--optimal | --annealing] [--screen-epsilon <e>]
                [--rank-moves] [--no-incremental] [--json]
-               without --strict, failed availability solves escalate to the
-               exact product-form solve, failed state evaluations are
-               charged at their pessimistic waiting-time caps (reported as
-               DEGRADED), and irrecoverable candidates are quarantined
-               rather than aborting the search; --strict restores fail-fast.
-               one-replica neighbours reuse the incumbent's cached
-               per-type marginals (disable with --no-incremental);
+               without --strict, failed sparse solves escalate to the
+               exact per-type path, failed evaluations (per server type
+               and up-count on the exact path, per state with --epsilon
+               or sparse) are charged at their pessimistic waiting-time
+               caps (reported as DEGRADED), and irrecoverable candidates
+               are quarantined rather than aborting the search; --strict
+               restores fail-fast. with --epsilon > 0, one-replica
+               neighbours reuse the incumbent's cached per-type marginals
+               (disable with --no-incremental; the exact path caches one
+               record per server type and replica count instead);
                --screen-epsilon > 0 prunes candidates the loose-e
                truncation bounds prove infeasible; --rank-moves picks
                growth moves by closed-form sensitivity when the exact
@@ -1454,8 +1459,8 @@ fn profile_once(
         | Err(wfms_core::ConfigError::LoadUnsustainable { .. }) => {}
         Err(e) => return Err(e.into()),
     }
-    // Re-assess the profiled configuration: replays from the
-    // availability-solution and degraded-state caches.
+    // Re-assess the profiled configuration: replays from the engine's
+    // per-type record cache.
     engine.assess(config)?;
     // ε-truncated product-form pass: exercises the fast availability
     // backend so `--check` can gate on the `avail-product-form` span and
@@ -1793,7 +1798,7 @@ fn cmd_explain(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> 
     if let Some(d) = &winner.degradation {
         writeln!(
             out,
-            "  degradation: {} failed state(s), charged mass {:.3e}, {} solver fallback(s)",
+            "  degradation: {} failed evaluation(s), charged mass {:.3e}, {} solver fallback(s)",
             d.failed_states, d.charged_mass, d.solver_fallbacks
         )?;
     }

@@ -13,15 +13,22 @@ use crate::goals::GoalCheck;
 /// [`DegradationReport`]; the `failed_states` count is always exact.
 pub const DEGRADATION_DETAIL_CAP: usize = 32;
 
-/// One degraded-state evaluation that failed and was charged with its
-/// pessimistic waiting-time cap instead.
+/// One evaluation that failed and was charged with its pessimistic
+/// waiting-time cap instead.
+///
+/// The joint paths (`ε > 0`, sparse) evaluate whole system states. The
+/// exact default path evaluates one server type at one up-count `u`;
+/// its record stands for every joint state with `X_x = u`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DegradedStateRecord {
-    /// The system state `X` whose kernel evaluation failed.
+    /// The system state `X` whose kernel evaluation failed; on the exact
+    /// path, the candidate `Y` with the failed type's entry set to `u`.
     pub state: Vec<usize>,
-    /// Its stationary probability `π_X` — the mass charged at the cap.
+    /// Its stationary probability `π_X`; on the exact path, the
+    /// marginal `m_x[u]`, the joint mass of every state with `X_x = u`.
     pub probability: f64,
-    /// Human-readable description of the failure.
+    /// Human-readable description of the failure (on the exact path,
+    /// prefixed with the server type and up-count).
     pub error: String,
 }
 
@@ -31,20 +38,25 @@ pub struct DegradedStateRecord {
 /// to a build without the supervision layer.
 ///
 /// The substituted waiting times are the sound per-type caps of
-/// [`wfms_performability::waiting_time_caps`] (the wait at the smallest
+/// [`wfms_performability::type_waiting_cap`] (the wait at the smallest
 /// stable up-count), so a degraded assessment's expected waiting is a
 /// **pessimistic** estimate: real waits in the failed states can only be
-/// lower.
+/// lower. The exact default path charges per `(type, up-count)`
+/// ([`wfms_performability::charged_type_outcome`]); the joint paths
+/// charge whole states.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DegradationReport {
-    /// Degraded-state kernel evaluations that failed and were charged
-    /// with the pessimistic cap.
+    /// Kernel evaluations that failed and were charged with the
+    /// pessimistic cap: one per `(type, up-count)` on the exact path,
+    /// one per state on the joint paths.
     pub failed_states: usize,
-    /// Total stationary mass of those states.
+    /// Total stationary mass those evaluations touch: on the exact path
+    /// `1 − Π_x (1 − Σ_{failed u} m_x[u])`, on the joint paths the sum of
+    /// the failed states' `π`. `1.0` when everything failed.
     pub charged_mass: f64,
     /// Availability-solver escalations taken while producing this
-    /// assessment's stationary vector (sparse Gauss–Seidel → the exact
-    /// product-form solve). Mirrors the `solver.fallback` obs counter.
+    /// assessment (sparse Gauss–Seidel → the exact per-type path).
+    /// Mirrors the `solver.fallback` obs counter.
     pub solver_fallbacks: u32,
     /// Per-state failure detail, capped at [`DEGRADATION_DETAIL_CAP`]
     /// entries ([`DegradationReport::failed_states`] stays exact).

@@ -2,12 +2,33 @@
 //! evaluation core behind the configuration searches.
 //!
 //! Assessing each candidate in isolation would recompute every
-//! degraded-state waiting-time vector and every availability chain from
+//! degraded-state waiting time and every availability chain from
 //! scratch — yet neighbouring candidates (`Y` vs `Y + e_k`) share almost
-//! their entire state space.
-//! [`AssessmentEngine`] owns the search inputs ([`ServerTypeRegistry`],
-//! [`SystemLoad`], [`Goals`], [`SearchOptions`]) and threads three
-//! shared memo layers through all assessments:
+//! all of both. [`AssessmentEngine`] owns the search inputs
+//! ([`ServerTypeRegistry`], [`SystemLoad`], [`Goals`], [`SearchOptions`])
+//! and threads shared memo layers through all assessments.
+//!
+//! # The exact default path: per-type records
+//!
+//! The engine models independent repair throughout, so the availability
+//! chain is a product of per-type birth–death chains,
+//! `π(X) = Π_x m_x[X_x]` ([`wfms_avail::ProductFormModel`]), and type
+//! `x`'s M/G/1 wait depends on its own up-count `X_x` alone. Every
+//! candidate that resolves to [`AvailBackend::Dense`] — the `ε = 0`
+//! default up to 4,096 states, and the sparse solver's escalation — is
+//! therefore assessed from `k` **records**, cached by `(type, Y_x)`: the
+//! birth–death marginal `m_x` (read from the block cache below) and type
+//! `x`'s single-type outcome at every up-count `u = 0..=Y_x`. The
+//! assessment is closed-form over them: availability `Π_x (1 − m_x[0])`
+//! and one 1-D waiting-time sum per type
+//! ([`wfms_performability::fold_types`]) — `Σ_x (Y_x + 1)` single-type
+//! terms, never the `Π_x (Y_x + 1)` joint states. A record is a pure
+//! function of `(type, Y_x)`, so a one-replica move changes exactly one.
+//!
+//! # The joint paths
+//!
+//! `ε > 0` (the product backend) and an explicit sparse backend still
+//! fold joint states, through three more layers:
 //!
 //! 1. **Degraded-state cache** — keyed by the system state vector `X`,
 //!    holding the per-state waiting-time vector `w^X` and saturation
@@ -18,22 +39,15 @@
 //! 2. **Birth–death-block cache** — keyed by `(type, Y_x)`, holding the
 //!    per-type rate ladders ([`wfms_avail::BirthDeathBlock`]) of the
 //!    availability CTMC, so the chain for `Y + e_k` reuses the blocks of
-//!    every unchanged type.
-//! 3. **Availability-solution cache** — keyed by `Y`, holding the
-//!    steady-state vector and availability, so re-assessing a candidate
-//!    (greedy revisits, annealing walks, warm re-runs) skips the
-//!    availability solve entirely.
+//!    every unchanged type. The record fill reads its marginal here too.
+//! 3. **Availability-solution cache** — keyed by `Y` and the backend,
+//!    holding the sparse stationary vector or the product-form
+//!    marginals, so re-assessing a candidate skips the availability
+//!    solve entirely.
 //!
-//! The engine models independent repair throughout, so the
-//! availability chain is a product of per-type birth–death chains and
-//! its exact stationary vector is `π(X) = Π_x m_x[X_x]`
-//! ([`wfms_avail::ProductFormModel`]). The default (`ε = 0`) path
-//! materializes that product in encoding order — no generator, no LU
-//! factorization — and folds every state; `ε > 0` folds only the
-//! heaviest states of the same product.
-//!
-//! Candidate evaluation over the exhaustive/B&B frontier — and the
-//! per-state kernel over the independent degraded states of one
+//! `ε > 0` folds only the heaviest states of the product form.
+//! Candidate evaluation over the exhaustive/B&B frontier — and, on the
+//! sparse path, the per-state kernel over the degraded states of one
 //! candidate — runs on a rayon pool sized by [`SearchOptions::jobs`].
 //!
 //! # Determinism contract
@@ -50,8 +64,9 @@
 //! # Observability
 //!
 //! Stable names (see `wfms-obs`): counters `engine.cache-hit` /
-//! `engine.cache-miss` aggregate over the three cache layers; the
-//! counter `engine.delta-assess` (with its `delta-assess` span) fires
+//! `engine.cache-miss` count record lookups on the exact path (one per
+//! type per candidate) and lookups of the three joint layers elsewhere;
+//! the counter `engine.delta-assess` (with its `delta-assess` span) fires
 //! once per availability solve answered by patching a cached
 //! neighbour's marginals instead of rebuilding them; the counter
 //! `engine.screen-reject` fires once per candidate the adaptive-ε
@@ -59,7 +74,7 @@
 //! reports the size of the last candidate batch dispatched in
 //! parallel.
 
-// audit:allow-file(A006, reason = "the three caches are keyed lookups (get/insert only, never iterated), so hash order never reaches results; bit-identity is asserted by tests/engine.rs")
+// audit:allow-file(A006, reason = "the caches are keyed lookups (get/insert only, never iterated), so hash order never reaches results; bit-identity is asserted by tests/engine.rs")
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,14 +83,15 @@ use std::sync::{Arc, Mutex};
 use rayon::prelude::*;
 
 use wfms_avail::{
-    select_backend, AvailBackend, BirthDeathBlock, ProductFormModel, RepairPolicy,
-    SparseAvailabilityModel, StateSpace, MINUTES_PER_YEAR,
+    select_backend, steady_state_marginal, AvailBackend, BirthDeathBlock, ProductFormModel,
+    RepairPolicy, SparseAvailabilityModel, StateSpace, MINUTES_PER_YEAR,
 };
 use wfms_markov::linalg::GaussSeidelOptions;
 use wfms_perf::{SystemLoad, WaitingOutcome};
 use wfms_performability::{
-    evaluate_state, fold_states, fold_states_truncated, waiting_time_caps, DegradedPolicy,
-    PerformabilityError, StateEvaluation, TruncationOptions,
+    charged_type_outcome, evaluate_state, evaluate_type_state, fold_states, fold_states_truncated,
+    fold_types, type_waiting_cap, waiting_time_caps, DegradedPolicy, PerformabilityError,
+    PerformabilityReport, StateEvaluation, TruncationOptions,
 };
 use wfms_statechart::{Configuration, ServerTypeId, ServerTypeRegistry};
 
@@ -147,7 +163,7 @@ fn lock_cache<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// A tick-stamped LRU map for the state and solution caches: `get`
+/// A tick-stamped LRU map for the record, state and solution caches: `get`
 /// refreshes recency, and `insert` at capacity evicts the
 /// least-recently-used entry (capacity `0` disables caching entirely,
 /// preserving the historical contract). A `BTreeMap` recency index
@@ -249,10 +265,10 @@ impl CacheCounters {
     }
 }
 
-/// Poisons the first stable outcome of an evaluation with NaN — the
-/// engine-level effect of a `nan` fault injection on a cache-fill site.
-fn poison_first_stable(evaluation: &mut StateEvaluation) {
-    for o in evaluation.outcomes.iter_mut() {
+/// Poisons the first stable outcome with NaN — the engine-level effect
+/// of a `nan` fault injection on a cache-fill site.
+fn poison_first_stable(outcomes: &mut [WaitingOutcome]) {
+    for o in outcomes.iter_mut() {
         if let WaitingOutcome::Stable { waiting_time, .. } = o {
             *waiting_time = f64::NAN;
             break;
@@ -260,41 +276,60 @@ fn poison_first_stable(evaluation: &mut StateEvaluation) {
     }
 }
 
-/// The exact availability solve of an independent-repair chain from its
-/// product form: `π(X) = Π_x m_x[X_x]` materialized in encoding order
-/// (no generator, no factorization), and the availability summed over
-/// the operational states in that order, as the dense model sums it.
-/// Answers the `ε = 0` default and the sparse solver's escalation;
-/// `fallbacks` is the escalation count the solution is born with.
-fn exact_solution(
-    config: &Configuration,
-    blocks: &[Arc<BirthDeathBlock>],
-    fallbacks: u32,
-) -> Result<AvailabilitySolution, ConfigError> {
-    let model = ProductFormModel::from_blocks(config, blocks)?;
-    let pi = model.steady_state()?;
-    let availability = model.state_space().operational_mass(&pi)?;
-    Ok(AvailabilitySolution::Explicit {
-        pi,
-        availability,
-        fallbacks,
-    })
+/// The failure the `engine.solution-cache-fill` failpoint injects: an
+/// availability solve that did not converge.
+fn injected_solve_failure() -> ConfigError {
+    ConfigError::Avail(wfms_avail::AvailError::Chain(
+        wfms_markov::error::ChainError::Iterative(
+            wfms_markov::linalg::IterativeError::NotConverged {
+                iterations: 0,
+                last_residual: f64::INFINITY,
+            },
+        ),
+    ))
 }
 
-/// A cached availability solve for one candidate `Y`, shaped by the
-/// backend that produced it.
+/// One server type's share of the exact default path at `Y_x`
+/// replicas: everything the per-type fold needs from type `x`.
+#[derive(Debug)]
+struct TypeRecord {
+    /// The birth–death marginal `m_x[u]`, `u = 0..=Y_x`.
+    marginal: Vec<f64>,
+    /// Type `x`'s single-type outcome at each up-count `u = 0..=Y_x`.
+    outcomes: Vec<WaitingOutcome>,
+    /// Evaluations that failed and were charged in `outcomes` instead:
+    /// `(up-count, error)`. A record with any is never cached.
+    failed: Vec<(usize, String)>,
+}
+
+impl TypeRecord {
+    /// Whether the record may be shared with later candidates: no
+    /// failed evaluation and no non-finite marginal entry or stable wait
+    /// (a NaN injection). Anything else is used by the candidate that
+    /// filled it and dropped, so a fault never outlives that candidate.
+    fn is_cacheable(&self) -> bool {
+        self.failed.is_empty()
+            && self.marginal.iter().all(|m| m.is_finite())
+            && self.outcomes.iter().all(|o| match o {
+                WaitingOutcome::Stable { waiting_time, .. } => waiting_time.is_finite(),
+                _ => true,
+            })
+    }
+}
+
+/// A cached availability solve of a joint path for one candidate `Y`,
+/// shaped by the backend that produced it.
 #[derive(Debug)]
 enum AvailabilitySolution {
-    /// The exact product form or sparse Gauss–Seidel: the materialized
-    /// stationary vector in encoding order. `fallbacks` counts solver
-    /// escalations taken to produce the vector (sparse Gauss–Seidel →
-    /// the exact product form), so warm cache hits still report the
-    /// degradation they were born with.
-    Explicit {
-        pi: Vec<f64>,
-        availability: f64,
-        fallbacks: u32,
-    },
+    /// Sparse Gauss–Seidel: the materialized stationary vector in
+    /// encoding order.
+    Explicit { pi: Vec<f64>, availability: f64 },
+    /// The sparse solve failed and escalated to the exact per-type path:
+    /// the candidate's records answer it. Cached so that warm replays
+    /// still report the escalation they were born with; `poisoned`
+    /// carries a NaN injected at the solve into the exact availability,
+    /// as an explicit solution carries it in its own.
+    Escalated { poisoned: bool },
     /// Product form: per-type marginals only — `π` is never
     /// materialized (that is the `O(Σ Y_x)` point of the backend);
     /// states are enumerated lazily in descending `π` order instead.
@@ -302,32 +337,40 @@ enum AvailabilitySolution {
 }
 
 /// Key of the availability-solution cache: the candidate `Y` plus the
-/// backend that solved it, so e.g. the exhaustive `ε = 0` solve can
-/// coexist with the lazily enumerated product form for the same
-/// candidate.
+/// backend that solved it, so e.g. a sparse solve can coexist with the
+/// lazily enumerated product form for the same candidate.
 type SolutionKey = (Vec<usize>, AvailBackend);
 
-impl AvailabilitySolution {
-    fn availability(&self) -> f64 {
-        match self {
-            AvailabilitySolution::Explicit { availability, .. } => *availability,
-            AvailabilitySolution::Product(model) => model.availability(),
-        }
-    }
+/// What a fold made of one candidate: the performability report, the
+/// availability, and the graceful-degradation accounting.
+struct Folded {
+    perf: Result<PerformabilityReport, PerformabilityError>,
+    availability: f64,
+    /// Failed evaluations, charged at their pessimistic caps.
+    failed: Vec<DegradedStateRecord>,
+    /// The stationary mass those failures touch.
+    charged_mass: f64,
+    solver_fallbacks: u32,
 }
 
-/// Entry counts and hit/miss totals of the engine's cache layers.
+/// Entry counts and hit/miss totals of the engine's cache layers (see
+/// the module docs for the exact path and the joint paths).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Degraded-state entries (`X → w^X`).
+    /// State-layer entries: the exact path's `(type, Y_x)` records (type
+    /// `x`'s marginal and its outcome at every up-count), plus the joint
+    /// paths' degraded states (`X → w^X`).
     pub state_entries: usize,
-    /// Availability-solution entries (`Y → π`).
+    /// Availability-solution entries (`Y → π`) of the joint paths; the
+    /// exact path keeps its marginals in the records instead.
     pub solution_entries: usize,
     /// Birth–death-block entries (`(type, Y_x)` ladders).
     pub block_entries: usize,
-    /// Total lookups answered from a cache, over all layers.
+    /// Total lookups answered from a cache: record lookups on the exact
+    /// path (one per type per candidate), lookups of every layer on the
+    /// joint paths.
     pub hits: u64,
-    /// Total lookups that had to compute, over all layers.
+    /// Total lookups that had to compute, counted the same way.
     pub misses: u64,
 }
 
@@ -345,6 +388,7 @@ pub struct AssessmentEngine {
     goals: Goals,
     options: SearchOptions,
     pool: rayon::ThreadPool,
+    records: Mutex<LruCache<(usize, usize), TypeRecord>>,
     states: Mutex<LruCache<Vec<usize>, StateEvaluation>>,
     solutions: Mutex<LruCache<SolutionKey, AvailabilitySolution>>,
     blocks: Mutex<HashMap<(usize, usize), Arc<BirthDeathBlock>>>,
@@ -421,6 +465,7 @@ impl AssessmentEngine {
             goals: goals.clone(),
             options,
             pool,
+            records: Mutex::new(LruCache::with_capacity(options.state_cache_capacity)),
             states: Mutex::new(LruCache::with_capacity(options.state_cache_capacity)),
             solutions: Mutex::new(LruCache::with_capacity(options.solution_cache_capacity)),
             blocks: Mutex::new(HashMap::new()),
@@ -452,7 +497,7 @@ impl AssessmentEngine {
     /// Current cache entry counts and lifetime hit/miss totals.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
-            state_entries: lock_cache(&self.states).len(),
+            state_entries: lock_cache(&self.records).len() + lock_cache(&self.states).len(),
             solution_entries: lock_cache(&self.solutions).len(),
             block_entries: lock_cache(&self.blocks).len(),
             hits: self.hits.load(Ordering::Relaxed),
@@ -477,7 +522,9 @@ impl AssessmentEngine {
     // -- cache layers -----------------------------------------------------
 
     /// The birth–death rate ladders for `replicas` servers of type `j`,
-    /// from the block cache.
+    /// from the block cache. Tallies the lookup in `counters` only: the
+    /// joint paths add block lookups to the engine totals, the exact path
+    /// counts its record lookups instead.
     fn block(
         &self,
         j: usize,
@@ -485,11 +532,9 @@ impl AssessmentEngine {
         counters: &CacheCounters,
     ) -> Result<Arc<BirthDeathBlock>, ConfigError> {
         if let Some(hit) = lock_cache(&self.blocks).get(&(j, replicas)) {
-            self.record_hits(1);
             counters.block_hits.set(counters.block_hits.get() + 1);
             return Ok(hit.clone());
         }
-        self.record_misses(1);
         counters.block_misses.set(counters.block_misses.get() + 1);
         let st = self.registry.get(ServerTypeId(j))?;
         let block = Arc::new(BirthDeathBlock::for_type(
@@ -514,25 +559,131 @@ impl AssessmentEngine {
         select_backend(
             self.options.avail_backend,
             RepairPolicy::Independent,
-            StateSpace::new(config).len(),
+            config.system_state_count(),
             self.options.epsilon,
         )
     }
 
-    /// The availability solve for `config` under the resolved `backend`,
-    /// from the solution cache. On a miss, assembles the chosen model
-    /// from cached per-type blocks: dense (the `ε = 0` default) takes the
-    /// exact path of [`exact_solution`]; sparse runs tight Gauss–Seidel
-    /// sweeps; product computes the closed-form marginals only. The cache
-    /// key carries the backend, so solutions produced by different
-    /// backends never alias.
+    /// The `k` per-type records of `config` (see the module docs), from
+    /// the record cache. A miss fills the record: the
+    /// `engine.solution-cache-fill` failpoint fires first (error fails
+    /// the candidate, NaN poisons the record's marginal), then the
+    /// marginal comes from the cached birth–death block and each
+    /// up-count's outcome from the single-type kernel. Only a clean
+    /// record is cached ([`TypeRecord::is_cacheable`]).
+    fn type_records(
+        &self,
+        config: &Configuration,
+        counters: &CacheCounters,
+    ) -> Result<Vec<Arc<TypeRecord>>, ConfigError> {
+        let mut records = Vec::with_capacity(config.k());
+        let (mut hits, mut misses) = (0, 0);
+        for (x, &y) in config.as_slice().iter().enumerate() {
+            if let Some(hit) = lock_cache(&self.records).get(&(x, y)) {
+                hits += 1;
+                records.push(hit);
+                continue;
+            }
+            misses += 1;
+            let record = Arc::new(self.fill_record(x, y, counters)?);
+            if record.is_cacheable() {
+                lock_cache(&self.records).insert((x, y), record.clone());
+            }
+            records.push(record);
+        }
+        self.record_hits(hits);
+        self.record_misses(misses);
+        counters.state_hits.set(counters.state_hits.get() + hits);
+        counters
+            .state_misses
+            .set(counters.state_misses.get() + misses);
+        counters.solution_hit.set(Some(misses == 0));
+        Ok(records)
+    }
+
+    /// Computes type `x`'s record at `y` replicas (see
+    /// [`AssessmentEngine::type_records`]).
+    ///
+    /// Each up-count's evaluation passes the `engine.state-cache-fill`
+    /// failpoint (error fails that one evaluation, NaN poisons its wait)
+    /// and the kernel's own `performability.evaluate-state`. Under
+    /// [`SearchOptions::strict`] a failed evaluation fails the record;
+    /// otherwise it is charged at the type's pessimistic cap
+    /// ([`charged_type_outcome`]) and listed in the record's `failed`.
+    fn fill_record(
+        &self,
+        x: usize,
+        y: usize,
+        counters: &CacheCounters,
+    ) -> Result<TypeRecord, ConfigError> {
+        let mut poison_marginal = false;
+        match wfms_fault::point!("engine.solution-cache-fill") {
+            Some(wfms_fault::Injection::Error) => return Err(injected_solve_failure()),
+            Some(wfms_fault::Injection::Nan) => poison_marginal = true,
+            None => {}
+        }
+        let block = self.block(x, y, counters)?;
+        let mut marginal = steady_state_marginal(&block)?;
+        if poison_marginal {
+            marginal[0] = f64::NAN;
+        }
+        let id = ServerTypeId(x);
+        let mut outcomes = Vec::with_capacity(y + 1);
+        let mut failed = Vec::new();
+        let mut cap = None;
+        for up in 0..=y {
+            let evaluated = match wfms_fault::point!("engine.state-cache-fill") {
+                Some(wfms_fault::Injection::Error) => Err(PerformabilityError::FaultInjected {
+                    site: "engine.state-cache-fill",
+                }),
+                Some(wfms_fault::Injection::Nan) => {
+                    evaluate_type_state(&self.load, &self.registry, id, up).map(|mut outcome| {
+                        poison_first_stable(std::slice::from_mut(&mut outcome));
+                        outcome
+                    })
+                }
+                None => evaluate_type_state(&self.load, &self.registry, id, up),
+            };
+            match evaluated {
+                Ok(outcome) => outcomes.push(outcome),
+                Err(e) if self.options.strict => return Err(e.into()),
+                Err(e) => {
+                    // A cap failure is irrecoverable: there is no sound
+                    // bound left to charge, so the error propagates and
+                    // the search quarantines the candidate.
+                    let cap = match cap {
+                        Some(cap) => cap,
+                        None => *cap.insert(type_waiting_cap(&self.load, &self.registry, id, y)?),
+                    };
+                    outcomes.push(charged_type_outcome(up, cap));
+                    failed.push((up, e.to_string()));
+                }
+            }
+        }
+        Ok(TypeRecord {
+            marginal,
+            outcomes,
+            failed,
+        })
+    }
+
+    /// The availability solve of a joint path — `backend` is `Sparse` or
+    /// `Product` — from the solution cache. On a miss, assembles the
+    /// chosen model from cached per-type blocks: sparse runs tight
+    /// Gauss–Seidel sweeps, escalating a failed solve to the exact
+    /// per-type path ([`AvailabilitySolution::Escalated`]); product
+    /// computes the closed-form marginals only. The cache key carries the
+    /// backend, so solutions produced by different backends never alias.
     fn availability_solution(
         &self,
         config: &Configuration,
         backend: AvailBackend,
         counters: &CacheCounters,
     ) -> Result<Arc<AvailabilitySolution>, ConfigError> {
-        debug_assert_ne!(backend, AvailBackend::Auto, "resolve before solving");
+        debug_assert!(
+            matches!(backend, AvailBackend::Sparse | AvailBackend::Product),
+            "the exact path has no joint solution"
+        );
         let key = (config.as_slice().to_vec(), backend);
         if let Some(hit) = lock_cache(&self.solutions).get(&key) {
             self.record_hits(1);
@@ -547,16 +698,7 @@ impl AssessmentEngine {
         // which the non-finite guard in `assess` then rejects.
         let mut poison_availability = false;
         match wfms_fault::point!("engine.solution-cache-fill") {
-            Some(wfms_fault::Injection::Error) => {
-                return Err(ConfigError::Avail(wfms_avail::AvailError::Chain(
-                    wfms_markov::error::ChainError::Iterative(
-                        wfms_markov::linalg::IterativeError::NotConverged {
-                            iterations: 0,
-                            last_residual: f64::INFINITY,
-                        },
-                    ),
-                )));
-            }
+            Some(wfms_fault::Injection::Error) => return Err(injected_solve_failure()),
             Some(wfms_fault::Injection::Nan) => poison_availability = true,
             None => {}
         }
@@ -564,62 +706,53 @@ impl AssessmentEngine {
         for (j, &y) in config.as_slice().iter().enumerate() {
             blocks.push(self.block(j, y, counters)?);
         }
-        let solution = match backend {
-            AvailBackend::Auto | AvailBackend::Dense => exact_solution(config, &blocks, 0)?,
-            AvailBackend::Sparse => {
-                let model = SparseAvailabilityModel::from_blocks(
-                    config,
-                    &blocks,
-                    RepairPolicy::Independent,
-                )?;
-                let solved = model
-                    .steady_state(GaussSeidelOptions {
-                        tolerance: self.options.solver_tolerance,
-                        max_iterations: self.options.solver_max_iterations,
-                        relaxation: 1.0,
+        self.record_hits(counters.block_hits.get());
+        self.record_misses(counters.block_misses.get());
+        let mut solution = if backend == AvailBackend::Product {
+            AvailabilitySolution::Product(self.product_model(config, &blocks)?)
+        } else {
+            let model =
+                SparseAvailabilityModel::from_blocks(config, &blocks, RepairPolicy::Independent)?;
+            let solved = model
+                .steady_state(GaussSeidelOptions {
+                    tolerance: self.options.solver_tolerance,
+                    max_iterations: self.options.solver_max_iterations,
+                    relaxation: 1.0,
+                })
+                .map_err(ConfigError::from)
+                .and_then(|pi| {
+                    let availability = model.availability(&pi)?;
+                    Ok((pi, availability))
+                });
+            match solved {
+                Ok((pi, availability))
+                    if availability.is_finite() && pi.iter().all(|p| p.is_finite()) =>
+                {
+                    AvailabilitySolution::Explicit { pi, availability }
+                }
+                Err(e) if self.options.strict => return Err(e),
+                Ok(_) if self.options.strict => {
+                    return Err(ConfigError::NonFiniteAssessment {
+                        replicas: config.as_slice().to_vec(),
+                        what: "sparse stationary vector",
                     })
-                    .map_err(ConfigError::from)
-                    .and_then(|pi| {
-                        let availability = model.availability(&pi)?;
-                        Ok((pi, availability))
-                    });
-                let finite = |sol: &(Vec<f64>, f64)| {
-                    sol.1.is_finite() && sol.0.iter().all(|p| p.is_finite())
-                };
-                match solved {
-                    Ok(sol) if finite(&sol) => AvailabilitySolution::Explicit {
-                        pi: sol.0,
-                        availability: sol.1,
-                        fallbacks: 0,
-                    },
-                    other => {
-                        if self.options.strict {
-                            return match other {
-                                Err(e) => Err(e),
-                                Ok(_) => Err(ConfigError::NonFiniteAssessment {
-                                    replicas: config.as_slice().to_vec(),
-                                    what: "sparse stationary vector",
-                                }),
-                            };
-                        }
-                        // Graceful degradation: escalate the failed (or
-                        // non-finite) Gauss–Seidel solve to the exact
-                        // product form of the same chain.
-                        wfms_obs::counter("solver.fallback", 1);
-                        let mut span = wfms_obs::span!("solver-fallback");
-                        span.record("from", "sparse-gauss-seidel");
-                        exact_solution(config, &blocks, 1)?
-                    }
+                }
+                // Graceful degradation: escalate the failed (or
+                // non-finite) Gauss–Seidel solve to the exact per-type
+                // path of the same chain.
+                _ => {
+                    wfms_obs::counter("solver.fallback", 1);
+                    let mut span = wfms_obs::span!("solver-fallback");
+                    span.record("from", "sparse-gauss-seidel");
+                    AvailabilitySolution::Escalated { poisoned: false }
                 }
             }
-            AvailBackend::Product => {
-                AvailabilitySolution::Product(self.product_model(config, &blocks)?)
-            }
         };
-        let mut solution = solution;
         if poison_availability {
-            if let AvailabilitySolution::Explicit { availability, .. } = &mut solution {
-                *availability = f64::NAN;
+            match &mut solution {
+                AvailabilitySolution::Explicit { availability, .. } => *availability = f64::NAN,
+                AvailabilitySolution::Escalated { poisoned } => *poisoned = true,
+                AvailabilitySolution::Product(_) => {}
             }
         }
         let solution = Arc::new(solution);
@@ -760,7 +893,7 @@ impl AssessmentEngine {
                 Err(_) => continue,
             };
             if poison_first {
-                poison_first_stable(&mut evaluation);
+                poison_first_stable(&mut evaluation.outcomes);
                 poison_first = false;
             }
             cache.insert(x, Arc::new(evaluation));
@@ -810,7 +943,7 @@ impl AssessmentEngine {
             }
             Some(wfms_fault::Injection::Nan) => {
                 let mut evaluation = evaluate_state(&self.load, &self.registry, state)?;
-                poison_first_stable(&mut evaluation);
+                poison_first_stable(&mut evaluation.outcomes);
                 evaluation
             }
             None => evaluate_state(&self.load, &self.registry, state)?,
@@ -887,116 +1020,16 @@ impl AssessmentEngine {
         run_preflight(&self.registry, &self.load, Some(config.as_slice()))?;
         let mut obs_span = wfms_obs::span!("assess");
         obs_span.record("candidate", format!("{config}"));
-        let backend = self.resolved_backend(config);
-        let solution = self.availability_solution(config, backend, &counters)?;
-        let availability = solution.availability();
+        let folded = match self.resolved_backend(config) {
+            AvailBackend::Auto | AvailBackend::Dense => self.fold_exact(config, 0, &counters)?,
+            joint => {
+                let solution = self.availability_solution(config, joint, &counters)?;
+                self.fold_solution(config, &solution, &counters)?
+            }
+        };
+        let availability = folded.availability;
         let downtime_minutes_per_year = (1.0 - availability) * MINUTES_PER_YEAR;
-        let solver_fallbacks = match &*solution {
-            AvailabilitySolution::Explicit { fallbacks, .. } => *fallbacks,
-            AvailabilitySolution::Product(_) => 0,
-        };
-
-        // Graceful-degradation plumbing. The folds call the evaluation
-        // closure immediately after pulling each `(state, π)` pair, so
-        // `current_probability` always holds the mass of the state under
-        // evaluation; a failed state is charged at its pessimistic
-        // waiting-time cap and recorded instead of failing the whole
-        // assessment (unless `strict`). Clean runs never touch the caps
-        // cell, keeping them bit-identical to the pre-supervision path.
-        let strict = self.options.strict;
-        let current_probability = std::cell::Cell::new(0.0_f64);
-        let degraded: std::cell::RefCell<Vec<DegradedStateRecord>> =
-            std::cell::RefCell::new(Vec::new());
-        let caps_cell: std::cell::RefCell<Option<Vec<f64>>> = std::cell::RefCell::new(None);
-        let pessimistic = |state: &[usize],
-                           error: PerformabilityError|
-         -> Result<Arc<StateEvaluation>, PerformabilityError> {
-            let mut caps_ref = caps_cell.borrow_mut();
-            if caps_ref.is_none() {
-                // A caps failure is irrecoverable: there is no sound
-                // bound left to charge, so the error propagates and the
-                // candidate is quarantined by the search.
-                *caps_ref = Some(waiting_time_caps(
-                    &self.load,
-                    &self.registry,
-                    config.as_slice(),
-                )?);
-            }
-            // audit:allow(A008, reason = "caps_ref is unconditionally filled by the branch directly above")
-            let caps = caps_ref.as_ref().expect("caps filled above");
-            let down = state.contains(&0);
-            let outcomes = if down {
-                vec![WaitingOutcome::Down; self.registry.len()]
-            } else {
-                caps.iter()
-                    .map(|&cap| WaitingOutcome::Stable {
-                        waiting_time: cap,
-                        utilization: 1.0,
-                    })
-                    .collect()
-            };
-            degraded.borrow_mut().push(DegradedStateRecord {
-                state: state.to_vec(),
-                probability: current_probability.get(),
-                error: error.to_string(),
-            });
-            Ok(Arc::new(StateEvaluation {
-                outcomes,
-                down,
-                saturated: false,
-            }))
-        };
-
-        let perf = match &*solution {
-            AvailabilitySolution::Explicit { pi, .. } => {
-                // Exhaustive fold over the encoding order, the order the
-                // dense model's `distribution` walks.
-                let space = StateSpace::new(config);
-                self.populate_state_cache(&space, &counters).and_then(|()| {
-                    fold_states(
-                        space.iter().map(|(idx, x)| {
-                            current_probability.set(pi[idx]);
-                            (x, pi[idx])
-                        }),
-                        self.registry.len(),
-                        config.as_slice(),
-                        DegradedPolicy::Conditional,
-                        |state| match self.state_evaluation(state) {
-                            Ok(evaluation) => Ok(evaluation),
-                            Err(e) if !strict => pessimistic(state, e),
-                            Err(e) => Err(e),
-                        },
-                    )
-                })
-            }
-            AvailabilitySolution::Product(model) => {
-                // ε-truncated fold over the descending-π enumeration;
-                // only the visited states are ever evaluated (lazily,
-                // through the shared memo).
-                waiting_time_caps(&self.load, &self.registry, config.as_slice()).and_then(|caps| {
-                    fold_states_truncated(
-                        model.enumerate_descending().map(|(x, p)| {
-                            current_probability.set(p);
-                            (x, p)
-                        }),
-                        self.registry.len(),
-                        config.as_slice(),
-                        DegradedPolicy::Conditional,
-                        &TruncationOptions {
-                            epsilon: self.options.epsilon,
-                            total_states: model.state_space().len(),
-                            waiting_caps: &caps,
-                        },
-                        |state| match self.state_evaluation_memo(state, &counters) {
-                            Ok(evaluation) => Ok(evaluation),
-                            Err(e) if !strict => pessimistic(state, e),
-                            Err(e) => Err(e),
-                        },
-                    )
-                })
-            }
-        };
-        let perf = match perf {
+        let perf = match folded.perf {
             Ok(report) => Some(report),
             Err(PerformabilityError::NoServingStates) => None,
             Err(e) => return Err(e.into()),
@@ -1055,21 +1088,19 @@ impl AssessmentEngine {
             }
         }
 
-        let failed = degraded.take();
+        let failed = folded.failed;
+        let solver_fallbacks = folded.solver_fallbacks;
         let degradation = if failed.is_empty() && solver_fallbacks == 0 {
             None
         } else {
             let failed_states = failed.len();
-            // fold, not sum: the empty f64 sum is -0.0, which would
-            // render as "-0.000e0" in fallback-only reports.
-            let charged_mass = failed.iter().map(|r| r.probability).fold(0.0, |a, p| a + p);
             let mut details = failed;
             details.truncate(DEGRADATION_DETAIL_CAP);
             obs_span.record("degraded-states", failed_states as u64);
             wfms_obs::counter("config.degraded-assessments", 1);
             Some(DegradationReport {
                 failed_states,
-                charged_mass,
+                charged_mass: folded.charged_mass,
                 solver_fallbacks,
                 details,
             })
@@ -1093,6 +1124,186 @@ impl AssessmentEngine {
             },
             counters.provenance(),
         ))
+    }
+
+    /// The exact default path: `config`'s per-type records folded in
+    /// closed form — availability `Π_x (1 − m_x[0])`, waits by
+    /// [`fold_types`]. A failed evaluation of type `x` at up-count `u`
+    /// touches every joint state with `X_x = u`, whose mass is
+    /// `m_x[u]`; the failures of all types touch
+    /// `1 − Π_x (1 − Σ_{failed u} m_x[u])`. `solver_fallbacks` counts the
+    /// escalations that led here.
+    fn fold_exact(
+        &self,
+        config: &Configuration,
+        solver_fallbacks: u32,
+        counters: &CacheCounters,
+    ) -> Result<Folded, ConfigError> {
+        let records = self.type_records(config, counters)?;
+        wfms_obs::gauge("avail.state-space.size", config.system_state_count() as f64);
+        let mut availability = 1.0;
+        for record in &records {
+            availability *= 1.0 - record.marginal[0];
+        }
+        let perf = fold_types(
+            records
+                .iter()
+                .map(|r| (r.marginal.as_slice(), r.outcomes.as_slice())),
+        );
+        let mut failed = Vec::new();
+        let mut untouched = 1.0;
+        for ((x, record), (_, st)) in records.iter().enumerate().zip(self.registry.iter()) {
+            let mut failed_mass = 0.0;
+            for (up, error) in &record.failed {
+                let mut state = config.as_slice().to_vec();
+                state[x] = *up;
+                failed_mass += record.marginal[*up];
+                failed.push(DegradedStateRecord {
+                    state,
+                    probability: record.marginal[*up],
+                    error: format!("{} at {up} up: {error}", st.name),
+                });
+            }
+            untouched *= 1.0 - failed_mass;
+        }
+        Ok(Folded {
+            perf,
+            availability,
+            failed,
+            charged_mass: 1.0 - untouched,
+            solver_fallbacks,
+        })
+    }
+
+    /// Folds the joint states of a sparse or product-form `solution`;
+    /// an escalated sparse solve is answered by the exact path instead.
+    ///
+    /// Graceful degradation: the folds call the evaluation closure
+    /// immediately after pulling each `(state, π)` pair, so
+    /// `current_probability` always holds the mass of the state under
+    /// evaluation; a failed state is charged at its pessimistic
+    /// waiting-time cap and recorded instead of failing the whole
+    /// assessment (unless `strict`). Clean runs never touch the caps
+    /// cell.
+    fn fold_solution(
+        &self,
+        config: &Configuration,
+        solution: &AvailabilitySolution,
+        counters: &CacheCounters,
+    ) -> Result<Folded, ConfigError> {
+        let strict = self.options.strict;
+        let current_probability = std::cell::Cell::new(0.0_f64);
+        let degraded: std::cell::RefCell<Vec<DegradedStateRecord>> =
+            std::cell::RefCell::new(Vec::new());
+        let caps_cell: std::cell::RefCell<Option<Vec<f64>>> = std::cell::RefCell::new(None);
+        let pessimistic = |state: &[usize],
+                           error: PerformabilityError|
+         -> Result<Arc<StateEvaluation>, PerformabilityError> {
+            let mut caps_ref = caps_cell.borrow_mut();
+            if caps_ref.is_none() {
+                // A caps failure is irrecoverable: there is no sound
+                // bound left to charge, so the error propagates and the
+                // candidate is quarantined by the search.
+                *caps_ref = Some(waiting_time_caps(
+                    &self.load,
+                    &self.registry,
+                    config.as_slice(),
+                )?);
+            }
+            // audit:allow(A008, reason = "caps_ref is unconditionally filled by the branch directly above")
+            let caps = caps_ref.as_ref().expect("caps filled above");
+            let down = state.contains(&0);
+            let outcomes = if down {
+                vec![WaitingOutcome::Down; self.registry.len()]
+            } else {
+                caps.iter()
+                    .map(|&cap| WaitingOutcome::Stable {
+                        waiting_time: cap,
+                        utilization: 1.0,
+                    })
+                    .collect()
+            };
+            degraded.borrow_mut().push(DegradedStateRecord {
+                state: state.to_vec(),
+                probability: current_probability.get(),
+                error: error.to_string(),
+            });
+            Ok(Arc::new(StateEvaluation {
+                outcomes,
+                down,
+                saturated: false,
+            }))
+        };
+
+        let (availability, perf) = match solution {
+            AvailabilitySolution::Escalated { poisoned } => {
+                let mut folded = self.fold_exact(config, 1, counters)?;
+                if *poisoned {
+                    folded.availability = f64::NAN;
+                }
+                return Ok(folded);
+            }
+            AvailabilitySolution::Explicit { pi, availability } => {
+                // Exhaustive fold over the sparse vector's encoding order.
+                let space = StateSpace::new(config);
+                let perf = self.populate_state_cache(&space, counters).and_then(|()| {
+                    fold_states(
+                        space.iter().map(|(idx, x)| {
+                            current_probability.set(pi[idx]);
+                            (x, pi[idx])
+                        }),
+                        self.registry.len(),
+                        config.as_slice(),
+                        DegradedPolicy::Conditional,
+                        |state| match self.state_evaluation(state) {
+                            Ok(evaluation) => Ok(evaluation),
+                            Err(e) if !strict => pessimistic(state, e),
+                            Err(e) => Err(e),
+                        },
+                    )
+                });
+                (*availability, perf)
+            }
+            AvailabilitySolution::Product(model) => {
+                // ε-truncated fold over the descending-π enumeration;
+                // only the visited states are ever evaluated (lazily,
+                // through the shared memo).
+                let perf = waiting_time_caps(&self.load, &self.registry, config.as_slice())
+                    .and_then(|caps| {
+                        fold_states_truncated(
+                            model.enumerate_descending().map(|(x, p)| {
+                                current_probability.set(p);
+                                (x, p)
+                            }),
+                            self.registry.len(),
+                            config.as_slice(),
+                            DegradedPolicy::Conditional,
+                            &TruncationOptions {
+                                epsilon: self.options.epsilon,
+                                total_states: model.state_space().len(),
+                                waiting_caps: &caps,
+                            },
+                            |state| match self.state_evaluation_memo(state, counters) {
+                                Ok(evaluation) => Ok(evaluation),
+                                Err(e) if !strict => pessimistic(state, e),
+                                Err(e) => Err(e),
+                            },
+                        )
+                    });
+                (model.availability(), perf)
+            }
+        };
+        let failed = degraded.take();
+        // fold, not sum: the empty f64 sum is -0.0, which would render
+        // as "-0.000e0" in fallback-only reports.
+        let charged_mass = failed.iter().map(|r| r.probability).fold(0.0, |a, p| a + p);
+        Ok(Folded {
+            perf,
+            availability,
+            failed,
+            charged_mass,
+            solver_fallbacks: 0,
+        })
     }
 
     /// Assesses a raw replica vector.
@@ -1791,28 +2002,32 @@ mod tests {
         let engine = AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default()).unwrap();
         let a = Configuration::new(&reg, vec![2, 2, 2]).unwrap();
         engine.assess(&a).unwrap();
+        // One `(type, Y_x)` record per type; the exact path keeps no
+        // joint states and no joint solution.
         let after_first = engine.cache_stats();
-        assert_eq!(after_first.state_entries, 27);
-        assert_eq!(after_first.solution_entries, 1);
+        assert_eq!(after_first.state_entries, 3);
+        assert_eq!(after_first.solution_entries, 0);
         assert_eq!(after_first.block_entries, 3);
         assert_eq!(after_first.hits, 0);
+        assert_eq!(after_first.misses, 3);
 
-        // A neighbouring candidate shares 27 of its 36 states and two of
-        // its three blocks.
+        // A neighbouring candidate shares two of its three records (and
+        // blocks): a one-replica move changes exactly one record.
         let b = Configuration::new(&reg, vec![2, 2, 3]).unwrap();
         engine.assess(&b).unwrap();
         let after_second = engine.cache_stats();
-        assert_eq!(after_second.state_entries, 36);
-        assert_eq!(after_second.solution_entries, 2);
+        assert_eq!(after_second.state_entries, 4);
+        assert_eq!(after_second.solution_entries, 0);
         assert_eq!(after_second.block_entries, 4);
-        assert_eq!(after_second.hits, after_first.hits + 27 + 2);
+        assert_eq!(after_second.hits, after_first.hits + 2);
+        assert_eq!(after_second.misses, after_first.misses + 1);
 
-        // Re-assessing is a pure cache replay: one solution hit plus all
-        // 36 states.
+        // Re-assessing is a pure cache replay: all three records hit.
         engine.assess(&b).unwrap();
         let warm = engine.cache_stats();
-        assert_eq!(warm.hits, after_second.hits + 1 + 36);
-        assert_eq!(warm.state_entries, 36);
+        assert_eq!(warm.hits, after_second.hits + 3);
+        assert_eq!(warm.misses, after_second.misses);
+        assert_eq!(warm.state_entries, 4);
     }
 
     #[test]
@@ -2012,7 +2227,7 @@ mod tests {
         let goals = Goals::new(0.01, 0.9999).unwrap();
         // One Gauss–Seidel sweep cannot reach 1e-12: the solve reports
         // NotConverged and the supervision layer escalates to the exact
-        // product-form path.
+        // per-type path.
         let starved_opts = SearchOptions::builder()
             .avail_backend(AvailBackend::Sparse)
             .solver_max_iterations(1)
@@ -2128,10 +2343,11 @@ mod tests {
             prop_assert_eq!(&direct, &warm);
         }
 
-        /// The default (`ε = 0`) path takes π from the product form; the
-        /// dense generator plus LU solve stays its oracle. On arbitrary
-        /// registries, loads and candidates the two agree to round-off
-        /// and classify every state alike.
+        /// The default (`ε = 0`) path folds per-type records of the
+        /// product form; the dense generator plus LU solve and the joint
+        /// fold stay its oracle. On arbitrary registries, loads and
+        /// candidates the two agree to round-off and classify every
+        /// up-count alike.
         #[test]
         fn default_assessment_matches_the_dense_lu_oracle(
             types in proptest::collection::vec(
@@ -2211,17 +2427,22 @@ mod tests {
                 }
                 Err(e) => prop_assert!(false, "oracle failed: {e}"),
             }
-            // Every state the oracle folds sits in the same class (down,
-            // saturated, serving) in the engine's state cache.
-            for (x, _) in model.distribution(&pi).unwrap() {
-                let expected = evaluate_state(&load, &reg, &x).unwrap();
-                let cached = lock_cache(&engine.states)
-                    .get(&x)
-                    .expect("the exact path caches every state");
-                prop_assert_eq!(
-                    (cached.down, cached.saturated),
-                    (expected.down, expected.saturated)
-                );
+            // Each record classes every up-count (down, saturated or
+            // stable) as the joint kernel classes that type in a state
+            // holding that up-count.
+            for (t, &y_t) in config.as_slice().iter().enumerate() {
+                let record = lock_cache(&engine.records)
+                    .get(&(t, y_t))
+                    .expect("the exact path caches every record");
+                for (up, outcome) in record.outcomes.iter().enumerate() {
+                    let mut state = config.as_slice().to_vec();
+                    state[t] = up;
+                    let expected = evaluate_state(&load, &reg, &state).unwrap().outcomes[t];
+                    prop_assert_eq!(
+                        std::mem::discriminant(outcome),
+                        std::mem::discriminant(&expected)
+                    );
+                }
             }
         }
     }

@@ -102,21 +102,25 @@ pub const EVENT_DECISION_SCREENED: &str = "decision-screened";
 /// `dropped_decisions`, never silently lost.
 pub const DECISION_CAP: usize = 262_144;
 
-/// Where each layer of one assessment came from: the engine's
-/// degraded-state cache, birth–death block cache, and
-/// availability-solution cache (see the engine module docs).
+/// Where each layer of one assessment came from (see the engine module
+/// docs). On the exact default path the state layer is the per-type
+/// `(type, Y_x)` records; on the `ε > 0` and sparse paths it is the
+/// degraded-state cache.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheProvenance {
-    /// Degraded states answered from the cache.
+    /// Per-type records (exact path) or degraded states (joint paths)
+    /// answered from the cache.
     pub state_hits: u64,
-    /// Degraded states that had to be evaluated.
+    /// Per-type records filled or degraded states evaluated.
     pub state_misses: u64,
-    /// Birth–death blocks answered from the cache.
+    /// Birth–death blocks answered from the cache (on the exact path,
+    /// only a record fill looks one up).
     pub block_hits: u64,
     /// Birth–death blocks that had to be built.
     pub block_misses: u64,
-    /// `"hit"` when the availability solve replayed from the solution
-    /// cache, `"miss"` when it had to solve, `"unknown"` when no solve
+    /// `"hit"` when the availability side replayed from the cache (every
+    /// record on the exact path, the `Y`-keyed solution on the joint
+    /// paths), `"miss"` when it had to solve, `"unknown"` when no solve
     /// was reached (quarantine before the solve).
     pub solution: String,
 }
@@ -210,9 +214,10 @@ pub struct TruncationSummary {
 /// Compact graceful-degradation summary carried on an event.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DegradationSummary {
-    /// States charged at their pessimistic caps.
+    /// Evaluations charged at their pessimistic caps: per
+    /// `(type, up-count)` on the exact path, per state on the joint paths.
     pub failed_states: usize,
-    /// Probability mass of those states.
+    /// Stationary mass those evaluations touch.
     pub charged_mass: f64,
     /// Solver-ladder escalations behind the numbers.
     pub solver_fallbacks: u32,

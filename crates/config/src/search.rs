@@ -47,18 +47,21 @@ pub struct SearchOptions {
     /// serial. Results are bit-identical for every value (see
     /// [`AssessmentEngine`](crate::AssessmentEngine)).
     pub jobs: usize,
-    /// Maximum entries of the degraded-state cache (`X → w^X`); `0`
-    /// disables it. Overflowing states are recomputed per assessment.
+    /// Maximum entries of each state-layer cache: the exact path's
+    /// per-type `(type, Y_x)` records and the joint paths' degraded states
+    /// (`X → w^X`); `0` disables both. Overflowing entries are recomputed
+    /// per assessment.
     pub state_cache_capacity: usize,
-    /// Maximum entries of the availability-solution cache (`Y → π`);
-    /// `0` disables it.
+    /// Maximum entries of the joint paths' availability-solution cache
+    /// (`Y → π`); `0` disables it.
     pub solution_cache_capacity: usize,
     /// Mass-truncation tolerance of the performability fold: with
     /// `ε > 0` (and a factorizing repair policy) assessments use the
     /// product-form backend and evaluate states in descending `π` order
     /// only until the covered mass reaches `1 − ε`, reporting a sound
     /// bound on the waiting-time error. `0.0` (the default) keeps the
-    /// exhaustive fold over every state in encoding order.
+    /// exact fold, one closed-form sum per server type (see
+    /// [`AssessmentEngine`](crate::AssessmentEngine)).
     pub epsilon: f64,
     /// Which availability solver evaluates each candidate's chain; see
     /// [`AvailBackend`]. The default `Auto` resolves per candidate from
@@ -79,20 +82,24 @@ pub struct SearchOptions {
     /// Fail-fast mode: when `true`, any candidate-level solver or model
     /// failure aborts the assessment or search immediately (the
     /// historical behaviour). When `false` (the default), the engine
-    /// degrades gracefully: failed availability solves fall back to the
-    /// exact product-form solve, failed degraded-state evaluations are
-    /// charged with their sound pessimistic waiting-time cap and
+    /// degrades gracefully: failed sparse availability solves fall back
+    /// to the exact per-type path, failed evaluations (per
+    /// `(type, up-count)` on the exact path, per state on the joint
+    /// paths) are charged with their sound pessimistic waiting-time cap and
     /// recorded in [`Assessment::degradation`](crate::Assessment), and
     /// searches quarantine irrecoverable candidates in
     /// [`SearchResult::quarantined`] instead of aborting.
     #[serde(default)]
     pub strict: bool,
-    /// Delta-aware assessment: when `true` (the default), a product-form
-    /// availability solve for a candidate one coordinate away from a
-    /// cached neighbour replaces only the moved type's marginal instead
-    /// of re-deriving all `k` — bit-identical by construction (see
+    /// Delta-aware assessment on the `ε > 0` (product-form) path: when
+    /// `true` (the default), a product-form availability solve for a
+    /// candidate one coordinate away from a cached neighbour replaces
+    /// only the moved type's marginal instead of re-deriving all `k` —
+    /// bit-identical by construction (see
     /// `wfms_avail::ProductFormModel::from_marginals`), so results,
-    /// traces, and journals never depend on this flag.
+    /// traces, and journals never depend on this flag. The exact default
+    /// path needs no flag: its per-type records already make a
+    /// one-replica move recompute exactly one record.
     #[serde(default = "default_incremental")]
     pub incremental: bool,
     /// Adaptive-ε screening tolerance: with `σ > 0` and the product
@@ -178,14 +185,16 @@ impl SearchOptionsBuilder {
         self
     }
 
-    /// Caps the degraded-state cache (`0` disables it).
+    /// Caps each state-layer cache: per-type records and degraded states
+    /// (`0` disables both).
     #[must_use]
     pub fn state_cache_capacity(mut self, entries: usize) -> Self {
         self.opts.state_cache_capacity = entries;
         self
     }
 
-    /// Caps the availability-solution cache (`0` disables it).
+    /// Caps the joint paths' availability-solution cache (`0` disables
+    /// it).
     #[must_use]
     pub fn solution_cache_capacity(mut self, entries: usize) -> Self {
         self.opts.solution_cache_capacity = entries;

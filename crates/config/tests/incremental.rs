@@ -7,12 +7,14 @@
 //!
 //! The observability recorder and the fault registry are
 //! process-global, so every test that touches them serializes on one
-//! lock and restores the disabled state before returning.
+//! lock and restores the disabled state before returning. Every
+//! assessment reads the fault registry, so every test that assesses
+//! takes the lock too.
 
 use std::sync::Mutex;
 
 use proptest::prelude::*;
-use wfms_config::{AssessmentEngine, AvailBackend, Goals, SearchOptions, SearchResult};
+use wfms_config::{AssessmentEngine, AvailBackend, CacheStats, Goals, SearchOptions, SearchResult};
 use wfms_perf::SystemLoad;
 use wfms_statechart::{paper_section52_registry, Configuration, ServerTypeId, ServerTypeRegistry};
 
@@ -157,28 +159,21 @@ fn greedy_screen_preserves_the_winner_assessment() {
     assert!(screened.evaluations < baseline.evaluations);
 }
 
-/// Regression for the fill-until-full caches: at capacity the old code
-/// silently stopped inserting, so a hot candidate assessed *after* the
-/// cache filled missed forever. Under LRU it is resident (most
-/// recently used) and a re-assessment is answered entirely from cache.
-#[test]
-fn lru_keeps_recent_solutions_resident_beyond_capacity() {
-    let reg = paper_section52_registry();
-    let opts = SearchOptions::builder().solution_cache_capacity(2).build();
-    let load = load_at(1.5, &reg);
-    let goals = Goals::new(0.01, 0.9999).unwrap();
-    let engine = AssessmentEngine::new(&reg, &load, &goals, opts).unwrap();
-
+/// Assesses `[1,1,1]`, `[2,2,2]` and `[3,3,3]` in that order, then
+/// checks LRU eviction at capacity: re-assessing the most recent
+/// candidate computes nothing new, while the oldest was evicted and
+/// misses again. Returns the cache stats after the three candidates.
+fn assert_lru_at_capacity(engine: &AssessmentEngine, reg: &ServerTypeRegistry) -> CacheStats {
     for y in [vec![1, 1, 1], vec![2, 2, 2], vec![3, 3, 3]] {
-        let config = Configuration::new(&reg, y).unwrap();
+        let config = Configuration::new(reg, y).unwrap();
         engine.assess(&config).unwrap();
     }
     let filled = engine.cache_stats();
-    assert!(filled.solution_entries <= 2, "capacity bound violated");
 
-    // Third candidate exceeded the capacity of 2 — under LRU it is the
-    // most recent entry and re-assessing it computes nothing new.
-    let hot = Configuration::new(&reg, vec![3, 3, 3]).unwrap();
+    // The last candidate pushed the cache past its capacity — under LRU
+    // it is the most recent entry and re-assessing it computes nothing
+    // new.
+    let hot = Configuration::new(reg, vec![3, 3, 3]).unwrap();
     engine.assess(&hot).unwrap();
     let warm = engine.cache_stats();
     assert_eq!(
@@ -189,6 +184,56 @@ fn lru_keeps_recent_solutions_resident_beyond_capacity() {
         warm.hits > filled.hits,
         "warm pass answered nothing from cache"
     );
+
+    // The first candidate is the least recently used: it was evicted.
+    let cold = Configuration::new(reg, vec![1, 1, 1]).unwrap();
+    engine.assess(&cold).unwrap();
+    assert!(
+        engine.cache_stats().misses > warm.misses,
+        "the least recently used candidate was never evicted"
+    );
+    filled
+}
+
+/// Regression for the fill-until-full caches: at capacity the old code
+/// silently stopped inserting, so a hot candidate assessed *after* the
+/// cache filled missed forever. Under LRU it is resident (most
+/// recently used) and a re-assessment is answered entirely from cache.
+/// The solution cache serves the joint paths only, so this runs on the
+/// sparse backend.
+#[test]
+fn lru_keeps_recent_solutions_resident_beyond_capacity() {
+    let _guard = lock();
+    let reg = paper_section52_registry();
+    let opts = SearchOptions::builder()
+        .avail_backend(AvailBackend::Sparse)
+        .solution_cache_capacity(2)
+        .build();
+    let load = load_at(1.5, &reg);
+    let goals = Goals::new(0.01, 0.9999).unwrap();
+    let engine = AssessmentEngine::new(&reg, &load, &goals, opts).unwrap();
+
+    let filled = assert_lru_at_capacity(&engine, &reg);
+    assert_eq!(filled.solution_entries, 2, "capacity bound violated");
+}
+
+/// The same regression for the exact default path's `(type, Y_x)`
+/// records, which `state_cache_capacity` bounds: three candidates fill
+/// nine records into a cache of three, and the three of `[3,3,3]` stay
+/// resident.
+#[test]
+fn lru_keeps_recent_records_resident_beyond_capacity() {
+    let _guard = lock();
+    let reg = paper_section52_registry();
+    let opts = SearchOptions::builder().state_cache_capacity(3).build();
+    let load = load_at(1.5, &reg);
+    let goals = Goals::new(0.01, 0.9999).unwrap();
+    let engine = AssessmentEngine::new(&reg, &load, &goals, opts).unwrap();
+
+    let filled = assert_lru_at_capacity(&engine, &reg);
+    assert_eq!(filled.state_entries, 3, "capacity bound violated");
+    assert_eq!(filled.solution_entries, 0);
+    assert_eq!(filled.misses, 9);
 }
 
 /// Fault injection must not open a gap between the delta and scratch
@@ -237,6 +282,7 @@ proptest! {
         moved in 0usize..3,
         backend in 0usize..3,
     ) {
+        let _guard = lock();
         let backend = [AvailBackend::Product, AvailBackend::Dense, AvailBackend::Sparse][backend];
         let reg = paper_section52_registry();
         let load = load_at(rho, &reg);

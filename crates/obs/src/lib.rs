@@ -48,10 +48,10 @@
 //! | `linear-solve` | `wfms-markov` | `n`, `iterations`, `residual`, `spectral_radius_est` |
 //! | `steady-state` | `wfms-markov` | `states`, `method`, `iterations` |
 //! | `avail-build` | `wfms-avail` | `states`, `types`, `backend` |
-//! | `avail-steady-state` | `wfms-avail` | `states`, `backend` (`dense`, `sparse`, or `product` — the assessment engine's exact default path) |
+//! | `avail-steady-state` | `wfms-avail` | `states`, `backend` (`dense`, `sparse`, or `product` — on the assessment engine's exact default path, one span per per-type record fill with `states` = `Y_x + 1`) |
 //! | `avail-product-form` | `wfms-avail` | `states`, `types` |
-//! | `mg1-waiting` | `wfms-perf` | `types`, `evaluations` |
-//! | `performability` | `wfms-performability` | `states`, `degraded`, `serving`, `pruned` (ε-truncated fold only) |
+//! | `mg1-waiting` | `wfms-perf` | `types` (one span per `waiting_times` call, and one per single-type kernel call with `types` = 1) |
+//! | `performability` | `wfms-performability` | `states`, `degraded`, `serving`, `pruned` (ε-truncated fold only); the per-type fold records `types`, `serving` |
 //! | `assess` | `wfms-config` | `candidate`, `w_max`, `availability` |
 //! | `delta-assess` | `wfms-config` | `candidate`, `moved-type` (one span per availability solve answered by patching a cached neighbour's marginals) |
 //! | `search-candidate` | `wfms-config` | `candidate`, `accepted` |
@@ -70,9 +70,9 @@
 //! | `markov.steady-state.iterations` | histogram | `wfms-markov` | sweeps per CTMC steady-state solve |
 //! | `markov.poisson.truncation-steps` | histogram | `wfms-markov` | uniformization truncation depth `z_max` |
 //! | `markov.poisson.terms` | histogram | `wfms-markov` | end `z` of the Poisson window per CDF evaluation: the terms `0..end` it covers, the leading zero weights it skips included |
-//! | `avail.state-space.size` | gauge | `wfms-avail` | `∏(Y_x+1)` states of the last availability model |
-//! | `perf.mg1.evaluations` | counter | `wfms-perf` | M/G/1 waiting-time kernel evaluations |
-//! | `performability.state-evaluations` | counter | `wfms-performability` | system states evaluated by a fold |
+//! | `avail.state-space.size` | gauge | `wfms-avail` / `wfms-config` | `∏(Y_x+1)` states of the last availability model (the engine's exact path sets it per candidate) |
+//! | `perf.mg1.evaluations` | counter | `wfms-perf` | M/G/1 waiting-time kernel evaluations, one per server type evaluated |
+//! | `performability.state-evaluations` | counter | `wfms-performability` | system states evaluated by a joint fold, or `(type, up-count)` terms summed by the per-type fold |
 //! | `performability.degraded-evaluations` | counter | `wfms-performability` | evaluated states that were degraded |
 //! | `performability.pruned-states` | counter | `wfms-performability` | states the ε-truncated fold never evaluated (`wfms profile --check` gates on it staying nonzero) |
 //! | `config.assessments` | counter | `wfms-config` | candidate assessments completed |
@@ -85,8 +85,8 @@
 //!
 //! | metric | kind | emitted by | meaning |
 //! |---|---|---|---|
-//! | `engine.cache-hit` | counter | `wfms-config` | lookups answered from the engine's degraded-state, birth–death-block, or availability-solution caches |
-//! | `engine.cache-miss` | counter | `wfms-config` | lookups that had to compute (one per first evaluation of a state, block, or candidate) |
+//! | `engine.cache-hit` | counter | `wfms-config` | lookups answered from a cache: per-type record lookups on the exact default path (one per type per candidate); degraded-state, birth–death-block, or availability-solution lookups on the `ε > 0` and sparse paths |
+//! | `engine.cache-miss` | counter | `wfms-config` | lookups that had to compute, counted the same way (one per record fill, or per first evaluation of a state, block, or candidate) |
 //! | `engine.parallel-candidates` | gauge | `wfms-config` | size of the last candidate batch dispatched to the worker pool |
 //! | `engine.delta-assess` | counter | `wfms-config` | product-form availability solves answered by patching one marginal of a cached neighbour (each paired with a `delta-assess` span) |
 //! | `engine.screen-reject` | counter | `wfms-config` | candidates the adaptive-ε screen proved infeasible without an exact assessment |

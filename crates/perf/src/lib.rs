@@ -26,9 +26,9 @@ pub mod workflow;
 pub use distribution::TurnaroundDistribution;
 pub use error::PerfError;
 pub use system::{
-    aggregate_load, max_sustainable_throughput, waiting_times, waiting_times_colocated,
-    waiting_times_heterogeneous, ColocationGroup, SystemLoad, ThroughputReport, WaitingOutcome,
-    WorkloadItem,
+    aggregate_load, max_sustainable_throughput, type_waiting_time, waiting_times,
+    waiting_times_colocated, waiting_times_heterogeneous, ColocationGroup, SystemLoad,
+    ThroughputReport, WaitingOutcome, WorkloadItem,
 };
 pub use workflow::{
     analyze_chart, analyze_workflow, AnalysisOptions, RequestMethod, WorkflowAnalysis,

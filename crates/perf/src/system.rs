@@ -138,30 +138,70 @@ pub fn waiting_times(
     }
     let _obs_span = wfms_obs::span!("mg1-waiting", types = k);
     wfms_obs::counter("perf.mg1.evaluations", k as u64);
-    let mut out = Vec::with_capacity(k);
-    for (x, (&reps, &l_x)) in replicas.iter().zip(&load.request_rates).enumerate() {
-        if reps == 0 {
-            out.push(WaitingOutcome::Down);
-            continue;
+    replicas
+        .iter()
+        .zip(&load.request_rates)
+        .enumerate()
+        .map(|(x, (&up, &l_x))| mg1_outcome(registry, ServerTypeId(x), l_x, up))
+        .collect()
+}
+
+/// The M/G/1 outcome of server type `x` alone with `up` of its replicas
+/// running — the single-type kernel of [`waiting_times`], which depends
+/// on the type's own up-count only. That independence is what splits
+/// the Sec. 6 performability fold into one sum per type.
+///
+/// # Errors
+/// [`PerfError::LengthMismatch`] when the load does not cover type `x`;
+/// [`PerfError::Arch`] when `x` is not registered.
+pub fn type_waiting_time(
+    load: &SystemLoad,
+    registry: &ServerTypeRegistry,
+    x: ServerTypeId,
+    up: usize,
+) -> Result<WaitingOutcome, PerfError> {
+    let k = registry.len();
+    let l_x = match load.request_rates.get(x.0) {
+        Some(&l_x) if load.request_rates.len() == k => l_x,
+        _ => {
+            return Err(PerfError::LengthMismatch {
+                what: "request-rate vector",
+                expected: k,
+                actual: load.request_rates.len(),
+            })
         }
-        let server_type = registry.get(ServerTypeId(x))?;
-        let per_server_rate = l_x / reps as f64;
-        let service = ServiceMoments::new(
-            server_type.service_time_mean,
-            server_type.service_time_second_moment,
-        )?;
-        let queue = Mg1::new(per_server_rate, service)?;
-        match queue.mean_waiting_time() {
-            Ok(w) => out.push(WaitingOutcome::Stable {
-                waiting_time: w,
-                utilization: queue.utilization(),
-            }),
-            Err(_) => out.push(WaitingOutcome::Saturated {
-                utilization: queue.utilization(),
-            }),
-        }
+    };
+    let _obs_span = wfms_obs::span!("mg1-waiting", types = 1usize);
+    wfms_obs::counter("perf.mg1.evaluations", 1);
+    mg1_outcome(registry, x, l_x, up)
+}
+
+/// Each of the `up` servers of type `x` is an M/G/1 queue fed with
+/// `l_x / up` requests per minute (Sec. 4.4); no server up is `Down`.
+fn mg1_outcome(
+    registry: &ServerTypeRegistry,
+    x: ServerTypeId,
+    l_x: f64,
+    up: usize,
+) -> Result<WaitingOutcome, PerfError> {
+    if up == 0 {
+        return Ok(WaitingOutcome::Down);
     }
-    Ok(out)
+    let server_type = registry.get(x)?;
+    let service = ServiceMoments::new(
+        server_type.service_time_mean,
+        server_type.service_time_second_moment,
+    )?;
+    let queue = Mg1::new(l_x / up as f64, service)?;
+    Ok(match queue.mean_waiting_time() {
+        Ok(w) => WaitingOutcome::Stable {
+            waiting_time: w,
+            utilization: queue.utilization(),
+        },
+        Err(_) => WaitingOutcome::Saturated {
+            utilization: queue.utilization(),
+        },
+    })
 }
 
 /// Maximum sustainable throughput of a configuration (Sec. 4.3).
@@ -468,6 +508,28 @@ mod tests {
         assert_eq!(w[0].waiting_time(), None);
         assert!(!w[0].meets(1.0));
         assert!(!w[2].meets(f64::INFINITY));
+    }
+
+    #[test]
+    fn single_type_kernel_matches_every_entry_of_the_joint_vector() {
+        let reg = registry();
+        let b = reg.get(ServerTypeId(0)).unwrap().service_time_mean;
+        let load = SystemLoad {
+            request_rates: vec![1.5 / b, 0.5 / b, 2.5 / b],
+            total_arrival_rate: 1.0,
+            active_instances: vec![],
+        };
+        for state in [[0, 1, 2], [1, 2, 3], [2, 0, 1], [3, 3, 0]] {
+            let joint = waiting_times(&load, &reg, &state).unwrap();
+            for (x, &up) in state.iter().enumerate() {
+                let single = type_waiting_time(&load, &reg, ServerTypeId(x), up).unwrap();
+                assert_eq!(single, joint[x], "type {x} at {up} up");
+            }
+        }
+        assert!(matches!(
+            type_waiting_time(&load, &reg, ServerTypeId(3), 1),
+            Err(PerfError::LengthMismatch { .. })
+        ));
     }
 
     #[test]

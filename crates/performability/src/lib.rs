@@ -18,6 +18,22 @@
 //! WFMS down; the M/G/1 waiting time is undefined there. The paper's
 //! formula implicitly assumes finite rewards; this implementation makes
 //! the handling explicit through [`DegradedPolicy`].
+//!
+//! Two folds compute the same expectation. [`fold_states`] walks the
+//! joint states `X` one by one. [`fold_types`] uses the structure of the
+//! independent-repair chain instead: `π(X) = Π_x m_x[X_x]` is a product
+//! of per-type marginals, and type `x`'s M/G/1 wait depends on `X_x`
+//! alone ([`wfms_perf::type_waiting_time`]). Under the conditional
+//! policy the serving states are the product `Π_j S_j` of each type's
+//! stable up-counts `S_j`, so
+//!
+//! ```text
+//! W_x = Σ_{X serving} π(X)·w_x(X_x) / Π_j m_j(S_j)
+//!     = Σ_{u ∈ S_x} m_x[u]·w_x(u) / m_x(S_x)
+//! ```
+//!
+//! — one 1-D sum per type: `Σ_x (Y_x + 1)` single-type terms instead of
+//! `Π_x (Y_x + 1)` joint states.
 
 #![warn(missing_docs)]
 
@@ -27,8 +43,8 @@ use serde::{Deserialize, Serialize};
 
 use wfms_avail::{AvailError, AvailabilityModel};
 use wfms_markov::ctmc::SteadyStateMethod;
-use wfms_perf::{waiting_times, PerfError, SystemLoad, WaitingOutcome};
-use wfms_statechart::{Configuration, ServerTypeRegistry};
+use wfms_perf::{type_waiting_time, waiting_times, PerfError, SystemLoad, WaitingOutcome};
+use wfms_statechart::{Configuration, ServerTypeId, ServerTypeRegistry};
 
 /// How to account for system states whose waiting time is undefined
 /// (saturated or down).
@@ -126,9 +142,11 @@ pub struct PerformabilityReport {
     pub probability_saturated: f64,
     /// Probability mass of serving states (complement of the above two).
     pub probability_serving: f64,
-    /// Number of system states evaluated.
+    /// Number of system states evaluated; for [`fold_types`], the number
+    /// of `(type, up-count)` terms summed.
     pub states_evaluated: usize,
-    /// Per-state detail, in state-space encoding order.
+    /// Per-state detail, in state-space encoding order; empty for
+    /// [`fold_types`], which never forms a joint state.
     pub details: Vec<StateDetail>,
     /// Truncation accounting when the fold was ε-truncated; `None` for
     /// the exhaustive (dense) fold.
@@ -449,15 +467,9 @@ where
 
 /// Per-type caps on the *finite* waiting time over all system states
 /// `X ≤ Y = full_state`: the supremum of `w_x` over states where type
-/// `x` is stable.
-///
-/// The per-type M/G/1 wait depends only on the type's own up-count and
-/// decreases as that count grows (each server takes a smaller share of
-/// `l_x`), so the cap is the wait at the **smallest stable** up-count —
-/// found by probing `X_x = 1, 2, …` with every other type at full
-/// strength. A type with no stable up-count at all keeps a cap of `0.0`;
-/// no serving state exists then, so the cap is never charged against a
-/// finite wait.
+/// `x` is stable, one [`type_waiting_cap`] per type. A type with no
+/// stable up-count at all keeps a cap of `0.0`; no serving state exists
+/// then, so the cap is never charged against a finite wait.
 ///
 /// These caps make the truncation error bounds of
 /// [`fold_states_truncated`] sound: any skipped *serving* state's wait
@@ -470,20 +482,181 @@ pub fn waiting_time_caps(
     registry: &ServerTypeRegistry,
     full_state: &[usize],
 ) -> Result<Vec<f64>, PerformabilityError> {
-    let k = registry.len();
-    let mut caps = vec![0.0; k];
-    for x in 0..k {
-        let mut probe = full_state.to_vec();
-        for up in 1..=full_state.get(x).copied().unwrap_or(0) {
-            probe[x] = up;
-            let outcomes = waiting_times(load, registry, &probe)?;
-            if let WaitingOutcome::Stable { waiting_time, .. } = outcomes[x] {
-                caps[x] = waiting_time;
-                break;
-            }
+    if full_state.len() != registry.len() {
+        return Err(PerformabilityError::Perf(PerfError::LengthMismatch {
+            what: "replica vector",
+            expected: registry.len(),
+            actual: full_state.len(),
+        }));
+    }
+    full_state
+        .iter()
+        .enumerate()
+        .map(|(x, &y)| Ok(type_waiting_cap(load, registry, ServerTypeId(x), y)?.unwrap_or(0.0)))
+        .collect()
+}
+
+/// The cap on type `x`'s *finite* waiting time with `replicas` replicas:
+/// its wait at the **smallest stable** up-count in `1..=replicas`, found
+/// by probing `u = 1, 2, …`. The wait decreases as the up-count grows
+/// (each server takes a smaller share of `l_x`), so this is the largest
+/// finite wait the type can show. `None` when no up-count is stable.
+///
+/// The probes call the M/G/1 kernel directly, past the
+/// `performability.evaluate-state` failpoint: the cap is what a failed
+/// evaluation is charged, so it must not fail the same way.
+///
+/// # Errors
+/// [`PerformabilityError::Perf`] on a registry/load mismatch.
+pub fn type_waiting_cap(
+    load: &SystemLoad,
+    registry: &ServerTypeRegistry,
+    x: ServerTypeId,
+    replicas: usize,
+) -> Result<Option<f64>, PerformabilityError> {
+    for up in 1..=replicas {
+        if let WaitingOutcome::Stable { waiting_time, .. } =
+            type_waiting_time(load, registry, x, up)?
+        {
+            return Ok(Some(waiting_time));
         }
     }
-    Ok(caps)
+    Ok(None)
+}
+
+/// The pessimistic stand-in for a failed single-type evaluation at `up`
+/// replicas up, given the type's [`type_waiting_cap`]: `Down` at
+/// `up = 0`, a stable wait at the cap otherwise, and saturated when the
+/// type has no stable up-count (a finite stand-in would then invent a
+/// serving state). Waits can only be overestimated by it.
+pub fn charged_type_outcome(up: usize, cap: Option<f64>) -> WaitingOutcome {
+    match (up, cap) {
+        (0, _) => WaitingOutcome::Down,
+        (_, Some(waiting_time)) => WaitingOutcome::Stable {
+            waiting_time,
+            utilization: 1.0,
+        },
+        (_, None) => WaitingOutcome::Saturated { utilization: 1.0 },
+    }
+}
+
+/// The single-type kernel of [`fold_types`]: server type `x` with `up`
+/// of its replicas running ([`wfms_perf::type_waiting_time`]), behind
+/// the same `performability.evaluate-state` failpoint as
+/// [`evaluate_state`]. Error injection fails this one
+/// `(type, up-count)` evaluation; NaN injection poisons a stable wait.
+///
+/// # Errors
+/// [`PerformabilityError::Perf`] on a registry/load mismatch.
+pub fn evaluate_type_state(
+    load: &SystemLoad,
+    registry: &ServerTypeRegistry,
+    x: ServerTypeId,
+    up: usize,
+) -> Result<WaitingOutcome, PerformabilityError> {
+    let mut poison_outcome = false;
+    match wfms_fault::point!("performability.evaluate-state") {
+        Some(wfms_fault::Injection::Error) => {
+            return Err(PerformabilityError::FaultInjected {
+                site: "performability.evaluate-state",
+            });
+        }
+        Some(wfms_fault::Injection::Nan) => poison_outcome = true,
+        None => {}
+    }
+    let mut outcome = type_waiting_time(load, registry, x, up)?;
+    if poison_outcome {
+        if let WaitingOutcome::Stable { waiting_time, .. } = &mut outcome {
+            *waiting_time = f64::NAN;
+        }
+    }
+    Ok(outcome)
+}
+
+/// The exact Sec. 6 fold of an independent-repair chain under the
+/// [`DegradedPolicy::Conditional`] policy, one 1-D sum per type (see the
+/// crate docs for the derivation). Each item of `types` is one type's
+/// marginal `m_x[u]` and its single-type outcome at each up-count
+/// `u = 0..=Y_x`, in type order. With `S_x` the mass of type `x`'s
+/// stable up-counts and `U_x` that of its up ones:
+///
+/// * `W_x = Σ_{u ∈ S_x} m_x[u]·w_x(u) / S_x`;
+/// * `P(serving) = Π_x S_x`, `P(saturated) = Π_x U_x − Π_x S_x` and
+///   `P(down) = 1 − Π_x U_x`.
+///
+/// `U_x` and `S_x` are summed in the same order, so `P(saturated)` is
+/// exactly `0.0` when no up-count saturates, as [`fold_states`] reports
+/// it. The report's `details` stay empty.
+///
+/// # Errors
+/// * [`PerformabilityError::NoServingStates`] when `P(serving) ≤ 0`.
+/// * [`PerformabilityError::Perf`] when a marginal and its outcomes
+///   differ in length.
+pub fn fold_types<'a, I>(types: I) -> Result<PerformabilityReport, PerformabilityError>
+where
+    I: IntoIterator<Item = (&'a [f64], &'a [WaitingOutcome])>,
+{
+    // Failpoint `performability.fold`: shared with the joint folds.
+    let mut poison_fold = false;
+    match wfms_fault::point!("performability.fold") {
+        Some(wfms_fault::Injection::Error) => {
+            return Err(PerformabilityError::FaultInjected {
+                site: "performability.fold",
+            });
+        }
+        Some(wfms_fault::Injection::Nan) => poison_fold = true,
+        None => {}
+    }
+    let mut obs_span = wfms_obs::span!("performability");
+    let mut expected_waiting = Vec::new();
+    let mut probability_up = 1.0;
+    let mut probability_serving = 1.0;
+    let mut terms = 0;
+    for (marginal, outcomes) in types {
+        if marginal.len() != outcomes.len() {
+            return Err(PerformabilityError::Perf(PerfError::LengthMismatch {
+                what: "per-type outcomes",
+                expected: marginal.len(),
+                actual: outcomes.len(),
+            }));
+        }
+        let (mut up, mut stable, mut weighted) = (0.0, 0.0, 0.0);
+        for (&m, outcome) in marginal.iter().zip(outcomes) {
+            match outcome {
+                WaitingOutcome::Down => {}
+                WaitingOutcome::Saturated { .. } => up += m,
+                WaitingOutcome::Stable { waiting_time, .. } => {
+                    up += m;
+                    stable += m;
+                    weighted += m * waiting_time;
+                }
+            }
+        }
+        probability_up *= up;
+        probability_serving *= stable;
+        expected_waiting.push(weighted / stable);
+        terms += marginal.len();
+    }
+    obs_span.record("types", expected_waiting.len() as u64);
+    obs_span.record("serving", probability_serving);
+    wfms_obs::counter("performability.state-evaluations", terms as u64);
+    if probability_serving <= 0.0 {
+        return Err(PerformabilityError::NoServingStates);
+    }
+    if poison_fold {
+        if let Some(w) = expected_waiting.first_mut() {
+            *w = f64::NAN;
+        }
+    }
+    Ok(PerformabilityReport {
+        expected_waiting,
+        probability_down: 1.0 - probability_up,
+        probability_saturated: probability_up - probability_serving,
+        probability_serving,
+        states_evaluated: terms,
+        details: Vec::new(),
+        truncation: None,
+    })
 }
 
 /// Parameters of the ε-truncated fold ([`fold_states_truncated`]).

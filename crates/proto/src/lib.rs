@@ -411,15 +411,17 @@ pub struct ProfileSnapshotResult {
 pub struct TenantGauges {
     /// The tenant key.
     pub tenant: String,
-    /// Entries in the degraded-state cache.
+    /// State-layer entries: the exact path's per-type `(type, Y_x)`
+    /// records plus the joint paths' degraded states.
     pub state_entries: u64,
-    /// Entries in the availability-solution cache.
+    /// Availability-solution entries of the joint (`ε > 0`, sparse)
+    /// paths.
     pub solution_entries: u64,
     /// Entries in the birth–death block cache.
     pub block_entries: u64,
-    /// Lifetime engine cache hits.
+    /// Lifetime engine cache hits (record lookups on the exact path).
     pub cache_hits: u64,
-    /// Lifetime engine cache misses.
+    /// Lifetime engine cache misses, counted the same way.
     pub cache_misses: u64,
 }
 

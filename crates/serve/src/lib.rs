@@ -7,8 +7,8 @@
 //! administrator iterates over candidate configurations, goals, and
 //! what-if workloads against one fixed registry. A fresh process per
 //! question re-derives everything; a warm [`AssessmentEngine`] answers
-//! repeat questions from its degraded-state, birth–death-block, and
-//! availability-solution caches. This crate keeps engines warm:
+//! repeat questions from its caches (per-type records on the exact
+//! default path). This crate keeps engines warm:
 //!
 //! * [`Handler`] — the transport-independent API layer. It maps a
 //!   [`wfms_proto::Request`] to a [`wfms_proto::Response`], holding one

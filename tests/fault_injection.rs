@@ -53,8 +53,9 @@ fn enterprise_tool() -> ConfigurationTool {
 
 /// The headline acceptance criterion: with the sparse Gauss–Seidel site
 /// failing at a 100 % rate, a greedy search over the enterprise workload
-/// still completes — every solve escalates to dense LU — and returns the
-/// same winner as the clean sparse run, with the degradation reported.
+/// still completes — every solve escalates to the exact per-type path —
+/// and returns the same winner as the clean sparse run, with the
+/// degradation reported.
 #[test]
 fn forced_gs_failure_still_recommends_the_same_enterprise_winner() {
     let _g = faults();
@@ -88,9 +89,10 @@ fn forced_gs_failure_still_recommends_the_same_enterprise_winner() {
     assert_eq!(report.failed_states, 0);
 }
 
-/// Per-state kernel failures are charged at their pessimistic caps: the
-/// assessment completes, reports every failed state, and the charged mass
-/// covers the whole distribution when every state fails.
+/// Kernel failures are charged at their pessimistic caps, per
+/// `(type, up-count)` on the exact default path: the assessment
+/// completes, reports every failed evaluation, and the charged mass
+/// covers the whole distribution when every evaluation fails.
 #[test]
 fn failed_state_evaluations_are_charged_with_pessimistic_caps() {
     let _g = faults();
@@ -119,7 +121,8 @@ fn failed_state_evaluations_are_charged_with_pessimistic_caps() {
         .degradation
         .clone()
         .expect("failed states must be reported");
-    assert_eq!(report.failed_states, 27, "every state of [2,2,2] fails");
+    // Failures are charged per `(type, up-count)`: three types at up-counts 0..=2.
+    assert_eq!(report.failed_states, 9, "every evaluation of [2,2,2] fails");
     assert!((report.charged_mass - 1.0).abs() < 1e-9);
     assert_eq!(report.solver_fallbacks, 0);
     assert!(!report.details.is_empty());
@@ -133,6 +136,123 @@ fn failed_state_evaluations_are_charged_with_pessimistic_caps() {
     );
     for (x, (dw, cw)) in d.iter().zip(c).enumerate() {
         assert!(dw >= cw, "type {x}: degraded wait {dw} below clean {cw}");
+    }
+}
+
+/// The engine's per-type charging equals the joint oracle: the fold over
+/// the dense-LU `π` with a kernel that charges each failed
+/// `(type, up-count)` at the type's cap in every state holding it. The
+/// failed set is read back from the degradation report, whose detail
+/// names each failed type and up-count.
+#[test]
+fn per_type_charging_matches_the_joint_oracle() {
+    use std::sync::Arc;
+    use wfms::avail::AvailabilityModel;
+    use wfms::markov::ctmc::SteadyStateMethod;
+    use wfms::perf::{waiting_times, WaitingOutcome};
+    use wfms::performability::{
+        charged_type_outcome, fold_states, type_waiting_cap, StateEvaluation,
+    };
+    use wfms::statechart::ServerTypeId;
+    use wfms::DegradedPolicy;
+
+    let _g = faults();
+    let tool = ep_tool();
+    let registry = tool.registry();
+    let load = tool.system_load().unwrap();
+    let goals = Goals::new(0.05, 0.9999).unwrap();
+    let config = Configuration::new(registry, vec![2, 3, 2]).unwrap();
+    let y = config.as_slice();
+    let evaluations: usize = y.iter().map(|&y_x| y_x + 1).sum();
+    for rate in [0.5, 1.0] {
+        fault::configure(
+            "performability.evaluate-state",
+            fault::FaultMode::Error,
+            rate,
+        );
+        let degraded = tool
+            .engine(&goals, SearchOptions::default())
+            .unwrap()
+            .assess(&config)
+            .unwrap();
+        fault::clear();
+        fault::set_seed(42);
+        let report = degraded
+            .degradation
+            .expect("failed evaluations are reported");
+        assert!(report.failed_states > 0 && report.failed_states <= evaluations);
+        assert_eq!(report.details.len(), report.failed_states);
+        let mut failed = vec![vec![false; 4]; y.len()];
+        for detail in &report.details {
+            let x = (0..y.len())
+                .find(|&x| {
+                    let name = &registry.get(ServerTypeId(x)).unwrap().name;
+                    let prefix = format!("{name} at {} up: ", detail.state[x]);
+                    detail.error.starts_with(&prefix)
+                })
+                .expect("the detail names its type");
+            failed[x][detail.state[x]] = true;
+        }
+
+        let caps: Vec<Option<f64>> = (0..y.len())
+            .map(|x| type_waiting_cap(&load, registry, ServerTypeId(x), y[x]).unwrap())
+            .collect();
+        let model = AvailabilityModel::new(registry, &config).unwrap();
+        let pi = model.steady_state(SteadyStateMethod::Lu).unwrap();
+        let oracle = fold_states(
+            model.distribution(&pi).unwrap(),
+            y.len(),
+            y,
+            DegradedPolicy::Conditional,
+            |state| {
+                let mut outcomes = waiting_times(&load, registry, state)?;
+                for (x, &u) in state.iter().enumerate() {
+                    if failed[x][u] {
+                        outcomes[x] = charged_type_outcome(u, caps[x]);
+                    }
+                }
+                let down = outcomes.iter().any(|o| matches!(o, WaitingOutcome::Down));
+                let saturated = !down
+                    && outcomes
+                        .iter()
+                        .any(|o| matches!(o, WaitingOutcome::Saturated { .. }));
+                Ok(Arc::new(StateEvaluation {
+                    outcomes,
+                    down,
+                    saturated,
+                }))
+            },
+        )
+        .unwrap();
+        let waits = degraded.expected_waiting.unwrap();
+        for (x, (w, w_lu)) in waits.iter().zip(&oracle.expected_waiting).enumerate() {
+            assert!(
+                (w - w_lu).abs() <= 1e-12 * w_lu.abs(),
+                "rate {rate}, type {x}: wait {w:e} vs oracle {w_lu:e}"
+            );
+        }
+        assert!((degraded.probability_saturated - oracle.probability_saturated).abs() <= 1e-12);
+        // The charged mass is the joint mass of every state holding a
+        // failed up-count.
+        let touched: f64 = model
+            .distribution(&pi)
+            .unwrap()
+            .filter(|(state, _)| state.iter().enumerate().any(|(x, &u)| failed[x][u]))
+            .map(|(_, p)| p)
+            .sum();
+        assert!(
+            (report.charged_mass - touched).abs() <= 1e-12,
+            "rate {rate}: charged {:e} vs touched {touched:e}",
+            report.charged_mass
+        );
+        if rate == 1.0 {
+            assert_eq!(report.failed_states, evaluations);
+        } else {
+            assert!(
+                report.failed_states < evaluations,
+                "a partial rate spares some"
+            );
+        }
     }
 }
 
@@ -212,6 +332,76 @@ fn nan_injection_is_caught_by_the_non_finite_guard() {
         other => panic!("expected NonFiniteAssessment, got {other:?}"),
     }
     assert!(err.is_candidate_local());
+}
+
+/// A NaN-poisoned per-type record stays with the candidate that filled
+/// it: once the fault clears, a neighbour sharing two of its records on
+/// the same engine assesses exactly as on a fresh engine.
+#[test]
+fn nan_poisoned_records_are_not_shared_with_later_candidates() {
+    let _g = faults();
+    let tool = ep_tool();
+    let goals = Goals::new(0.05, 0.9999).unwrap();
+    let poisoned = Configuration::new(tool.registry(), vec![2, 2, 2]).unwrap();
+    let neighbour = Configuration::new(tool.registry(), vec![2, 2, 3]).unwrap();
+    let expected = tool
+        .engine(&goals, SearchOptions::default())
+        .unwrap()
+        .assess(&neighbour)
+        .unwrap();
+    for site in [
+        "avail.steady-state",
+        "engine.solution-cache-fill",
+        "engine.state-cache-fill",
+        "performability.evaluate-state",
+    ] {
+        let engine = tool.engine(&goals, SearchOptions::default()).unwrap();
+        fault::configure(site, fault::FaultMode::Nan, 1.0);
+        let err = engine.assess(&poisoned).unwrap_err();
+        assert!(
+            matches!(err, ConfigError::NonFiniteAssessment { .. }),
+            "{site}: expected NonFiniteAssessment, got {err:?}"
+        );
+        fault::clear();
+        assert_eq!(
+            engine.assess(&neighbour).unwrap(),
+            expected,
+            "{site}: a poisoned record outlived its candidate"
+        );
+    }
+}
+
+/// NaN injected at the availability solve of a sparse candidate that
+/// escalates to the exact path still reaches the non-finite guard, even
+/// when every record the escalation needs is already cached (so the
+/// solve is the only place the site fires).
+#[test]
+fn nan_at_an_escalated_solve_is_caught_by_the_non_finite_guard() {
+    let _g = faults();
+    let tool = ep_tool();
+    let goals = Goals::new(0.05, 0.9999).unwrap();
+    let opts = SearchOptions::builder()
+        .avail_backend(AvailBackend::Sparse)
+        .solver_max_iterations(1)
+        .build();
+    let engine = tool.engine(&goals, opts).unwrap();
+    for y in [vec![2, 2, 2], vec![3, 3, 3]] {
+        let config = Configuration::new(tool.registry(), y).unwrap();
+        let clean = engine.assess(&config).unwrap();
+        assert_eq!(clean.degradation.unwrap().solver_fallbacks, 1);
+    }
+
+    fault::configure("engine.solution-cache-fill", fault::FaultMode::Nan, 1.0);
+    let config = Configuration::new(tool.registry(), vec![2, 2, 3]).unwrap();
+    let err = engine.assess(&config).unwrap_err();
+    assert_eq!(fault::fired("engine.solution-cache-fill"), 1);
+    match &err {
+        ConfigError::NonFiniteAssessment { replicas, what } => {
+            assert_eq!(replicas, &vec![2, 2, 3]);
+            assert_eq!(*what, "availability");
+        }
+        other => panic!("expected NonFiniteAssessment, got {other:?}"),
+    }
 }
 
 /// Delay injection only adds latency: results are bit-identical to a

@@ -1,6 +1,7 @@
 //! Daemon lifecycle tests against the spawned binary: ready line,
 //! duplicate-bind refusal, graceful shutdown, byte-identical concurrent
-//! answers, and bounded-queue load shedding.
+//! answers, bounded-queue load shedding, the tenant's once-computed
+//! turnarounds, and flat observability replies.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -9,8 +10,8 @@ use std::time::Duration;
 
 use serde_json::Value;
 use wfms_proto::{
-    MetricsResult, Request, Response, ERR_OVERLOADED, METHOD_ASSESS, METHOD_METRICS,
-    METHOD_SHUTDOWN, PROTOCOL_VERSION,
+    MetricsResult, ProfileSnapshotResult, Request, Response, ERR_OVERLOADED, METHOD_ASSESS,
+    METHOD_METRICS, METHOD_PROFILE_SNAPSHOT, METHOD_RECOMMEND, METHOD_SHUTDOWN, PROTOCOL_VERSION,
 };
 
 fn spec(scenario: &str, file: &str) -> Value {
@@ -86,6 +87,15 @@ impl Daemon {
         serde_json::from_str(&response).expect("response parses")
     }
 
+    /// Opens one connection for many request lines.
+    fn session(&self) -> Session {
+        let stream = self.connect();
+        Session {
+            reader: BufReader::new(stream.try_clone().expect("clone stream")),
+            writer: stream,
+        }
+    }
+
     /// Requests a graceful shutdown and asserts the clean exit
     /// contract: ack, exit status 0, stop line on stdout.
     fn shutdown(mut self) {
@@ -99,6 +109,42 @@ impl Daemon {
             rest.contains("wfms serve: stopped"),
             "stop line on stdout: {rest:?}"
         );
+    }
+}
+
+/// One connection to the daemon, one request line at a time.
+struct Session {
+    writer: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl Session {
+    /// Sends `request` and returns the raw response line.
+    fn call(&mut self, request: &Request) -> String {
+        let line = serde_json::to_string(request).expect("serialize request");
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send request");
+        let mut response = String::new();
+        self.reader.read_line(&mut response).expect("read response");
+        let parsed: Response = serde_json::from_str(&response).expect("response parses");
+        assert!(parsed.ok, "{} failed: {:?}", request.method, parsed.error);
+        response
+    }
+
+    /// The `profile-snapshot` count of closed spans of `stage`.
+    fn stage_count(&mut self, stage: &str) -> u64 {
+        let line = self.call(&Request::new(METHOD_PROFILE_SNAPSHOT, Value::Null));
+        let response: Response = serde_json::from_str(&line).expect("response parses");
+        let result: ProfileSnapshotResult =
+            serde_json::from_value(response.result.expect("result populated"))
+                .expect("typed result");
+        let stages: Vec<wfms_obs::StageSummary> =
+            serde_json::from_value(result.stages).expect("stage totals");
+        stages
+            .iter()
+            .find(|s| s.name == stage)
+            .map_or(0, |s| s.count)
     }
 }
 
@@ -260,4 +306,70 @@ fn full_queue_sheds_connections_with_a_typed_overloaded_error() {
     let status = daemon.child.wait().expect("wait for daemon");
     drop(held);
     assert!(status.success(), "graceful shutdown exits 0: {status:?}");
+}
+
+fn recommend_request(tenant: &str) -> Request {
+    let mut params = serde_json::Map::new();
+    params.insert("registry".to_string(), spec("ep", "registry.json"));
+    params.insert("workload".to_string(), spec("ep", "workload.json"));
+    params.insert(
+        "max_wait".to_string(),
+        serde_json::to_value(0.05).expect("encode"),
+    );
+    Request {
+        method: METHOD_RECOMMEND.to_string(),
+        params: Value::Object(params),
+        ..assess_request(tenant)
+    }
+}
+
+#[test]
+fn a_tenant_computes_its_turnarounds_on_its_first_assess_only() {
+    let daemon = Daemon::spawn(&[]);
+    let mut session = daemon.session();
+
+    // A recommend on a fresh tenant computes no percentile.
+    session.call(&recommend_request("planner"));
+    assert_eq!(session.stage_count("transient-distribution"), 0);
+
+    // Two assesses on one tenant: one percentile (ep has one workflow)
+    // and byte-identical answers.
+    let request = assess_request("acme");
+    let cold = session.call(&request);
+    let assessed = session.stage_count("assess");
+    let warm = session.call(&request);
+    assert_eq!(cold, warm, "warm answer is byte-identical");
+    assert_eq!(session.stage_count("transient-distribution"), 1);
+
+    // The stage totals keep counting every request.
+    for _ in 0..3 {
+        session.call(&request);
+    }
+    assert_eq!(session.stage_count("assess"), assessed + 4);
+    assert_eq!(session.stage_count("transient-distribution"), 1);
+
+    daemon.shutdown();
+}
+
+#[test]
+fn metrics_reply_stays_flat_as_requests_accumulate() {
+    let daemon = Daemon::spawn(&[]);
+    let mut session = daemon.session();
+    let request = assess_request("acme");
+    let metrics = Request::new(METHOD_METRICS, Value::Null);
+    for _ in 0..10 {
+        session.call(&request);
+    }
+    let after_10 = session.call(&metrics).len();
+    for _ in 10..2_000 {
+        session.call(&request);
+    }
+    let after_2000 = session.call(&metrics).len();
+    assert!(
+        after_2000.abs_diff(after_10) <= 1024,
+        "metrics reply grew from {after_10} to {after_2000} bytes"
+    );
+    assert!(session.stage_count("assess") >= 2_000);
+
+    daemon.shutdown();
 }

@@ -200,3 +200,27 @@ fn unknown_flags_exit_with_usage_error() {
     let stderr = String::from_utf8(output.stderr).unwrap();
     assert!(stderr.contains("unknown option --optimal"), "{stderr}");
 }
+
+#[test]
+fn recommend_computes_no_turnaround_percentile() {
+    let output = wfms()
+        .args([
+            "recommend",
+            "--registry",
+            &spec("registry.json"),
+            "--workload",
+            &spec("workload.json"),
+            "--max-wait",
+            "0.05",
+            "--min-availability",
+            "0.9999",
+            "--trace=json",
+        ])
+        .output()
+        .expect("run wfms");
+    assert!(output.status.success(), "{output:?}");
+    let stderr = String::from_utf8(output.stderr).unwrap();
+    let snapshot = wfms_obs::from_json(&stderr).expect("stderr is a trace snapshot");
+    assert!(snapshot.span_count("assess") > 0);
+    assert_eq!(snapshot.span_count("transient-distribution"), 0);
+}

@@ -122,6 +122,7 @@ impl Uniformized {
         }
         Ok(AbsorptionSequence {
             rate: self.rate,
+            start,
             p_bar_t: &self.p_bar_t,
             is_taboo,
             dist,
@@ -193,7 +194,7 @@ impl Uniformized {
     /// ([`Self::absorption_cdf`], [`AbsorptionSequence::cdf`]) never calls
     /// it; it stays as the reference the absorbed-mass sequence is tested
     /// against. It takes the same Poisson window as the CDF: the terms
-    /// below the window's first nonzero weight are stepped, not summed.
+    /// below the window's left end are stepped, not summed.
     ///
     /// # Errors
     /// [`ChainError::LengthMismatch`] on a wrong `initial` length.
@@ -273,6 +274,8 @@ impl Uniformized {
 /// products in the same order (see DESIGN.md §5, "Transient analysis").
 pub struct AbsorptionSequence<'a> {
     rate: f64,
+    /// The start state, named by [`ChainError::AbsorptionNotCertain`].
+    start: usize,
     p_bar_t: &'a CsrMatrix,
     /// `is_taboo[s]`: whether state `s` is in the taboo set.
     is_taboo: Vec<bool>,
@@ -342,11 +345,11 @@ impl AbsorptionSequence<'_> {
         }
     }
 
-    /// `P(absorbed by time t) = Σ_z PoissonPmf(v·t, z) · a_z`, with the
-    /// Poisson weights truncated once their tail mass is below `epsilon`.
-    /// Only the nonzero weights are summed, in `z` order; the sequence is
-    /// first extended to the truncation point, so its length bounds the
-    /// steps any probe so far has needed. `t ≤ 0` gives `a_0`.
+    /// `P(absorbed by time t) = Σ_z PoissonPmf(v·t, z) · a_z` over the
+    /// Poisson window of `v·t`, which drops at most `epsilon` of the
+    /// Poisson mass, summed in `z` order. The sequence is first extended
+    /// to the window's end, so its length bounds the steps any probe so
+    /// far has needed. `t ≤ 0` gives `a_0`.
     pub fn cdf(&mut self, t: f64, epsilon: f64) -> f64 {
         if t <= 0.0 {
             return self.absorbed[0];
@@ -359,6 +362,56 @@ impl AbsorptionSequence<'_> {
             .zip(&self.absorbed[window.left..])
             .fold(0.0, |sum, (&w, &a)| sum + w * a)
     }
+
+    /// The CDF and its density at `t > 0` from one Poisson window:
+    /// `F(t)` exactly as [`Self::cdf`] computes it, and
+    /// `f(t) = v·Σ_z PoissonPmf(v·t, z)·(a_{z+1} − a_z)`, the derivative
+    /// of the Poisson mixture (`d/dt PoissonPmf(v·t, z) = v·(PoissonPmf(v·t,
+    /// z − 1) − PoissonPmf(v·t, z))`). The sequence is extended one step
+    /// past the window for the last difference.
+    pub fn cdf_and_density(&mut self, t: f64, epsilon: f64) -> (f64, f64) {
+        let window = poisson_window(self.rate * t.max(0.0), epsilon);
+        self.extend_to(window.end + 1);
+        let a = &self.absorbed[window.left..];
+        let (cdf, increments) = window
+            .weights
+            .iter()
+            .zip(a.iter().zip(&a[1..]))
+            .fold((0.0, 0.0), |(cdf, inc), (&w, (&now, &next))| {
+                (cdf + w * now, inc + w * (next - now))
+            });
+        (cdf, self.rate * increments)
+    }
+
+    /// The step-count quantile `z_q`: the first `z` with `a_z ≥ q`. The
+    /// number `N` of uniformized steps to absorption has mean
+    /// `mean_steps` (`v` times the mean time to absorption), so by
+    /// Markov's inequality `1 − a_z = P(N > z) ≤ mean_steps / z`. A
+    /// sequence whose unabsorbed mass breaks that bound twice over has
+    /// stalled — its chain absorbs less than its mean says — and the
+    /// search stops there instead of stepping without limit.
+    ///
+    /// # Errors
+    /// [`ChainError::AbsorptionNotCertain`] once `1 − a_z > 2·mean_steps/z`,
+    /// or when `mean_steps` is not finite.
+    pub fn quantile_steps(&mut self, q: f64, mean_steps: f64) -> Result<usize, ChainError> {
+        let not_certain = ChainError::AbsorptionNotCertain { state: self.start };
+        if !mean_steps.is_finite() {
+            return Err(not_certain);
+        }
+        let mut z = 0;
+        loop {
+            self.extend_to(z + 1);
+            let absorbed = self.absorbed[z];
+            if absorbed >= q {
+                return Ok(z);
+            }
+            if z > 0 && 1.0 - absorbed > 2.0 * mean_steps / z as f64 {
+                return Err(not_certain);
+            }
+            z += 1;
+        }
+    }
 }
 
 impl Drop for AbsorptionSequence<'_> {
@@ -370,76 +423,76 @@ impl Drop for AbsorptionSequence<'_> {
     }
 }
 
-/// The nonzero Poisson probabilities `PoissonPmf(mean, z)` for
-/// `z ∈ [left, left + weights.len())`, truncated at `end`: the first `z`
-/// at which their accumulated mass reaches `1 − ε`, plus one. Every
-/// weight outside the window is exactly zero, so a sum over the window
-/// equals the sum over `0..end` bit for bit. When the mass never reaches
-/// `1 − ε`, `end` is one past the support bound `mode + 12√mean + 30`.
+/// The Poisson probabilities `PoissonPmf(mean, z)` for
+/// `z ∈ [left, end)`, normalized over that window. The window drops at
+/// most `ε` of the Poisson mass in total (see [`poisson_window`]).
 struct PoissonWindow {
     left: usize,
     weights: Vec<f64>,
     end: usize,
 }
 
-/// The Poisson window of `mean` truncated at tail mass `epsilon`, from a
-/// mode-centred, overflow-safe recursion, so large means (long
-/// workflows) are fine. Records `end` as `markov.poisson.terms`.
+/// The geometric bound `w·r/(1 − r)` on the mass beyond a weight `w`
+/// whose successive ratios outwards stay below `r`; unbounded at
+/// `r ≥ 1`.
+fn geometric_tail(w: f64, r: f64) -> f64 {
+    if r < 1.0 {
+        w * r / (1.0 - r)
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// The Poisson window of `mean` at tail mass `epsilon`, after Fox and
+/// Glynn ("Computing Poisson probabilities", CACM 31(4), 1988):
+/// unnormalized weights outwards from the mode `k = ⌊mean⌋`, each side
+/// until a geometric bound on the mass it still leaves out falls to
+/// `ε/2` of the mass kept so far. Below the mode the weights shrink by
+/// at least `r = k/mean` per step, so the mass under `w_k` is at most
+/// `w_k·r/(1 − r)`; above it they shrink by at least `r = mean/(k+1)`,
+/// with the same bound. The kept mass only grows, so each side drops at
+/// most `ε/2` of it and both together at most `ε` of the whole. The
+/// weights are then normalized over the kept mass. The recursion is
+/// overflow-safe, so large means (long workflows) are fine. Records
+/// `end` as `markov.poisson.terms`.
 fn poisson_window(mean: f64, epsilon: f64) -> PoissonWindow {
     assert!(mean >= 0.0, "Poisson mean must be non-negative");
     assert!((0.0..1.0).contains(&epsilon), "epsilon must be in [0, 1)");
-    if mean == 0.0 {
-        return PoissonWindow {
-            left: 0,
-            weights: vec![1.0],
-            end: 1,
-        };
-    }
-    // Unnormalized weights outwards from the mode, each side until a
-    // weight drops below 1e-280 (it never reaches zero first) or the
-    // side hits the support bound `hi`: mean + 12 sqrt(mean) + 30 covers
-    // far beyond any epsilon >= 1e-15. The two sides are independent
-    // chains of dependent divisions, so they run side by side. `below`
-    // has room for the whole window, so it grows into it without
-    // reallocating.
     let mode = mean.floor() as usize;
-    let hi = mode + (12.0 * mean.sqrt()) as usize + 30;
-    let (mut below, mut above) = (Vec::with_capacity(hi + 1), Vec::with_capacity(hi - mode));
+    let half = 0.5 * epsilon;
+    // The two sides are independent chains of dependent divisions, so
+    // they run side by side.
+    let (mut below, mut above) = (Vec::new(), Vec::new());
     let (mut left, mut right) = (mode, mode);
     let (mut down, mut up) = (1.0f64, 1.0f64);
-    let (mut down_open, mut up_open) = (left > 0, right < hi);
+    let mut kept = 1.0f64;
+    let mut down_open = left > 0 && geometric_tail(down, left as f64 / mean) > half * kept;
+    let mut up_open = geometric_tail(up, mean / (right + 1) as f64) > half * kept;
     while down_open || up_open {
         if down_open {
+            down = down * (left as f64) / mean;
             left -= 1;
-            down = down * ((left + 1) as f64) / mean;
             below.push(down);
-            down_open = left > 0 && down >= 1e-280;
+            kept += down;
         }
         if up_open {
             right += 1;
             up = up * mean / (right as f64);
             above.push(up);
-            up_open = right < hi && up >= 1e-280;
+            kept += up;
         }
+        down_open = down_open && left > 0 && geometric_tail(down, left as f64 / mean) > half * kept;
+        up_open = up_open && geometric_tail(up, mean / (right + 1) as f64) > half * kept;
     }
     let mut weights = below;
     weights.reverse();
     weights.push(1.0);
     weights.append(&mut above);
-    // Normalize in index order, up to the point where the accumulated
-    // mass reaches 1 - epsilon.
     let total: f64 = weights.iter().sum();
-    let mut acc = 0.0;
-    let mut end = hi + 1;
-    for (i, w) in weights.iter_mut().enumerate() {
+    for w in &mut weights {
         *w /= total;
-        acc += *w;
-        if acc >= 1.0 - epsilon {
-            end = left + i + 1;
-            break;
-        }
     }
-    weights.truncate(end - left);
+    let end = right + 1;
     wfms_obs::histogram("markov.poisson.terms", end as u64);
     PoissonWindow { left, weights, end }
 }
@@ -609,6 +662,83 @@ mod tests {
     }
 
     #[test]
+    fn density_matches_the_exponential_and_erlang_closed_forms() {
+        // One rate-1 stage: f(t) = e^{-t}. Two in series (Erlang-2):
+        // f(t) = t·e^{-t}.
+        let one = Matrix::from_nested(&[&[0.0, 1.0], &[0.0, 1.0]]);
+        let two = Matrix::from_nested(&[&[0.0, 1.0, 0.0], &[0.0, 0.0, 1.0], &[0.0, 0.0, 1.0]]);
+        let check = |chain: Ctmc, density: fn(f64) -> f64| {
+            let u = Uniformized::new(&chain).unwrap();
+            let mut seq = u.absorption_sequence(0).unwrap();
+            for t in [0.1, 0.5, 1.0, 3.0, 8.0] {
+                let (cdf, f) = seq.cdf_and_density(t, 1e-13);
+                assert_eq!(cdf.to_bits(), seq.cdf(t, 1e-13).to_bits(), "t={t}");
+                let expect = density(t);
+                assert!((f - expect).abs() < 1e-9, "t={t}: {f} vs {expect}");
+            }
+        };
+        check(
+            Ctmc::from_jump_chain(one, vec![1.0, f64::INFINITY]).unwrap(),
+            |t| (-t).exp(),
+        );
+        check(
+            Ctmc::from_jump_chain(two, vec![1.0, 1.0, f64::INFINITY]).unwrap(),
+            |t| t * (-t).exp(),
+        );
+    }
+
+    #[test]
+    fn density_is_the_central_difference_of_the_cdf() {
+        let c = loopy_workflow();
+        let u = Uniformized::new(&c).unwrap();
+        let mut seq = u.absorption_sequence(0).unwrap();
+        for t in [0.5, 2.0, 7.0, 20.0, 60.0] {
+            let h = 1e-4 * t;
+            let slope = (seq.cdf(t + h, 1e-13) - seq.cdf(t - h, 1e-13)) / (2.0 * h);
+            let (_, f) = seq.cdf_and_density(t, 1e-13);
+            assert!((f - slope).abs() <= 1e-6, "t={t}: {f} vs {slope}");
+        }
+    }
+
+    #[test]
+    fn quantile_steps_is_the_first_step_past_q() {
+        let c = loopy_workflow();
+        let u = Uniformized::new(&c).unwrap();
+        let mean_steps = u.rate() * c.mean_first_passage(2).unwrap()[0];
+        let mut seq = u.absorption_sequence(0).unwrap();
+        for q in [0.1, 0.5, 0.9, 0.99, 0.999_999] {
+            let z = seq.quantile_steps(q, mean_steps).unwrap();
+            assert!(seq.absorbed()[z] >= q && (z == 0 || seq.absorbed()[z - 1] < q));
+        }
+        assert!(matches!(
+            seq.quantile_steps(0.5, f64::INFINITY),
+            Err(ChainError::AbsorptionNotCertain { state: 0 })
+        ));
+    }
+
+    #[test]
+    fn quantile_steps_stops_on_a_stalled_sequence() {
+        // Half the mass is absorbed in one step; the other half cycles
+        // 1 ↔ 2 forever, whatever mean the caller claims.
+        let jump = Matrix::from_nested(&[
+            &[0.0, 0.5, 0.0, 0.5],
+            &[0.0, 0.0, 1.0, 0.0],
+            &[0.0, 1.0, 0.0, 0.0],
+            &[0.0, 0.0, 0.0, 1.0],
+        ]);
+        let c = Ctmc::from_jump_chain(jump, vec![1.0, 1.0, 1.0, f64::INFINITY]).unwrap();
+        let u = Uniformized::new(&c).unwrap();
+        let mut seq = u.absorption_sequence(0).unwrap();
+        assert_eq!(seq.quantile_steps(0.4, 2.0).unwrap(), 1);
+        // 1 − a_z = 0.5 breaks 2·2/z from z = 9 on.
+        assert!(matches!(
+            seq.quantile_steps(0.6, 2.0),
+            Err(ChainError::AbsorptionNotCertain { state: 0 })
+        ));
+        assert_eq!(seq.products(), 9);
+    }
+
+    #[test]
     fn poisson_window_basic_properties() {
         for mean in [0.0, 0.3, 1.0, 7.5, 120.0, 5000.0] {
             let w = poisson_window(mean, 1e-10);
@@ -642,12 +772,12 @@ mod tests {
         poisson_window(-1.0, 1e-9);
     }
 
-    /// The Poisson weights as they stood before the zero-free window:
-    /// the full vector `0..end`, zeros included, normalized in full
-    /// before the cut.
-    fn poisson_weights(mean: f64, epsilon: f64) -> Vec<f64> {
+    /// The Poisson weights as the window held them before the ε-bounded
+    /// cut: every weight outwards from the mode until it drops below
+    /// `1e-280` or reaches the support bound `mode + 12√mean + 30`,
+    /// normalized over the whole vector, zeros included.
+    fn full_poisson_weights(mean: f64) -> Vec<f64> {
         assert!(mean >= 0.0, "Poisson mean must be non-negative");
-        assert!((0.0..1.0).contains(&epsilon), "epsilon must be in [0, 1)");
         if mean == 0.0 {
             return vec![1.0];
         }
@@ -671,53 +801,50 @@ mod tests {
         for v in w.iter_mut() {
             *v /= total;
         }
-        let mut acc = 0.0;
-        let mut cut = w.len();
-        for (z, &v) in w.iter().enumerate() {
-            acc += v;
-            if acc >= 1.0 - epsilon {
-                cut = z + 1;
-                break;
-            }
-        }
-        w.truncate(cut);
         w
     }
 
     #[test]
-    fn poisson_window_is_the_nonzero_part_of_the_full_weights_bitwise() {
+    fn poisson_window_drops_at_most_epsilon_of_the_full_weights() {
         let mut means = vec![1.0, 2.0, 10.0, 10_000.0, 60_000.0];
         let mut mean = 0.01;
         while mean <= 6e4 {
             means.push(mean);
             mean *= 1.37;
         }
-        // ε = 0 asks for the whole mass; rounding leaves some means short
-        // of it, and then no cut happens at all.
-        let mut uncut = 0;
         for mean in means {
-            for epsilon in [0.3, 1e-9, 1e-10, 1e-12, 0.0] {
-                let full = poisson_weights(mean, epsilon);
+            let full = full_poisson_weights(mean);
+            for epsilon in [0.3, 1e-9, 1e-10, 1e-12] {
                 let w = poisson_window(mean, epsilon);
-                assert_eq!(w.end, full.len(), "mean {mean}, ε {epsilon}");
-                for (z, &f) in full.iter().enumerate() {
-                    let got = z
-                        .checked_sub(w.left)
-                        .and_then(|i| w.weights.get(i))
-                        .map_or(0.0, |&v| v);
-                    assert_eq!(
-                        got.to_bits(),
-                        f.to_bits(),
-                        "mean {mean}, ε {epsilon}, z {z}"
+                let case = format!("mean {mean}, ε {epsilon}");
+                assert_eq!(w.left + w.weights.len(), w.end, "{case}");
+                assert!(w.end <= full.len(), "{case}: past the support bound");
+                let sum: f64 = w.weights.iter().sum();
+                assert!((sum - 1.0).abs() <= 1e-14, "{case}: weights sum to {sum}");
+                let outside = full[..w.left].iter().chain(&full[w.end..]);
+                let dropped: f64 = outside.sum();
+                assert!(dropped <= epsilon, "{case}: dropped {dropped:e}");
+                // Inside the window: the full weights, renormalized.
+                let kept: f64 = full[w.left..w.end].iter().sum();
+                for (z, &got) in (w.left..).zip(&w.weights) {
+                    let expect = full[z] / kept;
+                    assert!(
+                        (got - expect).abs() <= 1e-13 * expect,
+                        "{case}, z {z}: {got:e} vs {expect:e}"
                     );
-                }
-                let mass: f64 = full.iter().sum();
-                if mass < 1.0 - epsilon {
-                    uncut += 1;
                 }
             }
         }
-        assert!(uncut > 0, "no case ran past the cut");
+    }
+
+    #[test]
+    fn poisson_window_is_narrower_than_the_full_support() {
+        // ep's p90 sits near v·t ≈ 8,870 uniformized steps.
+        let full = full_poisson_weights(8_870.0);
+        let first = full.iter().position(|&w| w > 0.0).unwrap();
+        let w = poisson_window(8_870.0, 1e-9);
+        assert!(w.left > first && w.end < full.len());
+        assert!(w.weights.len() < 1_500, "{} terms", w.weights.len());
     }
 
     /// The taboo step as it stood before the absorbed-mass sequence: a
@@ -945,6 +1072,20 @@ mod proptests {
             let expect: f64 = c.absorbing_states().iter().map(|&a| oracle[a]).sum();
             let got = u.absorption_cdf(start, t, 1e-10).unwrap();
             prop_assert!((got - expect).abs() <= 1e-12, "{} vs {}", got, expect);
+        }
+
+        #[test]
+        fn quantile_steps_matches_steps_quantile((c, start, _t) in workflow_case()) {
+            let u = Uniformized::new(&c).unwrap();
+            let absorbing = c.n() - 1;
+            let mean_steps = u.rate() * c.mean_first_passage(absorbing).unwrap()[start];
+            let mut seq = u.absorption_sequence(start).unwrap();
+            for q in [0.5, 0.9, 0.99, 0.999_999] {
+                prop_assert_eq!(
+                    seq.quantile_steps(q, mean_steps).unwrap(),
+                    u.steps_quantile(start, &[absorbing], q, 1_000_000).unwrap()
+                );
+            }
         }
 
         #[test]

@@ -19,7 +19,12 @@
 //!
 //! Recording is **off by default**. The CLI enables it for
 //! `--trace[=text|json]` and `wfms profile`; the bench harness enables it
-//! to emit `BENCH_obs.json` stage metrics.
+//! to emit `BENCH_obs.json` stage metrics. Every closed span is folded
+//! into per-stage totals ([`StageSummary`], read by
+//! [`aggregate_stages`]); the span log of individual spans is optional.
+//! The CLI keeps it; the `wfms serve` daemon enables the recorder
+//! without it ([`Recorder::enable_without_span_log`]), so its memory
+//! stays flat.
 //!
 //! A second, independent layer — the [`timeline`] journal — records
 //! *when* each stage ran and on *which* thread: per-thread event buffers
@@ -43,7 +48,7 @@
 //! | `turnaround-distribution` | `wfms-perf` | `states`, `epsilon` |
 //! | `first-passage` | `wfms-markov` | `states`, `solver` |
 //! | `uniformize` | `wfms-markov` | `states`, `rate` |
-//! | `transient-distribution` | `wfms-markov` | `terms` (one span per absorbed-mass sequence — one per turnaround percentile or CDF call — and `terms` counts its `P̄` products) |
+//! | `transient-distribution` | `wfms-markov` | `terms` (one span per absorbed-mass sequence — one per turnaround percentile or CDF call, and one per workflow on a `wfms serve` tenant's first `assess` — and `terms` counts its `P̄` products: the longest Poisson window any probe read, plus one step for the density) |
 //! | `reward-uniformized` | `wfms-markov` | `z_max`, `residual_mass` |
 //! | `linear-solve` | `wfms-markov` | `n`, `iterations`, `residual`, `spectral_radius_est` |
 //! | `steady-state` | `wfms-markov` | `states`, `method`, `iterations` |
@@ -69,7 +74,7 @@
 //! | `markov.power-iteration.iterations` | histogram | `wfms-markov` | power-iteration steps per steady-state fallback |
 //! | `markov.steady-state.iterations` | histogram | `wfms-markov` | sweeps per CTMC steady-state solve |
 //! | `markov.poisson.truncation-steps` | histogram | `wfms-markov` | uniformization truncation depth `z_max` |
-//! | `markov.poisson.terms` | histogram | `wfms-markov` | end `z` of the Poisson window per CDF evaluation: the terms `0..end` it covers, the leading zero weights it skips included |
+//! | `markov.poisson.terms` | histogram | `wfms-markov` | end `z` of the Poisson window per CDF evaluation (one past its last summed term); the window drops at most `ε` of the Poisson mass, and a percentile reads one window per Newton probe |
 //! | `avail.state-space.size` | gauge | `wfms-avail` / `wfms-config` | `∏(Y_x+1)` states of the last availability model (the engine's exact path sets it per candidate) |
 //! | `perf.mg1.evaluations` | counter | `wfms-perf` | M/G/1 waiting-time kernel evaluations, one per server type evaluated |
 //! | `performability.state-evaluations` | counter | `wfms-performability` | system states evaluated by a joint fold, or `(type, up-count)` terms summed by the per-type fold |
@@ -139,8 +144,10 @@ pub mod sink;
 pub mod timeline;
 
 pub use metrics::{histogram_bucket_bounds, histogram_bucket_index, HistogramSnapshot};
-pub use recorder::{FieldValue, Recorder, Span, SpanField, SpanRecord, TraceSnapshot};
-pub use sink::{aggregate_stages, from_json, render_text, to_json, StageSummary};
+pub use recorder::{
+    FieldValue, Recorder, Span, SpanField, SpanRecord, StageSummary, TraceSnapshot,
+};
+pub use sink::{aggregate_stages, from_json, render_text, to_json};
 pub use timeline::{to_chrome_trace, TimelineEvent, TimelinePhase, TimelineSnapshot};
 
 use std::sync::OnceLock;

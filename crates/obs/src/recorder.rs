@@ -1,12 +1,21 @@
-//! Span recording: a thread-safe [`Recorder`] collecting nested, timed
-//! [`SpanRecord`]s plus the metrics registry defined in
+//! Span recording: a thread-safe [`Recorder`] folding every closed span
+//! into per-stage totals ([`StageSummary`]), optionally keeping a log of
+//! nested, timed [`SpanRecord`]s, plus the metrics registry defined in
 //! [`crate::metrics`].
 //!
 //! A [`Span`] is an RAII guard: it captures a monotonic start time when
-//! opened and writes a [`SpanRecord`] into the recorder when dropped.
-//! Nesting is tracked per thread — each thread keeps a stack of the span
-//! ids it currently has open, so spans opened on different threads never
-//! parent each other spuriously.
+//! opened and, when dropped, adds its duration to its stage's totals
+//! and — while the span log is on — writes a [`SpanRecord`]. Nesting is
+//! tracked per thread — each thread keeps a stack of the span ids it
+//! currently has open, so spans opened on different threads never parent
+//! each other spuriously.
+//!
+//! The stage totals are keyed by the static stage name: once a stage has
+//! closed its first span, closing another allocates nothing. Without the
+//! span log a recorder's memory is bounded by its number of stage and
+//! metric names, however long it runs; that is how the `wfms serve`
+//! daemon records. The one-shot CLI keeps the log, which its `--trace`
+//! and `wfms profile` outputs need.
 //!
 //! When the recorder is disabled, opening a span is a single relaxed
 //! atomic load and the guard holds no data at all (the no-op sink).
@@ -21,11 +30,12 @@ use serde::{Deserialize, Serialize};
 
 use crate::metrics::{HistogramSnapshot, MetricsRegistry};
 
-/// Default cap on collected spans; protects long search loops from
+/// Default cap on the span log; protects long search loops from
 /// unbounded memory growth. Spans past the cap are counted but dropped
-/// (disclosed as `dropped_spans`). Override per process with the
-/// `WFMS_OBS_SPAN_CAP` environment variable (read once, at first use),
-/// or per recorder with [`Recorder::with_span_cap`].
+/// from the log (disclosed as `dropped_spans`); the stage totals keep
+/// counting them. Override per process with the `WFMS_OBS_SPAN_CAP`
+/// environment variable (read once, at first use), or per recorder with
+/// [`Recorder::with_span_cap`].
 pub const SPAN_CAP: usize = 100_000;
 
 fn span_cap_from_env() -> usize {
@@ -152,13 +162,60 @@ impl SpanRecord {
     }
 }
 
+/// Wall-time totals of one stage: every closed span with this name.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct StageSummary {
+    /// Stage (span) name.
+    pub name: String,
+    /// Number of spans with this name.
+    pub count: u64,
+    /// Total wall time across those spans, in nanoseconds. Nested
+    /// same-name spans each contribute their own duration.
+    pub total_ns: u64,
+    /// Smallest single-span duration, in nanoseconds.
+    pub min_ns: u64,
+    /// Largest single-span duration, in nanoseconds.
+    pub max_ns: u64,
+}
+
+impl StageSummary {
+    /// Totals of a stage that has closed no span yet.
+    fn empty(name: &str) -> StageSummary {
+        StageSummary {
+            name: name.to_string(),
+            count: 0,
+            total_ns: 0,
+            min_ns: u64::MAX,
+            max_ns: 0,
+        }
+    }
+
+    /// Adds one closed span of `duration_ns`.
+    fn add(&mut self, duration_ns: u64) {
+        self.count += 1;
+        self.total_ns = self.total_ns.saturating_add(duration_ns);
+        self.min_ns = self.min_ns.min(duration_ns);
+        self.max_ns = self.max_ns.max(duration_ns);
+    }
+
+    /// Mean span duration in nanoseconds (0 when `count` is 0).
+    pub fn mean_ns(&self) -> u64 {
+        self.total_ns.checked_div(self.count).unwrap_or(0)
+    }
+}
+
 /// A point-in-time export of everything a [`Recorder`] collected.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct TraceSnapshot {
-    /// Completed spans in close order (children close before parents).
+    /// The span log: completed spans in close order (children close
+    /// before parents). Empty when the recorder ran without the log.
     pub spans: Vec<SpanRecord>,
-    /// Spans dropped because [`SPAN_CAP`] was reached.
+    /// Spans left out of the log because [`SPAN_CAP`] was reached.
     pub dropped_spans: u64,
+    /// Per-stage totals over every closed span, logged or not, in name
+    /// order.
+    #[serde(default)]
+    pub stages: Vec<StageSummary>,
     /// Monotonic counters, by name.
     pub counters: BTreeMap<String, u64>,
     /// Last-write-wins gauges, by name.
@@ -171,21 +228,28 @@ impl TraceSnapshot {
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
+            && self.stages.is_empty()
             && self.counters.is_empty()
             && self.gauges.is_empty()
             && self.histograms.is_empty()
     }
 
-    /// Number of spans with the given stage name.
+    /// Number of closed spans with the given stage name, read from the
+    /// stage totals: it counts past the span cap and without the log.
     pub fn span_count(&self, name: &str) -> usize {
-        self.spans.iter().filter(|s| s.name == name).count()
+        self.stages
+            .iter()
+            .find(|s| s.name == name)
+            .map_or(0, |s| s.count as usize)
     }
 }
 
+#[derive(Clone)]
 struct Inner {
     spans: Vec<SpanRecord>,
     dropped_spans: u64,
     next_id: u64,
+    stages: BTreeMap<&'static str, StageSummary>,
     metrics: MetricsRegistry,
 }
 
@@ -195,7 +259,19 @@ impl Inner {
             spans: Vec::new(),
             dropped_spans: 0,
             next_id: 0,
+            stages: BTreeMap::new(),
             metrics: MetricsRegistry::default(),
+        }
+    }
+
+    fn export(self) -> TraceSnapshot {
+        TraceSnapshot {
+            spans: self.spans,
+            dropped_spans: self.dropped_spans,
+            stages: self.stages.into_values().collect(),
+            counters: self.metrics.counters_snapshot(),
+            gauges: self.metrics.gauges_snapshot(),
+            histograms: self.metrics.histograms_snapshot(),
         }
     }
 }
@@ -248,11 +324,13 @@ fn stack_pop(recorder: usize, id: u64) {
 /// Thread-safe collector of spans and metrics.
 ///
 /// A recorder starts **disabled**; every instrumentation call checks a
-/// relaxed atomic and returns immediately while disabled. Enable it,
-/// run the instrumented code, then [`take`](Recorder::take) or
-/// [`snapshot`](Recorder::snapshot) the collected trace.
+/// relaxed atomic and returns immediately while disabled. Enable it
+/// with or without the span log, run the instrumented code, then
+/// [`take`](Recorder::take) or [`snapshot`](Recorder::snapshot) the
+/// collected trace.
 pub struct Recorder {
     enabled: AtomicBool,
+    span_log: AtomicBool,
     epoch: Instant,
     span_cap: usize,
     // Only the global recorder feeds the process-wide timeline journal
@@ -274,6 +352,7 @@ impl Recorder {
     pub fn new() -> Self {
         Recorder {
             enabled: AtomicBool::new(false),
+            span_log: AtomicBool::new(false),
             epoch: Instant::now(),
             span_cap: span_cap_from_env(),
             timeline_hook: false,
@@ -303,8 +382,17 @@ impl Recorder {
         self.span_cap
     }
 
-    /// Starts collecting.
+    /// Starts collecting stage totals, metrics and the span log.
     pub fn enable(&self) {
+        self.span_log.store(true, Ordering::Release);
+        self.enabled.store(true, Ordering::Release);
+    }
+
+    /// Starts collecting stage totals and metrics, without the span log:
+    /// spans opened from now on record no id, parent or fields, and the
+    /// recorder's memory stays bounded however many close.
+    pub fn enable_without_span_log(&self) {
+        self.span_log.store(false, Ordering::Release);
         self.enabled.store(true, Ordering::Release);
     }
 
@@ -319,7 +407,8 @@ impl Recorder {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Drops all collected spans and metrics (enabled state unchanged).
+    /// Drops all collected spans, stage totals and metrics (enabled state
+    /// unchanged).
     pub fn reset(&self) {
         let mut inner = self.inner.lock().unwrap();
         *inner = Inner::new();
@@ -346,22 +435,27 @@ impl Recorder {
                 timeline,
             };
         }
-        let id = {
-            let mut inner = self.inner.lock().unwrap();
-            let id = inner.next_id;
-            inner.next_id += 1;
-            id
-        };
-        let parent = stack_top(self.key());
-        stack_push(self.key(), id);
+        let logged = self.span_log.load(Ordering::Relaxed).then(|| {
+            let id = {
+                let mut inner = self.inner.lock().unwrap();
+                let id = inner.next_id;
+                inner.next_id += 1;
+                id
+            };
+            let parent = stack_top(self.key());
+            stack_push(self.key(), id);
+            LoggedSpan {
+                id,
+                parent,
+                fields: Vec::new(),
+            }
+        });
         Span {
             active: Some(ActiveSpan {
                 recorder: self,
-                id,
-                parent,
                 name,
                 opened: Instant::now(),
-                fields: Vec::new(),
+                logged,
             }),
             timeline,
         }
@@ -394,60 +488,61 @@ impl Recorder {
 
     /// Copies out everything collected so far without clearing it.
     pub fn snapshot(&self) -> TraceSnapshot {
-        let inner = self.inner.lock().unwrap();
-        TraceSnapshot {
-            spans: inner.spans.clone(),
-            dropped_spans: inner.dropped_spans,
-            counters: inner.metrics.counters_snapshot(),
-            gauges: inner.metrics.gauges_snapshot(),
-            histograms: inner.metrics.histograms_snapshot(),
-        }
+        self.inner.lock().unwrap().clone().export()
     }
 
     /// Takes everything collected so far, leaving the recorder empty.
     pub fn take(&self) -> TraceSnapshot {
         let mut inner = self.inner.lock().unwrap();
-        let taken = std::mem::replace(&mut *inner, Inner::new());
-        TraceSnapshot {
-            spans: taken.spans,
-            dropped_spans: taken.dropped_spans,
-            counters: taken.metrics.counters_snapshot(),
-            gauges: taken.metrics.gauges_snapshot(),
-            histograms: taken.metrics.histograms_snapshot(),
-        }
+        std::mem::replace(&mut *inner, Inner::new()).export()
     }
 
     fn finish_span(&self, span: ActiveSpan<'_>) {
-        stack_pop(self.key(), span.id);
-        let start_ns = span
-            .opened
-            .duration_since(self.epoch)
-            .as_nanos()
-            .min(u128::from(u64::MAX)) as u64;
         let duration_ns = span.opened.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        let record = SpanRecord {
-            id: span.id,
-            parent: span.parent,
-            name: span.name.to_string(),
-            start_ns,
-            duration_ns,
-            fields: span.fields,
-        };
+        let record = span.logged.map(|logged| {
+            stack_pop(self.key(), logged.id);
+            let start_ns = span
+                .opened
+                .duration_since(self.epoch)
+                .as_nanos()
+                .min(u128::from(u64::MAX)) as u64;
+            SpanRecord {
+                id: logged.id,
+                parent: logged.parent,
+                name: span.name.to_string(),
+                start_ns,
+                duration_ns,
+                fields: logged.fields,
+            }
+        });
         let mut inner = self.inner.lock().unwrap();
-        if inner.spans.len() < self.span_cap {
-            inner.spans.push(record);
-        } else {
-            inner.dropped_spans += 1;
+        inner
+            .stages
+            .entry(span.name)
+            .or_insert_with(|| StageSummary::empty(span.name))
+            .add(duration_ns);
+        if let Some(record) = record {
+            if inner.spans.len() < self.span_cap {
+                inner.spans.push(record);
+            } else {
+                inner.dropped_spans += 1;
+            }
         }
     }
 }
 
 struct ActiveSpan<'a> {
     recorder: &'a Recorder,
-    id: u64,
-    parent: Option<u64>,
     name: &'static str,
     opened: Instant,
+    /// Set while the span log is on.
+    logged: Option<LoggedSpan>,
+}
+
+/// What the span log keeps of a span beyond its stage totals.
+struct LoggedSpan {
+    id: u64,
+    parent: Option<u64>,
     fields: Vec<SpanField>,
 }
 
@@ -462,15 +557,16 @@ pub struct Span<'a> {
 }
 
 impl Span<'_> {
-    /// Records a field on the span (no-op when the recorder was
-    /// disabled at open time). Re-recording a name overwrites its value.
+    /// Records a field on the span (no-op unless the recorder was
+    /// enabled with the span log at open time). Re-recording a name
+    /// overwrites its value.
     pub fn record(&mut self, name: &str, value: impl Into<FieldValue>) {
-        if let Some(active) = self.active.as_mut() {
+        if let Some(logged) = self.active.as_mut().and_then(|a| a.logged.as_mut()) {
             let value = value.into();
-            if let Some(existing) = active.fields.iter_mut().find(|f| f.name == name) {
+            if let Some(existing) = logged.fields.iter_mut().find(|f| f.name == name) {
                 existing.value = value;
             } else {
-                active.fields.push(SpanField {
+                logged.fields.push(SpanField {
                     name: name.to_string(),
                     value,
                 });

@@ -1,11 +1,9 @@
-//! Trace sinks: text tree rendering, JSON export/import, and per-stage
-//! aggregation for `wfms profile` and the bench harness.
+//! Trace sinks: text tree rendering, JSON export/import, and the
+//! per-stage view for `wfms profile` and the bench harness.
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
-use crate::recorder::{SpanRecord, TraceSnapshot};
+use crate::recorder::{SpanRecord, StageSummary, TraceSnapshot};
 
 /// Serialises a snapshot as pretty-printed JSON.
 pub fn to_json(snapshot: &TraceSnapshot) -> String {
@@ -105,55 +103,11 @@ pub fn render_text(snapshot: &TraceSnapshot) -> String {
     out
 }
 
-/// Aggregated wall-time for one stage name across a snapshot, used by
-/// `wfms profile` and the bench harness.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StageSummary {
-    /// Stage (span) name.
-    pub name: String,
-    /// Number of spans with this name.
-    pub count: u64,
-    /// Total wall time across those spans, in nanoseconds. Nested
-    /// same-name spans each contribute their own duration.
-    pub total_ns: u64,
-    /// Smallest single-span duration, in nanoseconds.
-    pub min_ns: u64,
-    /// Largest single-span duration, in nanoseconds.
-    pub max_ns: u64,
-}
-
-impl StageSummary {
-    /// Mean span duration in nanoseconds (0 when `count` is 0).
-    pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
-    }
-}
-
-/// Groups a snapshot's spans by stage name, sorted by descending total
-/// wall time.
+/// The snapshot's stage totals, sorted by descending total wall time
+/// (ties by name), for `wfms profile`, the daemon's `profile-snapshot`
+/// and the bench harness.
 pub fn aggregate_stages(snapshot: &TraceSnapshot) -> Vec<StageSummary> {
-    let mut by_name: BTreeMap<&str, StageSummary> = BTreeMap::new();
-    for span in &snapshot.spans {
-        let entry = by_name
-            .entry(span.name.as_str())
-            .or_insert_with(|| StageSummary {
-                name: span.name.clone(),
-                count: 0,
-                total_ns: 0,
-                min_ns: u64::MAX,
-                max_ns: 0,
-            });
-        entry.count += 1;
-        entry.total_ns = entry.total_ns.saturating_add(span.duration_ns);
-        entry.min_ns = entry.min_ns.min(span.duration_ns);
-        entry.max_ns = entry.max_ns.max(span.duration_ns);
-    }
-    let mut stages: Vec<StageSummary> = by_name.into_values().collect();
-    for stage in &mut stages {
-        if stage.count == 0 {
-            stage.min_ns = 0;
-        }
-    }
+    let mut stages = snapshot.stages.clone();
     stages.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.name.cmp(&b.name)));
     stages
 }
@@ -194,6 +148,96 @@ mod tests {
         assert!(text.contains("candidate=[2, 2, 2]"));
         assert!(text.contains("perf.mg1.evaluations = 3"));
         assert!(text.contains("markov.linear-solve.iterations: count=1"));
+    }
+
+    /// The per-stage view as it was computed before the recorder kept
+    /// stage totals: a fold over the span log, sorted like
+    /// [`aggregate_stages`].
+    fn fold_span_log(snapshot: &TraceSnapshot) -> Vec<StageSummary> {
+        let mut by_name: BTreeMap<&str, StageSummary> = BTreeMap::new();
+        for span in &snapshot.spans {
+            let entry = by_name
+                .entry(span.name.as_str())
+                .or_insert_with(|| StageSummary {
+                    name: span.name.clone(),
+                    count: 0,
+                    total_ns: 0,
+                    min_ns: u64::MAX,
+                    max_ns: 0,
+                });
+            entry.count += 1;
+            entry.total_ns = entry.total_ns.saturating_add(span.duration_ns);
+            entry.min_ns = entry.min_ns.min(span.duration_ns);
+            entry.max_ns = entry.max_ns.max(span.duration_ns);
+        }
+        let mut stages: Vec<StageSummary> = by_name.into_values().collect();
+        stages.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.name.cmp(&b.name)));
+        stages
+    }
+
+    #[test]
+    fn stage_totals_equal_a_fold_over_the_complete_span_log() {
+        let recorder = Recorder::new();
+        recorder.enable();
+        for round in 0..40_u64 {
+            let _assess = recorder.span("assess");
+            for _ in 0..round % 3 {
+                let _mg1 = recorder.span("mg1-waiting");
+                if round % 5 == 0 {
+                    let _nested = recorder.span("mg1-waiting");
+                }
+            }
+            let _solve = recorder.span("linear-solve");
+        }
+        let snapshot = recorder.take();
+        assert_eq!(snapshot.dropped_spans, 0);
+        let folded = fold_span_log(&snapshot);
+        assert_eq!(aggregate_stages(&snapshot), folded);
+        assert_eq!(folded.len(), 3);
+        for stage in &folded {
+            assert_eq!(snapshot.span_count(&stage.name), stage.count as usize);
+        }
+    }
+
+    #[test]
+    fn stage_totals_keep_counting_past_the_span_cap() {
+        let recorder = Recorder::with_span_cap(3);
+        recorder.enable();
+        for _ in 0..10 {
+            let _span = recorder.span("assess");
+        }
+        let snapshot = recorder.take();
+        assert_eq!((snapshot.spans.len(), snapshot.dropped_spans), (3, 7));
+        assert_eq!(fold_span_log(&snapshot)[0].count, 3);
+        let stages = aggregate_stages(&snapshot);
+        assert_eq!(stages.len(), 1);
+        assert_eq!(stages[0].count, 10);
+        assert_eq!(snapshot.span_count("assess"), 10);
+    }
+
+    #[test]
+    fn without_the_span_log_only_totals_and_metrics_are_kept() {
+        let recorder = Recorder::new();
+        recorder.enable_without_span_log();
+        for _ in 0..1_000 {
+            let mut span = recorder.span("transient-distribution");
+            assert!(span.is_recording());
+            span.record("terms", 10_u64);
+        }
+        recorder.counter("perf.mg1.evaluations", 2);
+        let snapshot = recorder.take();
+        assert!(snapshot.spans.is_empty());
+        assert_eq!(snapshot.dropped_spans, 0);
+        assert_eq!(snapshot.span_count("transient-distribution"), 1_000);
+        assert_eq!(snapshot.counters["perf.mg1.evaluations"], 2);
+        // Re-enabled with the log, spans are logged again.
+        recorder.enable();
+        {
+            let _span = recorder.span("assess");
+        }
+        let snapshot = recorder.take();
+        assert_eq!(snapshot.spans.len(), 1);
+        assert_eq!(snapshot.spans[0].parent, None);
     }
 
     #[test]

@@ -7,16 +7,24 @@
 //! "90 % of purchases finish within two days", which is how service-level
 //! agreements are usually phrased. This module wraps
 //! [`wfms_markov::transient::AbsorptionSequence`] behind a
-//! workflow-centric API with a bisection percentile solver: one
-//! percentile builds the absorbed-mass sequence once, and each of its
-//! bracketing and bisection probes is a dot product of Poisson weights
-//! with that sequence.
+//! workflow-centric API with a safeguarded Newton percentile solver:
+//! one percentile builds the absorbed-mass sequence once, starts from
+//! its step-count quantile, and each Newton probe reads the CDF and its
+//! density from one Poisson window over that sequence.
 
 use wfms_markov::transient::{AbsorptionSequence, Uniformized};
 use wfms_markov::ChainError;
 
 use crate::error::PerfError;
 use crate::workflow::WorkflowAnalysis;
+
+/// The relative step at which [`TurnaroundDistribution::percentile`]
+/// stops. Newton converges quadratically near the root, so the answer
+/// it returns lies well inside this band.
+const PERCENTILE_TOLERANCE: f64 = 1e-7;
+
+/// The most CDF probes one percentile runs.
+const PERCENTILE_PROBES: usize = 64;
 
 /// Turnaround-time distribution of one workflow type.
 #[derive(Debug, Clone)]
@@ -67,26 +75,35 @@ impl TurnaroundDistribution {
         Ok(self.sequence()?.cdf(t, self.epsilon))
     }
 
-    /// The `q`-percentile of the turnaround time, found by exponential
-    /// bracketing from the mean plus bisection to a relative tolerance of
-    /// `1e-4`.
+    /// The `q`-percentile of the turnaround time: the root of
+    /// `F(t) − q`, by Newton's method to a relative step of `1e-7`.
+    ///
+    /// The search starts at `t₀ = z_q / v`, where `z_q` is the first
+    /// uniformized step count with `a_z ≥ q`, and keeps a bracket
+    /// `[lo, hi]` around the root. Each probe reads `F(t)` and its
+    /// density `f(t)` from one Poisson window. A Newton step that leaves
+    /// the bracket is replaced by bisection; while `hi` is still open it
+    /// is replaced by doubling `t`, and no step goes past the time bound
+    /// below. The search stops once a step moves `t` by at most
+    /// `1e-7·t`, or after 64 probes.
     ///
     /// `q` must lie in `(0, 1 − ε)`: each CDF evaluation drops up to `ε`
-    /// of Poisson tail mass, so the computed CDF never reliably reaches a
-    /// higher `q`. The bracket is bounded by Markov's inequality twice
+    /// of Poisson mass, so the computed CDF never reliably reaches a
+    /// higher `q`. The search is bounded by Markov's inequality twice
     /// over, with a factor 2 of slack for rounding. In time: a chain that
     /// absorbs with this mean has `P(T > t) ≤ (1 − ε − q) / 2` at
     /// `t = 2·mean / (1 − ε − q)`, so its truncated CDF has passed `q`
     /// there. In steps: its number `N` of uniformized steps has mean
-    /// `v·mean`, so after `k` steps the unabsorbed mass is at most
-    /// `v·mean / k`. A chain that breaks either bound absorbs less than
-    /// its mean says — its absorbed mass stalls — and the bracket stops
-    /// instead of growing the sequence without limit.
+    /// `v·mean`, so after `z` steps the unabsorbed mass is at most
+    /// `v·mean / z` (see [`AbsorptionSequence::quantile_steps`]). A chain
+    /// that breaks either bound absorbs less than its mean says — its
+    /// absorbed mass stalls — and the search stops instead of growing the
+    /// sequence without limit.
     ///
     /// # Errors
     /// [`PerfError::InvalidQuantile`] when `q` is outside `(0, 1 − ε)`;
     /// [`PerfError::Chain`] with [`ChainError::AbsorptionNotCertain`]
-    /// when the bracket breaks a bound, and on internal failures.
+    /// when the search breaks a bound, and on internal failures.
     pub fn percentile(&self, q: f64) -> Result<f64, PerfError> {
         if !(q > 0.0 && q < 1.0 - self.epsilon) {
             return Err(PerfError::InvalidQuantile {
@@ -100,32 +117,40 @@ impl TurnaroundDistribution {
             return Err(not_certain());
         }
         let time_bound = 2.0 * self.mean / (1.0 - self.epsilon - q);
-        let mean_steps = self.uniformized.rate() * self.mean;
+        let rate = self.uniformized.rate();
         let mut sequence = self.sequence()?;
-        // Bracket: the mean is a natural starting scale.
-        let mut hi = self.mean.max(1e-9);
-        while sequence.cdf(hi, self.epsilon) < q {
-            let absorbed = sequence.absorbed();
-            let steps = absorbed.len() as f64;
-            let unabsorbed = 1.0 - absorbed.last().copied().unwrap_or(0.0);
-            if hi >= time_bound || unabsorbed > 2.0 * mean_steps / steps {
-                return Err(not_certain());
-            }
-            hi *= 2.0;
-        }
-        let mut lo = 0.0;
-        for _ in 0..60 {
-            let mid = 0.5 * (lo + hi);
-            if sequence.cdf(mid, self.epsilon) < q {
-                lo = mid;
+        let mut t = sequence.quantile_steps(q, rate * self.mean)? as f64 / rate;
+        let (mut lo, mut hi) = (0.0, f64::INFINITY);
+        for _ in 0..PERCENTILE_PROBES {
+            let (cdf, density) = sequence.cdf_and_density(t, self.epsilon);
+            if cdf < q {
+                if hi == f64::INFINITY && t >= time_bound {
+                    return Err(not_certain());
+                }
+                lo = t;
             } else {
-                hi = mid;
+                hi = t;
             }
-            if (hi - lo) <= 1e-4 * hi {
-                break;
+            // While `hi` is open, doubling stands in for bisection.
+            let cap = if hi < f64::INFINITY {
+                hi
+            } else {
+                (2.0 * t).min(time_bound)
+            };
+            let newton = t + (q - cdf) / density;
+            let next = if newton > lo && newton < cap {
+                newton
+            } else if hi < f64::INFINITY {
+                0.5 * (lo + hi)
+            } else {
+                cap
+            };
+            if (next - t).abs() <= PERCENTILE_TOLERANCE * t {
+                return Ok(next);
             }
+            t = next;
         }
-        Ok(0.5 * (lo + hi))
+        Ok(t)
     }
 
     /// A fresh absorbed-mass sequence from the start state.
@@ -326,12 +351,33 @@ mod tests {
         WorkflowSpec::new("M", builder.build().unwrap(), activities)
     }
 
-    #[test]
-    fn percentiles_are_bit_identical_to_the_per_probe_power_series() {
-        // p50, p90 and p99 at ε = 1e-9 as the per-probe power series
-        // computed them (one full Σ_z Pois(vt, z)·e_start·P̄^z per CDF
-        // evaluation) before the absorbed-mass sequence replaced it.
-        let cases: Vec<(WorkflowSpec, ServerTypeRegistry, [u64; 3])> = vec![
+    /// The percentile as the production code found it before Newton:
+    /// exponential bracketing from the mean, then bisection, here run to
+    /// `rel_tol` relative on one absorbed-mass sequence and the same
+    /// Poisson windows the production CDF reads.
+    pub(super) fn bisection_percentile(d: &TurnaroundDistribution, q: f64, rel_tol: f64) -> f64 {
+        let mut sequence = d.sequence().unwrap();
+        let mut hi = d.mean.max(1e-9);
+        while sequence.cdf(hi, d.epsilon) < q {
+            hi *= 2.0;
+        }
+        let mut lo = 0.0;
+        while hi - lo > rel_tol * hi {
+            let mid = 0.5 * (lo + hi);
+            if sequence.cdf(mid, d.epsilon) < q {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    /// The five chains the percentile is checked on, each with p50, p90
+    /// and p99 at ε = 1e-9 as the bisection reported them before Newton
+    /// replaced it (to its `1e-4·t` band).
+    fn percentile_cases() -> Vec<(WorkflowSpec, ServerTypeRegistry, [u64; 3])> {
+        vec![
             (
                 ep_workflow(),
                 paper_section52_registry(),
@@ -377,21 +423,38 @@ mod tests {
                     4659182071064472236,
                 ],
             ),
-        ];
-        for (spec, reg, expect) in cases {
+        ]
+    }
+
+    #[test]
+    fn percentiles_match_the_bisection_oracle() {
+        let mut worst = (0.0f64, 0.0f64);
+        for (spec, reg, before) in percentile_cases() {
             let analysis = analyze_workflow(&spec, &reg, &AnalysisOptions::default()).unwrap();
-            assert_eq!(analysis.absorbing, analysis.ctmc.n() - 1, "{}", spec.name);
             let d = TurnaroundDistribution::new(&analysis, 1e-9).unwrap();
-            let got = [0.5, 0.9, 0.99].map(|q| d.percentile(q).unwrap().to_bits());
-            assert_eq!(
-                got,
-                expect,
-                "{}: {:?} vs {:?}",
-                spec.name,
-                got.map(f64::from_bits),
-                expect.map(f64::from_bits)
-            );
+            for (q, before) in [0.5, 0.9, 0.99].into_iter().zip(before.map(f64::from_bits)) {
+                let got = d.percentile(q).unwrap();
+                let oracle = bisection_percentile(&d, q, 1e-13);
+                let vs_oracle = (got - oracle).abs() / oracle;
+                let vs_before = (got - before).abs() / before;
+                assert!(
+                    vs_oracle <= 1e-6,
+                    "{} p{q}: {got} vs the oracle's {oracle}",
+                    spec.name
+                );
+                // The bisection's answer was only good to its band.
+                assert!(
+                    vs_before <= 1e-4,
+                    "{} p{q}: {got} vs {before} before",
+                    spec.name
+                );
+                worst = (worst.0.max(vs_oracle), worst.1.max(vs_before));
+            }
         }
+        eprintln!(
+            "max relative |Δ|: {:.1e} against the oracle, {:.1e} against the bisection",
+            worst.0, worst.1
+        );
     }
 
     #[test]
@@ -400,14 +463,7 @@ mod tests {
         // taboo vector holds subnormals (from step ≈ 6,700 on ep), which
         // the sequence flushes to zero.
         const STEPS: usize = 60_000;
-        let cases = [
-            (ep_workflow(), paper_section52_registry()),
-            (order_fulfillment_workflow(), enterprise_registry()),
-            (insurance_claim_workflow(), enterprise_registry()),
-            (loan_approval_workflow(), enterprise_registry()),
-            (ladder_m_chart(), paper_section52_registry()),
-        ];
-        for (spec, reg) in cases {
+        for (spec, reg, _) in percentile_cases() {
             let analysis = analyze_workflow(&spec, &reg, &AnalysisOptions::default()).unwrap();
             let u = Uniformized::new(&analysis.ctmc).unwrap();
             let mut seq = u.absorption_sequence(analysis.start).unwrap();
@@ -456,5 +512,79 @@ mod tests {
         let p95 = d.percentile(0.95).unwrap();
         assert!(p75 < 10.0, "p75 = {p75}");
         assert!(p95 > 50.0, "p95 = {p95}");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::tests::bisection_percentile;
+    use super::*;
+    use proptest::prelude::*;
+    use wfms_markov::linalg::Matrix;
+    use wfms_markov::Ctmc;
+
+    /// A random workflow-shaped chain over `n` states: the last state
+    /// absorbs, every other state jumps into it with some probability,
+    /// and about a third of the other jumps are structurally zero.
+    fn random_workflow(n: usize, weights: &[f64], residence: &[f64]) -> Ctmc {
+        let mut jump = Matrix::zeros(n, n);
+        let mut h = residence.to_vec();
+        jump[(n - 1, n - 1)] = 1.0;
+        h[n - 1] = f64::INFINITY;
+        for i in 0..n - 1 {
+            let mut row: Vec<f64> = (0..n)
+                .map(|j| {
+                    let w = weights[i * n + j];
+                    if j == i || w < 0.35 {
+                        0.0
+                    } else {
+                        w
+                    }
+                })
+                .collect();
+            row[n - 1] += 0.05;
+            let total: f64 = row.iter().sum();
+            for (j, w) in row.into_iter().enumerate() {
+                jump[(i, j)] = w / total;
+            }
+        }
+        Ctmc::from_jump_chain(jump, h).expect("valid chain")
+    }
+
+    /// A random workflow analysis from a transient start state.
+    fn workflow_case() -> impl Strategy<Value = WorkflowAnalysis> {
+        (2usize..=8).prop_flat_map(|n| {
+            (
+                collection::vec(0.0f64..1.0, n * n),
+                collection::vec(0.1f64..10.0, n),
+                0..n - 1,
+            )
+                .prop_map(move |(w, h, start)| {
+                    let ctmc = random_workflow(n, &w, &h);
+                    let mean_turnaround = ctmc.mean_first_passage(n - 1).unwrap()[start];
+                    WorkflowAnalysis {
+                        name: "random".into(),
+                        mean_turnaround,
+                        expected_requests: vec![],
+                        ctmc,
+                        start,
+                        absorbing: n - 1,
+                        state_loads: Matrix::zeros(0, n),
+                    }
+                })
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn newton_matches_the_bisection_oracle(analysis in workflow_case(), q in 0.01f64..0.999) {
+            let d = TurnaroundDistribution::new(&analysis, 1e-9).unwrap();
+            let got = d.percentile(q).unwrap();
+            let oracle = bisection_percentile(&d, q, 1e-13);
+            prop_assert!(
+                (got - oracle).abs() <= 1e-6 * oracle,
+                "q = {}: {} vs the oracle's {}", q, got, oracle
+            );
+        }
     }
 }

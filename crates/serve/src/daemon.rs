@@ -200,8 +200,10 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// is bound, and a stop line after a graceful shutdown.
 ///
 /// The global `wfms-obs` recorder is reset and enabled for the process
-/// lifetime, so the `metrics` method serves live counters (notably the
-/// engine's `engine.cache-hit`).
+/// lifetime without the span log, so the `metrics` and
+/// `profile-snapshot` methods serve live stage totals and counters
+/// (notably the engine's `engine.cache-hit`) while the daemon's memory
+/// stays flat however many requests it serves.
 ///
 /// # Errors
 /// [`ServeError::Bind`] when the address cannot be bound;
@@ -220,7 +222,7 @@ pub fn serve(opts: &ServeOptions, out: &mut impl Write) -> Result<(), ServeError
     let workers = opts.workers.max(1);
 
     wfms_obs::global().reset();
-    wfms_obs::enable();
+    wfms_obs::global().enable_without_span_log();
 
     let handler = Handler::new(tenants);
     handler.set_breaker_policy(BreakerPolicy {

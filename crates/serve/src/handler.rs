@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -122,6 +122,34 @@ struct TenantState {
     fingerprint: String,
     engine: AssessmentEngine,
     workflows: Vec<(String, WorkflowAnalysis)>,
+    /// Each workflow's turnaround mean and p90, which depend on the
+    /// workload alone: computed on the tenant's first `assess`, never
+    /// on a `recommend`. Only a success is stored, so a failed
+    /// computation is retried by the next `assess`.
+    turnarounds: OnceLock<Vec<TurnaroundSummary>>,
+}
+
+impl TenantState {
+    /// The turnaround summaries, computed once (the transient analysis
+    /// of Sec. 4.1, extended to percentiles). Two racing first requests
+    /// may both compute them; the results are equal and one is kept.
+    fn turnarounds(&self) -> Result<&[TurnaroundSummary], Failure> {
+        if let Some(done) = self.turnarounds.get() {
+            return Ok(done);
+        }
+        let perf = |e| Failure::tool(wfms_core::ConfigError::Perf(e));
+        let mut computed = Vec::with_capacity(self.workflows.len());
+        for (name, analysis) in &self.workflows {
+            let dist =
+                wfms_core::perf::TurnaroundDistribution::new(analysis, 1e-9).map_err(perf)?;
+            computed.push(TurnaroundSummary {
+                workflow: name.clone(),
+                mean_minutes: dist.mean(),
+                p90_minutes: dist.percentile(0.9).map_err(perf)?,
+            });
+        }
+        Ok(self.turnarounds.get_or_init(|| computed))
+    }
 }
 
 /// A tenant-map slot: the state plus its last-use stamp for LRU
@@ -321,26 +349,11 @@ impl Handler {
         let config = Configuration::new(state.engine.registry(), params.config)
             .map_err(|e| Failure::tool(wfms_core::ConfigError::Arch(e)))?;
         let assessment = state.engine.assess(&config).map_err(Failure::tool)?;
-        // Turnaround distributions per workflow type (the transient
-        // analysis of Sec. 4.1, extended to percentiles).
-        let mut turnarounds = Vec::new();
-        for (name, analysis) in &state.workflows {
-            let dist = wfms_core::perf::TurnaroundDistribution::new(analysis, 1e-9)
-                .map_err(|e| Failure::tool(wfms_core::ConfigError::Perf(e)))?;
-            let p90 = dist
-                .percentile(0.9)
-                .map_err(|e| Failure::tool(wfms_core::ConfigError::Perf(e)))?;
-            turnarounds.push(TurnaroundSummary {
-                workflow: name.clone(),
-                mean_minutes: dist.mean(),
-                p90_minutes: p90,
-            });
-        }
         encode(&AssessResult {
             configuration: config.to_string(),
             server_types: server_type_names(state.engine.registry()),
             assessment: encode(&assessment)?,
-            turnarounds,
+            turnarounds: state.turnarounds()?.to_vec(),
         })
     }
 
@@ -566,6 +579,7 @@ fn build_tenant_state(
         fingerprint,
         engine,
         workflows,
+        turnarounds: OnceLock::new(),
     })
 }
 
@@ -727,8 +741,8 @@ fn encode<T: Serialize>(value: &T) -> Result<Value, Failure> {
     serde_json::to_value(value).map_err(|e| Failure::new(ERR_INVALID_PARAMS, e.to_string()))
 }
 
-/// The `profile-snapshot` method: stage/metric aggregates of the live
-/// recorder (non-draining, so repeated scrapes are monotone).
+/// The `profile-snapshot` method: the live recorder's stage totals and
+/// metrics (non-draining, so repeated scrapes are monotone).
 fn profile_snapshot() -> Result<Value, Failure> {
     let snapshot = wfms_obs::snapshot();
     encode(&ProfileSnapshotResult {

@@ -1,18 +1,17 @@
 //! Transient-analysis benchmarks: the paper's truncated-uniformization
 //! reward computation versus the exact fundamental-matrix route, across
 //! truncation quantiles (the z_max ablation of DESIGN.md), and the
-//! turnaround CDF and percentile built on the absorbed-mass sequence.
+//! turnaround CDF and percentile.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use wfms_markov::{
     reward_until_absorption_exact, reward_until_absorption_uniformized, TruncationOptions,
+    Uniformized,
 };
 use wfms_perf::{analyze_workflow, AnalysisOptions, TurnaroundDistribution};
-use wfms_statechart::{
-    paper_section52_registry, ActivityKind, ActivitySpec, ChartBuilder, EcaRule, WorkflowSpec,
-};
-use wfms_workloads::ep_workflow;
+use wfms_statechart::paper_section52_registry;
+use wfms_workloads::{ep_workflow, fan_workflow, sequential_workflow};
 
 fn bench_reward(c: &mut Criterion) {
     let reg = paper_section52_registry();
@@ -49,7 +48,6 @@ fn bench_reward(c: &mut Criterion) {
 }
 
 fn bench_turnaround_cdf(c: &mut Criterion) {
-    use wfms_markov::Uniformized;
     let reg = paper_section52_registry();
     let analysis = analyze_workflow(&ep_workflow(), &reg, &AnalysisOptions::default()).expect("EP");
     let uni = Uniformized::new(&analysis.ctmc).expect("uniformizes");
@@ -62,54 +60,18 @@ fn bench_turnaround_cdf(c: &mut Criterion) {
     });
 }
 
-/// A chart shaped like the benchmark ladder's M rung: thirty sequential
-/// activities with in-place retries, 31 CTMC states.
-fn ladder_m_chart() -> WorkflowSpec {
-    const DURATIONS: [f64; 7] = [0.5, 2.0, 5.0, 15.0, 30.0, 60.0, 240.0];
-    const RETRY: [f64; 4] = [0.0, 0.0, 0.1, 0.2];
-    let m = 30;
-    let state = |i: usize| format!("S{i}");
-    let activity = |i: usize| format!("A{i}");
-    let mut builder = ChartBuilder::new("M").initial("init");
-    for i in 0..m {
-        builder = builder.activity_state(state(i), activity(i));
-    }
-    builder = builder
-        .final_state("exit")
-        .transition("init", state(0), 1.0, EcaRule::default());
-    let mut activities = Vec::new();
-    for i in 0..m {
-        let next = if i + 1 < m {
-            state(i + 1)
-        } else {
-            "exit".to_string()
-        };
-        let retry = RETRY[i % RETRY.len()];
-        let done = EcaRule::on_done(&activity(i));
-        builder = if retry > 0.0 {
-            builder
-                .transition(state(i), next, 1.0 - retry, done)
-                .transition(state(i), state(i), retry, EcaRule::default())
-        } else {
-            builder.transition(state(i), next, 1.0, done)
-        };
-        activities.push(ActivitySpec::new(
-            activity(i),
-            ActivityKind::Automated,
-            DURATIONS[i % DURATIONS.len()],
-            vec![1.0, 1.0, 1.0],
-        ));
-    }
-    WorkflowSpec::new("M", builder.build().expect("valid chart"), activities)
-}
-
-/// One p90 at ε = 1e-9, as `wfms assess` computes it per workflow: the
-/// absorbed-mass sequence is built once per percentile, so each
-/// iteration steps it from scratch.
+/// One p90 at ε = 1e-9, as `wfms assess` computes it per workflow: each
+/// iteration builds its squaring table from scratch. Besides ep and the
+/// ladder-M chart, a 52-state fan that absorbs in about 100 uniformized
+/// steps: the shape on which the table's `n_T³` squarings cost the most.
 fn bench_turnaround_percentile(c: &mut Criterion) {
     let reg = paper_section52_registry();
     let mut group = c.benchmark_group("turnaround_percentile_p90");
-    for (id, spec) in [("ep", ep_workflow()), ("ladder_m", ladder_m_chart())] {
+    for (id, spec) in [
+        ("ep", ep_workflow()),
+        ("ladder_m", sequential_workflow(30)),
+        ("fan_52", fan_workflow(50)),
+    ] {
         let analysis =
             analyze_workflow(&spec, &reg, &AnalysisOptions::default()).expect("analyzes");
         let dist = TurnaroundDistribution::new(&analysis, 1e-9).expect("uniformizes");

@@ -40,6 +40,7 @@ use crate::error::CliError;
 pub const REQUIRED_STAGES: &[&str] = &[
     "workflow-analysis",
     "uniformize",
+    "transient-distribution",
     "first-passage",
     "avail-steady-state",
     "avail-product-form",

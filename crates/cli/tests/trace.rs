@@ -4,6 +4,8 @@
 
 use std::process::Command;
 
+use wfms_obs::FieldValue;
+
 fn spec(file: &str) -> String {
     format!(
         "{}/../../examples/specs/ep/{file}",
@@ -57,13 +59,19 @@ fn assess_trace_json_covers_the_analysis_stages() {
                 .collect::<Vec<_>>()
         );
     }
-    // Nonzero iteration counts: the Poisson truncation of the uniformized
-    // transient analysis and the M/G/1 evaluation counter.
-    let terms = snapshot
-        .histograms
-        .get("markov.poisson.terms")
-        .expect("poisson terms histogram");
-    assert!(terms.count > 0 && terms.min > 0, "{terms:?}");
+    // Nonzero work counts: ep's p90 on the squaring table (its matrix
+    // products; the table reads no Poisson window) and the M/G/1
+    // evaluation counter.
+    let percentiles: Vec<_> = snapshot
+        .spans
+        .iter()
+        .filter(|s| s.name == "transient-distribution")
+        .collect();
+    assert_eq!(percentiles.len(), 1, "one p90 for ep's one workflow");
+    let span = percentiles[0];
+    assert!(matches!(span.field("products"), Some(FieldValue::U64(n)) if *n > 0));
+    assert!(matches!(span.field("probes"), Some(FieldValue::U64(n)) if *n > 0));
+    assert!(!snapshot.histograms.contains_key("markov.poisson.terms"));
     assert!(snapshot.counters["perf.mg1.evaluations"] > 0);
     assert!(snapshot.counters["config.assessments"] > 0);
     assert_eq!(snapshot.dropped_spans, 0);

@@ -54,7 +54,7 @@ pub use dtmc::{AbsorbingAnalysis, Dtmc};
 pub use error::ChainError;
 pub use phase_type::{PhaseType, PhaseTypeError};
 pub use reward::{
-    reward_until_absorption_exact, reward_until_absorption_uniformized, steady_state_reward,
-    TruncatedReward, TruncationOptions,
+    reward_until_absorption_exact, reward_until_absorption_uniformized,
+    rewards_until_absorption_exact, steady_state_reward, TruncatedReward, TruncationOptions,
 };
-pub use transient::{AbsorptionSequence, Uniformized};
+pub use transient::{AbsorptionSequence, SquaringTable, Uniformized};

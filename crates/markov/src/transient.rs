@@ -15,10 +15,23 @@
 //! `a_z = P(absorbed within z uniformized steps)`. A turnaround CDF is
 //! then the dot product `Σ_z PoissonPmf(v·t, z) · a_z`, so any number of
 //! CDF evaluations over one chain cost a single pass of `P̄` products.
+//!
+//! The turnaround percentile reads its CDF from a second kernel,
+//! [`SquaringTable`]: the exponential of the taboo generator by scaling
+//! and squaring, which reaches any `t` in `⌈log₂ v·t⌉` dense products of
+//! the `n_T × n_T` taboo block instead of `v·t` sparse steps.
 
 use crate::ctmc::Ctmc;
 use crate::error::ChainError;
 use crate::linalg::{CsrMatrix, Matrix};
+
+/// `θ = v·τ`: the base factor `G_0` of a [`SquaringTable`] spans `θ`
+/// uniformized steps.
+const SQUARING_THETA: f64 = 1.0;
+
+/// The most series terms `K` a [`SquaringTable`] takes; at `θ = 1` the
+/// tail past it is below `1e-49`.
+const SQUARING_MAX_TERMS: usize = 40;
 
 /// A CTMC together with its uniformized one-step jump matrix.
 #[derive(Debug, Clone)]
@@ -78,8 +91,7 @@ impl Uniformized {
     /// states as the taboo set: `a_z` is the probability that the chain
     /// has been absorbed within `z` uniformized steps. The sequence is
     /// local to its caller and grows as its CDF evaluations need more
-    /// terms; it opens one `transient-distribution` span, whose `terms`
-    /// field is the number of `P̄` products it ran.
+    /// terms.
     ///
     /// # Errors
     /// [`ChainError::StateOutOfRange`] on a bad start,
@@ -89,9 +101,74 @@ impl Uniformized {
         if self.absorbing.is_empty() {
             return Err(ChainError::NoAbsorbingState);
         }
-        let mut sequence = self.taboo_sequence(start, &self.absorbing)?;
-        sequence.obs_span = Some(wfms_obs::span!("transient-distribution", terms = 0_u64));
-        Ok(sequence)
+        self.taboo_sequence(start, &self.absorbing)
+    }
+
+    /// The squaring table of `start` with the chain's absorbing states as
+    /// the taboo set, its series cut so that a probe at any `t ≤ horizon`
+    /// errs by at most `epsilon` (see [`SquaringTable`]). It opens one
+    /// `transient-distribution` span, whose `products` field counts the
+    /// table's matrix products and `probes` its CDF evaluations.
+    ///
+    /// # Errors
+    /// [`ChainError::StateOutOfRange`] on a bad start,
+    /// [`ChainError::NoAbsorbingState`] for a chain without absorbing
+    /// states.
+    pub fn squaring_table(
+        &self,
+        start: usize,
+        horizon: f64,
+        epsilon: f64,
+    ) -> Result<SquaringTable, ChainError> {
+        if self.absorbing.is_empty() {
+            return Err(ChainError::NoAbsorbingState);
+        }
+        let n = self.n();
+        if start >= n {
+            return Err(ChainError::StateOutOfRange { state: start, n });
+        }
+        // Each state's index among the transient states, in state order;
+        // `None` for an absorbing state.
+        let mut compact = vec![Some(0); n];
+        for &a in &self.absorbing {
+            compact[a] = None;
+        }
+        for (i, slot) in compact.iter_mut().flatten().enumerate() {
+            *slot = i;
+        }
+        let n_t = compact.iter().flatten().count();
+        // `P̄_T` by column, and each transient state's exit rate into the
+        // taboo set.
+        let mut triplets = Vec::new();
+        let mut exit = vec![0.0; n_t];
+        for ((rows, probs), &column) in self.p_bar_t.row_slices().zip(&compact) {
+            for (&r, &p) in rows.iter().zip(probs) {
+                match (compact[r], column) {
+                    (Some(r), Some(c)) => triplets.push((c, r, p)),
+                    (Some(r), None) => exit[r] += self.rate * p,
+                    (None, _) => {}
+                }
+            }
+        }
+        let columns = CsrMatrix::from_triplets(n_t, n_t, triplets)
+            // audit:allow(A008, reason = "every triplet holds two transient indices, each below n_t by construction")
+            .expect("compact indices are in range");
+        let obs_span = wfms_obs::span!("transient-distribution", products = 0_u64, probes = 0_u64);
+        Ok(SquaringTable {
+            rate: self.rate,
+            tau: SQUARING_THETA / self.rate,
+            terms: series_terms(self.rate * horizon.max(0.0), epsilon),
+            columns,
+            exit,
+            start: compact[start],
+            levels: Vec::new(),
+            x: vec![0.0; n_t],
+            term: vec![0.0; n_t],
+            next: vec![0.0; n_t],
+            products: 0,
+            probes: 0,
+            obs_span,
+        })
     }
 
     /// The taboo recursion from `start` with taboo set `taboo`, not yet
@@ -122,13 +199,11 @@ impl Uniformized {
         }
         Ok(AbsorptionSequence {
             rate: self.rate,
-            start,
             p_bar_t: &self.p_bar_t,
             is_taboo,
             dist,
             next: vec![0.0; n],
             absorbed: vec![absorbed],
-            obs_span: None,
         })
     }
 
@@ -274,8 +349,6 @@ impl Uniformized {
 /// products in the same order (see DESIGN.md §5, "Transient analysis").
 pub struct AbsorptionSequence<'a> {
     rate: f64,
-    /// The start state, named by [`ChainError::AbsorptionNotCertain`].
-    start: usize,
     p_bar_t: &'a CsrMatrix,
     /// `is_taboo[s]`: whether state `s` is in the taboo set.
     is_taboo: Vec<bool>,
@@ -285,7 +358,6 @@ pub struct AbsorptionSequence<'a> {
     next: Vec<f64>,
     /// `absorbed[z] = a_z`; never empty.
     absorbed: Vec<f64>,
-    obs_span: Option<wfms_obs::Span<'static>>,
 }
 
 impl AbsorptionSequence<'_> {
@@ -300,6 +372,7 @@ impl AbsorptionSequence<'_> {
     }
 
     /// `P̄` products run so far.
+    #[cfg(test)]
     fn products(&self) -> usize {
         self.absorbed.len() - 1
     }
@@ -323,10 +396,8 @@ impl AbsorptionSequence<'_> {
             *next = if taboo {
                 dropped += mass;
                 0.0
-            } else if mass < f64::MIN_POSITIVE {
-                0.0
             } else {
-                mass
+                flush(mass)
             };
         }
         debug_assert!(
@@ -362,65 +433,220 @@ impl AbsorptionSequence<'_> {
             .zip(&self.absorbed[window.left..])
             .fold(0.0, |sum, (&w, &a)| sum + w * a)
     }
+}
 
-    /// The CDF and its density at `t > 0` from one Poisson window:
-    /// `F(t)` exactly as [`Self::cdf`] computes it, and
-    /// `f(t) = v·Σ_z PoissonPmf(v·t, z)·(a_{z+1} − a_z)`, the derivative
-    /// of the Poisson mixture (`d/dt PoissonPmf(v·t, z) = v·(PoissonPmf(v·t,
-    /// z − 1) − PoissonPmf(v·t, z))`). The sequence is extended one step
-    /// past the window for the last difference.
-    pub fn cdf_and_density(&mut self, t: f64, epsilon: f64) -> (f64, f64) {
-        let window = poisson_window(self.rate * t.max(0.0), epsilon);
-        self.extend_to(window.end + 1);
-        let a = &self.absorbed[window.left..];
-        let (cdf, increments) = window
-            .weights
-            .iter()
-            .zip(a.iter().zip(&a[1..]))
-            .fold((0.0, 0.0), |(cdf, inc), (&w, (&now, &next))| {
-                (cdf + w * now, inc + w * (next - now))
-            });
-        (cdf, self.rate * increments)
+/// The absorption CDF of one start state by scaling and squaring (Moler
+/// and Van Loan, "Nineteen dubious ways to compute the exponential of a
+/// matrix, twenty-five years later", SIAM Review 45(1), 2003).
+///
+/// With `P̄_T` the taboo block of `P̄` over the `n_T` transient states,
+/// `T = v·(P̄_T − I)` the taboo generator and `τ = θ/v` (`θ = 1`), the
+/// table holds `G_0 = e^{−θ}·Σ_{k≤K} θ^k/k!·P̄_T^k ≈ e^{Tτ}`, summed
+/// row by row with `K` sparse products, and `G_{j+1} = G_j·G_j`, built
+/// lazily up to the highest level a probe needs. A probe at `t` splits
+/// `t = m·τ + r`, sums `x = e_start·e^{Tr}` by the same `K`-term series
+/// at `v·r < θ`, and multiplies `x` by `G_j` for every set bit `j` of
+/// `m`; then `F(t) = 1 − Σ x` and `f(t) = Σ_i x_i·v·P̄[i, taboo]`. After
+/// every product, entries below `f64::MIN_POSITIVE` are flushed to `+0.0`
+/// as in [`AbsorptionSequence`], so no product runs on subnormals. Probes
+/// reuse the table's buffers and allocate nothing.
+///
+/// Every term is non-negative, so `G_0` is an entrywise lower bound of
+/// `e^{Tτ}` that misses at most `δ = e^{−θ}·Σ_{k>K} θ^k/k!` of each row's
+/// mass. Over its at most `m + 1` factors a probe's `F` is high by at
+/// most `(m + 1)·δ`; `K` is the fewest terms that keep this within `ε`
+/// up to the table's horizon. Rounding adds about `v·t·n_T·u` relative
+/// to the unabsorbed mass (DESIGN.md §5).
+pub struct SquaringTable {
+    rate: f64,
+    /// `τ = θ/v`, the time `G_0` spans.
+    tau: f64,
+    /// The series terms `K`.
+    terms: usize,
+    /// `P̄_T` by column: row `c` lists column `c` of the taboo block.
+    columns: CsrMatrix,
+    /// `v·P̄[i, taboo]`: the exit rate of each transient state.
+    exit: Vec<f64>,
+    /// The start's transient index; `None` when it is taboo.
+    start: Option<usize>,
+    /// `levels[j] = G_j`, row-major `n_T × n_T`.
+    levels: Vec<Vec<f64>>,
+    /// The probe's taboo sub-distribution, and two scratch vectors.
+    x: Vec<f64>,
+    term: Vec<f64>,
+    next: Vec<f64>,
+    /// Matrix products run so far: `K` for `G_0`, one per squaring.
+    products: usize,
+    probes: usize,
+    obs_span: wfms_obs::Span<'static>,
+}
+
+impl SquaringTable {
+    /// `F(t) = P(absorbed by time t)`; see [`Self::cdf_and_density`].
+    pub fn cdf(&mut self, t: f64) -> f64 {
+        self.cdf_and_density(t).0
     }
 
-    /// The step-count quantile `z_q`: the first `z` with `a_z ≥ q`. The
-    /// number `N` of uniformized steps to absorption has mean
-    /// `mean_steps` (`v` times the mean time to absorption), so by
-    /// Markov's inequality `1 − a_z = P(N > z) ≤ mean_steps / z`. A
-    /// sequence whose unabsorbed mass breaks that bound twice over has
-    /// stalled — its chain absorbs less than its mean says — and the
-    /// search stops there instead of stepping without limit.
-    ///
-    /// # Errors
-    /// [`ChainError::AbsorptionNotCertain`] once `1 − a_z > 2·mean_steps/z`,
-    /// or when `mean_steps` is not finite.
-    pub fn quantile_steps(&mut self, q: f64, mean_steps: f64) -> Result<usize, ChainError> {
-        let not_certain = ChainError::AbsorptionNotCertain { state: self.start };
-        if !mean_steps.is_finite() {
-            return Err(not_certain);
+    /// `F(t)` and its density `f(t)` from one probe; `t ≤ 0` reads the
+    /// start. From a taboo start, `F = 1` and `f = 0`.
+    pub fn cdf_and_density(&mut self, t: f64) -> (f64, f64) {
+        self.probes += 1;
+        let Some(start) = self.start else {
+            return (1.0, 0.0);
+        };
+        let t = t.max(0.0);
+        let whole = (t / self.tau).floor();
+        let m = whole as u64;
+        let rest = self.rate * (t - whole * self.tau).max(0.0);
+        self.x.fill(0.0);
+        self.x[start] = 1.0;
+        taboo_series(
+            &self.columns,
+            rest,
+            self.terms,
+            &mut self.x,
+            &mut self.term,
+            &mut self.next,
+        );
+        let bits = (u64::BITS - m.leading_zeros()) as usize;
+        self.extend_to(bits);
+        for (j, level) in self.levels[..bits].iter().enumerate() {
+            if m >> j & 1 == 1 {
+                dense_vec_mul(&self.x, level, &mut self.next);
+                std::mem::swap(&mut self.x, &mut self.next);
+            }
         }
-        let mut z = 0;
-        loop {
-            self.extend_to(z + 1);
-            let absorbed = self.absorbed[z];
-            if absorbed >= q {
-                return Ok(z);
-            }
-            if z > 0 && 1.0 - absorbed > 2.0 * mean_steps / z as f64 {
-                return Err(not_certain);
-            }
-            z += 1;
+        let left: f64 = self.x.iter().sum();
+        let density = self
+            .x
+            .iter()
+            .zip(&self.exit)
+            .fold(0.0, |sum, (&x, &e)| sum + x * e);
+        (1.0 - left, density)
+    }
+
+    /// Builds `G_0 … G_{levels − 1}`: `G_0` row by row from its series,
+    /// each further level by squaring the last.
+    fn extend_to(&mut self, levels: usize) {
+        let n = self.exit.len();
+        while self.levels.len() < levels {
+            let level = match self.levels.last() {
+                Some(last) => {
+                    self.products += 1;
+                    dense_square(last, n)
+                }
+                None => {
+                    self.products += self.terms;
+                    let mut base = vec![0.0; n * n];
+                    for (i, row) in base.chunks_exact_mut(n).enumerate() {
+                        row[i] = 1.0;
+                        taboo_series(
+                            &self.columns,
+                            SQUARING_THETA,
+                            self.terms,
+                            row,
+                            &mut self.term,
+                            &mut self.next,
+                        );
+                    }
+                    base
+                }
+            };
+            self.levels.push(level);
         }
     }
 }
 
-impl Drop for AbsorptionSequence<'_> {
+impl Drop for SquaringTable {
     fn drop(&mut self) {
-        let products = self.products() as u64;
-        if let Some(span) = self.obs_span.as_mut() {
-            span.record("terms", products);
+        self.obs_span.record("products", self.products as u64);
+        self.obs_span.record("probes", self.probes as u64);
+    }
+}
+
+/// `+0.0` for a value below `f64::MIN_POSITIVE`, the value otherwise.
+fn flush(x: f64) -> f64 {
+    if x < f64::MIN_POSITIVE {
+        0.0
+    } else {
+        x
+    }
+}
+
+/// The fewest series terms `K` for which the table's truncation,
+/// `(m + 1)·δ` with `δ = e^{−θ}·Σ_{k>K} θ^k/k!`, stays within `epsilon`
+/// for every `m ≤ steps/θ`. The tail past `K` is bounded by its first
+/// term over `1 − θ/(K + 2)`.
+fn series_terms(steps: f64, epsilon: f64) -> usize {
+    let factors = (steps / SQUARING_THETA).floor() + 1.0;
+    let mut first = (-SQUARING_THETA).exp();
+    for k in 1..=SQUARING_MAX_TERMS {
+        first *= SQUARING_THETA / k as f64;
+        let tail = first / (1.0 - SQUARING_THETA / (k + 1) as f64);
+        if factors * tail <= epsilon {
+            return k - 1;
         }
     }
+    SQUARING_MAX_TERMS
+}
+
+/// `x ← e^{−s}·Σ_{k≤K} s^k/k!·x·P̄_T^k`, the uniformization series of
+/// `x·e^{s·(P̄_T − I)}`, summed term by term in `k` order; `term` and
+/// `next` are scratch.
+fn taboo_series(
+    columns: &CsrMatrix,
+    s: f64,
+    terms: usize,
+    x: &mut [f64],
+    term: &mut Vec<f64>,
+    next: &mut Vec<f64>,
+) {
+    if s > 0.0 {
+        term.copy_from_slice(x);
+        for k in 1..=terms {
+            let scale = s / k as f64;
+            for (out, (rows, probs)) in next.iter_mut().zip(columns.row_slices()) {
+                let mass = rows
+                    .iter()
+                    .zip(probs)
+                    .fold(0.0, |sum, (&r, &p)| sum + term[r] * p);
+                *out = flush(scale * mass);
+            }
+            std::mem::swap(term, next);
+            for (x, &t) in x.iter_mut().zip(term.iter()) {
+                *x += t;
+            }
+        }
+    }
+    let decay = (-s).exp();
+    for x in x.iter_mut() {
+        *x = flush(*x * decay);
+    }
+}
+
+/// `out = x·G` for a row-major `n × n` matrix `G`, flushed.
+fn dense_vec_mul(x: &[f64], g: &[f64], out: &mut [f64]) {
+    let n = x.len();
+    out.fill(0.0);
+    for (&xr, row) in x.iter().zip(g.chunks_exact(n)) {
+        if xr != 0.0 {
+            for (o, &a) in out.iter_mut().zip(row) {
+                *o += xr * a;
+            }
+        }
+    }
+    for o in out.iter_mut() {
+        *o = flush(*o);
+    }
+}
+
+/// `G·G` for a row-major `n × n` matrix `G`, flushed.
+fn dense_square(g: &[f64], n: usize) -> Vec<f64> {
+    let mut out = vec![0.0; n * n];
+    for (out_row, g_row) in out.chunks_exact_mut(n).zip(g.chunks_exact(n)) {
+        dense_vec_mul(g_row, g, out_row);
+    }
+    out
 }
 
 /// The Poisson probabilities `PoissonPmf(mean, z)` for
@@ -662,80 +888,16 @@ mod tests {
     }
 
     #[test]
-    fn density_matches_the_exponential_and_erlang_closed_forms() {
-        // One rate-1 stage: f(t) = e^{-t}. Two in series (Erlang-2):
-        // f(t) = t·e^{-t}.
-        let one = Matrix::from_nested(&[&[0.0, 1.0], &[0.0, 1.0]]);
-        let two = Matrix::from_nested(&[&[0.0, 1.0, 0.0], &[0.0, 0.0, 1.0], &[0.0, 0.0, 1.0]]);
-        let check = |chain: Ctmc, density: fn(f64) -> f64| {
-            let u = Uniformized::new(&chain).unwrap();
-            let mut seq = u.absorption_sequence(0).unwrap();
-            for t in [0.1, 0.5, 1.0, 3.0, 8.0] {
-                let (cdf, f) = seq.cdf_and_density(t, 1e-13);
-                assert_eq!(cdf.to_bits(), seq.cdf(t, 1e-13).to_bits(), "t={t}");
-                let expect = density(t);
-                assert!((f - expect).abs() < 1e-9, "t={t}: {f} vs {expect}");
-            }
-        };
-        check(
-            Ctmc::from_jump_chain(one, vec![1.0, f64::INFINITY]).unwrap(),
-            |t| (-t).exp(),
-        );
-        check(
-            Ctmc::from_jump_chain(two, vec![1.0, 1.0, f64::INFINITY]).unwrap(),
-            |t| t * (-t).exp(),
-        );
-    }
-
-    #[test]
     fn density_is_the_central_difference_of_the_cdf() {
         let c = loopy_workflow();
         let u = Uniformized::new(&c).unwrap();
-        let mut seq = u.absorption_sequence(0).unwrap();
+        let mut table = u.squaring_table(0, 61.0, 1e-13).unwrap();
         for t in [0.5, 2.0, 7.0, 20.0, 60.0] {
             let h = 1e-4 * t;
-            let slope = (seq.cdf(t + h, 1e-13) - seq.cdf(t - h, 1e-13)) / (2.0 * h);
-            let (_, f) = seq.cdf_and_density(t, 1e-13);
+            let slope = (table.cdf(t + h) - table.cdf(t - h)) / (2.0 * h);
+            let (_, f) = table.cdf_and_density(t);
             assert!((f - slope).abs() <= 1e-6, "t={t}: {f} vs {slope}");
         }
-    }
-
-    #[test]
-    fn quantile_steps_is_the_first_step_past_q() {
-        let c = loopy_workflow();
-        let u = Uniformized::new(&c).unwrap();
-        let mean_steps = u.rate() * c.mean_first_passage(2).unwrap()[0];
-        let mut seq = u.absorption_sequence(0).unwrap();
-        for q in [0.1, 0.5, 0.9, 0.99, 0.999_999] {
-            let z = seq.quantile_steps(q, mean_steps).unwrap();
-            assert!(seq.absorbed()[z] >= q && (z == 0 || seq.absorbed()[z - 1] < q));
-        }
-        assert!(matches!(
-            seq.quantile_steps(0.5, f64::INFINITY),
-            Err(ChainError::AbsorptionNotCertain { state: 0 })
-        ));
-    }
-
-    #[test]
-    fn quantile_steps_stops_on_a_stalled_sequence() {
-        // Half the mass is absorbed in one step; the other half cycles
-        // 1 ↔ 2 forever, whatever mean the caller claims.
-        let jump = Matrix::from_nested(&[
-            &[0.0, 0.5, 0.0, 0.5],
-            &[0.0, 0.0, 1.0, 0.0],
-            &[0.0, 1.0, 0.0, 0.0],
-            &[0.0, 0.0, 0.0, 1.0],
-        ]);
-        let c = Ctmc::from_jump_chain(jump, vec![1.0, 1.0, 1.0, f64::INFINITY]).unwrap();
-        let u = Uniformized::new(&c).unwrap();
-        let mut seq = u.absorption_sequence(0).unwrap();
-        assert_eq!(seq.quantile_steps(0.4, 2.0).unwrap(), 1);
-        // 1 − a_z = 0.5 breaks 2·2/z from z = 9 on.
-        assert!(matches!(
-            seq.quantile_steps(0.6, 2.0),
-            Err(ChainError::AbsorptionNotCertain { state: 0 })
-        ));
-        assert_eq!(seq.products(), 9);
     }
 
     #[test]
@@ -948,6 +1110,134 @@ mod tests {
         assert!(a.windows(2).all(|w| w[0] <= w[1]), "a_z is non-decreasing");
     }
 
+    /// The hypoexponential chain of two stages with rates `a` then `b`.
+    fn two_stages(a: f64, b: f64) -> Ctmc {
+        let jump = Matrix::from_nested(&[&[0.0, 1.0, 0.0], &[0.0, 0.0, 1.0], &[0.0, 0.0, 1.0]]);
+        Ctmc::from_jump_chain(jump, vec![1.0 / a, 1.0 / b, f64::INFINITY]).unwrap()
+    }
+
+    #[test]
+    fn squaring_table_matches_the_exponential_and_erlang_closed_forms() {
+        let one = Matrix::from_nested(&[&[0.0, 1.0], &[0.0, 1.0]]);
+        let one = Ctmc::from_jump_chain(one, vec![1.0, f64::INFINITY]).unwrap();
+        type Form = fn(f64) -> (f64, f64);
+        let cases: [(Ctmc, Form); 2] = [
+            (one, |t| (1.0 - (-t).exp(), (-t).exp())),
+            (two_stages(1.0, 1.0), |t| {
+                (1.0 - (-t).exp() * (1.0 + t), t * (-t).exp())
+            }),
+        ];
+        for (chain, form) in cases {
+            let u = Uniformized::new(&chain).unwrap();
+            let mut table = u.squaring_table(0, 20.0, 1e-13).unwrap();
+            for t in [0.0, 0.1, 0.5, 1.0, 3.0, 8.0, 20.0] {
+                let (cdf, density) = table.cdf_and_density(t);
+                let (expect_cdf, expect_density) = form(t);
+                assert!(
+                    (cdf - expect_cdf).abs() < 1e-12,
+                    "t={t}: {cdf} vs {expect_cdf}"
+                );
+                assert!(
+                    (density - expect_density).abs() < 1e-12,
+                    "t={t}: {density} vs {expect_density}"
+                );
+                assert_eq!(table.cdf(t).to_bits(), cdf.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn squaring_table_reaches_a_stiff_p99_in_logarithmic_levels() {
+        // Rates 1 and 1e-4 in series: S(t) = (b·e^{−at} − a·e^{−bt})/(b − a).
+        let (a, b) = (1.0f64, 1e-4f64);
+        let survival = |t: f64| (b * (-a * t).exp() - a * (-b * t).exp()) / (b - a);
+        let density = |t: f64| a * b / (b - a) * ((-a * t).exp() - (-b * t).exp());
+        let (mut lo, mut hi) = (0.0f64, 1e6f64);
+        while hi - lo > 1e-9 * hi {
+            let mid = 0.5 * (lo + hi);
+            if survival(mid) > 0.01 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let p99 = 0.5 * (lo + hi);
+        let u = Uniformized::new(&two_stages(a, b)).unwrap();
+        let steps = u.rate() * p99;
+        assert!((4.5e4..4.7e4).contains(&steps), "v·t = {steps}");
+        let mut table = u.squaring_table(0, p99, 1e-9).unwrap();
+        let (cdf, f) = table.cdf_and_density(p99);
+        assert!((cdf - 0.99).abs() <= 1e-11, "{cdf}");
+        assert!((f - density(p99)).abs() <= 1e-9 * density(p99), "{f}");
+        assert!(table.levels.len() <= steps.log2().ceil() as usize + 1);
+        // Stepping reads a Poisson window past v·t.
+        let mut seq = u.absorption_sequence(0).unwrap();
+        assert!((seq.cdf(p99, 1e-9) - cdf).abs() <= 1e-9 + 1e-12);
+        assert!(seq.products() as f64 > steps);
+    }
+
+    #[test]
+    fn squaring_table_builds_levels_lazily_and_counts_its_products() {
+        let c = loopy_workflow();
+        let u = Uniformized::new(&c).unwrap();
+        let mut table = u.squaring_table(0, 100.0, 1e-9).unwrap();
+        let terms = table.terms;
+        // v = 0.5, so τ = 2: a probe below τ needs no level.
+        table.cdf(1.5);
+        assert_eq!((table.levels.len(), table.products), (0, 0));
+        // 40 = 20·τ, and 20 = 0b10100 needs G_0 … G_4.
+        table.cdf(40.0);
+        assert_eq!((table.levels.len(), table.products), (5, terms + 4));
+        table.cdf(10.0);
+        assert_eq!(table.levels.len(), 5, "shorter probes must not square");
+        assert_eq!(table.probes, 3);
+        // From the taboo state everything is absorbed already.
+        let mut absorbed = u.squaring_table(2, 100.0, 1e-9).unwrap();
+        assert_eq!(absorbed.cdf_and_density(3.0), (1.0, 0.0));
+        assert!(matches!(
+            u.squaring_table(3, 1.0, 1e-9),
+            Err(ChainError::StateOutOfRange { state: 3, n: 3 })
+        ));
+        let q = Matrix::from_nested(&[&[-1.0, 1.0], &[1.0, -1.0]]);
+        let cyclic = Uniformized::new(&Ctmc::from_generator(&q).unwrap()).unwrap();
+        assert!(matches!(
+            cyclic.squaring_table(0, 1.0, 1e-9),
+            Err(ChainError::NoAbsorbingState)
+        ));
+    }
+
+    #[test]
+    fn squaring_table_flushes_levels_that_turn_subnormal() {
+        // One rate-1 stage uniformized at v = 1024/720: G_j = e^{−2^j/v},
+        // and G_10 = e^{−720} ≈ 1.6e-313 would be subnormal.
+        let jump = Matrix::from_nested(&[&[0.0, 1.0], &[0.0, 1.0]]);
+        let c = Ctmc::from_jump_chain(jump, vec![1.0, f64::INFINITY]).unwrap();
+        let u = Uniformized::with_rate(&c, 1024.0 / 720.0).unwrap();
+        let mut table = u.squaring_table(0, 720.0, 1e-9).unwrap();
+        assert_eq!(table.cdf_and_density(720.0), (1.0, 0.0));
+        assert_eq!(table.levels.len(), 11);
+        assert!((table.levels[9][0] - (-360.0f64).exp()).abs() <= 1e-12 * (-360.0f64).exp());
+        assert_eq!(table.levels[10][0].to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn series_terms_keep_the_truncation_within_epsilon() {
+        let tail = |k: usize| {
+            let mut first = (-SQUARING_THETA).exp();
+            (1..=k + 1).for_each(|i| first *= SQUARING_THETA / i as f64);
+            first / (1.0 - SQUARING_THETA / (k + 2) as f64)
+        };
+        for steps in [0.0, 1.0, 100.0, 8_870.0, 1e6, 1e12] {
+            for epsilon in [1e-6, 1e-9, 1e-13] {
+                let k = series_terms(steps, epsilon);
+                let factors = steps.floor() + 1.0;
+                assert!(factors * tail(k) <= epsilon, "steps {steps}, ε {epsilon}");
+                assert!(k == 0 || factors * tail(k - 1) > epsilon, "not the fewest");
+            }
+        }
+        assert_eq!(series_terms(1e6, 0.0), SQUARING_MAX_TERMS);
+    }
+
     #[test]
     fn sequence_validates_its_start() {
         let c = loopy_workflow();
@@ -1075,15 +1365,15 @@ mod proptests {
         }
 
         #[test]
-        fn quantile_steps_matches_steps_quantile((c, start, _t) in workflow_case()) {
+        fn squaring_cdf_is_within_epsilon_of_stepping((c, start, t) in workflow_case()) {
             let u = Uniformized::new(&c).unwrap();
-            let absorbing = c.n() - 1;
-            let mean_steps = u.rate() * c.mean_first_passage(absorbing).unwrap()[start];
             let mut seq = u.absorption_sequence(start).unwrap();
-            for q in [0.5, 0.9, 0.99, 0.999_999] {
-                prop_assert_eq!(
-                    seq.quantile_steps(q, mean_steps).unwrap(),
-                    u.steps_quantile(start, &[absorbing], q, 1_000_000).unwrap()
+            let mut table = u.squaring_table(start, 3.0 * t, 1e-9).unwrap();
+            for time in [t, 0.01 * t, 0.25 * t, 3.0 * t] {
+                let (stepping, squaring) = (seq.cdf(time, 1e-9), table.cdf(time));
+                prop_assert!(
+                    (squaring - stepping).abs() <= 1e-9 + 1e-12,
+                    "t = {}: {} vs {}", time, squaring, stepping
                 );
             }
         }

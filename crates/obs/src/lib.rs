@@ -48,7 +48,7 @@
 //! | `turnaround-distribution` | `wfms-perf` | `states`, `epsilon` |
 //! | `first-passage` | `wfms-markov` | `states`, `solver` |
 //! | `uniformize` | `wfms-markov` | `states`, `rate` |
-//! | `transient-distribution` | `wfms-markov` | `terms` (one span per absorbed-mass sequence — one per turnaround percentile or CDF call, and one per workflow on a `wfms serve` tenant's first `assess` — and `terms` counts its `P̄` products: the longest Poisson window any probe read, plus one step for the density) |
+//! | `transient-distribution` | `wfms-markov` | `products`, `probes` (one span per squaring table — one per turnaround percentile or CDF call, and one per workflow on a `wfms serve` tenant's first `assess`; `products` counts the table's matrix products, `K` for its base factor plus one per squaring, and `probes` its CDF evaluations) |
 //! | `reward-uniformized` | `wfms-markov` | `z_max`, `residual_mass` |
 //! | `linear-solve` | `wfms-markov` | `n`, `iterations`, `residual`, `spectral_radius_est` |
 //! | `steady-state` | `wfms-markov` | `states`, `method`, `iterations` |
@@ -74,7 +74,7 @@
 //! | `markov.power-iteration.iterations` | histogram | `wfms-markov` | power-iteration steps per steady-state fallback |
 //! | `markov.steady-state.iterations` | histogram | `wfms-markov` | sweeps per CTMC steady-state solve |
 //! | `markov.poisson.truncation-steps` | histogram | `wfms-markov` | uniformization truncation depth `z_max` |
-//! | `markov.poisson.terms` | histogram | `wfms-markov` | end `z` of the Poisson window per CDF evaluation (one past its last summed term); the window drops at most `ε` of the Poisson mass, and a percentile reads one window per Newton probe |
+//! | `markov.poisson.terms` | histogram | `wfms-markov` | end `z` of the Poisson window per CDF evaluation of an absorbed-mass sequence (one past its last summed term; `Uniformized::absorption_cdf`, `Uniformized::transient_distribution`); the window drops at most `ε` of the Poisson mass; the turnaround percentile reads its CDF from a squaring table and records none |
 //! | `avail.state-space.size` | gauge | `wfms-avail` / `wfms-config` | `∏(Y_x+1)` states of the last availability model (the engine's exact path sets it per candidate) |
 //! | `perf.mg1.evaluations` | counter | `wfms-perf` | M/G/1 waiting-time kernel evaluations, one per server type evaluated |
 //! | `performability.state-evaluations` | counter | `wfms-performability` | system states evaluated by a joint fold, or `(type, up-count)` terms summed by the per-type fold |

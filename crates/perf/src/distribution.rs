@@ -6,13 +6,13 @@
 //! the time to absorption — `P(T ≤ t)` — and hence percentiles such as
 //! "90 % of purchases finish within two days", which is how service-level
 //! agreements are usually phrased. This module wraps
-//! [`wfms_markov::transient::AbsorptionSequence`] behind a
-//! workflow-centric API with a safeguarded Newton percentile solver:
-//! one percentile builds the absorbed-mass sequence once, starts from
-//! its step-count quantile, and each Newton probe reads the CDF and its
-//! density from one Poisson window over that sequence.
+//! [`wfms_markov::transient::SquaringTable`], the exponential of the
+//! taboo generator by scaling and squaring, behind a workflow-centric API
+//! with a safeguarded Newton percentile solver: one percentile builds
+//! the table once, and each Newton probe reads the CDF and its density
+//! from it in `⌈log₂ v·t⌉` dense products of the taboo block.
 
-use wfms_markov::transient::{AbsorptionSequence, Uniformized};
+use wfms_markov::transient::{SquaringTable, Uniformized};
 use wfms_markov::ChainError;
 
 use crate::error::PerfError;
@@ -50,9 +50,8 @@ impl TurnaroundDistribution {
             states = analysis.ctmc.n(),
             epsilon = epsilon
         );
-        let uniformized = Uniformized::new(&analysis.ctmc)?;
         Ok(TurnaroundDistribution {
-            uniformized,
+            uniformized: Uniformized::new(&analysis.ctmc)?,
             start: analysis.start,
             mean: analysis.mean_turnaround,
             epsilon,
@@ -72,38 +71,37 @@ impl TurnaroundDistribution {
         if t <= 0.0 {
             return Ok(0.0);
         }
-        Ok(self.sequence()?.cdf(t, self.epsilon))
+        Ok(self.table(t)?.cdf(t))
     }
 
     /// The `q`-percentile of the turnaround time: the root of
-    /// `F(t) − q`, by Newton's method to a relative step of `1e-7`.
+    /// `F(t) = q`, by Newton's method on the log survival
+    /// `ln(1 − F(t)) − ln(1 − q)` to a relative step of `1e-7`. That
+    /// function is linear in `t` on an exponential tail, and near the
+    /// root its step equals the step on `F(t) − q`.
     ///
-    /// The search starts at `t₀ = z_q / v`, where `z_q` is the first
-    /// uniformized step count with `a_z ≥ q`, and keeps a bracket
-    /// `[lo, hi]` around the root. Each probe reads `F(t)` and its
-    /// density `f(t)` from one Poisson window. A Newton step that leaves
-    /// the bracket is replaced by bisection; while `hi` is still open it
-    /// is replaced by doubling `t`, and no step goes past the time bound
-    /// below. The search stops once a step moves `t` by at most
-    /// `1e-7·t`, or after 64 probes.
+    /// The search starts at `−mean·ln(1 − q)`, the `q`-quantile of an
+    /// exponential with the chain's mean, and keeps a bracket `[lo, hi]`
+    /// around the root. Each probe reads `F(t)` and its density `f(t)`
+    /// from one squaring table, built for the time bound below. A Newton
+    /// step that leaves the bracket is replaced by bisection; while `hi`
+    /// is still open it is replaced by doubling `t`, and no step goes
+    /// past the time bound. The search stops once a step moves `t` by at
+    /// most `1e-7·t`, or after 64 probes.
     ///
-    /// `q` must lie in `(0, 1 − ε)`: each CDF evaluation drops up to `ε`
-    /// of Poisson mass, so the computed CDF never reliably reaches a
-    /// higher `q`. The search is bounded by Markov's inequality twice
-    /// over, with a factor 2 of slack for rounding. In time: a chain that
-    /// absorbs with this mean has `P(T > t) ≤ (1 − ε − q) / 2` at
-    /// `t = 2·mean / (1 − ε − q)`, so its truncated CDF has passed `q`
-    /// there. In steps: its number `N` of uniformized steps has mean
-    /// `v·mean`, so after `z` steps the unabsorbed mass is at most
-    /// `v·mean / z` (see [`AbsorptionSequence::quantile_steps`]). A chain
-    /// that breaks either bound absorbs less than its mean says — its
-    /// absorbed mass stalls — and the search stops instead of growing the
-    /// sequence without limit.
+    /// `q` must lie in `(0, 1 − ε)`: each CDF evaluation may err by up to
+    /// `ε`, so the computed CDF never reliably reaches a higher `q`. The
+    /// search is bounded by Markov's inequality, with a factor 2 of slack
+    /// for rounding: a chain that absorbs with this mean has
+    /// `P(T > t) ≤ (1 − ε − q) / 2` at `t = 2·mean / (1 − ε − q)`, so its
+    /// CDF has passed `q` there. A chain whose CDF has not absorbs less
+    /// than its mean says — its absorbed mass stalls — and the search
+    /// stops instead of probing without limit.
     ///
     /// # Errors
     /// [`PerfError::InvalidQuantile`] when `q` is outside `(0, 1 − ε)`;
     /// [`PerfError::Chain`] with [`ChainError::AbsorptionNotCertain`]
-    /// when the search breaks a bound, and on internal failures.
+    /// when the search breaks the bound, and on internal failures.
     pub fn percentile(&self, q: f64) -> Result<f64, PerfError> {
         if !(q > 0.0 && q < 1.0 - self.epsilon) {
             return Err(PerfError::InvalidQuantile {
@@ -117,12 +115,11 @@ impl TurnaroundDistribution {
             return Err(not_certain());
         }
         let time_bound = 2.0 * self.mean / (1.0 - self.epsilon - q);
-        let rate = self.uniformized.rate();
-        let mut sequence = self.sequence()?;
-        let mut t = sequence.quantile_steps(q, rate * self.mean)? as f64 / rate;
+        let mut table = self.table(time_bound)?;
+        let mut t = -self.mean * (1.0 - q).ln();
         let (mut lo, mut hi) = (0.0, f64::INFINITY);
         for _ in 0..PERCENTILE_PROBES {
-            let (cdf, density) = sequence.cdf_and_density(t, self.epsilon);
+            let (cdf, density) = table.cdf_and_density(t);
             if cdf < q {
                 if hi == f64::INFINITY && t >= time_bound {
                     return Err(not_certain());
@@ -137,7 +134,7 @@ impl TurnaroundDistribution {
             } else {
                 (2.0 * t).min(time_bound)
             };
-            let newton = t + (q - cdf) / density;
+            let newton = t + ((1.0 - cdf) / (1.0 - q)).ln() * (1.0 - cdf) / density;
             let next = if newton > lo && newton < cap {
                 newton
             } else if hi < f64::INFINITY {
@@ -153,8 +150,18 @@ impl TurnaroundDistribution {
         Ok(t)
     }
 
-    /// A fresh absorbed-mass sequence from the start state.
-    fn sequence(&self) -> Result<AbsorptionSequence<'_>, PerfError> {
+    /// A fresh squaring table from the start state, accurate to `ε` up
+    /// to `horizon`.
+    fn table(&self, horizon: f64) -> Result<SquaringTable, PerfError> {
+        Ok(self
+            .uniformized
+            .squaring_table(self.start, horizon, self.epsilon)?)
+    }
+
+    /// A fresh absorbed-mass sequence from the start state: the stepping
+    /// kernel the tests check the table against.
+    #[cfg(test)]
+    fn sequence(&self) -> Result<wfms_markov::AbsorptionSequence<'_>, PerfError> {
         Ok(self.uniformized.absorption_sequence(self.start)?)
     }
 }
@@ -170,8 +177,8 @@ mod tests {
         ServerTypeRegistry, WorkflowSpec,
     };
     use wfms_workloads::{
-        enterprise_registry, ep_workflow, insurance_claim_workflow, loan_approval_workflow,
-        order_fulfillment_workflow,
+        enterprise_registry, ep_workflow, fan_workflow, insurance_claim_workflow,
+        loan_approval_workflow, order_fulfillment_workflow, sequential_workflow,
     };
 
     fn exponential_workflow(mean: f64) -> WorkflowSpec {
@@ -250,8 +257,9 @@ mod tests {
 
     #[test]
     fn distribution_stays_clone_send_sync() {
-        // Each percentile keeps its own sequence; nothing is cached
-        // behind `&self`, so the type can be shared across threads.
+        // Each percentile or CDF call builds its own squaring table;
+        // nothing is cached behind `&self`, so the type can be shared
+        // across threads.
         fn shareable<T: Clone + Send + Sync>() {}
         shareable::<TurnaroundDistribution>();
     }
@@ -310,51 +318,11 @@ mod tests {
         }
     }
 
-    /// The ladder benchmark's M rung in shape: thirty sequential
-    /// activities with in-place retries, 31 CTMC states.
-    fn ladder_m_chart() -> WorkflowSpec {
-        const DURATIONS: [f64; 7] = [0.5, 2.0, 5.0, 15.0, 30.0, 60.0, 240.0];
-        const RETRY: [f64; 4] = [0.0, 0.0, 0.1, 0.2];
-        let m = 30;
-        let state = |i: usize| format!("S{i}");
-        let activity = |i: usize| format!("A{i}");
-        let mut builder = ChartBuilder::new("M").initial("init");
-        for i in 0..m {
-            builder = builder.activity_state(state(i), activity(i));
-        }
-        builder = builder
-            .final_state("exit")
-            .transition("init", state(0), 1.0, EcaRule::default());
-        let mut activities = Vec::new();
-        for i in 0..m {
-            let next = if i + 1 < m {
-                state(i + 1)
-            } else {
-                "exit".to_string()
-            };
-            let retry = RETRY[i % RETRY.len()];
-            let done = EcaRule::on_done(&activity(i));
-            builder = if retry > 0.0 {
-                builder
-                    .transition(state(i), next, 1.0 - retry, done)
-                    .transition(state(i), state(i), retry, EcaRule::default())
-            } else {
-                builder.transition(state(i), next, 1.0, done)
-            };
-            activities.push(ActivitySpec::new(
-                activity(i),
-                ActivityKind::Automated,
-                DURATIONS[i % DURATIONS.len()],
-                vec![1.0, 1.0, 1.0],
-            ));
-        }
-        WorkflowSpec::new("M", builder.build().unwrap(), activities)
-    }
-
     /// The percentile as the production code found it before Newton:
     /// exponential bracketing from the mean, then bisection, here run to
-    /// `rel_tol` relative on one absorbed-mass sequence and the same
-    /// Poisson windows the production CDF reads.
+    /// `rel_tol` relative on one absorbed-mass sequence and its
+    /// ε-bounded Poisson windows: a kernel independent of the squaring
+    /// table the production CDF reads.
     pub(super) fn bisection_percentile(d: &TurnaroundDistribution, q: f64, rel_tol: f64) -> f64 {
         let mut sequence = d.sequence().unwrap();
         let mut hi = d.mean.max(1e-9);
@@ -373,7 +341,8 @@ mod tests {
         0.5 * (lo + hi)
     }
 
-    /// The five chains the percentile is checked on, each with p50, p90
+    /// The five chains the percentile is checked on (ep, the three
+    /// enterprise workflows and the ladder-M chart), each with p50, p90
     /// and p99 at ε = 1e-9 as the bisection reported them before Newton
     /// replaced it (to its `1e-4·t` band).
     fn percentile_cases() -> Vec<(WorkflowSpec, ServerTypeRegistry, [u64; 3])> {
@@ -415,7 +384,7 @@ mod tests {
                 ],
             ),
             (
-                ladder_m_chart(),
+                sequential_workflow(30),
                 paper_section52_registry(),
                 [
                     4654130802988504406,
@@ -455,6 +424,46 @@ mod tests {
             "max relative |Δ|: {:.1e} against the oracle, {:.1e} against the bisection",
             worst.0, worst.1
         );
+    }
+
+    #[test]
+    fn squaring_cdf_is_within_epsilon_of_stepping_on_the_percentile_chains() {
+        let fan = (fan_workflow(50), paper_section52_registry(), [0; 3]);
+        for (spec, reg, _) in percentile_cases().into_iter().chain([fan]) {
+            let analysis = analyze_workflow(&spec, &reg, &AnalysisOptions::default()).unwrap();
+            let d = TurnaroundDistribution::new(&analysis, 1e-9).unwrap();
+            let horizon = 2.0 * d.percentile(0.99).unwrap();
+            let mut seq = d.sequence().unwrap();
+            let mut table = d.table(horizon).unwrap();
+            let mut t = 0.01 * d.mean();
+            while t <= horizon {
+                let (stepping, squaring) = (seq.cdf(t, d.epsilon), table.cdf(t));
+                assert!(
+                    (squaring - stepping).abs() <= d.epsilon + 1e-12,
+                    "{} at t = {t}: {squaring} vs {stepping}",
+                    spec.name
+                );
+                t *= 1.25;
+            }
+        }
+    }
+
+    #[test]
+    fn a_wide_fan_chart_matches_the_bisection_oracle() {
+        // 52 states that absorb in about 100 uniformized steps: the shape
+        // on which the table's `n_T³` squarings cost the most against the
+        // `v·t` steps of the absorbed-mass sequence.
+        let reg = paper_section52_registry();
+        let analysis =
+            analyze_workflow(&fan_workflow(50), &reg, &AnalysisOptions::default()).unwrap();
+        let d = TurnaroundDistribution::new(&analysis, 1e-9).unwrap();
+        for q in [0.5, 0.9, 0.99] {
+            let (got, oracle) = (d.percentile(q).unwrap(), bisection_percentile(&d, q, 1e-13));
+            assert!(
+                (got - oracle).abs() <= 1e-6 * oracle,
+                "p{q}: {got} vs the oracle's {oracle}"
+            );
+        }
     }
 
     #[test]

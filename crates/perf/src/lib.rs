@@ -7,7 +7,9 @@
 //! 2. **Load per instance** `r_{x,t}` — expected service requests per
 //!    server type — by a Markov reward model (same entry point; choose
 //!    exact or the paper's truncated uniformization via
-//!    [`workflow::RequestMethod`]).
+//!    [`workflow::RequestMethod`]). The exact route computes the
+//!    expected visits once per chart and dots them with each type's
+//!    load row.
 //! 3. **Total load and maximum sustainable throughput** over the whole
 //!    workload mix ([`system::aggregate_load`],
 //!    [`system::max_sustainable_throughput`]).

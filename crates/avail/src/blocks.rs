@@ -6,9 +6,9 @@
 //! up at a rate depending only on the number failed. A
 //! [`BirthDeathBlock`] tabulates those two rate ladders for one server
 //! type once, so assembling the generator for a neighbouring candidate
-//! `Y + e_k` reuses the blocks of every unchanged type verbatim — the
-//! incremental-construction lever behind the configuration-search
-//! engine's availability cache.
+//! `Y + e_k` reuses the blocks of every unchanged type verbatim. The
+//! configuration-search engine caches blocks by `(type, Y_x)` and reads
+//! each type's stationary marginal from its block.
 //!
 //! The tabulated rates are the *same float products* the direct
 //! generator assembly computes (`x as f64 * λ`, `failed as f64 * μ`),

@@ -27,8 +27,7 @@ pub use model::{
 };
 pub use phase::{single_repairman_type_unavailability, system_unavailability_with_repair_phases};
 pub use product_form::{
-    availability_gain, select_backend, steady_state_marginal, AvailBackend, BestFirstStates,
-    ProductFormModel,
+    availability_gain, select_backend, steady_state_marginal, AvailBackend, ProductFormModel,
 };
 pub use sparse_model::{SparseAvailabilityModel, SPARSE_STATE_CAP};
 pub use state_space::StateSpace;

@@ -86,9 +86,8 @@ impl AvailabilityModel {
     }
 
     /// Builds the availability CTMC from pre-tabulated per-type
-    /// birth–death blocks, the incremental path used by the
-    /// configuration-search engine: for a neighbouring candidate
-    /// `Y + e_k`, only the block of type `k` is new.
+    /// birth–death blocks: for a neighbouring candidate `Y + e_k`, only
+    /// the block of type `k` is new.
     ///
     /// Block rates are the same float products the direct assembly
     /// computes, so the resulting generator — and everything solved from

@@ -17,37 +17,16 @@
 //! * the exact WFMS availability `Π_x (1 − m_x[0])` (the closed form of
 //!   [`crate::model::closed_form_unavailability`], reached through the
 //!   same marginals the state probabilities use),
-//! * the probability of any individual system state,
+//! * the probability of any individual system state, and
 //! * one type's marginal on its own ([`steady_state_marginal`]) — the
-//!   assessment engine's exact (`ε = 0`) solve, which folds the
+//!   assessment engine's availability solve, which folds the
 //!   performability reward one type at a time and never materializes
-//!   the `Π_x (Y_x + 1)` joint states, and
-//! * a lazy best-first enumeration of system states in **descending
-//!   `π` order** ([`ProductFormModel::enumerate_descending`]) — the
-//!   primitive behind ε-truncated performability evaluation, which
-//!   visits only the handful of near-fully-up states carrying almost
-//!   all the mass.
-//!
-//! # Enumeration order (proof sketch)
-//!
-//! Sort each marginal descending into `v_x[0] ≥ v_x[1] ≥ … ≥ 0` and
-//! identify a state with its *rank vector* `r` (`π = Π_x v_x[r_x]`).
-//! Raising any single rank multiplies the score by a factor ≤ 1, so
-//! scores are monotone non-increasing along the child relation
-//! `r → r + e_x`. The enumerator keeps a max-heap seeded with `r = 0`
-//! and, on popping `r`, pushes its `k` children. By induction every
-//! not-yet-emitted state has an ancestor (under the child relation) in
-//! the heap, and that ancestor's score is an upper bound on the
-//! state's — hence the heap maximum is the global maximum of all
-//! remaining states, and states are emitted in descending `π` order.
+//!   the `Π_x (Y_x + 1)` joint states.
 //!
 //! The single-repairman policy does **not** factorize per replica;
 //! [`select_backend`] routes such chains to the sparse Gauss–Seidel
 //! model instead.
 
-// audit:allow-file(A006, reason = "the best-first frontier's `seen` set is membership-only dedup; enumeration order comes from the BinaryHeap score ordering, so hash order never reaches results")
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -69,17 +48,13 @@ pub enum AvailBackend {
     /// Gauss–Seidel.
     #[default]
     Auto,
-    /// The exact solve over every state. The assessment engine
-    /// (independent repair) answers it from the product form's per-type
-    /// marginals ([`steady_state_marginal`]), with no generator, no LU
-    /// solve and no materialized joint vector;
-    /// [`crate::AvailabilityModel`]'s dense generator and LU solve
-    /// remain its test oracle.
+    /// The dense generator and LU solve over every state
+    /// ([`crate::AvailabilityModel`]).
     Dense,
     /// Transposed-CSR generator + sparse Gauss–Seidel sweeps.
     Sparse,
-    /// Closed-form per-type marginals; exact availability and lazy
-    /// descending-`π` state enumeration. Independent repair only.
+    /// Closed-form per-type marginals and exact availability
+    /// ([`ProductFormModel`]). Independent repair only.
     Product,
 }
 
@@ -184,9 +159,7 @@ impl ProductFormModel {
         Self::from_blocks(config, &blocks)
     }
 
-    /// Builds the model from pre-tabulated blocks (the assessment
-    /// engine's incremental path; only new `(type, Y_x)` pairs cost a
-    /// tabulation).
+    /// Builds the model from pre-tabulated blocks.
     ///
     /// # Errors
     /// * [`AvailError::UnsupportedPolicy`] when any block encodes a
@@ -223,53 +196,6 @@ impl ProductFormModel {
         }
         let _obs_span = wfms_obs::span!("avail-product-form", states = space.len(), types = k);
         let marginals = blocks.iter().map(|b| b.marginal_distribution()).collect();
-        Ok(ProductFormModel {
-            config: config.clone(),
-            space,
-            marginals,
-        })
-    }
-
-    /// Builds the model directly from per-type marginals — the
-    /// assessment engine's one-coordinate *delta* path: for a move
-    /// `Y → Y ± e_x` it clones the incumbent's marginals, replaces only
-    /// type `x`'s with the freshly tabulated one, and skips the `k − 1`
-    /// untouched recurrences entirely. Because
-    /// [`BirthDeathBlock::marginal_distribution`] is a deterministic
-    /// function of `(type, replicas, policy)`, the result is
-    /// bit-identical to [`ProductFormModel::from_blocks`] over fresh
-    /// blocks for the same configuration.
-    ///
-    /// # Errors
-    /// [`AvailError::Arch`] when the marginal count or any marginal's
-    /// length (`Y_x + 1` entries for type `x`) does not match `config`.
-    pub fn from_marginals(
-        config: &Configuration,
-        marginals: Vec<Vec<f64>>,
-    ) -> Result<Self, AvailError> {
-        let space = StateSpace::new(config);
-        let k = space.k();
-        if marginals.len() != k {
-            return Err(AvailError::Arch(
-                wfms_statechart::ArchError::LengthMismatch {
-                    what: "per-type marginals",
-                    expected: k,
-                    actual: marginals.len(),
-                },
-            ));
-        }
-        for (j, m) in marginals.iter().enumerate() {
-            let expected = config.as_slice()[j] + 1;
-            if m.len() != expected {
-                return Err(AvailError::Arch(
-                    wfms_statechart::ArchError::LengthMismatch {
-                        what: "marginal up-count entries",
-                        expected,
-                        actual: m.len(),
-                    },
-                ));
-            }
-        }
         Ok(ProductFormModel {
             config: config.clone(),
             space,
@@ -314,30 +240,18 @@ impl ProductFormModel {
     /// [`AvailError::StateOutOfRange`] on a foreign state vector.
     pub fn state_probability(&self, state: &[usize]) -> Result<f64, AvailError> {
         self.space.encode(state)?;
-        Ok(self.unchecked_probability(state))
-    }
-
-    fn unchecked_probability(&self, state: &[usize]) -> f64 {
         let mut p = 1.0;
         for (x, m) in state.iter().zip(&self.marginals) {
             p *= m[*x];
         }
-        p
-    }
-
-    /// Lazily yields `(state, π)` pairs in descending `π` order (ties
-    /// broken deterministically). Pull only as many states as needed:
-    /// each step costs `O(k log heap)` and the heap grows by at most
-    /// `k - 1` entries per emitted state.
-    pub fn enumerate_descending(&self) -> BestFirstStates {
-        BestFirstStates::new(&self.marginals)
+        Ok(p)
     }
 }
 
 /// The stationary up-count marginal of one type's birth–death block,
 /// `m[u]` = P(exactly `u` of the `Y_x` replicas up): the per-type factor
 /// of the product form, and the whole availability solve of the
-/// assessment engine's exact default path for that type.
+/// assessment engine for that type.
 ///
 /// Shares the `avail.steady-state` failpoint with the dense and sparse
 /// models: error injection surfaces as a solver non-convergence, NaN
@@ -379,127 +293,8 @@ pub fn steady_state_marginal(block: &BirthDeathBlock) -> Result<Vec<f64>, AvailE
 /// the closed-form kernel behind `∂A/∂Y_x` move ranking: the factor
 /// exceeds `1` exactly when the move raises availability, and
 /// `A · (gain − 1)` is the availability gained.
-///
-/// Note the engine's *delta assessment* deliberately does **not** patch
-/// a cached availability with this factor — a float divide is not
-/// bitwise-invertible — it re-folds the product over the replaced
-/// marginals instead ([`ProductFormModel::from_marginals`]); the gain
-/// factor is for *ranking*, where closed-form speed matters and
-/// bit-identity does not.
 pub fn availability_gain(all_down_before: f64, all_down_after: f64) -> f64 {
     (1.0 - all_down_after) / (1.0 - all_down_before)
-}
-
-/// Heap entry of the best-first enumeration: a rank vector into the
-/// descending-sorted marginals and its score `Π_x v_x[r_x]`.
-#[derive(Debug)]
-struct Frontier {
-    score: f64,
-    ranks: Vec<u32>,
-}
-
-impl PartialEq for Frontier {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Frontier {}
-
-impl PartialOrd for Frontier {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Frontier {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap on score; equal scores pop in lexicographic rank
-        // order so the emission sequence is fully deterministic.
-        self.score
-            .total_cmp(&other.score)
-            .then_with(|| other.ranks.cmp(&self.ranks))
-    }
-}
-
-/// Best-first iterator over system states in descending stationary
-/// probability — see [`ProductFormModel::enumerate_descending`] and the
-/// module-level proof sketch.
-#[derive(Debug)]
-pub struct BestFirstStates {
-    /// Per type: up-counts sorted by descending marginal probability.
-    orders: Vec<Vec<usize>>,
-    /// `values[x][r]` = marginal probability at rank `r` of type `x`.
-    values: Vec<Vec<f64>>,
-    heap: BinaryHeap<Frontier>,
-    seen: HashSet<Vec<u32>>,
-}
-
-impl BestFirstStates {
-    fn new(marginals: &[Vec<f64>]) -> Self {
-        let mut orders = Vec::with_capacity(marginals.len());
-        let mut values = Vec::with_capacity(marginals.len());
-        for m in marginals {
-            let mut order: Vec<usize> = (0..m.len()).collect();
-            // Descending by probability, up-count as the deterministic
-            // tie-break.
-            order.sort_by(|&a, &b| m[b].total_cmp(&m[a]).then(a.cmp(&b)));
-            values.push(order.iter().map(|&u| m[u]).collect());
-            orders.push(order);
-        }
-        let root = vec![0u32; marginals.len()];
-        let mut heap = BinaryHeap::new();
-        let mut seen = HashSet::new();
-        seen.insert(root.clone());
-        heap.push(Frontier {
-            score: Self::score_of(&values, &root),
-            ranks: root,
-        });
-        BestFirstStates {
-            orders,
-            values,
-            heap,
-            seen,
-        }
-    }
-
-    /// `Π_x values[x][ranks[x]]`, multiplied in type order — the same
-    /// float product as [`ProductFormModel::state_probability`].
-    fn score_of(values: &[Vec<f64>], ranks: &[u32]) -> f64 {
-        let mut p = 1.0;
-        for (v, &r) in values.iter().zip(ranks) {
-            p *= v[r as usize];
-        }
-        p
-    }
-}
-
-impl Iterator for BestFirstStates {
-    type Item = (Vec<usize>, f64);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let top = self.heap.pop()?;
-        for x in 0..top.ranks.len() {
-            let next_rank = top.ranks[x] as usize + 1;
-            if next_rank < self.orders[x].len() {
-                let mut child = top.ranks.clone();
-                child[x] += 1;
-                if self.seen.insert(child.clone()) {
-                    self.heap.push(Frontier {
-                        score: Self::score_of(&self.values, &child),
-                        ranks: child,
-                    });
-                }
-            }
-        }
-        let state = top
-            .ranks
-            .iter()
-            .zip(&self.orders)
-            .map(|(&r, order)| order[r as usize])
-            .collect();
-        Some((state, top.score))
-    }
 }
 
 #[cfg(test)]
@@ -575,48 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn from_marginals_replacement_is_bit_identical_to_from_blocks() {
-        // The engine's delta path: take a neighbour's marginals, replace
-        // only the moved type's, and get the exact model `from_blocks`
-        // would build for the new configuration — bit for bit.
-        let reg = paper_section52_registry();
-        let incumbent = Configuration::new(&reg, vec![2, 2, 3]).unwrap();
-        let neighbour = Configuration::new(&reg, vec![2, 3, 3]).unwrap();
-        let base = ProductFormModel::new(&reg, &incumbent).unwrap();
-        let mut marginals = base.marginals().to_vec();
-        let moved = BirthDeathBlock::for_type(
-            reg.get(ServerTypeId(1)).unwrap(),
-            3,
-            RepairPolicy::Independent,
-        );
-        marginals[1] = moved.marginal_distribution();
-        let patched = ProductFormModel::from_marginals(&neighbour, marginals).unwrap();
-        let fresh = ProductFormModel::new(&reg, &neighbour).unwrap();
-        assert_eq!(patched.marginals(), fresh.marginals());
-        assert_eq!(
-            patched.availability().to_bits(),
-            fresh.availability().to_bits()
-        );
-        let lazy_patched: Vec<(Vec<usize>, f64)> = patched.enumerate_descending().collect();
-        let lazy_fresh: Vec<(Vec<usize>, f64)> = fresh.enumerate_descending().collect();
-        assert_eq!(lazy_patched, lazy_fresh);
-    }
-
-    #[test]
-    fn from_marginals_rejects_mismatched_shapes() {
-        let reg = paper_section52_registry();
-        let config = Configuration::new(&reg, vec![2, 2, 2]).unwrap();
-        let model = ProductFormModel::new(&reg, &config).unwrap();
-        // Wrong marginal count.
-        let short = model.marginals()[..2].to_vec();
-        assert!(ProductFormModel::from_marginals(&config, short).is_err());
-        // Wrong entry count for one type (Y_x + 1 expected).
-        let mut bad = model.marginals().to_vec();
-        bad[0].pop();
-        assert!(ProductFormModel::from_marginals(&config, bad).is_err());
-    }
-
-    #[test]
     fn availability_gain_matches_the_recomputed_product() {
         let reg = paper_section52_registry();
         let before = Configuration::new(&reg, vec![2, 2, 2]).unwrap();
@@ -648,52 +401,6 @@ mod tests {
                 pi_lu[idx]
             );
         }
-    }
-
-    #[test]
-    fn enumeration_is_descending_complete_and_consistent() {
-        let reg = paper_section52_registry();
-        let config = Configuration::new(&reg, vec![2, 2, 3]).unwrap();
-        let model = ProductFormModel::new(&reg, &config).unwrap();
-        let emitted: Vec<(Vec<usize>, f64)> = model.enumerate_descending().collect();
-        let n = model.state_space().len();
-        assert_eq!(emitted.len(), n, "every state exactly once");
-        let mut seen = std::collections::HashSet::new();
-        let mut last = f64::INFINITY;
-        let mut total = 0.0;
-        for (state, p) in &emitted {
-            assert!(seen.insert(state.clone()), "duplicate {state:?}");
-            assert!(*p <= last, "ascending step at {state:?}: {p} > {last}");
-            // The emitted score is the same float product the point
-            // query computes.
-            assert_eq!(model.state_probability(state).unwrap(), *p);
-            last = *p;
-            total += *p;
-        }
-        assert!((total - 1.0).abs() < 1e-9, "mass {total}");
-        // The first state is the modal (fully-up, for realistic rates).
-        assert_eq!(emitted[0].0, vec![2, 2, 3]);
-    }
-
-    #[test]
-    fn enumeration_prefix_covers_almost_all_mass_quickly() {
-        let reg = paper_section52_registry();
-        let config = Configuration::uniform(&reg, 3).unwrap(); // 64 states
-        let model = ProductFormModel::new(&reg, &config).unwrap();
-        let mut covered = 0.0;
-        let mut pulled = 0;
-        for (_, p) in model.enumerate_descending() {
-            covered += p;
-            pulled += 1;
-            if covered >= 1.0 - 1e-9 {
-                break;
-            }
-        }
-        assert!(
-            pulled < 64,
-            "descending enumeration should reach 1 - 1e-9 before exhausting \
-             the space, needed {pulled}/64"
-        );
     }
 
     #[test]
@@ -837,26 +544,6 @@ mod proptests {
                 (product.unavailability() - closed).abs() < 1e-14 + 1e-10 * closed,
                 "product {:e} vs closed {closed:e}", product.unavailability()
             );
-        }
-
-        /// The best-first enumeration is a descending permutation of the
-        /// state space whose scores match the point query.
-        #[test]
-        fn enumeration_is_a_descending_permutation(
-            (reg, config) in arbitrary_registry_and_config()
-        ) {
-            let model = ProductFormModel::new(&reg, &config).unwrap();
-            let emitted: Vec<(Vec<usize>, f64)> =
-                model.enumerate_descending().collect();
-            prop_assert_eq!(emitted.len(), model.state_space().len());
-            let mut last = f64::INFINITY;
-            let mut seen = std::collections::HashSet::new();
-            for (state, p) in &emitted {
-                prop_assert!(seen.insert(state.clone()));
-                prop_assert!(*p <= last);
-                prop_assert_eq!(model.state_probability(state).unwrap(), *p);
-                last = *p;
-            }
         }
     }
 }

@@ -59,9 +59,8 @@ impl SparseAvailabilityModel {
 
     /// Builds the sparse availability CTMC from pre-tabulated per-type
     /// birth–death blocks — the shared assembly path with the dense
-    /// [`crate::model::AvailabilityModel::from_blocks`], used by the
-    /// configuration-search engine so a neighbouring candidate `Y + e_k`
-    /// pays only one new block.
+    /// [`crate::model::AvailabilityModel::from_blocks`], so a
+    /// neighbouring candidate `Y + e_k` pays only one new block.
     ///
     /// # Errors
     /// * [`AvailError::StateSpaceTooLarge`] beyond [`SPARSE_STATE_CAP`].

@@ -151,8 +151,8 @@ fn main() {
         "  {JOBS}-way warm     : {parallel_warm_ms:>9.2} ms  ({warm_speedup:.1}x vs serial cold)"
     );
     println!(
-        "  caches: {} states, {} solutions, {} blocks; {} hits / {} misses",
-        stats.state_entries, stats.solution_entries, stats.block_entries, stats.hits, stats.misses
+        "  caches: {} records, {} blocks; {} hits / {} misses",
+        stats.state_entries, stats.block_entries, stats.hits, stats.misses
     );
     assert!(
         warm_speedup >= 2.0,

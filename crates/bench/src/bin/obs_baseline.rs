@@ -1,6 +1,9 @@
 //! OBS-BASELINE — seeds `BENCH_obs.json` with stage timings and
 //! iteration counts for the ep and enterprise reference scenarios, so
 //! future PRs can diff solver behaviour against a known-good trajectory.
+//! Each scenario runs [`RUNS`] times in one process, and each stage is
+//! timed by its smallest per-run total — the measure the share gate
+//! compares (`wfms profile --runs 3 --baseline …` in CI).
 
 use wfms_bench::obs;
 use wfms_core::config::Goals;
@@ -9,13 +12,16 @@ use wfms_core::{Configuration, ConfigurationTool, SearchOptions};
 use wfms_statechart::paper_section52_registry;
 use wfms_workloads::{enterprise_mix, enterprise_registry, ep_workflow, EP_SIM_ARRIVAL_RATE};
 
+/// Runs per scenario: as many as the CI share gate's `--runs 3`.
+const RUNS: usize = 3;
+
 /// One full pass over the analysis stack, mirroring one `wfms profile`
 /// run: per-workflow transient analysis, an engine-backed assessment, a
-/// greedy search, a cache-replay re-assessment, and an ε-truncated
-/// product-form pass. Keeping the stage *mix* identical to `wfms
-/// profile` matters because `profile --baseline` gates on each stage's
-/// **share** of total stage time — a baseline recorded over a different
-/// mix would make the shares incomparable.
+/// greedy search and a cache-replay re-assessment. Keeping the stage
+/// *mix* identical to `wfms profile` matters because `profile
+/// --baseline` gates on each stage's **share** of total stage time — a
+/// baseline recorded over a different mix would make the shares
+/// incomparable.
 fn exercise(tool: &ConfigurationTool, goals: &Goals) {
     for (spec, _) in tool.workloads() {
         let analysis = tool.workflow_analysis(&spec.name).expect("analyzable");
@@ -23,11 +29,9 @@ fn exercise(tool: &ConfigurationTool, goals: &Goals) {
         dist.percentile(0.9).expect("percentile");
     }
     let config = Configuration::uniform(tool.registry(), 2).expect("valid");
-    let base = SearchOptions {
-        epsilon: 0.0,
-        ..SearchOptions::default()
-    };
-    let engine = tool.engine(goals, base).expect("engine");
+    let engine = tool
+        .engine(goals, SearchOptions::default())
+        .expect("engine");
     engine.assess(&config).expect("assessable");
     match engine.greedy() {
         Ok(_)
@@ -36,16 +40,6 @@ fn exercise(tool: &ConfigurationTool, goals: &Goals) {
         Err(e) => panic!("greedy search failed: {e}"),
     }
     engine.assess(&config).expect("assessable");
-    let truncated = tool
-        .engine(
-            goals,
-            SearchOptions {
-                epsilon: 1e-4,
-                ..base
-            },
-        )
-        .expect("engine");
-    truncated.assess(&config).expect("assessable");
 }
 
 fn main() {
@@ -55,8 +49,13 @@ fn main() {
     ep.add_workflow(ep_workflow(), EP_SIM_ARRIVAL_RATE)
         .expect("EP registers");
     obs::start();
-    exercise(&ep, &goals);
-    let record = obs::finish("ep");
+    let run_ends: Vec<usize> = (0..RUNS)
+        .map(|_| {
+            exercise(&ep, &goals);
+            obs::run_end()
+        })
+        .collect();
+    let record = obs::finish_runs("ep", &run_ends);
     println!(
         "ep: {} stages, {} counters",
         record.stages.len(),
@@ -68,8 +67,13 @@ fn main() {
         enterprise.add_workflow(spec, rate).expect("registers");
     }
     obs::start();
-    exercise(&enterprise, &goals);
-    let record = obs::finish("enterprise");
+    let run_ends: Vec<usize> = (0..RUNS)
+        .map(|_| {
+            exercise(&enterprise, &goals);
+            obs::run_end()
+        })
+        .collect();
+    let record = obs::finish_runs("enterprise", &run_ends);
     println!(
         "enterprise: {} stages, {} counters",
         record.stages.len(),

@@ -22,6 +22,11 @@ pub struct ObsRecord {
     pub gauges: BTreeMap<String, f64>,
     /// Iteration/size histograms.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
+    /// Each stage's smallest per-run total over the runs passed to
+    /// [`finish_runs`] (`wfms_obs::stage_run_minima`); `None` when the
+    /// experiment marked no runs. `wfms profile --baseline` compares
+    /// these when present, and the stage totals otherwise.
+    pub run_min_ns: Option<BTreeMap<String, u64>>,
 }
 
 /// Path of the merged metrics file: `$WFMS_BENCH_OBS` when set, else
@@ -49,11 +54,28 @@ pub fn start() {
 /// Panics when the metrics file holds invalid JSON or cannot be written
 /// — experiment binaries have no error channel beyond their exit status.
 pub fn finish(experiment: &str) -> ObsRecord {
+    finish_runs(experiment, &[])
+}
+
+/// Spans recorded since [`start`]: the end of the run just finished, to
+/// pass to [`finish_runs`].
+pub fn run_end() -> usize {
+    wfms_obs::global().snapshot().spans.len()
+}
+
+/// As [`finish`], additionally recording each stage's smallest per-run
+/// total, where `run_ends[i]` is [`run_end`] after run `i`.
+///
+/// # Panics
+/// As [`finish`].
+pub fn finish_runs(experiment: &str, run_ends: &[usize]) -> ObsRecord {
     let recorder = wfms_obs::global();
     recorder.disable();
     let snapshot = recorder.take();
     let record = ObsRecord {
         stages: wfms_obs::aggregate_stages(&snapshot),
+        run_min_ns: (!run_ends.is_empty())
+            .then(|| wfms_obs::stage_run_minima(&snapshot.spans, run_ends)),
         counters: snapshot.counters,
         gauges: snapshot.gauges,
         histograms: snapshot.histograms,

@@ -151,10 +151,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             "max-wait",
             "max-wait-type",
             "min-availability",
-            "epsilon",
-            "avail-backend",
-            "solver-tol",
-            "solver-max-iter",
         ],
         flags: &["strict", "json"],
     },
@@ -169,20 +165,8 @@ pub const COMMANDS: &[CommandSpec] = &[
             "budget",
             "seed",
             "jobs",
-            "epsilon",
-            "screen-epsilon",
-            "avail-backend",
-            "solver-tol",
-            "solver-max-iter",
         ],
-        flags: &[
-            "optimal",
-            "annealing",
-            "strict",
-            "json",
-            "rank-moves",
-            "no-incremental",
-        ],
+        flags: &["optimal", "annealing", "strict", "json"],
     },
     CommandSpec {
         name: "simulate",
@@ -201,10 +185,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             "min-availability",
             "runs",
             "jobs",
-            "epsilon",
-            "avail-backend",
-            "solver-tol",
-            "solver-max-iter",
             "baseline",
             "baseline-key",
             "gate",

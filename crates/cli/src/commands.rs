@@ -11,10 +11,11 @@ use std::time::Duration;
 use serde::{Deserialize, Serialize};
 
 use wfms_core::avail::{
-    AvailBackend, ProductFormModel, RepairPolicy, SparseAvailabilityModel, MINUTES_PER_YEAR,
+    select_backend, AvailBackend, ProductFormModel, RepairPolicy, SparseAvailabilityModel,
+    MINUTES_PER_YEAR,
 };
 use wfms_core::config::{
-    move_sensitivities, sensitivity, Goals, SearchOptions, SensitivityOptions, TruncationReport,
+    move_sensitivities, sensitivity, Goals, SearchOptions, SensitivityOptions,
 };
 use wfms_core::markov::linalg::GaussSeidelOptions;
 use wfms_core::sim::{run as simulate, SimOptions};
@@ -43,7 +44,6 @@ pub const REQUIRED_STAGES: &[&str] = &[
     "transient-distribution",
     "first-passage",
     "avail-steady-state",
-    "avail-product-form",
     "mg1-waiting",
     "performability",
     "assess",
@@ -51,9 +51,10 @@ pub const REQUIRED_STAGES: &[&str] = &[
 
 /// Counters `profile --check` requires to be nonzero: the engine-backed
 /// pass must actually replay from its caches (or the memoizing path is
-/// silently broken), and the ε-truncated pass must actually prune states
-/// (or the product-form fast path is silently broken).
-pub const REQUIRED_COUNTERS: &[&str] = &["engine.cache-hit", "performability.pruned-states"];
+/// silently broken), and the per-type fold must actually sum
+/// `(type, up-count)` terms (or the performability fold is silently
+/// skipped).
+pub const REQUIRED_COUNTERS: &[&str] = &["engine.cache-hit", "performability.state-evaluations"];
 
 /// Counters `profile --check` requires to STAY zero: a clean profiling
 /// run must never take a solver-fallback escalation or quarantine a
@@ -236,49 +237,18 @@ fn parse_backend(args: &ParsedArgs) -> Result<AvailBackend, CliError> {
     }
 }
 
-/// Evaluation options shared by `assess`, `recommend`, and `profile`:
-/// the truncation ε, the availability backend, the iterative-solver
-/// budget (`--solver-tol`, `--solver-max-iter`), and the `--strict`
-/// fail-fast switch. `recommend` adds the incremental-path knobs:
-/// `--screen-epsilon` (adaptive-ε screening), `--rank-moves`
-/// (sensitivity-ranked screened growth), and `--no-incremental`
-/// (disable the `ε > 0` path's delta patch, for A/B timing). Out-of-range values are
-/// rejected by [`wfms_core::config::AssessmentEngine::new`] as
-/// `InvalidOption`.
-fn parse_search_options(args: &ParsedArgs) -> Result<SearchOptions, CliError> {
-    let mut builder = SearchOptions::builder()
-        .avail_backend(parse_backend(args)?)
-        .strict(args.flag("strict"))
-        .rank_moves(args.flag("rank-moves"))
-        .incremental(!args.flag("no-incremental"));
-    if let Some(epsilon) = args.get_f64("epsilon")? {
-        builder = builder.epsilon(epsilon);
-    }
-    if let Some(screen) = args.get_f64("screen-epsilon")? {
-        builder = builder.screen_epsilon(screen);
-    }
-    if let Some(tolerance) = args.get_f64("solver-tol")? {
-        builder = builder.solver_tolerance(tolerance);
-    }
-    if let Some(max_iter) = args.get_u64("solver-max-iter")? {
-        builder = builder.solver_max_iterations(max_iter as usize);
-    }
-    Ok(builder.build())
-}
-
-/// Renders the graceful-degradation accounting of an assessment: solver
-/// fallbacks taken and failed evaluations charged at their pessimistic
-/// caps (per `(type, up-count)` on the exact path, where a detail's
-/// state is `Y` with the failed type at that up-count and its mass is
-/// the up-count's marginal).
+/// Renders the graceful-degradation accounting of an assessment: failed
+/// evaluations charged at their pessimistic caps, one per
+/// `(type, up-count)` (a detail's state is `Y` with the failed type at
+/// that up-count, and its mass is the up-count's marginal).
 fn write_degradation(
     out: &mut impl Write,
     d: &wfms_core::DegradationReport,
 ) -> Result<(), CliError> {
     writeln!(
         out,
-        "  DEGRADED: {} solver fallback(s), {} failed evaluation(s) charged at the pessimistic cap (mass {:.3e})",
-        d.solver_fallbacks, d.failed_states, d.charged_mass
+        "  DEGRADED: {} failed evaluation(s) charged at the pessimistic cap (mass {:.3e})",
+        d.failed_states, d.charged_mass
     )?;
     for r in d.details.iter().take(3) {
         writeln!(
@@ -316,23 +286,6 @@ fn write_quarantined(
     Ok(())
 }
 
-/// Renders the ε-truncation accounting of an assessment, when the
-/// product-form path actually skipped states.
-fn write_truncation(out: &mut impl Write, t: &TruncationReport) -> Result<(), CliError> {
-    if t.states_skipped == 0 {
-        return Ok(());
-    }
-    writeln!(
-        out,
-        "  truncation (\u{3b5} = {:e}): covered mass {:.9}, skipped {} state(s), max wait error \u{2264} {:.3e} min",
-        t.epsilon,
-        t.covered_mass,
-        t.states_skipped,
-        t.max_error_bound()
-    )?;
-    Ok(())
-}
-
 /// Usage text.
 pub const USAGE: &str = "\
 wfms — performability-driven configuration of distributed WFMS
@@ -362,53 +315,34 @@ COMMANDS
                [--avail-backend auto|dense|sparse|product] [--json]
   assess       --registry <file> --workload <file> --config <y1,..>
                [--max-wait <min>] [--max-wait-type <NAME=min,..>]
-               [--min-availability <a>]
-               [--epsilon <e>] [--avail-backend auto|dense|sparse|product]
-               [--solver-tol <t>] [--solver-max-iter <n>] [--strict]
-               [--json]
-               --epsilon > 0 enables mass-pruned evaluation on the
-               product-form backend: states are consumed in descending
-               probability until mass >= 1-e; the report carries the
-               covered mass and a sound waiting-time error bound
+               [--min-availability <a>] [--strict] [--json]
+               availability and per-type waits in closed form from one
+               record per server type and replica count
   recommend    --registry <file> --workload <file>
                [--max-wait <min>] [--max-wait-type <NAME=min,..>]
                [--min-availability <a>]
-               [--budget <servers>] [--jobs <n>] [--epsilon <e>]
-               [--avail-backend auto|dense|sparse|product]
-               [--solver-tol <t>] [--solver-max-iter <n>] [--strict]
-               [--optimal | --annealing] [--screen-epsilon <e>]
-               [--rank-moves] [--no-incremental] [--json]
-               without --strict, failed sparse solves escalate to the
-               exact per-type path, failed evaluations (per server type
-               and up-count on the exact path, per state with --epsilon
-               or sparse) are charged at their pessimistic waiting-time
+               [--budget <servers>] [--jobs <n>] [--strict]
+               [--optimal | --annealing] [--json]
+               without --strict, failed evaluations (per server type and
+               up-count) are charged at their pessimistic waiting-time
                caps (reported as DEGRADED), and irrecoverable candidates
                are quarantined rather than aborting the search; --strict
-               restores fail-fast. with --epsilon > 0, one-replica
-               neighbours reuse the incumbent's cached per-type marginals
-               (disable with --no-incremental; the exact path caches one
-               record per server type and replica count instead);
-               --screen-epsilon > 0 prunes candidates the loose-e
-               truncation bounds prove infeasible; --rank-moves picks
-               growth moves by closed-form sensitivity when the exact
-               argmax is not proven
+               restores fail-fast. one-replica neighbours share every
+               cached record but the moved type's
   simulate     --registry <file> --workload <file> --config <y1,..>
                [--duration <min>] [--warmup <min>] [--seed <n>]
                [--failures] [--json]
   profile      --registry <file> --workload <file> [--config <y1,..>]
                [--max-wait <min>] [--min-availability <a>] [--runs <n>]
-               [--jobs <n>] [--epsilon <e>] [--solver-tol <t>]
-               [--solver-max-iter <n>] [--strict] [--check]
+               [--jobs <n>] [--strict] [--check]
                [--baseline <file>] [--baseline-key <name>] [--gate <pct>]
                [--json]
                run the analysis stack N times (including an
-               engine-backed greedy search and an e-truncated
-               product-form pass, default epsilon 1e-4) and report
-               per-stage wall time and solver iteration counts; --check
-               fails when a required stage (incl. avail-product-form)
-               records no spans, a required counter (engine.cache-hit,
-               performability.pruned-states) stays zero, or a
-               must-stay-zero counter (solver.fallback,
+               engine-backed greedy search) and report per-stage wall
+               time and solver iteration counts; --check fails when a
+               required stage records no spans, a required counter
+               (engine.cache-hit, performability.state-evaluations)
+               stays zero, or a must-stay-zero counter (solver.fallback,
                config.quarantined) fires on the clean run;
                --baseline diffs each stage's share of total stage time
                against a committed baseline (a BENCH_obs.json map —
@@ -823,8 +757,16 @@ fn cmd_availability(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliEr
     let registry = load_registry(args)?;
     let config = parse_config(args, &registry)?;
     let backend = parse_backend(args)?;
-    // Auto means the historical default here: the dense LU solve.
-    let availability = match backend {
+    // `auto` resolves by the chain's size: the dense LU solve up to the
+    // dense cap, sparse Gauss–Seidel beyond it. The report keeps the
+    // requested name.
+    let resolved = select_backend(
+        backend,
+        RepairPolicy::Independent,
+        config.system_state_count(),
+        0.0,
+    );
+    let availability = match resolved {
         AvailBackend::Auto | AvailBackend::Dense => {
             ConfigurationTool::new(registry)
                 .availability(&config)?
@@ -865,24 +807,23 @@ fn cmd_availability(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliEr
 /// `wfms assess`, dispatched through the shared `wfms-serve` request
 /// handler — the exact same API layer the daemon serves over TCP, so
 /// one-shot results are bit-identical to a daemon answer. The typed
-/// CLI-side validation (registry/workload files, replica vector, goals,
-/// backend) runs first so argument and file errors keep their
-/// historical, path-labelled messages.
+/// CLI-side validation (registry/workload files, replica vector, goals)
+/// runs first so argument and file errors keep their historical,
+/// path-labelled messages.
 fn cmd_assess(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> {
     let tool = load_tool(args)?;
     let config = parse_config(args, tool.registry())?;
     parse_goals(args)?;
-    parse_search_options(args)?;
     let params = AssessParams {
         registry: read_value(args.require("registry")?)?,
         workload: read_value(args.require("workload")?)?,
         config: config.as_slice().to_vec(),
         max_wait: args.get_f64("max-wait")?,
         min_availability: args.get_f64("min-availability")?,
-        epsilon: args.get_f64("epsilon")?,
-        avail_backend: args.get("avail-backend").map(str::to_string),
-        solver_tol: args.get_f64("solver-tol")?,
-        solver_max_iter: args.get_u64("solver-max-iter")?,
+        epsilon: None,
+        avail_backend: None,
+        solver_tol: None,
+        solver_max_iter: None,
         strict: args.flag("strict").then_some(true),
         per_type_max_wait: parse_per_type_waits(args)?,
     };
@@ -927,9 +868,6 @@ fn cmd_assess(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> {
             t.workflow, t.mean_minutes, t.p90_minutes
         )?;
     }
-    if let Some(t) = &assessment.truncation {
-        write_truncation(out, t)?;
-    }
     if let Some(d) = &assessment.degradation {
         write_degradation(out, d)?;
     }
@@ -944,7 +882,6 @@ fn cmd_assess(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> {
 fn cmd_recommend(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> {
     load_tool(args)?;
     parse_goals(args)?;
-    parse_search_options(args)?;
     let search = if args.flag("optimal") {
         "exhaustive"
     } else if args.flag("annealing") {
@@ -961,14 +898,14 @@ fn cmd_recommend(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError
         budget: args.get_u64("budget")?,
         jobs: args.get_u64("jobs")?,
         seed: args.get_u64("seed")?,
-        epsilon: args.get_f64("epsilon")?,
-        avail_backend: args.get("avail-backend").map(str::to_string),
-        solver_tol: args.get_f64("solver-tol")?,
-        solver_max_iter: args.get_u64("solver-max-iter")?,
+        epsilon: None,
+        avail_backend: None,
+        solver_tol: None,
+        solver_max_iter: None,
         strict: args.flag("strict").then_some(true),
-        screen_epsilon: args.get_f64("screen-epsilon")?,
-        rank_moves: args.flag("rank-moves").then_some(true),
-        incremental: args.flag("no-incremental").then_some(false),
+        screen_epsilon: None,
+        rank_moves: None,
+        incremental: None,
         per_type_max_wait: parse_per_type_waits(args)?,
     };
     let request = Request::new(METHOD_RECOMMEND, encode_params(&params)?);
@@ -994,9 +931,6 @@ fn cmd_recommend(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError
     )?;
     if let Some(w) = a.max_expected_waiting {
         writeln!(out, "  worst expected wait {:.2} s", w * 60.0)?;
-    }
-    if let Some(t) = &a.truncation {
-        write_truncation(out, t)?;
     }
     if let Some(d) = &a.degradation {
         write_degradation(out, d)?;
@@ -1369,32 +1303,6 @@ fn load_baseline_stages(path: &str, key: Option<&str>) -> Result<Vec<(String, u6
     }
 }
 
-/// Each stage's smallest per-run total, where `run_ends[i]` counts the
-/// spans recorded by the end of run `i`. A stage that a run did not
-/// record does not count for that run.
-fn stage_run_minima(
-    spans: &[wfms_obs::SpanRecord],
-    run_ends: &[usize],
-) -> std::collections::BTreeMap<String, u64> {
-    let mut minima = std::collections::BTreeMap::new();
-    let mut begin = 0;
-    for &end in run_ends {
-        let mut totals: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
-        for span in spans.get(begin..end).unwrap_or_default() {
-            let total = totals.entry(span.name.as_str()).or_default();
-            *total = total.saturating_add(span.duration_ns);
-        }
-        for (name, total) in totals {
-            minima
-                .entry(name.to_string())
-                .and_modify(|m: &mut u64| *m = (*m).min(total))
-                .or_insert(total);
-        }
-        begin = end;
-    }
-    minima
-}
-
 /// Compares the current per-stage shares against the baseline's over
 /// the stages both runs recorded, each stage timed by its per-run time
 /// (see [`GateEntry`]). A stage regresses when its share grew by more
@@ -1439,8 +1347,7 @@ fn profile_once(
     tool: &ConfigurationTool,
     config: &Configuration,
     goals: &Goals,
-    base: SearchOptions,
-    epsilon: f64,
+    options: SearchOptions,
 ) -> Result<(), CliError> {
     for (spec, _) in tool.workloads() {
         let analysis = tool.workflow_analysis(&spec.name)?;
@@ -1452,7 +1359,7 @@ fn profile_once(
     // profile exercises the memoized path (and `--check` can require
     // `engine.cache-hit` > 0). Unreachable goals or unsustainable load
     // are legitimate outcomes for a profiling workload, not failures.
-    let engine = tool.engine(goals, base)?;
+    let engine = tool.engine(goals, options)?;
     engine.assess(config)?;
     match engine.greedy() {
         Ok(_)
@@ -1463,13 +1370,6 @@ fn profile_once(
     // Re-assess the profiled configuration: replays from the engine's
     // per-type record cache.
     engine.assess(config)?;
-    // ε-truncated product-form pass: exercises the fast availability
-    // backend so `--check` can gate on the `avail-product-form` span and
-    // the `performability.pruned-states` counter. With the default
-    // ε = 1e-4 the all-down tail always carries less mass than ε, so at
-    // least one state is pruned on any non-trivial configuration.
-    let truncated = tool.engine(goals, SearchOptions { epsilon, ..base })?;
-    truncated.assess(config)?;
     Ok(())
 }
 
@@ -1495,15 +1395,10 @@ fn cmd_profile(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> 
         per_type_waiting: Vec::new(),
     };
 
-    let jobs = args.get_u64("jobs")?.unwrap_or(1) as usize;
-    let epsilon = args.get_f64("epsilon")?.unwrap_or(1e-4);
-    // The base engine keeps ε = 0 (exhaustive fold); only the dedicated
-    // truncated pass inside `profile_once` applies ε.
-    let base = SearchOptions {
-        jobs,
-        epsilon: 0.0,
-        ..parse_search_options(args)?
-    };
+    let options = SearchOptions::builder()
+        .jobs(args.get_u64("jobs")?.unwrap_or(1) as usize)
+        .strict(args.flag("strict"))
+        .build();
 
     let recorder = wfms_obs::global();
     recorder.reset();
@@ -1512,7 +1407,7 @@ fn cmd_profile(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> 
     let mut outcome = Ok(());
     let mut run_ends = Vec::with_capacity(runs);
     for _ in 0..runs {
-        outcome = profile_once(&tool, &config, &goals, base, epsilon);
+        outcome = profile_once(&tool, &config, &goals, options);
         run_ends.push(recorder.snapshot().spans.len());
         if outcome.is_err() {
             break;
@@ -1543,7 +1438,7 @@ fn cmd_profile(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> 
     }
 
     let stages = wfms_obs::aggregate_stages(&snapshot);
-    let run_min_ns = stage_run_minima(&snapshot.spans, &run_ends);
+    let run_min_ns = wfms_obs::stage_run_minima(&snapshot.spans, &run_ends);
     let gate_pct = args.get_f64("gate")?.unwrap_or(25.0);
     let gate = match args.get("baseline") {
         Some(bpath) => {
@@ -1789,18 +1684,11 @@ fn cmd_explain(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> 
         winner.cache.block_misses,
         winner.cache.solution
     )?;
-    if let Some(t) = &winner.truncation {
-        writeln!(
-            out,
-            "  truncation: \u{3b5} = {:e}, covered mass {:.9}, {} state(s) skipped",
-            t.epsilon, t.covered_mass, t.states_skipped
-        )?;
-    }
     if let Some(d) = &winner.degradation {
         writeln!(
             out,
-            "  degradation: {} failed evaluation(s), charged mass {:.3e}, {} solver fallback(s)",
-            d.failed_states, d.charged_mass, d.solver_fallbacks
+            "  degradation: {} failed evaluation(s), charged mass {:.3e}",
+            d.failed_states, d.charged_mass
         )?;
     }
     writeln!(

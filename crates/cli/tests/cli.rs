@@ -3,7 +3,7 @@
 
 use std::path::PathBuf;
 
-use wfms_cli::{run_command, CliError, ParsedArgs, USAGE};
+use wfms_cli::{run_command, ArgError, CliError, ParsedArgs, USAGE};
 
 struct TempDir(PathBuf);
 
@@ -172,6 +172,33 @@ fn availability_backends_agree() {
     for v in &values[1..] {
         assert!((v - values[0]).abs() < 1e-9, "{values:?}");
     }
+    // Past the 4,096-state dense cap `auto` resolves to sparse
+    // Gauss–Seidel (16,807 states here) and still prints its own name.
+    let enterprise = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/specs/enterprise/registry.json"
+    );
+    let past_cap = |backend: &str| {
+        let out = invoke(&[
+            "availability",
+            "--registry",
+            enterprise,
+            "--config",
+            "6,6,6,6,6",
+            "--avail-backend",
+            backend,
+            "--json",
+        ])
+        .unwrap();
+        let parsed: serde_json::Value = serde_json::from_str(&out).expect("valid JSON");
+        assert_eq!(parsed["backend"].as_str().unwrap(), backend);
+        parsed["availability"].as_f64().unwrap()
+    };
+    let (auto, product) = (past_cap("auto"), past_cap("product"));
+    assert!(
+        (auto - product).abs() < 1e-12,
+        "auto {auto} vs product {product}"
+    );
     let err = invoke(&[
         "availability",
         "--registry",
@@ -185,65 +212,44 @@ fn availability_backends_agree() {
     assert!(err.to_string().contains("avail-backend"), "{err}");
 }
 
+/// The engine switches deleted with the joint folds fail through the
+/// ordinary unknown-option path on every command that carried them.
 #[test]
-fn assess_with_epsilon_reports_truncation() {
-    let dir = scenario("assess-epsilon");
-    let out = invoke(&[
-        "assess",
-        "--registry",
-        &dir.path("registry.json"),
-        "--workload",
-        &dir.path("workload.json"),
-        "--config",
-        "3,3,3",
-        "--max-wait",
-        "0.05",
-        "--epsilon",
-        "1e-4",
-    ])
-    .unwrap();
-    assert!(out.contains("truncation"), "{out}");
-    assert!(out.contains("covered mass"), "{out}");
-    assert!(out.contains("max wait error"), "{out}");
-
-    // JSON mode carries the full report.
-    let out = invoke(&[
-        "assess",
-        "--registry",
-        &dir.path("registry.json"),
-        "--workload",
-        &dir.path("workload.json"),
-        "--config",
-        "3,3,3",
-        "--max-wait",
-        "0.05",
-        "--epsilon",
-        "1e-4",
-        "--json",
-    ])
-    .unwrap();
-    let parsed: serde_json::Value = serde_json::from_str(&out).expect("valid JSON");
-    let t = &parsed["truncation"];
-    assert!(t["covered_mass"].as_f64().unwrap() >= 1.0 - 1e-4);
-    assert!(t["states_skipped"].as_u64().unwrap() > 0);
-
-    // Without ε the dense path reports no truncation.
-    let out = invoke(&[
-        "assess",
-        "--registry",
-        &dir.path("registry.json"),
-        "--workload",
-        &dir.path("workload.json"),
-        "--config",
-        "3,3,3",
-        "--max-wait",
-        "0.05",
-        "--json",
-    ])
-    .unwrap();
-    let parsed: serde_json::Value = serde_json::from_str(&out).expect("valid JSON");
-    assert!(parsed["truncation"].is_null());
-
+fn removed_engine_switches_are_unknown_options() {
+    let removed: [(&str, &[&str]); 3] = [
+        (
+            "assess",
+            &["epsilon", "avail-backend", "solver-tol", "solver-max-iter"],
+        ),
+        (
+            "recommend",
+            &[
+                "epsilon",
+                "avail-backend",
+                "solver-tol",
+                "solver-max-iter",
+                "screen-epsilon",
+                "rank-moves",
+                "no-incremental",
+            ],
+        ),
+        (
+            "profile",
+            &["epsilon", "avail-backend", "solver-tol", "solver-max-iter"],
+        ),
+    ];
+    for (command, switches) in removed {
+        for switch in switches {
+            let tokens = [command.to_string(), format!("--{switch}"), "1".to_string()];
+            match ParsedArgs::parse(tokens) {
+                Err(ArgError::UnknownFlag { flag, command: c }) => {
+                    assert_eq!((flag.as_str(), c.as_str()), (*switch, command));
+                }
+                other => panic!("{command} --{switch}: expected UnknownFlag, got {other:?}"),
+            }
+        }
+    }
+    let dir = scenario("removed-switches");
     let err = invoke(&[
         "assess",
         "--registry",
@@ -252,50 +258,30 @@ fn assess_with_epsilon_reports_truncation() {
         &dir.path("workload.json"),
         "--config",
         "3,3,3",
-        "--max-wait",
-        "0.05",
-        "--epsilon",
-        "1.5",
-    ])
-    .unwrap_err();
-    assert!(err.to_string().contains("epsilon"), "{err}");
-}
-
-#[test]
-fn recommend_with_epsilon_matches_default_recommendation() {
-    let dir = scenario("recommend-epsilon");
-    let exact = invoke(&[
-        "recommend",
-        "--registry",
-        &dir.path("registry.json"),
-        "--workload",
-        &dir.path("workload.json"),
-        "--max-wait",
-        "0.05",
-        "--min-availability",
-        "0.9999",
-        "--json",
-    ])
-    .unwrap();
-    let truncated = invoke(&[
-        "recommend",
-        "--registry",
-        &dir.path("registry.json"),
-        "--workload",
-        &dir.path("workload.json"),
-        "--max-wait",
-        "0.05",
-        "--min-availability",
-        "0.9999",
         "--epsilon",
         "1e-9",
-        "--json",
     ])
-    .unwrap();
-    let exact: serde_json::Value = serde_json::from_str(&exact).expect("valid JSON");
-    let truncated: serde_json::Value = serde_json::from_str(&truncated).expect("valid JSON");
-    // A tight ε must not change which configuration wins.
-    assert_eq!(exact["replicas"], truncated["replicas"]);
+    .unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "unknown option --epsilon for `wfms assess` (try `wfms help`)"
+    );
+    let err = invoke(&[
+        "recommend",
+        "--registry",
+        &dir.path("registry.json"),
+        "--workload",
+        &dir.path("workload.json"),
+        "--max-wait",
+        "0.05",
+        "--screen-epsilon",
+        "1e-2",
+    ])
+    .unwrap_err();
+    assert!(
+        matches!(err, CliError::Arg(ArgError::UnknownFlag { ref flag, .. }) if flag == "screen-epsilon"),
+        "{err:?}"
+    );
 }
 
 #[test]
@@ -672,44 +658,48 @@ fn export_dot_renders_both_views() {
     assert!(err.to_string().contains("chart"), "{err}");
 }
 
-#[test]
-fn assess_reports_solver_degradation_and_strict_restores_failfast() {
-    let dir = scenario("degrade");
-    // A one-sweep Gauss–Seidel budget cannot converge: without --strict
-    // the engine escalates to the dense LU fallback and reports it.
-    let degraded = invoke(&[
-        "assess",
-        "--registry",
-        &dir.path("registry.json"),
-        "--workload",
-        &dir.path("workload.json"),
-        "--config",
-        "2,2,2",
-        "--max-wait",
-        "0.5",
-        "--avail-backend",
-        "sparse",
-        "--solver-max-iter",
-        "1",
-    ])
-    .unwrap();
-    assert!(degraded.contains("DEGRADED"), "missing marker: {degraded}");
-    assert!(degraded.contains("1 solver fallback(s)"));
+/// Runs the `wfms` binary with `WFMS_FAULTS` set, so the failpoints
+/// fire in a process of their own.
+fn wfms_with_faults(faults: &str, args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_wfms"))
+        .args(args)
+        .env("WFMS_FAULTS", faults)
+        .env("WFMS_FAULT_SEED", "7")
+        .output()
+        .expect("spawn wfms")
+}
 
-    // The fallback is numerically transparent: the degraded run reports
-    // the same availability line as a clean dense solve.
-    let clean = invoke(&[
+#[test]
+fn assess_reports_charged_evaluations_and_strict_restores_failfast() {
+    let dir = scenario("degrade");
+    let (registry, workload) = (dir.path("registry.json"), dir.path("workload.json"));
+    let args = [
         "assess",
         "--registry",
-        &dir.path("registry.json"),
+        &registry,
         "--workload",
-        &dir.path("workload.json"),
+        &workload,
         "--config",
         "2,2,2",
         "--max-wait",
         "0.5",
-    ])
-    .unwrap();
+    ];
+    // Every per-type evaluation fails: without --strict each is charged
+    // at its pessimistic cap, one per server type and up-count.
+    let faults = "performability.evaluate-state=error@1.0";
+    let run = wfms_with_faults(faults, &args);
+    assert!(run.status.success(), "{run:?}");
+    let degraded = String::from_utf8(run.stdout).expect("utf-8 output");
+    assert!(
+        degraded.contains(
+            "DEGRADED: 9 failed evaluation(s) charged at the pessimistic cap (mass 1.000e0)"
+        ),
+        "{degraded}"
+    );
+
+    // The charge touches only the waits: the availability line is the
+    // clean run's.
+    let clean = invoke(&args).unwrap();
     assert!(!clean.contains("DEGRADED"));
     let avail_line = |s: &str| {
         s.lines()
@@ -719,103 +709,43 @@ fn assess_reports_solver_degradation_and_strict_restores_failfast() {
     };
     assert_eq!(avail_line(&degraded), avail_line(&clean));
 
-    // --strict restores fail-fast: the starved solve is a hard error.
-    let err = invoke(&[
-        "assess",
-        "--registry",
-        &dir.path("registry.json"),
-        "--workload",
-        &dir.path("workload.json"),
-        "--config",
-        "2,2,2",
-        "--max-wait",
-        "0.5",
-        "--avail-backend",
-        "sparse",
-        "--solver-max-iter",
-        "1",
-        "--strict",
-    ])
-    .unwrap_err();
-    // Model-level failures now travel through the shared request
-    // handler as typed `tool` payloads; the printed text is unchanged.
-    assert!(
-        matches!(err, CliError::Remote { ref kind, .. } if kind == "tool"),
-        "got {err:?}"
-    );
-    assert!(err.to_string().contains("no convergence"), "got {err}");
+    // --strict restores fail-fast: the first failed evaluation is a hard
+    // error.
+    let mut strict = args.to_vec();
+    strict.push("--strict");
+    let run = wfms_with_faults(faults, &strict);
+    assert!(!run.status.success(), "{run:?}");
+    let stderr = String::from_utf8(run.stderr).expect("utf-8 stderr");
+    assert!(stderr.contains("fault injected"), "{stderr}");
 }
 
 #[test]
-fn solver_options_are_validated() {
-    let dir = scenario("solveropts");
-    let err = invoke(&[
-        "assess",
-        "--registry",
-        &dir.path("registry.json"),
-        "--workload",
-        &dir.path("workload.json"),
-        "--config",
-        "2,2,2",
-        "--max-wait",
-        "0.5",
-        "--solver-tol",
-        "0",
-    ])
-    .unwrap_err();
-    assert!(err.to_string().contains("solver tolerance"), "got {err:?}");
-    let err = invoke(&[
+fn recommend_reports_degradation_under_failing_evaluations() {
+    let spec = |file: &str| {
+        format!(
+            "{}/../../examples/specs/enterprise/{file}",
+            env!("CARGO_MANIFEST_DIR")
+        )
+    };
+    let (registry, workload) = (spec("registry.json"), spec("workload.json"));
+    let args = [
         "recommend",
         "--registry",
-        &dir.path("registry.json"),
+        &registry,
         "--workload",
-        &dir.path("workload.json"),
+        &workload,
         "--max-wait",
-        "0.5",
-        "--solver-max-iter",
-        "0",
-    ])
-    .unwrap_err();
-    assert!(
-        err.to_string().contains("solver max-iterations"),
-        "got {err:?}"
-    );
-}
-
-#[test]
-fn recommend_reports_degradation_on_a_starved_sparse_solver() {
-    let dir = scenario("recdegrade");
-    let out = invoke(&[
-        "recommend",
-        "--registry",
-        &dir.path("registry.json"),
-        "--workload",
-        &dir.path("workload.json"),
-        "--max-wait",
-        "0.5",
+        "0.05",
         "--min-availability",
         "0.9999",
-        "--avail-backend",
-        "sparse",
-        "--solver-max-iter",
-        "1",
-    ])
-    .unwrap();
-    assert!(out.contains("DEGRADED"), "missing marker: {out}");
+    ];
+    let run = wfms_with_faults("performability.evaluate-state=error@0.25", &args);
+    assert!(run.status.success(), "{run:?}");
+    let out = String::from_utf8(run.stdout).expect("utf-8 output");
+    assert!(out.contains("DEGRADED:"), "missing marker: {out}");
 
     // The degraded search lands on the same configuration as a clean one.
-    let clean = invoke(&[
-        "recommend",
-        "--registry",
-        &dir.path("registry.json"),
-        "--workload",
-        &dir.path("workload.json"),
-        "--max-wait",
-        "0.5",
-        "--min-availability",
-        "0.9999",
-    ])
-    .unwrap();
+    let clean = invoke(&args).unwrap();
     let recommend_line = |s: &str| {
         s.lines()
             .find(|l| l.contains("recommend"))

@@ -88,15 +88,13 @@ fn objective(assessment: &Assessment, goals: &Goals) -> f64 {
 /// The Metropolis walk behind [`AssessmentEngine::annealing`],
 /// assessing candidates through the engine's caches. The walk is
 /// sequential (each step depends on the previous accept/reject), so
-/// `jobs` only parallelises the per-state kernel inside each
-/// assessment; the RNG stream — and therefore the trace — is untouched
-/// by the thread count.
+/// `jobs` does not change its work; the RNG stream — and therefore the
+/// trace — is untouched by the thread count.
 ///
 /// Because the walk moves one ±1-replica coordinate at a time, every
-/// product-backend availability solve after the first is answered by
-/// the engine's incremental delta patch
-/// ([`crate::SearchOptions::incremental`]) — one fresh marginal, `k−1`
-/// reused — with no annealing-specific code. The walk is deliberately
+/// assessment after the first fills at most one new per-type record
+/// and replays the other `k−1` from the engine's record cache, with no
+/// annealing-specific code. The walk is deliberately
 /// *not* reordered by the closed-form move ranking
 /// ([`crate::moves`]): proposals are RNG-pinned, and reordering them
 /// would change the trace for every seed.

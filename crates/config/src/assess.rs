@@ -3,62 +3,52 @@
 use serde::{Deserialize, Serialize};
 
 use wfms_perf::SystemLoad;
-use wfms_performability::TruncationReport;
 use wfms_statechart::ServerTypeRegistry;
 
 use crate::error::ConfigError;
 use crate::goals::GoalCheck;
 
-/// Cap on the per-state failure records kept in a
+/// Cap on the per-evaluation failure records kept in a
 /// [`DegradationReport`]; the `failed_states` count is always exact.
 pub const DEGRADATION_DETAIL_CAP: usize = 32;
 
 /// One evaluation that failed and was charged with its pessimistic
 /// waiting-time cap instead.
 ///
-/// The joint paths (`ε > 0`, sparse) evaluate whole system states. The
-/// exact default path evaluates one server type at one up-count `u`;
-/// its record stands for every joint state with `X_x = u`.
+/// The engine evaluates one server type at one up-count `u`; the
+/// record stands for every joint state with `X_x = u`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DegradedStateRecord {
-    /// The system state `X` whose kernel evaluation failed; on the exact
-    /// path, the candidate `Y` with the failed type's entry set to `u`.
+    /// The candidate `Y` with the failed type's entry set to `u`.
     pub state: Vec<usize>,
-    /// Its stationary probability `π_X`; on the exact path, the
-    /// marginal `m_x[u]`, the joint mass of every state with `X_x = u`.
+    /// The marginal `m_x[u]`: the joint mass of every state with
+    /// `X_x = u`.
     pub probability: f64,
-    /// Human-readable description of the failure (on the exact path,
-    /// prefixed with the server type and up-count).
+    /// Human-readable description of the failure, prefixed with the
+    /// server type and up-count.
     pub error: String,
 }
 
-/// How an assessment degraded gracefully instead of failing — the
-/// robustness sibling of [`TruncationReport`]. Present **iff** something
-/// actually degraded; clean assessments carry `None` and are bit-identical
-/// to a build without the supervision layer.
+/// How an assessment degraded gracefully instead of failing. Present
+/// **iff** something actually degraded; clean assessments carry `None`
+/// and are bit-identical to a build without the supervision layer.
 ///
 /// The substituted waiting times are the sound per-type caps of
 /// [`wfms_performability::type_waiting_cap`] (the wait at the smallest
 /// stable up-count), so a degraded assessment's expected waiting is a
 /// **pessimistic** estimate: real waits in the failed states can only be
-/// lower. The exact default path charges per `(type, up-count)`
-/// ([`wfms_performability::charged_type_outcome`]); the joint paths
-/// charge whole states.
+/// lower. The engine charges per `(type, up-count)`
+/// ([`wfms_performability::charged_type_outcome`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DegradationReport {
     /// Kernel evaluations that failed and were charged with the
-    /// pessimistic cap: one per `(type, up-count)` on the exact path,
-    /// one per state on the joint paths.
+    /// pessimistic cap, one per `(type, up-count)`.
     pub failed_states: usize,
-    /// Total stationary mass those evaluations touch: on the exact path
-    /// `1 − Π_x (1 − Σ_{failed u} m_x[u])`, on the joint paths the sum of
-    /// the failed states' `π`. `1.0` when everything failed.
+    /// Total stationary mass those evaluations touch,
+    /// `1 − Π_x (1 − Σ_{failed u} m_x[u])`; `1.0` when everything
+    /// failed.
     pub charged_mass: f64,
-    /// Availability-solver escalations taken while producing this
-    /// assessment (sparse Gauss–Seidel → the exact per-type path).
-    /// Mirrors the `solver.fallback` obs counter.
-    pub solver_fallbacks: u32,
-    /// Per-state failure detail, capped at [`DEGRADATION_DETAIL_CAP`]
+    /// Per-evaluation failure detail, capped at [`DEGRADATION_DETAIL_CAP`]
     /// entries ([`DegradationReport::failed_states`] stays exact).
     pub details: Vec<DegradedStateRecord>,
 }
@@ -95,16 +85,8 @@ pub struct Assessment {
     /// Probability that some server type is saturated while the system is
     /// nominally up.
     pub probability_saturated: f64,
-    /// Accounting for ε-truncated evaluation, present **iff** the
-    /// performability fold ran on the product-form backend (see
-    /// [`SearchOptions::epsilon`](crate::SearchOptions)). `None` on the
-    /// exhaustive dense/sparse path. With `ε = 0` the report is still
-    /// attached but records zero skipped states, zero skipped mass, and
-    /// all-zero error bounds.
-    pub truncation: Option<TruncationReport>,
-    /// Graceful-degradation accounting, present **iff** some part of the
-    /// evaluation failed and was repaired (solver fallback, pessimistic
-    /// state charging). `None` in clean runs and always `None` under
+    /// Graceful-degradation accounting, present **iff** some evaluation
+    /// failed and was charged at its pessimistic cap. `None` in clean runs and always `None` under
     /// [`SearchOptions::strict`](crate::SearchOptions) (failures abort
     /// instead).
     #[serde(default)]

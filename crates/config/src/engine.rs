@@ -8,16 +8,14 @@
 //! ([`ServerTypeRegistry`], [`SystemLoad`], [`Goals`], [`SearchOptions`])
 //! and threads shared memo layers through all assessments.
 //!
-//! # The exact default path: per-type records
+//! # Per-type records
 //!
 //! The engine models independent repair throughout, so the availability
 //! chain is a product of per-type birth–death chains,
 //! `π(X) = Π_x m_x[X_x]` ([`wfms_avail::ProductFormModel`]), and type
 //! `x`'s M/G/1 wait depends on its own up-count `X_x` alone. Every
-//! candidate that resolves to [`AvailBackend::Dense`] — the `ε = 0`
-//! default up to 4,096 states, and the sparse solver's escalation — is
-//! therefore assessed from `k` **records**, cached by `(type, Y_x)`: the
-//! birth–death marginal `m_x` (read from the block cache below) and type
+//! candidate, at any size, is therefore assessed from `k` **records**,
+//! cached by `(type, Y_x)`: the birth–death marginal `m_x` and type
 //! `x`'s single-type outcome at every up-count `u = 0..=Y_x`. The
 //! assessment is closed-form over them: availability `Π_x (1 − m_x[0])`
 //! and one 1-D waiting-time sum per type
@@ -25,30 +23,10 @@
 //! terms, never the `Π_x (Y_x + 1)` joint states. A record is a pure
 //! function of `(type, Y_x)`, so a one-replica move changes exactly one.
 //!
-//! # The joint paths
-//!
-//! `ε > 0` (the product backend) and an explicit sparse backend still
-//! fold joint states, through three more layers:
-//!
-//! 1. **Degraded-state cache** — keyed by the system state vector `X`,
-//!    holding the per-state waiting-time vector `w^X` and saturation
-//!    flag ([`wfms_performability::StateEvaluation`]). For a fixed
-//!    `(registry, load)` pair, `w^X` does not depend on the candidate
-//!    `Y` containing `X`, so each state is evaluated once across the
-//!    whole search.
-//! 2. **Birth–death-block cache** — keyed by `(type, Y_x)`, holding the
-//!    per-type rate ladders ([`wfms_avail::BirthDeathBlock`]) of the
-//!    availability CTMC, so the chain for `Y + e_k` reuses the blocks of
-//!    every unchanged type. The record fill reads its marginal here too.
-//! 3. **Availability-solution cache** — keyed by `Y` and the backend,
-//!    holding the sparse stationary vector or the product-form
-//!    marginals, so re-assessing a candidate skips the availability
-//!    solve entirely.
-//!
-//! `ε > 0` folds only the heaviest states of the product form.
-//! Candidate evaluation over the exhaustive/B&B frontier — and, on the
-//! sparse path, the per-state kernel over the degraded states of one
-//! candidate — runs on a rayon pool sized by [`SearchOptions::jobs`].
+//! A record fill reads its marginal from a second cache, the
+//! birth–death blocks ([`wfms_avail::BirthDeathBlock`]), also keyed by
+//! `(type, Y_x)`. Candidate evaluation over the exhaustive/B&B frontier
+//! runs on a rayon pool sized by [`SearchOptions::jobs`].
 //!
 //! # Determinism contract
 //!
@@ -64,15 +42,9 @@
 //! # Observability
 //!
 //! Stable names (see `wfms-obs`): counters `engine.cache-hit` /
-//! `engine.cache-miss` count record lookups on the exact path (one per
-//! type per candidate) and lookups of the three joint layers elsewhere;
-//! the counter `engine.delta-assess` (with its `delta-assess` span) fires
-//! once per availability solve answered by patching a cached
-//! neighbour's marginals instead of rebuilding them; the counter
-//! `engine.screen-reject` fires once per candidate the adaptive-ε
-//! screen proves infeasible; gauge `engine.parallel-candidates`
-//! reports the size of the last candidate batch dispatched in
-//! parallel.
+//! `engine.cache-miss` count record lookups (one per type per
+//! candidate); gauge `engine.parallel-candidates` reports the size of
+//! the last candidate batch dispatched in parallel.
 
 // audit:allow-file(A006, reason = "the caches are keyed lookups (get/insert only, never iterated), so hash order never reaches results; bit-identity is asserted by tests/engine.rs")
 use std::collections::{BTreeMap, HashMap};
@@ -82,16 +54,11 @@ use std::sync::{Arc, Mutex};
 
 use rayon::prelude::*;
 
-use wfms_avail::{
-    select_backend, steady_state_marginal, AvailBackend, BirthDeathBlock, ProductFormModel,
-    RepairPolicy, SparseAvailabilityModel, StateSpace, MINUTES_PER_YEAR,
-};
-use wfms_markov::linalg::GaussSeidelOptions;
+use wfms_avail::{steady_state_marginal, BirthDeathBlock, RepairPolicy, MINUTES_PER_YEAR};
 use wfms_perf::{SystemLoad, WaitingOutcome};
 use wfms_performability::{
-    charged_type_outcome, evaluate_state, evaluate_type_state, fold_states, fold_states_truncated,
-    fold_types, type_waiting_cap, waiting_time_caps, DegradedPolicy, PerformabilityError,
-    PerformabilityReport, StateEvaluation, TruncationOptions,
+    charged_type_outcome, evaluate_type_state, fold_types, type_waiting_cap, PerformabilityError,
+    PerformabilityReport,
 };
 use wfms_statechart::{Configuration, ServerTypeId, ServerTypeRegistry};
 
@@ -116,44 +83,6 @@ use crate::search::{
 /// identical to the serial early-exit path.
 const CANDIDATE_BATCH: usize = 32;
 
-/// Per-rung shrink factor of the adaptive-ε screening ladder: when a
-/// loose rung cannot prove a verdict, the next tries three decades
-/// tighter, stopping an order of magnitude above the engine's own ε
-/// (the bound inflation in [`AssessmentEngine::screen_waiting_at`]
-/// requires every rung to stay strictly looser than the exact fold).
-const SCREEN_LADDER_SHRINK: f64 = 1e-3;
-
-/// A greedy step proven skippable by the adaptive-ε screen: the
-/// candidate cannot meet the goals, and the search grows `growth` next.
-/// `availability` is exact (closed-form product); `w_max` is the loose
-/// fold's estimate, carried into the journal for explainability only.
-struct ScreenedStep {
-    growth: ServerTypeId,
-    availability: f64,
-    w_max: Option<f64>,
-    cache: CacheProvenance,
-}
-
-/// Verdict of the waiting-goal side of the screen at one or more
-/// ladder rungs. Only `ProvenViolation` / `ProvenMet` are sound
-/// statements about the exact (engine-ε) fold; everything else falls
-/// through to the exact assessment.
-enum WaitingScreen {
-    /// Some threshold type provably violates its waiting goal; `growth`
-    /// carries the exact path's growth argmax when it, too, is proven.
-    ProvenViolation {
-        growth: Option<ServerTypeId>,
-        w_max: f64,
-    },
-    /// Every threshold type provably meets its waiting goal.
-    ProvenMet { w_max: f64 },
-    /// The bounds straddle a threshold: no sound verdict at this rung.
-    Unproven,
-    /// The loose fold failed (fault, saturation, serving-free prefix):
-    /// terminally inconclusive — tightening cannot help.
-    Abstain,
-}
-
 /// Locks a cache mutex, recovering from poisoning: the caches hold
 /// memoized values of pure functions, so a panicked worker can at most
 /// have skipped an insert — the map itself is never left mid-update.
@@ -163,7 +92,7 @@ fn lock_cache<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// A tick-stamped LRU map for the record, state and solution caches: `get`
+/// A tick-stamped LRU map for the record cache: `get`
 /// refreshes recency, and `insert` at capacity evicts the
 /// least-recently-used entry (capacity `0` disables caching entirely,
 /// preserving the historical contract). A `BTreeMap` recency index
@@ -195,10 +124,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 
     fn len(&self) -> usize {
         self.map.len()
-    }
-
-    fn contains_key(&self, key: &K) -> bool {
-        self.map.contains_key(key)
     }
 
     fn get<Q>(&mut self, key: &Q) -> Option<Arc<V>>
@@ -265,17 +190,6 @@ impl CacheCounters {
     }
 }
 
-/// Poisons the first stable outcome with NaN — the engine-level effect
-/// of a `nan` fault injection on a cache-fill site.
-fn poison_first_stable(outcomes: &mut [WaitingOutcome]) {
-    for o in outcomes.iter_mut() {
-        if let WaitingOutcome::Stable { waiting_time, .. } = o {
-            *waiting_time = f64::NAN;
-            break;
-        }
-    }
-}
-
 /// The failure the `engine.solution-cache-fill` failpoint injects: an
 /// availability solve that did not converge.
 fn injected_solve_failure() -> ConfigError {
@@ -289,8 +203,8 @@ fn injected_solve_failure() -> ConfigError {
     ))
 }
 
-/// One server type's share of the exact default path at `Y_x`
-/// replicas: everything the per-type fold needs from type `x`.
+/// One server type's share of an assessment at `Y_x` replicas:
+/// everything the per-type fold needs from type `x`.
 #[derive(Debug)]
 struct TypeRecord {
     /// The birth–death marginal `m_x[u]`, `u = 0..=Y_x`.
@@ -317,30 +231,6 @@ impl TypeRecord {
     }
 }
 
-/// A cached availability solve of a joint path for one candidate `Y`,
-/// shaped by the backend that produced it.
-#[derive(Debug)]
-enum AvailabilitySolution {
-    /// Sparse Gauss–Seidel: the materialized stationary vector in
-    /// encoding order.
-    Explicit { pi: Vec<f64>, availability: f64 },
-    /// The sparse solve failed and escalated to the exact per-type path:
-    /// the candidate's records answer it. Cached so that warm replays
-    /// still report the escalation they were born with; `poisoned`
-    /// carries a NaN injected at the solve into the exact availability,
-    /// as an explicit solution carries it in its own.
-    Escalated { poisoned: bool },
-    /// Product form: per-type marginals only — `π` is never
-    /// materialized (that is the `O(Σ Y_x)` point of the backend);
-    /// states are enumerated lazily in descending `π` order instead.
-    Product(ProductFormModel),
-}
-
-/// Key of the availability-solution cache: the candidate `Y` plus the
-/// backend that solved it, so e.g. a sparse solve can coexist with the
-/// lazily enumerated product form for the same candidate.
-type SolutionKey = (Vec<usize>, AvailBackend);
-
 /// What a fold made of one candidate: the performability report, the
 /// availability, and the graceful-degradation accounting.
 struct Folded {
@@ -350,27 +240,21 @@ struct Folded {
     failed: Vec<DegradedStateRecord>,
     /// The stationary mass those failures touch.
     charged_mass: f64,
-    solver_fallbacks: u32,
 }
 
-/// Entry counts and hit/miss totals of the engine's cache layers (see
-/// the module docs for the exact path and the joint paths).
+/// Entry counts and hit/miss totals of the engine's caches (see the
+/// module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// State-layer entries: the exact path's `(type, Y_x)` records (type
-    /// `x`'s marginal and its outcome at every up-count), plus the joint
-    /// paths' degraded states (`X → w^X`).
+    /// Record entries: the `(type, Y_x)` records (type `x`'s marginal
+    /// and its outcome at every up-count).
     pub state_entries: usize,
-    /// Availability-solution entries (`Y → π`) of the joint paths; the
-    /// exact path keeps its marginals in the records instead.
-    pub solution_entries: usize,
     /// Birth–death-block entries (`(type, Y_x)` ladders).
     pub block_entries: usize,
-    /// Total lookups answered from a cache: record lookups on the exact
-    /// path (one per type per candidate), lookups of every layer on the
-    /// joint paths.
+    /// Total record lookups answered from the cache (one lookup per
+    /// type per candidate).
     pub hits: u64,
-    /// Total lookups that had to compute, counted the same way.
+    /// Total record lookups that had to fill a record.
     pub misses: u64,
 }
 
@@ -389,8 +273,6 @@ pub struct AssessmentEngine {
     options: SearchOptions,
     pool: rayon::ThreadPool,
     records: Mutex<LruCache<(usize, usize), TypeRecord>>,
-    states: Mutex<LruCache<Vec<usize>, StateEvaluation>>,
-    solutions: Mutex<LruCache<SolutionKey, AvailabilitySolution>>,
     blocks: Mutex<HashMap<(usize, usize), Arc<BirthDeathBlock>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -415,9 +297,6 @@ impl AssessmentEngine {
     /// # Errors
     /// * [`ConfigError::NoGoals`] / [`ConfigError::InvalidGoal`] on bad
     ///   goals.
-    /// * [`ConfigError::InvalidOption`] on a truncation `ε` outside
-    ///   `[0, 1)`, a non-positive solver tolerance, or a zero solver
-    ///   iteration cap.
     /// * [`ConfigError::Preflight`] when static analysis finds errors.
     pub fn new(
         registry: &ServerTypeRegistry,
@@ -426,30 +305,6 @@ impl AssessmentEngine {
         options: SearchOptions,
     ) -> Result<Self, ConfigError> {
         goals.validate()?;
-        if !(options.epsilon.is_finite() && (0.0..1.0).contains(&options.epsilon)) {
-            return Err(ConfigError::InvalidOption {
-                what: "truncation epsilon",
-                value: options.epsilon,
-            });
-        }
-        if !(options.screen_epsilon.is_finite() && (0.0..1.0).contains(&options.screen_epsilon)) {
-            return Err(ConfigError::InvalidOption {
-                what: "screening epsilon",
-                value: options.screen_epsilon,
-            });
-        }
-        if !(options.solver_tolerance.is_finite() && options.solver_tolerance > 0.0) {
-            return Err(ConfigError::InvalidOption {
-                what: "solver tolerance",
-                value: options.solver_tolerance,
-            });
-        }
-        if options.solver_max_iterations == 0 {
-            return Err(ConfigError::InvalidOption {
-                what: "solver max-iterations",
-                value: 0.0,
-            });
-        }
         run_preflight(registry, load, None)?;
         // Infallible with the vendored rayon stand-in: `build()` only
         // fails on resource exhaustion spawning OS threads, at which
@@ -466,8 +321,6 @@ impl AssessmentEngine {
             options,
             pool,
             records: Mutex::new(LruCache::with_capacity(options.state_cache_capacity)),
-            states: Mutex::new(LruCache::with_capacity(options.state_cache_capacity)),
-            solutions: Mutex::new(LruCache::with_capacity(options.solution_cache_capacity)),
             blocks: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -497,8 +350,7 @@ impl AssessmentEngine {
     /// Current cache entry counts and lifetime hit/miss totals.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
-            state_entries: lock_cache(&self.records).len() + lock_cache(&self.states).len(),
-            solution_entries: lock_cache(&self.solutions).len(),
+            state_entries: lock_cache(&self.records).len(),
             block_entries: lock_cache(&self.blocks).len(),
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -523,8 +375,7 @@ impl AssessmentEngine {
 
     /// The birth–death rate ladders for `replicas` servers of type `j`,
     /// from the block cache. Tallies the lookup in `counters` only: the
-    /// joint paths add block lookups to the engine totals, the exact path
-    /// counts its record lookups instead.
+    /// engine totals count record lookups instead.
     fn block(
         &self,
         j: usize,
@@ -548,20 +399,6 @@ impl AssessmentEngine {
             .expect("block cache")
             .insert((j, replicas), block.clone());
         Ok(block)
-    }
-
-    /// Resolves the engine's configured backend for one candidate: a
-    /// pure function of the options and the candidate's state-space
-    /// size, so the same candidate always lands on the same cache key.
-    /// The engine's chains use independent repair throughout (see
-    /// [`AssessmentEngine::block`]).
-    fn resolved_backend(&self, config: &Configuration) -> AvailBackend {
-        select_backend(
-            self.options.avail_backend,
-            RepairPolicy::Independent,
-            config.system_state_count(),
-            self.options.epsilon,
-        )
     }
 
     /// The `k` per-type records of `config` (see the module docs), from
@@ -638,7 +475,9 @@ impl AssessmentEngine {
                 }),
                 Some(wfms_fault::Injection::Nan) => {
                     evaluate_type_state(&self.load, &self.registry, id, up).map(|mut outcome| {
-                        poison_first_stable(std::slice::from_mut(&mut outcome));
+                        if let WaitingOutcome::Stable { waiting_time, .. } = &mut outcome {
+                            *waiting_time = f64::NAN;
+                        }
                         outcome
                     })
                 }
@@ -667,292 +506,6 @@ impl AssessmentEngine {
         })
     }
 
-    /// The availability solve of a joint path — `backend` is `Sparse` or
-    /// `Product` — from the solution cache. On a miss, assembles the
-    /// chosen model from cached per-type blocks: sparse runs tight
-    /// Gauss–Seidel sweeps, escalating a failed solve to the exact
-    /// per-type path ([`AvailabilitySolution::Escalated`]); product
-    /// computes the closed-form marginals only. The cache key carries the
-    /// backend, so solutions produced by different backends never alias.
-    fn availability_solution(
-        &self,
-        config: &Configuration,
-        backend: AvailBackend,
-        counters: &CacheCounters,
-    ) -> Result<Arc<AvailabilitySolution>, ConfigError> {
-        debug_assert!(
-            matches!(backend, AvailBackend::Sparse | AvailBackend::Product),
-            "the exact path has no joint solution"
-        );
-        let key = (config.as_slice().to_vec(), backend);
-        if let Some(hit) = lock_cache(&self.solutions).get(&key) {
-            self.record_hits(1);
-            counters.solution_hit.set(Some(true));
-            return Ok(hit.clone());
-        }
-        self.record_misses(1);
-        counters.solution_hit.set(Some(false));
-        // Failpoint `engine.solution-cache-fill`: error injection fails
-        // the availability solve for this candidate (non-strict searches
-        // quarantine it); NaN injection poisons the solved availability,
-        // which the non-finite guard in `assess` then rejects.
-        let mut poison_availability = false;
-        match wfms_fault::point!("engine.solution-cache-fill") {
-            Some(wfms_fault::Injection::Error) => return Err(injected_solve_failure()),
-            Some(wfms_fault::Injection::Nan) => poison_availability = true,
-            None => {}
-        }
-        let mut blocks = Vec::with_capacity(config.k());
-        for (j, &y) in config.as_slice().iter().enumerate() {
-            blocks.push(self.block(j, y, counters)?);
-        }
-        self.record_hits(counters.block_hits.get());
-        self.record_misses(counters.block_misses.get());
-        let mut solution = if backend == AvailBackend::Product {
-            AvailabilitySolution::Product(self.product_model(config, &blocks)?)
-        } else {
-            let model =
-                SparseAvailabilityModel::from_blocks(config, &blocks, RepairPolicy::Independent)?;
-            let solved = model
-                .steady_state(GaussSeidelOptions {
-                    tolerance: self.options.solver_tolerance,
-                    max_iterations: self.options.solver_max_iterations,
-                    relaxation: 1.0,
-                })
-                .map_err(ConfigError::from)
-                .and_then(|pi| {
-                    let availability = model.availability(&pi)?;
-                    Ok((pi, availability))
-                });
-            match solved {
-                Ok((pi, availability))
-                    if availability.is_finite() && pi.iter().all(|p| p.is_finite()) =>
-                {
-                    AvailabilitySolution::Explicit { pi, availability }
-                }
-                Err(e) if self.options.strict => return Err(e),
-                Ok(_) if self.options.strict => {
-                    return Err(ConfigError::NonFiniteAssessment {
-                        replicas: config.as_slice().to_vec(),
-                        what: "sparse stationary vector",
-                    })
-                }
-                // Graceful degradation: escalate the failed (or
-                // non-finite) Gauss–Seidel solve to the exact per-type
-                // path of the same chain.
-                _ => {
-                    wfms_obs::counter("solver.fallback", 1);
-                    let mut span = wfms_obs::span!("solver-fallback");
-                    span.record("from", "sparse-gauss-seidel");
-                    AvailabilitySolution::Escalated { poisoned: false }
-                }
-            }
-        };
-        if poison_availability {
-            match &mut solution {
-                AvailabilitySolution::Explicit { availability, .. } => *availability = f64::NAN,
-                AvailabilitySolution::Escalated { poisoned } => *poisoned = true,
-                AvailabilitySolution::Product(_) => {}
-            }
-        }
-        let solution = Arc::new(solution);
-        lock_cache(&self.solutions).insert(key, solution.clone());
-        Ok(solution)
-    }
-
-    /// The product-form model for `config`: a one-coordinate *delta*
-    /// patch of a cached neighbour when possible
-    /// ([`SearchOptions::incremental`], the default), a full
-    /// [`ProductFormModel::from_blocks`] build otherwise. The patch
-    /// clones the neighbour's marginals and replaces only the moved
-    /// type's with the fresh tabulation from its (already cached)
-    /// birth–death block — bit-identical to the from-scratch build,
-    /// because every marginal is a pure function of
-    /// `(type, replicas, policy)` and both constructors store the same
-    /// vectors (see [`ProductFormModel::from_marginals`]).
-    fn product_model(
-        &self,
-        config: &Configuration,
-        blocks: &[Arc<BirthDeathBlock>],
-    ) -> Result<ProductFormModel, ConfigError> {
-        if self.options.incremental {
-            if let Some((moved, mut marginals)) = self.neighbour_marginals(config) {
-                wfms_obs::counter("engine.delta-assess", 1);
-                let mut span = wfms_obs::span!("delta-assess");
-                span.record("candidate", format!("{config}"));
-                span.record("moved-type", moved as u64);
-                marginals[moved] = blocks[moved].marginal_distribution();
-                return Ok(ProductFormModel::from_marginals(config, marginals)?);
-            }
-        }
-        Ok(ProductFormModel::from_blocks(config, blocks)?)
-    }
-
-    /// Probes the solution cache for a one-coordinate product-form
-    /// neighbour `Y ∓ e_x` of `config`, returning the moved coordinate
-    /// and a clone of the neighbour's marginals. Any cached neighbour
-    /// yields the same patched floats, so the probe order is
-    /// immaterial; probes are not counted as cache traffic, keeping the
-    /// journal's hit/miss provenance identical to a non-incremental
-    /// run (they do refresh LRU recency, which under capacity pressure
-    /// may legitimately change *which* entries stay resident).
-    fn neighbour_marginals(&self, config: &Configuration) -> Option<(usize, Vec<Vec<f64>>)> {
-        let slice = config.as_slice();
-        let mut cache = lock_cache(&self.solutions);
-        let mut key = (slice.to_vec(), AvailBackend::Product);
-        for (x, &incumbent_y) in slice.iter().enumerate() {
-            for delta in [-1isize, 1] {
-                let y = incumbent_y as isize + delta;
-                if y < 1 {
-                    continue;
-                }
-                key.0[x] = y as usize;
-                let hit = cache.get(&key);
-                key.0[x] = incumbent_y;
-                if let Some(hit) = hit {
-                    if let AvailabilitySolution::Product(model) = &*hit {
-                        return Some((x, model.marginals().to_vec()));
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Ensures every state of `space` has a cached [`StateEvaluation`],
-    /// computing the missing ones on the worker pool (they are
-    /// independent). Misses are collected — and, on error, reported — in
-    /// encoding order, so error precedence matches the serial path.
-    ///
-    /// Under [`SearchOptions::strict`] the first failed evaluation (in
-    /// encoding order) aborts the fill; otherwise failed states are
-    /// simply left uncached and the assessment's fold charges them with
-    /// their pessimistic caps.
-    fn populate_state_cache(
-        &self,
-        space: &StateSpace,
-        counters: &CacheCounters,
-    ) -> Result<(), PerformabilityError> {
-        let missing: Vec<Vec<usize>> = {
-            let cache = lock_cache(&self.states);
-            space
-                .iter()
-                .map(|(_, x)| x)
-                .filter(|x| !cache.contains_key(x))
-                .collect()
-        };
-        self.record_hits((space.len() - missing.len()) as u64);
-        self.record_misses(missing.len() as u64);
-        counters
-            .state_hits
-            .set(counters.state_hits.get() + (space.len() - missing.len()) as u64);
-        counters
-            .state_misses
-            .set(counters.state_misses.get() + missing.len() as u64);
-        if missing.is_empty() {
-            return Ok(());
-        }
-        // Failpoint `engine.state-cache-fill`: error injection abandons
-        // the batched fill (strict mode fails the assessment; otherwise
-        // states are computed inline, uncached); NaN injection poisons
-        // the first filled evaluation.
-        let mut poison_first = false;
-        match wfms_fault::point!("engine.state-cache-fill") {
-            Some(wfms_fault::Injection::Error) => {
-                if self.options.strict {
-                    return Err(PerformabilityError::FaultInjected {
-                        site: "engine.state-cache-fill",
-                    });
-                }
-                return Ok(());
-            }
-            Some(wfms_fault::Injection::Nan) => poison_first = true,
-            None => {}
-        }
-        let evaluations: Vec<Result<StateEvaluation, PerformabilityError>> =
-            if self.jobs() > 1 && missing.len() > 1 {
-                self.pool.install(|| {
-                    missing
-                        .par_iter()
-                        .map(|x| evaluate_state(&self.load, &self.registry, x))
-                        .collect()
-                })
-            } else {
-                missing
-                    .iter()
-                    .map(|x| evaluate_state(&self.load, &self.registry, x))
-                    .collect()
-            };
-        let mut cache = lock_cache(&self.states);
-        for (x, evaluation) in missing.into_iter().zip(evaluations) {
-            let mut evaluation = match evaluation {
-                Ok(evaluation) => evaluation,
-                Err(e) if self.options.strict => return Err(e),
-                // Non-strict: leave the state uncached; the fold's
-                // degradation wrapper charges it when it is revisited.
-                Err(_) => continue,
-            };
-            if poison_first {
-                poison_first_stable(&mut evaluation.outcomes);
-                poison_first = false;
-            }
-            cache.insert(x, Arc::new(evaluation));
-        }
-        Ok(())
-    }
-
-    /// One state's evaluation: from the cache, or computed inline when
-    /// the cache is at capacity.
-    fn state_evaluation(
-        &self,
-        state: &[usize],
-    ) -> Result<Arc<StateEvaluation>, PerformabilityError> {
-        if let Some(hit) = lock_cache(&self.states).get(state) {
-            return Ok(hit.clone());
-        }
-        evaluate_state(&self.load, &self.registry, state).map(Arc::new)
-    }
-
-    /// As [`AssessmentEngine::state_evaluation`], but inserting misses
-    /// into the cache (capacity permitting) and counting hits/misses —
-    /// the kernel of the ε-truncated path, which deliberately does *not*
-    /// pre-populate the whole state space ([`populate_state_cache`]
-    /// would defeat the pruning) yet still shares every evaluated state
-    /// with all other candidates.
-    ///
-    /// [`populate_state_cache`]: AssessmentEngine::populate_state_cache
-    fn state_evaluation_memo(
-        &self,
-        state: &[usize],
-        counters: &CacheCounters,
-    ) -> Result<Arc<StateEvaluation>, PerformabilityError> {
-        if let Some(hit) = lock_cache(&self.states).get(state) {
-            self.record_hits(1);
-            counters.state_hits.set(counters.state_hits.get() + 1);
-            return Ok(hit.clone());
-        }
-        self.record_misses(1);
-        counters.state_misses.set(counters.state_misses.get() + 1);
-        // Failpoint `engine.state-cache-fill`: shared with the batched
-        // fill of `populate_state_cache`.
-        let evaluation = match wfms_fault::point!("engine.state-cache-fill") {
-            Some(wfms_fault::Injection::Error) => {
-                return Err(PerformabilityError::FaultInjected {
-                    site: "engine.state-cache-fill",
-                });
-            }
-            Some(wfms_fault::Injection::Nan) => {
-                let mut evaluation = evaluate_state(&self.load, &self.registry, state)?;
-                poison_first_stable(&mut evaluation.outcomes);
-                evaluation
-            }
-            None => evaluate_state(&self.load, &self.registry, state)?,
-        };
-        let evaluation = Arc::new(evaluation);
-        lock_cache(&self.states).insert(state.to_vec(), evaluation.clone());
-        Ok(evaluation)
-    }
-
     // -- assessment -------------------------------------------------------
 
     /// Evaluates `config` against the engine's goals, through the
@@ -979,36 +532,6 @@ impl AssessmentEngine {
         Ok(assessment)
     }
 
-    /// Assesses the one-coordinate move `Y → Y + e_x` from `incumbent`
-    /// — the engine's *delta* entry point. Under the product backend
-    /// with [`SearchOptions::incremental`] the incumbent's solution is
-    /// warmed first, so the grown candidate's availability solve
-    /// reduces to recomputing type `x`'s birth–death marginal and
-    /// patching it into the incumbent's (all other marginals and every
-    /// cached [`StateEvaluation`] are reused). The result is
-    /// field-for-field identical to [`assess`](Self::assess) of the
-    /// grown configuration — the delta path changes the work, never
-    /// the floats.
-    ///
-    /// # Errors
-    /// As [`assess`](Self::assess) of the grown configuration; an
-    /// incumbent whose availability cannot be solved is not itself an
-    /// error (the grown candidate is then assessed from scratch).
-    pub fn assess_delta(
-        &self,
-        incumbent: &Configuration,
-        move_type: ServerTypeId,
-    ) -> Result<Assessment, ConfigError> {
-        if self.options.incremental && self.resolved_backend(incumbent) == AvailBackend::Product {
-            let scratch = CacheCounters::default();
-            let _ = self.availability_solution(incumbent, AvailBackend::Product, &scratch);
-        }
-        let grown = incumbent.with_added_replica(move_type)?;
-        let (assessment, provenance) = self.assess_with_provenance(&grown)?;
-        journal::record_assessed("assess", &assessment, &self.goals, provenance, None);
-        Ok(assessment)
-    }
-
     /// As [`assess`](Self::assess), additionally reporting where each
     /// cache layer's answers came from — and emitting no journal event,
     /// so searches can journal the decision (not the computation).
@@ -1020,13 +543,7 @@ impl AssessmentEngine {
         run_preflight(&self.registry, &self.load, Some(config.as_slice()))?;
         let mut obs_span = wfms_obs::span!("assess");
         obs_span.record("candidate", format!("{config}"));
-        let folded = match self.resolved_backend(config) {
-            AvailBackend::Auto | AvailBackend::Dense => self.fold_exact(config, 0, &counters)?,
-            joint => {
-                let solution = self.availability_solution(config, joint, &counters)?;
-                self.fold_solution(config, &solution, &counters)?
-            }
-        };
+        let folded = self.fold_exact(config, &counters)?;
         let availability = folded.availability;
         let downtime_minutes_per_year = (1.0 - availability) * MINUTES_PER_YEAR;
         let perf = match folded.perf {
@@ -1042,7 +559,6 @@ impl AssessmentEngine {
             ),
             None => (None, None, 1.0),
         };
-        let truncation = perf.as_ref().and_then(|r| r.truncation.clone());
 
         let goals = &self.goals;
         let any_waiting_goal =
@@ -1089,8 +605,7 @@ impl AssessmentEngine {
         }
 
         let failed = folded.failed;
-        let solver_fallbacks = folded.solver_fallbacks;
-        let degradation = if failed.is_empty() && solver_fallbacks == 0 {
+        let degradation = if failed.is_empty() {
             None
         } else {
             let failed_states = failed.len();
@@ -1101,7 +616,6 @@ impl AssessmentEngine {
             Some(DegradationReport {
                 failed_states,
                 charged_mass: folded.charged_mass,
-                solver_fallbacks,
                 details,
             })
         };
@@ -1115,7 +629,6 @@ impl AssessmentEngine {
                 expected_waiting,
                 max_expected_waiting,
                 probability_saturated,
-                truncation,
                 degradation,
                 goals: GoalCheck {
                     waiting_time_met,
@@ -1126,17 +639,14 @@ impl AssessmentEngine {
         ))
     }
 
-    /// The exact default path: `config`'s per-type records folded in
-    /// closed form — availability `Π_x (1 − m_x[0])`, waits by
-    /// [`fold_types`]. A failed evaluation of type `x` at up-count `u`
-    /// touches every joint state with `X_x = u`, whose mass is
-    /// `m_x[u]`; the failures of all types touch
-    /// `1 − Π_x (1 − Σ_{failed u} m_x[u])`. `solver_fallbacks` counts the
-    /// escalations that led here.
+    /// `config`'s per-type records folded in closed form — availability
+    /// `Π_x (1 − m_x[0])`, waits by [`fold_types`]. A failed evaluation
+    /// of type `x` at up-count `u` touches every joint state with
+    /// `X_x = u`, whose mass is `m_x[u]`; the failures of all types
+    /// touch `1 − Π_x (1 − Σ_{failed u} m_x[u])`.
     fn fold_exact(
         &self,
         config: &Configuration,
-        solver_fallbacks: u32,
         counters: &CacheCounters,
     ) -> Result<Folded, ConfigError> {
         let records = self.type_records(config, counters)?;
@@ -1171,138 +681,6 @@ impl AssessmentEngine {
             availability,
             failed,
             charged_mass: 1.0 - untouched,
-            solver_fallbacks,
-        })
-    }
-
-    /// Folds the joint states of a sparse or product-form `solution`;
-    /// an escalated sparse solve is answered by the exact path instead.
-    ///
-    /// Graceful degradation: the folds call the evaluation closure
-    /// immediately after pulling each `(state, π)` pair, so
-    /// `current_probability` always holds the mass of the state under
-    /// evaluation; a failed state is charged at its pessimistic
-    /// waiting-time cap and recorded instead of failing the whole
-    /// assessment (unless `strict`). Clean runs never touch the caps
-    /// cell.
-    fn fold_solution(
-        &self,
-        config: &Configuration,
-        solution: &AvailabilitySolution,
-        counters: &CacheCounters,
-    ) -> Result<Folded, ConfigError> {
-        let strict = self.options.strict;
-        let current_probability = std::cell::Cell::new(0.0_f64);
-        let degraded: std::cell::RefCell<Vec<DegradedStateRecord>> =
-            std::cell::RefCell::new(Vec::new());
-        let caps_cell: std::cell::RefCell<Option<Vec<f64>>> = std::cell::RefCell::new(None);
-        let pessimistic = |state: &[usize],
-                           error: PerformabilityError|
-         -> Result<Arc<StateEvaluation>, PerformabilityError> {
-            let mut caps_ref = caps_cell.borrow_mut();
-            if caps_ref.is_none() {
-                // A caps failure is irrecoverable: there is no sound
-                // bound left to charge, so the error propagates and the
-                // candidate is quarantined by the search.
-                *caps_ref = Some(waiting_time_caps(
-                    &self.load,
-                    &self.registry,
-                    config.as_slice(),
-                )?);
-            }
-            // audit:allow(A008, reason = "caps_ref is unconditionally filled by the branch directly above")
-            let caps = caps_ref.as_ref().expect("caps filled above");
-            let down = state.contains(&0);
-            let outcomes = if down {
-                vec![WaitingOutcome::Down; self.registry.len()]
-            } else {
-                caps.iter()
-                    .map(|&cap| WaitingOutcome::Stable {
-                        waiting_time: cap,
-                        utilization: 1.0,
-                    })
-                    .collect()
-            };
-            degraded.borrow_mut().push(DegradedStateRecord {
-                state: state.to_vec(),
-                probability: current_probability.get(),
-                error: error.to_string(),
-            });
-            Ok(Arc::new(StateEvaluation {
-                outcomes,
-                down,
-                saturated: false,
-            }))
-        };
-
-        let (availability, perf) = match solution {
-            AvailabilitySolution::Escalated { poisoned } => {
-                let mut folded = self.fold_exact(config, 1, counters)?;
-                if *poisoned {
-                    folded.availability = f64::NAN;
-                }
-                return Ok(folded);
-            }
-            AvailabilitySolution::Explicit { pi, availability } => {
-                // Exhaustive fold over the sparse vector's encoding order.
-                let space = StateSpace::new(config);
-                let perf = self.populate_state_cache(&space, counters).and_then(|()| {
-                    fold_states(
-                        space.iter().map(|(idx, x)| {
-                            current_probability.set(pi[idx]);
-                            (x, pi[idx])
-                        }),
-                        self.registry.len(),
-                        config.as_slice(),
-                        DegradedPolicy::Conditional,
-                        |state| match self.state_evaluation(state) {
-                            Ok(evaluation) => Ok(evaluation),
-                            Err(e) if !strict => pessimistic(state, e),
-                            Err(e) => Err(e),
-                        },
-                    )
-                });
-                (*availability, perf)
-            }
-            AvailabilitySolution::Product(model) => {
-                // ε-truncated fold over the descending-π enumeration;
-                // only the visited states are ever evaluated (lazily,
-                // through the shared memo).
-                let perf = waiting_time_caps(&self.load, &self.registry, config.as_slice())
-                    .and_then(|caps| {
-                        fold_states_truncated(
-                            model.enumerate_descending().map(|(x, p)| {
-                                current_probability.set(p);
-                                (x, p)
-                            }),
-                            self.registry.len(),
-                            config.as_slice(),
-                            DegradedPolicy::Conditional,
-                            &TruncationOptions {
-                                epsilon: self.options.epsilon,
-                                total_states: model.state_space().len(),
-                                waiting_caps: &caps,
-                            },
-                            |state| match self.state_evaluation_memo(state, counters) {
-                                Ok(evaluation) => Ok(evaluation),
-                                Err(e) if !strict => pessimistic(state, e),
-                                Err(e) => Err(e),
-                            },
-                        )
-                    });
-                (model.availability(), perf)
-            }
-        };
-        let failed = degraded.take();
-        // fold, not sum: the empty f64 sum is -0.0, which would render
-        // as "-0.000e0" in fallback-only reports.
-        let charged_mass = failed.iter().map(|r| r.probability).fold(0.0, |a, p| a + p);
-        Ok(Folded {
-            perf,
-            availability,
-            failed,
-            charged_mass,
-            solver_fallbacks: 0,
         })
     }
 
@@ -1334,292 +712,6 @@ impl AssessmentEngine {
         });
     }
 
-    // -- adaptive-ε screening ---------------------------------------------
-
-    /// One provably-skippable greedy step: the candidate cannot meet
-    /// the goals, and `growth` is the type the search grows next.
-    /// `availability` is exact (closed-form product); `w_max` is the
-    /// loose fold's *estimate*, reported for explainability only.
-    fn screen_waiting(
-        &self,
-        config: &Configuration,
-        model: &ProductFormModel,
-        caps: &[f64],
-        scratch: &CacheCounters,
-    ) -> WaitingScreen {
-        // Every rung must stay strictly looser than the engine's own ε:
-        // the exact fold then visits a superset of the screen's prefix,
-        // which the error-bound inflation below relies on.
-        let floor = self.options.epsilon.max(1e-12) * 10.0;
-        let mut rung = self.options.screen_epsilon;
-        let mut best = WaitingScreen::Unproven;
-        while rung > floor {
-            match self.screen_waiting_at(config, model, caps, rung, scratch) {
-                WaitingScreen::Unproven => {}
-                // Violation proven but the growth argmax is not: a
-                // tighter rung may still separate the ratios, so keep
-                // the verdict and descend.
-                v @ WaitingScreen::ProvenViolation { growth: None, .. } => best = v,
-                v => return v,
-            }
-            rung *= SCREEN_LADDER_SHRINK;
-        }
-        best
-    }
-
-    /// One rung of the screening ladder: a loose ε-truncated fold plus
-    /// sound per-type error bounds, compared against the waiting goals.
-    ///
-    /// The loose fold's `waiting_error_bounds` bound its distance from
-    /// the *untruncated* fold; the exact path folds at the engine's own
-    /// `ε`, so its value can sit another `ε · cap_x / serving` away
-    /// (its skipped mass is at most `ε` and its serving mass is at
-    /// least this prefix's, because both walk the same descending-π
-    /// enumeration and the rung is strictly looser). The sum is a sound
-    /// bound `B_x` on `|W̃_x − W_x^{exact}|`, so:
-    ///
-    /// * every threshold type with `W̃_x + B_x ≤ θ_x` provably passes;
-    /// * any type with `(W̃_x − B_x)/θ_x > 1` provably violates;
-    /// * the exact growth argmax is proven only when one violator's
-    ///   lower ratio strictly dominates every other threshold type's
-    ///   upper ratio — it is then the unique exact maximum, so the
-    ///   first-max tie-break cannot pick anything else.
-    fn screen_waiting_at(
-        &self,
-        config: &Configuration,
-        model: &ProductFormModel,
-        caps: &[f64],
-        rung: f64,
-        scratch: &CacheCounters,
-    ) -> WaitingScreen {
-        let report = match fold_states_truncated(
-            model.enumerate_descending(),
-            self.registry.len(),
-            config.as_slice(),
-            DegradedPolicy::Conditional,
-            &TruncationOptions {
-                epsilon: rung,
-                total_states: model.state_space().len(),
-                waiting_caps: caps,
-            },
-            |state| self.state_evaluation_memo(state, scratch),
-        ) {
-            Ok(report) => report,
-            // A failed or serving-free prefix proves nothing about the
-            // exact fold, and tightening cannot un-fail a fault or an
-            // unstable load: abstain terminally.
-            Err(_) => return WaitingScreen::Abstain,
-        };
-        let Some(t) = report.truncation else {
-            return WaitingScreen::Abstain;
-        };
-        let serving = report.probability_serving;
-        if serving <= 0.0 {
-            return WaitingScreen::Abstain;
-        }
-        let waits = &report.expected_waiting;
-        if waits.iter().any(|w| !w.is_finite()) {
-            return WaitingScreen::Abstain; // fault-poisoned: exact path decides
-        }
-        let w_max = waits.iter().cloned().fold(0.0, f64::max);
-        let bound = |x: usize| t.waiting_error_bounds[x] + self.options.epsilon * caps[x] / serving;
-
-        let mut proven_met = true;
-        let mut violator: Option<(usize, f64)> = None;
-        for (x, &w) in waits.iter().enumerate() {
-            let Some(threshold) = self.goals.waiting_threshold_for(x) else {
-                continue;
-            };
-            let b = bound(x);
-            if w + b > threshold {
-                proven_met = false;
-            }
-            let lower = (w - b) / threshold;
-            if lower > 1.0 && violator.is_none_or(|(_, l)| lower > l) {
-                violator = Some((x, lower));
-            }
-        }
-        if proven_met {
-            return WaitingScreen::ProvenMet { w_max };
-        }
-        let Some((candidate, candidate_lower)) = violator else {
-            return WaitingScreen::Unproven;
-        };
-        let mut provable = true;
-        for (x, &w) in waits.iter().enumerate() {
-            if x == candidate {
-                continue;
-            }
-            let Some(threshold) = self.goals.waiting_threshold_for(x) else {
-                continue;
-            };
-            if (w + bound(x)) / threshold >= candidate_lower {
-                provable = false;
-                break;
-            }
-        }
-        WaitingScreen::ProvenViolation {
-            growth: provable.then_some(ServerTypeId(candidate)),
-            w_max,
-        }
-    }
-
-    /// Screens one greedy candidate: `Some` only when the loose-fold
-    /// bounds *prove* the candidate cannot meet the goals **and** the
-    /// growth step the exact path would take is known (proven, or —
-    /// under [`SearchOptions::rank_moves`] — taken from the closed-form
-    /// move ranking, which may legally alter the trajectory). `None`
-    /// always falls through to the exact assessment, so screening can
-    /// suppress exact work but never a winner.
-    fn screen_step(&self, config: &Configuration) -> Option<ScreenedStep> {
-        let opts = &self.options;
-        if opts.screen_epsilon <= 0.0 || self.resolved_backend(config) != AvailBackend::Product {
-            return None;
-        }
-        let scratch = CacheCounters::default();
-        let solution = self
-            .availability_solution(config, AvailBackend::Product, &scratch)
-            .ok()?;
-        let AvailabilitySolution::Product(model) = &*solution else {
-            return None;
-        };
-        let availability = model.availability();
-        if !availability.is_finite() {
-            return None; // fault-poisoned: the exact path's guard decides
-        }
-        let availability_met = self
-            .goals
-            .min_availability
-            .is_none_or(|min| availability >= min);
-        let any_waiting_goal =
-            self.goals.max_waiting_time.is_some() || !self.goals.per_type_waiting.is_empty();
-        if !any_waiting_goal {
-            if availability_met {
-                return None; // potential winner: must be assessed exactly
-            }
-            // Waiting is trivially met and the closed-form availability
-            // — the very number the exact path would compare — misses
-            // the goal: skip with the availability growth rule, no fold.
-            return Some(ScreenedStep {
-                growth: availability_critical_type(&self.registry, config.as_slice()),
-                availability,
-                w_max: None,
-                cache: scratch.provenance(),
-            });
-        }
-        let caps = waiting_time_caps(&self.load, &self.registry, config.as_slice()).ok()?;
-        match self.screen_waiting(config, model, &caps, &scratch) {
-            WaitingScreen::ProvenViolation {
-                growth: Some(growth),
-                w_max,
-            } => Some(ScreenedStep {
-                growth,
-                availability,
-                w_max: Some(w_max),
-                cache: scratch.provenance(),
-            }),
-            WaitingScreen::ProvenViolation {
-                growth: None,
-                w_max,
-            } if opts.rank_moves => self.ranked_growth(config).map(|growth| ScreenedStep {
-                growth,
-                availability,
-                w_max: Some(w_max),
-                cache: scratch.provenance(),
-            }),
-            WaitingScreen::ProvenMet { w_max } if !availability_met => Some(ScreenedStep {
-                growth: availability_critical_type(&self.registry, config.as_slice()),
-                availability,
-                w_max: Some(w_max),
-                cache: scratch.provenance(),
-            }),
-            // The waiting side ran but proved nothing either way, and
-            // the exact availability already fails: the skip is sound,
-            // yet only a ranked trajectory knows what to grow. An
-            // `Abstain` (fault, saturation, serving-free prefix) never
-            // qualifies: with zero waiting signal the closed-form
-            // ranking can fixate on the single one-step-stabilizable
-            // type and climb it until the budget dies, so the exact
-            // path — whose saturated-candidate heuristic grows the most
-            // utilized type — decides instead.
-            WaitingScreen::Unproven if !availability_met && opts.rank_moves => {
-                self.ranked_growth(config).map(|growth| ScreenedStep {
-                    growth,
-                    availability,
-                    w_max: None,
-                    cache: scratch.provenance(),
-                })
-            }
-            _ => None,
-        }
-    }
-
-    /// The closed-form move ranking's growth pick
-    /// ([`crate::moves::move_sensitivities`]): the best waiting move
-    /// under a waiting goal, the best availability move otherwise.
-    ///
-    /// Under a waiting goal a `None` from
-    /// [`crate::moves::best_waiting_move`] means *no* move has any
-    /// waiting signal (every move leaves every type saturated). Growing
-    /// a blind availability pick there can loop on one type until the
-    /// budget dies — so no pick is returned and the step falls back to
-    /// the exact path, whose saturated-candidate heuristic grows the
-    /// most utilized type and makes progress.
-    fn ranked_growth(&self, config: &Configuration) -> Option<ServerTypeId> {
-        let moves = crate::moves::move_sensitivities(&self.registry, &self.load, config).ok()?;
-        let any_waiting_goal =
-            self.goals.max_waiting_time.is_some() || !self.goals.per_type_waiting.is_empty();
-        let pick = if any_waiting_goal {
-            crate::moves::best_waiting_move(&moves)
-        } else {
-            crate::moves::best_availability_move(&moves)
-        };
-        pick.map(ServerTypeId)
-    }
-
-    /// Screens one frontier candidate, returning `true` only when the
-    /// candidate *provably* cannot meet the goals (exact closed-form
-    /// availability below the goal, or a proven waiting violation) —
-    /// i.e. only when the exact assessment provably cannot crown it.
-    fn screen_frontier(&self, replicas: &[usize]) -> bool {
-        if self.options.screen_epsilon <= 0.0 {
-            return false;
-        }
-        let Ok(config) = Configuration::new(&self.registry, replicas.to_vec()) else {
-            return false; // the exact path owns the error report
-        };
-        if self.resolved_backend(&config) != AvailBackend::Product {
-            return false;
-        }
-        let scratch = CacheCounters::default();
-        let Ok(solution) = self.availability_solution(&config, AvailBackend::Product, &scratch)
-        else {
-            return false;
-        };
-        let AvailabilitySolution::Product(model) = &*solution else {
-            return false;
-        };
-        let availability = model.availability();
-        if !availability.is_finite() {
-            return false;
-        }
-        if let Some(min) = self.goals.min_availability {
-            if availability < min {
-                return true; // exact, not an estimate: a sound proof
-            }
-        }
-        if self.goals.max_waiting_time.is_none() && self.goals.per_type_waiting.is_empty() {
-            return false; // availability met, waiting trivially met: a winner
-        }
-        let Ok(caps) = waiting_time_caps(&self.load, &self.registry, config.as_slice()) else {
-            return false;
-        };
-        matches!(
-            self.screen_waiting(&config, model, &caps, &scratch),
-            WaitingScreen::ProvenViolation { .. }
-        )
-    }
-
     /// Scans frontier `candidates` in enumeration order, assessing them
     /// in fixed-size batches (in parallel when the pool has more than
     /// one worker) and returning the first goal-satisfying assessment.
@@ -1640,76 +732,35 @@ impl AssessmentEngine {
         let parallel = self.jobs() > 1;
         let strict = self.options.strict;
         for batch in candidates.chunks(CANDIDATE_BATCH) {
-            if parallel && batch.len() > 1 {
+            // Speculative parallel map over the batch; the consumption
+            // loop below reads it in order and discards what follows a
+            // winner. A serial engine assesses each member on demand.
+            let mut speculative = (parallel && batch.len() > 1).then(|| {
                 wfms_obs::gauge("engine.parallel-candidates", batch.len() as f64);
-                // Screen before dispatching: a provably infeasible
-                // member cannot be the winner, so it is withheld from
-                // the speculative parallel map. Members the consumption
-                // loop still reaches (no earlier winner) are then
-                // assessed exactly — backfilled — so the trace, the
-                // journal, and the quarantine list stay identical to
-                // the unscreened path; only the post-winner results the
-                // baseline would have discarded are truly saved.
-                let screened: Vec<bool> = if self.options.screen_epsilon > 0.0 {
-                    batch
-                        .iter()
-                        .map(|y| {
-                            let pruned = self.screen_frontier(y);
-                            if pruned {
-                                wfms_obs::counter("engine.screen-reject", 1);
-                            }
-                            pruned
-                        })
-                        .collect()
-                } else {
-                    vec![false; batch.len()]
+                let results: Vec<Result<(Assessment, CacheProvenance), ConfigError>> = self
+                    .pool
+                    .install(|| batch.par_iter().map(|y| self.assess_replicas(y)).collect());
+                results.into_iter()
+            });
+            for y in batch {
+                let result = speculative
+                    .as_mut()
+                    .and_then(Iterator::next)
+                    .unwrap_or_else(|| self.assess_replicas(y));
+                let (assessment, provenance) = match result {
+                    Ok(assessed) => assessed,
+                    Err(e) if !strict && e.is_candidate_local() => {
+                        self.quarantine(search, quarantined, y, &e);
+                        continue;
+                    }
+                    Err(e) => return Err(e),
                 };
-                let work: Vec<(&Vec<usize>, bool)> =
-                    batch.iter().zip(&screened).map(|(y, &p)| (y, p)).collect();
-                let results: Vec<Option<Result<(Assessment, CacheProvenance), ConfigError>>> =
-                    self.pool.install(|| {
-                        work.par_iter()
-                            .map(|&(y, pruned)| (!pruned).then(|| self.assess_replicas(y)))
-                            .collect()
-                    });
-                for (y, result) in batch.iter().zip(results) {
-                    let result = match result {
-                        Some(result) => result,
-                        None => self.assess_replicas(y),
-                    };
-                    let (assessment, provenance) = match result {
-                        Ok(assessed) => assessed,
-                        Err(e) if !strict && e.is_candidate_local() => {
-                            self.quarantine(search, quarantined, y, &e);
-                            continue;
-                        }
-                        Err(e) => return Err(e),
-                    };
-                    *evaluations += 1;
-                    record_candidate(&assessment, assessment.meets_goals());
-                    journal::record_assessed(search, &assessment, &self.goals, provenance, None);
-                    trace.push(assessment.clone());
-                    if assessment.meets_goals() {
-                        return Ok(Some(assessment));
-                    }
-                }
-            } else {
-                for y in batch {
-                    let (assessment, provenance) = match self.assess_replicas(y) {
-                        Ok(assessed) => assessed,
-                        Err(e) if !strict && e.is_candidate_local() => {
-                            self.quarantine(search, quarantined, y, &e);
-                            continue;
-                        }
-                        Err(e) => return Err(e),
-                    };
-                    *evaluations += 1;
-                    record_candidate(&assessment, assessment.meets_goals());
-                    journal::record_assessed(search, &assessment, &self.goals, provenance, None);
-                    trace.push(assessment.clone());
-                    if assessment.meets_goals() {
-                        return Ok(Some(assessment));
-                    }
+                *evaluations += 1;
+                record_candidate(&assessment, assessment.meets_goals());
+                journal::record_assessed(search, &assessment, &self.goals, provenance, None);
+                trace.push(assessment.clone());
+                if assessment.meets_goals() {
+                    return Ok(Some(assessment));
                 }
             }
         }
@@ -1721,8 +772,7 @@ impl AssessmentEngine {
     /// The greedy minimum-cost search of Sec. 7.2, starting from the
     /// unreplicated configuration `Y = (1, …, 1)` and assessed through
     /// the caches (see the [`crate::search`] module docs for the growth
-    /// rule). The candidate chain is inherently sequential; the
-    /// per-state kernel of each assessment still runs on the pool.
+    /// rule). The candidate chain is inherently sequential.
     ///
     /// # Errors
     /// * [`ConfigError::LoadUnsustainable`] when some server type needs
@@ -1750,30 +800,6 @@ impl AssessmentEngine {
         let mut evaluations = 0;
         let mut quarantined = Vec::new();
         loop {
-            // Adaptive-ε screen: when the loose bounds *prove* the
-            // candidate infeasible and the growth step the exact path
-            // would take, skip the exact assessment entirely. Screened
-            // candidates are journaled (`reject-screened`) but neither
-            // traced nor counted as evaluations — the trace remains the
-            // subsequence of exactly assessed candidates.
-            if let Some(step) = self.screen_step(&config) {
-                wfms_obs::counter("engine.screen-reject", 1);
-                journal::record_screened(
-                    "greedy",
-                    config.as_slice(),
-                    step.availability,
-                    step.w_max,
-                    step.cache,
-                );
-                if config.total_servers() >= opts.max_total_servers {
-                    return Err(ConfigError::GoalsUnreachable {
-                        budget: opts.max_total_servers,
-                        last_candidate: config.as_slice().to_vec(),
-                    });
-                }
-                config = config.with_added_replica(step.growth)?;
-                continue;
-            }
             let (assessment, provenance) = match self.assess_with_provenance(&config) {
                 Ok(assessed) => assessed,
                 Err(e) if !opts.strict && e.is_candidate_local() => {
@@ -1938,9 +964,9 @@ impl AssessmentEngine {
     /// configuration, walks with ±1-replica moves under the schedule in
     /// `opts`, and returns the cheapest feasible configuration visited.
     /// The Metropolis walk is sequential by construction, but revisited
-    /// candidates hit the solution cache and every assessment shares the
-    /// state cache. The walk's bounds come from `opts`, not from the
-    /// engine's [`SearchOptions::max_total_servers`].
+    /// candidates and their neighbours replay from the record cache.
+    /// The walk's bounds come from `opts`, not from the engine's
+    /// [`SearchOptions::max_total_servers`].
     ///
     /// # Errors
     /// * [`ConfigError::GoalsUnreachable`] when no feasible configuration
@@ -1957,7 +983,7 @@ mod tests {
     use proptest::prelude::*;
     use wfms_avail::{closed_form_unavailability, AvailabilityModel};
     use wfms_markov::ctmc::SteadyStateMethod;
-    use wfms_performability::evaluate_with_model;
+    use wfms_performability::{evaluate_state, evaluate_with_model, DegradedPolicy};
     use wfms_statechart::{paper_section52_registry, ServerType, ServerTypeKind};
 
     fn load_at(rho_single: f64, reg: &ServerTypeRegistry) -> SystemLoad {
@@ -2002,11 +1028,9 @@ mod tests {
         let engine = AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default()).unwrap();
         let a = Configuration::new(&reg, vec![2, 2, 2]).unwrap();
         engine.assess(&a).unwrap();
-        // One `(type, Y_x)` record per type; the exact path keeps no
-        // joint states and no joint solution.
+        // One `(type, Y_x)` record per type.
         let after_first = engine.cache_stats();
         assert_eq!(after_first.state_entries, 3);
-        assert_eq!(after_first.solution_entries, 0);
         assert_eq!(after_first.block_entries, 3);
         assert_eq!(after_first.hits, 0);
         assert_eq!(after_first.misses, 3);
@@ -2017,7 +1041,6 @@ mod tests {
         engine.assess(&b).unwrap();
         let after_second = engine.cache_stats();
         assert_eq!(after_second.state_entries, 4);
-        assert_eq!(after_second.solution_entries, 0);
         assert_eq!(after_second.block_entries, 4);
         assert_eq!(after_second.hits, after_first.hits + 2);
         assert_eq!(after_second.misses, after_first.misses + 1);
@@ -2065,10 +1088,7 @@ mod tests {
         let reg = paper_section52_registry();
         let load = load_at(0.8, &reg);
         let goals = Goals::new(0.01, 0.9999).unwrap();
-        let uncached_opts = SearchOptions::builder()
-            .state_cache_capacity(0)
-            .solution_cache_capacity(0)
-            .build();
+        let uncached_opts = SearchOptions::builder().state_cache_capacity(0).build();
         let uncached = AssessmentEngine::new(&reg, &load, &goals, uncached_opts).unwrap();
         let cached = AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default()).unwrap();
         let config = Configuration::new(&reg, vec![2, 2, 2]).unwrap();
@@ -2077,199 +1097,44 @@ mod tests {
             cached.assess(&config).unwrap()
         );
         assert_eq!(uncached.cache_stats().state_entries, 0);
-        assert_eq!(uncached.cache_stats().solution_entries, 0);
     }
 
+    /// At capacity the record cache evicts the least recently used
+    /// records, so a candidate assessed after the cache filled stays
+    /// resident: three candidates fill nine records into a cache of
+    /// three, the three of `[3,3,3]` answer its re-assessment, and the
+    /// evicted `[1,1,1]` misses again.
     #[test]
-    fn zero_epsilon_auto_is_bit_identical_to_default() {
+    fn lru_keeps_recent_records_resident_beyond_capacity() {
         let reg = paper_section52_registry();
-        let load = load_at(0.8, &reg);
+        let load = load_at(1.5, &reg);
         let goals = Goals::new(0.01, 0.9999).unwrap();
-        let default_engine =
-            AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default()).unwrap();
-        let explicit_opts = SearchOptions::builder()
-            .epsilon(0.0)
-            .avail_backend(AvailBackend::Auto)
-            .build();
-        let explicit_engine = AssessmentEngine::new(&reg, &load, &goals, explicit_opts).unwrap();
-        for y in [vec![1, 1, 1], vec![2, 2, 2], vec![2, 1, 3]] {
-            let config = Configuration::new(&reg, y).unwrap();
-            assert_eq!(
-                default_engine.assess(&config).unwrap(),
-                explicit_engine.assess(&config).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn product_backend_with_tiny_epsilon_tracks_the_dense_answer() {
-        let reg = paper_section52_registry();
-        let load = load_at(0.8, &reg);
-        let goals = Goals::new(0.01, 0.9999).unwrap();
-        let dense = AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default()).unwrap();
-        let opts = SearchOptions::builder()
-            .epsilon(1e-9)
-            .avail_backend(AvailBackend::Product)
-            .build();
-        let product = AssessmentEngine::new(&reg, &load, &goals, opts).unwrap();
-        for y in [vec![2, 2, 2], vec![3, 2, 4]] {
-            let config = Configuration::new(&reg, y).unwrap();
-            let d = dense.assess(&config).unwrap();
-            let p = product.assess(&config).unwrap();
-            // Availability agrees to LU round-off; waiting times within the
-            // reported truncation bound plus solver slack.
-            assert!((d.availability - p.availability).abs() < 1e-12);
-            let t = p.truncation.expect("product path reports truncation");
-            assert!(t.covered_mass >= 1.0 - 1e-9);
-            let (dw, pw) = (d.expected_waiting.unwrap(), p.expected_waiting.unwrap());
-            for (x, (a, b)) in dw.iter().zip(&pw).enumerate() {
-                assert!(
-                    (a - b).abs() <= t.waiting_error_bounds[x] + 1e-9,
-                    "type {x}: dense {a} vs product {b}, bound {}",
-                    t.waiting_error_bounds[x]
-                );
-            }
-            assert!(d.truncation.is_none());
-        }
-    }
-
-    #[test]
-    fn product_backend_with_zero_epsilon_visits_every_state() {
-        let reg = paper_section52_registry();
-        let load = load_at(0.8, &reg);
-        let goals = Goals::new(0.01, 0.9999).unwrap();
-        let opts = SearchOptions::builder()
-            .epsilon(0.0)
-            .avail_backend(AvailBackend::Product)
-            .build();
+        let opts = SearchOptions::builder().state_cache_capacity(3).build();
         let engine = AssessmentEngine::new(&reg, &load, &goals, opts).unwrap();
-        let config = Configuration::new(&reg, vec![2, 2, 2]).unwrap();
-        let a = engine.assess(&config).unwrap();
-        let t = a.truncation.expect("product path reports truncation");
-        assert_eq!(t.states_skipped, 0);
-        assert_eq!(t.skipped_mass, 0.0);
-        assert!(t.waiting_error_bounds.iter().all(|&b| b == 0.0));
-        // The conditional expectations match the dense fold to summation
-        // round-off (the state probabilities are float-identical; only the
-        // accumulation order differs between the two paths).
-        let dense = AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default()).unwrap();
-        let d = dense.assess(&config).unwrap();
-        let (dw, pw) = (
-            d.expected_waiting.unwrap(),
-            a.expected_waiting.clone().unwrap(),
-        );
-        for (a, b) in dw.iter().zip(&pw) {
-            assert!((a - b).abs() < 1e-12);
+        for y in [vec![1, 1, 1], vec![2, 2, 2], vec![3, 3, 3]] {
+            engine
+                .assess(&Configuration::new(&reg, y).unwrap())
+                .unwrap();
         }
-    }
+        let filled = engine.cache_stats();
+        assert_eq!(filled.state_entries, 3, "capacity bound violated");
+        assert_eq!(filled.misses, 9);
 
-    #[test]
-    fn sparse_backend_matches_dense_to_solver_tolerance() {
-        let reg = paper_section52_registry();
-        let load = load_at(0.8, &reg);
-        let goals = Goals::new(0.01, 0.9999).unwrap();
-        let dense_opts = SearchOptions::builder()
-            .avail_backend(AvailBackend::Dense)
-            .build();
-        let sparse_opts = SearchOptions::builder()
-            .avail_backend(AvailBackend::Sparse)
-            .build();
-        let dense = AssessmentEngine::new(&reg, &load, &goals, dense_opts).unwrap();
-        let sparse = AssessmentEngine::new(&reg, &load, &goals, sparse_opts).unwrap();
-        let config = Configuration::new(&reg, vec![2, 2, 2]).unwrap();
-        let d = dense.assess(&config).unwrap();
-        let s = sparse.assess(&config).unwrap();
-        assert!((d.availability - s.availability).abs() < 1e-9);
-        assert!((d.max_expected_waiting.unwrap() - s.max_expected_waiting.unwrap()).abs() < 1e-9);
-        assert!(s.truncation.is_none());
-    }
-
-    #[test]
-    fn product_backend_falls_back_to_sparse_for_single_repairman() {
-        // The engine always models independent repair, so the fallback is
-        // exercised through `select_backend` directly: an explicit Product
-        // request with a single-repairman chain resolves to Sparse.
-        use wfms_avail::{select_backend, RepairPolicy};
+        let hot = Configuration::new(&reg, vec![3, 3, 3]).unwrap();
+        engine.assess(&hot).unwrap();
+        let warm = engine.cache_stats();
         assert_eq!(
-            select_backend(
-                AvailBackend::Product,
-                RepairPolicy::SingleRepairmanPerType,
-                27,
-                1e-6
-            ),
-            AvailBackend::Sparse
+            warm.misses, filled.misses,
+            "re-assessing the most recent candidate recomputed something"
         );
-    }
+        assert_eq!(warm.hits, filled.hits + 3);
 
-    #[test]
-    fn invalid_solver_options_are_rejected_at_construction() {
-        let reg = paper_section52_registry();
-        let load = load_at(0.8, &reg);
-        let goals = Goals::new(0.01, 0.9999).unwrap();
-        for bad in [0.0, -1e-9, f64::NAN, f64::NEG_INFINITY] {
-            let opts = SearchOptions::builder().solver_tolerance(bad).build();
-            match AssessmentEngine::new(&reg, &load, &goals, opts).unwrap_err() {
-                ConfigError::InvalidOption { what, .. } => assert_eq!(what, "solver tolerance"),
-                other => panic!("expected InvalidOption, got {other:?}"),
-            }
-        }
-        let opts = SearchOptions::builder().solver_max_iterations(0).build();
-        match AssessmentEngine::new(&reg, &load, &goals, opts).unwrap_err() {
-            ConfigError::InvalidOption { what, .. } => assert_eq!(what, "solver max-iterations"),
-            other => panic!("expected InvalidOption, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn starved_sparse_solver_degrades_to_the_exact_path() {
-        let reg = paper_section52_registry();
-        let load = load_at(0.8, &reg);
-        let goals = Goals::new(0.01, 0.9999).unwrap();
-        // One Gauss–Seidel sweep cannot reach 1e-12: the solve reports
-        // NotConverged and the supervision layer escalates to the exact
-        // per-type path.
-        let starved_opts = SearchOptions::builder()
-            .avail_backend(AvailBackend::Sparse)
-            .solver_max_iterations(1)
-            .build();
-        let starved = AssessmentEngine::new(&reg, &load, &goals, starved_opts).unwrap();
-        let config = Configuration::new(&reg, vec![2, 2, 2]).unwrap();
-        let a = starved.assess(&config).unwrap();
-        let d = a.degradation.clone().expect("fallback must be reported");
-        assert_eq!(d.solver_fallbacks, 1);
-        assert_eq!(d.failed_states, 0);
-        assert_eq!(d.charged_mass, 0.0);
-        assert!(d.details.is_empty());
-        // The fallback runs the engine's exact path: bit-identical
-        // numbers to a Dense-backend engine, modulo the report itself.
-        let dense_opts = SearchOptions::builder()
-            .avail_backend(AvailBackend::Dense)
-            .build();
-        let dense = AssessmentEngine::new(&reg, &load, &goals, dense_opts).unwrap();
-        let mut expected = dense.assess(&config).unwrap();
-        assert!(expected.degradation.is_none());
-        expected.degradation = a.degradation.clone();
-        assert_eq!(a, expected);
-        // Warm replays of the cached solution still carry the fallback.
-        let warm = starved.assess(&config).unwrap();
-        assert_eq!(warm.degradation.unwrap().solver_fallbacks, 1);
-    }
-
-    #[test]
-    fn strict_mode_propagates_sparse_solver_failure() {
-        let reg = paper_section52_registry();
-        let load = load_at(0.8, &reg);
-        let goals = Goals::new(0.01, 0.9999).unwrap();
-        let opts = SearchOptions::builder()
-            .avail_backend(AvailBackend::Sparse)
-            .solver_max_iterations(1)
-            .strict(true)
-            .build();
-        let engine = AssessmentEngine::new(&reg, &load, &goals, opts).unwrap();
-        let config = Configuration::new(&reg, vec![2, 2, 2]).unwrap();
-        let err = engine.assess(&config).unwrap_err();
-        assert!(matches!(err, ConfigError::Avail(_)), "got {err:?}");
-        assert!(err.is_candidate_local());
+        let cold = Configuration::new(&reg, vec![1, 1, 1]).unwrap();
+        engine.assess(&cold).unwrap();
+        assert!(
+            engine.cache_stats().misses > warm.misses,
+            "the least recently used candidate was never evicted"
+        );
     }
 
     #[test]
@@ -2280,44 +1145,6 @@ mod tests {
         let engine = AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default()).unwrap();
         assert!(engine.greedy().unwrap().quarantined.is_empty());
         assert!(engine.exhaustive().unwrap().quarantined.is_empty());
-    }
-
-    #[test]
-    fn invalid_epsilon_is_rejected_at_construction() {
-        let reg = paper_section52_registry();
-        let load = load_at(0.8, &reg);
-        let goals = Goals::new(0.01, 0.9999).unwrap();
-        for bad in [1.0, 1.5, -1e-9, f64::NAN, f64::INFINITY] {
-            let opts = SearchOptions::builder().epsilon(bad).build();
-            let err = AssessmentEngine::new(&reg, &load, &goals, opts).unwrap_err();
-            match err {
-                ConfigError::InvalidOption { what, .. } => {
-                    assert_eq!(what, "truncation epsilon");
-                }
-                other => panic!("expected InvalidOption, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn product_backend_prunes_states_under_loose_epsilon() {
-        let reg = paper_section52_registry();
-        let load = load_at(0.5, &reg);
-        let goals = Goals::new(0.01, 0.9999).unwrap();
-        let opts = SearchOptions::builder()
-            .epsilon(1e-4)
-            .avail_backend(AvailBackend::Auto)
-            .build();
-        let engine = AssessmentEngine::new(&reg, &load, &goals, opts).unwrap();
-        // Auto + independent repair + ε>0 resolves to the product backend.
-        let config = Configuration::new(&reg, vec![3, 3, 3]).unwrap();
-        let a = engine.assess(&config).unwrap();
-        let t = a.truncation.expect("auto resolves to product under ε>0");
-        assert!(t.states_skipped > 0, "loose ε must actually prune");
-        assert!(t.covered_mass >= 1.0 - 1e-4);
-        assert!(t.skipped_mass <= 1e-4 * 1.01);
-        // Fewer states evaluated than the full space holds.
-        assert!(engine.cache_stats().state_entries < 64);
     }
 
     proptest! {
@@ -2343,9 +1170,9 @@ mod tests {
             prop_assert_eq!(&direct, &warm);
         }
 
-        /// The default (`ε = 0`) path folds per-type records of the
-        /// product form; the dense generator plus LU solve and the joint
-        /// fold stay its oracle. On arbitrary registries, loads and
+        /// The engine folds per-type records of the product form; the
+        /// dense generator plus LU solve and the joint fold stay its
+        /// oracle. On arbitrary registries, loads and
         /// candidates the two agree to round-off and classify every
         /// up-count alike.
         #[test]
@@ -2407,7 +1234,6 @@ mod tests {
                 (a.availability - closed).abs() <= 1e-12,
                 "availability {:e} vs closed form {closed:e}", a.availability
             );
-            prop_assert!(a.truncation.is_none());
 
             match oracle {
                 Ok(report) => {
@@ -2433,7 +1259,7 @@ mod tests {
             for (t, &y_t) in config.as_slice().iter().enumerate() {
                 let record = lock_cache(&engine.records)
                     .get(&(t, y_t))
-                    .expect("the exact path caches every record");
+                    .expect("the engine caches every clean record");
                 for (up, outcome) in record.outcomes.iter().enumerate() {
                     let mut state = config.as_slice().to_vec();
                     state[t] = up;

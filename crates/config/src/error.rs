@@ -18,14 +18,6 @@ pub enum ConfigError {
         /// Offending value.
         value: f64,
     },
-    /// A search option is out of its domain (e.g. a truncation `ε`
-    /// outside `[0, 1)`).
-    InvalidOption {
-        /// Which option.
-        what: &'static str,
-        /// Offending value.
-        value: f64,
-    },
     /// No goal was specified — the search has nothing to optimize for.
     NoGoals,
     /// The search exhausted its budget without meeting the goals. Carries
@@ -94,9 +86,6 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::InvalidGoal { what, value } => write!(f, "invalid {what}: {value}"),
-            ConfigError::InvalidOption { what, value } => {
-                write!(f, "invalid search option {what}: {value}")
-            }
             ConfigError::NoGoals => write!(f, "no performability goal specified"),
             ConfigError::GoalsUnreachable { budget, last_candidate } => write!(
                 f,

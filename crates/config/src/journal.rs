@@ -8,9 +8,9 @@
 //! answers "why was each candidate accepted, rejected, or quarantined":
 //! per candidate it records the replica vector `Y`, cost, predicted
 //! availability and worst waiting time, the relative goal slacks, the
-//! engine-cache provenance of the assessment (state/block/solution hit
-//! vs miss), the ε-truncation and degradation summaries, and the
-//! decision outcome with a stable reason name.
+//! engine-cache provenance of the assessment (record/block hit vs miss),
+//! the degradation summary, and the decision outcome with a stable
+//! reason name.
 //!
 //! The journal is process-global and **off by default** — each emission
 //! point costs one relaxed atomic load while disabled, the same
@@ -78,12 +78,6 @@ pub const REASON_METROPOLIS_REJECTED: &str = "metropolis-rejected";
 /// Reason: the assessment itself failed (quarantine; the event's
 /// `error` field carries the rendered error).
 pub const REASON_ASSESSMENT_FAILED: &str = "assessment-failed";
-/// Reason: the adaptive-ε screen *proved* (via the sound truncation
-/// bounds) that the candidate violates a goal, so the exact assessment
-/// was skipped. The event's `availability` is exact (closed-form
-/// product); `w_max` is the loose screening estimate when a screening
-/// fold ran, absent when the availability proof alone sufficed.
-pub const REASON_SCREENED: &str = "reject-screened";
 
 /// Timeline instant-event name emitted with an accept decision.
 pub const EVENT_DECISION_ACCEPT: &str = "decision-accept";
@@ -93,35 +87,29 @@ pub const EVENT_DECISION_REJECT: &str = "decision-reject";
 pub const EVENT_DECISION_QUARANTINE: &str = "decision-quarantine";
 /// Timeline instant-event name emitted with the winner event.
 pub const EVENT_DECISION_WINNER: &str = "decision-winner";
-/// Timeline instant-event name emitted with a screened-out decision
-/// (proved infeasible at loose ε; exact assessment skipped).
-pub const EVENT_DECISION_SCREENED: &str = "decision-screened";
 
 /// Cap on journaled events; protects unbounded walks from unbounded
 /// memory. Events past the cap are counted in the snapshot's disclosed
 /// `dropped_decisions`, never silently lost.
 pub const DECISION_CAP: usize = 262_144;
 
-/// Where each layer of one assessment came from (see the engine module
-/// docs). On the exact default path the state layer is the per-type
-/// `(type, Y_x)` records; on the `ε > 0` and sparse paths it is the
-/// degraded-state cache.
+/// Where each cache answer of one assessment came from (see the engine
+/// module docs): the per-type `(type, Y_x)` records and the birth–death
+/// blocks behind them.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheProvenance {
-    /// Per-type records (exact path) or degraded states (joint paths)
-    /// answered from the cache.
+    /// Per-type records answered from the cache.
     pub state_hits: u64,
-    /// Per-type records filled or degraded states evaluated.
+    /// Per-type records filled.
     pub state_misses: u64,
-    /// Birth–death blocks answered from the cache (on the exact path,
-    /// only a record fill looks one up).
+    /// Birth–death blocks answered from the cache (only a record fill
+    /// looks one up).
     pub block_hits: u64,
     /// Birth–death blocks that had to be built.
     pub block_misses: u64,
-    /// `"hit"` when the availability side replayed from the cache (every
-    /// record on the exact path, the `Y`-keyed solution on the joint
-    /// paths), `"miss"` when it had to solve, `"unknown"` when no solve
-    /// was reached (quarantine before the solve).
+    /// `"hit"` when every record replayed from the cache, `"miss"` when
+    /// some record had to be filled, `"unknown"` when no record was
+    /// reached (quarantine before the lookup).
     pub solution: String,
 }
 
@@ -199,28 +187,14 @@ impl GoalMargins {
     }
 }
 
-/// Compact ε-truncation summary carried on an event (the full
-/// per-type error bounds stay on the [`Assessment`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TruncationSummary {
-    /// Configured mass tolerance ε.
-    pub epsilon: f64,
-    /// Probability mass actually evaluated.
-    pub covered_mass: f64,
-    /// States the ε-truncated fold never evaluated.
-    pub states_skipped: usize,
-}
-
 /// Compact graceful-degradation summary carried on an event.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DegradationSummary {
-    /// Evaluations charged at their pessimistic caps: per
-    /// `(type, up-count)` on the exact path, per state on the joint paths.
+    /// Evaluations charged at their pessimistic caps, one per
+    /// `(type, up-count)`.
     pub failed_states: usize,
     /// Stationary mass those evaluations touch.
     pub charged_mass: f64,
-    /// Solver-ladder escalations behind the numbers.
-    pub solver_fallbacks: u32,
 }
 
 /// One journaled decision. See the module docs for the vocabulary and
@@ -254,8 +228,6 @@ pub struct DecisionEvent {
     pub margins: GoalMargins,
     /// Engine-cache provenance of the assessment.
     pub cache: CacheProvenance,
-    /// ε-truncation summary, when the assessment truncated.
-    pub truncation: Option<TruncationSummary>,
     /// Degradation summary, when the assessment degraded.
     pub degradation: Option<DegradationSummary>,
 }
@@ -334,19 +306,10 @@ fn push(event_seq_placeholder: DecisionEvent) {
     }
 }
 
-fn truncation_summary(assessment: &Assessment) -> Option<TruncationSummary> {
-    assessment.truncation.as_ref().map(|t| TruncationSummary {
-        epsilon: t.epsilon,
-        covered_mass: t.covered_mass,
-        states_skipped: t.states_skipped,
-    })
-}
-
 fn degradation_summary(assessment: &Assessment) -> Option<DegradationSummary> {
     assessment.degradation.as_ref().map(|d| DegradationSummary {
         failed_states: d.failed_states,
         charged_mass: d.charged_mass,
-        solver_fallbacks: d.solver_fallbacks,
     })
 }
 
@@ -418,7 +381,6 @@ pub(crate) fn record_assessed(
         error: None,
         margins: GoalMargins::compute(assessment, goals),
         cache,
-        truncation: truncation_summary(assessment),
         degradation: degradation_summary(assessment),
     });
 }
@@ -442,41 +404,6 @@ pub(crate) fn record_quarantined(search: &'static str, replicas: &[usize], error
         error: Some(error.to_string()),
         margins: GoalMargins::default(),
         cache: CacheProvenance::default(),
-        truncation: None,
-        degradation: None,
-    });
-}
-
-/// Journals a candidate the adaptive-ε screen proved infeasible —
-/// rejected without an exact assessment. `availability` is the exact
-/// closed-form product value; `w_max` is the loose screening estimate
-/// (`None` when the availability proof needed no fold); `cache` is the
-/// screening fold's own provenance.
-pub(crate) fn record_screened(
-    search: &'static str,
-    replicas: &[usize],
-    availability: f64,
-    w_max: Option<f64>,
-    cache: CacheProvenance,
-) {
-    if !is_enabled() {
-        return;
-    }
-    wfms_obs::instant(EVENT_DECISION_SCREENED);
-    push(DecisionEvent {
-        seq: 0,
-        search: search.to_string(),
-        candidate: replicas.to_vec(),
-        cost: replicas.iter().sum(),
-        availability: Some(availability),
-        w_max,
-        goals_met: false,
-        outcome: OUTCOME_REJECT.to_string(),
-        reason: REASON_SCREENED.to_string(),
-        error: None,
-        margins: GoalMargins::default(),
-        cache,
-        truncation: None,
         degradation: None,
     });
 }
@@ -561,7 +488,6 @@ mod tests {
             expected_waiting: Some(vec![0.004, 0.002, 0.008]),
             max_expected_waiting: Some(0.008),
             probability_saturated: 0.0,
-            truncation: None,
             degradation: None,
             goals: GoalCheck {
                 waiting_time_met: goals_met,
@@ -614,12 +540,10 @@ mod tests {
             error: None,
             margins: GoalMargins::compute(&assessment, &goals),
             cache: CacheProvenance::default(),
-            truncation: Some(TruncationSummary {
-                epsilon: 1e-6,
-                covered_mass: 0.999_999_5,
-                states_skipped: 12,
+            degradation: Some(DegradationSummary {
+                failed_states: 2,
+                charged_mass: 4.627e-4,
             }),
-            degradation: None,
         };
         let snapshot = JournalSnapshot {
             events: vec![event],

@@ -22,8 +22,7 @@
 //!
 //! A fifth, cross-cutting component is the **decision journal**
 //! ([`journal`]): every search emits a structured [`journal::DecisionEvent`]
-//! per candidate (goal margins, cache provenance, truncation/degradation
-//! summaries, accept/reject reason from a stable vocabulary), which the
+//! per candidate (goal margins, cache provenance, degradation summary, accept/reject reason from a stable vocabulary), which the
 //! CLI persists as JSONL and `wfms explain` replays.
 
 #![warn(missing_docs)]
@@ -50,13 +49,10 @@ pub use error::ConfigError;
 pub use goals::{GoalCheck, Goals};
 pub use journal::{
     CacheProvenance, DecisionEvent, DegradationSummary, GoalMargins, JournalSnapshot,
-    TruncationSummary,
 };
-pub use moves::{best_availability_move, best_waiting_move, move_sensitivities, MoveSensitivity};
+pub use moves::{move_sensitivities, MoveSensitivity};
 pub use search::{
     goal_lower_bounds, minimum_stable_replicas, QuarantinedCandidate, SearchOptions,
     SearchOptionsBuilder, SearchResult,
 };
 pub use sensitivity::{sensitivity, Parameter, SensitivityEntry, SensitivityOptions};
-pub use wfms_avail::AvailBackend;
-pub use wfms_performability::TruncationReport;

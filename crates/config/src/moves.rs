@@ -13,19 +13,11 @@
 //! the true `W_x` to every type's replica count, which is exactly why
 //! the engine re-assesses exactly before accepting any winner.
 //!
-//! # Where ranking applies
-//!
-//! * **Greedy** — a screened step that proves a waiting violation but
-//!   not the critical type can grow the ranked argmax
-//!   ([`crate::SearchOptions::rank_moves`]).
-//! * **Exhaustive / branch & bound** — the frontier is deliberately
-//!   *not* reordered: candidates are scanned in enumeration order so
-//!   the first hit is cost-optimal and the trace contract ("every
-//!   candidate assessed, in order") holds; the adaptive-ε screen,
-//!   rather than reordering, is what removes wasted exact work there.
-//! * **Annealing** — the Metropolis walk is RNG-pinned; reordering its
-//!   proposals would change the walk, so sensitivities are exposed for
-//!   post-hoc explanation only.
+//! The ranking is exposed for explanation (`wfms sensitivity --moves`);
+//! no search reorders its candidates by it. Exhaustive and branch &
+//! bound scan their frontier in enumeration order, so the first hit is
+//! cost-optimal and the trace holds every candidate assessed, in order;
+//! annealing's Metropolis walk is pinned by its RNG.
 
 use serde::{Deserialize, Serialize};
 
@@ -36,8 +28,7 @@ use wfms_statechart::{Configuration, ServerTypeRegistry};
 use crate::error::ConfigError;
 
 /// What adding one replica to a single server type buys — the
-/// closed-form sensitivities behind move ranking and
-/// `wfms sensitivity --moves`.
+/// closed-form sensitivities behind `wfms sensitivity --moves`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MoveSensitivity {
     /// Index of the server type the move grows.
@@ -145,39 +136,6 @@ pub fn move_sensitivities(
     Ok(out)
 }
 
-/// The move index with the largest availability gain — the closed-form
-/// twin of the greedy search's availability-critical-type ranking
-/// (first index wins ties, like every search tie-break).
-pub fn best_availability_move(moves: &[MoveSensitivity]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for m in moves {
-        if best.is_none_or(|(_, g)| m.availability_delta > g) {
-            best = Some((m.type_index, m.availability_delta));
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// The move index with the largest waiting-time improvement
-/// (most negative `waiting_delta`; a stabilizing move — `None` before,
-/// finite after — outranks every already-stable move). `None` when no
-/// move changes a finite wait.
-pub fn best_waiting_move(moves: &[MoveSensitivity]) -> Option<usize> {
-    let mut stabilizing: Option<usize> = None;
-    let mut best: Option<(usize, f64)> = None;
-    for m in moves {
-        if m.waiting_before.is_none() && m.waiting_after.is_some() && stabilizing.is_none() {
-            stabilizing = Some(m.type_index);
-        }
-        if let Some(delta) = m.waiting_delta {
-            if best.is_none_or(|(_, d)| delta < d) {
-                best = Some((m.type_index, delta));
-            }
-        }
-    }
-    stabilizing.or(best.map(|(i, _)| i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,7 +184,7 @@ mod tests {
     }
 
     #[test]
-    fn waiting_deltas_are_improvements_and_stabilizing_moves_rank_first() {
+    fn waiting_deltas_are_improvements_and_a_second_replica_stabilizes() {
         let reg = paper_section52_registry();
         // Overload: one server of each type is unstable at ρ = 1.4.
         let load = load_at(1.4, &reg);
@@ -236,7 +194,6 @@ mod tests {
             assert!(m.waiting_before.is_none(), "ρ > 1 at one replica");
             assert!(m.waiting_after.is_some(), "ρ = 0.7 at two replicas");
         }
-        assert_eq!(best_waiting_move(&moves), Some(0), "first stabilizer wins");
 
         // A comfortably stable system: every move strictly improves.
         let stable = Configuration::new(&reg, vec![3, 3, 3]).unwrap();
@@ -245,7 +202,5 @@ mod tests {
         for m in &moves {
             assert!(m.waiting_delta.unwrap() < 0.0, "more replicas, less wait");
         }
-        assert!(best_waiting_move(&moves).is_some());
-        assert!(best_availability_move(&moves).is_some());
     }
 }

@@ -18,7 +18,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use wfms_avail::AvailBackend;
 use wfms_perf::SystemLoad;
 use wfms_statechart::{ServerTypeId, ServerTypeRegistry};
 
@@ -36,104 +35,31 @@ use crate::goals::Goals;
 /// ```
 ///
 /// `Default` is equivalent to the pre-engine behaviour: a budget of 64
-/// servers, a single worker, and effectively unbounded caches.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// servers, a single worker, and an effectively unbounded record cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SearchOptions {
     /// Maximum total number of servers (the cost budget). The search
     /// fails with [`ConfigError::GoalsUnreachable`] beyond it.
     pub max_total_servers: usize,
-    /// Worker threads for candidate and per-state evaluation: `0` =
-    /// automatic (`RAYON_NUM_THREADS`, else available cores), `1` =
-    /// serial. Results are bit-identical for every value (see
+    /// Worker threads for candidate evaluation: `0` = automatic
+    /// (`RAYON_NUM_THREADS`, else available cores), `1` = serial.
+    /// Results are bit-identical for every value (see
     /// [`AssessmentEngine`](crate::AssessmentEngine)).
     pub jobs: usize,
-    /// Maximum entries of each state-layer cache: the exact path's
-    /// per-type `(type, Y_x)` records and the joint paths' degraded states
-    /// (`X → w^X`); `0` disables both. Overflowing entries are recomputed
-    /// per assessment.
+    /// Maximum entries of the engine's record cache, the per-type
+    /// `(type, Y_x)` records; `0` disables it. Evicted records are
+    /// recomputed when a later candidate needs them.
     pub state_cache_capacity: usize,
-    /// Maximum entries of the joint paths' availability-solution cache
-    /// (`Y → π`); `0` disables it.
-    pub solution_cache_capacity: usize,
-    /// Mass-truncation tolerance of the performability fold: with
-    /// `ε > 0` (and a factorizing repair policy) assessments use the
-    /// product-form backend and evaluate states in descending `π` order
-    /// only until the covered mass reaches `1 − ε`, reporting a sound
-    /// bound on the waiting-time error. `0.0` (the default) keeps the
-    /// exact fold, one closed-form sum per server type (see
-    /// [`AssessmentEngine`](crate::AssessmentEngine)).
-    pub epsilon: f64,
-    /// Which availability solver evaluates each candidate's chain; see
-    /// [`AvailBackend`]. The default `Auto` resolves per candidate from
-    /// the policy, state-space size, and `epsilon`.
-    pub avail_backend: AvailBackend,
-    /// Convergence tolerance of the engine's iterative (Gauss–Seidel)
-    /// availability solves. Must be finite and positive; validated by
-    /// [`AssessmentEngine::new`](crate::AssessmentEngine::new). The
-    /// default `1e-12` makes the stationary vector interchangeable with
-    /// a direct solve.
-    #[serde(default = "default_solver_tolerance")]
-    pub solver_tolerance: f64,
-    /// Sweep cap of the engine's iterative availability solves. Must be
-    /// positive; validated by
-    /// [`AssessmentEngine::new`](crate::AssessmentEngine::new).
-    #[serde(default = "default_solver_max_iterations")]
-    pub solver_max_iterations: usize,
-    /// Fail-fast mode: when `true`, any candidate-level solver or model
-    /// failure aborts the assessment or search immediately (the
-    /// historical behaviour). When `false` (the default), the engine
-    /// degrades gracefully: failed sparse availability solves fall back
-    /// to the exact per-type path, failed evaluations (per
-    /// `(type, up-count)` on the exact path, per state on the joint
-    /// paths) are charged with their sound pessimistic waiting-time cap and
+    /// Fail-fast mode: when `true`, any candidate-level model failure
+    /// aborts the assessment or search immediately (the historical
+    /// behaviour). When `false` (the default), the engine degrades
+    /// gracefully: failed evaluations, one per `(type, up-count)`, are
+    /// charged with their sound pessimistic waiting-time cap and
     /// recorded in [`Assessment::degradation`](crate::Assessment), and
     /// searches quarantine irrecoverable candidates in
     /// [`SearchResult::quarantined`] instead of aborting.
     #[serde(default)]
     pub strict: bool,
-    /// Delta-aware assessment on the `ε > 0` (product-form) path: when
-    /// `true` (the default), a product-form availability solve for a
-    /// candidate one coordinate away from a cached neighbour replaces
-    /// only the moved type's marginal instead of re-deriving all `k` —
-    /// bit-identical by construction (see
-    /// `wfms_avail::ProductFormModel::from_marginals`), so results,
-    /// traces, and journals never depend on this flag. The exact default
-    /// path needs no flag: its per-type records already make a
-    /// one-replica move recompute exactly one record.
-    #[serde(default = "default_incremental")]
-    pub incremental: bool,
-    /// Adaptive-ε screening tolerance: with `σ > 0` and the product
-    /// backend, searches first evaluate each candidate with a cheap
-    /// `ε = σ` fold and skip the exact assessment when the sound
-    /// truncation bounds *prove* the candidate violates a goal. `0.0`
-    /// (the default) disables screening. Screening never changes a
-    /// winner or its assessment; greedy traces omit the proven-infeasible
-    /// candidates (journaled as `reject-screened` instead), frontier
-    /// searches keep the trace literally identical.
-    #[serde(default)]
-    pub screen_epsilon: f64,
-    /// Sensitivity-ranked moves: when a screened greedy step proves a
-    /// waiting-goal violation but the bounds cannot *prove* which type
-    /// is most critical, `true` grows the loose-estimate argmax anyway
-    /// (a documented heuristic — the trajectory may differ from the
-    /// unscreened walk, though every skipped candidate is still provably
-    /// infeasible and the winner is verified exactly); `false` (the
-    /// default) falls back to an exact assessment, preserving the
-    /// baseline trajectory.
-    #[serde(default)]
-    pub rank_moves: bool,
-}
-
-fn default_solver_tolerance() -> f64 {
-    1e-12
-}
-
-fn default_solver_max_iterations() -> usize {
-    100_000
-}
-
-fn default_incremental() -> bool {
-    true
 }
 
 impl Default for SearchOptions {
@@ -142,15 +68,7 @@ impl Default for SearchOptions {
             max_total_servers: 64,
             jobs: 1,
             state_cache_capacity: 65_536,
-            solution_cache_capacity: 4_096,
-            epsilon: 0.0,
-            avail_backend: AvailBackend::Auto,
-            solver_tolerance: default_solver_tolerance(),
-            solver_max_iterations: default_solver_max_iterations(),
             strict: false,
-            incremental: default_incremental(),
-            screen_epsilon: 0.0,
-            rank_moves: false,
         }
     }
 }
@@ -185,51 +103,10 @@ impl SearchOptionsBuilder {
         self
     }
 
-    /// Caps each state-layer cache: per-type records and degraded states
-    /// (`0` disables both).
+    /// Caps the record cache (`0` disables it).
     #[must_use]
     pub fn state_cache_capacity(mut self, entries: usize) -> Self {
         self.opts.state_cache_capacity = entries;
-        self
-    }
-
-    /// Caps the joint paths' availability-solution cache (`0` disables
-    /// it).
-    #[must_use]
-    pub fn solution_cache_capacity(mut self, entries: usize) -> Self {
-        self.opts.solution_cache_capacity = entries;
-        self
-    }
-
-    /// Sets the performability mass-truncation tolerance (`0.0` =
-    /// exhaustive, every state folded). Validated by
-    /// [`AssessmentEngine::new`](crate::AssessmentEngine::new).
-    #[must_use]
-    pub fn epsilon(mut self, epsilon: f64) -> Self {
-        self.opts.epsilon = epsilon;
-        self
-    }
-
-    /// Picks the availability solver backend.
-    #[must_use]
-    pub fn avail_backend(mut self, backend: AvailBackend) -> Self {
-        self.opts.avail_backend = backend;
-        self
-    }
-
-    /// Sets the iterative-solver convergence tolerance. Validated by
-    /// [`AssessmentEngine::new`](crate::AssessmentEngine::new).
-    #[must_use]
-    pub fn solver_tolerance(mut self, tolerance: f64) -> Self {
-        self.opts.solver_tolerance = tolerance;
-        self
-    }
-
-    /// Sets the iterative-solver sweep cap. Validated by
-    /// [`AssessmentEngine::new`](crate::AssessmentEngine::new).
-    #[must_use]
-    pub fn solver_max_iterations(mut self, max_iterations: usize) -> Self {
-        self.opts.solver_max_iterations = max_iterations;
         self
     }
 
@@ -237,32 +114,6 @@ impl SearchOptionsBuilder {
     #[must_use]
     pub fn strict(mut self, strict: bool) -> Self {
         self.opts.strict = strict;
-        self
-    }
-
-    /// Enables or disables the delta-aware assessment path (see
-    /// [`SearchOptions::incremental`]). Results are bit-identical either
-    /// way; `false` exists for benchmarking and bisection.
-    #[must_use]
-    pub fn incremental(mut self, incremental: bool) -> Self {
-        self.opts.incremental = incremental;
-        self
-    }
-
-    /// Sets the adaptive-ε screening tolerance (`0.0` = no screening;
-    /// see [`SearchOptions::screen_epsilon`]). Validated by
-    /// [`AssessmentEngine::new`](crate::AssessmentEngine::new).
-    #[must_use]
-    pub fn screen_epsilon(mut self, screen_epsilon: f64) -> Self {
-        self.opts.screen_epsilon = screen_epsilon;
-        self
-    }
-
-    /// Enables or disables sensitivity-ranked move selection on
-    /// screened greedy steps (see [`SearchOptions::rank_moves`]).
-    #[must_use]
-    pub fn rank_moves(mut self, rank_moves: bool) -> Self {
-        self.opts.rank_moves = rank_moves;
         self
     }
 

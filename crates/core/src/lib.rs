@@ -62,5 +62,5 @@ pub use wfms_config::{
     Assessment, AssessmentEngine, CacheStats, ConfigError, DegradationReport, DegradedStateRecord,
     GoalCheck, Goals, QuarantinedCandidate, SearchOptions, SearchOptionsBuilder, SearchResult,
 };
-pub use wfms_performability::{DegradedPolicy, PerformabilityReport, TruncationReport};
+pub use wfms_performability::{DegradedPolicy, PerformabilityReport};
 pub use wfms_statechart::{Configuration, ServerTypeRegistry, SystemState, WorkflowSpec};

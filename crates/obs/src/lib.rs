@@ -53,16 +53,15 @@
 //! | `linear-solve` | `wfms-markov` | `n`, `iterations`, `residual`, `spectral_radius_est` |
 //! | `steady-state` | `wfms-markov` | `states`, `method`, `iterations` |
 //! | `avail-build` | `wfms-avail` | `states`, `types`, `backend` |
-//! | `avail-steady-state` | `wfms-avail` | `states`, `backend` (`dense`, `sparse`, or `product` — on the assessment engine's exact default path, one span per per-type record fill with `states` = `Y_x + 1`) |
+//! | `avail-steady-state` | `wfms-avail` | `states`, `backend` (`dense`, `sparse`, or `product` — in the assessment engine, one span per per-type record fill with `states` = `Y_x + 1`) |
 //! | `avail-product-form` | `wfms-avail` | `states`, `types` |
 //! | `mg1-waiting` | `wfms-perf` | `types` (one span per `waiting_times` call, and one per single-type kernel call with `types` = 1) |
-//! | `performability` | `wfms-performability` | `states`, `degraded`, `serving`, `pruned` (ε-truncated fold only); the per-type fold records `types`, `serving` |
+//! | `performability` | `wfms-performability` | `states`, `degraded`, `serving`; the per-type fold records `types`, `serving` |
 //! | `assess` | `wfms-config` | `candidate`, `w_max`, `availability` |
-//! | `delta-assess` | `wfms-config` | `candidate`, `moved-type` (one span per availability solve answered by patching a cached neighbour's marginals) |
 //! | `search-candidate` | `wfms-config` | `candidate`, `accepted` |
 //! | `greedy-search` / `exhaustive-search` / `bnb-search` / `annealing-search` | `wfms-config` | `evaluations`, `cost` |
 //! | `simulate` | `wfms-sim` | `events`, `warmup_minutes`, `measured_minutes` |
-//! | `solver-fallback` | `wfms-markov` / `wfms-config` | `from` (one span per fallback-ladder escalation) |
+//! | `solver-fallback` | `wfms-markov` | `from` (one span per fallback-ladder escalation) |
 //!
 //! Counters and histograms are dotted lowercase
 //! (`<crate>.<subject>.<aspect>`). The pipeline metrics:
@@ -75,26 +74,23 @@
 //! | `markov.steady-state.iterations` | histogram | `wfms-markov` | sweeps per CTMC steady-state solve |
 //! | `markov.poisson.truncation-steps` | histogram | `wfms-markov` | uniformization truncation depth `z_max` |
 //! | `markov.poisson.terms` | histogram | `wfms-markov` | end `z` of the Poisson window per CDF evaluation of an absorbed-mass sequence (one past its last summed term; `Uniformized::absorption_cdf`, `Uniformized::transient_distribution`); the window drops at most `ε` of the Poisson mass; the turnaround percentile reads its CDF from a squaring table and records none |
-//! | `avail.state-space.size` | gauge | `wfms-avail` / `wfms-config` | `∏(Y_x+1)` states of the last availability model (the engine's exact path sets it per candidate) |
+//! | `avail.state-space.size` | gauge | `wfms-avail` / `wfms-config` | `∏(Y_x+1)` states of the last availability model (the engine sets it per candidate) |
 //! | `perf.mg1.evaluations` | counter | `wfms-perf` | M/G/1 waiting-time kernel evaluations, one per server type evaluated |
-//! | `performability.state-evaluations` | counter | `wfms-performability` | system states evaluated by a joint fold, or `(type, up-count)` terms summed by the per-type fold |
+//! | `performability.state-evaluations` | counter | `wfms-performability` | system states evaluated by the joint fold, or `(type, up-count)` terms summed by the per-type fold (`wfms profile --check` gates on it staying nonzero) |
 //! | `performability.degraded-evaluations` | counter | `wfms-performability` | evaluated states that were degraded |
-//! | `performability.pruned-states` | counter | `wfms-performability` | states the ε-truncated fold never evaluated (`wfms profile --check` gates on it staying nonzero) |
 //! | `config.assessments` | counter | `wfms-config` | candidate assessments completed |
 //! | `config.annealing.accepted` | counter | `wfms-config` | accepted Metropolis moves per annealing run |
 //! | `config.annealing.rejected` | counter | `wfms-config` | rejected Metropolis moves per annealing run |
 //! | `sim.events` | counter | `wfms-sim` | discrete events processed per simulation run |
 //!
-//! The assessment engine of `wfms-config` adds five stable metric
+//! The assessment engine of `wfms-config` adds three stable metric
 //! names of its own:
 //!
 //! | metric | kind | emitted by | meaning |
 //! |---|---|---|---|
-//! | `engine.cache-hit` | counter | `wfms-config` | lookups answered from a cache: per-type record lookups on the exact default path (one per type per candidate); degraded-state, birth–death-block, or availability-solution lookups on the `ε > 0` and sparse paths |
-//! | `engine.cache-miss` | counter | `wfms-config` | lookups that had to compute, counted the same way (one per record fill, or per first evaluation of a state, block, or candidate) |
+//! | `engine.cache-hit` | counter | `wfms-config` | per-type record lookups answered from the record cache (one lookup per type per candidate) |
+//! | `engine.cache-miss` | counter | `wfms-config` | per-type record lookups that had to fill the record |
 //! | `engine.parallel-candidates` | gauge | `wfms-config` | size of the last candidate batch dispatched to the worker pool |
-//! | `engine.delta-assess` | counter | `wfms-config` | product-form availability solves answered by patching one marginal of a cached neighbour (each paired with a `delta-assess` span) |
-//! | `engine.screen-reject` | counter | `wfms-config` | candidates the adaptive-ε screen proved infeasible without an exact assessment |
 //!
 //! The graceful-degradation layer (DESIGN.md §10) adds four more; the
 //! first two must stay **zero** on a clean run, and `wfms profile
@@ -102,7 +98,7 @@
 //!
 //! | metric | kind | emitted by | meaning |
 //! |---|---|---|---|
-//! | `solver.fallback` | counter | `wfms-markov` / `wfms-config` | solves that escalated down a fallback ladder (e.g. sparse Gauss–Seidel → the exact product form), each paired with a `solver-fallback` span |
+//! | `solver.fallback` | counter | `wfms-markov` | solves that escalated down the resilient-solve ladder (Gauss–Seidel → SOR → dense LU), each paired with a `solver-fallback` span |
 //! | `config.quarantined` | counter | `wfms-config` | candidates whose assessment failed irrecoverably and were skipped by a search |
 //! | `config.degraded-assessments` | counter | `wfms-config` | assessments that carried a `DegradationReport` |
 //! | `solver.budget-exhausted` | counter | `wfms-markov` | resilient-solve stages that ran out of iterations before converging |
@@ -147,7 +143,7 @@ pub use metrics::{histogram_bucket_bounds, histogram_bucket_index, HistogramSnap
 pub use recorder::{
     FieldValue, Recorder, Span, SpanField, SpanRecord, StageSummary, TraceSnapshot,
 };
-pub use sink::{aggregate_stages, from_json, render_text, to_json};
+pub use sink::{aggregate_stages, from_json, render_text, stage_run_minima, to_json};
 pub use timeline::{to_chrome_trace, TimelineEvent, TimelinePhase, TimelineSnapshot};
 
 use std::sync::OnceLock;

@@ -112,6 +112,30 @@ pub fn aggregate_stages(snapshot: &TraceSnapshot) -> Vec<StageSummary> {
     stages
 }
 
+/// Each stage's smallest per-run total, where `run_ends[i]` counts the
+/// spans recorded by the end of run `i`: the per-stage time `wfms
+/// profile --baseline` compares, on both sides of its share gate. A
+/// stage that a run did not record does not count for that run.
+pub fn stage_run_minima(spans: &[SpanRecord], run_ends: &[usize]) -> BTreeMap<String, u64> {
+    let mut minima = BTreeMap::new();
+    let mut begin = 0;
+    for &end in run_ends {
+        let mut totals: BTreeMap<&str, u64> = BTreeMap::new();
+        for span in spans.get(begin..end).unwrap_or_default() {
+            let total = totals.entry(span.name.as_str()).or_default();
+            *total = total.saturating_add(span.duration_ns);
+        }
+        for (name, total) in totals {
+            minima
+                .entry(name.to_string())
+                .and_modify(|m: &mut u64| *m = (*m).min(total))
+                .or_insert(total);
+        }
+        begin = end;
+    }
+    minima
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

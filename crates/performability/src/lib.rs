@@ -87,48 +87,6 @@ impl StateDetail {
     }
 }
 
-/// How an ε-truncated evaluation accounted for the states it skipped —
-/// produced by [`fold_states_truncated`], absent (`None`) on the dense
-/// path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TruncationReport {
-    /// The requested tolerance: evaluation stopped once the visited
-    /// states' mass reached `1 − ε`.
-    pub epsilon: f64,
-    /// Stationary mass of the states actually evaluated.
-    pub covered_mass: f64,
-    /// Residual mass of the skipped tail (`0.0` when nothing was
-    /// skipped).
-    pub skipped_mass: f64,
-    /// Number of system states never evaluated.
-    pub states_skipped: usize,
-    /// Sound per-type bound on `|ΔW_x|`, the error the truncation can
-    /// have introduced into `expected_waiting[x]` relative to the exact
-    /// full-space fold (see [`fold_states_truncated`] for the
-    /// derivation).
-    pub waiting_error_bounds: Vec<f64>,
-    /// Sound bound on the error any *fold-derived* availability estimate
-    /// (visited serving + saturated mass vs. `1 − probability_down`)
-    /// can carry: the skipped tail holds at most `σ` mass, all of which
-    /// could be up or down, so `|ΔA| ≤ σ` — the availability-goal
-    /// counterpart of `waiting_error_bounds`. Product-form callers
-    /// compute availability in closed form from the marginals (error
-    /// exactly `0`); the bound is what screening uses when only the
-    /// truncated fold has been paid for. Zero when nothing was skipped.
-    #[serde(default)]
-    pub availability_bound: f64,
-}
-
-impl TruncationReport {
-    /// The worst per-type waiting-time error bound.
-    pub fn max_error_bound(&self) -> f64 {
-        self.waiting_error_bounds
-            .iter()
-            .cloned()
-            .fold(0.0, f64::max)
-    }
-}
-
 /// Result of the performability evaluation for one configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerformabilityReport {
@@ -148,9 +106,6 @@ pub struct PerformabilityReport {
     /// Per-state detail, in state-space encoding order; empty for
     /// [`fold_types`], which never forms a joint state.
     pub details: Vec<StateDetail>,
-    /// Truncation accounting when the fold was ε-truncated; `None` for
-    /// the exhaustive (dense) fold.
-    pub truncation: Option<TruncationReport>,
 }
 
 impl PerformabilityReport {
@@ -176,11 +131,6 @@ pub enum PerformabilityError {
         /// The offending value.
         value: f64,
     },
-    /// The truncated fold was given an `ε` outside `[0, 1)`.
-    InvalidEpsilon {
-        /// The offending value.
-        value: f64,
-    },
     /// A `wfms-fault` failpoint fired in error mode at the named site.
     /// Only ever produced under explicit fault injection (tests, chaos
     /// runs); carries the stable site name for assertions.
@@ -200,9 +150,6 @@ impl std::fmt::Display for PerformabilityError {
             }
             PerformabilityError::InvalidPenalty { value } => {
                 write!(f, "invalid penalty waiting time {value}")
-            }
-            PerformabilityError::InvalidEpsilon { value } => {
-                write!(f, "truncation epsilon {value} outside [0, 1)")
             }
             PerformabilityError::FaultInjected { site } => {
                 write!(f, "fault injected at failpoint `{site}`")
@@ -461,39 +408,7 @@ where
         probability_serving,
         states_evaluated: details.len(),
         details,
-        truncation: None,
     })
-}
-
-/// Per-type caps on the *finite* waiting time over all system states
-/// `X ≤ Y = full_state`: the supremum of `w_x` over states where type
-/// `x` is stable, one [`type_waiting_cap`] per type. A type with no
-/// stable up-count at all keeps a cap of `0.0`; no serving state exists
-/// then, so the cap is never charged against a finite wait.
-///
-/// These caps make the truncation error bounds of
-/// [`fold_states_truncated`] sound: any skipped *serving* state's wait
-/// is ≤ the cap.
-///
-/// # Errors
-/// [`PerformabilityError::Perf`] on a registry/load/state mismatch.
-pub fn waiting_time_caps(
-    load: &SystemLoad,
-    registry: &ServerTypeRegistry,
-    full_state: &[usize],
-) -> Result<Vec<f64>, PerformabilityError> {
-    if full_state.len() != registry.len() {
-        return Err(PerformabilityError::Perf(PerfError::LengthMismatch {
-            what: "replica vector",
-            expected: registry.len(),
-            actual: full_state.len(),
-        }));
-    }
-    full_state
-        .iter()
-        .enumerate()
-        .map(|(x, &y)| Ok(type_waiting_cap(load, registry, ServerTypeId(x), y)?.unwrap_or(0.0)))
-        .collect()
 }
 
 /// The cap on type `x`'s *finite* waiting time with `replicas` replicas:
@@ -596,7 +511,7 @@ pub fn fold_types<'a, I>(types: I) -> Result<PerformabilityReport, Performabilit
 where
     I: IntoIterator<Item = (&'a [f64], &'a [WaitingOutcome])>,
 {
-    // Failpoint `performability.fold`: shared with the joint folds.
+    // Failpoint `performability.fold`: shared with the joint fold.
     let mut poison_fold = false;
     match wfms_fault::point!("performability.fold") {
         Some(wfms_fault::Injection::Error) => {
@@ -655,209 +570,6 @@ where
         probability_serving,
         states_evaluated: terms,
         details: Vec::new(),
-        truncation: None,
-    })
-}
-
-/// Parameters of the ε-truncated fold ([`fold_states_truncated`]).
-#[derive(Debug, Clone)]
-pub struct TruncationOptions<'a> {
-    /// Stop once the visited mass reaches `1 − ε`; `0.0` visits every
-    /// state the iterator yields.
-    pub epsilon: f64,
-    /// Size of the full state space, for the skipped-state count.
-    pub total_states: usize,
-    /// Per-type finite-wait caps from [`waiting_time_caps`].
-    pub waiting_caps: &'a [f64],
-}
-
-/// ε-truncated Markov-reward fold: consumes `(state, π)` pairs from a
-/// **descending-π** iterator (e.g.
-/// `wfms_avail::ProductFormModel::enumerate_descending`) only until the
-/// covered mass reaches `1 − ε`, and charges the residual mass `σ ≤ ε`
-/// with a sound bound instead of evaluating the tail.
-///
-/// With `ε = 0` every yielded state is visited and the skipped mass is
-/// exactly zero; the accumulation per state is the same as
-/// [`fold_states`], so the only difference from the dense path is the
-/// iteration (= summation) order.
-///
-/// # Error bounds
-///
-/// Let `σ` be the skipped mass and `c_x` the per-type finite-wait caps.
-///
-/// * **Conditional policy** — the estimate conditions on the *covered*
-///   serving mass `S`. Writing the exact value as
-///   `(A + a) / (S + s)` with `a ≤ σ·c_x` and `s ≤ σ` the skipped
-///   serving contributions, `|ΔW_x| ≤ σ · c_x / S` (both `A/S` and the
-///   skipped waits are ≤ `c_x`). The skipped mass itself is reported in
-///   the [`TruncationReport`].
-/// * **Penalty policy** — each skipped state is charged the configured
-///   penalty `p`: `expected_waiting` gains `σ · p` per type. A skipped
-///   state's true contribution per unit mass lies in `[0, max(p, c_x)]`
-///   (finite waits are ≤ `c_x`, non-serving states are charged `p` by
-///   the exact fold too), so `|ΔW_x| ≤ σ · max(p, c_x)`.
-///
-/// The down/saturated/serving probabilities cover only the visited
-/// states; each under-counts its exact value by at most `σ`.
-///
-/// # Errors
-/// As [`fold_states`], plus [`PerformabilityError::InvalidEpsilon`] on
-/// `ε ∉ [0, 1)` and a length mismatch on the caps vector.
-pub fn fold_states_truncated<I, F>(
-    dist: I,
-    k: usize,
-    full_state: &[usize],
-    policy: DegradedPolicy,
-    opts: &TruncationOptions<'_>,
-    mut eval: F,
-) -> Result<PerformabilityReport, PerformabilityError>
-where
-    I: IntoIterator<Item = (Vec<usize>, f64)>,
-    F: FnMut(&[usize]) -> Result<Arc<StateEvaluation>, PerformabilityError>,
-{
-    if let DegradedPolicy::Penalty { waiting_time } = policy {
-        if !(waiting_time.is_finite() && waiting_time >= 0.0) {
-            return Err(PerformabilityError::InvalidPenalty {
-                value: waiting_time,
-            });
-        }
-    }
-    if !(opts.epsilon.is_finite() && (0.0..1.0).contains(&opts.epsilon)) {
-        return Err(PerformabilityError::InvalidEpsilon {
-            value: opts.epsilon,
-        });
-    }
-    if opts.waiting_caps.len() != k {
-        return Err(PerformabilityError::Perf(PerfError::LengthMismatch {
-            what: "waiting-time caps",
-            expected: k,
-            actual: opts.waiting_caps.len(),
-        }));
-    }
-    // Failpoint `performability.fold`: shared with the untruncated fold.
-    let mut poison_fold = false;
-    match wfms_fault::point!("performability.fold") {
-        Some(wfms_fault::Injection::Error) => {
-            return Err(PerformabilityError::FaultInjected {
-                site: "performability.fold",
-            });
-        }
-        Some(wfms_fault::Injection::Nan) => poison_fold = true,
-        None => {}
-    }
-    let mut obs_span = wfms_obs::span!("performability");
-    let mut details = Vec::new();
-    let mut probability_down = 0.0;
-    let mut probability_saturated = 0.0;
-    let mut probability_serving = 0.0;
-    let mut degraded_evaluations: u64 = 0;
-    let mut covered = 0.0;
-    // ε = 0 must visit every state: never stop on accumulated float mass.
-    let target = if opts.epsilon > 0.0 {
-        1.0 - opts.epsilon
-    } else {
-        f64::INFINITY
-    };
-
-    let mut dist = dist.into_iter();
-    while covered < target {
-        let Some((state, probability)) = dist.next() else {
-            break;
-        };
-        if state != full_state {
-            degraded_evaluations += 1;
-        }
-        let evaluation = eval(&state)?;
-        if evaluation.down {
-            probability_down += probability;
-        } else if evaluation.saturated {
-            probability_saturated += probability;
-        } else {
-            probability_serving += probability;
-        }
-        covered += probability;
-        details.push(StateDetail {
-            state,
-            probability,
-            outcomes: evaluation.outcomes.clone(),
-        });
-    }
-    let states_skipped = opts.total_states.saturating_sub(details.len());
-    let skipped_mass = if states_skipped == 0 {
-        0.0
-    } else {
-        (1.0 - covered).max(0.0)
-    };
-    obs_span.record("states", details.len() as u64);
-
-    let mut expected_waiting = vec![0.0; k];
-    let mut waiting_error_bounds = vec![0.0; k];
-    match policy {
-        DegradedPolicy::Conditional => {
-            if probability_serving <= 0.0 {
-                return Err(PerformabilityError::NoServingStates);
-            }
-            for d in &details {
-                if d.is_serving() {
-                    for (x, o) in d.outcomes.iter().enumerate() {
-                        // Infallible: `is_serving()` means no outcome is
-                        // Down or Saturated, so every outcome is Stable
-                        // and `waiting_time()` is Some.
-                        expected_waiting[x] +=
-                            // audit:allow(A008, reason = "is_serving() guarantees every outcome is Stable, so waiting_time() is Some")
-                            d.probability * o.waiting_time().expect("serving state is stable");
-                    }
-                }
-            }
-            for w in expected_waiting.iter_mut() {
-                *w /= probability_serving;
-            }
-            for (bound, &cap) in waiting_error_bounds.iter_mut().zip(opts.waiting_caps) {
-                *bound = skipped_mass * cap / probability_serving;
-            }
-        }
-        DegradedPolicy::Penalty { waiting_time } => {
-            for d in &details {
-                for (x, o) in d.outcomes.iter().enumerate() {
-                    let w = o.waiting_time().unwrap_or(waiting_time);
-                    expected_waiting[x] += d.probability * w;
-                }
-            }
-            for (x, w) in expected_waiting.iter_mut().enumerate() {
-                *w += skipped_mass * waiting_time;
-                waiting_error_bounds[x] = skipped_mass * waiting_time.max(opts.waiting_caps[x]);
-            }
-        }
-    }
-
-    obs_span.record("degraded", degraded_evaluations);
-    obs_span.record("serving", probability_serving);
-    obs_span.record("pruned", states_skipped as u64);
-    wfms_obs::counter("performability.state-evaluations", details.len() as u64);
-    wfms_obs::counter("performability.degraded-evaluations", degraded_evaluations);
-    wfms_obs::counter("performability.pruned-states", states_skipped as u64);
-
-    if poison_fold {
-        if let Some(w) = expected_waiting.first_mut() {
-            *w = f64::NAN;
-        }
-    }
-    Ok(PerformabilityReport {
-        expected_waiting,
-        probability_down,
-        probability_saturated,
-        probability_serving,
-        states_evaluated: details.len(),
-        details,
-        truncation: Some(TruncationReport {
-            epsilon: opts.epsilon,
-            covered_mass: covered,
-            skipped_mass,
-            states_skipped,
-            waiting_error_bounds,
-            availability_bound: skipped_mass,
-        }),
     })
 }
 
@@ -1070,23 +782,8 @@ mod tests {
             probability_serving: 1.0,
             states_evaluated: 0,
             details: vec![],
-            truncation: None,
         };
         assert_eq!(report.max_expected_waiting(), 0.5);
-    }
-
-    /// A descending-π iterator over the full state space of `config`,
-    /// built from the exact dense solve — lets the truncation tests run
-    /// without depending on wfms-avail's product enumerator.
-    fn descending_distribution(
-        reg: &ServerTypeRegistry,
-        config: &Configuration,
-    ) -> Vec<(Vec<usize>, f64)> {
-        let model = AvailabilityModel::new(reg, config).unwrap();
-        let pi = model.steady_state(SteadyStateMethod::Lu).unwrap();
-        let mut dist: Vec<(Vec<usize>, f64)> = model.distribution(&pi).unwrap().collect();
-        dist.sort_by(|a, b| b.1.total_cmp(&a.1));
-        dist
     }
 
     #[test]
@@ -1094,7 +791,16 @@ mod tests {
         let reg = registry();
         let config = Configuration::uniform(&reg, 2).unwrap();
         let load = load_at(0.8, &reg);
-        let caps = waiting_time_caps(&load, &reg, config.as_slice()).unwrap();
+        let caps: Vec<f64> = config
+            .as_slice()
+            .iter()
+            .enumerate()
+            .map(|(x, &y)| {
+                type_waiting_cap(&load, &reg, ServerTypeId(x), y)
+                    .unwrap()
+                    .expect("every type is stable at one of its up-counts")
+            })
+            .collect();
         let report = evaluate(&reg, &config, &load, DegradedPolicy::Conditional).unwrap();
         for d in &report.details {
             for (x, o) in d.outcomes.iter().enumerate() {
@@ -1109,183 +815,5 @@ mod tests {
             }
         }
         assert!(caps.iter().all(|&c| c > 0.0));
-    }
-
-    #[test]
-    fn truncated_fold_with_zero_epsilon_matches_dense_bitwise() {
-        let reg = registry();
-        let config = Configuration::uniform(&reg, 2).unwrap();
-        let load = load_at(0.7, &reg);
-        let dist = descending_distribution(&reg, &config);
-        let caps = waiting_time_caps(&load, &reg, config.as_slice()).unwrap();
-        let dense = fold_states(
-            dist.clone(),
-            reg.len(),
-            config.as_slice(),
-            DegradedPolicy::Conditional,
-            |state| evaluate_state(&load, &reg, state).map(Arc::new),
-        )
-        .unwrap();
-        let truncated = fold_states_truncated(
-            dist,
-            reg.len(),
-            config.as_slice(),
-            DegradedPolicy::Conditional,
-            &TruncationOptions {
-                epsilon: 0.0,
-                total_states: 27,
-                waiting_caps: &caps,
-            },
-            |state| evaluate_state(&load, &reg, state).map(Arc::new),
-        )
-        .unwrap();
-        // Same iterator order in, so every accumulated float agrees
-        // bit-for-bit; only the truncation annotation differs.
-        assert_eq!(dense.expected_waiting, truncated.expected_waiting);
-        assert_eq!(dense.probability_down, truncated.probability_down);
-        assert_eq!(dense.probability_serving, truncated.probability_serving);
-        assert_eq!(dense.details, truncated.details);
-        let t = truncated.truncation.unwrap();
-        assert_eq!(t.states_skipped, 0);
-        assert_eq!(t.skipped_mass, 0.0);
-        assert_eq!(t.waiting_error_bounds, vec![0.0; 3]);
-        assert_eq!(t.availability_bound, 0.0);
-    }
-
-    #[test]
-    fn truncated_fold_error_stays_within_reported_bound() {
-        let reg = registry();
-        let config = Configuration::uniform(&reg, 3).unwrap();
-        let load = load_at(0.9, &reg);
-        let dist = descending_distribution(&reg, &config);
-        let caps = waiting_time_caps(&load, &reg, config.as_slice()).unwrap();
-        let exact = fold_states(
-            dist.clone(),
-            reg.len(),
-            config.as_slice(),
-            DegradedPolicy::Conditional,
-            |state| evaluate_state(&load, &reg, state).map(Arc::new),
-        )
-        .unwrap();
-        for epsilon in [1e-4, 1e-6, 1e-9] {
-            let truncated = fold_states_truncated(
-                dist.clone(),
-                reg.len(),
-                config.as_slice(),
-                DegradedPolicy::Conditional,
-                &TruncationOptions {
-                    epsilon,
-                    total_states: dist.len(),
-                    waiting_caps: &caps,
-                },
-                |state| evaluate_state(&load, &reg, state).map(Arc::new),
-            )
-            .unwrap();
-            let t = truncated.truncation.clone().unwrap();
-            assert!(t.covered_mass >= 1.0 - epsilon);
-            assert!(t.skipped_mass <= epsilon);
-            // The fold-derived availability (1 − visited down mass) is
-            // within the reported availability bound of the exact value.
-            let delta_avail =
-                ((1.0 - exact.probability_down) - (1.0 - truncated.probability_down)).abs();
-            assert!(
-                delta_avail <= t.availability_bound + 1e-15,
-                "eps {epsilon}: |ΔA| {delta_avail:e} exceeds bound {:e}",
-                t.availability_bound
-            );
-            for x in 0..reg.len() {
-                let delta = (exact.expected_waiting[x] - truncated.expected_waiting[x]).abs();
-                assert!(
-                    delta <= t.waiting_error_bounds[x] + 1e-15,
-                    "eps {epsilon} type {x}: |ΔW| {delta:e} exceeds bound {:e}",
-                    t.waiting_error_bounds[x]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn truncated_penalty_fold_charges_skipped_mass_with_the_penalty() {
-        let reg = registry();
-        let config = Configuration::uniform(&reg, 3).unwrap();
-        let load = load_at(0.6, &reg);
-        let dist = descending_distribution(&reg, &config);
-        let caps = waiting_time_caps(&load, &reg, config.as_slice()).unwrap();
-        let penalty = 42.0;
-        let policy = DegradedPolicy::Penalty {
-            waiting_time: penalty,
-        };
-        let exact = fold_states(
-            dist.clone(),
-            reg.len(),
-            config.as_slice(),
-            policy,
-            |state| evaluate_state(&load, &reg, state).map(Arc::new),
-        )
-        .unwrap();
-        let truncated = fold_states_truncated(
-            dist.clone(),
-            reg.len(),
-            config.as_slice(),
-            policy,
-            &TruncationOptions {
-                epsilon: 1e-6,
-                total_states: dist.len(),
-                waiting_caps: &caps,
-            },
-            |state| evaluate_state(&load, &reg, state).map(Arc::new),
-        )
-        .unwrap();
-        let t = truncated.truncation.clone().unwrap();
-        assert!(t.states_skipped > 0, "ε = 1e-6 should prune the far tail");
-        for x in 0..reg.len() {
-            let delta = (exact.expected_waiting[x] - truncated.expected_waiting[x]).abs();
-            assert!(
-                delta <= t.waiting_error_bounds[x] + 1e-15,
-                "type {x}: |ΔW| {delta:e} exceeds bound {:e}",
-                t.waiting_error_bounds[x]
-            );
-        }
-    }
-
-    #[test]
-    fn truncated_fold_rejects_bad_epsilon_and_caps() {
-        let reg = registry();
-        let config = Configuration::uniform(&reg, 2).unwrap();
-        let load = load_at(0.5, &reg);
-        let dist = descending_distribution(&reg, &config);
-        let caps = waiting_time_caps(&load, &reg, config.as_slice()).unwrap();
-        for bad in [f64::NAN, -1e-9, 1.0, 2.0] {
-            assert!(matches!(
-                fold_states_truncated(
-                    dist.clone(),
-                    reg.len(),
-                    config.as_slice(),
-                    DegradedPolicy::Conditional,
-                    &TruncationOptions {
-                        epsilon: bad,
-                        total_states: dist.len(),
-                        waiting_caps: &caps,
-                    },
-                    |state| evaluate_state(&load, &reg, state).map(Arc::new),
-                ),
-                Err(PerformabilityError::InvalidEpsilon { .. })
-            ));
-        }
-        assert!(matches!(
-            fold_states_truncated(
-                dist.clone(),
-                reg.len(),
-                config.as_slice(),
-                DegradedPolicy::Conditional,
-                &TruncationOptions {
-                    epsilon: 0.0,
-                    total_states: dist.len(),
-                    waiting_caps: &caps[..1],
-                },
-                |state| evaluate_state(&load, &reg, state).map(Arc::new),
-            ),
-            Err(PerformabilityError::Perf(_))
-        ));
     }
 }

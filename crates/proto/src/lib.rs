@@ -237,6 +237,13 @@ pub struct PerTypeWait {
 /// the same JSON values the on-disk `registry.json` / `workload.json`
 /// files hold; the remaining fields mirror the `wfms assess` flags
 /// one-to-one (absent = the CLI default).
+///
+/// `epsilon`, `avail_backend`, `solver_tol` and `solver_max_iter` are
+/// removed engine switches: the engine assesses every candidate exactly
+/// from its per-type records. They stay declared so that a client still
+/// sending one is refused with `invalid-params` naming the field,
+/// instead of having it silently ignored; only `null` (or absence) is
+/// accepted.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AssessParams {
     /// The server-type registry (the `registry.json` document).
@@ -249,13 +256,16 @@ pub struct AssessParams {
     pub max_wait: Option<f64>,
     /// `--min-availability`.
     pub min_availability: Option<f64>,
-    /// `--epsilon` (mass-truncation tolerance).
+    /// Removed (the ε-truncated fold); must be `null` or absent.
     pub epsilon: Option<f64>,
-    /// `--avail-backend` (`auto|dense|sparse|product`).
+    /// Removed (the availability-backend override); must be `null` or
+    /// absent.
     pub avail_backend: Option<String>,
-    /// `--solver-tol`.
+    /// Removed (the iterative solver's tolerance); must be `null` or
+    /// absent.
     pub solver_tol: Option<f64>,
-    /// `--solver-max-iter`.
+    /// Removed (the iterative solver's sweep cap); must be `null` or
+    /// absent.
     pub solver_max_iter: Option<u64>,
     /// `--strict` fail-fast mode (absent = graceful degradation).
     pub strict: Option<bool>,
@@ -269,6 +279,10 @@ pub struct AssessParams {
 /// flags, plus a `search` selector covering all four strategies (the
 /// CLI exposes greedy/exhaustive/annealing; the wire protocol adds
 /// branch-and-bound).
+///
+/// The removed engine switches of [`AssessParams`], plus
+/// `screen_epsilon`, `rank_moves` and `incremental`, are refused the
+/// same way when non-null.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecommendParams {
     /// The server-type registry (the `registry.json` document).
@@ -288,23 +302,25 @@ pub struct RecommendParams {
     pub jobs: Option<u64>,
     /// `--seed` (annealing only; default 42).
     pub seed: Option<u64>,
-    /// `--epsilon` (mass-truncation tolerance).
+    /// Removed (the ε-truncated fold); must be `null` or absent.
     pub epsilon: Option<f64>,
-    /// `--avail-backend` (`auto|dense|sparse|product`).
+    /// Removed (the availability-backend override); must be `null` or
+    /// absent.
     pub avail_backend: Option<String>,
-    /// `--solver-tol`.
+    /// Removed (the iterative solver's tolerance); must be `null` or
+    /// absent.
     pub solver_tol: Option<f64>,
-    /// `--solver-max-iter`.
+    /// Removed (the iterative solver's sweep cap); must be `null` or
+    /// absent.
     pub solver_max_iter: Option<u64>,
     /// `--strict` fail-fast mode.
     pub strict: Option<bool>,
-    /// `--screen-epsilon` (adaptive-e candidate screening tolerance;
-    /// absent or 0 disables screening).
+    /// Removed (the adaptive-ε screen); must be `null` or absent.
     pub screen_epsilon: Option<f64>,
-    /// `--rank-moves` (sensitivity-ranked growth moves).
+    /// Removed (the screen's ranked growth moves); must be `null` or
+    /// absent.
     pub rank_moves: Option<bool>,
-    /// Inverse of `--no-incremental` (absent = incremental delta
-    /// assessment on, matching the CLI default).
+    /// Removed (the delta-patched marginals); must be `null` or absent.
     pub incremental: Option<bool>,
     /// Per-server-type waiting-time goals (`--max-wait-type`),
     /// refining — and overriding, for the named types — the global
@@ -411,15 +427,11 @@ pub struct ProfileSnapshotResult {
 pub struct TenantGauges {
     /// The tenant key.
     pub tenant: String,
-    /// State-layer entries: the exact path's per-type `(type, Y_x)`
-    /// records plus the joint paths' degraded states.
+    /// Record entries: the engine's per-type `(type, Y_x)` records.
     pub state_entries: u64,
-    /// Availability-solution entries of the joint (`ε > 0`, sparse)
-    /// paths.
-    pub solution_entries: u64,
     /// Entries in the birth–death block cache.
     pub block_entries: u64,
-    /// Lifetime engine cache hits (record lookups on the exact path).
+    /// Lifetime engine cache hits (record lookups).
     pub cache_hits: u64,
     /// Lifetime engine cache misses, counted the same way.
     pub cache_misses: u64,

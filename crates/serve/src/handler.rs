@@ -3,9 +3,10 @@
 //! [`Handler::handle`] maps a [`wfms_proto::Request`] to a
 //! [`wfms_proto::Response`]. The CLI calls it in-process for one-shot
 //! `assess` / `recommend` invocations; the TCP daemon calls it per
-//! request line. Tenant state — a warm [`AssessmentEngine`] whose three
-//! memo caches amortize across requests — lives inside the handler,
-//! keyed by the client-supplied tenant id and bounded by an LRU cap.
+//! request line. Tenant state — a warm [`AssessmentEngine`] whose
+//! record and block caches amortize across requests — lives inside the
+//! handler, keyed by the client-supplied tenant id and bounded by an LRU
+//! cap.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,7 +15,6 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
-use wfms_core::avail::AvailBackend;
 use wfms_core::config::{AnnealingOptions, AssessmentEngine, Goals, SearchOptions, SearchResult};
 use wfms_core::perf::WorkflowAnalysis;
 use wfms_core::{Configuration, ServerTypeRegistry, WorkflowSpec};
@@ -326,19 +326,18 @@ impl Handler {
 
     fn assess(&self, request: &Request) -> Result<Value, Failure> {
         let params: AssessParams = decode_params(&request.params)?;
+        refuse_removed_fields(&[
+            ("epsilon", params.epsilon.is_some()),
+            ("avail_backend", params.avail_backend.is_some()),
+            ("solver_tol", params.solver_tol.is_some()),
+            ("solver_max_iter", params.solver_max_iter.is_some()),
+        ])?;
         let per_type =
             resolve_per_type_goals(&params.registry, params.per_type_max_wait.as_deref())?;
         let goals = build_goals(params.max_wait, params.min_availability, per_type)?;
-        let opts = build_search_options(
-            params.avail_backend.as_deref(),
-            params.strict.unwrap_or(false),
-            SearchKnobs {
-                epsilon: params.epsilon,
-                solver_tol: params.solver_tol,
-                solver_max_iter: params.solver_max_iter,
-                ..SearchKnobs::default()
-            },
-        )?;
+        let opts = SearchOptions::builder()
+            .strict(params.strict.unwrap_or(false))
+            .build();
         let state = self.tenant_state(
             tenant_key(request),
             &params.registry,
@@ -359,6 +358,15 @@ impl Handler {
 
     fn recommend(&self, request: &Request) -> Result<Value, Failure> {
         let params: RecommendParams = decode_params(&request.params)?;
+        refuse_removed_fields(&[
+            ("epsilon", params.epsilon.is_some()),
+            ("avail_backend", params.avail_backend.is_some()),
+            ("solver_tol", params.solver_tol.is_some()),
+            ("solver_max_iter", params.solver_max_iter.is_some()),
+            ("screen_epsilon", params.screen_epsilon.is_some()),
+            ("rank_moves", params.rank_moves.is_some()),
+            ("incremental", params.incremental.is_some()),
+        ])?;
         let per_type =
             resolve_per_type_goals(&params.registry, params.per_type_max_wait.as_deref())?;
         let goals = build_goals(params.max_wait, params.min_availability, per_type)?;
@@ -368,26 +376,15 @@ impl Handler {
         // The annealing engine is deliberately built with only the
         // budget (matching the historical CLI behaviour exactly, so
         // one-shot results stay bit-identical); the other strategies
-        // take the full option set.
+        // also take the worker count and strict mode.
         let opts = if search == "annealing" {
             SearchOptions::builder().max_total_servers(budget).build()
         } else {
-            SearchOptions {
-                max_total_servers: budget,
-                jobs,
-                ..build_search_options(
-                    params.avail_backend.as_deref(),
-                    params.strict.unwrap_or(false),
-                    SearchKnobs {
-                        epsilon: params.epsilon,
-                        solver_tol: params.solver_tol,
-                        solver_max_iter: params.solver_max_iter,
-                        screen_epsilon: params.screen_epsilon,
-                        rank_moves: params.rank_moves,
-                        incremental: params.incremental,
-                    },
-                )?
-            }
+            SearchOptions::builder()
+                .max_total_servers(budget)
+                .jobs(jobs)
+                .strict(params.strict.unwrap_or(false))
+                .build()
         };
         let state = self.tenant_state(
             tenant_key(request),
@@ -469,7 +466,6 @@ impl Handler {
                 TenantGauges {
                     tenant: tenant.clone(),
                     state_entries: stats.state_entries as u64,
-                    solution_entries: stats.solution_entries as u64,
                     block_entries: stats.block_entries as u64,
                     cache_hits: stats.hits,
                     cache_misses: stats.misses,
@@ -661,66 +657,22 @@ fn resolve_per_type_goals(
     Ok(resolved.into_iter().collect())
 }
 
-/// The optional engine-tuning knobs of the assess/recommend payloads;
-/// `None` everywhere (the [`Default`]) leaves the engine defaults
-/// untouched.
-#[derive(Debug, Default)]
-struct SearchKnobs {
-    epsilon: Option<f64>,
-    solver_tol: Option<f64>,
-    solver_max_iter: Option<u64>,
-    screen_epsilon: Option<f64>,
-    rank_moves: Option<bool>,
-    incremental: Option<bool>,
-}
-
-/// Mirrors the CLI's `parse_search_options` exactly: backend + strict
-/// always, the optional knobs only when supplied (so defaults stay
-/// identical to the one-shot path).
-fn build_search_options(
-    avail_backend: Option<&str>,
-    strict: bool,
-    knobs: SearchKnobs,
-) -> Result<SearchOptions, Failure> {
-    let SearchKnobs {
-        epsilon,
-        solver_tol,
-        solver_max_iter,
-        screen_epsilon,
-        rank_moves,
-        incremental,
-    } = knobs;
-    let backend = match avail_backend {
-        None => AvailBackend::default(),
-        Some(raw) => raw.parse().map_err(|reason| {
-            Failure::new(
-                ERR_INVALID_PARAMS,
-                format!("invalid avail_backend {raw:?}: {reason}"),
-            )
-        })?,
-    };
-    let mut builder = SearchOptions::builder()
-        .avail_backend(backend)
-        .strict(strict);
-    if let Some(epsilon) = epsilon {
-        builder = builder.epsilon(epsilon);
+/// Refuses a request that still sets an engine switch the protocol
+/// declares but no longer honours (see [`wfms_proto::AssessParams`]):
+/// the first non-null field answers `invalid-params` naming it, so an
+/// old client learns its setting was not applied. `null` and absence
+/// both pass.
+fn refuse_removed_fields(fields: &[(&str, bool)]) -> Result<(), Failure> {
+    match fields.iter().find(|(_, set)| *set) {
+        Some((name, _)) => Err(Failure::new(
+            ERR_INVALID_PARAMS,
+            format!(
+                "`{name}` was removed: every candidate is assessed exactly from its \
+                 per-type records; send null or omit the field"
+            ),
+        )),
+        None => Ok(()),
     }
-    if let Some(tolerance) = solver_tol {
-        builder = builder.solver_tolerance(tolerance);
-    }
-    if let Some(max_iter) = solver_max_iter {
-        builder = builder.solver_max_iterations(max_iter as usize);
-    }
-    if let Some(screen) = screen_epsilon {
-        builder = builder.screen_epsilon(screen);
-    }
-    if let Some(rank) = rank_moves {
-        builder = builder.rank_moves(rank);
-    }
-    if let Some(incremental) = incremental {
-        builder = builder.incremental(incremental);
-    }
-    Ok(builder.build())
 }
 
 fn decode_params<T: for<'de> Deserialize<'de>>(params: &Value) -> Result<T, Failure> {

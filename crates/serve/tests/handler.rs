@@ -455,59 +455,76 @@ fn health_reports_serving_state_without_touching_engines() {
     assert_eq!(health.worker_panics, 1);
 }
 
+/// Every engine switch the protocol still declares but no longer
+/// honours is refused by name when set, on each method that carries it,
+/// before any tenant engine is built; `null` still passes.
 #[test]
-fn recommend_incremental_and_screened_match_the_baseline_winner() {
-    // Satellite contract: the incremental delta-assessment path must be
-    // byte-identical to the from-scratch path on the wire, and the
-    // adaptive-e screen may change how much work the search pays but
-    // never which winner it returns. The CLI inherits this for free —
-    // `wfms recommend` dispatches through this same shared handler.
-    let handler = Handler::new(4);
-    let recommend = |tenant: &str, extra: Vec<(&str, Value)>| {
-        let mut pairs = vec![
+fn removed_engine_fields_are_refused_by_name() {
+    let shared = [
+        ("epsilon", json(1e-9)),
+        ("avail_backend", Value::String("sparse".to_string())),
+        ("solver_tol", json(1e-12)),
+        ("solver_max_iter", json(1u64)),
+    ];
+    let recommend_only = [
+        ("screen_epsilon", json(1e-2)),
+        ("rank_moves", json(true)),
+        ("incremental", json(false)),
+    ];
+    let recommend_params = || {
+        obj(vec![
             ("registry", spec("ep", "registry.json")),
             ("workload", spec("ep", "workload.json")),
             ("max_wait", json(0.05)),
             ("min_availability", json(0.9999)),
-            ("avail_backend", Value::String("product".to_string())),
-            ("epsilon", json(1e-9)),
-        ];
-        pairs.extend(extra);
-        handler.handle(&request(METHOD_RECOMMEND, tenant, obj(pairs)))
+        ])
     };
-
-    let baseline = recommend("t-baseline", vec![("incremental", json(false))]);
-    assert!(baseline.ok, "baseline recommend: {:?}", baseline.error);
-    let incremental = recommend("t-incremental", vec![("incremental", json(true))]);
-    assert!(
-        incremental.ok,
-        "incremental recommend: {:?}",
-        incremental.error
+    let cases = shared.iter().map(|field| (METHOD_ASSESS, field)).chain(
+        shared
+            .iter()
+            .chain(&recommend_only)
+            .map(|f| (METHOD_RECOMMEND, f)),
     );
-
-    // The no-screen incremental leg is bit-identical end to end.
-    let baseline_bytes =
-        serde_json::to_string(&baseline.result).expect("serialize baseline result");
-    let incremental_bytes =
-        serde_json::to_string(&incremental.result).expect("serialize incremental result");
-    assert_eq!(baseline_bytes, incremental_bytes);
-
-    // The screened leg may skip exact assessments but must land on the
-    // same winner with a bitwise-equal winning assessment.
-    let screened = recommend(
-        "t-screened",
-        vec![("screen_epsilon", json(1e-2)), ("rank_moves", json(false))],
-    );
-    assert!(screened.ok, "screened recommend: {:?}", screened.error);
-    let base: wfms_proto::RecommendResult =
-        serde_json::from_value(baseline.result.expect("baseline result")).expect("typed baseline");
-    let scr: wfms_proto::RecommendResult =
-        serde_json::from_value(screened.result.expect("screened result")).expect("typed screened");
-    assert_eq!(base.configuration, scr.configuration);
-    assert_eq!(
-        serde_json::to_string(&base.assessment).expect("baseline assessment"),
-        serde_json::to_string(&scr.assessment).expect("screened assessment"),
-    );
+    let handler = Handler::new(4);
+    for (method, (field, value)) in cases {
+        let with = |value: Value| {
+            let mut params = if method == METHOD_ASSESS {
+                assess_params("ep", &[2, 2, 2])
+            } else {
+                recommend_params()
+            };
+            if let Value::Object(map) = &mut params {
+                map.insert(field.to_string(), value);
+            }
+            handler.handle(&request(method, "t-removed", params))
+        };
+        let refused = with(value.clone());
+        assert_eq!(error_kind(&refused), ERR_INVALID_PARAMS, "{method} {field}");
+        let message = &refused.error.as_ref().expect("error body").message;
+        assert!(
+            message.contains(&format!("`{field}` was removed")),
+            "{method} {field}: {message}"
+        );
+        assert_eq!(handler.tenant_count(), 0, "{method} {field}: tenant built");
+    }
+    for method in [METHOD_ASSESS, METHOD_RECOMMEND] {
+        let mut params = if method == METHOD_ASSESS {
+            assess_params("ep", &[2, 2, 2])
+        } else {
+            recommend_params()
+        };
+        if let Value::Object(map) = &mut params {
+            for (field, _) in shared.iter().chain(&recommend_only) {
+                map.insert(field.to_string(), Value::Null);
+            }
+        }
+        let response = handler.handle(&request(method, "t-null", params));
+        assert!(
+            response.ok,
+            "{method} with null fields: {:?}",
+            response.error
+        );
+    }
 }
 
 #[test]

@@ -15,8 +15,8 @@ use std::time::Duration;
 use serde_json::Value;
 use wfms_proto::{
     HealthResult, Request, Response, ERR_BAD_REQUEST, ERR_DEADLINE_EXCEEDED, ERR_INVALID_PARAMS,
-    ERR_UNAVAILABLE, METHOD_ASSESS, METHOD_HEALTH, METHOD_METRICS, METHOD_SHUTDOWN,
-    PROTOCOL_VERSION,
+    ERR_UNAVAILABLE, METHOD_ASSESS, METHOD_HEALTH, METHOD_METRICS, METHOD_RECOMMEND,
+    METHOD_SHUTDOWN, PROTOCOL_VERSION,
 };
 use wfms_serve::{serve, ServeError, ServeOptions};
 
@@ -343,16 +343,25 @@ fn idle_connection_is_timed_out_typed() {
 
 #[test]
 fn compute_deadline_answers_deadline_exceeded() {
-    // A 1ms compute deadline: the cold assess (an engine build plus
-    // solves) can never finish in time, so the typed deadline answer is
-    // deterministic. The daemon is deliberately leaked instead of
-    // drained — its own shutdown ack would race the same 1ms deadline.
+    // A 1ms compute deadline against a request that cannot finish in
+    // time: an exhaustive search through all 4,060 ep configurations of
+    // at most 30 servers, none of which meets a 1e-9 min waiting goal
+    // (a cold one-candidate `assess` can finish inside 1ms). The daemon
+    // is deliberately leaked instead of drained — its own shutdown ack
+    // would race the same 1ms deadline.
     let daemon = start(ServeOptions {
         request_deadline: Some(Duration::from_millis(1)),
         ..ServeOptions::default()
     });
 
-    let response = daemon.roundtrip(&assess_request("deadline"));
+    let mut params = serde_json::Map::new();
+    params.insert("registry".to_string(), spec("registry.json"));
+    params.insert("workload".to_string(), spec("workload.json"));
+    params.insert("search".to_string(), json("exhaustive"));
+    params.insert("max_wait".to_string(), json(1e-9));
+    params.insert("budget".to_string(), json(30u64));
+    let slow = request(METHOD_RECOMMEND, "deadline", Value::Object(params));
+    let response = daemon.roundtrip(&slow);
     assert_eq!(error_kind(&response), ERR_DEADLINE_EXCEEDED);
     assert!(
         error_message(&response).contains("1ms compute deadline"),

@@ -1,6 +1,5 @@
 //! Fault-injection acceptance tests for the graceful-degradation layer:
-//! forced solver failures must escalate down the fallback ladder, failed
-//! state evaluations must be charged pessimistically, irrecoverable
+//! failed evaluations must be charged pessimistically, irrecoverable
 //! candidates must be quarantined rather than aborting a search, and a
 //! disabled registry must leave every result bit-identical.
 //!
@@ -13,7 +12,7 @@ use std::time::Duration;
 use wfms::fault;
 use wfms::statechart::paper_section52_registry;
 use wfms::workloads::{enterprise_mix, enterprise_registry, ep_workflow, EP_DEFAULT_ARRIVAL_RATE};
-use wfms::{AvailBackend, ConfigError, Configuration, ConfigurationTool, Goals, SearchOptions};
+use wfms::{ConfigError, Configuration, ConfigurationTool, Goals, SearchOptions};
 
 static FAULTS: Mutex<()> = Mutex::new(());
 
@@ -51,48 +50,50 @@ fn enterprise_tool() -> ConfigurationTool {
     tool
 }
 
-/// The headline acceptance criterion: with the sparse Gauss–Seidel site
-/// failing at a 100 % rate, a greedy search over the enterprise workload
-/// still completes — every solve escalates to the exact per-type path —
-/// and returns the same winner as the clean sparse run, with the
-/// degradation reported.
+/// The headline acceptance criterion: with a quarter of the per-type
+/// evaluations failing, a greedy search over the enterprise workload
+/// still completes — every failed evaluation is charged at its
+/// pessimistic cap — and returns the same winner as the clean run, with
+/// the degradation reported.
 #[test]
-fn forced_gs_failure_still_recommends_the_same_enterprise_winner() {
+fn forced_evaluation_failures_still_recommend_the_same_enterprise_winner() {
     let _g = faults();
     let tool = enterprise_tool();
-    let goals = Goals::new(0.01, 0.9999).unwrap();
-    let opts = SearchOptions::builder()
-        .avail_backend(AvailBackend::Sparse)
-        .max_total_servers(64)
-        .build();
+    let goals = Goals::new(0.05, 0.9999).unwrap();
+    let opts = SearchOptions::default();
 
     let clean = tool.engine(&goals, opts).unwrap().greedy().unwrap();
     assert!(clean.assessment.degradation.is_none(), "clean run degraded");
 
-    fault::configure("linalg.sparse-gs", fault::FaultMode::Error, 1.0);
+    fault::set_seed(7);
+    fault::configure(
+        "performability.evaluate-state",
+        fault::FaultMode::Error,
+        0.25,
+    );
     let degraded = tool.engine(&goals, opts).unwrap().greedy().unwrap();
 
     assert!(
-        fault::fired("linalg.sparse-gs") > 0,
+        fault::fired("performability.evaluate-state") > 0,
         "failpoint never fired"
     );
     assert_eq!(
         degraded.assessment.replicas, clean.assessment.replicas,
-        "dense fallback must find the same winner"
+        "pessimistic charging must find the same winner"
     );
     assert!(degraded.quarantined.is_empty());
     let report = degraded
         .assessment
         .degradation
-        .expect("solver fallback must be reported");
-    assert!(report.solver_fallbacks >= 1);
-    assert_eq!(report.failed_states, 0);
+        .expect("failed evaluations must be reported");
+    assert!(report.failed_states >= 1);
+    assert!(report.charged_mass > 0.0 && report.charged_mass < 1.0);
 }
 
-/// Kernel failures are charged at their pessimistic caps, per
-/// `(type, up-count)` on the exact default path: the assessment
-/// completes, reports every failed evaluation, and the charged mass
-/// covers the whole distribution when every evaluation fails.
+/// Kernel failures are charged at their pessimistic caps, one per
+/// `(type, up-count)`: the assessment completes, reports every failed
+/// evaluation, and the charged mass covers the whole distribution when
+/// every evaluation fails.
 #[test]
 fn failed_state_evaluations_are_charged_with_pessimistic_caps() {
     let _g = faults();
@@ -124,7 +125,6 @@ fn failed_state_evaluations_are_charged_with_pessimistic_caps() {
     // Failures are charged per `(type, up-count)`: three types at up-counts 0..=2.
     assert_eq!(report.failed_states, 9, "every evaluation of [2,2,2] fails");
     assert!((report.charged_mass - 1.0).abs() < 1e-9);
-    assert_eq!(report.solver_fallbacks, 0);
     assert!(!report.details.is_empty());
     assert!(report.details.iter().all(|r| !r.error.is_empty()));
     // Availability comes from the (unaffected) chain solve.
@@ -368,39 +368,6 @@ fn nan_poisoned_records_are_not_shared_with_later_candidates() {
             expected,
             "{site}: a poisoned record outlived its candidate"
         );
-    }
-}
-
-/// NaN injected at the availability solve of a sparse candidate that
-/// escalates to the exact path still reaches the non-finite guard, even
-/// when every record the escalation needs is already cached (so the
-/// solve is the only place the site fires).
-#[test]
-fn nan_at_an_escalated_solve_is_caught_by_the_non_finite_guard() {
-    let _g = faults();
-    let tool = ep_tool();
-    let goals = Goals::new(0.05, 0.9999).unwrap();
-    let opts = SearchOptions::builder()
-        .avail_backend(AvailBackend::Sparse)
-        .solver_max_iterations(1)
-        .build();
-    let engine = tool.engine(&goals, opts).unwrap();
-    for y in [vec![2, 2, 2], vec![3, 3, 3]] {
-        let config = Configuration::new(tool.registry(), y).unwrap();
-        let clean = engine.assess(&config).unwrap();
-        assert_eq!(clean.degradation.unwrap().solver_fallbacks, 1);
-    }
-
-    fault::configure("engine.solution-cache-fill", fault::FaultMode::Nan, 1.0);
-    let config = Configuration::new(tool.registry(), vec![2, 2, 3]).unwrap();
-    let err = engine.assess(&config).unwrap_err();
-    assert_eq!(fault::fired("engine.solution-cache-fill"), 1);
-    match &err {
-        ConfigError::NonFiniteAssessment { replicas, what } => {
-            assert_eq!(replicas, &vec![2, 2, 3]);
-            assert_eq!(*what, "availability");
-        }
-        other => panic!("expected NonFiniteAssessment, got {other:?}"),
     }
 }
 

@@ -1,19 +1,15 @@
-//! Acceptance tests for the product-form availability backend and the
-//! ε-truncated performability fold, mirroring the assertions of the
-//! `exp_e2_productform` benchmark at test scale:
-//!
-//! * product + ε = 1e-9 must be ≥ 10× faster than the exhaustive path
-//!   on a state space with `∏(Y_x + 1) ≥ 10_000`;
-//! * every per-type waiting-time delta must lie within the truncation
-//!   report's own error bound;
-//! * ε = 0 must be bit-identical to the default dense path.
+//! The public surface of the assessment engine, whose availability is
+//! the product form `Π_x (1 − m_x[0])` over per-type birth–death
+//! marginals: the four search options, the record and block caches it
+//! reports, its construction errors, and its agreement with
+//! [`ProductFormModel`]. The numeric contracts (bit-identity to a fresh
+//! engine, the LU and joint-fold oracles) live in `wfms-config`'s unit
+//! tests and `tests/exact_path_grid.rs`.
 
-use std::time::Instant;
-
-use wfms::avail::AvailBackend;
+use wfms::avail::ProductFormModel;
 use wfms::statechart::Configuration;
 use wfms::workloads::{enterprise_mix, enterprise_registry};
-use wfms::{AssessmentEngine, ConfigurationTool, Goals, SearchOptions};
+use wfms::{AssessmentEngine, AvailBackend, ConfigError, ConfigurationTool, Goals, SearchOptions};
 
 fn enterprise_tool() -> (ConfigurationTool, Goals) {
     let mut tool = ConfigurationTool::new(enterprise_registry());
@@ -24,148 +20,47 @@ fn enterprise_tool() -> (ConfigurationTool, Goals) {
 }
 
 #[test]
-fn truncated_product_form_is_fast_and_within_its_error_bound() {
-    let (tool, goals) = enterprise_tool();
-    let replicas = vec![6usize; tool.registry().len()];
-    let full_states: usize = replicas.iter().map(|y| y + 1).product();
-    assert!(full_states >= 10_000, "scenario too small: {full_states}");
-    let config = Configuration::new(tool.registry(), replicas).unwrap();
-
-    let full_engine = tool.engine(&goals, SearchOptions::default()).unwrap();
-    let t0 = Instant::now();
-    let full = full_engine.assess(&config).unwrap();
-    let full_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert!(
-        full.truncation.is_none(),
-        "exhaustive path must not truncate"
-    );
-
-    let product_engine = tool
-        .engine(&goals, SearchOptions::builder().epsilon(1e-9).build())
-        .unwrap();
-    let t0 = Instant::now();
-    let truncated = product_engine.assess(&config).unwrap();
-    let product_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    let report = truncated.truncation.clone().expect("truncation report");
-    assert!(report.covered_mass >= 1.0 - 1e-9, "{}", report.covered_mass);
-    assert!(
-        report.states_skipped > full_states / 2,
-        "only {} of {full_states} states skipped",
-        report.states_skipped
-    );
-    assert!(
-        (full.availability - truncated.availability).abs() < 1e-9,
-        "availability: full {} vs product {}",
-        full.availability,
-        truncated.availability
-    );
-    let full_w = full.expected_waiting.as_ref().unwrap();
-    let trunc_w = truncated.expected_waiting.as_ref().unwrap();
-    for (x, (a, b)) in full_w.iter().zip(trunc_w).enumerate() {
-        assert!(
-            (a - b).abs() <= report.waiting_error_bounds[x] + 1e-9,
-            "type {x}: full {a} vs truncated {b}, bound {}",
-            report.waiting_error_bounds[x]
-        );
-    }
-    let speedup = full_ms / product_ms;
-    assert!(
-        speedup >= 10.0,
-        "product path must be >= 10x faster: full {full_ms:.2} ms vs product {product_ms:.2} ms \
-         ({}/{full_states} states evaluated)",
-        full_states - report.states_skipped
-    );
-}
-
-#[test]
-fn zero_epsilon_is_bit_identical_to_the_default_dense_path() {
-    let (tool, goals) = enterprise_tool();
-    let config = Configuration::uniform(tool.registry(), 2).unwrap();
-    let default_engine = tool.engine(&goals, SearchOptions::default()).unwrap();
-    let zero_engine = tool
-        .engine(
-            &goals,
-            SearchOptions::builder()
-                .epsilon(0.0)
-                .avail_backend(AvailBackend::Auto)
-                .build(),
-        )
-        .unwrap();
-    assert_eq!(
-        default_engine.assess(&config).unwrap(),
-        zero_engine.assess(&config).unwrap()
-    );
-}
-
-#[test]
-fn explicit_product_backend_with_zero_epsilon_covers_every_state() {
-    let (tool, goals) = enterprise_tool();
-    let config = Configuration::uniform(tool.registry(), 2).unwrap();
-    let engine = tool
-        .engine(
-            &goals,
-            SearchOptions::builder()
-                .epsilon(0.0)
-                .avail_backend(AvailBackend::Product)
-                .build(),
-        )
-        .unwrap();
-    let a = engine.assess(&config).unwrap();
-    let t = a.truncation.expect("product path reports truncation");
-    assert_eq!(t.states_skipped, 0);
-    assert_eq!(t.skipped_mass, 0.0);
-    assert!(t.waiting_error_bounds.iter().all(|&b| b == 0.0));
-
-    // And the conditional expectations agree with the dense fold to
-    // accumulation round-off.
-    let dense = tool
-        .engine(&goals, SearchOptions::default())
-        .unwrap()
-        .assess(&config)
-        .unwrap();
-    let (dw, pw) = (
-        dense.expected_waiting.unwrap(),
-        a.expected_waiting.clone().unwrap(),
-    );
-    for (a, b) in dw.iter().zip(&pw) {
-        assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-    }
-}
-
-#[test]
-fn greedy_search_accepts_truncated_evaluation() {
-    // An adaptive ε in the greedy search is future work (see ROADMAP);
-    // today a fixed tight ε must at least recommend the same winner.
-    let (tool, goals) = enterprise_tool();
-    let exact = tool.recommend(&goals, &SearchOptions::default()).unwrap();
-    let truncated = tool
-        .recommend(&goals, &SearchOptions::builder().epsilon(1e-9).build())
-        .unwrap();
-    assert_eq!(exact.replicas(), truncated.replicas());
-    assert_eq!(exact.cost(), truncated.cost());
-}
-
-#[test]
 fn engine_module_has_a_test_for_the_engine_level_contract() {
-    // The engine-level contracts (cache keying by backend, InvalidOption
-    // rejection, sparse/dense agreement) live in `wfms-config`'s unit
-    // tests; this test pins the public surface needed to write them.
-    let opts = SearchOptions::builder()
-        .epsilon(1e-6)
-        .avail_backend(AvailBackend::Sparse)
-        .build();
-    assert_eq!(opts.epsilon, 1e-6);
-    assert_eq!(opts.avail_backend, AvailBackend::Sparse);
+    // Every field spelled out: an option added or removed fails to
+    // compile here.
+    let opts = SearchOptions {
+        max_total_servers: 64,
+        jobs: 1,
+        state_cache_capacity: 65_536,
+        strict: false,
+    };
+    assert_eq!(opts, SearchOptions::default());
+
+    let (tool, goals) = enterprise_tool();
+    let load = tool.system_load().unwrap();
+    let engine = AssessmentEngine::new(tool.registry(), &load, &goals, opts).unwrap();
+    let config = Configuration::uniform(tool.registry(), 2).unwrap();
+    let assessment = engine.assess(&config).unwrap();
+    // One `(type, Y_x)` record and one block per server type.
+    let stats = engine.cache_stats();
+    assert_eq!((stats.state_entries, stats.block_entries), (5, 5));
+    assert_eq!((stats.hits, stats.misses), (0, 5));
+    // The same marginals, multiplied in the same order.
+    let product = ProductFormModel::new(tool.registry(), &config).unwrap();
+    assert_eq!(
+        assessment.availability.to_bits(),
+        product.availability().to_bits()
+    );
+
+    let no_goals = Goals {
+        max_waiting_time: None,
+        min_availability: None,
+        per_type_waiting: Vec::new(),
+    };
+    assert!(matches!(
+        AssessmentEngine::new(tool.registry(), &load, &no_goals, opts),
+        Err(ConfigError::NoGoals)
+    ));
+
+    // `wfms availability --avail-backend` still names the solvers.
     assert_eq!(
         "product".parse::<AvailBackend>().unwrap(),
         AvailBackend::Product
     );
     assert!("quantum".parse::<AvailBackend>().is_err());
-    let (tool, goals) = enterprise_tool();
-    let bad = SearchOptions::builder().epsilon(1.0).build();
-    assert!(matches!(
-        AssessmentEngine::new(tool.registry(), &tool.system_load().unwrap(), &goals, bad),
-        Err(wfms::ConfigError::InvalidOption { .. })
-    ));
 }

@@ -13,8 +13,10 @@
 //! * `A001`–`A005` — **registry consistency**: the stable-name tables
 //!   (obs spans/metrics, failpoint sites, diagnostic codes) must agree
 //!   between code and docs in both directions;
-//! * `A006`–`A007` — **determinism**: no hash-order-dependent data
-//!   structures or unordered parallel reductions in the solver crates;
+//! * `A006` — **determinism**: no hash-order-dependent data structures
+//!   in the solver crates;
+//! * `A007` — *retired*: it policed unordered parallel reductions, and
+//!   the searches no longer run in parallel;
 //! * `A008`–`A010` — **panic safety**: no `unwrap`/`expect`/`panic!`
 //!   in hot-path library code without a justified allow;
 //! * `A011` — *retired*: it policed callers of the free-function search
@@ -58,10 +60,6 @@ pub const A_DIAG_TABLE_DRIFT: &str = "A005";
 /// A hash-order-dependent collection (`HashMap` / `HashSet`) in a
 /// solver crate without an order-insensitivity allow.
 pub const A_HASH_ORDER: &str = "A006";
-/// An unordered parallel reduction (`par_iter` + `reduce`/`fold`/
-/// `sum`/`product`) in a solver crate — float accumulation must go
-/// through the blessed ordered kernels.
-pub const A_UNORDERED_REDUCTION: &str = "A007";
 
 // ------------------------------------------------ panic safety
 
@@ -169,12 +167,6 @@ pub fn all() -> Vec<CodeInfo> {
             A_HASH_ORDER,
             Error,
             "no HashMap/HashSet in solver crates unless proven order-insensitive",
-            "DESIGN.md \u{a7}8",
-        ),
-        info(
-            A_UNORDERED_REDUCTION,
-            Error,
-            "parallel reductions must use the ordered-fold kernels",
             "DESIGN.md \u{a7}8",
         ),
         info(

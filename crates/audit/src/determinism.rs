@@ -1,19 +1,13 @@
-//! Pass 2 — determinism lints (`A006`–`A007`).
+//! Pass 2 — determinism lint (`A006`; `A007` is retired).
 //!
-//! The solver crates promise bit-identical results regardless of thread
-//! count (DESIGN.md §8) and float-identical fast paths (§9). Two code
-//! shapes silently break that promise:
-//!
-//! * **hash-order-dependent collections** — iterating a `HashMap` /
-//!   `HashSet` yields a randomized order per process, so any float
-//!   accumulation or output built from such an iteration is
-//!   run-to-run nondeterministic. Every use in a solver crate must be
-//!   proven order-insensitive (lookup-only, membership-only) and carry
-//!   an `audit:allow(A006, …)` saying why;
-//! * **unordered parallel reductions** — `par_iter` chains ending in
-//!   `reduce`/`fold`/`sum`/`product` combine partial results in
-//!   scheduler order. Float accumulation must go through the blessed
-//!   ordered kernels (`map` + `collect` then a sequential fold).
+//! The solver crates promise bit-identical results between warm,
+//! shared and fresh engines (DESIGN.md §8) and float-identical fast
+//! paths (§9). **Hash-order-dependent collections** silently break that
+//! promise: iterating a `HashMap` / `HashSet` yields a randomized order
+//! per process, so any float accumulation or output built from such an
+//! iteration is run-to-run nondeterministic. Every use in a solver
+//! crate must be proven order-insensitive (lookup-only,
+//! membership-only) and carry an `audit:allow(A006, …)` saying why.
 
 use wfms_diag::Diagnostics;
 
@@ -28,17 +22,6 @@ const SOLVER_SCOPES: &[&str] = &[
     "crates/performability/src/",
     "crates/config/src/",
 ];
-
-/// Rayon entry points that start a parallel chain.
-const PAR_STARTS: &[&str] = &[
-    "par_iter()",
-    "into_par_iter()",
-    "par_chunks(",
-    "par_bridge()",
-];
-
-/// Unordered combinators that end one.
-const UNORDERED_ENDS: &[&str] = &[".reduce(", ".fold(", ".sum(", ".sum::<", ".product("];
 
 pub fn run(ws: &Workspace, diags: &mut Diagnostics) {
     for file in ws.sources_under(SOLVER_SCOPES) {
@@ -66,41 +49,6 @@ pub fn run(ws: &Workspace, diags: &mut Diagnostics) {
                     line,
                 );
             }
-            if let Some(start) = PAR_STARTS.iter().find_map(|p| code.find(p)) {
-                let chain = statement_from(&file.code, idx, start);
-                if UNORDERED_ENDS.iter().any(|e| chain.contains(e))
-                    && !file.allowed(codes::A_UNORDERED_REDUCTION, line)
-                {
-                    emit(
-                        diags,
-                        codes::A_UNORDERED_REDUCTION,
-                        "unordered parallel reduction in a solver crate: collect in input \
-                         order and fold sequentially (or justify with `audit:allow(A007, …)`)"
-                            .to_string(),
-                        &file.rel,
-                        line,
-                    );
-                }
-            }
         }
     }
-}
-
-/// The statement text from column `col` of line `idx` through the next
-/// `;` (bounded lookahead — method chains in this codebase are short).
-fn statement_from(code: &[String], idx: usize, col: usize) -> String {
-    let mut text = String::new();
-    for (offset, line) in code[idx..].iter().take(12).enumerate() {
-        let slice = if offset == 0 {
-            &line[col..]
-        } else {
-            line.as_str()
-        };
-        text.push_str(slice);
-        text.push(' ');
-        if slice.contains(';') {
-            break;
-        }
-    }
-    text
 }

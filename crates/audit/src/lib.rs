@@ -14,9 +14,8 @@
 //!    diagnostic codes, the decision and wire vocabularies, and the
 //!    audit codes themselves must match their documentation tables in
 //!    both directions;
-//! 2. **determinism** ([`determinism`], `A006`–`A007`) — no
-//!    hash-order-dependent collections or unordered parallel
-//!    reductions in the solver crates;
+//! 2. **determinism** ([`determinism`], `A006`; `A007` is retired) —
+//!    no hash-order-dependent collections in the solver crates;
 //! 3. **panic safety** ([`panic_safety`], `A008`–`A010`) — no
 //!    `unwrap`/`expect`/`panic!` in hot-path library code without a
 //!    justified allow.

@@ -145,17 +145,6 @@ fn hash_map_in_solver_crate_fires_a006() {
 }
 
 #[test]
-fn unordered_parallel_reduction_fires_a007() {
-    let fx = Fixture::new("a007");
-    fx.file(
-        "crates/performability/src/lib.rs",
-        "pub fn f(v: &[f64]) -> f64 {\n    v.par_iter().sum()\n}\n",
-    );
-    let report = fx.audit();
-    assert_eq!(codes(&report), ["A007"], "report: {}", report.summary());
-}
-
-#[test]
 fn unwrap_in_hot_path_fires_a008() {
     let fx = Fixture::new("a008");
     // `.unwrap_or_default()` must NOT fire — only the bare `.unwrap()`.

@@ -54,17 +54,10 @@ fn main() {
         steps: 600,
         ..AnnealingOptions::default()
     };
-    let annealed = AssessmentEngine::new(
-        &registry,
-        &load,
-        &goals,
-        SearchOptions::builder()
-            .max_total_servers(anneal_opts.max_total_servers)
-            .build(),
-    )
-    .expect("valid")
-    .annealing(&anneal_opts)
-    .expect("reachable");
+    let annealed = AssessmentEngine::new(&registry, &load, &goals, opts)
+        .expect("valid")
+        .annealing(&anneal_opts)
+        .expect("reachable");
     table.row(vec![
         "simulated annealing".into(),
         format!("{:?}", annealed.assessment.replicas),

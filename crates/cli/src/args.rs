@@ -164,7 +164,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             "min-availability",
             "budget",
             "seed",
-            "jobs",
         ],
         flags: &["optimal", "annealing", "strict", "json"],
     },
@@ -184,7 +183,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             "max-wait",
             "min-availability",
             "runs",
-            "jobs",
             "baseline",
             "baseline-key",
             "gate",

@@ -321,7 +321,7 @@ COMMANDS
   recommend    --registry <file> --workload <file>
                [--max-wait <min>] [--max-wait-type <NAME=min,..>]
                [--min-availability <a>]
-               [--budget <servers>] [--jobs <n>] [--strict]
+               [--budget <servers>] [--strict]
                [--optimal | --annealing] [--json]
                without --strict, failed evaluations (per server type and
                up-count) are charged at their pessimistic waiting-time
@@ -334,7 +334,7 @@ COMMANDS
                [--failures] [--json]
   profile      --registry <file> --workload <file> [--config <y1,..>]
                [--max-wait <min>] [--min-availability <a>] [--runs <n>]
-               [--jobs <n>] [--strict] [--check]
+               [--strict] [--check]
                [--baseline <file>] [--baseline-key <name>] [--gate <pct>]
                [--json]
                run the analysis stack N times (including an
@@ -896,7 +896,7 @@ fn cmd_recommend(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError
         max_wait: args.get_f64("max-wait")?,
         min_availability: args.get_f64("min-availability")?,
         budget: args.get_u64("budget")?,
-        jobs: args.get_u64("jobs")?,
+        jobs: None,
         seed: args.get_u64("seed")?,
         epsilon: None,
         avail_backend: None,
@@ -1395,10 +1395,7 @@ fn cmd_profile(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> 
         per_type_waiting: Vec::new(),
     };
 
-    let options = SearchOptions::builder()
-        .jobs(args.get_u64("jobs")?.unwrap_or(1) as usize)
-        .strict(args.flag("strict"))
-        .build();
+    let options = SearchOptions::builder().strict(args.flag("strict")).build();
 
     let recorder = wfms_obs::global();
     recorder.reset();

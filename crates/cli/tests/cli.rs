@@ -212,8 +212,9 @@ fn availability_backends_agree() {
     assert!(err.to_string().contains("avail-backend"), "{err}");
 }
 
-/// The engine switches deleted with the joint folds fail through the
-/// ordinary unknown-option path on every command that carried them.
+/// The engine switches deleted with the joint folds, and `--jobs` deleted
+/// with the thread pool, fail through the ordinary unknown-option path
+/// on every command that carried them.
 #[test]
 fn removed_engine_switches_are_unknown_options() {
     let removed: [(&str, &[&str]); 3] = [
@@ -231,11 +232,18 @@ fn removed_engine_switches_are_unknown_options() {
                 "screen-epsilon",
                 "rank-moves",
                 "no-incremental",
+                "jobs",
             ],
         ),
         (
             "profile",
-            &["epsilon", "avail-backend", "solver-tol", "solver-max-iter"],
+            &[
+                "epsilon",
+                "avail-backend",
+                "solver-tol",
+                "solver-max-iter",
+                "jobs",
+            ],
         ),
     ];
     for (command, switches) in removed {
@@ -719,15 +727,20 @@ fn assess_reports_charged_evaluations_and_strict_restores_failfast() {
     assert!(stderr.contains("fault injected"), "{stderr}");
 }
 
+/// The path of the enterprise example's spec `file`.
+fn enterprise_spec(file: &str) -> String {
+    format!(
+        "{}/../../examples/specs/enterprise/{file}",
+        env!("CARGO_MANIFEST_DIR")
+    )
+}
+
 #[test]
 fn recommend_reports_degradation_under_failing_evaluations() {
-    let spec = |file: &str| {
-        format!(
-            "{}/../../examples/specs/enterprise/{file}",
-            env!("CARGO_MANIFEST_DIR")
-        )
-    };
-    let (registry, workload) = (spec("registry.json"), spec("workload.json"));
+    let (registry, workload) = (
+        enterprise_spec("registry.json"),
+        enterprise_spec("workload.json"),
+    );
     let args = [
         "recommend",
         "--registry",
@@ -753,6 +766,42 @@ fn recommend_reports_degradation_under_failing_evaluations() {
             .to_string()
     };
     assert_eq!(recommend_line(&out), recommend_line(&clean));
+}
+
+/// Annealing reads the same `--strict` as the other searches: under the
+/// same failing evaluations it stops at the first failure, and without
+/// `--strict` it still recommends.
+#[test]
+fn annealing_honours_strict_under_failing_evaluations() {
+    let (registry, workload) = (
+        enterprise_spec("registry.json"),
+        enterprise_spec("workload.json"),
+    );
+    let args = [
+        "recommend",
+        "--registry",
+        &registry,
+        "--workload",
+        &workload,
+        "--max-wait",
+        "0.05",
+        "--min-availability",
+        "0.9999",
+        "--annealing",
+    ];
+    let faults = "performability.evaluate-state=error@0.25";
+    let run = wfms_with_faults(faults, &args);
+    assert!(run.status.success(), "{run:?}");
+
+    let mut strict = args.to_vec();
+    strict.push("--strict");
+    let run = wfms_with_faults(faults, &strict);
+    assert!(!run.status.success(), "{run:?}");
+    let stderr = String::from_utf8(run.stderr).expect("utf-8 stderr");
+    assert!(
+        stderr.contains("fault injected at failpoint `performability.evaluate-state`"),
+        "{stderr}"
+    );
 }
 
 /// Builds a one-file fake workspace for `wfms audit --root`.

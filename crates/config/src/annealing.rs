@@ -32,10 +32,10 @@ pub struct AnnealingOptions {
     pub cooling: f64,
     /// RNG seed — equal seeds give identical searches.
     pub seed: u64,
-    /// Upper bound on replicas of any single type.
+    /// Upper bound on replicas of any single type. The bound on the
+    /// total is the engine's
+    /// [`SearchOptions::max_total_servers`](crate::SearchOptions).
     pub max_replicas_per_type: usize,
-    /// Upper bound on the total number of servers.
-    pub max_total_servers: usize,
 }
 
 impl Default for AnnealingOptions {
@@ -46,7 +46,6 @@ impl Default for AnnealingOptions {
             cooling: 0.99,
             seed: 42,
             max_replicas_per_type: 16,
-            max_total_servers: 64,
         }
     }
 }
@@ -87,9 +86,7 @@ fn objective(assessment: &Assessment, goals: &Goals) -> f64 {
 
 /// The Metropolis walk behind [`AssessmentEngine::annealing`],
 /// assessing candidates through the engine's caches. The walk is
-/// sequential (each step depends on the previous accept/reject), so
-/// `jobs` does not change its work; the RNG stream — and therefore the
-/// trace — is untouched by the thread count.
+/// sequential: each step depends on the previous accept/reject.
 ///
 /// Because the walk moves one ±1-replica coordinate at a time, every
 /// assessment after the first fills at most one new per-type record
@@ -104,11 +101,12 @@ pub(crate) fn annealing_walk(
 ) -> Result<SearchResult, ConfigError> {
     let registry = engine.registry();
     let goals = engine.goals();
+    let budget = engine.options().max_total_servers;
     let mut obs_span = wfms_obs::span!(
         "annealing-search",
         steps = opts.steps,
         seed = opts.seed,
-        budget = opts.max_total_servers
+        budget = budget
     );
     let k = registry.len();
     let mut rng = StdRng::seed_from_u64(opts.seed);
@@ -140,8 +138,7 @@ pub(crate) fn annealing_walk(
         let grow = rng.gen_bool(0.5);
         let mut replicas = current.as_slice().to_vec();
         if grow {
-            if replicas[x] >= opts.max_replicas_per_type
-                || replicas.iter().sum::<usize>() >= opts.max_total_servers
+            if replicas[x] >= opts.max_replicas_per_type || replicas.iter().sum::<usize>() >= budget
             {
                 temperature *= opts.cooling;
                 continue;
@@ -225,7 +222,7 @@ pub(crate) fn annealing_walk(
             })
         }
         None => Err(ConfigError::GoalsUnreachable {
-            budget: opts.max_total_servers,
+            budget,
             last_candidate: current.as_slice().to_vec(),
         }),
     }
@@ -250,17 +247,15 @@ mod tests {
         }
     }
 
-    /// An engine sized by the walk's budget alone, with every other
+    /// An engine with a total-server budget of `budget` and every other
     /// option at its default.
     fn budget_engine(
         reg: &ServerTypeRegistry,
         load: &SystemLoad,
         goals: &Goals,
-        opts: &AnnealingOptions,
+        budget: usize,
     ) -> AssessmentEngine {
-        let search = SearchOptions::builder()
-            .max_total_servers(opts.max_total_servers)
-            .build();
+        let search = SearchOptions::builder().max_total_servers(budget).build();
         AssessmentEngine::new(reg, load, goals, search).unwrap()
     }
 
@@ -269,7 +264,7 @@ mod tests {
         let reg = paper_section52_registry();
         let load = load_at(1.5, &reg);
         let goals = Goals::new(0.01, 0.9999).unwrap();
-        let result = budget_engine(&reg, &load, &goals, &AnnealingOptions::default())
+        let result = budget_engine(&reg, &load, &goals, 64)
             .annealing(&AnnealingOptions::default())
             .unwrap();
         assert!(result.assessment.meets_goals());
@@ -284,7 +279,7 @@ mod tests {
             .unwrap()
             .greedy()
             .unwrap();
-        let annealed = budget_engine(&reg, &load, &goals, &AnnealingOptions::default())
+        let annealed = budget_engine(&reg, &load, &goals, 64)
             .annealing(&AnnealingOptions::default())
             .unwrap();
         assert!(
@@ -301,10 +296,10 @@ mod tests {
         let load = load_at(0.8, &reg);
         let goals = Goals::availability_only(0.9999).unwrap();
         let opts = AnnealingOptions::default();
-        let a = budget_engine(&reg, &load, &goals, &opts)
+        let a = budget_engine(&reg, &load, &goals, 64)
             .annealing(&opts)
             .unwrap();
-        let b = budget_engine(&reg, &load, &goals, &opts)
+        let b = budget_engine(&reg, &load, &goals, 64)
             .annealing(&opts)
             .unwrap();
         assert_eq!(a.assessment, b.assessment);
@@ -319,11 +314,10 @@ mod tests {
         let opts = AnnealingOptions {
             steps: 50,
             max_replicas_per_type: 2,
-            max_total_servers: 6,
             ..AnnealingOptions::default()
         };
         assert!(matches!(
-            budget_engine(&reg, &load, &goals, &opts).annealing(&opts),
+            budget_engine(&reg, &load, &goals, 6).annealing(&opts),
             Err(ConfigError::GoalsUnreachable { .. })
         ));
     }
@@ -337,7 +331,7 @@ mod tests {
             .unwrap()
             .with_type_waiting(2, 0.001)
             .unwrap();
-        let result = budget_engine(&reg, &load, &goals, &AnnealingOptions::default())
+        let result = budget_engine(&reg, &load, &goals, 64)
             .annealing(&AnnealingOptions::default())
             .unwrap();
         assert!(result.assessment.meets_goals());

@@ -1,5 +1,5 @@
-//! The assessment engine: a session-style, memoizing, parallel
-//! evaluation core behind the configuration searches.
+//! The assessment engine: a session-style, memoizing evaluation core
+//! behind the configuration searches.
 //!
 //! Assessing each candidate in isolation would recompute every
 //! degraded-state waiting time and every availability chain from
@@ -25,34 +25,28 @@
 //!
 //! A record fill reads its marginal from a second cache, the
 //! birth–death blocks ([`wfms_avail::BirthDeathBlock`]), also keyed by
-//! `(type, Y_x)`. Candidate evaluation over the exhaustive/B&B frontier
-//! runs on a rayon pool sized by [`SearchOptions::jobs`].
+//! `(type, Y_x)`.
 //!
 //! # Determinism contract
 //!
-//! Results are **bit-identical** to the `jobs = 1` path for every
-//! `jobs` value. Three properties guarantee it: the cached values
-//! are outputs of pure functions evaluated with exactly the same float
-//! operations as the direct path; parallel maps reduce in input order;
-//! and the frontier is scanned in enumeration order with fixed-size
-//! batches whose surplus results (past the first goal-satisfying
-//! candidate) are discarded, so `trace` and `evaluations` match the
-//! serial early-exit semantics exactly.
+//! One thread per search: every search assesses its candidates in
+//! order on its caller's thread. Concurrent callers (the daemon's
+//! workers sharing a tenant engine) share caches of pure-function
+//! values, computed with exactly the same float operations as a fresh
+//! engine's, so a warm or shared engine answers bit-identically to a
+//! fresh one.
 //!
 //! # Observability
 //!
 //! Stable names (see `wfms-obs`): counters `engine.cache-hit` /
 //! `engine.cache-miss` count record lookups (one per type per
-//! candidate); gauge `engine.parallel-candidates` reports the size of
-//! the last candidate batch dispatched in parallel.
+//! candidate).
 
 // audit:allow-file(A006, reason = "the caches are keyed lookups (get/insert only, never iterated), so hash order never reaches results; bit-identity is asserted by tests/engine.rs")
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-use rayon::prelude::*;
 
 use wfms_avail::{steady_state_marginal, BirthDeathBlock, RepairPolicy, MINUTES_PER_YEAR};
 use wfms_perf::{SystemLoad, WaitingOutcome};
@@ -75,13 +69,6 @@ use crate::search::{
     highest_utilization_type, minimum_stable_replicas, performability_critical_type,
     record_candidate, QuarantinedCandidate, SearchOptions, SearchResult,
 };
-
-/// Candidates per parallel dispatch over an exhaustive/B&B frontier.
-/// Fixed (independent of `jobs`) so the set of assessed candidates —
-/// and therefore every cache state — does not depend on the thread
-/// count; surplus results past a winner are discarded to keep the trace
-/// identical to the serial early-exit path.
-const CANDIDATE_BATCH: usize = 32;
 
 /// Locks a cache mutex, recovering from poisoning: the caches hold
 /// memoized values of pure functions, so a panicked worker can at most
@@ -163,8 +150,8 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 
 /// Per-assessment cache-provenance tally, threaded down the cache
 /// layers by [`AssessmentEngine::assess_with_provenance`]. All counting
-/// happens on the thread running that one assessment (parallel batch
-/// workers each carry their own tally), so plain `Cell`s suffice.
+/// happens on the thread running that one assessment, so plain `Cell`s
+/// suffice.
 #[derive(Default)]
 struct CacheCounters {
     state_hits: std::cell::Cell<u64>,
@@ -258,8 +245,8 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-/// The memoizing, parallel evaluation core. See the module docs for the
-/// cache layers and the determinism contract.
+/// The memoizing evaluation core. See the module docs for the cache
+/// layers and the determinism contract.
 ///
 /// An engine is cheap to construct (the caches start empty) and is
 /// `Sync`: one engine can serve concurrent assessments. All search
@@ -271,7 +258,6 @@ pub struct AssessmentEngine {
     load: SystemLoad,
     goals: Goals,
     options: SearchOptions,
-    pool: rayon::ThreadPool,
     records: Mutex<LruCache<(usize, usize), TypeRecord>>,
     blocks: Mutex<HashMap<(usize, usize), Arc<BirthDeathBlock>>>,
     hits: AtomicU64,
@@ -290,9 +276,7 @@ const _: () = {
 
 impl AssessmentEngine {
     /// Creates an engine owning copies of the inputs: validates the
-    /// goals, runs the static preflight over `(registry, load)`, and
-    /// sizes the worker pool from [`SearchOptions::jobs`] (`0` =
-    /// automatic: `RAYON_NUM_THREADS`, else available cores).
+    /// goals and runs the static preflight over `(registry, load)`.
     ///
     /// # Errors
     /// * [`ConfigError::NoGoals`] / [`ConfigError::InvalidGoal`] on bad
@@ -306,20 +290,11 @@ impl AssessmentEngine {
     ) -> Result<Self, ConfigError> {
         goals.validate()?;
         run_preflight(registry, load, None)?;
-        // Infallible with the vendored rayon stand-in: `build()` only
-        // fails on resource exhaustion spawning OS threads, at which
-        // point the process is unrecoverable anyway.
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(options.jobs)
-            .build()
-            // audit:allow(A008, reason = "see above: pool construction only fails on OS-thread exhaustion, which is unrecoverable")
-            .expect("thread pool");
         Ok(AssessmentEngine {
             registry: registry.clone(),
             load: load.clone(),
             goals: goals.clone(),
             options,
-            pool,
             records: Mutex::new(LruCache::with_capacity(options.state_cache_capacity)),
             blocks: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
@@ -340,11 +315,6 @@ impl AssessmentEngine {
     /// The registry the engine assesses against.
     pub fn registry(&self) -> &ServerTypeRegistry {
         &self.registry
-    }
-
-    /// Effective worker count of the engine's pool.
-    pub fn jobs(&self) -> usize {
-        self.pool.current_num_threads()
     }
 
     /// Current cache entry counts and lifetime hit/miss totals.
@@ -393,11 +363,7 @@ impl AssessmentEngine {
             replicas,
             RepairPolicy::Independent,
         ));
-        self.blocks
-            .lock()
-            // audit:allow(A008, reason = "a poisoned cache mutex means another worker already panicked; propagating is the only sound option")
-            .expect("block cache")
-            .insert((j, replicas), block.clone());
+        lock_cache(&self.blocks).insert((j, replicas), block.clone());
         Ok(block)
     }
 
@@ -712,11 +678,9 @@ impl AssessmentEngine {
         });
     }
 
-    /// Scans frontier `candidates` in enumeration order, assessing them
-    /// in fixed-size batches (in parallel when the pool has more than
-    /// one worker) and returning the first goal-satisfying assessment.
-    /// Surplus batch results past the winner are discarded, so `trace`
-    /// and `evaluations` match the serial early-exit path exactly.
+    /// Assesses frontier `candidates` in enumeration order and returns
+    /// the first goal-satisfying assessment; the candidates after it are
+    /// never assessed.
     ///
     /// A candidate whose assessment fails with a candidate-local error
     /// (see [`ConfigError::is_candidate_local`]) is quarantined instead
@@ -729,39 +693,21 @@ impl AssessmentEngine {
         evaluations: &mut usize,
         quarantined: &mut Vec<QuarantinedCandidate>,
     ) -> Result<Option<Assessment>, ConfigError> {
-        let parallel = self.jobs() > 1;
-        let strict = self.options.strict;
-        for batch in candidates.chunks(CANDIDATE_BATCH) {
-            // Speculative parallel map over the batch; the consumption
-            // loop below reads it in order and discards what follows a
-            // winner. A serial engine assesses each member on demand.
-            let mut speculative = (parallel && batch.len() > 1).then(|| {
-                wfms_obs::gauge("engine.parallel-candidates", batch.len() as f64);
-                let results: Vec<Result<(Assessment, CacheProvenance), ConfigError>> = self
-                    .pool
-                    .install(|| batch.par_iter().map(|y| self.assess_replicas(y)).collect());
-                results.into_iter()
-            });
-            for y in batch {
-                let result = speculative
-                    .as_mut()
-                    .and_then(Iterator::next)
-                    .unwrap_or_else(|| self.assess_replicas(y));
-                let (assessment, provenance) = match result {
-                    Ok(assessed) => assessed,
-                    Err(e) if !strict && e.is_candidate_local() => {
-                        self.quarantine(search, quarantined, y, &e);
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                };
-                *evaluations += 1;
-                record_candidate(&assessment, assessment.meets_goals());
-                journal::record_assessed(search, &assessment, &self.goals, provenance, None);
-                trace.push(assessment.clone());
-                if assessment.meets_goals() {
-                    return Ok(Some(assessment));
+        for y in &candidates {
+            let (assessment, provenance) = match self.assess_replicas(y) {
+                Ok(assessed) => assessed,
+                Err(e) if !self.options.strict && e.is_candidate_local() => {
+                    self.quarantine(search, quarantined, y, &e);
+                    continue;
                 }
+                Err(e) => return Err(e),
+            };
+            *evaluations += 1;
+            record_candidate(&assessment, assessment.meets_goals());
+            journal::record_assessed(search, &assessment, &self.goals, provenance, None);
+            trace.push(assessment.clone());
+            if assessment.meets_goals() {
+                return Ok(Some(assessment));
             }
         }
         Ok(None)
@@ -853,8 +799,7 @@ impl AssessmentEngine {
 
     /// The exhaustive minimum-cost baseline: enumerates replication
     /// vectors in order of increasing total cost and returns the first
-    /// (hence cost-optimal) configuration meeting the goals, evaluating
-    /// each cost level's frontier in parallel batches. Exponential in
+    /// (hence cost-optimal) configuration meeting the goals. Exponential in
     /// the number of server types — use it to validate the greedy
     /// heuristic on small systems (the EXP-C1 experiment).
     ///
@@ -903,8 +848,7 @@ impl AssessmentEngine {
     /// cost-optimal like [`AssessmentEngine::exhaustive`], but prunes
     /// with the per-type [`goal_lower_bounds`]: candidates below any
     /// bound are never assessed, which typically cuts the evaluation
-    /// count by an order of magnitude. The pruned frontier is evaluated
-    /// in parallel batches.
+    /// count by an order of magnitude.
     ///
     /// # Errors
     /// As [`AssessmentEngine::greedy`].
@@ -965,8 +909,9 @@ impl AssessmentEngine {
     /// `opts`, and returns the cheapest feasible configuration visited.
     /// The Metropolis walk is sequential by construction, but revisited
     /// candidates and their neighbours replay from the record cache.
-    /// The walk's bounds come from `opts`, not from the engine's
-    /// [`SearchOptions::max_total_servers`].
+    /// The walk stays within the engine's
+    /// [`SearchOptions::max_total_servers`] and `opts`'
+    /// per-type bound, and honours [`SearchOptions::strict`].
     ///
     /// # Errors
     /// * [`ConfigError::GoalsUnreachable`] when no feasible configuration
@@ -1063,24 +1008,6 @@ mod tests {
         assert_eq!(engine.greedy().unwrap(), fresh_greedy);
         let fresh_exhaustive = fresh(&reg, &load, &goals).exhaustive().unwrap();
         assert_eq!(engine.exhaustive().unwrap(), fresh_exhaustive);
-    }
-
-    #[test]
-    fn parallel_jobs_produce_identical_search_results() {
-        let reg = paper_section52_registry();
-        let load = load_at(1.5, &reg);
-        let goals = Goals::new(0.01, 0.9999).unwrap();
-        let serial_opts = SearchOptions::builder().jobs(1).build();
-        let parallel_opts = SearchOptions::builder().jobs(8).build();
-        let serial = AssessmentEngine::new(&reg, &load, &goals, serial_opts).unwrap();
-        let parallel = AssessmentEngine::new(&reg, &load, &goals, parallel_opts).unwrap();
-        assert_eq!(parallel.jobs(), 8);
-        let s = serial.exhaustive().unwrap();
-        let p = parallel.exhaustive().unwrap();
-        assert_eq!(s, p);
-        let s = serial.branch_and_bound().unwrap();
-        let p = parallel.branch_and_bound().unwrap();
-        assert_eq!(s, p);
     }
 
     #[test]

@@ -32,11 +32,11 @@
 //! Events carry **no timestamps**, and the deterministic searches emit
 //! them at their in-order consumption points, so two identical runs
 //! produce byte-identical JSONL (`wfms explain` output is byte-stable).
-//! One caveat: under a multi-worker pool, *which* of two concurrently
-//! assessed candidates fills a shared cache entry first is a race, so
-//! the per-candidate hit/miss split may vary between runs (totals and
-//! all assessment numbers do not — see the engine's determinism
-//! contract).
+//! One caveat: when several threads search one shared engine (the
+//! daemon's workers on one tenant), *which* thread fills a shared
+//! record first is a race, so the per-candidate hit/miss split may vary
+//! between runs (the assessment numbers do not — see the engine's
+//! determinism contract).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;

@@ -17,8 +17,8 @@
 //!   minimum-cost heuristic of Sec. 7.2, plus exact baselines for
 //!   validating it.
 //!
-//! Both run on one [`AssessmentEngine`]; its results are bit-identical
-//! to the `jobs = 1` path for every worker count.
+//! Both run on one [`AssessmentEngine`], each search on its caller's
+//! thread; a warm engine answers bit-identically to a fresh one.
 //!
 //! A fifth, cross-cutting component is the **decision journal**
 //! ([`journal`]): every search emits a structured [`journal::DecisionEvent`]

@@ -29,23 +29,18 @@ use crate::goals::Goals;
 ///
 /// ```
 /// use wfms_config::SearchOptions;
-/// let opts = SearchOptions::builder().max_total_servers(64).jobs(8).build();
-/// assert_eq!(opts.max_total_servers, 64);
-/// assert_eq!(opts.jobs, 8);
+/// let opts = SearchOptions::builder().max_total_servers(32).strict(true).build();
+/// assert_eq!(opts.max_total_servers, 32);
+/// assert!(opts.strict);
 /// ```
 ///
 /// `Default` is equivalent to the pre-engine behaviour: a budget of 64
-/// servers, a single worker, and an effectively unbounded record cache.
+/// servers and an effectively unbounded record cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SearchOptions {
     /// Maximum total number of servers (the cost budget). The search
     /// fails with [`ConfigError::GoalsUnreachable`] beyond it.
     pub max_total_servers: usize,
-    /// Worker threads for candidate evaluation: `0` = automatic
-    /// (`RAYON_NUM_THREADS`, else available cores), `1` = serial.
-    /// Results are bit-identical for every value (see
-    /// [`AssessmentEngine`](crate::AssessmentEngine)).
-    pub jobs: usize,
     /// Maximum entries of the engine's record cache, the per-type
     /// `(type, Y_x)` records; `0` disables it. Evicted records are
     /// recomputed when a later candidate needs them.
@@ -66,7 +61,6 @@ impl Default for SearchOptions {
     fn default() -> Self {
         SearchOptions {
             max_total_servers: 64,
-            jobs: 1,
             state_cache_capacity: 65_536,
             strict: false,
         }
@@ -96,10 +90,11 @@ impl SearchOptionsBuilder {
         self
     }
 
-    /// Sets the worker-thread count (`0` = automatic, `1` = serial).
+    /// Ignored: every search runs on its caller's thread. Kept only
+    /// because the benchmark harness (`wfms-benchmark`) still calls it;
+    /// it goes once the harness stops.
     #[must_use]
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.opts.jobs = jobs;
+    pub fn jobs(self, _jobs: usize) -> Self {
         self
     }
 

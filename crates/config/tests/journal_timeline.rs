@@ -1,8 +1,8 @@
 //! Integration tests for the observability contract of the search
-//! layer: the process-global timeline must survive a `jobs = 8`
-//! parallel search with per-track monotonic, balanced events, enabling
-//! it must not perturb search results bit-wise, and the decision
-//! journal must replay a search byte-stably.
+//! layer: the process-global timeline must survive two threads
+//! searching one shared engine with per-track monotonic, balanced
+//! events, enabling it must not perturb search results bit-wise, and
+//! the decision journal must replay a search byte-stably.
 //!
 //! The timeline and journal are process-global, so every test here
 //! serializes on one lock and restores the disabled state before
@@ -36,21 +36,19 @@ fn load_at(rho_single: f64, reg: &ServerTypeRegistry) -> SystemLoad {
     }
 }
 
-fn run_exhaustive(jobs: usize) -> SearchResult {
+fn engine() -> AssessmentEngine {
     let reg = paper_section52_registry();
     let load = load_at(1.5, &reg);
     let goals = Goals::new(0.01, 0.9999).unwrap();
-    let opts = SearchOptions::builder().jobs(jobs).build();
-    let engine = AssessmentEngine::new(&reg, &load, &goals, opts).unwrap();
-    engine.exhaustive().unwrap()
+    AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default()).unwrap()
+}
+
+fn run_exhaustive() -> SearchResult {
+    engine().exhaustive().unwrap()
 }
 
 fn run_greedy() -> SearchResult {
-    let reg = paper_section52_registry();
-    let load = load_at(1.5, &reg);
-    let goals = Goals::new(0.01, 0.9999).unwrap();
-    let engine = AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default()).unwrap();
-    engine.greedy().unwrap()
+    engine().greedy().unwrap()
 }
 
 /// Per-track invariants the Chrome-trace export relies on: timestamps
@@ -94,32 +92,38 @@ fn assert_tracks_well_formed(snapshot: &TimelineSnapshot) {
 }
 
 #[test]
-fn timeline_survives_a_jobs8_parallel_search() {
+fn timeline_survives_two_threads_searching_one_engine() {
     let _guard = lock();
     timeline::reset();
     timeline::enable();
     let _ = journal::take();
     journal::enable(); // decision instants ride the timeline tracks
-    let result = run_exhaustive(8);
+    let engine = engine();
+    let results: Vec<SearchResult> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..2)
+            .map(|_| scope.spawn(|| engine.exhaustive().unwrap()))
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
     journal::disable();
     let _ = journal::take();
     timeline::disable();
     let snapshot = timeline::take();
     timeline::reset();
 
-    assert!(!result.assessment.replicas.is_empty());
+    assert_eq!(results[0], results[1]);
+    assert!(!results[0].assessment.replicas.is_empty());
     assert_eq!(
         snapshot.dropped_events(),
         0,
         "cap hit during a small search"
     );
     assert!(snapshot.event_count() > 0, "no timeline events recorded");
-    // The frontier dispatch hands candidates to rayon workers, each of
-    // which registers its own track; the driving thread holds the
-    // `exhaustive-search` span. So a parallel run spans several tracks.
+    // Each searching thread registers its own track and holds its own
+    // `exhaustive-search` span.
     assert!(
         snapshot.tracks.len() >= 2,
-        "expected the driver plus at least one worker track, got {}",
+        "expected one track per searching thread, got {}",
         snapshot.tracks.len()
     );
     assert_tracks_well_formed(&snapshot);
@@ -134,7 +138,7 @@ fn timeline_survives_a_jobs8_parallel_search() {
     // Decision instants ride the same tracks as the assessment spans.
     assert!(names.contains(&journal::EVENT_DECISION_WINNER), "{names:?}");
 
-    // The export of a parallel run is valid Chrome Trace Format.
+    // The export of a multi-track run is valid Chrome Trace Format.
     let ctf = wfms_obs::to_chrome_trace(&snapshot);
     let parsed: serde_json::Value = serde_json::from_str(&ctf).expect("valid JSON");
     let events = parsed["traceEvents"].as_array().expect("traceEvents array");
@@ -146,11 +150,11 @@ fn timeline_mode_does_not_perturb_search_results() {
     let _guard = lock();
     timeline::reset();
     timeline::disable();
-    let plain_exhaustive = run_exhaustive(8);
+    let plain_exhaustive = run_exhaustive();
     let plain_greedy = run_greedy();
 
     timeline::enable();
-    let recorded_exhaustive = run_exhaustive(8);
+    let recorded_exhaustive = run_exhaustive();
     let recorded_greedy = run_greedy();
     timeline::disable();
     timeline::reset();

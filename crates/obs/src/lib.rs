@@ -83,14 +83,13 @@
 //! | `config.annealing.rejected` | counter | `wfms-config` | rejected Metropolis moves per annealing run |
 //! | `sim.events` | counter | `wfms-sim` | discrete events processed per simulation run |
 //!
-//! The assessment engine of `wfms-config` adds three stable metric
+//! The assessment engine of `wfms-config` adds two stable metric
 //! names of its own:
 //!
 //! | metric | kind | emitted by | meaning |
 //! |---|---|---|---|
 //! | `engine.cache-hit` | counter | `wfms-config` | per-type record lookups answered from the record cache (one lookup per type per candidate) |
 //! | `engine.cache-miss` | counter | `wfms-config` | per-type record lookups that had to fill the record |
-//! | `engine.parallel-candidates` | gauge | `wfms-config` | size of the last candidate batch dispatched to the worker pool |
 //!
 //! The graceful-degradation layer (DESIGN.md §10) adds four more; the
 //! first two must stay **zero** on a clean run, and `wfms profile

@@ -3,11 +3,11 @@
 //!
 //! The span [`Recorder`](crate::Recorder) aggregates — it answers "how
 //! much time went into `avail-steady-state` in total". The timeline
-//! answers "*when* did each solve run, and on *which* worker thread":
-//! every span open/close (and every [`instant`] marker) becomes a
-//! timestamped event on the emitting thread's own track, so a parallel
-//! candidate batch renders as interleaved bars across the rayon worker
-//! tracks.
+//! answers "*when* did each solve run, and on *which* thread": every
+//! span open/close (and every [`instant`] marker) becomes a timestamped
+//! event on the emitting thread's own track, so the requests of
+//! `wfms serve`'s workers render as interleaved bars across one track
+//! per worker.
 //!
 //! Contract, matching spans and failpoints:
 //!

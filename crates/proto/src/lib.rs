@@ -298,7 +298,9 @@ pub struct RecommendParams {
     pub min_availability: Option<f64>,
     /// `--budget` (maximum total servers; default 64).
     pub budget: Option<u64>,
-    /// `--jobs` (worker threads; default 1).
+    /// Accepted and ignored: every search runs on one thread. It never
+    /// changed an answer, so ignoring it changes no reply (DESIGN.md
+    /// §13, "Removed fields").
     pub jobs: Option<u64>,
     /// `--seed` (annealing only; default 42).
     pub seed: Option<u64>,

@@ -370,22 +370,13 @@ impl Handler {
         let per_type =
             resolve_per_type_goals(&params.registry, params.per_type_max_wait.as_deref())?;
         let goals = build_goals(params.max_wait, params.min_availability, per_type)?;
-        let budget = params.budget.unwrap_or(64) as usize;
-        let jobs = params.jobs.unwrap_or(1) as usize;
         let search = params.search.as_deref().unwrap_or("greedy");
-        // The annealing engine is deliberately built with only the
-        // budget (matching the historical CLI behaviour exactly, so
-        // one-shot results stay bit-identical); the other strategies
-        // also take the worker count and strict mode.
-        let opts = if search == "annealing" {
-            SearchOptions::builder().max_total_servers(budget).build()
-        } else {
-            SearchOptions::builder()
-                .max_total_servers(budget)
-                .jobs(jobs)
-                .strict(params.strict.unwrap_or(false))
-                .build()
-        };
+        // `params.jobs` is accepted and ignored: every search runs on
+        // this worker's thread.
+        let opts = SearchOptions::builder()
+            .max_total_servers(params.budget.unwrap_or(64) as usize)
+            .strict(params.strict.unwrap_or(false))
+            .build();
         let state = self.tenant_state(
             tenant_key(request),
             &params.registry,
@@ -399,7 +390,6 @@ impl Handler {
             "branch-and-bound" => state.engine.branch_and_bound().map_err(Failure::tool)?,
             "annealing" => {
                 let annealing = AnnealingOptions {
-                    max_total_servers: budget,
                     seed: params.seed.unwrap_or(42),
                     ..AnnealingOptions::default()
                 };

@@ -527,6 +527,50 @@ fn removed_engine_fields_are_refused_by_name() {
     }
 }
 
+/// `jobs` sized the removed thread pool. It is accepted and ignored: a
+/// `recommend` carrying it answers byte-for-byte like one without it,
+/// from the same warm tenant engine (no rebuild, no new record fills).
+#[test]
+fn recommend_ignores_jobs_and_keeps_the_warm_tenant() {
+    let handler = Handler::new(2);
+    let params = |jobs: Option<u64>| {
+        let mut pairs = vec![
+            ("registry", spec("enterprise", "registry.json")),
+            ("workload", spec("enterprise", "workload.json")),
+            ("search", Value::String("exhaustive".to_string())),
+            ("max_wait", json(0.05)),
+            ("min_availability", json(0.9999)),
+        ];
+        if let Some(jobs) = jobs {
+            pairs.push(("jobs", json(jobs)));
+        }
+        obj(pairs)
+    };
+    let misses = || {
+        let resp = handler.handle(&request(METHOD_METRICS, "acme", Value::Null));
+        let result: MetricsResult =
+            serde_json::from_value(resp.result.expect("result populated")).expect("typed result");
+        result.tenants[0].cache_misses
+    };
+
+    let without = handler.handle(&request(METHOD_RECOMMEND, "acme", params(None)));
+    assert!(without.ok, "recommend succeeds: {:?}", without.error);
+    let (cold_hits, cold_misses) = (handler.tenant_cache_hits("acme"), misses());
+
+    let with = handler.handle(&request(METHOD_RECOMMEND, "acme", params(Some(2))));
+    assert_eq!(
+        serde_json::to_string(&with).expect("serialize"),
+        serde_json::to_string(&without).expect("serialize"),
+        "jobs changed the reply"
+    );
+    assert_eq!(handler.tenant_count(), 1);
+    assert_eq!(misses(), cold_misses, "jobs rebuilt the tenant engine");
+    assert!(
+        handler.tenant_cache_hits("acme") > cold_hits,
+        "the repeat did not replay the warm engine"
+    );
+}
+
 #[test]
 fn same_named_workflows_each_report_their_own_turnaround() {
     let ep: WorkloadFile =

@@ -1,12 +1,12 @@
 //! Integration tests for the assessment engine's determinism contract:
-//! on both example workloads, every search result must be bit-identical
-//! to the `jobs = 1` path for any `jobs` value, and a warm engine's
-//! results to a fresh engine's.
+//! on both example workloads, a warm engine's search results, and those
+//! of one engine shared by several threads, must be bit-identical to a
+//! fresh serial engine's.
 
 use wfms::config::AnnealingOptions;
 use wfms::statechart::paper_section52_registry;
 use wfms::workloads::{enterprise_mix, enterprise_registry, ep_workflow, EP_DEFAULT_ARRIVAL_RATE};
-use wfms::{AssessmentEngine, ConfigurationTool, Goals, SearchOptions};
+use wfms::{AssessmentEngine, ConfigurationTool, Goals, SearchOptions, SearchResult};
 
 /// The two example workloads as ready-to-search tools.
 fn scenarios() -> Vec<(&'static str, ConfigurationTool, Goals)> {
@@ -23,72 +23,78 @@ fn scenarios() -> Vec<(&'static str, ConfigurationTool, Goals)> {
     ]
 }
 
-fn options(jobs: usize) -> SearchOptions {
-    SearchOptions::builder()
-        .max_total_servers(64)
-        .jobs(jobs)
-        .build()
+fn options() -> SearchOptions {
+    SearchOptions::builder().max_total_servers(64).build()
+}
+
+/// The searches each scenario runs: all four on `ep`, and all but the
+/// exhaustive baseline on the five-type `enterprise`.
+fn methods(name: &str) -> &'static [&'static str] {
+    if name == "ep" {
+        &["greedy", "branch-and-bound", "exhaustive", "annealing"]
+    } else {
+        &["greedy", "branch-and-bound", "annealing"]
+    }
+}
+
+fn search(engine: &AssessmentEngine, method: &str) -> SearchResult {
+    match method {
+        "greedy" => engine.greedy(),
+        "branch-and-bound" => engine.branch_and_bound(),
+        "exhaustive" => engine.exhaustive(),
+        _ => engine.annealing(&AnnealingOptions::default()),
+    }
+    .unwrap()
 }
 
 #[test]
-fn parallel_searches_are_bit_identical_to_serial() {
+fn a_shared_engine_answers_concurrent_searches_like_fresh_ones() {
+    const THREADS: usize = 4;
     for (name, tool, goals) in scenarios() {
-        let serial = tool.engine(&goals, options(1)).unwrap();
-        let parallel = tool.engine(&goals, options(8)).unwrap();
-        for (method, a, b) in [
-            (
-                "greedy",
-                serial.greedy().unwrap(),
-                parallel.greedy().unwrap(),
-            ),
-            (
-                "exhaustive",
-                serial.exhaustive().unwrap(),
-                parallel.exhaustive().unwrap(),
-            ),
-            (
-                "branch-and-bound",
-                serial.branch_and_bound().unwrap(),
-                parallel.branch_and_bound().unwrap(),
-            ),
-        ] {
-            assert_eq!(
-                a.assessment, b.assessment,
-                "{name}/{method}: winner diverges between jobs=1 and jobs=8"
-            );
-            assert_eq!(
-                a.trace, b.trace,
-                "{name}/{method}: trace diverges between jobs=1 and jobs=8"
-            );
-            assert_eq!(
-                a.evaluations, b.evaluations,
-                "{name}/{method}: evaluation count diverges"
-            );
-        }
+        let list = methods(name);
+        let fresh: Vec<SearchResult> = list
+            .iter()
+            .map(|method| search(&tool.engine(&goals, options()).unwrap(), method))
+            .collect();
+        let shared = tool.engine(&goals, options()).unwrap();
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let shared = &shared;
+                    // Each thread starts at a different search, so the
+                    // threads fill and read the caches in different orders.
+                    scope.spawn(move || {
+                        (0..list.len())
+                            .map(|i| (t + i) % list.len())
+                            .map(|m| (m, search(shared, list[m])))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for worker in workers {
+                for (m, result) in worker.join().unwrap() {
+                    assert_eq!(
+                        result, fresh[m],
+                        "{name}/{}: a search on the shared engine diverges from a fresh one",
+                        list[m]
+                    );
+                }
+            }
+        });
     }
 }
 
 #[test]
 fn shared_engine_searches_match_fresh_engines() {
-    let annealing = AnnealingOptions::default();
     for (name, tool, goals) in scenarios() {
-        // `options(1)` sets only the budget, and to the annealing
-        // default, so it is also the budget-alone engine annealing uses.
-        let fresh = || tool.engine(&goals, options(1)).unwrap();
+        // One engine for every search, so each later search replays the
+        // records the earlier ones filled.
+        let fresh = || tool.engine(&goals, options()).unwrap();
         let shared = fresh();
-        for method in ["greedy", "branch-and-bound", "exhaustive", "annealing"] {
-            if method == "exhaustive" && name != "ep" {
-                continue;
-            }
-            let search = |engine: &AssessmentEngine| match method {
-                "greedy" => engine.greedy(),
-                "branch-and-bound" => engine.branch_and_bound(),
-                "exhaustive" => engine.exhaustive(),
-                _ => engine.annealing(&annealing),
-            };
+        for method in methods(name) {
             assert_eq!(
-                search(&shared).unwrap(),
-                search(&fresh()).unwrap(),
+                search(&shared, method),
+                search(&fresh(), method),
                 "{name}/{method}: the shared engine diverges from a fresh one"
             );
         }
@@ -98,7 +104,7 @@ fn shared_engine_searches_match_fresh_engines() {
 #[test]
 fn warm_engine_replays_searches_from_its_caches() {
     let (_, tool, goals) = scenarios().remove(0);
-    let engine = tool.engine(&goals, options(2)).unwrap();
+    let engine = tool.engine(&goals, options()).unwrap();
     let cold = engine.greedy().unwrap();
     let after_cold = engine.cache_stats();
     assert!(after_cold.misses > 0, "cold run must populate the caches");

@@ -1,6 +1,6 @@
 //! The public surface of the assessment engine, whose availability is
 //! the product form `Π_x (1 − m_x[0])` over per-type birth–death
-//! marginals: the four search options, the record and block caches it
+//! marginals: the three search options, the record and block caches it
 //! reports, its construction errors, and its agreement with
 //! [`ProductFormModel`]. The numeric contracts (bit-identity to a fresh
 //! engine, the LU and joint-fold oracles) live in `wfms-config`'s unit
@@ -25,7 +25,6 @@ fn engine_module_has_a_test_for_the_engine_level_contract() {
     // compile here.
     let opts = SearchOptions {
         max_total_servers: 64,
-        jobs: 1,
         state_cache_capacity: 65_536,
         strict: false,
     };

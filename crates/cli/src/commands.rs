@@ -27,11 +27,8 @@ use wfms_core::{Configuration, ConfigurationTool, ServerTypeRegistry, WorkflowSp
 use wfms_core::config::journal;
 
 use serde_json::Value;
-use wfms_proto::{
-    AssessParams, AssessResult, PerTypeWait, RecommendParams, RecommendResult, Request, Response,
-    METHOD_ASSESS, METHOD_RECOMMEND, PROTOCOL_VERSION,
-};
-use wfms_serve::Handler;
+use wfms_proto::{PerTypeWait, Request, Response, PROTOCOL_VERSION};
+use wfms_serve::{search_options, Tenant};
 
 use crate::args::{ArgError, ParsedArgs, TraceMode};
 use crate::error::CliError;
@@ -65,11 +62,15 @@ pub const REQUIRED_ZERO_COUNTERS: &[&str] = &["solver.fallback", "config.quarant
 // decode them); re-exported here so the CLI's public API is unchanged.
 pub use wfms_serve::{WorkloadEntry, WorkloadFile};
 
+/// Reads one JSON document and decodes it to its typed form, in one
+/// `spec-decode` span whose `bytes` field is the file's size.
 fn read_json<T: for<'de> Deserialize<'de>>(path: &str) -> Result<T, CliError> {
+    let mut span = wfms_obs::span!("spec-decode");
     let text = std::fs::read_to_string(path).map_err(|e| CliError::Io {
         path: path.to_string(),
         message: e.to_string(),
     })?;
+    span.record("bytes", text.len() as u64);
     serde_json::from_str(&text).map_err(|e| CliError::Json {
         path: path.to_string(),
         message: e.to_string(),
@@ -100,82 +101,60 @@ fn load_registry(args: &ParsedArgs) -> Result<ServerTypeRegistry, CliError> {
     read_json(args.require("registry")?)
 }
 
-/// Reads a JSON document as a raw [`Value`] for embedding in a
-/// `wfms-proto` request (the same bytes a daemon client would send).
-fn read_value(path: &str) -> Result<Value, CliError> {
-    read_json(path)
-}
-
-/// Serializes request params; serialization failures surface as
-/// [`CliError::Json`] like any other report-layer failure.
-fn encode_params<T: Serialize>(params: &T) -> Result<Value, CliError> {
-    serde_json::to_value(params).map_err(|e| CliError::Json {
-        path: "<request>".to_string(),
-        message: e.to_string(),
-    })
-}
-
-/// Unwraps a handler [`wfms_proto::Response`] into its typed result.
-/// Error payloads become [`CliError::Remote`], whose display is the
-/// carried message — the same text the pre-protocol CLI printed for the
-/// same failure.
-fn remote_result<T: for<'de> Deserialize<'de>>(
-    response: wfms_proto::Response,
-) -> Result<T, CliError> {
-    if let Some(e) = response.error {
-        return Err(CliError::Remote {
-            kind: e.kind,
-            message: e.message,
-        });
-    }
-    let value = response.result.unwrap_or(Value::Null);
-    serde_json::from_value(value).map_err(|e| CliError::Json {
-        path: "<response>".to_string(),
-        message: e.to_string(),
-    })
-}
-
 fn load_tool(args: &ParsedArgs) -> Result<ConfigurationTool, CliError> {
     let registry = load_registry(args)?;
     let workload: WorkloadFile = read_json(args.require("workload")?)?;
-    let mut tool = ConfigurationTool::new(registry);
-    for entry in workload.workflows {
-        tool.add_workflow(entry.spec, entry.arrival_rate)?;
-    }
-    Ok(tool)
+    Ok(workload.into_tool(registry)?)
 }
 
-fn parse_goals(args: &ParsedArgs) -> Result<Goals, CliError> {
+/// The goal options of `assess` and `recommend`, checked, with the
+/// `--max-wait-type` names not yet resolved against the registry.
+struct GoalArgs {
+    max_wait: Option<f64>,
+    min_availability: Option<f64>,
+    per_type: Vec<PerTypeWait>,
+}
+
+impl GoalArgs {
+    /// The goals, each `--max-wait-type` name resolved against
+    /// `registry` as the daemon resolves `per_type_max_wait`.
+    fn resolve(self, registry: &ServerTypeRegistry) -> Result<Goals, CliError> {
+        let per_type = wfms_serve::resolve_per_type_waits(registry, &self.per_type)?;
+        Ok(wfms_serve::build_goals(
+            self.max_wait,
+            self.min_availability,
+            per_type,
+        )?)
+    }
+}
+
+fn parse_goals(args: &ParsedArgs) -> Result<GoalArgs, CliError> {
     let max_wait = args.get_f64("max-wait")?;
     let min_availability = args.get_f64("min-availability")?;
-    // Named per-type goals (`--max-wait-type`) count toward "some goal
-    // was specified"; their names are resolved against the registry by
-    // the request handler, so placeholder indices suffice here.
-    let per_type_waiting = parse_per_type_waits(args)?
-        .map(|entries| {
-            entries
-                .iter()
-                .enumerate()
-                .map(|(index, entry)| (index, entry.max_wait))
-                .collect()
-        })
-        .unwrap_or_default();
-    let goals = Goals {
-        max_waiting_time: max_wait,
+    let per_type = parse_per_type_waits(args)?;
+    // The values are checked before any name is resolved, so a bad goal
+    // is reported ahead of an unknown name; no check depends on which
+    // type an entry names, so placeholder indices suffice here.
+    let unresolved = per_type
+        .iter()
+        .enumerate()
+        .map(|(index, entry)| (index, entry.max_wait))
+        .collect();
+    wfms_serve::build_goals(max_wait, min_availability, unresolved)?;
+    Ok(GoalArgs {
+        max_wait,
         min_availability,
-        per_type_waiting,
-    };
-    goals.validate()?;
-    Ok(goals)
+        per_type,
+    })
 }
 
 /// Parses `--max-wait-type NAME=minutes[,NAME=minutes..]` into the wire
-/// form. Server-type names are resolved against the registry by the
-/// request handler, so the CLI and a remote daemon client report the
-/// same `invalid-params` message for an unknown name.
-fn parse_per_type_waits(args: &ParsedArgs) -> Result<Option<Vec<PerTypeWait>>, CliError> {
+/// form (empty without the option). Server-type names are resolved by
+/// the typed core, so the CLI and a daemon client report the same
+/// message for an unknown name.
+fn parse_per_type_waits(args: &ParsedArgs) -> Result<Vec<PerTypeWait>, CliError> {
     let Some(raw) = args.get("max-wait-type") else {
-        return Ok(None);
+        return Ok(Vec::new());
     };
     let invalid = |reason: String| {
         CliError::Arg(ArgError::InvalidValue {
@@ -210,7 +189,7 @@ fn parse_per_type_waits(args: &ParsedArgs) -> Result<Option<Vec<PerTypeWait>>, C
     if waits.is_empty() {
         return Err(invalid("no NAME=minutes entries given".to_string()));
     }
-    Ok(Some(waits))
+    Ok(waits)
 }
 
 fn parse_config(
@@ -804,46 +783,26 @@ fn cmd_availability(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliEr
     Ok(())
 }
 
-/// `wfms assess`, dispatched through the shared `wfms-serve` request
-/// handler — the exact same API layer the daemon serves over TCP, so
-/// one-shot results are bit-identical to a daemon answer. The typed
-/// CLI-side validation (registry/workload files, replica vector, goals)
-/// runs first so argument and file errors keep their historical,
-/// path-labelled messages.
+/// `wfms assess`: the typed `assess` core of `wfms-serve`, the one the
+/// daemon's `assess` method wraps, called in-process on the documents
+/// read once from disk, so a one-shot answer is bit-identical to a
+/// daemon answer. The files, the specs, `--config` and the goals are
+/// checked in that order first, with their path-labelled messages.
 fn cmd_assess(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> {
     let tool = load_tool(args)?;
     let config = parse_config(args, tool.registry())?;
-    parse_goals(args)?;
-    let params = AssessParams {
-        registry: read_value(args.require("registry")?)?,
-        workload: read_value(args.require("workload")?)?,
-        config: config.as_slice().to_vec(),
-        max_wait: args.get_f64("max-wait")?,
-        min_availability: args.get_f64("min-availability")?,
-        epsilon: None,
-        avail_backend: None,
-        solver_tol: None,
-        solver_max_iter: None,
-        strict: args.flag("strict").then_some(true),
-        per_type_max_wait: parse_per_type_waits(args)?,
-    };
-    let request = Request::new(METHOD_ASSESS, encode_params(&params)?);
-    let result: AssessResult = remote_result(Handler::new(1).handle(&request))?;
+    let goals = parse_goals(args)?.resolve(tool.registry())?;
+    let tenant = Tenant::new(&tool, &goals, search_options(None, args.flag("strict")))?;
+    let assessed = tenant.assess(config.as_slice().to_vec())?;
+    let assessment = &assessed.assessment;
     if args.flag("json") {
-        // The handler embeds the assessment as a raw JSON value, so
-        // pretty-printing it here reproduces the report byte-for-byte.
-        writeln!(out, "{}", render_json(&result.assessment)?)?;
+        writeln!(out, "{}", render_json(assessment)?)?;
         return Ok(());
     }
-    let assessment: wfms_core::Assessment = serde_json::from_value(result.assessment.clone())
-        .map_err(|e| CliError::Json {
-            path: "<response>".to_string(),
-            message: e.to_string(),
-        })?;
     writeln!(
         out,
         "configuration {} ({} servers):",
-        result.configuration, assessment.cost
+        assessed.configuration, assessment.cost
     )?;
     writeln!(
         out,
@@ -852,7 +811,7 @@ fn cmd_assess(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> {
     )?;
     match &assessment.expected_waiting {
         Some(waits) => {
-            for (name, w) in result.server_types.iter().zip(waits) {
+            for (name, w) in assessed.server_types.iter().zip(waits) {
                 writeln!(out, "  expected wait @ {name}: {:.2} s", w * 60.0)?;
             }
         }
@@ -861,7 +820,7 @@ fn cmd_assess(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> {
             "  SATURATED: the full configuration cannot serve the load"
         )?,
     }
-    for t in &result.turnarounds {
+    for t in assessed.turnarounds {
         writeln!(
             out,
             "  turnaround {:?}: mean {:.1} min, p90 {:.1} min",
@@ -875,13 +834,13 @@ fn cmd_assess(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `wfms recommend`, dispatched through the shared `wfms-serve` request
-/// handler (see [`cmd_assess`]). The `--optimal` / `--annealing` flags
-/// map to the protocol's `search` parameter; the wire additionally
-/// accepts `branch-and-bound`, which has no CLI flag.
+/// `wfms recommend`: the typed `recommend` core of `wfms-serve` (see
+/// [`cmd_assess`]). The `--optimal` / `--annealing` flags name the
+/// core's `exhaustive` and `annealing` searches; the daemon's `search`
+/// parameter also accepts `branch-and-bound`, which has no CLI flag.
 fn cmd_recommend(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> {
-    load_tool(args)?;
-    parse_goals(args)?;
+    let tool = load_tool(args)?;
+    let goals = parse_goals(args)?;
     let search = if args.flag("optimal") {
         "exhaustive"
     } else if args.flag("annealing") {
@@ -889,40 +848,19 @@ fn cmd_recommend(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError
     } else {
         "greedy"
     };
-    let params = RecommendParams {
-        registry: read_value(args.require("registry")?)?,
-        workload: read_value(args.require("workload")?)?,
-        search: Some(search.to_string()),
-        max_wait: args.get_f64("max-wait")?,
-        min_availability: args.get_f64("min-availability")?,
-        budget: args.get_u64("budget")?,
-        jobs: None,
-        seed: args.get_u64("seed")?,
-        epsilon: None,
-        avail_backend: None,
-        solver_tol: None,
-        solver_max_iter: None,
-        strict: args.flag("strict").then_some(true),
-        screen_epsilon: None,
-        rank_moves: None,
-        incremental: None,
-        per_type_max_wait: parse_per_type_waits(args)?,
-    };
-    let request = Request::new(METHOD_RECOMMEND, encode_params(&params)?);
-    let result: RecommendResult = remote_result(Handler::new(1).handle(&request))?;
+    let opts = search_options(args.get_u64("budget")?, args.flag("strict"));
+    let seed = args.get_u64("seed")?;
+    let goals = goals.resolve(tool.registry())?;
+    let result = Tenant::new(&tool, &goals, opts)?.recommend(search, seed)?;
+    let a = &result.assessment;
     if args.flag("json") {
-        writeln!(out, "{}", render_json(&result.assessment)?)?;
+        writeln!(out, "{}", render_json(a)?)?;
         return Ok(());
     }
-    let a: wfms_core::Assessment =
-        serde_json::from_value(result.assessment.clone()).map_err(|e| CliError::Json {
-            path: "<response>".to_string(),
-            message: e.to_string(),
-        })?;
     writeln!(
         out,
-        "method {}: recommend {:?} ({} servers, {} evaluations)",
-        result.search, a.replicas, a.cost, result.evaluations
+        "method {search}: recommend {:?} ({} servers, {} evaluations)",
+        a.replicas, a.cost, result.evaluations
     )?;
     writeln!(
         out,
@@ -935,12 +873,7 @@ fn cmd_recommend(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError
     if let Some(d) = &a.degradation {
         write_degradation(out, d)?;
     }
-    let quarantined: Vec<wfms_core::QuarantinedCandidate> =
-        serde_json::from_value(result.quarantined.clone()).map_err(|e| CliError::Json {
-            path: "<response>".to_string(),
-            message: e.to_string(),
-        })?;
-    write_quarantined(out, &quarantined)?;
+    write_quarantined(out, &result.quarantined)?;
     Ok(())
 }
 
@@ -1088,7 +1021,7 @@ fn cmd_call(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> {
         .unwrap_or(defaults.listen);
     let method = args.require("method")?.to_string();
     let params = match args.get("params") {
-        Some(path) => read_value(path)?,
+        Some(path) => read_json(path)?,
         None => Value::Null,
     };
     let request = Request {

@@ -5,6 +5,7 @@ use std::fmt;
 use crate::args::ArgError;
 use wfms_core::sim::SimError;
 use wfms_core::ConfigError;
+use wfms_serve::MethodError;
 
 /// Errors surfaced to the terminal user.
 #[derive(Debug)]
@@ -82,17 +83,10 @@ pub enum CliError {
         /// What was missing or ambiguous.
         message: String,
     },
-    /// A typed error payload returned by the shared request handler
-    /// (`wfms-proto` `ErrorBody`). The message is the same text the
-    /// underlying failure would have printed pre-protocol, so one-shot
-    /// CLI error output is unchanged; the kind is kept for callers that
-    /// dispatch on the stable error vocabulary.
-    Remote {
-        /// Stable `wfms-proto` error kind (e.g. `tool`, `invalid-params`).
-        kind: String,
-        /// Human-readable failure text.
-        message: String,
-    },
+    /// A parameter the typed `assess`/`recommend` core refused (an
+    /// unknown `--max-wait-type` server-type name); the message is the
+    /// one the daemon answers under `invalid-params`.
+    InvalidParams(String),
     /// Writing the report failed.
     Output(std::io::Error),
 }
@@ -132,7 +126,7 @@ impl fmt::Display for CliError {
                 write!(f, "profile: {stages} stage(s) regressed past the gate")
             }
             CliError::Explain { message } => write!(f, "explain: {message}"),
-            CliError::Remote { message, .. } => write!(f, "{message}"),
+            CliError::InvalidParams(message) => write!(f, "{message}"),
             CliError::Output(e) => write!(f, "failed to write output: {e}"),
         }
     }
@@ -149,6 +143,15 @@ impl From<ArgError> for CliError {
 impl From<ConfigError> for CliError {
     fn from(e: ConfigError) -> Self {
         CliError::Tool(e)
+    }
+}
+
+impl From<MethodError> for CliError {
+    fn from(e: MethodError) -> Self {
+        match e {
+            MethodError::Tool(e) => CliError::Tool(e),
+            MethodError::InvalidParams(message) => CliError::InvalidParams(message),
+        }
     }
 }
 

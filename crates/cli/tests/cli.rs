@@ -553,6 +553,76 @@ fn missing_files_and_bad_json_are_reported() {
     assert!(matches!(err, CliError::Json { .. }));
 }
 
+/// `assess` and `recommend` check their inputs in one order — the files,
+/// the specs, `--config`, the goal values and `--budget`, and only then
+/// the `--max-wait-type` names — so an invocation with several faults
+/// reports the first of them.
+#[test]
+fn assess_and_recommend_report_the_first_fault_in_input_order() {
+    let dir = scenario("fault-order");
+    let broken = write_broken_workload(&dir);
+    let (registry, workload) = (dir.path("registry.json"), dir.path("workload.json"));
+    let error = |extra: &[&str]| {
+        let mut tokens = vec!["assess", "--registry", &registry];
+        tokens.extend(extra);
+        invoke(&tokens).unwrap_err()
+    };
+    let missing = error(&["--workload", "/nonexistent.json", "--config", "1,1"]);
+    assert!(matches!(missing, CliError::Io { .. }), "{missing}");
+    let spec = error(&["--workload", &broken, "--config", "1,1", "--max-wait", "-1"]);
+    assert!(spec.to_string().contains("specification error"), "{spec}");
+    let config = error(&[
+        "--workload",
+        &workload,
+        "--config",
+        "1,1",
+        "--max-wait",
+        "-1",
+    ]);
+    assert!(config.to_string().contains("length 2"), "{config}");
+    let goal = error(&[
+        "--workload",
+        &workload,
+        "--config",
+        "1,1,1",
+        "--max-wait",
+        "-1",
+        "--max-wait-type",
+        "frobnicator=1",
+    ]);
+    assert!(
+        goal.to_string().contains("invalid max waiting time"),
+        "{goal}"
+    );
+    let name = error(&[
+        "--workload",
+        &workload,
+        "--config",
+        "1,1,1",
+        "--max-wait-type",
+        "frobnicator=1",
+    ]);
+    assert!(matches!(name, CliError::InvalidParams(_)), "{name}");
+    assert!(name.to_string().contains("registered:"), "{name}");
+
+    let budget = invoke(&[
+        "recommend",
+        "--registry",
+        &registry,
+        "--workload",
+        &workload,
+        "--budget",
+        "many",
+        "--max-wait-type",
+        "frobnicator=1",
+    ])
+    .unwrap_err();
+    assert!(
+        matches!(budget, CliError::Arg(ArgError::InvalidValue { ref option, .. }) if option == "budget"),
+        "{budget}"
+    );
+}
+
 #[test]
 fn bad_config_vector_is_reported() {
     let dir = scenario("badconfig");

@@ -232,3 +232,41 @@ fn recommend_computes_no_turnaround_percentile() {
     assert!(snapshot.span_count("assess") > 0);
     assert_eq!(snapshot.span_count("transient-distribution"), 0);
 }
+
+#[test]
+fn assess_trace_records_one_spec_decode_span_per_document() {
+    let (registry, workload) = (spec("registry.json"), spec("workload.json"));
+    let output = wfms()
+        .args([
+            "assess",
+            "--registry",
+            &registry,
+            "--workload",
+            &workload,
+            "--config",
+            "2,2,3",
+            "--max-wait",
+            "0.05",
+            "--trace=json",
+        ])
+        .output()
+        .expect("run wfms");
+    assert!(output.status.success(), "{output:?}");
+    let stderr = String::from_utf8(output.stderr).unwrap();
+    let snapshot = wfms_obs::from_json(&stderr).expect("stderr is a trace snapshot");
+    let decodes: Vec<u64> = snapshot
+        .spans
+        .iter()
+        .filter(|s| s.name == "spec-decode")
+        .map(|s| match s.field("bytes") {
+            Some(FieldValue::U64(n)) => *n,
+            other => panic!("spec-decode without a byte count: {other:?}"),
+        })
+        .collect();
+    assert_eq!(decodes.len(), 2, "one span per spec document");
+    let size = |path: &str| std::fs::metadata(path).expect("spec file").len();
+    assert_eq!(
+        decodes.iter().sum::<u64>(),
+        size(&registry) + size(&workload)
+    );
+}

@@ -42,7 +42,7 @@
 
 mod tool;
 
-pub use tool::{analyzed_engine, AvailabilityFigures, ConfigurationTool};
+pub use tool::{AvailabilityFigures, ConfigurationTool};
 
 pub use wfms_analysis as analysis;
 pub use wfms_avail as avail;

@@ -226,6 +226,32 @@ impl ConfigurationTool {
         AssessmentEngine::new(&self.registry, &load, goals, opts)
     }
 
+    /// The engine of [`ConfigurationTool::engine`] plus each registered
+    /// workflow's analysis: each workflow is analyzed once, and the
+    /// engine runs on the aggregate load of those analyses. Returns each
+    /// workflow's spec name with its analysis, in registration order.
+    /// The spec name is kept because [`WorkflowAnalysis::name`] is the
+    /// chart's name, and the two can differ.
+    ///
+    /// # Errors
+    /// As [`ConfigurationTool::engine`].
+    pub fn analyzed_engine(
+        &self,
+        goals: &Goals,
+        opts: SearchOptions,
+    ) -> Result<(AssessmentEngine, Vec<(String, WorkflowAnalysis)>), ConfigError> {
+        let items = self.workload_items()?;
+        let load = aggregate_load(&items, &self.registry)?;
+        let engine = AssessmentEngine::new(&self.registry, &load, goals, opts)?;
+        let analyses = self
+            .workloads
+            .iter()
+            .zip(items)
+            .map(|((spec, _), item)| (spec.name.clone(), item.analysis))
+            .collect();
+        Ok((engine, analyses))
+    }
+
     /// Greedy minimum-cost recommendation (Sec. 7.2).
     ///
     /// # Errors
@@ -303,40 +329,6 @@ impl ConfigurationTool {
         validate_spec(spec, &registry)?;
         Ok(report)
     }
-}
-
-/// A warm engine plus each workflow's analysis, built by a transient
-/// [`ConfigurationTool`]: `workflows` are registered in order with the
-/// checks of [`ConfigurationTool::add_workflow`], each is analyzed once,
-/// and the engine runs on the aggregate load of those analyses (the
-/// tool's [`ConfigurationTool::system_load`]). Returns the engine and
-/// each workflow's spec name with its analysis, in workload order. The
-/// spec name is kept because [`WorkflowAnalysis::name`] is the chart's
-/// name, and the two can differ.
-///
-/// # Errors
-/// As [`ConfigurationTool::add_workflow`] for the first rejected entry,
-/// then as [`ConfigurationTool::engine`].
-pub fn analyzed_engine(
-    registry: ServerTypeRegistry,
-    workflows: impl IntoIterator<Item = (WorkflowSpec, f64)>,
-    goals: &Goals,
-    opts: SearchOptions,
-) -> Result<(AssessmentEngine, Vec<(String, WorkflowAnalysis)>), ConfigError> {
-    let mut tool = ConfigurationTool::new(registry);
-    for (spec, rate) in workflows {
-        tool.add_workflow(spec, rate)?;
-    }
-    let items = tool.workload_items()?;
-    let load = aggregate_load(&items, &tool.registry)?;
-    let engine = AssessmentEngine::new(&tool.registry, &load, goals, opts)?;
-    let analyses = tool
-        .workloads
-        .into_iter()
-        .zip(items)
-        .map(|((spec, _), item)| (spec.name, item.analysis))
-        .collect();
-    Ok((engine, analyses))
 }
 
 #[cfg(test)]

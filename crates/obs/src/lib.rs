@@ -61,6 +61,7 @@
 //! | `search-candidate` | `wfms-config` | `candidate`, `accepted` |
 //! | `greedy-search` / `exhaustive-search` / `bnb-search` / `annealing-search` | `wfms-config` | `evaluations`, `cost` |
 //! | `simulate` | `wfms-sim` | `events`, `warmup_minutes`, `measured_minutes` |
+//! | `spec-decode` | `wfms-cli` | `bytes` (one span per JSON document a command reads and decodes, such as the registry and the workload; `bytes` is the file's size) |
 //! | `solver-fallback` | `wfms-markov` | `from` (one span per fallback-ladder escalation) |
 //!
 //! Counters and histograms are dotted lowercase

@@ -1,13 +1,13 @@
 //! The wire protocol shared by the `wfms` CLI and the `wfms serve`
 //! daemon.
 //!
-//! Both transports speak the same typed API: the CLI builds a
-//! [`Request`], hands it to the `wfms-serve` handler in-process, and
-//! renders its report from the returned [`Response`]; the daemon
-//! receives the identical envelope as one line of JSON over TCP and
-//! writes the identical [`Response`] back as one line of JSON. A clean
-//! one-shot CLI result is therefore byte-identical to what a daemon
-//! client receives for the same inputs.
+//! Both transports run one typed core (`wfms_serve::Tenant`): the
+//! one-shot CLI calls it in-process on the documents it read, with no
+//! envelope; the daemon receives a [`Request`] as one line of JSON over
+//! TCP, decodes its params, calls the same core and writes the
+//! [`Response`] back as one line of JSON. A clean one-shot CLI result
+//! is therefore byte-identical to what a daemon client receives for the
+//! same inputs.
 //!
 //! ## Framing
 //!
@@ -129,8 +129,7 @@ pub fn is_retryable(kind: &str) -> bool {
 
 // ------------------------------------------------------------ envelope
 
-/// One request envelope: a line of JSON sent to the server (or built
-/// in-process by the CLI).
+/// One request envelope: a line of JSON sent to the server.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Request {
     /// Protocol version; see [`PROTOCOL_VERSION`].
@@ -494,7 +493,7 @@ pub struct HealthResult {
     /// Bounded-queue gauges (same values as under `metrics`).
     pub queue: QueueGauges,
     /// Per-tenant circuit-breaker states, in tenant order. Empty when
-    /// breakers are disabled (the one-shot in-process handler).
+    /// breakers are disabled (`--breaker-threshold 0`).
     pub breakers: Vec<BreakerStatus>,
     /// Worker panics contained by the watchdog since startup.
     pub worker_panics: u64,

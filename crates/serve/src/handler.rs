@@ -1,50 +1,36 @@
-//! The shared request handler: one typed API under two transports.
+//! The daemon's JSON methods.
 //!
 //! [`Handler::handle`] maps a [`wfms_proto::Request`] to a
-//! [`wfms_proto::Response`]. The CLI calls it in-process for one-shot
-//! `assess` / `recommend` invocations; the TCP daemon calls it per
-//! request line. Tenant state — a warm [`AssessmentEngine`] whose
-//! record and block caches amortize across requests — lives inside the
-//! handler, keyed by the client-supplied tenant id and bounded by an LRU
-//! cap.
+//! [`wfms_proto::Response`]; the TCP daemon calls it per request line.
+//! Its `assess` and `recommend` are shells around the typed core of
+//! [`crate::tenant`], which the one-shot CLI calls in-process: decode
+//! the params, find the tenant by fingerprint, call the core, encode
+//! its answer. Tenant state — a warm [`Tenant`] whose engine's record
+//! and block caches amortize across requests — lives inside the
+//! handler, keyed by the client-supplied tenant id and bounded by an
+//! LRU cap.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
-use wfms_core::config::{AnnealingOptions, AssessmentEngine, Goals, SearchOptions, SearchResult};
-use wfms_core::perf::WorkflowAnalysis;
+use wfms_core::config::{Goals, SearchOptions};
 use wfms_core::{Configuration, ServerTypeRegistry, WorkflowSpec};
 use wfms_proto::{
     AssessParams, AssessResult, HealthResult, LintParams, LintResult, MetricsResult, PerTypeWait,
     ProfileSnapshotResult, QueueGauges, RecommendParams, RecommendResult, Request, Response,
-    ShutdownResult, TenantGauges, TurnaroundSummary, ERR_INVALID_PARAMS, ERR_LINT, ERR_TOOL,
-    ERR_UNAVAILABLE, ERR_UNKNOWN_METHOD, ERR_UNSUPPORTED_VERSION, METHOD_ASSESS, METHOD_HEALTH,
-    METHOD_LINT, METHOD_METRICS, METHOD_PROFILE_SNAPSHOT, METHOD_RECOMMEND, METHOD_SHUTDOWN,
-    PROTOCOL_VERSION,
+    ShutdownResult, TenantGauges, ERR_INVALID_PARAMS, ERR_LINT, ERR_TOOL, ERR_UNAVAILABLE,
+    ERR_UNKNOWN_METHOD, ERR_UNSUPPORTED_VERSION, METHOD_ASSESS, METHOD_HEALTH, METHOD_LINT,
+    METHOD_METRICS, METHOD_PROFILE_SNAPSHOT, METHOD_RECOMMEND, METHOD_SHUTDOWN, PROTOCOL_VERSION,
 };
 
 use crate::resilience::{Admission, BreakerPolicy, BreakerRegistry};
-
-/// One workflow type plus its arrival rate, as stored in a workload
-/// file (and carried inline in `assess` / `recommend` / `lint` params).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WorkloadEntry {
-    /// Arrival rate ξ in instances per minute.
-    pub arrival_rate: f64,
-    /// The workflow specification.
-    pub spec: WorkflowSpec,
-}
-
-/// The on-disk workload file: the "workflow repository" of Sec. 7.1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WorkloadFile {
-    /// All registered workflow types.
-    pub workflows: Vec<WorkloadEntry>,
-}
+use crate::tenant::{
+    build_goals, resolve_per_type_waits, search_options, MethodError, Tenant, WorkloadFile,
+};
 
 /// A method failure before it is wrapped into a [`Response`]: a stable
 /// `ERR_*` kind plus the message the CLI would print for the same
@@ -61,17 +47,21 @@ impl Failure {
             message: message.into(),
         }
     }
+}
 
-    /// A configuration-tool failure; the message is exactly the
-    /// `ConfigError` display text the one-shot CLI surfaces.
-    fn tool(err: wfms_core::ConfigError) -> Failure {
-        Failure::new(ERR_TOOL, err.to_string())
+impl From<MethodError> for Failure {
+    fn from(e: MethodError) -> Failure {
+        let kind = match e {
+            MethodError::Tool(_) => ERR_TOOL,
+            MethodError::InvalidParams(_) => ERR_INVALID_PARAMS,
+        };
+        Failure::new(kind, e.to_string())
     }
 }
 
 /// Queue gauges shared between the daemon's accept loop (which updates
 /// them) and the handler's `metrics` method (which reports them). A
-/// one-shot in-process handler leaves them at zero.
+/// handler outside the daemon leaves them at zero.
 #[derive(Debug, Default)]
 pub struct QueueTelemetry {
     depth: AtomicU64,
@@ -113,56 +103,18 @@ impl QueueTelemetry {
     }
 }
 
-/// One tenant's warm state: the memoizing engine (which owns the
-/// registry) and each workflow's spec name and analysis in workload
-/// order, plus the fingerprint of the inputs they were built from.
-/// Shared via `Arc` so concurrent requests against one tenant run on
-/// the same engine (the engine is `Sync`).
-struct TenantState {
-    fingerprint: String,
-    engine: AssessmentEngine,
-    workflows: Vec<(String, WorkflowAnalysis)>,
-    /// Each workflow's turnaround mean and p90, which depend on the
-    /// workload alone: computed on the tenant's first `assess`, never
-    /// on a `recommend`. Only a success is stored, so a failed
-    /// computation is retried by the next `assess`.
-    turnarounds: OnceLock<Vec<TurnaroundSummary>>,
-}
-
-impl TenantState {
-    /// The turnaround summaries, computed once (the transient analysis
-    /// of Sec. 4.1, extended to percentiles). Two racing first requests
-    /// may both compute them; the results are equal and one is kept.
-    fn turnarounds(&self) -> Result<&[TurnaroundSummary], Failure> {
-        if let Some(done) = self.turnarounds.get() {
-            return Ok(done);
-        }
-        let perf = |e| Failure::tool(wfms_core::ConfigError::Perf(e));
-        let mut computed = Vec::with_capacity(self.workflows.len());
-        for (name, analysis) in &self.workflows {
-            let dist =
-                wfms_core::perf::TurnaroundDistribution::new(analysis, 1e-9).map_err(perf)?;
-            computed.push(TurnaroundSummary {
-                workflow: name.clone(),
-                mean_minutes: dist.mean(),
-                p90_minutes: dist.percentile(0.9).map_err(perf)?,
-            });
-        }
-        Ok(self.turnarounds.get_or_init(|| computed))
-    }
-}
-
-/// A tenant-map slot: the state plus its last-use stamp for LRU
-/// eviction.
+/// A tenant-map slot: the tenant, the fingerprint of the inputs it was
+/// built from, and its last-use stamp for LRU eviction.
 struct TenantSlot {
     stamp: u64,
-    state: Arc<TenantState>,
+    fingerprint: String,
+    tenant: Arc<Tenant>,
 }
 
 /// The tenant a request without an explicit tenant id lands on.
 const DEFAULT_TENANT: &str = "default";
 
-/// The shared request handler; see the module docs.
+/// The daemon's request handler; see the module docs.
 pub struct Handler {
     capacity: usize,
     tenants: Mutex<BTreeMap<String, TenantSlot>>,
@@ -204,8 +156,7 @@ impl Handler {
     }
 
     /// Installs the per-tenant circuit-breaker policy. A threshold of
-    /// `0` (the [`Handler::new`] default) disables breakers, which is
-    /// what keeps the one-shot in-process CLI path byte-identical.
+    /// `0` (the [`Handler::new`] default) disables breakers.
     pub fn set_breaker_policy(&self, policy: BreakerPolicy) {
         self.breakers.set_policy(policy);
     }
@@ -251,7 +202,7 @@ impl Handler {
     pub fn tenant_cache_hits(&self, tenant: &str) -> Option<u64> {
         lock(&self.tenants)
             .get(tenant)
-            .map(|slot| slot.state.engine.cache_stats().hits)
+            .map(|slot| slot.tenant.engine().cache_stats().hits)
     }
 
     /// Maps one request to its response. Never panics on malformed
@@ -332,27 +283,26 @@ impl Handler {
             ("solver_tol", params.solver_tol.is_some()),
             ("solver_max_iter", params.solver_max_iter.is_some()),
         ])?;
-        let per_type =
-            resolve_per_type_goals(&params.registry, params.per_type_max_wait.as_deref())?;
-        let goals = build_goals(params.max_wait, params.min_availability, per_type)?;
-        let opts = SearchOptions::builder()
-            .strict(params.strict.unwrap_or(false))
-            .build();
-        let state = self.tenant_state(
+        let goals = request_goals(
+            &params.registry,
+            params.max_wait,
+            params.min_availability,
+            params.per_type_max_wait.as_deref(),
+        )?;
+        let opts = search_options(None, params.strict.unwrap_or(false));
+        let tenant = self.tenant(
             tenant_key(request),
             &params.registry,
             &params.workload,
             &goals,
             opts,
         )?;
-        let config = Configuration::new(state.engine.registry(), params.config)
-            .map_err(|e| Failure::tool(wfms_core::ConfigError::Arch(e)))?;
-        let assessment = state.engine.assess(&config).map_err(Failure::tool)?;
+        let assessed = tenant.assess(params.config)?;
         encode(&AssessResult {
-            configuration: config.to_string(),
-            server_types: server_type_names(state.engine.registry()),
-            assessment: encode(&assessment)?,
-            turnarounds: state.turnarounds()?.to_vec(),
+            configuration: assessed.configuration,
+            server_types: assessed.server_types,
+            assessment: encode(&assessed.assessment)?,
+            turnarounds: assessed.turnarounds.to_vec(),
         })
     }
 
@@ -367,48 +317,30 @@ impl Handler {
             ("rank_moves", params.rank_moves.is_some()),
             ("incremental", params.incremental.is_some()),
         ])?;
-        let per_type =
-            resolve_per_type_goals(&params.registry, params.per_type_max_wait.as_deref())?;
-        let goals = build_goals(params.max_wait, params.min_availability, per_type)?;
+        let goals = request_goals(
+            &params.registry,
+            params.max_wait,
+            params.min_availability,
+            params.per_type_max_wait.as_deref(),
+        )?;
         let search = params.search.as_deref().unwrap_or("greedy");
         // `params.jobs` is accepted and ignored: every search runs on
         // this worker's thread.
-        let opts = SearchOptions::builder()
-            .max_total_servers(params.budget.unwrap_or(64) as usize)
-            .strict(params.strict.unwrap_or(false))
-            .build();
-        let state = self.tenant_state(
+        let opts = search_options(params.budget, params.strict.unwrap_or(false));
+        let tenant = self.tenant(
             tenant_key(request),
             &params.registry,
             &params.workload,
             &goals,
             opts,
         )?;
-        let result: SearchResult = match search {
-            "greedy" => state.engine.greedy().map_err(Failure::tool)?,
-            "exhaustive" => state.engine.exhaustive().map_err(Failure::tool)?,
-            "branch-and-bound" => state.engine.branch_and_bound().map_err(Failure::tool)?,
-            "annealing" => {
-                let annealing = AnnealingOptions {
-                    seed: params.seed.unwrap_or(42),
-                    ..AnnealingOptions::default()
-                };
-                state.engine.annealing(&annealing).map_err(Failure::tool)?
-            }
-            other => {
-                return Err(Failure::new(
-                    ERR_INVALID_PARAMS,
-                    format!(
-                        "unknown search {other:?} (expected greedy, exhaustive, \
-                         branch-and-bound, or annealing)"
-                    ),
-                ))
-            }
-        };
-        let configuration =
-            Configuration::new(state.engine.registry(), result.assessment.replicas.clone())
-                .map(|c| c.to_string())
-                .unwrap_or_default();
+        let result = tenant.recommend(search, params.seed)?;
+        let configuration = Configuration::new(
+            tenant.engine().registry(),
+            result.assessment.replicas.clone(),
+        )
+        .map(|c| c.to_string())
+        .unwrap_or_default();
         encode(&RecommendResult {
             search: search.to_string(),
             configuration,
@@ -452,7 +384,7 @@ impl Handler {
         let tenants = lock(&self.tenants)
             .iter()
             .map(|(tenant, slot)| {
-                let stats = slot.state.engine.cache_stats();
+                let stats = slot.tenant.engine().cache_stats();
                 TenantGauges {
                     tenant: tenant.clone(),
                     state_entries: stats.state_entries as u64,
@@ -488,46 +420,45 @@ impl Handler {
     // ------------------------------------------------- tenant engines
 
     /// Returns the tenant's warm state, rebuilding it when the request
-    /// inputs differ from what the warm engine was built from. The
-    /// (potentially expensive) build runs outside the map lock, so slow
-    /// cold starts never serialize other tenants.
-    fn tenant_state(
+    /// inputs differ from what the warm engine was built from. Only a
+    /// rebuild decodes the documents; the (potentially expensive) build
+    /// runs outside the map lock, so slow cold starts never serialize
+    /// other tenants.
+    fn tenant(
         &self,
-        tenant: &str,
+        key: &str,
         registry: &Value,
         workload: &Value,
         goals: &Goals,
         opts: SearchOptions,
-    ) -> Result<Arc<TenantState>, Failure> {
-        let fingerprint = fingerprint(registry, workload, goals, &opts)?;
+    ) -> Result<Arc<Tenant>, Failure> {
+        let fingerprint = fingerprint(registry, workload, goals, &opts);
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        if let Some(slot) = lock(&self.tenants).get_mut(tenant) {
-            if slot.state.fingerprint == fingerprint {
+        if let Some(slot) = lock(&self.tenants).get_mut(key) {
+            if slot.fingerprint == fingerprint {
                 slot.stamp = stamp;
-                return Ok(Arc::clone(&slot.state));
+                return Ok(Arc::clone(&slot.tenant));
             }
         }
-        let built = Arc::new(build_tenant_state(
-            fingerprint,
-            registry,
-            workload,
-            goals,
-            opts,
-        )?);
+        let registry: ServerTypeRegistry = decode_doc("registry", registry)?;
+        let workload: WorkloadFile = decode_doc("workload", workload)?;
+        let tool = workload.into_tool(registry).map_err(MethodError::Tool)?;
+        let built = Arc::new(Tenant::new(&tool, goals, opts)?);
         let mut tenants = lock(&self.tenants);
         // A racing request may have built the same state first; keep
         // theirs so both requests share one warm engine.
-        if let Some(slot) = tenants.get_mut(tenant) {
-            if slot.state.fingerprint == built.fingerprint {
+        if let Some(slot) = tenants.get_mut(key) {
+            if slot.fingerprint == fingerprint {
                 slot.stamp = stamp;
-                return Ok(Arc::clone(&slot.state));
+                return Ok(Arc::clone(&slot.tenant));
             }
         }
         tenants.insert(
-            tenant.to_string(),
+            key.to_string(),
             TenantSlot {
                 stamp,
-                state: Arc::clone(&built),
+                fingerprint,
+                tenant: Arc::clone(&built),
             },
         );
         while tenants.len() > self.capacity {
@@ -544,107 +475,42 @@ impl Handler {
     }
 }
 
-/// Builds one tenant's engine and workflow analyses from inline
-/// registry/workload documents, analyzing each workflow once.
-fn build_tenant_state(
-    fingerprint: String,
-    registry: &Value,
-    workload: &Value,
-    goals: &Goals,
-    opts: SearchOptions,
-) -> Result<TenantState, Failure> {
-    let registry: ServerTypeRegistry = decode_doc("registry", registry)?;
-    let workload: WorkloadFile = decode_doc("workload", workload)?;
-    let workflows = workload
-        .workflows
-        .into_iter()
-        .map(|entry| (entry.spec, entry.arrival_rate));
-    let (engine, workflows) =
-        wfms_core::analyzed_engine(registry, workflows, goals, opts).map_err(Failure::tool)?;
-    Ok(TenantState {
-        fingerprint,
-        engine,
-        workflows,
-        turnarounds: OnceLock::new(),
-    })
-}
-
-/// The engine-defining inputs, serialized canonically: two requests
-/// with equal fingerprints may share a warm engine (the candidate
-/// `config` and per-call annealing seed are deliberately excluded —
-/// cache entries are keyed by state vector and deterministic).
-fn fingerprint(
-    registry: &Value,
-    workload: &Value,
-    goals: &Goals,
-    opts: &SearchOptions,
-) -> Result<String, Failure> {
-    let parts = [
-        encode(registry)?,
-        encode(workload)?,
-        encode(goals)?,
-        encode(opts)?,
-    ];
-    let rendered: Vec<String> = parts
-        .iter()
-        .map(|v| serde_json::to_string(v).unwrap_or_default())
-        .collect();
-    Ok(rendered.join("\u{1f}"))
+/// The engine-defining inputs, rendered canonically: two requests with
+/// equal fingerprints may share a warm engine (the candidate `config`
+/// and per-call annealing seed are deliberately excluded — cache
+/// entries are keyed by state vector and deterministic). Each document
+/// is rendered straight from the request's value.
+fn fingerprint(registry: &Value, workload: &Value, goals: &Goals, opts: &SearchOptions) -> String {
+    [
+        registry.to_string(),
+        workload.to_string(),
+        serde_json::to_string(goals).unwrap_or_default(),
+        serde_json::to_string(opts).unwrap_or_default(),
+    ]
+    .join("\u{1f}")
 }
 
 fn tenant_key(request: &Request) -> &str {
     request.tenant.as_deref().unwrap_or(DEFAULT_TENANT)
 }
 
-fn server_type_names(registry: &ServerTypeRegistry) -> Vec<String> {
-    registry.iter().map(|(_, t)| t.name.clone()).collect()
-}
-
-fn build_goals(
+/// The goals an `assess` or `recommend` request names. The registry
+/// document is decoded only when per-type goals ride the request, to
+/// resolve their server-type names; without them nothing is decoded.
+fn request_goals(
+    registry: &Value,
     max_wait: Option<f64>,
     min_availability: Option<f64>,
-    per_type_waiting: Vec<(usize, f64)>,
-) -> Result<Goals, Failure> {
-    let goals = Goals {
-        max_waiting_time: max_wait,
-        min_availability,
-        per_type_waiting,
-    };
-    goals.validate().map_err(Failure::tool)?;
-    Ok(goals)
-}
-
-/// Resolves named per-type waiting goals (`per_type_max_wait`) against
-/// the registry document into the index-keyed form [`Goals`] carries.
-/// Later entries for the same type override earlier ones; the result is
-/// index-sorted so equal goal sets fingerprint identically regardless
-/// of client-supplied order. Returns an empty vector — and decodes
-/// nothing — when no per-type goals ride the request, keeping the
-/// historical clean path untouched.
-fn resolve_per_type_goals(
-    registry: &Value,
     per_type: Option<&[PerTypeWait]>,
-) -> Result<Vec<(usize, f64)>, Failure> {
-    let Some(entries) = per_type.filter(|e| !e.is_empty()) else {
-        return Ok(Vec::new());
+) -> Result<Goals, Failure> {
+    let per_type = match per_type {
+        Some(entries) if !entries.is_empty() => {
+            let registry: ServerTypeRegistry = decode_doc("registry", registry)?;
+            resolve_per_type_waits(&registry, entries)?
+        }
+        _ => Vec::new(),
     };
-    let registry: ServerTypeRegistry = decode_doc("registry", registry)?;
-    let mut resolved: BTreeMap<usize, f64> = BTreeMap::new();
-    for entry in entries {
-        let id = registry.find_by_name(&entry.server_type).ok_or_else(|| {
-            let known: Vec<String> = registry.iter().map(|(_, t)| t.name.clone()).collect();
-            Failure::new(
-                ERR_INVALID_PARAMS,
-                format!(
-                    "per_type_max_wait names unknown server type {:?} (registered: {})",
-                    entry.server_type,
-                    known.join(", ")
-                ),
-            )
-        })?;
-        resolved.insert(id.0, entry.max_wait);
-    }
-    Ok(resolved.into_iter().collect())
+    Ok(build_goals(max_wait, min_availability, per_type)?)
 }
 
 /// Refuses a request that still sets an engine switch the protocol
@@ -665,16 +531,15 @@ fn refuse_removed_fields(fields: &[(&str, bool)]) -> Result<(), Failure> {
     }
 }
 
+/// Decodes request params from the request's own value (no copy of it).
 fn decode_params<T: for<'de> Deserialize<'de>>(params: &Value) -> Result<T, Failure> {
-    serde_json::from_value(params.clone())
-        .map_err(|e| Failure::new(ERR_INVALID_PARAMS, e.to_string()))
+    T::from_value(params).map_err(|e| Failure::new(ERR_INVALID_PARAMS, e.to_string()))
 }
 
 /// Decodes an inline registry/workload document, labelling failures
 /// with which document was malformed.
 fn decode_doc<T: for<'de> Deserialize<'de>>(what: &str, doc: &Value) -> Result<T, Failure> {
-    serde_json::from_value(doc.clone())
-        .map_err(|e| Failure::new(ERR_INVALID_PARAMS, format!("{what}: {e}")))
+    T::from_value(doc).map_err(|e| Failure::new(ERR_INVALID_PARAMS, format!("{what}: {e}")))
 }
 
 /// Serializes a result payload; serialization failures surface as

@@ -1,7 +1,8 @@
 //! # wfms-serve
 //!
 //! The persistent multi-tenant assessment daemon behind `wfms serve`,
-//! and the shared request handler both transports dispatch through.
+//! and the typed core of `assess` and `recommend` that both transports
+//! call.
 //!
 //! The paper's configuration tool is naturally interactive: an
 //! administrator iterates over candidate configurations, goals, and
@@ -10,13 +11,19 @@
 //! repeat questions from its caches (per-type records on the exact
 //! default path). This crate keeps engines warm:
 //!
-//! * [`Handler`] — the transport-independent API layer. It maps a
+//! * [`Tenant`] — the typed core: one engine plus each workflow's
+//!   analysis, built from typed documents and goals ([`build_goals`],
+//!   [`resolve_per_type_waits`], [`search_options`]), answering
+//!   [`Tenant::assess`] and [`Tenant::recommend`] with typed results.
+//!   The CLI's one-shot `assess` / `recommend` commands call it
+//!   in-process on the documents they read; the daemon's JSON methods
+//!   wrap it. Both therefore run one implementation of every method,
+//!   and results are bit-identical regardless of transport or cache
+//!   warmth (the engine's determinism contract).
+//! * [`Handler`] — the JSON methods. It maps a
 //!   [`wfms_proto::Request`] to a [`wfms_proto::Response`], holding one
-//!   warm engine per client-supplied tenant id (LRU-bounded). The CLI's
-//!   one-shot `assess` / `recommend` commands call it in-process; the
-//!   daemon calls it per request line. Both therefore speak the exact
-//!   same typed API, and results are bit-identical regardless of
-//!   transport or cache warmth (the engine's determinism contract).
+//!   warm tenant per client-supplied tenant id (LRU-bounded), and the
+//!   daemon calls it per request line.
 //! * [`serve`] — the dependency-free line-JSON-over-TCP transport:
 //!   a bounded connection queue with backpressure (full queue ⇒ an
 //!   `overloaded` error response, never unbounded memory), a fixed
@@ -30,7 +37,12 @@
 mod daemon;
 mod handler;
 mod resilience;
+mod tenant;
 
 pub use daemon::{serve, ServeError, ServeOptions};
-pub use handler::{Handler, QueueTelemetry, WorkloadEntry, WorkloadFile};
+pub use handler::{Handler, QueueTelemetry};
 pub use resilience::{Admission, BreakerPolicy, BreakerRegistry};
+pub use tenant::{
+    build_goals, resolve_per_type_waits, search_options, Assessed, MethodError, Tenant,
+    WorkloadEntry, WorkloadFile,
+};

@@ -9,8 +9,8 @@
 //!
 //! The registry is cheap when disabled (threshold `0`): every check is
 //! one map lookup under the handler's existing locking discipline, and
-//! no breaker state is ever created, so the one-shot in-process CLI
-//! path is untouched.
+//! no breaker state is ever created. The one-shot CLI never meets a
+//! breaker: it calls the typed core directly, not the handler.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};

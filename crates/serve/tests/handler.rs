@@ -1,4 +1,4 @@
-//! Integration tests for the shared request handler: warm/cold
+//! Integration tests for the daemon's request handler: warm/cold
 //! byte-identity, the per-tenant LRU bound, and the typed error
 //! vocabulary — everything short of the TCP transport, which the CLI
 //! crate's lifecycle tests cover against the spawned binary.

@@ -265,7 +265,7 @@ fn record(sites: &mut Sites, name: &str, file: &SourceFile, line: usize) {
         .or_insert_with(|| (file.rel.clone(), line));
 }
 
-/// A failpoint site is dotted lowercase (`linalg.sor`,
+/// A failpoint site is dotted lowercase (`linalg.dense-lu`,
 /// `engine.state-cache-fill`).
 fn is_site_name(name: &str) -> bool {
     name.contains('.')

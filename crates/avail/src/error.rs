@@ -47,12 +47,6 @@ pub enum AvailError {
         /// Replica count the configuration requires.
         config_replicas: usize,
     },
-    /// A solver backend was asked to handle a repair policy whose chain
-    /// it cannot represent (the product form needs independent repair).
-    UnsupportedPolicy {
-        /// The backend that rejected the policy.
-        backend: &'static str,
-    },
     /// Underlying Markov-chain failure.
     Chain(ChainError),
     /// Architectural-model failure.
@@ -92,12 +86,6 @@ impl fmt::Display for AvailError {
                     f,
                     "birth-death block for type {type_index} was built for \
                      {block_replicas} replicas, configuration has {config_replicas}"
-                )
-            }
-            AvailError::UnsupportedPolicy { backend } => {
-                write!(
-                    f,
-                    "the {backend} backend requires the independent-repair policy"
                 )
             }
             AvailError::Chain(e) => write!(f, "Markov analysis error: {e}"),

@@ -16,7 +16,6 @@ pub mod error;
 pub mod model;
 pub mod phase;
 pub mod product_form;
-pub mod sparse_model;
 pub mod state_space;
 
 pub use blocks::BirthDeathBlock;
@@ -29,5 +28,4 @@ pub use phase::{single_repairman_type_unavailability, system_unavailability_with
 pub use product_form::{
     availability_gain, select_backend, steady_state_marginal, AvailBackend, ProductFormModel,
 };
-pub use sparse_model::{SparseAvailabilityModel, SPARSE_STATE_CAP};
 pub use state_space::StateSpace;

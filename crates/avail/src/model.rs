@@ -46,8 +46,8 @@ pub struct AvailabilityModel {
 }
 
 /// Safety cap on the dense state space: the generator is materialized as
-/// an `n x n` dense matrix, so this bounds memory at ~130 MB. For larger
-/// spaces use [`crate::sparse_model::SparseAvailabilityModel`].
+/// an `n x n` dense matrix, so this bounds memory at ~130 MB. The
+/// product form ([`crate::ProductFormModel`]) answers any size exactly.
 pub const DEFAULT_STATE_CAP: usize = 4_096;
 
 impl AvailabilityModel {

@@ -1,6 +1,6 @@
-//! Product-form availability solver for independent repair (Sec. 5).
+//! Product-form availability solver (Sec. 5).
 //!
-//! Under [`RepairPolicy::Independent`] the availability CTMC is a
+//! Under both [`RepairPolicy`] variants the availability CTMC is a
 //! *product* of per-type reversible birth–death chains: the stationary
 //! probability of a system state `X` factorizes into
 //!
@@ -23,14 +23,12 @@
 //!   performability reward one type at a time and never materializes
 //!   the `Π_x (Y_x + 1)` joint states.
 //!
-//! The single-repairman policy does **not** factorize per replica;
-//! [`select_backend`] routes such chains to the sparse Gauss–Seidel
-//! model instead.
+//! The model reads every marginal through [`steady_state_marginal`], so
+//! its availability is bit-identical to the engine's, and it is the
+//! only availability solver production code runs; the dense LU model
+//! ([`crate::AvailabilityModel`]) is its test oracle.
 
-use std::str::FromStr;
 use std::sync::Arc;
-
-use serde::{Deserialize, Serialize};
 
 use wfms_statechart::{Configuration, ServerTypeId, ServerTypeRegistry};
 
@@ -39,63 +37,35 @@ use crate::error::AvailError;
 use crate::model::{RepairPolicy, DEFAULT_STATE_CAP};
 use crate::state_space::StateSpace;
 
-/// Which steady-state solver evaluates the availability chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+/// The solver names of the benchmark harness's replay, which checks
+/// that every candidate it replays resolves to `Dense`. No production
+/// path picks a solver: every availability chain is answered in product
+/// form ([`ProductFormModel`]). This enum and [`select_backend`] stay
+/// only until that replay stops naming them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AvailBackend {
-    /// Pick automatically: the product form when the policy factorizes
-    /// and the caller tolerates truncation (`ε > 0`), else the exact
-    /// dense path up to [`DEFAULT_STATE_CAP`] states, else sparse
-    /// Gauss–Seidel.
-    #[default]
+    /// Resolve by [`select_backend`]'s rule.
     Auto,
     /// The dense generator and LU solve over every state
     /// ([`crate::AvailabilityModel`]).
     Dense,
-    /// Transposed-CSR generator + sparse Gauss–Seidel sweeps.
+    /// A sparse Gauss–Seidel solve, since removed: the name `Auto`
+    /// resolves to past [`DEFAULT_STATE_CAP`] states.
     Sparse,
-    /// Closed-form per-type marginals and exact availability
-    /// ([`ProductFormModel`]). Independent repair only.
+    /// Closed-form per-type marginals ([`ProductFormModel`]).
     Product,
 }
 
-impl std::fmt::Display for AvailBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            AvailBackend::Auto => "auto",
-            AvailBackend::Dense => "dense",
-            AvailBackend::Sparse => "sparse",
-            AvailBackend::Product => "product",
-        };
-        write!(f, "{name}")
-    }
-}
-
-impl FromStr for AvailBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(AvailBackend::Auto),
-            "dense" => Ok(AvailBackend::Dense),
-            "sparse" => Ok(AvailBackend::Sparse),
-            "product" => Ok(AvailBackend::Product),
-            other => Err(format!(
-                "unknown availability backend '{other}' (expected auto, dense, sparse, or product)"
-            )),
-        }
-    }
-}
-
-/// Resolves a requested backend to a concrete one for a chain with
-/// `states` system states under `policy`, given the caller's truncation
-/// tolerance `epsilon`.
+/// Resolves a requested backend for a chain with `states` system states
+/// under `policy`, given a truncation tolerance `epsilon`: the rule the
+/// assessment engine followed before it answered every candidate in
+/// product form.
 ///
-/// `Auto` prefers the product form whenever the policy factorizes and
-/// the caller opted into truncation (`ε > 0`); with `ε = 0` it keeps
-/// the exact, exhaustive dense path while it fits under
-/// [`DEFAULT_STATE_CAP`], falling back to the sparse model beyond.
-/// An explicit `Product` request under a non-factorizing policy
-/// degrades to `Sparse` — the documented single-repairman fallback.
+/// `Auto` is `Product` for independent repair at `ε > 0`, else `Dense`
+/// up to [`DEFAULT_STATE_CAP`] states and `Sparse` beyond. An explicit
+/// `Product` under single-repairman repair resolves to `Sparse`.
+///
+/// Kept only for the benchmark harness's replay; see [`AvailBackend`].
 pub fn select_backend(
     requested: AvailBackend,
     policy: RepairPolicy,
@@ -122,7 +92,7 @@ pub fn select_backend(
 }
 
 /// Product-form availability model: the `k` closed-form per-type
-/// marginals of an independent-repair chain. See the module docs.
+/// marginals of the availability chain. See the module docs.
 #[derive(Debug, Clone)]
 pub struct ProductFormModel {
     config: Configuration,
@@ -159,14 +129,15 @@ impl ProductFormModel {
         Self::from_blocks(config, &blocks)
     }
 
-    /// Builds the model from pre-tabulated blocks.
+    /// Builds the model from pre-tabulated blocks of either repair
+    /// policy, reading each type's marginal through
+    /// [`steady_state_marginal`].
     ///
     /// # Errors
-    /// * [`AvailError::UnsupportedPolicy`] when any block encodes a
-    ///   non-independent repair ladder — the chain then has no product
-    ///   form (use the sparse model).
     /// * [`AvailError::BlockMismatch`] / [`AvailError::Arch`] when the
     ///   blocks do not match `config`.
+    /// * [`AvailError::Chain`] under error injection at
+    ///   `avail.steady-state`.
     pub fn from_blocks(
         config: &Configuration,
         blocks: &[Arc<BirthDeathBlock>],
@@ -183,9 +154,6 @@ impl ProductFormModel {
             ));
         }
         for (j, block) in blocks.iter().enumerate() {
-            if block.policy() != RepairPolicy::Independent {
-                return Err(AvailError::UnsupportedPolicy { backend: "product" });
-            }
             if block.replicas() != config.as_slice()[j] {
                 return Err(AvailError::BlockMismatch {
                     type_index: j,
@@ -195,7 +163,11 @@ impl ProductFormModel {
             }
         }
         let _obs_span = wfms_obs::span!("avail-product-form", states = space.len(), types = k);
-        let marginals = blocks.iter().map(|b| b.marginal_distribution()).collect();
+        wfms_obs::gauge("avail.state-space.size", space.len() as f64);
+        let marginals = blocks
+            .iter()
+            .map(|b| steady_state_marginal(b))
+            .collect::<Result<_, _>>()?;
         Ok(ProductFormModel {
             config: config.clone(),
             space,
@@ -253,8 +225,8 @@ impl ProductFormModel {
 /// of the product form, and the whole availability solve of the
 /// assessment engine for that type.
 ///
-/// Shares the `avail.steady-state` failpoint with the dense and sparse
-/// models: error injection surfaces as a solver non-convergence, NaN
+/// Shares the `avail.steady-state` failpoint with the dense model: error
+/// injection surfaces as a solver non-convergence, NaN
 /// injection poisons the all-down entry `m[0]`, which always reaches the
 /// availability product `Π_x (1 − m_x[0])`.
 ///
@@ -301,18 +273,8 @@ pub fn availability_gain(all_down_before: f64, all_down_after: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::model::{closed_form_unavailability, AvailabilityModel};
-    use crate::sparse_model::SparseAvailabilityModel;
     use wfms_markov::ctmc::SteadyStateMethod;
-    use wfms_markov::linalg::GaussSeidelOptions;
     use wfms_statechart::paper_section52_registry;
-
-    fn gs() -> GaussSeidelOptions {
-        GaussSeidelOptions {
-            tolerance: 1e-12,
-            max_iterations: 100_000,
-            relaxation: 1.0,
-        }
-    }
 
     #[test]
     fn backend_selection_rules() {
@@ -339,19 +301,6 @@ mod tests {
         // Explicit requests stick.
         assert_eq!(select_backend(Sparse, Independent, 27, 0.0), Sparse);
         assert_eq!(select_backend(Product, Independent, 27, 0.0), Product);
-    }
-
-    #[test]
-    fn backend_parses_and_displays_round_trip() {
-        for b in [
-            AvailBackend::Auto,
-            AvailBackend::Dense,
-            AvailBackend::Sparse,
-            AvailBackend::Product,
-        ] {
-            assert_eq!(b.to_string().parse::<AvailBackend>().unwrap(), b);
-        }
-        assert!("gauss".parse::<AvailBackend>().is_err());
     }
 
     #[test]
@@ -404,23 +353,41 @@ mod tests {
     }
 
     #[test]
-    fn single_repairman_blocks_are_rejected() {
+    fn single_repairman_product_matches_dense_lu() {
+        // One repair crew per type changes each type's marginal, not the
+        // factorization: the types still share no transition.
         let reg = paper_section52_registry();
-        let config = Configuration::uniform(&reg, 2).unwrap();
-        let blocks: Vec<Arc<BirthDeathBlock>> = reg
-            .iter()
-            .map(|(id, st)| {
-                Arc::new(BirthDeathBlock::for_type(
-                    st,
-                    config.as_slice()[id.0],
-                    RepairPolicy::SingleRepairmanPerType,
-                ))
-            })
-            .collect();
-        assert!(matches!(
-            ProductFormModel::from_blocks(&config, &blocks),
-            Err(AvailError::UnsupportedPolicy { backend: "product" })
-        ));
+        let policy = RepairPolicy::SingleRepairmanPerType;
+        for y in [vec![2, 1, 3], vec![3, 3, 3], vec![1, 4, 2], vec![5, 2, 4]] {
+            let config = Configuration::new(&reg, y).unwrap();
+            let blocks: Vec<Arc<BirthDeathBlock>> = reg
+                .iter()
+                .map(|(id, st)| {
+                    Arc::new(BirthDeathBlock::for_type(
+                        st,
+                        config.as_slice()[id.0],
+                        policy,
+                    ))
+                })
+                .collect();
+            let product = ProductFormModel::from_blocks(&config, &blocks).unwrap();
+            let dense = AvailabilityModel::with_policy(&reg, &config, policy).unwrap();
+            let pi_lu = dense.steady_state(SteadyStateMethod::Lu).unwrap();
+            for (idx, x) in product.state_space().iter() {
+                let p = product.state_probability(&x).unwrap();
+                assert!(
+                    (pi_lu[idx] - p).abs() <= 1e-15,
+                    "{config} state {x:?}: LU {:e} vs product {p:e}",
+                    pi_lu[idx]
+                );
+            }
+            let lu_availability = dense.availability(&pi_lu).unwrap();
+            assert!(
+                (product.availability() - lu_availability).abs() <= 1e-15,
+                "{config}: product {:e} vs LU {lu_availability:e}",
+                product.availability()
+            );
+        }
     }
 
     #[test]
@@ -442,19 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn product_matches_sparse_gauss_seidel() {
-        let reg = paper_section52_registry();
-        let config = Configuration::new(&reg, vec![3, 2, 3]).unwrap();
-        let sparse =
-            SparseAvailabilityModel::new(&reg, &config, RepairPolicy::Independent).unwrap();
-        let pi_gs = sparse.steady_state(gs()).unwrap();
-        let product = ProductFormModel::new(&reg, &config).unwrap();
-        for (idx, x) in product.state_space().iter() {
-            assert!((pi_gs[idx] - product.state_probability(&x).unwrap()).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn steady_state_marginal_is_the_blocks_marginal() {
         let reg = paper_section52_registry();
         let config = Configuration::new(&reg, vec![2, 1, 3]).unwrap();
@@ -472,10 +426,8 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::model::{closed_form_unavailability, AvailabilityModel};
-    use crate::sparse_model::SparseAvailabilityModel;
     use proptest::prelude::*;
     use wfms_markov::ctmc::SteadyStateMethod;
-    use wfms_markov::linalg::GaussSeidelOptions;
     use wfms_statechart::{ServerType, ServerTypeKind, ServerTypeRegistry};
 
     fn arbitrary_registry_and_config() -> impl Strategy<Value = (ServerTypeRegistry, Configuration)>
@@ -503,33 +455,27 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Satellite invariant: the product-form π matches both the
-        /// dense LU solve and the sparse Gauss–Seidel solve element-wise
-        /// under independent repair.
+        /// The product-form π matches the dense LU solve element-wise
+        /// under both repair policies.
         #[test]
-        fn product_pi_matches_dense_and_sparse(
+        fn product_pi_matches_dense_lu(
             (reg, config) in arbitrary_registry_and_config()
         ) {
-            let product = ProductFormModel::new(&reg, &config).unwrap();
-
-            let dense = AvailabilityModel::new(&reg, &config).unwrap();
-            let pi_lu = dense.steady_state(SteadyStateMethod::Lu).unwrap();
-
-            let sparse = SparseAvailabilityModel::new(
-                &reg, &config, RepairPolicy::Independent,
-            ).unwrap();
-            let pi_gs = sparse.steady_state(GaussSeidelOptions {
-                tolerance: 1e-12,
-                max_iterations: 100_000,
-                relaxation: 1.0,
-            }).unwrap();
-
-            for (idx, x) in product.state_space().iter() {
-                let p = product.state_probability(&x).unwrap();
-                prop_assert!((p - pi_lu[idx]).abs() < 1e-9,
-                    "idx {idx}: product {p:e} vs LU {:e}", pi_lu[idx]);
-                prop_assert!((p - pi_gs[idx]).abs() < 1e-9,
-                    "idx {idx}: product {p:e} vs GS {:e}", pi_gs[idx]);
+            for policy in [RepairPolicy::Independent, RepairPolicy::SingleRepairmanPerType] {
+                let blocks: Vec<Arc<BirthDeathBlock>> = reg
+                    .iter()
+                    .map(|(id, st)| {
+                        Arc::new(BirthDeathBlock::for_type(st, config.as_slice()[id.0], policy))
+                    })
+                    .collect();
+                let product = ProductFormModel::from_blocks(&config, &blocks).unwrap();
+                let dense = AvailabilityModel::with_policy(&reg, &config, policy).unwrap();
+                let pi_lu = dense.steady_state(SteadyStateMethod::Lu).unwrap();
+                for (idx, x) in product.state_space().iter() {
+                    let p = product.state_probability(&x).unwrap();
+                    prop_assert!((p - pi_lu[idx]).abs() < 1e-9,
+                        "{policy:?} idx {idx}: product {p:e} vs LU {:e}", pi_lu[idx]);
+                }
             }
         }
 

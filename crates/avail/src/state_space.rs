@@ -31,9 +31,10 @@ impl StateSpace {
         self.dims.len()
     }
 
-    /// Total number of system states `Π (Y_x + 1)`.
+    /// Total number of system states `Π (Y_x + 1)`, saturating at
+    /// `usize::MAX`, so a size cap compares against the true size.
     pub fn len(&self) -> usize {
-        self.dims.iter().product()
+        self.dims.iter().fold(1, |n: usize, &d| n.saturating_mul(d))
     }
 
     /// True for a degenerate zero-type space.
@@ -168,6 +169,26 @@ mod tests {
         assert_eq!(s.encode(&[0, 1, 0]).unwrap(), 3);
         assert_eq!(s.encode(&[2, 2, 2]).unwrap(), 26);
         assert_eq!(s.len(), 27);
+    }
+
+    #[test]
+    fn len_saturates_instead_of_wrapping() {
+        use wfms_statechart::{ServerType, ServerTypeKind, ServerTypeRegistry};
+        let mut reg = ServerTypeRegistry::new();
+        for i in 0..5 {
+            reg.register(ServerType::with_exponential_service(
+                format!("t{i}"),
+                ServerTypeKind::ApplicationServer,
+                1e-3,
+                0.1,
+                0.01,
+            ))
+            .unwrap();
+        }
+        // 65,536⁵ = 2⁸⁰ states: an unchecked product wraps to 0.
+        let config = Configuration::uniform(&reg, 65_535).unwrap();
+        assert_eq!(StateSpace::new(&config).len(), usize::MAX);
+        assert_eq!(StateSpace::new(&config).len(), config.system_state_count());
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! Solver micro-benchmarks: Gauss–Seidel (the paper's method) vs LU vs
-//! power iteration for the steady state of availability CTMCs of growing
-//! size, and for workflow first-passage systems.
+//! Solver micro-benchmarks on availability CTMCs of growing size: the
+//! product form (the solver every availability answer uses) against the
+//! dense LU oracle, Gauss–Seidel (the paper's method) and power
+//! iteration; and one whole workflow analysis, whose first-passage
+//! system is an LU solve.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use wfms_avail::AvailabilityModel;
+use wfms_avail::{AvailabilityModel, ProductFormModel};
 use wfms_markov::ctmc::SteadyStateMethod;
 use wfms_markov::linalg::GaussSeidelOptions;
 use wfms_statechart::{Configuration, ServerType, ServerTypeKind, ServerTypeRegistry};
@@ -32,6 +34,17 @@ fn bench_steady_state(c: &mut Criterion) {
         let config = Configuration::uniform(&reg, y).expect("valid");
         let model = AvailabilityModel::new(&reg, &config).expect("builds");
         let states = model.state_space().len();
+        group.bench_with_input(
+            BenchmarkId::new("product_form", format!("k{k}_y{y}_{states}states")),
+            &config,
+            |b, config| {
+                b.iter(|| {
+                    ProductFormModel::new(&reg, config)
+                        .expect("builds")
+                        .availability()
+                })
+            },
+        );
         group.bench_with_input(
             BenchmarkId::new("lu", format!("k{k}_y{y}_{states}states")),
             &model,

@@ -139,7 +139,7 @@ pub const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "availability",
-        options: &["registry", "config", "avail-backend"],
+        options: &["registry", "config"],
         flags: &["json"],
     },
     CommandSpec {

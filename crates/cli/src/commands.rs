@@ -10,14 +10,9 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use wfms_core::avail::{
-    select_backend, AvailBackend, ProductFormModel, RepairPolicy, SparseAvailabilityModel,
-    MINUTES_PER_YEAR,
-};
 use wfms_core::config::{
     move_sensitivities, sensitivity, Goals, SearchOptions, SensitivityOptions,
 };
-use wfms_core::markov::linalg::GaussSeidelOptions;
 use wfms_core::sim::{run as simulate, SimOptions};
 use wfms_core::statechart::{chart_to_dot, map_chart, mapping_to_dot};
 use wfms_core::statechart::{paper_section52_registry, validate_spec};
@@ -54,9 +49,9 @@ pub const REQUIRED_STAGES: &[&str] = &[
 pub const REQUIRED_COUNTERS: &[&str] = &["engine.cache-hit", "performability.state-evaluations"];
 
 /// Counters `profile --check` requires to STAY zero: a clean profiling
-/// run must never take a solver-fallback escalation or quarantine a
-/// candidate — if it does, the primary solver path is silently broken.
-pub const REQUIRED_ZERO_COUNTERS: &[&str] = &["solver.fallback", "config.quarantined"];
+/// run must never quarantine a candidate — if it does, the assessment
+/// path is silently broken.
+pub const REQUIRED_ZERO_COUNTERS: &[&str] = &["config.quarantined"];
 
 // The workload-file types moved into `wfms-serve` (both transports
 // decode them); re-exported here so the CLI's public API is unchanged.
@@ -202,20 +197,6 @@ fn parse_config(
     Ok(Configuration::new(registry, replicas).map_err(wfms_core::ConfigError::Arch)?)
 }
 
-/// `--avail-backend auto|dense|sparse|product` (default `auto`).
-fn parse_backend(args: &ParsedArgs) -> Result<AvailBackend, CliError> {
-    match args.get("avail-backend") {
-        None => Ok(AvailBackend::default()),
-        Some(raw) => raw.parse().map_err(|reason| {
-            CliError::Arg(ArgError::InvalidValue {
-                option: "avail-backend".into(),
-                value: raw.into(),
-                reason,
-            })
-        }),
-    }
-}
-
 /// Renders the graceful-degradation accounting of an assessment: failed
 /// evaluations charged at their pessimistic caps, one per
 /// `(type, up-count)` (a detail's state is `Y` with the failed type at
@@ -290,8 +271,9 @@ COMMANDS
                exits non-zero when errors are present
   analyze      --registry <file> --workload <file> [--json]
                per-workflow turnaround, request counts, percentiles
-  availability --registry <file> --config <y1,y2,..>
-               [--avail-backend auto|dense|sparse|product] [--json]
+  availability --registry <file> --config <y1,y2,..> [--json]
+               availability and yearly downtime in closed form, the
+               figure `assess` reports for the same configuration
   assess       --registry <file> --workload <file> --config <y1,..>
                [--max-wait <min>] [--max-wait-type <NAME=min,..>]
                [--min-availability <a>] [--strict] [--json]
@@ -321,8 +303,8 @@ COMMANDS
                time and solver iteration counts; --check fails when a
                required stage records no spans, a required counter
                (engine.cache-hit, performability.state-evaluations)
-               stays zero, or a must-stay-zero counter (solver.fallback,
-               config.quarantined) fires on the clean run;
+               stays zero, or a must-stay-zero counter
+               (config.quarantined) fires on the clean run;
                --baseline diffs each stage's share of total stage time
                against a committed baseline (a BENCH_obs.json map —
                pick the experiment with --baseline-key — or a saved
@@ -727,57 +709,28 @@ fn cmd_analyze(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> 
 #[derive(Debug, Serialize)]
 struct AvailabilityReport {
     configuration: Vec<usize>,
-    backend: String,
     availability: f64,
     downtime_minutes_per_year: f64,
 }
 
+/// `wfms availability`: [`ConfigurationTool::availability`], the
+/// product form over the same per-type marginals `wfms assess` reads.
 fn cmd_availability(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> {
     let registry = load_registry(args)?;
     let config = parse_config(args, &registry)?;
-    let backend = parse_backend(args)?;
-    // `auto` resolves by the chain's size: the dense LU solve up to the
-    // dense cap, sparse Gauss–Seidel beyond it. The report keeps the
-    // requested name.
-    let resolved = select_backend(
-        backend,
-        RepairPolicy::Independent,
-        config.system_state_count(),
-        0.0,
-    );
-    let availability = match resolved {
-        AvailBackend::Auto | AvailBackend::Dense => {
-            ConfigurationTool::new(registry)
-                .availability(&config)?
-                .availability
-        }
-        AvailBackend::Sparse => {
-            let model = SparseAvailabilityModel::new(&registry, &config, RepairPolicy::Independent)
-                .map_err(wfms_core::ConfigError::Avail)?;
-            let pi = model
-                .steady_state(GaussSeidelOptions::default())
-                .map_err(wfms_core::ConfigError::Avail)?;
-            model
-                .availability(&pi)
-                .map_err(wfms_core::ConfigError::Avail)?
-        }
-        AvailBackend::Product => ProductFormModel::new(&registry, &config)
-            .map_err(wfms_core::ConfigError::Avail)?
-            .availability(),
-    };
+    let figures = ConfigurationTool::new(registry).availability(&config)?;
     let report = AvailabilityReport {
         configuration: config.as_slice().to_vec(),
-        backend: backend.to_string(),
-        availability,
-        downtime_minutes_per_year: (1.0 - availability) * MINUTES_PER_YEAR,
+        availability: figures.availability,
+        downtime_minutes_per_year: figures.downtime_minutes_per_year,
     };
     if args.flag("json") {
         writeln!(out, "{}", render_json(&report)?)?;
     } else {
         writeln!(
             out,
-            "{config}: availability {:.8} ({:.2} min downtime/year, {} backend)",
-            report.availability, report.downtime_minutes_per_year, report.backend
+            "{config}: availability {:.8} ({:.2} min downtime/year)",
+            report.availability, report.downtime_minutes_per_year
         )?;
     }
     Ok(())

@@ -56,7 +56,7 @@ pub enum CliError {
         counter: &'static str,
     },
     /// `profile --check` found a must-stay-zero counter that fired: the
-    /// clean run degraded (solver fallback or quarantined candidate).
+    /// clean run degraded (a quarantined candidate).
     NonzeroCounter {
         /// The counter's name.
         counter: &'static str,

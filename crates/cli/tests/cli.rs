@@ -150,74 +150,143 @@ fn assess_reports_goal_outcome() {
 }
 
 #[test]
-fn availability_backends_agree() {
-    let dir = scenario("availability-backends");
-    let mut values = Vec::new();
-    for backend in ["auto", "dense", "sparse", "product"] {
-        let out = invoke(&[
-            "availability",
-            "--registry",
-            &dir.path("registry.json"),
-            "--config",
-            "2,2,3",
-            "--avail-backend",
-            backend,
-            "--json",
-        ])
-        .unwrap();
-        let parsed: serde_json::Value = serde_json::from_str(&out).expect("valid JSON");
-        assert_eq!(parsed["backend"].as_str().unwrap(), backend);
-        values.push(parsed["availability"].as_f64().unwrap());
-    }
-    for v in &values[1..] {
-        assert!((v - values[0]).abs() < 1e-9, "{values:?}");
-    }
-    // Past the 4,096-state dense cap `auto` resolves to sparse
-    // Gauss–Seidel (16,807 states here) and still prints its own name.
-    let enterprise = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../examples/specs/enterprise/registry.json"
-    );
-    let past_cap = |backend: &str| {
-        let out = invoke(&[
-            "availability",
-            "--registry",
-            enterprise,
-            "--config",
-            "6,6,6,6,6",
-            "--avail-backend",
-            backend,
-            "--json",
-        ])
-        .unwrap();
-        let parsed: serde_json::Value = serde_json::from_str(&out).expect("valid JSON");
-        assert_eq!(parsed["backend"].as_str().unwrap(), backend);
-        parsed["availability"].as_f64().unwrap()
-    };
-    let (auto, product) = (past_cap("auto"), past_cap("product"));
-    assert!(
-        (auto - product).abs() < 1e-12,
-        "auto {auto} vs product {product}"
-    );
-    let err = invoke(&[
+fn availability_answers_in_product_form_at_any_size() {
+    let dir = scenario("availability-product-form");
+    let text = invoke(&[
         "availability",
         "--registry",
         &dir.path("registry.json"),
         "--config",
         "2,2,3",
-        "--avail-backend",
-        "quantum",
     ])
-    .unwrap_err();
-    assert!(err.to_string().contains("avail-backend"), "{err}");
+    .unwrap();
+    assert_eq!(
+        text,
+        "Y(2,2,3): availability 0.99999864 (0.72 min downtime/year)\n"
+    );
+    let json = invoke(&[
+        "availability",
+        "--registry",
+        &dir.path("registry.json"),
+        "--config",
+        "2,2,3",
+        "--json",
+    ])
+    .unwrap();
+    let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+    let keys: Vec<&str> = parsed
+        .as_object()
+        .expect("an object")
+        .iter()
+        .map(|(key, _)| key.as_str())
+        .collect();
+    assert_eq!(
+        keys,
+        ["configuration", "availability", "downtime_minutes_per_year"]
+    );
+    // Past the 4,096-state dense cap (16,807 states here) the answer is
+    // the same product, against the closed form.
+    assert_uniform_availability_is_the_closed_form("enterprise", 6);
 }
 
-/// The engine switches deleted with the joint folds, and `--jobs` deleted
-/// with the thread pool, fail through the ordinary unknown-option path
-/// on every command that carried them.
+fn example(scenario: &str, file: &str) -> String {
+    format!(
+        "{}/../../examples/specs/{scenario}/{file}",
+        env!("CARGO_MANIFEST_DIR")
+    )
+}
+
+/// `wfms availability --json` on `scenario` with `y` replicas of every
+/// type agrees with `closed_form_unavailability` within 1e-12.
+fn assert_uniform_availability_is_the_closed_form(scenario: &str, y: usize) {
+    let path = example(scenario, "registry.json");
+    let registry: wfms_core::ServerTypeRegistry =
+        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let config = wfms_core::Configuration::uniform(&registry, y).unwrap();
+    let replicas = config.as_slice().iter().map(usize::to_string);
+    let replicas = replicas.collect::<Vec<_>>().join(",");
+    let out = invoke(&[
+        "availability",
+        "--registry",
+        &path,
+        "--config",
+        &replicas,
+        "--json",
+    ])
+    .unwrap();
+    let parsed: serde_json::Value = serde_json::from_str(&out).expect("valid JSON");
+    let availability = parsed["availability"].as_f64().unwrap();
+    let closed = 1.0 - wfms_core::avail::closed_form_unavailability(&registry, &config).unwrap();
+    assert!(
+        (availability - closed).abs() < 1e-12,
+        "{scenario} {config}: product {availability} vs closed form {closed}"
+    );
+}
+
+/// A replica count past the cap is refused before anything is sized from
+/// it, and a state count past `usize::MAX` saturates instead of wrapping:
+/// `lint`'s generator pass then skips the chain as past its 4,096-state
+/// cap instead of building a zero-state one, and `availability` answers
+/// it in product form.
+#[test]
+fn oversized_configurations_are_refused_and_state_counts_saturate() {
+    let (ep_registry, ep_workload) = (
+        example("ep", "registry.json"),
+        example("ep", "workload.json"),
+    );
+    for command in ["assess", "availability"] {
+        let mut tokens = vec![command, "--registry", &ep_registry];
+        if command == "assess" {
+            tokens.extend(["--workload", &ep_workload]);
+        }
+        tokens.extend(["--config", "4294967295,2,2"]);
+        let err = invoke(&tokens).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("assigns 4294967295 replicas to server-type#0"),
+            "{command}: {err}"
+        );
+    }
+    let out = invoke(&[
+        "lint",
+        "--registry",
+        &ep_registry,
+        "--workload",
+        &ep_workload,
+        "--config",
+        "4294967295,4294967295,1",
+    ])
+    .unwrap();
+    assert!(out.contains("0 errors"), "{out}");
+
+    // 65,536⁵ = 2⁸⁰ states, which an unchecked product wraps to 0.
+    let (registry, workload) = (
+        example("enterprise", "registry.json"),
+        example("enterprise", "workload.json"),
+    );
+    let wrapping = "65535,65535,65535,65535,65535";
+    let out = invoke(&[
+        "lint",
+        "--registry",
+        &registry,
+        "--workload",
+        &workload,
+        "--config",
+        wrapping,
+    ])
+    .unwrap();
+    assert!(!out.contains("M001"), "{out}");
+    assert_uniform_availability_is_the_closed_form("enterprise", 65_535);
+}
+
+/// The engine switches deleted with the joint folds, `--jobs` deleted
+/// with the thread pool, and `availability --avail-backend` deleted with
+/// the solvers it chose between, fail through the ordinary
+/// unknown-option path on every command that carried them.
 #[test]
 fn removed_engine_switches_are_unknown_options() {
-    let removed: [(&str, &[&str]); 3] = [
+    let removed: [(&str, &[&str]); 4] = [
+        ("availability", &["avail-backend"]),
         (
             "assess",
             &["epsilon", "avail-backend", "solver-tol", "solver-max-iter"],

@@ -552,9 +552,9 @@ impl AssessmentEngine {
         }
         wfms_obs::counter("config.assessments", 1);
 
-        // Non-finite guard: a NaN/∞ metric that survived every fallback
-        // means the candidate's numbers cannot be trusted. Searches
-        // quarantine it (the error is candidate-local).
+        // Non-finite guard: a NaN/∞ metric means the candidate's numbers
+        // cannot be trusted. Searches quarantine it (the error is
+        // candidate-local).
         if !availability.is_finite() {
             return Err(ConfigError::NonFiniteAssessment {
                 replicas: config.as_slice().to_vec(),

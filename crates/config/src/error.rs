@@ -54,9 +54,9 @@ pub enum ConfigError {
     /// Specification failure.
     Spec(SpecError),
     /// An assessment produced a non-finite metric (NaN/∞ availability or
-    /// waiting time) that no fallback could repair — the candidate's
-    /// numbers cannot be trusted. Searches quarantine the candidate
-    /// unless [`strict`](crate::SearchOptions::strict) is set.
+    /// waiting time) — the candidate's numbers cannot be trusted.
+    /// Searches quarantine the candidate unless
+    /// [`strict`](crate::SearchOptions::strict) is set.
     NonFiniteAssessment {
         /// The candidate's replica vector.
         replicas: Vec<usize>,

@@ -12,13 +12,12 @@
 //! * **recommendation** — greedy (or exhaustive) minimum-cost search for
 //!   a configuration meeting the administrator's goals.
 
-use wfms_avail::{closed_form_unavailability, AvailabilityModel, MINUTES_PER_YEAR};
+use wfms_avail::{ProductFormModel, MINUTES_PER_YEAR};
 use wfms_config::{
     apply_to_spec, calibrate_from_traces, sensitivity, ApplyOptions, ApplyReport, Assessment,
     AssessmentEngine, ConfigError, Goals, SearchOptions, SearchResult, SensitivityEntry,
     SensitivityOptions, WorkflowTrace,
 };
-use wfms_markov::ctmc::SteadyStateMethod;
 use wfms_perf::{
     aggregate_load, analyze_workflow, max_sustainable_throughput, AnalysisOptions, SystemLoad,
     ThroughputReport, WorkflowAnalysis, WorkloadItem,
@@ -147,32 +146,29 @@ impl ConfigurationTool {
         Ok(aggregate_load(&self.workload_items()?, &self.registry)?)
     }
 
-    /// Availability of a configuration (Sec. 5), via the CTMC model.
+    /// Availability of a configuration (Sec. 5), in product form: each
+    /// type's birth–death marginal, read by
+    /// [`wfms_avail::steady_state_marginal`] as the assessment engine
+    /// reads it, multiplied in type order. The figure is therefore
+    /// bit-identical to [`ConfigurationTool::assess`]'s, and exact at any
+    /// size.
     ///
     /// # Errors
-    /// Model failures as [`ConfigError`].
+    /// * [`ConfigError::Avail`] on a registry mismatch or an injected
+    ///   solver failure.
+    /// * [`ConfigError::NonFiniteAssessment`] when a marginal leaves the
+    ///   range of `f64`, as [`ConfigurationTool::assess`] reports it.
     pub fn availability(&self, config: &Configuration) -> Result<AvailabilityFigures, ConfigError> {
-        let model = AvailabilityModel::new(&self.registry, config)?;
-        let pi = model.steady_state(SteadyStateMethod::Lu)?;
-        let availability = model.availability(&pi)?;
+        let availability = ProductFormModel::new(&self.registry, config)?.availability();
+        if !availability.is_finite() {
+            return Err(ConfigError::NonFiniteAssessment {
+                replicas: config.as_slice().to_vec(),
+                what: "availability",
+            });
+        }
         Ok(AvailabilityFigures {
             availability,
             downtime_minutes_per_year: (1.0 - availability) * MINUTES_PER_YEAR,
-        })
-    }
-
-    /// Fast closed-form availability (exact under independent repair).
-    ///
-    /// # Errors
-    /// [`ConfigError::Avail`] on a registry mismatch.
-    pub fn availability_closed_form(
-        &self,
-        config: &Configuration,
-    ) -> Result<AvailabilityFigures, ConfigError> {
-        let u = closed_form_unavailability(&self.registry, config)?;
-        Ok(AvailabilityFigures {
-            availability: 1.0 - u,
-            downtime_minutes_per_year: u * MINUTES_PER_YEAR,
         })
     }
 
@@ -380,13 +376,54 @@ mod tests {
     }
 
     #[test]
-    fn availability_via_ctmc_matches_closed_form() {
+    fn availability_matches_the_lu_oracle_and_the_closed_form() {
+        use wfms_avail::{closed_form_unavailability, AvailabilityModel};
+        use wfms_markov::ctmc::SteadyStateMethod;
         let t = tool();
         let config = Configuration::new(t.registry(), vec![2, 2, 3]).unwrap();
-        let ctmc = t.availability(&config).unwrap();
-        let closed = t.availability_closed_form(&config).unwrap();
-        assert!((ctmc.availability - closed.availability).abs() < 1e-10);
-        assert!(ctmc.downtime_minutes_per_year < 1.0);
+        let figures = t.availability(&config).unwrap();
+        let model = AvailabilityModel::new(t.registry(), &config).unwrap();
+        let pi = model.steady_state(SteadyStateMethod::Lu).unwrap();
+        let lu = model.availability(&pi).unwrap();
+        let closed = 1.0 - closed_form_unavailability(t.registry(), &config).unwrap();
+        assert!((figures.availability - lu).abs() < 1e-14);
+        assert!((figures.availability - closed).abs() < 1e-14);
+        assert!(figures.downtime_minutes_per_year < 1.0);
+        let assessed = t
+            .assess(&config, &Goals::availability_only(0.5).unwrap())
+            .unwrap();
+        assert_eq!(
+            figures.availability.to_bits(),
+            assessed.availability.to_bits()
+        );
+    }
+
+    #[test]
+    fn availability_past_the_marginals_range_is_an_error() {
+        use wfms_statechart::{ServerType, ServerTypeKind};
+        // A type down half the time: its birth–death walk leaves the
+        // range of f64 near a thousand replicas.
+        let mut registry = ServerTypeRegistry::new();
+        registry
+            .register(ServerType::with_exponential_service(
+                "flaky",
+                ServerTypeKind::ApplicationServer,
+                0.1,
+                0.1,
+                0.01,
+            ))
+            .unwrap();
+        let t = ConfigurationTool::new(registry);
+        let small = Configuration::new(t.registry(), vec![100]).unwrap();
+        assert!(t.availability(&small).unwrap().availability.is_finite());
+        let large = Configuration::new(t.registry(), vec![5_000]).unwrap();
+        assert!(matches!(
+            t.availability(&large),
+            Err(ConfigError::NonFiniteAssessment {
+                what: "availability",
+                ..
+            })
+        ));
     }
 
     #[test]

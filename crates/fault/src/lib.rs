@@ -34,9 +34,9 @@
 //! Programmatic:
 //!
 //! ```
-//! wfms_fault::configure("linalg.gauss-seidel", wfms_fault::FaultMode::Error, 1.0);
+//! wfms_fault::configure("avail.steady-state", wfms_fault::FaultMode::Error, 1.0);
 //! assert!(matches!(
-//!     wfms_fault::check("linalg.gauss-seidel"),
+//!     wfms_fault::check("avail.steady-state"),
 //!     Some(wfms_fault::Injection::Error)
 //! ));
 //! wfms_fault::clear();
@@ -45,7 +45,7 @@
 //! Environment (read once, on first registry access):
 //!
 //! ```text
-//! WFMS_FAULTS="linalg.sparse-gs=error@1.0,performability.fold=nan@0.25"
+//! WFMS_FAULTS="avail.steady-state=error@1.0,performability.fold=nan@0.25"
 //! WFMS_FAULT_SEED=7
 //! ```
 //!

@@ -28,16 +28,6 @@ pub struct Ctmc {
     labels: Vec<String>,
 }
 
-/// Which linear-system solver to use for CTMC analyses.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum LinearSolver {
-    /// Direct LU factorization (robust default).
-    #[default]
-    Lu,
-    /// Gauss–Seidel iteration — the method the paper names.
-    GaussSeidel(GaussSeidelOptions),
-}
-
 /// Which method computes the stationary distribution of an ergodic chain.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum SteadyStateMethod {
@@ -260,7 +250,8 @@ impl Ctmc {
     }
 
     /// Mean first-passage times `m_{i,target}` into `target` from every
-    /// state, by solving the paper's linear system (Sec. 4.1):
+    /// state, by solving the paper's linear system (Sec. 4.1) with a
+    /// dense LU factorization:
     ///
     /// ```text
     /// -v_i · m_i + Σ_{j≠target, j≠i} q_ij · m_j = -1     for i ≠ target
@@ -276,32 +267,13 @@ impl Ctmc {
     /// * [`ChainError::AbsorptionNotCertain`] when some state other than
     ///   `target` is absorbing (its passage time would be infinite) or the
     ///   system is singular because `target` is unreachable.
+    /// * [`ChainError::Lu`] on any other factorization failure.
     pub fn mean_first_passage(&self, target: usize) -> Result<Vec<f64>, ChainError> {
-        self.mean_first_passage_with(target, LinearSolver::default())
-    }
-
-    /// [`Ctmc::mean_first_passage`] with an explicit solver choice.
-    ///
-    /// # Errors
-    /// See [`Ctmc::mean_first_passage`]; iterative-solver failures surface
-    /// as [`ChainError::Iterative`].
-    pub fn mean_first_passage_with(
-        &self,
-        target: usize,
-        solver: LinearSolver,
-    ) -> Result<Vec<f64>, ChainError> {
         let n = self.n();
         if target >= n {
             return Err(ChainError::StateOutOfRange { state: target, n });
         }
-        let mut obs_span = wfms_obs::span!("first-passage", states = n);
-        obs_span.record(
-            "solver",
-            match solver {
-                LinearSolver::Lu => "lu",
-                LinearSolver::GaussSeidel(_) => "gauss-seidel",
-            },
-        );
+        let _obs_span = wfms_obs::span!("first-passage", states = n);
         for i in 0..n {
             if i != target && self.is_absorbing(i) {
                 return Err(ChainError::AbsorptionNotCertain { state: i });
@@ -319,33 +291,10 @@ impl Ctmc {
                 }
             }
         }
-        let x = match solver {
-            LinearSolver::Lu => lu::solve(&a, &b).map_err(|e| match e {
-                lu::LuError::Singular { .. } => {
-                    ChainError::AbsorptionNotCertain { state: others[0] }
-                }
-                other => ChainError::Lu(other),
-            })?,
-            // Supervised solve: a Gauss–Seidel breakdown escalates through
-            // SOR to dense LU instead of aborting the analysis.
-            LinearSolver::GaussSeidel(opts) => {
-                let sol = linalg::solve_resilient(&a, &b, opts, linalg::SolveBudget::default())
-                    .map_err(|e| match e {
-                        linalg::ResilientError::Iterative(it) => ChainError::Iterative(it),
-                        linalg::ResilientError::Lu(lu_err) => ChainError::Lu(lu_err),
-                        linalg::ResilientError::BudgetExhausted {
-                            iterations_spent, ..
-                        } => ChainError::Iterative(linalg::IterativeError::NotConverged {
-                            iterations: iterations_spent,
-                            last_residual: f64::INFINITY,
-                        }),
-                    })?;
-                if sol.fallbacks > 0 {
-                    obs_span.record("fallbacks", sol.fallbacks as usize);
-                }
-                sol.x
-            }
-        };
+        let x = lu::solve(&a, &b).map_err(|e| match e {
+            lu::LuError::Singular { .. } => ChainError::AbsorptionNotCertain { state: others[0] },
+            other => ChainError::Lu(other),
+        })?;
         debug_assert!(
             x.iter().all(|m| m.is_finite() && *m >= -1e-9),
             "mean first-passage times must be finite and non-negative"
@@ -652,22 +601,6 @@ mod tests {
         let m = c.mean_first_passage(2).unwrap();
         let expect = (2.0 + 3.0) / 0.7;
         assert!((m[0] - expect).abs() < 1e-9, "{} vs {}", m[0], expect);
-    }
-
-    #[test]
-    fn mean_first_passage_gauss_seidel_agrees_with_lu() {
-        let jump = Matrix::from_nested(&[
-            &[0.0, 0.6, 0.4, 0.0],
-            &[0.2, 0.0, 0.3, 0.5],
-            &[0.0, 0.5, 0.0, 0.5],
-            &[0.0, 0.0, 0.0, 1.0],
-        ]);
-        let c = Ctmc::from_jump_chain(jump, vec![1.0, 2.0, 4.0, f64::INFINITY]).unwrap();
-        let lu = c.mean_first_passage(3).unwrap();
-        let gs = c
-            .mean_first_passage_with(3, LinearSolver::GaussSeidel(GaussSeidelOptions::default()))
-            .unwrap();
-        assert!(relative_difference(&lu, &gs) < 1e-8);
     }
 
     #[test]

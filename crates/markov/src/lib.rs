@@ -6,7 +6,7 @@
 //! Distributed Workflow Management Systems"* (Gillmann, Weissenfels,
 //! Weikum, Kraiss — EDBT 2000). It provides, dependency-free:
 //!
-//! * [`linalg`] — dense matrices, LU, Gauss–Seidel/SOR, power iteration;
+//! * [`linalg`] — dense matrices, LU, power iteration, CSR matrices;
 //! * [`dtmc`] — discrete-time chains and absorbing-chain (fundamental
 //!   matrix) analysis;
 //! * [`ctmc`] — continuous-time chains in the paper's `(P, H)`
@@ -49,7 +49,7 @@ pub mod reward;
 pub mod transient;
 
 pub use checks::{lint_ctmc, lint_generator};
-pub use ctmc::{Ctmc, LinearSolver, SteadyStateMethod};
+pub use ctmc::{Ctmc, SteadyStateMethod};
 pub use dtmc::{AbsorbingAnalysis, Dtmc};
 pub use error::ChainError;
 pub use phase_type::{PhaseType, PhaseTypeError};

@@ -1,10 +1,13 @@
-//! Iterative solvers: Gauss–Seidel / SOR and power iteration.
+//! Iterative solvers: the Gauss–Seidel sweep options and power
+//! iteration.
 //!
 //! Gauss–Seidel is the solver the paper names for both of its linear
 //! systems ("can be easily solved using standard methods such as the
-//! Gauss-Seidel algorithm", Secs. 4.1 and 5.2). Power iteration provides
-//! an independent route to the stationary distribution of a stochastic
-//! matrix, used for cross-validation and benchmarking.
+//! Gauss-Seidel algorithm", Secs. 4.1 and 5.2); its sweeps over
+//! `πQ = 0` live in [`crate::ctmc::Ctmc::steady_state`] and are tuned by
+//! [`GaussSeidelOptions`]. Power iteration provides an independent
+//! route to the stationary distribution of a stochastic matrix, used for
+//! cross-validation and benchmarking.
 
 use std::fmt;
 
@@ -25,22 +28,12 @@ pub enum IterativeError {
         /// Supplied right-hand-side length.
         rhs_len: usize,
     },
-    /// A diagonal entry is (numerically) zero, so the sweep cannot divide.
-    ZeroDiagonal {
-        /// Row with the offending diagonal.
-        row: usize,
-    },
     /// The iteration did not reach the tolerance within the allowed sweeps.
     NotConverged {
         /// Sweeps performed.
         iterations: usize,
         /// Residual at the last sweep.
         last_residual: f64,
-    },
-    /// The relaxation factor is outside `(0, 2)`, for which SOR diverges.
-    InvalidRelaxation {
-        /// Supplied factor.
-        omega: f64,
     },
 }
 
@@ -60,9 +53,6 @@ impl fmt::Display for IterativeError {
                     "right-hand side of length {rhs_len} for a system of size {n}"
                 )
             }
-            IterativeError::ZeroDiagonal { row } => {
-                write!(f, "zero diagonal entry in row {row}")
-            }
             IterativeError::NotConverged {
                 iterations,
                 last_residual,
@@ -70,24 +60,19 @@ impl fmt::Display for IterativeError {
                 f,
                 "no convergence after {iterations} sweeps (residual {last_residual:.3e})"
             ),
-            IterativeError::InvalidRelaxation { omega } => {
-                write!(f, "SOR relaxation factor {omega} outside (0, 2)")
-            }
         }
     }
 }
 
 impl std::error::Error for IterativeError {}
 
-/// Tuning knobs for Gauss–Seidel / SOR.
+/// Tuning knobs for Gauss–Seidel sweeps.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GaussSeidelOptions {
     /// Convergence threshold on the max-norm change between sweeps.
     pub tolerance: f64,
     /// Maximum number of sweeps before giving up.
     pub max_iterations: usize,
-    /// SOR relaxation factor; `1.0` is plain Gauss–Seidel.
-    pub relaxation: f64,
 }
 
 impl Default for GaussSeidelOptions {
@@ -95,7 +80,6 @@ impl Default for GaussSeidelOptions {
         GaussSeidelOptions {
             tolerance: 1e-12,
             max_iterations: 20_000,
-            relaxation: 1.0,
         }
     }
 }
@@ -109,145 +93,6 @@ pub struct IterativeSolution {
     pub iterations: usize,
     /// Max-norm change of the final sweep.
     pub residual: f64,
-}
-
-/// Solves `A x = b` by successive over-relaxation starting from `x0`
-/// (or zeros when `x0` is `None`).
-///
-/// # Errors
-/// Shape, diagonal, relaxation, and convergence failures per
-/// [`IterativeError`].
-pub fn sor(
-    a: &Matrix,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    opts: GaussSeidelOptions,
-) -> Result<IterativeSolution, IterativeError> {
-    if !a.is_square() {
-        return Err(IterativeError::NotSquare { shape: a.shape() });
-    }
-    let n = a.rows();
-    if b.len() != n {
-        return Err(IterativeError::RhsLengthMismatch {
-            n,
-            rhs_len: b.len(),
-        });
-    }
-    if !(opts.relaxation > 0.0 && opts.relaxation < 2.0) {
-        return Err(IterativeError::InvalidRelaxation {
-            omega: opts.relaxation,
-        });
-    }
-    for i in 0..n {
-        if a[(i, i)].abs() < 1e-300 {
-            return Err(IterativeError::ZeroDiagonal { row: i });
-        }
-    }
-
-    let mut x: Vec<f64> = match x0 {
-        Some(v) => {
-            if v.len() != n {
-                return Err(IterativeError::RhsLengthMismatch {
-                    n,
-                    rhs_len: v.len(),
-                });
-            }
-            v.to_vec()
-        }
-        None => vec![0.0; n],
-    };
-
-    let omega = opts.relaxation;
-    // Failpoint: `linalg.gauss-seidel` when running as plain Gauss–Seidel,
-    // `linalg.sor` otherwise. Error injection surfaces as the solver's own
-    // `NotConverged` so supervision layers exercise the real escalation
-    // path; NaN injection poisons the returned solution vector.
-    let fault_site = if omega == 1.0 {
-        "linalg.gauss-seidel"
-    } else {
-        "linalg.sor"
-    };
-    let mut poison_solution = false;
-    match wfms_fault::point!(fault_site) {
-        Some(wfms_fault::Injection::Error) => {
-            return Err(IterativeError::NotConverged {
-                iterations: 0,
-                last_residual: f64::INFINITY,
-            });
-        }
-        Some(wfms_fault::Injection::Nan) => poison_solution = true,
-        None => {}
-    }
-    let mut obs_span = wfms_obs::span!("linear-solve", n = n, relaxation = omega);
-    let mut last_residual = f64::INFINITY;
-    for sweep in 1..=opts.max_iterations {
-        let mut max_change = 0.0f64;
-        for i in 0..n {
-            let row = a.row(i);
-            let mut s = b[i];
-            for (j, &a_ij) in row.iter().enumerate() {
-                if j != i {
-                    s -= a_ij * x[j];
-                }
-            }
-            let gs = s / row[i];
-            let new = (1.0 - omega) * x[i] + omega * gs;
-            max_change = max_change.max((new - x[i]).abs() / new.abs().max(1.0));
-            x[i] = new;
-        }
-        let prev_residual = last_residual;
-        last_residual = max_change;
-        if max_change <= opts.tolerance {
-            if obs_span.is_recording() {
-                // Asymptotically the per-sweep residual ratio approaches the
-                // spectral radius of the SOR iteration matrix.
-                let rho = if prev_residual.is_finite() && prev_residual > 0.0 {
-                    max_change / prev_residual
-                } else {
-                    0.0
-                };
-                obs_span.record("iterations", sweep);
-                obs_span.record("residual", max_change);
-                obs_span.record("spectral_radius_est", rho);
-                wfms_obs::histogram("markov.linear-solve.iterations", sweep as u64);
-                wfms_obs::gauge("markov.sor.spectral-radius-estimate", rho);
-            }
-            if poison_solution && !x.is_empty() {
-                x[0] = f64::NAN;
-            }
-            return Ok(IterativeSolution {
-                x,
-                iterations: sweep,
-                residual: max_change,
-            });
-        }
-    }
-    obs_span.record("iterations", opts.max_iterations);
-    obs_span.record("residual", last_residual);
-    Err(IterativeError::NotConverged {
-        iterations: opts.max_iterations,
-        last_residual,
-    })
-}
-
-/// Plain Gauss–Seidel (`relaxation = 1`): the solver named by the paper.
-///
-/// # Errors
-/// See [`sor`].
-pub fn gauss_seidel(
-    a: &Matrix,
-    b: &[f64],
-    opts: GaussSeidelOptions,
-) -> Result<IterativeSolution, IterativeError> {
-    sor(
-        a,
-        b,
-        None,
-        GaussSeidelOptions {
-            relaxation: 1.0,
-            ..opts
-        },
-    )
 }
 
 /// Finds the stationary row vector `π` of a row-stochastic matrix `P`
@@ -333,106 +178,7 @@ pub fn power_iteration(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linalg::{lu, relative_difference};
-
-    fn opts() -> GaussSeidelOptions {
-        GaussSeidelOptions::default()
-    }
-
-    #[test]
-    fn gauss_seidel_solves_diagonally_dominant_system() {
-        let a = Matrix::from_nested(&[&[4.0, 1.0, 0.0], &[1.0, 5.0, 2.0], &[0.0, 2.0, 6.0]]);
-        let x_true = [1.0, -2.0, 3.0];
-        let b = a.mul_vec(&x_true).unwrap();
-        let sol = gauss_seidel(&a, &b, opts()).unwrap();
-        assert!(relative_difference(&sol.x, &x_true) < 1e-10);
-        assert!(sol.iterations < 100);
-    }
-
-    #[test]
-    fn gauss_seidel_matches_lu_on_random_like_system() {
-        let a = Matrix::from_nested(&[
-            &[10.0, 2.0, 3.0, 1.0],
-            &[1.0, 9.0, 2.0, 2.0],
-            &[2.0, 1.0, 11.0, 3.0],
-            &[1.0, 1.0, 1.0, 8.0],
-        ]);
-        let b = [1.0, 2.0, 3.0, 4.0];
-        let gs = gauss_seidel(&a, &b, opts()).unwrap();
-        let direct = lu::solve(&a, &b).unwrap();
-        assert!(relative_difference(&gs.x, &direct) < 1e-9);
-    }
-
-    #[test]
-    fn sor_accepts_warm_start_and_converges_faster() {
-        let a = Matrix::from_nested(&[&[4.0, 1.0], &[1.0, 4.0]]);
-        let b = [5.0, 5.0];
-        let cold = sor(&a, &b, None, opts()).unwrap();
-        let warm = sor(&a, &b, Some(&cold.x), opts()).unwrap();
-        assert!(warm.iterations <= cold.iterations);
-        assert!(relative_difference(&warm.x, &[1.0, 1.0]) < 1e-10);
-    }
-
-    #[test]
-    fn sor_rejects_invalid_relaxation() {
-        let a = Matrix::identity(2);
-        for omega in [0.0, 2.0, -1.0, f64::NAN] {
-            let err = sor(
-                &a,
-                &[1.0, 1.0],
-                None,
-                GaussSeidelOptions {
-                    relaxation: omega,
-                    ..opts()
-                },
-            )
-            .unwrap_err();
-            assert!(
-                matches!(err, IterativeError::InvalidRelaxation { .. }),
-                "omega={omega}"
-            );
-        }
-    }
-
-    #[test]
-    fn gauss_seidel_rejects_zero_diagonal() {
-        let a = Matrix::from_nested(&[&[0.0, 1.0], &[1.0, 1.0]]);
-        let err = gauss_seidel(&a, &[1.0, 1.0], opts()).unwrap_err();
-        assert_eq!(err, IterativeError::ZeroDiagonal { row: 0 });
-    }
-
-    #[test]
-    fn gauss_seidel_rejects_shape_mismatches() {
-        let rect = Matrix::zeros(2, 3);
-        assert!(matches!(
-            gauss_seidel(&rect, &[1.0, 1.0], opts()),
-            Err(IterativeError::NotSquare { .. })
-        ));
-        let a = Matrix::identity(2);
-        assert!(matches!(
-            gauss_seidel(&a, &[1.0], opts()),
-            Err(IterativeError::RhsLengthMismatch { n: 2, rhs_len: 1 })
-        ));
-    }
-
-    #[test]
-    fn gauss_seidel_reports_non_convergence() {
-        // Not diagonally dominant and spectral radius of iteration matrix > 1.
-        let a = Matrix::from_nested(&[&[1.0, 3.0], &[3.0, 1.0]]);
-        let err = gauss_seidel(
-            &a,
-            &[1.0, 1.0],
-            GaussSeidelOptions {
-                max_iterations: 50,
-                ..opts()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            IterativeError::NotConverged { iterations: 50, .. }
-        ));
-    }
+    use crate::linalg::relative_difference;
 
     #[test]
     fn power_iteration_finds_two_state_stationary_distribution() {
@@ -484,17 +230,6 @@ mod proptests {
     use crate::linalg::relative_difference;
     use proptest::prelude::*;
 
-    fn diag_dominant(n: usize) -> impl Strategy<Value = Matrix> {
-        proptest::collection::vec(-1.0f64..1.0, n * n).prop_map(move |data| {
-            let mut m = Matrix::from_rows(n, n, data).unwrap();
-            for i in 0..n {
-                let off: f64 = (0..n).filter(|&j| j != i).map(|j| m[(i, j)].abs()).sum();
-                m[(i, i)] = off + 0.5;
-            }
-            m
-        })
-    }
-
     fn stochastic(n: usize) -> impl Strategy<Value = Matrix> {
         proptest::collection::vec(0.05f64..1.0, n * n).prop_map(move |data| {
             let mut m = Matrix::from_rows(n, n, data).unwrap();
@@ -509,14 +244,6 @@ mod proptests {
     }
 
     proptest! {
-        #[test]
-        fn gauss_seidel_agrees_with_lu(m in diag_dominant(7), x in proptest::collection::vec(-3.0f64..3.0, 7)) {
-            let b = m.mul_vec(&x).unwrap();
-            let gs = gauss_seidel(&m, &b, GaussSeidelOptions::default()).unwrap();
-            let direct = crate::linalg::lu::solve(&m, &b).unwrap();
-            prop_assert!(relative_difference(&gs.x, &direct) < 1e-7);
-        }
-
         #[test]
         fn power_iteration_stationary_vector_sums_to_one(p in stochastic(5)) {
             // Strictly positive entries -> ergodic, so convergence is guaranteed.

@@ -11,26 +11,21 @@
 //!
 //! * [`Matrix`] — a row-major dense `f64` matrix with the usual algebra.
 //! * [`lu`] — LU decomposition with partial pivoting (direct solves).
-//! * [`iterative`] — Gauss–Seidel / SOR, the solver the paper names for
-//!   both the first-passage system (Sec. 4.1) and the steady-state
-//!   system (Sec. 5.2), plus power iteration for stochastic matrices.
-//! * [`resilient`] — a supervised Gauss–Seidel → SOR → LU escalation
-//!   ladder with a per-solve budget, for callers that must degrade
-//!   instead of aborting on solver failure.
+//! * [`iterative`] — the options of the Gauss–Seidel steady-state sweep
+//!   the paper names (Sec. 5.2), plus power iteration for stochastic
+//!   matrices.
+//! * [`sparse`] — compressed-sparse-row matrices for the transient
+//!   kernels.
 
 pub mod iterative;
 pub mod lu;
 pub mod matrix;
-pub mod resilient;
 pub mod sparse;
 
-pub use iterative::{
-    gauss_seidel, power_iteration, sor, GaussSeidelOptions, IterativeError, IterativeSolution,
-};
+pub use iterative::{power_iteration, GaussSeidelOptions, IterativeError, IterativeSolution};
 pub use lu::{LuDecomposition, LuError};
 pub use matrix::{Matrix, MatrixError};
-pub use resilient::{solve_resilient, ResilientError, ResilientSolution, SolveBudget};
-pub use sparse::{sparse_steady_state_gauss_seidel, CsrMatrix, SparseError};
+pub use sparse::{CsrMatrix, SparseError};
 
 /// Maximum relative difference between two vectors, `max_i |a_i - b_i| /
 /// max(1, |b_i|)`.

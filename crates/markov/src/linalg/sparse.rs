@@ -1,13 +1,9 @@
-//! Compressed-sparse-row matrices and sparse steady-state solvers.
+//! Compressed-sparse-row matrices.
 //!
-//! The availability CTMC has `Π (Y_x + 1)` states but only
-//! `O(k)` transitions per state, so its generator is extremely sparse.
-//! The dense path ([`crate::linalg::Matrix`]) is fine up to a few
-//! thousand states; beyond that, this module provides a CSR
-//! representation and an iterative solver that only needs row access:
-//! Gauss–Seidel sweeps on `πQ = 0`.
+//! A workflow chart's uniformized jump matrix has few transitions per
+//! state, so the transient kernels ([`crate::transient`]) store it in
+//! CSR form and step it one sparse product at a time.
 
-use crate::linalg::iterative::{GaussSeidelOptions, IterativeError, IterativeSolution};
 use crate::linalg::Matrix;
 
 /// A compressed-sparse-row matrix of `f64`.
@@ -194,79 +190,6 @@ impl CsrMatrix {
     }
 }
 
-/// Solves `πQ = 0, Σπ = 1` by Gauss–Seidel sweeps, given the *transposed*
-/// generator `Q^T` in CSR form (row `i` holds the inflow rates `q_ji`)
-/// and the departure rates `departure[i] = -q_ii > 0`.
-///
-/// # Errors
-/// [`IterativeError::NotConverged`] / [`IterativeError::ZeroDiagonal`].
-pub fn sparse_steady_state_gauss_seidel(
-    qt: &CsrMatrix,
-    departure: &[f64],
-    opts: GaussSeidelOptions,
-) -> Result<IterativeSolution, IterativeError> {
-    let n = qt.rows();
-    assert_eq!(departure.len(), n, "departure vector length mismatch");
-    for (i, &d) in departure.iter().enumerate() {
-        if d <= 0.0 {
-            return Err(IterativeError::ZeroDiagonal { row: i });
-        }
-    }
-    // Failpoint `linalg.sparse-gs`: error injection surfaces as the
-    // solver's own `NotConverged`, NaN injection poisons the solution.
-    let mut poison_solution = false;
-    match wfms_fault::point!("linalg.sparse-gs") {
-        Some(wfms_fault::Injection::Error) => {
-            return Err(IterativeError::NotConverged {
-                iterations: 0,
-                last_residual: f64::INFINITY,
-            });
-        }
-        Some(wfms_fault::Injection::Nan) => poison_solution = true,
-        None => {}
-    }
-    let mut pi = vec![1.0 / n as f64; n];
-    for sweep in 1..=opts.max_iterations {
-        let mut max_change = 0.0f64;
-        for i in 0..n {
-            let mut inflow = 0.0;
-            for (j, q_ji) in qt.row(i) {
-                if j != i {
-                    inflow += pi[j] * q_ji;
-                }
-            }
-            let new = inflow / departure[i];
-            max_change = max_change.max((new - pi[i]).abs() / new.abs().max(1e-300));
-            pi[i] = new;
-        }
-        // Renormalize to unit mass.
-        let mass: f64 = pi.iter().sum();
-        if mass > 0.0 {
-            for v in pi.iter_mut() {
-                *v /= mass;
-            }
-        }
-        if max_change <= opts.tolerance {
-            if poison_solution && !pi.is_empty() {
-                pi[0] = f64::NAN;
-            }
-            return Ok(IterativeSolution {
-                x: pi,
-                iterations: sweep,
-                residual: max_change,
-            });
-        }
-        if sweep == opts.max_iterations {
-            return Err(IterativeError::NotConverged {
-                iterations: sweep,
-                last_residual: max_change,
-            });
-        }
-    }
-    // audit:allow(A009, reason = "the sweep loop returns on convergence and errors on sweep == max_iterations, so the loop exit is unreachable")
-    unreachable!("loop returns or errors on the final sweep")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,49 +245,5 @@ mod tests {
             CsrMatrix::from_triplets(1, 5, vec![(0, 4, 1.0), (0, 1, 2.0), (0, 3, 3.0)]).unwrap();
         let cols: Vec<usize> = m.row(0).map(|(c, _)| c).collect();
         assert_eq!(cols, vec![1, 3, 4]);
-    }
-
-    #[test]
-    fn sparse_steady_state_matches_closed_form_repair_chain() {
-        // Two-state machine-repair chain: Q = [[-l, l], [m, -m]].
-        let (l, m) = (0.02, 0.5);
-        let qt = CsrMatrix::from_triplets(2, 2, vec![(0, 0, -l), (0, 1, m), (1, 0, l), (1, 1, -m)])
-            .unwrap();
-        let sol =
-            sparse_steady_state_gauss_seidel(&qt, &[l, m], GaussSeidelOptions::default()).unwrap();
-        let expect = [m / (l + m), l / (l + m)];
-        for (got, want) in sol.x.iter().zip(expect) {
-            assert!((got - want).abs() < 1e-9, "{got} vs {want}");
-        }
-    }
-
-    #[test]
-    fn sparse_steady_state_rejects_absorbing_states() {
-        let qt = CsrMatrix::from_triplets(2, 2, vec![(1, 0, 1.0)]).unwrap();
-        assert!(matches!(
-            sparse_steady_state_gauss_seidel(&qt, &[1.0, 0.0], GaussSeidelOptions::default()),
-            Err(IterativeError::ZeroDiagonal { row: 1 })
-        ));
-    }
-
-    #[test]
-    fn sparse_steady_state_reports_non_convergence() {
-        // Asymmetric rates so the uniform start is NOT already stationary.
-        let qt = CsrMatrix::from_triplets(
-            2,
-            2,
-            vec![(0, 0, -0.3), (0, 1, 0.7), (1, 0, 0.3), (1, 1, -0.7)],
-        )
-        .unwrap();
-        let res = sparse_steady_state_gauss_seidel(
-            &qt,
-            &[0.3, 0.7],
-            GaussSeidelOptions {
-                max_iterations: 1,
-                tolerance: 1e-30,
-                ..Default::default()
-            },
-        );
-        assert!(matches!(res, Err(IterativeError::NotConverged { .. })));
     }
 }

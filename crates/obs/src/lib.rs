@@ -46,14 +46,13 @@
 //! |---|---|---|
 //! | `workflow-analysis` | `wfms-perf` | `chart`, `states` |
 //! | `turnaround-distribution` | `wfms-perf` | `states`, `epsilon` |
-//! | `first-passage` | `wfms-markov` | `states`, `solver` |
+//! | `first-passage` | `wfms-markov` | `states` |
 //! | `uniformize` | `wfms-markov` | `states`, `rate` |
 //! | `transient-distribution` | `wfms-markov` | `products`, `probes` (one span per squaring table — one per turnaround percentile or CDF call, and one per workflow on a `wfms serve` tenant's first `assess`; `products` counts the table's matrix products, `K` for its base factor plus one per squaring, and `probes` its CDF evaluations) |
 //! | `reward-uniformized` | `wfms-markov` | `z_max`, `residual_mass` |
-//! | `linear-solve` | `wfms-markov` | `n`, `iterations`, `residual`, `spectral_radius_est` |
 //! | `steady-state` | `wfms-markov` | `states`, `method`, `iterations` |
 //! | `avail-build` | `wfms-avail` | `states`, `types`, `backend` |
-//! | `avail-steady-state` | `wfms-avail` | `states`, `backend` (`dense`, `sparse`, or `product` — in the assessment engine, one span per per-type record fill with `states` = `Y_x + 1`) |
+//! | `avail-steady-state` | `wfms-avail` | `states`, `backend` (`dense` for the LU oracle, or `product` — one span per server type with `states` = `Y_x + 1`, in each assessment-engine record fill and each product-form model) |
 //! | `avail-product-form` | `wfms-avail` | `states`, `types` |
 //! | `mg1-waiting` | `wfms-perf` | `types` (one span per `waiting_times` call, and one per single-type kernel call with `types` = 1) |
 //! | `performability` | `wfms-performability` | `states`, `degraded`, `serving`; the per-type fold records `types`, `serving` |
@@ -62,20 +61,17 @@
 //! | `greedy-search` / `exhaustive-search` / `bnb-search` / `annealing-search` | `wfms-config` | `evaluations`, `cost` |
 //! | `simulate` | `wfms-sim` | `events`, `warmup_minutes`, `measured_minutes` |
 //! | `spec-decode` | `wfms-cli` | `bytes` (one span per JSON document a command reads and decodes, such as the registry and the workload; `bytes` is the file's size) |
-//! | `solver-fallback` | `wfms-markov` | `from` (one span per fallback-ladder escalation) |
 //!
 //! Counters and histograms are dotted lowercase
 //! (`<crate>.<subject>.<aspect>`). The pipeline metrics:
 //!
 //! | metric | kind | emitted by | meaning |
 //! |---|---|---|---|
-//! | `markov.linear-solve.iterations` | histogram | `wfms-markov` | Gauss–Seidel/SOR sweeps per linear solve |
-//! | `markov.sor.spectral-radius-estimate` | gauge | `wfms-markov` | last estimated iteration-matrix spectral radius |
-//! | `markov.power-iteration.iterations` | histogram | `wfms-markov` | power-iteration steps per steady-state fallback |
+//! | `markov.power-iteration.iterations` | histogram | `wfms-markov` | power-iteration steps per power-iteration steady-state solve |
 //! | `markov.steady-state.iterations` | histogram | `wfms-markov` | sweeps per CTMC steady-state solve |
 //! | `markov.poisson.truncation-steps` | histogram | `wfms-markov` | uniformization truncation depth `z_max` |
 //! | `markov.poisson.terms` | histogram | `wfms-markov` | end `z` of the Poisson window per CDF evaluation of an absorbed-mass sequence (one past its last summed term; `Uniformized::absorption_cdf`, `Uniformized::transient_distribution`); the window drops at most `ε` of the Poisson mass; the turnaround percentile reads its CDF from a squaring table and records none |
-//! | `avail.state-space.size` | gauge | `wfms-avail` / `wfms-config` | `∏(Y_x+1)` states of the last availability model (the engine sets it per candidate) |
+//! | `avail.state-space.size` | gauge | `wfms-avail` / `wfms-config` | `∏(Y_x+1)` states, saturating at `usize::MAX`, of the last availability model (the engine sets it per candidate) |
 //! | `perf.mg1.evaluations` | counter | `wfms-perf` | M/G/1 waiting-time kernel evaluations, one per server type evaluated |
 //! | `performability.state-evaluations` | counter | `wfms-performability` | system states evaluated by the joint fold, or `(type, up-count)` terms summed by the per-type fold (`wfms profile --check` gates on it staying nonzero) |
 //! | `performability.degraded-evaluations` | counter | `wfms-performability` | evaluated states that were degraded |
@@ -92,16 +88,14 @@
 //! | `engine.cache-hit` | counter | `wfms-config` | per-type record lookups answered from the record cache (one lookup per type per candidate) |
 //! | `engine.cache-miss` | counter | `wfms-config` | per-type record lookups that had to fill the record |
 //!
-//! The graceful-degradation layer (DESIGN.md §10) adds four more; the
-//! first two must stay **zero** on a clean run, and `wfms profile
-//! --check` gates on exactly that:
+//! The graceful-degradation layer (DESIGN.md §10) adds two more; the
+//! first must stay **zero** on a clean run, and `wfms profile --check`
+//! gates on exactly that:
 //!
 //! | metric | kind | emitted by | meaning |
 //! |---|---|---|---|
-//! | `solver.fallback` | counter | `wfms-markov` | solves that escalated down the resilient-solve ladder (Gauss–Seidel → SOR → dense LU), each paired with a `solver-fallback` span |
 //! | `config.quarantined` | counter | `wfms-config` | candidates whose assessment failed irrecoverably and were skipped by a search |
 //! | `config.degraded-assessments` | counter | `wfms-config` | assessments that carried a `DegradationReport` |
-//! | `solver.budget-exhausted` | counter | `wfms-markov` | resilient-solve stages that ran out of iterations before converging |
 //!
 //! The serving resilience layer (DESIGN.md §13) adds five more. The
 //! first two must stay **zero** on a clean daemon run — a nonzero
@@ -120,11 +114,11 @@
 //! wfms_obs::global().reset();
 //! wfms_obs::enable();
 //! {
-//!     let mut outer = wfms_obs::span!("uniformize", states = 42_u64);
-//!     outer.record("rate", 0.5);
-//!     let _inner = wfms_obs::span!("linear-solve", n = 42_u64);
+//!     let mut outer = wfms_obs::span!("workflow-analysis", states = 42_u64);
+//!     outer.record("chart", "EP");
+//!     let _inner = wfms_obs::span!("first-passage", states = 42_u64);
 //! }
-//! wfms_obs::counter("markov.linear-solve.iterations", 17);
+//! wfms_obs::counter("perf.mg1.evaluations", 3);
 //! wfms_obs::disable();
 //! let snapshot = wfms_obs::global().take();
 //! assert_eq!(snapshot.spans.len(), 2);

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use serde_json::Value;
 use wfms_proto::{
     AssessResult, HealthResult, MetricsResult, PerTypeWait, Request, Response, ShutdownResult,
-    ERR_INVALID_PARAMS, ERR_UNAVAILABLE, ERR_UNKNOWN_METHOD, ERR_UNSUPPORTED_VERSION,
+    ERR_INVALID_PARAMS, ERR_TOOL, ERR_UNAVAILABLE, ERR_UNKNOWN_METHOD, ERR_UNSUPPORTED_VERSION,
     METHOD_ASSESS, METHOD_HEALTH, METHOD_LINT, METHOD_METRICS, METHOD_RECOMMEND, METHOD_SHUTDOWN,
     PROTOCOL_VERSION,
 };
@@ -170,6 +170,39 @@ fn unknown_search_strategy_is_an_invalid_params_error() {
     assert_eq!(error_kind(&resp), ERR_INVALID_PARAMS);
     let message = resp.error.expect("error body").message;
     assert!(message.contains("unknown search"), "got: {message}");
+}
+
+/// A replica count past `MAX_REPLICAS` would size a per-type record from
+/// the request, and a failed allocation aborts the process instead of
+/// returning an error: it must be a typed `tool` error, the lint pass
+/// must skip the configuration, and the next request on the same handler
+/// must be answered.
+#[test]
+fn an_oversized_replica_count_is_a_typed_error_and_the_next_request_is_served() {
+    let handler = Handler::new(2);
+    let oversized = handler.handle(&request(
+        METHOD_ASSESS,
+        "acme",
+        assess_params("ep", &[4_294_967_295, 2, 2]),
+    ));
+    assert_eq!(error_kind(&oversized), ERR_TOOL);
+    let message = error_message_of(&oversized);
+    assert!(
+        message.contains("assigns 4294967295 replicas to server-type#0"),
+        "got: {message}"
+    );
+    let lint = handler.handle(&request(
+        METHOD_LINT,
+        "acme",
+        assess_params("ep", &[4_294_967_295, 4_294_967_295, 1]),
+    ));
+    assert!(lint.ok, "lint answers: {:?}", lint.error);
+    let next = handler.handle(&request(
+        METHOD_ASSESS,
+        "acme",
+        assess_params("ep", &[2, 2, 2]),
+    ));
+    assert!(next.ok, "the next request is answered: {:?}", next.error);
 }
 
 #[test]

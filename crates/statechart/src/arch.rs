@@ -152,6 +152,14 @@ pub enum ArchError {
         /// Server type with zero configured replicas.
         id: ServerTypeId,
     },
+    /// A configuration assigns a server type more than [`MAX_REPLICAS`]
+    /// replicas.
+    TooManyReplicas {
+        /// The offending server type.
+        id: ServerTypeId,
+        /// Replicas requested.
+        replicas: usize,
+    },
     /// A system state exceeds its configuration (`X_x > Y_x`).
     StateExceedsConfiguration {
         /// Offending server type.
@@ -178,6 +186,10 @@ impl fmt::Display for ArchError {
             ArchError::EmptyReplication { id } => {
                 write!(f, "configuration assigns zero replicas to {id}")
             }
+            ArchError::TooManyReplicas { id, replicas } => write!(
+                f,
+                "configuration assigns {replicas} replicas to {id}, more than the {MAX_REPLICAS} a server type may have"
+            ),
             ArchError::StateExceedsConfiguration { id, available, configured } => write!(
                 f,
                 "system state claims {available} available replicas of {id}, configured {configured}"
@@ -275,7 +287,22 @@ impl ServerTypeRegistry {
     }
 }
 
-/// A system configuration: replication degree `Y_x ≥ 1` per server type.
+/// The most replicas a [`Configuration`] may give one server type.
+///
+/// Each replica count the assessment engine sees becomes one per-type
+/// record: the type's two birth–death rate ladders, its up-count
+/// marginal and one waiting-time outcome per up-count, each `Y_x + 1`
+/// entries long, about 48 bytes a replica, so 4.8 MB at this cap. The
+/// marginal is a walk of `Y_x` rate ratios that leaves the range of
+/// `f64` once `Y_x · λ/(λ + μ)` passes about 709: just above 10⁵
+/// replicas for the Sec. 5.2 application server (one failure a day, ten
+/// minute repairs), whose availability then reads NaN. Counts near
+/// `u32::MAX` ask for tens of gigabytes at once, and a failed allocation
+/// aborts the process instead of returning an error.
+pub const MAX_REPLICAS: usize = 100_000;
+
+/// A system configuration: replication degree `1 ≤ Y_x ≤ MAX_REPLICAS`
+/// per server type.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Configuration {
     replicas: Vec<usize>,
@@ -287,6 +314,8 @@ impl Configuration {
     /// # Errors
     /// * [`ArchError::LengthMismatch`] when the vector length is not `k`.
     /// * [`ArchError::EmptyReplication`] when some `Y_x` is zero.
+    /// * [`ArchError::TooManyReplicas`] when some `Y_x` exceeds
+    ///   [`MAX_REPLICAS`].
     pub fn new(registry: &ServerTypeRegistry, replicas: Vec<usize>) -> Result<Self, ArchError> {
         if replicas.len() != registry.len() {
             return Err(ArchError::LengthMismatch {
@@ -299,6 +328,12 @@ impl Configuration {
             if y == 0 {
                 return Err(ArchError::EmptyReplication {
                     id: ServerTypeId(i),
+                });
+            }
+            if y > MAX_REPLICAS {
+                return Err(ArchError::TooManyReplicas {
+                    id: ServerTypeId(i),
+                    replicas: y,
                 });
             }
         }
@@ -354,16 +389,24 @@ impl Configuration {
     /// Returns a copy with one more replica of `id`.
     ///
     /// # Errors
-    /// [`ArchError::UnknownServerType`] for a stale id.
+    /// * [`ArchError::UnknownServerType`] for a stale id.
+    /// * [`ArchError::TooManyReplicas`] when `id` already has
+    ///   [`MAX_REPLICAS`].
     pub fn with_added_replica(&self, id: ServerTypeId) -> Result<Configuration, ArchError> {
-        if id.0 >= self.replicas.len() {
+        let Some(&y) = self.replicas.get(id.0) else {
             return Err(ArchError::UnknownServerType {
                 id,
                 registered: self.replicas.len(),
             });
+        };
+        if y >= MAX_REPLICAS {
+            return Err(ArchError::TooManyReplicas {
+                id,
+                replicas: y + 1,
+            });
         }
         let mut replicas = self.replicas.clone();
-        replicas[id.0] += 1;
+        replicas[id.0] = y + 1;
         Ok(Configuration { replicas })
     }
 
@@ -375,9 +418,12 @@ impl Configuration {
     }
 
     /// Number of distinct system states `Π (Y_x + 1)` of the availability
-    /// model for this configuration.
+    /// model for this configuration, saturating at `usize::MAX`, so a
+    /// size cap compares against the true size.
     pub fn system_state_count(&self) -> usize {
-        self.replicas.iter().map(|&y| y + 1).product()
+        self.replicas
+            .iter()
+            .fold(1, |n: usize, &y| n.saturating_mul(y + 1))
     }
 }
 
@@ -603,6 +649,56 @@ mod tests {
         assert_eq!(y.replicas(ServerTypeId(2)).unwrap(), 3);
         assert_eq!(y.system_state_count(), 3 * 3 * 4);
         assert_eq!(format!("{y}"), "Y(2,2,3)");
+    }
+
+    #[test]
+    fn replica_counts_above_the_cap_are_refused() {
+        let reg = registry();
+        let at_cap = Configuration::new(&reg, vec![MAX_REPLICAS, 2, 2]).unwrap();
+        assert!(matches!(
+            Configuration::new(&reg, vec![2, MAX_REPLICAS + 1, 2]),
+            Err(ArchError::TooManyReplicas {
+                id: ServerTypeId(1),
+                replicas,
+            }) if replicas == MAX_REPLICAS + 1
+        ));
+        let err = Configuration::new(&reg, vec![4_294_967_295, 2, 2]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "configuration assigns 4294967295 replicas to server-type#0, \
+             more than the 100000 a server type may have"
+        );
+        assert!(matches!(
+            at_cap.with_added_replica(ServerTypeId(0)),
+            Err(ArchError::TooManyReplicas {
+                id: ServerTypeId(0),
+                ..
+            })
+        ));
+        assert!(at_cap.with_added_replica(ServerTypeId(1)).is_ok());
+    }
+
+    #[test]
+    fn system_state_count_saturates_instead_of_wrapping() {
+        let mut reg = ServerTypeRegistry::new();
+        for i in 0..5 {
+            reg.register(ServerType::with_exponential_service(
+                format!("t{i}"),
+                ServerTypeKind::ApplicationServer,
+                1e-3,
+                0.1,
+                0.01,
+            ))
+            .unwrap();
+        }
+        // 65,536⁵ = 2⁸⁰ wraps to 0 in an unchecked product; 100,001⁵
+        // wraps to an arbitrary count.
+        for y in [65_535, MAX_REPLICAS] {
+            let config = Configuration::uniform(&reg, y).unwrap();
+            assert_eq!(config.system_state_count(), usize::MAX, "Y = {y}");
+        }
+        let fits = Configuration::uniform(&reg, 6).unwrap();
+        assert_eq!(fits.system_state_count(), 16_807);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod validate;
 
 pub use arch::{
     paper_section52_registry, ArchError, Configuration, ServerType, ServerTypeId, ServerTypeKind,
-    ServerTypeRegistry, SystemState,
+    ServerTypeRegistry, SystemState, MAX_REPLICAS,
 };
 pub use builder::ChartBuilder;
 pub use dot::{chart_to_dot, mapping_to_dot};

@@ -9,7 +9,7 @@
 use wfms::avail::ProductFormModel;
 use wfms::statechart::Configuration;
 use wfms::workloads::{enterprise_mix, enterprise_registry};
-use wfms::{AssessmentEngine, AvailBackend, ConfigError, ConfigurationTool, Goals, SearchOptions};
+use wfms::{AssessmentEngine, ConfigError, ConfigurationTool, Goals, SearchOptions};
 
 fn enterprise_tool() -> (ConfigurationTool, Goals) {
     let mut tool = ConfigurationTool::new(enterprise_registry());
@@ -56,10 +56,9 @@ fn engine_module_has_a_test_for_the_engine_level_contract() {
         Err(ConfigError::NoGoals)
     ));
 
-    // `wfms availability --avail-backend` still names the solvers.
+    // `wfms availability` answers with the same product.
     assert_eq!(
-        "product".parse::<AvailBackend>().unwrap(),
-        AvailBackend::Product
+        tool.availability(&config).unwrap().availability.to_bits(),
+        assessment.availability.to_bits()
     );
-    assert!("quantum".parse::<AvailBackend>().is_err());
 }

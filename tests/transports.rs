@@ -1,7 +1,9 @@
 //! The transport contract: the one-shot CLI and the daemon's JSON
 //! methods answer `assess` and `recommend` alike. For the same files,
 //! `wfms assess --json` / `wfms recommend --json` print exactly the
-//! pretty-printed `assessment` of the `wfms-serve` handler's reply.
+//! pretty-printed `assessment` of the `wfms-serve` handler's reply, and
+//! `wfms availability --json` prints the same availability as
+//! `wfms assess --json`.
 
 use serde_json::Value;
 use wfms_proto::{Request, METHOD_ASSESS, METHOD_RECOMMEND};
@@ -38,6 +40,29 @@ impl Scenario {
             workload,
             params,
         }
+    }
+
+    /// The `availability` field of the in-process CLI's JSON report for
+    /// `command` (`assess` or `availability`) on the configuration `config`.
+    fn availability(&self, command: &str, config: &str) -> f64 {
+        let report = if command == "availability" {
+            let args = [
+                "availability",
+                "--registry",
+                &self.registry,
+                "--config",
+                config,
+                "--json",
+            ];
+            let mut out = Vec::new();
+            let code = wfms_cli::main_with_args(args.iter().map(|a| a.to_string()), &mut out);
+            assert_eq!(code, 0, "wfms {}", args.join(" "));
+            String::from_utf8(out).expect("UTF-8 report")
+        } else {
+            self.cli(command, &["--config", config])
+        };
+        let parsed: Value = serde_json::from_str(&report).expect("JSON report");
+        parsed["availability"].as_f64().expect("availability")
     }
 
     /// What the in-process CLI prints for `command` with `extra` options.
@@ -118,6 +143,22 @@ fn recommend_json_is_the_handlers_assessment() {
                 scenario.cli("recommend", flag.as_slice()),
                 scenario.handler(METHOD_RECOMMEND, &format!(r#", "search": "{search}""#)),
                 "{name} recommend {search}"
+            );
+        }
+    }
+}
+
+#[test]
+fn availability_json_is_the_assessments_availability() {
+    for (name, k, counts) in [("ep", 3, &[1, 2, 3, 4][..]), ("enterprise", 5, &[2, 3][..])] {
+        let scenario = Scenario::new(name);
+        for replicas in grid(k, counts) {
+            let config: Vec<String> = replicas.iter().map(usize::to_string).collect();
+            let config = config.join(",");
+            assert_eq!(
+                scenario.availability("availability", &config).to_bits(),
+                scenario.availability("assess", &config).to_bits(),
+                "{name} {config}"
             );
         }
     }

@@ -34,7 +34,7 @@ use serde::{Deserialize, Serialize};
 
 use wfms_diag::{codes, Diagnostic, Diagnostics, Location};
 use wfms_perf::{aggregate_load, analyze_workflow, AnalysisOptions, SystemLoad, WorkloadItem};
-use wfms_statechart::{Configuration, ServerTypeRegistry, WorkflowSpec};
+use wfms_statechart::{Configuration, ServerTypeRegistry, WorkflowSpec, MAX_REPLICAS};
 
 pub use wfms_diag::Severity;
 
@@ -207,8 +207,8 @@ fn lint_availability_chain(registry: &ServerTypeRegistry, replicas: &[usize]) ->
     out
 }
 
-/// The configuration lint pass (`C0xx`): replica-vector shape, load
-/// coverage, goal domains, and budget feasibility.
+/// The configuration lint pass (`C0xx`): replica-vector shape, the
+/// replica cap, load coverage, goal domains, and budget feasibility.
 ///
 /// `load` enables the per-type coverage checks (C002/C005) and — together
 /// with `goals` and `max_total_servers` — the budget check (C004).
@@ -230,32 +230,37 @@ pub fn lint_configuration(
                 replicas.len()
             ),
         ));
-    } else if let Some(load) = load {
-        if load.request_rates.len() == k {
-            for (id, st) in registry.iter() {
-                let l_x = load.request_rates[id.0];
-                let y_x = replicas[id.0];
-                if y_x == 0 && l_x > 0.0 {
-                    out.push(Diagnostic::error(
-                        codes::C_ZERO_REPLICA_LOAD,
-                        Location::ServerType {
-                            server_type: st.name.clone(),
-                        },
-                        format!(
-                            "receives {l_x:.3} requests/min but has no replica: the WFMS is down"
-                        ),
-                    ));
-                } else if y_x > 0 && l_x == 0.0 {
-                    out.push(Diagnostic::hint(
-                        codes::C_ZERO_LOAD_TYPE,
-                        Location::ServerType {
-                            server_type: st.name.clone(),
-                        },
-                        format!(
-                            "{y_x} replica(s) provisioned but the workload sends it no requests"
-                        ),
-                    ));
-                }
+    } else {
+        let load = load.filter(|l| l.request_rates.len() == k);
+        for (id, st) in registry.iter() {
+            let y_x = replicas[id.0];
+            let here = || Location::ServerType {
+                server_type: st.name.clone(),
+            };
+            if y_x > MAX_REPLICAS {
+                out.push(Diagnostic::error(
+                    codes::C_TOO_MANY_REPLICAS,
+                    here(),
+                    format!(
+                        "{y_x} replicas, more than the {MAX_REPLICAS} a server type may have: \
+                         every assessment refuses this configuration"
+                    ),
+                ));
+            }
+            let Some(load) = load else { continue };
+            let l_x = load.request_rates[id.0];
+            if y_x == 0 && l_x > 0.0 {
+                out.push(Diagnostic::error(
+                    codes::C_ZERO_REPLICA_LOAD,
+                    here(),
+                    format!("receives {l_x:.3} requests/min but has no replica: the WFMS is down"),
+                ));
+            } else if y_x > 0 && l_x == 0.0 {
+                out.push(Diagnostic::hint(
+                    codes::C_ZERO_LOAD_TYPE,
+                    here(),
+                    format!("{y_x} replica(s) provisioned but the workload sends it no requests"),
+                ));
             }
         }
     }
@@ -532,6 +537,13 @@ mod tests {
         assert!(
             found.contains(&codes::C_ZERO_LOAD_TYPE.to_string()),
             "{found:?}"
+        );
+        assert_eq!(d.error_count(), 1);
+
+        let d = lint_configuration(&reg, &[MAX_REPLICAS + 1, MAX_REPLICAS, 1], None, None, None);
+        assert_eq!(
+            d.distinct_codes(),
+            vec![codes::C_TOO_MANY_REPLICAS.to_string()]
         );
         assert_eq!(d.error_count(), 1);
     }

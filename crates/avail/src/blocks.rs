@@ -19,6 +19,11 @@ use wfms_statechart::ServerType;
 
 use crate::model::RepairPolicy;
 
+/// The largest unnormalized ratio the marginal walk keeps; a larger one
+/// rescales the walk. The sum of `MAX_REPLICAS + 1` entries below it is
+/// still far below `f64::MAX`.
+const RESCALE_ABOVE: f64 = 1e280;
+
 /// The failure/repair rate ladders of one server type's birth–death
 /// process, for a fixed replica count `Y_x` and repair policy.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,20 +97,39 @@ impl BirthDeathBlock {
     /// per-type marginals is the stationary distribution of the full
     /// chain — a cross-check for the global solve (exact under both
     /// policies, since the chain is a product of reversible blocks).
+    ///
+    /// The walk runs on unnormalized ratios. When one passes 10²⁸⁰,
+    /// every entry computed so far is divided by it, which keeps their
+    /// ratios (an entry that underflows is negligible next to it), so
+    /// the walk and its sum stay finite at any replica count. A walk
+    /// that stays below 10²⁸⁰ is never rescaled.
     pub fn marginal_distribution(&self) -> Vec<f64> {
         let y = self.replicas;
         let mut unnormalized = vec![0.0; y + 1];
+        // Entries at and above `live` have underflowed to zero, so a
+        // rescale need not touch them.
+        let mut live = y + 1;
         // Walk down from the fully-up state: balance across the cut
         // between x and x+1 gives π_x = π_{x+1} · λ(x+1) / μ(Y-x).
         unnormalized[y] = 1.0;
         for x in (0..y).rev() {
             let up_rate = self.repair_rates[y - x]; // x -> x+1
             let down_rate = self.failure_rates[x + 1]; // x+1 -> x
-            unnormalized[x] = if up_rate > 0.0 {
+            let mut next = if up_rate > 0.0 {
                 unnormalized[x + 1] * down_rate / up_rate
             } else {
                 0.0
             };
+            if next > RESCALE_ABOVE {
+                for p in &mut unnormalized[x + 1..live] {
+                    *p /= next;
+                }
+                while live > x + 1 && unnormalized[live - 1] == 0.0 {
+                    live -= 1;
+                }
+                next = 1.0;
+            }
+            unnormalized[x] = next;
         }
         let total: f64 = unnormalized.iter().sum();
         unnormalized.into_iter().map(|p| p / total).collect()
@@ -157,6 +181,39 @@ mod tests {
             );
             assert!((block.availability() - (1.0 - p_all_down)).abs() < 1e-15);
         }
+    }
+
+    /// Past f64's range of the unnormalized walk, every entry matches
+    /// the binomial marginal walked in log space, where nothing
+    /// overflows.
+    #[test]
+    fn marginal_past_the_walks_range_matches_a_log_space_walk() {
+        let st = wfms_statechart::ServerType::with_exponential_service(
+            "flaky",
+            wfms_statechart::ServerTypeKind::ApplicationServer,
+            0.1,
+            0.0002,
+            0.01,
+        );
+        let y = 5_000;
+        let marginal =
+            BirthDeathBlock::for_type(&st, y, RepairPolicy::Independent).marginal_distribution();
+        assert!((marginal.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        let q = st.failure_rate / (st.failure_rate + st.repair_rate);
+        let mut ln_pmf = y as f64 * q.ln();
+        let mut checked = 0;
+        for (x, &m) in marginal.iter().enumerate() {
+            let expected = ln_pmf.exp();
+            if expected > 1e-300 {
+                assert!(
+                    (m - expected).abs() <= 1e-9 * expected,
+                    "x={x}: {m:e} vs {expected:e}"
+                );
+                checked += 1;
+            }
+            ln_pmf += ((y - x) as f64 / (x + 1) as f64).ln() + ((1.0 - q) / q).ln();
+        }
+        assert!(checked > 100, "{checked} entries above 1e-300");
     }
 
     #[test]

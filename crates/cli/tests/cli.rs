@@ -224,10 +224,11 @@ fn assert_uniform_availability_is_the_closed_form(scenario: &str, y: usize) {
 }
 
 /// A replica count past the cap is refused before anything is sized from
-/// it, and a state count past `usize::MAX` saturates instead of wrapping:
-/// `lint`'s generator pass then skips the chain as past its 4,096-state
-/// cap instead of building a zero-state one, and `availability` answers
-/// it in product form.
+/// it: `assess` and `availability` fail, and `lint` reports one C006
+/// error per type past it. A state count past `usize::MAX` saturates
+/// instead of wrapping: `lint`'s generator pass then skips the chain as
+/// past its 4,096-state cap instead of building a zero-state one, and
+/// `availability` answers it in product form.
 #[test]
 fn oversized_configurations_are_refused_and_state_counts_saturate() {
     let (ep_registry, ep_workload) = (
@@ -247,17 +248,30 @@ fn oversized_configurations_are_refused_and_state_counts_saturate() {
             "{command}: {err}"
         );
     }
-    let out = invoke(&[
-        "lint",
-        "--registry",
-        &ep_registry,
-        "--workload",
-        &ep_workload,
-        "--config",
-        "4294967295,4294967295,1",
-    ])
-    .unwrap();
-    assert!(out.contains("0 errors"), "{out}");
+    for (config, past_cap) in [
+        ("4294967295,2,2", 1),
+        ("100001,2,2", 1),
+        ("4294967295,4294967295,1", 2),
+    ] {
+        let tokens = [
+            "lint",
+            "--registry",
+            &ep_registry,
+            "--workload",
+            &ep_workload,
+            "--config",
+            config,
+        ];
+        let parsed = ParsedArgs::parse(tokens.iter().map(|s| s.to_string())).unwrap();
+        let mut out = Vec::new();
+        let err = run_command(&parsed, &mut out).unwrap_err();
+        assert!(
+            matches!(err, CliError::Lint { errors } if errors == past_cap),
+            "{config}: {err}"
+        );
+        let out = String::from_utf8(out).unwrap();
+        assert_eq!(out.matches("C006").count(), past_cap, "{config}: {out}");
+    }
 
     // 65,536⁵ = 2⁸⁰ states, which an unchecked product wraps to 0.
     let (registry, workload) = (

@@ -626,4 +626,32 @@ mod tests {
         .unwrap();
         assert_eq!(count, 15); // C(6,2)
     }
+
+    /// `strict` is `#[serde(default)]`: options written before it
+    /// existed still decode, as the default (graceful) mode.
+    #[test]
+    fn search_options_without_strict_decode_as_graceful() {
+        let opts: SearchOptions =
+            serde_json::from_str(r#"{"max_total_servers":64,"state_cache_capacity":10}"#).unwrap();
+        assert_eq!(opts.max_total_servers, 64);
+        assert_eq!(opts.state_cache_capacity, 10);
+        assert!(!opts.strict);
+    }
+
+    /// `quarantined` is `#[serde(default)]`: a result without the list
+    /// decodes with an empty one.
+    #[test]
+    fn search_result_without_quarantined_decodes_with_none() {
+        let reg = paper_section52_registry();
+        let goals = Goals::availability_only(0.999).unwrap();
+        let result = engine(&reg, &load_at(0.1, &reg), &goals, SearchOptions::default())
+            .greedy()
+            .unwrap();
+        let text = serde_json::to_string(&result).unwrap();
+        let without = text.replace(r#","quarantined":[]"#, "");
+        assert_ne!(without, text);
+        let decoded: SearchResult = serde_json::from_str(&without).unwrap();
+        assert!(decoded.quarantined.is_empty());
+        assert_eq!(serde_json::to_string(&decoded).unwrap(), text);
+    }
 }

@@ -398,32 +398,36 @@ mod tests {
         );
     }
 
+    /// A type down most of the time: its birth–death walk passes f64's
+    /// range within a few hundred replicas, and the availability must
+    /// still be the closed form `1 − (λ/(λ+μ))^Y`, here evaluated in log
+    /// space.
     #[test]
-    fn availability_past_the_marginals_range_is_an_error() {
+    fn availability_past_the_walks_range_matches_a_log_space_oracle() {
         use wfms_statechart::{ServerType, ServerTypeKind};
-        // A type down half the time: its birth–death walk leaves the
-        // range of f64 near a thousand replicas.
-        let mut registry = ServerTypeRegistry::new();
-        registry
-            .register(ServerType::with_exponential_service(
-                "flaky",
-                ServerTypeKind::ApplicationServer,
-                0.1,
-                0.1,
-                0.01,
-            ))
-            .unwrap();
-        let t = ConfigurationTool::new(registry);
-        let small = Configuration::new(t.registry(), vec![100]).unwrap();
-        assert!(t.availability(&small).unwrap().availability.is_finite());
-        let large = Configuration::new(t.registry(), vec![5_000]).unwrap();
-        assert!(matches!(
-            t.availability(&large),
-            Err(ConfigError::NonFiniteAssessment {
-                what: "availability",
-                ..
-            })
-        ));
+        for (failure_rate, repair_rate) in [(0.1, 0.1), (0.1, 0.0002)] {
+            let mut registry = ServerTypeRegistry::new();
+            registry
+                .register(ServerType::with_exponential_service(
+                    "flaky",
+                    ServerTypeKind::ApplicationServer,
+                    failure_rate,
+                    repair_rate,
+                    0.01,
+                ))
+                .unwrap();
+            let t = ConfigurationTool::new(registry);
+            for y in [100, 5_000, 100_000] {
+                let config = Configuration::new(t.registry(), vec![y]).unwrap();
+                let availability = t.availability(&config).unwrap().availability;
+                let ln_all_down = y as f64 * (failure_rate / (failure_rate + repair_rate)).ln();
+                let oracle = -ln_all_down.exp_m1();
+                assert!(
+                    (availability - oracle).abs() <= 1e-12,
+                    "λ={failure_rate} μ={repair_rate} Y={y}: {availability} vs {oracle}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -98,6 +98,8 @@ pub const C_INVALID_GOAL: &str = "C003";
 pub const C_BUDGET_TOO_SMALL: &str = "C004";
 /// A server type has replicas but receives no load.
 pub const C_ZERO_LOAD_TYPE: &str = "C005";
+/// A server type has more replicas than a configuration may give it.
+pub const C_TOO_MANY_REPLICAS: &str = "C006";
 
 /// One row of the code registry.
 #[derive(Debug, Clone)]
@@ -340,6 +342,12 @@ pub fn all() -> Vec<CodeInfo> {
             Hint,
             "replicas provisioned for a type that receives no load",
             "Sec. 7.2",
+        ),
+        info(
+            C_TOO_MANY_REPLICAS,
+            Error,
+            "a server type may have at most 100000 replicas",
+            "Sec. 2",
         ),
     ]
 }

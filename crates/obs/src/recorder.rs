@@ -668,4 +668,19 @@ mod tests {
         assert_eq!(first.counters.get("c"), Some(&3));
         assert!(recorder.take().is_empty());
     }
+
+    /// `stages` is `#[serde(default)]`: a snapshot written without the
+    /// per-stage totals decodes with none.
+    #[test]
+    fn snapshot_without_stages_decodes_with_none() {
+        let recorder = Recorder::new();
+        recorder.enable();
+        recorder.counter("c", 3);
+        let text = serde_json::to_string(&recorder.take()).unwrap();
+        let without = text.replace(r#""stages":[],"#, "");
+        assert_ne!(without, text);
+        let decoded: TraceSnapshot = serde_json::from_str(&without).unwrap();
+        assert!(decoded.stages.is_empty());
+        assert_eq!(decoded.counters.get("c"), Some(&3));
+    }
 }

@@ -175,8 +175,8 @@ fn unknown_search_strategy_is_an_invalid_params_error() {
 /// A replica count past `MAX_REPLICAS` would size a per-type record from
 /// the request, and a failed allocation aborts the process instead of
 /// returning an error: it must be a typed `tool` error, the lint pass
-/// must skip the configuration, and the next request on the same handler
-/// must be answered.
+/// must report it as C006 without sizing anything, and the next request
+/// on the same handler must be answered.
 #[test]
 fn an_oversized_replica_count_is_a_typed_error_and_the_next_request_is_served() {
     let handler = Handler::new(2);
@@ -197,6 +197,10 @@ fn an_oversized_replica_count_is_a_typed_error_and_the_next_request_is_served() 
         assess_params("ep", &[4_294_967_295, 4_294_967_295, 1]),
     ));
     assert!(lint.ok, "lint answers: {:?}", lint.error);
+    let lint: wfms_proto::LintResult =
+        serde_json::from_value(lint.result.expect("result populated")).expect("typed result");
+    assert_eq!(lint.errors, 2, "{}", lint.summary);
+    assert_eq!(lint.findings.to_string().matches("C006").count(), 2);
     let next = handler.handle(&request(
         METHOD_ASSESS,
         "acme",

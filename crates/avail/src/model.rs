@@ -289,8 +289,10 @@ impl AvailabilityModel {
 /// U = 1 - Π_x (1 - q_x^{Y_x})
 /// ```
 ///
-/// Exact for [`RepairPolicy::Independent`]; used to cross-validate the
-/// CTMC solve and as a fast path in the configuration-search loop.
+/// Exact for [`RepairPolicy::Independent`]: the test oracle for the
+/// product form and the CTMC solve, and EXP-A1's closed form. No
+/// production path reads it; assessments multiply the engine's
+/// birth–death marginals instead.
 ///
 /// # Errors
 /// [`AvailError::Arch`] on a registry/configuration mismatch.

@@ -751,6 +751,80 @@ fn sensitivity_ranks_parameters() {
     assert!(parsed.as_array().unwrap().len() >= 10);
 }
 
+/// Sensitivity answers wherever `assess` does: enterprise `6,6,6,6,6`
+/// has 16,807 joint states, and every one of its 16 parameters (three
+/// per server type, then the arrival scale) gets a row. Its assessments
+/// are not search decisions, so `--journal` records none. The journal is
+/// process-global, hence the binary.
+#[test]
+fn sensitivity_answers_past_the_joint_state_cap() {
+    let dir = TempDir::new("sensitivity-journal");
+    let journal = dir.path("journal.jsonl");
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_wfms"))
+        .args([
+            "sensitivity",
+            "--registry",
+            &enterprise_spec("registry.json"),
+            "--workload",
+            &enterprise_spec("workload.json"),
+            "--config",
+            "6,6,6,6,6",
+            "--journal",
+            &journal,
+        ])
+        .output()
+        .expect("spawn wfms");
+    assert!(run.status.success(), "{run:?}");
+    assert_eq!(std::fs::read(&journal).expect("journal written"), b"");
+    let out = String::from_utf8(run.stdout).expect("utf-8 output");
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines[0], "elasticities at Y(6,6,6,6,6) (step 5%):", "{out}");
+    assert_eq!(lines.len(), 2 + 16, "{out}");
+    assert!(lines[2..].iter().all(|row| !row.contains("n/a")), "{out}");
+    assert!(lines[17].starts_with("arrival-rate scale"), "{out}");
+}
+
+/// Sensitivity always runs strict, because an elasticity of a charged
+/// wait would measure the cap, not the model: an injected evaluation or
+/// steady-state failure fails the command, and no elasticity is
+/// printed. The steady-state failpoint injects a solve that did not
+/// converge, which `--moves` reads too.
+#[test]
+fn sensitivity_fails_under_injected_faults() {
+    let dir = scenario("sensitivity-faults");
+    let (registry, workload) = (dir.path("registry.json"), dir.path("workload.json"));
+    let args = [
+        "sensitivity",
+        "--registry",
+        &registry,
+        "--workload",
+        &workload,
+        "--config",
+        "2,2,3",
+    ];
+    let moves = [&args[..], &["--moves"]].concat();
+    for (faults, runs, message) in [
+        (
+            "performability.evaluate-state=error@1.0",
+            vec![&args[..]],
+            "fault injected at failpoint `performability.evaluate-state`",
+        ),
+        (
+            "avail.steady-state=error@1.0",
+            vec![&args[..], &moves[..]],
+            "no convergence after 0 sweeps",
+        ),
+    ] {
+        for run_args in runs {
+            let run = wfms_with_faults(faults, run_args);
+            assert!(!run.status.success(), "{faults} {run_args:?}: {run:?}");
+            assert!(run.stdout.is_empty(), "{faults} {run_args:?}: {run:?}");
+            let stderr = String::from_utf8(run.stderr).expect("utf-8 stderr");
+            assert!(stderr.contains(message), "{faults} {run_args:?}: {stderr}");
+        }
+    }
+}
+
 #[test]
 fn export_dot_renders_both_views() {
     let dir = scenario("dot");

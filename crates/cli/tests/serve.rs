@@ -1,7 +1,8 @@
 //! Daemon lifecycle tests against the spawned binary: ready line,
 //! duplicate-bind refusal, graceful shutdown, byte-identical concurrent
-//! answers, bounded-queue load shedding, the tenant's once-computed
-//! turnarounds, and flat observability replies.
+//! answers, bounded-queue load shedding, a queue-depth gauge that never
+//! reads below zero, the tenant's once-computed turnarounds, and flat
+//! observability replies.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -10,8 +11,9 @@ use std::time::Duration;
 
 use serde_json::Value;
 use wfms_proto::{
-    MetricsResult, ProfileSnapshotResult, Request, Response, ERR_OVERLOADED, METHOD_ASSESS,
-    METHOD_METRICS, METHOD_PROFILE_SNAPSHOT, METHOD_RECOMMEND, METHOD_SHUTDOWN, PROTOCOL_VERSION,
+    HealthResult, MetricsResult, ProfileSnapshotResult, Request, Response, ERR_OVERLOADED,
+    METHOD_ASSESS, METHOD_HEALTH, METHOD_METRICS, METHOD_PROFILE_SNAPSHOT, METHOD_RECOMMEND,
+    METHOD_SHUTDOWN, PROTOCOL_VERSION,
 };
 
 fn spec(scenario: &str, file: &str) -> Value {
@@ -306,6 +308,28 @@ fn full_queue_sheds_connections_with_a_typed_overloaded_error() {
     let status = daemon.child.wait().expect("wait for daemon");
     drop(held);
     assert!(status.success(), "graceful shutdown exits 0: {status:?}");
+}
+
+/// The accept loop counts a connection into the depth gauge before a
+/// worker can count it out, so the gauge never wraps below zero: each
+/// `health` reply, read by the worker that just picked its connection
+/// up, reports a depth within the queue's capacity.
+#[test]
+fn queue_depth_never_reads_below_zero() {
+    let daemon = Daemon::spawn(&[]);
+    for i in 0..50 {
+        let reply = daemon.roundtrip(&Request::new(METHOD_HEALTH, Value::Null));
+        assert!(reply.ok, "health succeeds: {:?}", reply.error);
+        let health: HealthResult =
+            serde_json::from_value(reply.result.expect("result populated")).expect("typed result");
+        assert!(
+            health.queue.depth <= health.queue.capacity,
+            "request {i}: depth {} past capacity {}",
+            health.queue.depth,
+            health.queue.capacity
+        );
+    }
+    daemon.shutdown();
 }
 
 fn recommend_request(tenant: &str) -> Request {

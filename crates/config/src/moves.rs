@@ -7,8 +7,10 @@
 //! `(1 − m'_x[0]) / (1 − m_x[0])` ([`wfms_avail::availability_gain`]),
 //! so the availability gained is `A · (factor − 1)` — exact, no chain
 //! solve. The waiting-time side uses the *failure-blind* full-strength
-//! M/G/1 wait at per-server rate `l_x / Y_x` — the same necessary-
-//! condition model [`crate::search::goal_lower_bounds`] prunes with.
+//! M/G/1 wait at per-server rate `l_x / Y_x`
+//! ([`wfms_perf::type_waiting_time`] with all `Y_x` up) — the same
+//! necessary-condition model [`crate::search::goal_lower_bounds`] prunes
+//! with.
 //! Both are ranking signals, not assessments: degraded states couple
 //! the true `W_x` to every type's replica count, which is exactly why
 //! the engine re-assesses exactly before accepting any winner.
@@ -21,8 +23,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use wfms_avail::{availability_gain, BirthDeathBlock, RepairPolicy};
-use wfms_perf::SystemLoad;
+use wfms_avail::{availability_gain, steady_state_marginal, BirthDeathBlock, RepairPolicy};
+use wfms_perf::{type_waiting_time, SystemLoad};
 use wfms_statechart::{Configuration, ServerTypeRegistry};
 
 use crate::error::ConfigError;
@@ -55,23 +57,6 @@ pub struct MoveSensitivity {
     pub waiting_delta: Option<f64>,
 }
 
-/// The failure-blind full-strength M/G/1 wait of type `st` under
-/// per-type arrival rate `l_x` split over `y` replicas; `None` when
-/// unstable.
-fn full_strength_wait(
-    st: &wfms_statechart::ServerType,
-    l_x: f64,
-    y: usize,
-) -> Result<Option<f64>, ConfigError> {
-    let per_server = l_x / y as f64;
-    let service =
-        wfms_queueing::ServiceMoments::new(st.service_time_mean, st.service_time_second_moment)
-            .map_err(wfms_perf::PerfError::Queue)?;
-    let queue =
-        wfms_queueing::Mg1::new(per_server, service).map_err(wfms_perf::PerfError::Queue)?;
-    Ok(queue.mean_waiting_time().ok())
-}
-
 /// Computes every one-replica move's closed-form sensitivities for
 /// `config`, in type order. See the module docs for the models and
 /// their (deliberate) limits.
@@ -100,24 +85,29 @@ pub fn move_sensitivities(
         ));
     }
     // The incumbent's exact availability and per-type all-down masses,
-    // from the same birth–death marginals the product backend uses.
+    // from the same birth–death marginals the engine reads.
+    let all_down_at = |st, y| -> Result<f64, ConfigError> {
+        let block = BirthDeathBlock::for_type(st, y, RepairPolicy::Independent);
+        Ok(steady_state_marginal(&block)?[0])
+    };
     let mut all_down = Vec::with_capacity(registry.len());
     let mut availability = 1.0;
     for (id, st) in registry.iter() {
-        let block =
-            BirthDeathBlock::for_type(st, config.as_slice()[id.0], RepairPolicy::Independent);
-        let m0 = block.marginal_distribution()[0];
+        let m0 = all_down_at(st, config.as_slice()[id.0])?;
         availability *= 1.0 - m0;
         all_down.push(m0);
     }
+    // The failure-blind full-strength wait at `y` replicas; `None` when
+    // unstable.
+    let wait_at = |id, y| -> Result<Option<f64>, ConfigError> {
+        Ok(type_waiting_time(load, registry, id, y)?.waiting_time())
+    };
     let mut out = Vec::with_capacity(registry.len());
     for (id, st) in registry.iter() {
         let y = config.as_slice()[id.0];
-        let grown = BirthDeathBlock::for_type(st, y + 1, RepairPolicy::Independent);
-        let factor = availability_gain(all_down[id.0], grown.marginal_distribution()[0]);
-        let l_x = load.request_rates[id.0];
-        let waiting_before = full_strength_wait(st, l_x, y)?;
-        let waiting_after = full_strength_wait(st, l_x, y + 1)?;
+        let factor = availability_gain(all_down[id.0], all_down_at(st, y + 1)?);
+        let waiting_before = wait_at(id, y)?;
+        let waiting_after = wait_at(id, y + 1)?;
         let waiting_delta = match (waiting_before, waiting_after) {
             (Some(before), Some(after)) => Some(after - before),
             _ => None,

@@ -18,7 +18,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use wfms_perf::SystemLoad;
+use wfms_perf::{type_waiting_time, SystemLoad};
 use wfms_statechart::{ServerTypeId, ServerTypeRegistry};
 
 use crate::assess::Assessment;
@@ -161,7 +161,8 @@ impl SearchResult {
 /// `Y_x > l_x · b_x`, i.e. `floor(l_x b_x) + 1`.
 ///
 /// # Errors
-/// [`ConfigError::Arch`] on a registry/load mismatch.
+/// [`ConfigError::Perf`] when the load has fewer request rates than the
+/// registry has server types.
 pub fn minimum_stable_replicas(
     registry: &ServerTypeRegistry,
     load: &SystemLoad,
@@ -287,7 +288,8 @@ pub(crate) fn availability_critical_type(
 ///   since the other factors only shrink the product).
 ///
 /// # Errors
-/// [`ConfigError`] on registry/load mismatches.
+/// [`ConfigError::Perf`] when a waiting goal is set and the load does
+/// not cover every server type.
 pub fn goal_lower_bounds(
     registry: &ServerTypeRegistry,
     load: &SystemLoad,
@@ -296,26 +298,17 @@ pub fn goal_lower_bounds(
 ) -> Result<Vec<usize>, ConfigError> {
     let mut bounds = vec![1usize; registry.len()];
     if goals.max_waiting_time.is_some() || !goals.per_type_waiting.is_empty() {
-        for (id, st) in registry.iter() {
-            let l_x = load.request_rates[id.0];
-            let demand = l_x * st.service_time_mean;
-            let mut y = (demand.floor() as usize + 1).max(1);
+        // The minimum stable counts, which also check the load's length.
+        let stable = minimum_stable_replicas(registry, load)?;
+        for (id, _) in registry.iter() {
+            let mut y = stable[id.0];
             // Grow until the full-strength M/G/1 wait meets the threshold
             // (a necessary condition: degraded states only wait longer).
             if let Some(threshold) = goals.waiting_threshold_for(id.0) {
-                while y <= max_per_type {
-                    let per_server = l_x / y as f64;
-                    let service = wfms_queueing::ServiceMoments::new(
-                        st.service_time_mean,
-                        st.service_time_second_moment,
-                    )
-                    .map_err(wfms_perf::PerfError::Queue)?;
-                    let queue = wfms_queueing::Mg1::new(per_server, service)
-                        .map_err(wfms_perf::PerfError::Queue)?;
-                    match queue.mean_waiting_time() {
-                        Ok(w) if w <= threshold => break,
-                        _ => y += 1,
-                    }
+                while y <= max_per_type
+                    && !type_waiting_time(load, registry, id, y)?.meets(threshold)
+                {
+                    y += 1;
                 }
             }
             bounds[id.0] = bounds[id.0].max(y);
@@ -599,6 +592,22 @@ mod tests {
         let bounds = goal_lower_bounds(&reg, &load_at(0.01, &reg), &goals, 64).unwrap();
         assert_eq!(bounds[2], 4, "{bounds:?}");
         assert_eq!(bounds[0], 2, "{bounds:?}");
+    }
+
+    #[test]
+    fn goal_lower_bounds_reject_a_short_load_vector() {
+        let reg = paper_section52_registry();
+        let mut load = load_at(0.5, &reg);
+        load.request_rates.pop();
+        let goals = Goals::new(0.05, 0.9999).unwrap();
+        assert!(matches!(
+            goal_lower_bounds(&reg, &load, &goals, 64),
+            Err(ConfigError::Perf(wfms_perf::PerfError::LengthMismatch {
+                expected: 3,
+                actual: 2,
+                ..
+            }))
+        ));
     }
 
     #[test]

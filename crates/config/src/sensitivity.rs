@@ -14,15 +14,22 @@
 //! server type's failure rate, repair rate, and mean service time, plus
 //! the overall arrival-rate scale. An elasticity of 2 means a 1 % change
 //! in the parameter moves the metric by about 2 %.
+//!
+//! Each parameterization is assessed by its own [`AssessmentEngine`], so
+//! every elasticity is a finite difference of exactly the figures
+//! `wfms assess` prints, at any size. Under the conditional policy type
+//! `x`'s wait depends on type `x`'s parameters alone, so an elasticity of
+//! a wait with respect to another type's parameter is exactly `0`.
 
 use serde::{Deserialize, Serialize};
 
-use wfms_avail::closed_form_unavailability;
 use wfms_perf::SystemLoad;
-use wfms_performability::{evaluate, DegradedPolicy, PerformabilityError};
 use wfms_statechart::{Configuration, ServerType, ServerTypeRegistry};
 
+use crate::engine::AssessmentEngine;
 use crate::error::ConfigError;
+use crate::goals::Goals;
+use crate::search::SearchOptions;
 
 /// One perturbable parameter.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -119,19 +126,29 @@ fn scaled_load(load: &SystemLoad, factor: f64) -> SystemLoad {
     }
 }
 
-/// Evaluates `(worst waiting, unavailability)` for one parameterization.
+/// Evaluates `(worst waiting, unavailability)` for one parameterization
+/// with a fresh engine. The engine is strict, so a failed evaluation
+/// fails the whole analysis instead of being charged at its cap: an
+/// elasticity of a charged wait would measure the cap, not the model.
+/// No journal event is written.
 fn metrics(
     registry: &ServerTypeRegistry,
     config: &Configuration,
     load: &SystemLoad,
 ) -> Result<(Option<f64>, f64), ConfigError> {
-    let unavailability = closed_form_unavailability(registry, config)?;
-    let waiting = match evaluate(registry, config, load, DegradedPolicy::Conditional) {
-        Ok(report) => Some(report.max_expected_waiting()),
-        Err(PerformabilityError::NoServingStates) => None,
-        Err(e) => return Err(e.into()),
+    // The engine wants a goal; only the figures are read, never the
+    // verdict, so any valid goal serves.
+    let goals = Goals::availability_only(0.5)?;
+    let options = SearchOptions {
+        strict: true,
+        ..SearchOptions::default()
     };
-    Ok((waiting, unavailability))
+    let engine = AssessmentEngine::new(registry, load, &goals, options)?;
+    let (assessment, _) = engine.assess_with_provenance(config)?;
+    Ok((
+        assessment.max_expected_waiting,
+        1.0 - assessment.availability,
+    ))
 }
 
 /// Computes elasticities of the goal metrics for every parameter.
@@ -322,6 +339,97 @@ mod tests {
             )
             .is_err());
         }
+    }
+
+    /// Each system with its aggregate load: ep on the paper's registry
+    /// at `{1..3}³`, and the enterprise mix at `{1,2}⁵`.
+    fn oracle_cases() -> Vec<(ServerTypeRegistry, SystemLoad, Vec<Vec<usize>>)> {
+        use wfms_perf::{aggregate_load, analyze_workflow, AnalysisOptions, WorkloadItem};
+        use wfms_workloads::{
+            enterprise_mix, enterprise_registry, ep_workflow, EP_DEFAULT_ARRIVAL_RATE,
+        };
+        let loaded = |reg: ServerTypeRegistry, mix: Vec<(wfms_statechart::WorkflowSpec, f64)>| {
+            let items: Vec<WorkloadItem> = mix
+                .iter()
+                .map(|(spec, rate)| WorkloadItem {
+                    analysis: analyze_workflow(spec, &reg, &AnalysisOptions::default()).unwrap(),
+                    arrival_rate: *rate,
+                })
+                .collect();
+            let load = aggregate_load(&items, &reg).unwrap();
+            (reg, load)
+        };
+        let grid = |k: usize, top: usize| {
+            let mut out = vec![Vec::new()];
+            for _ in 0..k {
+                out = out
+                    .into_iter()
+                    .flat_map(|y: Vec<usize>| (1..=top).map(move |v| [y.as_slice(), &[v]].concat()))
+                    .collect();
+            }
+            out
+        };
+        let (ep, ep_load) = loaded(
+            paper_section52_registry(),
+            vec![(ep_workflow(), EP_DEFAULT_ARRIVAL_RATE)],
+        );
+        let (ent, ent_load) = loaded(enterprise_registry(), enterprise_mix());
+        vec![(ep, ep_load, grid(3, 3)), (ent, ent_load, grid(5, 2))]
+    }
+
+    /// The engine's figures against the joint oracle on every
+    /// parameterization `sensitivity` assesses: the joint fold over a
+    /// dense LU solve, and the closed-form unavailability.
+    #[test]
+    fn metrics_match_the_joint_lu_oracle_on_every_parameterization() {
+        use wfms_avail::{closed_form_unavailability, AvailabilityModel};
+        use wfms_markov::ctmc::SteadyStateMethod;
+        use wfms_performability::{evaluate_with_model, DegradedPolicy, PerformabilityError};
+
+        let factor = 1.0 + SensitivityOptions::default().relative_step;
+        let mut checked = 0;
+        for (reg, load, configs) in oracle_cases() {
+            let mut parameterizations = vec![(reg.clone(), load.clone())];
+            for x in 0..reg.len() {
+                for p in [
+                    Parameter::FailureRate(x),
+                    Parameter::RepairRate(x),
+                    Parameter::ServiceTimeMean(x),
+                ] {
+                    parameterizations
+                        .push((perturbed_registry(&reg, &p, factor).unwrap(), load.clone()));
+                }
+            }
+            parameterizations.push((reg.clone(), scaled_load(&load, factor)));
+            for y in &configs {
+                for (r, l) in &parameterizations {
+                    let config = Configuration::new(r, y.clone()).unwrap();
+                    let (wait, unavailability) = metrics(r, &config, l).unwrap();
+                    let closed = closed_form_unavailability(r, &config).unwrap();
+                    assert!(
+                        (unavailability - closed).abs() <= 1e-15,
+                        "{y:?}: unavailability {unavailability:e} vs closed form {closed:e}"
+                    );
+                    let model = AvailabilityModel::new(r, &config).unwrap();
+                    let pi = model.steady_state(SteadyStateMethod::Lu).unwrap();
+                    match evaluate_with_model(&model, &pi, r, l, DegradedPolicy::Conditional) {
+                        Ok(report) => {
+                            let oracle = report.max_expected_waiting();
+                            let w = wait.expect("the oracle serves, so must the engine");
+                            assert!(
+                                (w - oracle).abs() <= 1e-12 * oracle.abs(),
+                                "{y:?}: wait {w:e} vs joint LU {oracle:e}"
+                            );
+                        }
+                        Err(PerformabilityError::NoServingStates) => assert!(wait.is_none()),
+                        Err(e) => panic!("{y:?}: oracle failed: {e}"),
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        // The base and one parameterization per parameter: 3k + 2.
+        assert_eq!(checked, 27 * 11 + 32 * 17);
     }
 
     #[test]

@@ -22,7 +22,6 @@ use wfms_perf::{
     aggregate_load, analyze_workflow, max_sustainable_throughput, AnalysisOptions, SystemLoad,
     ThroughputReport, WorkflowAnalysis, WorkloadItem,
 };
-use wfms_performability::{evaluate, DegradedPolicy, PerformabilityReport};
 use wfms_statechart::{validate_spec, Configuration, ServerTypeRegistry, WorkflowSpec};
 
 /// Availability figures of one configuration.
@@ -172,19 +171,6 @@ impl ConfigurationTool {
         })
     }
 
-    /// Performability of a configuration (Sec. 6).
-    ///
-    /// # Errors
-    /// Model failures as [`ConfigError`].
-    pub fn performability(
-        &self,
-        config: &Configuration,
-        policy: DegradedPolicy,
-    ) -> Result<PerformabilityReport, ConfigError> {
-        let load = self.system_load()?;
-        Ok(evaluate(&self.registry, config, &load, policy)?)
-    }
-
     /// Maximum sustainable throughput of a configuration (Sec. 4.3).
     ///
     /// # Errors
@@ -194,7 +180,9 @@ impl ConfigurationTool {
         Ok(max_sustainable_throughput(&load, &self.registry, config)?)
     }
 
-    /// Full goal assessment of one candidate configuration.
+    /// Full goal assessment of one candidate configuration: the
+    /// availability (Sec. 5) and the performability figures (Sec. 6),
+    /// each type's expected wait and the probability of saturation.
     ///
     /// # Errors
     /// Model failures as [`ConfigError`].
@@ -455,17 +443,6 @@ mod tests {
         let report = t.throughput(&config).unwrap();
         assert!(report.max_throughput > 0.0);
         assert!(report.capacity.len() == 3);
-    }
-
-    #[test]
-    fn performability_runs_for_ep() {
-        let t = tool();
-        let config = Configuration::uniform(t.registry(), 2).unwrap();
-        let report = t
-            .performability(&config, DegradedPolicy::Conditional)
-            .unwrap();
-        assert_eq!(report.expected_waiting.len(), 3);
-        assert!(report.probability_serving > 0.9);
     }
 
     #[test]

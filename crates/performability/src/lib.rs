@@ -34,6 +34,12 @@
 //!
 //! — one 1-D sum per type: `Σ_x (Y_x + 1)` single-type terms instead of
 //! `Π_x (Y_x + 1)` joint states.
+//!
+//! [`fold_types`], through the assessment engine of `wfms-config`, is
+//! the only production fold: every assessment, search and sensitivity
+//! figure comes from it. [`evaluate`], [`evaluate_with_model`] and
+//! [`fold_states`] build and fold the joint chain; they are the test
+//! oracle, and EXP-B1 reads their per-state and penalty tables.
 
 #![warn(missing_docs)]
 
@@ -200,8 +206,8 @@ pub fn evaluate(
 }
 
 /// As [`evaluate`], but reusing an already-built availability model and
-/// its stationary distribution (the configuration-search loop calls this
-/// to avoid re-solving).
+/// its stationary distribution (the oracles pass the LU solution they
+/// already hold).
 ///
 /// # Errors
 /// See [`evaluate`].
@@ -225,10 +231,9 @@ pub fn evaluate_with_model(
 /// per-state kernel of the performability reward.
 ///
 /// For a fixed `(load, registry)` pair, this depends only on the state
-/// vector `X` — not on the candidate configuration `Y` containing it —
-/// which is what makes the result shareable across all candidates of a
-/// configuration search (the `AssessmentEngine` in `wfms-config` caches
-/// it keyed by `X`).
+/// vector `X` — not on the candidate configuration `Y` containing it.
+/// The assessment engine never forms `X`: it evaluates one type at one
+/// up-count ([`evaluate_type_state`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateEvaluation {
     /// Waiting outcome per server type in this state (`w^X`).

@@ -323,9 +323,13 @@ pub fn serve(opts: &ServeOptions, out: &mut impl Write) -> Result<(), ServeError
                 continue;
             }
         };
+        // Count the connection in before a worker can count it out, or
+        // the depth gauge could read below zero.
+        shared.handler.queue().enqueued();
         match tx.try_send(stream) {
-            Ok(()) => shared.handler.queue().enqueued(),
+            Ok(()) => {}
             Err(TrySendError::Full(stream)) => {
+                shared.handler.queue().dequeued();
                 shared.handler.queue().shed();
                 if shed_tx.try_send(stream).is_err() {
                     // The shed lane itself is saturated: close the
@@ -333,7 +337,10 @@ pub fn serve(opts: &ServeOptions, out: &mut impl Write) -> Result<(), ServeError
                     wfms_obs::counter("serve.shed-undelivered", 1);
                 }
             }
-            Err(TrySendError::Disconnected(_)) => break,
+            Err(TrySendError::Disconnected(_)) => {
+                shared.handler.queue().dequeued();
+                break;
+            }
         }
     }
 

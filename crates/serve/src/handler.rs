@@ -77,12 +77,13 @@ impl QueueTelemetry {
         self.workers.store(workers, Ordering::Relaxed);
     }
 
-    /// A connection was admitted to the queue.
+    /// A connection is being offered to the queue.
     pub fn enqueued(&self) {
         self.depth.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A worker picked an admitted connection up.
+    /// A connection left the queue: a worker picked it up, or the queue
+    /// was full or closed and did not admit it.
     pub fn dequeued(&self) {
         self.depth.fetch_sub(1, Ordering::Relaxed);
     }

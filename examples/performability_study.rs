@@ -8,7 +8,7 @@
 
 use wfms::perf::waiting_times;
 use wfms::workloads::{enterprise_mix, enterprise_registry};
-use wfms::{Configuration, ConfigurationTool, DegradedPolicy};
+use wfms::{Configuration, ConfigurationTool, Goals};
 
 fn main() {
     let registry = enterprise_registry();
@@ -18,6 +18,9 @@ fn main() {
             .expect("enterprise workflows validate");
     }
     let load = tool.system_load().expect("load aggregates");
+    // The goals the enterprise scenario is configured against (3-second
+    // waits, four nines); the figures printed below do not depend on them.
+    let goals = Goals::new(0.05, 0.9999).expect("valid goals");
 
     println!("Enterprise mix: {} workflow types", tool.workloads().len());
     for (name, n) in &load.active_instances {
@@ -48,64 +51,53 @@ fn main() {
             .iter()
             .filter_map(|o| o.waiting_time())
             .fold(f64::NAN, f64::max);
-        match tool.performability(&config, DegradedPolicy::Conditional) {
-            Ok(report) => {
-                println!(
-                    "{:^18} | {:>9.2} s | {:>11.2} s | {:>12.4} | {:>12.6}",
-                    format!("{config}"),
-                    blind_max * 60.0,
-                    report.max_expected_waiting() * 60.0,
-                    report.probability_saturated,
-                    report.probability_down
-                );
-            }
-            Err(e) => println!("{:^18} | {e}", format!("{config}")),
-        }
+        let assessment = tool
+            .assess(&config, &goals)
+            .expect("the configuration assesses");
+        let wait = assessment
+            .max_expected_waiting
+            .expect("the configuration serves the load");
+        println!(
+            "{:^18} | {:>9.2} s | {:>11.2} s | {:>12.4} | {:>12.6}",
+            format!("{config}"),
+            blind_max * 60.0,
+            wait * 60.0,
+            assessment.probability_saturated,
+            1.0 - assessment.availability
+        );
     }
 
-    // Degraded-mode detail for one configuration: the waiting time the
-    // system exhibits in each system state worth worrying about.
+    // Per-type detail for one configuration: type x's performability
+    // wait averages its M/G/1 wait over its own degraded up-counts, so it
+    // sits above the failure-blind wait at full strength.
     let config = Configuration::uniform(tool.registry(), 3).unwrap();
-    let report = tool
-        .performability(&config, DegradedPolicy::Conditional)
+    let assessment = tool
+        .assess(&config, &goals)
+        .expect("the configuration assesses");
+    let waits = assessment
+        .expected_waiting
+        .as_ref()
         .expect("3-way replication serves the load");
-    println!("\nDegraded-state detail for {config} (states with ≥ 1e-6 probability and one type degraded):");
+    let blind = waiting_times(&load, tool.registry(), config.as_slice()).unwrap();
+    println!("\nPer-type detail for {config}:");
     println!(
-        "{:^20} | {:^12} | {:^14}",
-        "system state X", "probability", "worst wait"
+        "{:^16} | {:^12} | {:^14}",
+        "server type", "blind wait", "performability"
     );
-    println!("{}", "-".repeat(52));
-    let mut shown = 0;
-    for d in &report.details {
-        let degraded_types = d
-            .state
-            .iter()
-            .zip(config.as_slice())
-            .filter(|(x, y)| x < y)
-            .count();
-        if d.probability >= 1e-6 && degraded_types >= 1 && shown < 12 {
-            let worst = d
-                .outcomes
-                .iter()
-                .filter_map(|o| o.waiting_time())
-                .fold(f64::NAN, f64::max);
-            let label = if worst.is_nan() {
-                "saturated/down".to_string()
-            } else {
-                format!("{:.2} s", worst * 60.0)
-            };
-            println!(
-                "{:^20} | {:>12.2e} | {:>14}",
-                format!("{:?}", d.state),
-                d.probability,
-                label
-            );
-            shown += 1;
-        }
+    println!("{}", "-".repeat(48));
+    for (((_, t), blind), wait) in tool.registry().iter().zip(&blind).zip(waits) {
+        let blind = match blind.waiting_time() {
+            Some(w) => format!("{:.2} s", w * 60.0),
+            None => "saturated".to_string(),
+        };
+        println!("{:16} | {:>12} | {:>12.2} s", t.name, blind, wait * 60.0);
     }
     println!(
         "\nConditional performability: W = {:.2} s; serving probability {:.6}.",
-        report.max_expected_waiting() * 60.0,
-        report.probability_serving
+        assessment
+            .max_expected_waiting
+            .expect("3-way replication serves the load")
+            * 60.0,
+        assessment.availability - assessment.probability_saturated
     );
 }

@@ -4,7 +4,7 @@
 use wfms::config::{ApplyOptions, StateVisit, WorkflowTrace};
 use wfms::statechart::paper_section52_registry;
 use wfms::workloads::{enterprise_mix, enterprise_registry, ep_workflow, EP_DEFAULT_ARRIVAL_RATE};
-use wfms::{Configuration, ConfigurationTool, DegradedPolicy, Goals, SearchOptions};
+use wfms::{Configuration, ConfigurationTool, Goals, SearchOptions};
 
 #[test]
 fn ep_pipeline_from_spec_to_recommendation() {
@@ -66,25 +66,6 @@ fn enterprise_pipeline_handles_five_types_and_three_workflows() {
     // replicated at least as much as the idle CRM server.
     let y = rec.replicas();
     assert!(y[4] >= y[3], "ERP {} vs CRM {}", y[4], y[3]);
-}
-
-#[test]
-fn performability_is_consistent_with_assessment() {
-    let mut tool = ConfigurationTool::new(paper_section52_registry());
-    tool.add_workflow(ep_workflow(), EP_DEFAULT_ARRIVAL_RATE)
-        .unwrap();
-    let config = Configuration::uniform(tool.registry(), 2).unwrap();
-    let report = tool
-        .performability(&config, DegradedPolicy::Conditional)
-        .unwrap();
-    let goals = Goals::new(10.0, 0.5).unwrap(); // trivially met
-    let assessment = tool.assess(&config, &goals).unwrap();
-    // The assessment embeds the same performability numbers.
-    let w = assessment.max_expected_waiting.unwrap();
-    assert!((w - report.max_expected_waiting()).abs() < 1e-12);
-    // And the availability figures agree with the availability-only path.
-    let avail = tool.availability(&config).unwrap();
-    assert!((assessment.availability - avail.availability).abs() < 1e-12);
 }
 
 #[test]

@@ -51,6 +51,13 @@ pub enum AvailError {
     Chain(ChainError),
     /// Architectural-model failure.
     Arch(ArchError),
+    /// A `wfms-fault` failpoint fired in error mode at the named site.
+    /// Only ever produced under explicit fault injection (tests, chaos
+    /// runs); carries the stable site name for assertions.
+    FaultInjected {
+        /// The failpoint site that fired.
+        site: &'static str,
+    },
 }
 
 impl fmt::Display for AvailError {
@@ -90,6 +97,9 @@ impl fmt::Display for AvailError {
             }
             AvailError::Chain(e) => write!(f, "Markov analysis error: {e}"),
             AvailError::Arch(e) => write!(f, "architecture error: {e}"),
+            AvailError::FaultInjected { site } => {
+                write!(f, "fault injected at failpoint `{site}`")
+            }
         }
     }
 }

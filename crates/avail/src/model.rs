@@ -189,24 +189,23 @@ impl AvailabilityModel {
     /// Stationary distribution over system states.
     ///
     /// # Errors
-    /// Solver failures as [`AvailError::Chain`].
+    /// Solver failures as [`AvailError::Chain`];
+    /// [`AvailError::FaultInjected`] under error injection at
+    /// `avail.steady-state`.
     pub fn steady_state(&self, method: SteadyStateMethod) -> Result<Vec<f64>, AvailError> {
         let _obs_span = wfms_obs::span!(
             "avail-steady-state",
             states = self.space.len(),
             backend = "dense"
         );
-        // Failpoint `avail.steady-state`: error injection surfaces as a
-        // solver non-convergence, NaN injection poisons the distribution.
+        // Failpoint `avail.steady-state`: error injection surfaces as
+        // `FaultInjected`, NaN injection poisons the distribution.
         let mut poison_solution = false;
         match wfms_fault::point!("avail.steady-state") {
             Some(wfms_fault::Injection::Error) => {
-                return Err(AvailError::Chain(wfms_markov::ChainError::Iterative(
-                    wfms_markov::linalg::IterativeError::NotConverged {
-                        iterations: 0,
-                        last_residual: f64::INFINITY,
-                    },
-                )));
+                return Err(AvailError::FaultInjected {
+                    site: "avail.steady-state",
+                });
             }
             Some(wfms_fault::Injection::Nan) => poison_solution = true,
             None => {}

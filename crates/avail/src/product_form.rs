@@ -136,7 +136,7 @@ impl ProductFormModel {
     /// # Errors
     /// * [`AvailError::BlockMismatch`] / [`AvailError::Arch`] when the
     ///   blocks do not match `config`.
-    /// * [`AvailError::Chain`] under error injection at
+    /// * [`AvailError::FaultInjected`] under error injection at
     ///   `avail.steady-state`.
     pub fn from_blocks(
         config: &Configuration,
@@ -226,12 +226,12 @@ impl ProductFormModel {
 /// assessment engine for that type.
 ///
 /// Shares the `avail.steady-state` failpoint with the dense model: error
-/// injection surfaces as a solver non-convergence, NaN
+/// injection surfaces as [`AvailError::FaultInjected`], NaN
 /// injection poisons the all-down entry `m[0]`, which always reaches the
 /// availability product `Π_x (1 − m_x[0])`.
 ///
 /// # Errors
-/// [`AvailError::Chain`] under error injection.
+/// [`AvailError::FaultInjected`] under error injection.
 pub fn steady_state_marginal(block: &BirthDeathBlock) -> Result<Vec<f64>, AvailError> {
     let _obs_span = wfms_obs::span!(
         "avail-steady-state",
@@ -241,12 +241,9 @@ pub fn steady_state_marginal(block: &BirthDeathBlock) -> Result<Vec<f64>, AvailE
     let mut poison_solution = false;
     match wfms_fault::point!("avail.steady-state") {
         Some(wfms_fault::Injection::Error) => {
-            return Err(AvailError::Chain(wfms_markov::ChainError::Iterative(
-                wfms_markov::linalg::IterativeError::NotConverged {
-                    iterations: 0,
-                    last_residual: f64::INFINITY,
-                },
-            )));
+            return Err(AvailError::FaultInjected {
+                site: "avail.steady-state",
+            });
         }
         Some(wfms_fault::Injection::Nan) => poison_solution = true,
         None => {}

@@ -1,7 +1,8 @@
 //! Transient-analysis benchmarks: the paper's truncated-uniformization
-//! reward computation versus the exact fundamental-matrix route, across
-//! truncation quantiles (the z_max ablation of DESIGN.md), and the
-//! turnaround CDF and percentile.
+//! reward computation versus the exact route (the expected visits from
+//! one solve, dotted with the reward per entry) across truncation
+//! quantiles (the z_max ablation of DESIGN.md), and the turnaround CDF
+//! and percentile.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -23,7 +24,7 @@ fn bench_reward(c: &mut Criterion) {
         .collect();
     let start = analysis.start;
 
-    c.bench_function("reward_exact_fundamental_matrix", |b| {
+    c.bench_function("reward_exact_expected_visits", |b| {
         b.iter(|| reward_until_absorption_exact(&ctmc, &rewards, start).expect("computes"))
     });
 

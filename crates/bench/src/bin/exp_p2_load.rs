@@ -1,6 +1,7 @@
 //! EXP-P2 — expected service requests per instance (Sec. 4.2): the
 //! paper's truncated-uniformization Markov reward analysis versus the
-//! exact fundamental-matrix route versus simulation, plus the z_max
+//! exact route (the expected visits before absorption, one row of the
+//! fundamental matrix) versus simulation, plus the z_max
 //! truncation study.
 
 use wfms_bench::Table;

@@ -787,8 +787,8 @@ fn sensitivity_answers_past_the_joint_state_cap() {
 /// Sensitivity always runs strict, because an elasticity of a charged
 /// wait would measure the cap, not the model: an injected evaluation or
 /// steady-state failure fails the command, and no elasticity is
-/// printed. The steady-state failpoint injects a solve that did not
-/// converge, which `--moves` reads too.
+/// printed. Each failure names its failpoint; `--moves` reads the
+/// steady-state failpoint too.
 #[test]
 fn sensitivity_fails_under_injected_faults() {
     let dir = scenario("sensitivity-faults");
@@ -812,7 +812,7 @@ fn sensitivity_fails_under_injected_faults() {
         (
             "avail.steady-state=error@1.0",
             vec![&args[..], &moves[..]],
-            "no convergence after 0 sweeps",
+            "fault injected at failpoint `avail.steady-state`",
         ),
     ] {
         for run_args in runs {

@@ -270,3 +270,34 @@ fn assess_trace_records_one_spec_decode_span_per_document() {
         size(&registry) + size(&workload)
     );
 }
+
+/// Each chart level is analyzed by one solve, and that solve records
+/// the `first-passage` span: no level solves twice.
+#[test]
+fn analyze_solves_once_per_chart_level() {
+    for example in ["ep", "enterprise"] {
+        let file = |name: &str| {
+            format!(
+                "{}/../../examples/specs/{example}/{name}",
+                env!("CARGO_MANIFEST_DIR")
+            )
+        };
+        let output = wfms()
+            .args([
+                "analyze",
+                "--registry",
+                &file("registry.json"),
+                "--workload",
+                &file("workload.json"),
+                "--trace=json",
+            ])
+            .output()
+            .expect("run wfms");
+        assert!(output.status.success(), "{output:?}");
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        let snapshot = wfms_obs::from_json(&stderr).expect("stderr is a trace snapshot");
+        let levels = snapshot.span_count("workflow-analysis");
+        assert!(levels > 0, "{example}");
+        assert_eq!(snapshot.span_count("first-passage"), levels, "{example}");
+    }
+}

@@ -177,19 +177,6 @@ impl CacheCounters {
     }
 }
 
-/// The failure the `engine.solution-cache-fill` failpoint injects: an
-/// availability solve that did not converge.
-fn injected_solve_failure() -> ConfigError {
-    ConfigError::Avail(wfms_avail::AvailError::Chain(
-        wfms_markov::error::ChainError::Iterative(
-            wfms_markov::linalg::IterativeError::NotConverged {
-                iterations: 0,
-                last_residual: f64::INFINITY,
-            },
-        ),
-    ))
-}
-
 /// One server type's share of an assessment at `Y_x` replicas:
 /// everything the per-type fold needs from type `x`.
 #[derive(Debug)]
@@ -421,7 +408,11 @@ impl AssessmentEngine {
     ) -> Result<TypeRecord, ConfigError> {
         let mut poison_marginal = false;
         match wfms_fault::point!("engine.solution-cache-fill") {
-            Some(wfms_fault::Injection::Error) => return Err(injected_solve_failure()),
+            Some(wfms_fault::Injection::Error) => {
+                return Err(ConfigError::Avail(wfms_avail::AvailError::FaultInjected {
+                    site: "engine.solution-cache-fill",
+                }))
+            }
             Some(wfms_fault::Injection::Nan) => poison_marginal = true,
             None => {}
         }

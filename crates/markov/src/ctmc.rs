@@ -242,11 +242,63 @@ impl Ctmc {
         q
     }
 
-    /// The embedded jump chain as a [`Dtmc`].
-    pub fn embedded(&self) -> Dtmc {
-        Dtmc::with_labels(self.jump.clone(), self.labels.clone())
-            // audit:allow(A008, reason = "the jump matrix was validated by the Ctmc constructor and is immutable afterwards")
-            .expect("jump chain was validated at construction")
+    /// Expected number of visits to each state before absorption,
+    /// starting from `start` and counting the start as one visit: row
+    /// `start` of the fundamental matrix `N = (I − Q)⁻¹`, where `Q` is the
+    /// jump chain restricted to the transient states. Absorbing states
+    /// report zero, and from an absorbing `start` every count is zero.
+    ///
+    /// One dense LU solve of `(I − Q)ᵀ·v = e_start` gives the row. For a
+    /// workflow chain the visits yield both measures of Sec. 4: the mean
+    /// turnaround `R_t = Σ_i v_i·H_i` (the transient states' residence
+    /// times) and the expected reward `Σ_i v_i·L_i` of any reward per
+    /// entry `L` (the request counts `r_{x,t}`).
+    ///
+    /// # Errors
+    /// * [`ChainError::StateOutOfRange`] on a bad `start`.
+    /// * [`ChainError::NoAbsorbingState`] when no state is absorbing.
+    /// * [`ChainError::AbsorptionNotCertain`] for the first transient state
+    ///   from which no absorbing state is reachable, or for the first
+    ///   transient state when the factorization fails anyway.
+    /// * [`ChainError::Lu`] on any other factorization failure.
+    pub fn expected_visits(&self, start: usize) -> Result<Vec<f64>, ChainError> {
+        let n = self.n();
+        if start >= n {
+            return Err(ChainError::StateOutOfRange { state: start, n });
+        }
+        let _obs_span = wfms_obs::span!("first-passage", states = n);
+        let (absorbing, transient): (Vec<usize>, Vec<usize>) =
+            (0..n).partition(|&i| self.is_absorbing(i));
+        if absorbing.is_empty() {
+            return Err(ChainError::NoAbsorbingState);
+        }
+        // The walk also catches an `I − Q` that is singular in exact
+        // arithmetic but still factors in floating point.
+        if let Some(state) = first_state_not_absorbed(&self.jump, &absorbing) {
+            return Err(ChainError::AbsorptionNotCertain { state });
+        }
+        // Row `r` of `(I − Q)ᵀ` is column `transient[r]` of `I − Q`.
+        let mut a = Matrix::identity(transient.len());
+        let mut e_start = vec![0.0; transient.len()];
+        for (r, &j) in transient.iter().enumerate() {
+            for (c, &i) in transient.iter().enumerate() {
+                a[(r, c)] -= self.jump[(i, j)];
+            }
+            if j == start {
+                e_start[r] = 1.0;
+            }
+        }
+        let row = lu::solve(&a, &e_start).map_err(|e| match (e, transient.first()) {
+            (lu::LuError::Singular { .. }, Some(&state)) => {
+                ChainError::AbsorptionNotCertain { state }
+            }
+            (other, _) => ChainError::Lu(other),
+        })?;
+        let mut visits = vec![0.0; n];
+        for (&state, v) in transient.iter().zip(row) {
+            visits[state] = v;
+        }
+        Ok(visits)
     }
 
     /// Mean first-passage times `m_{i,target}` into `target` from every
@@ -438,6 +490,27 @@ impl Ctmc {
         );
         Ok(p_bar)
     }
+}
+
+/// The first state, in index order, from which no state of `absorbing`
+/// is reachable over jump probabilities above [`STOCHASTIC_TOLERANCE`],
+/// if any: a backward worklist from the absorbing set that scans each
+/// reached state's column of `jump` once.
+fn first_state_not_absorbed(jump: &Matrix, absorbing: &[usize]) -> Option<usize> {
+    let mut reaches = vec![false; jump.rows()];
+    for &a in absorbing {
+        reaches[a] = true;
+    }
+    let mut pending = absorbing.to_vec();
+    while let Some(j) = pending.pop() {
+        for (i, reached) in reaches.iter_mut().enumerate() {
+            if !*reached && jump[(i, j)] > STOCHASTIC_TOLERANCE {
+                *reached = true;
+                pending.push(i);
+            }
+        }
+    }
+    reaches.iter().position(|&reached| !reached)
 }
 
 #[cfg(test)]
@@ -658,12 +731,57 @@ mod tests {
         assert!(c.uniformized_jump(-1.0).is_err());
     }
 
+    /// 0 -> 1 w.p. 1; 1 -> 0 w.p. 0.3, 1 -> 2 (absorbing) w.p. 0.7.
+    fn loopy_workflow() -> Ctmc {
+        let jump = Matrix::from_nested(&[&[0.0, 1.0, 0.0], &[0.3, 0.0, 0.7], &[0.0, 0.0, 1.0]]);
+        Ctmc::from_jump_chain(jump, vec![2.0, 3.0, f64::INFINITY]).unwrap()
+    }
+
     #[test]
-    fn embedded_dtmc_matches_jump_matrix() {
-        let c = linear_workflow();
-        let d = c.embedded();
-        assert_eq!(d.transition_matrix(), c.jump_matrix());
-        assert_eq!(d.labels(), c.labels());
+    fn expected_visits_match_geometric_closed_form() {
+        // Starting at 0: visits to 0 form a geometric series with return
+        // probability 0.3, so E[visits 0] = 1/(1-0.3), E[visits 1] = same.
+        let v = loopy_workflow().expected_visits(0).unwrap();
+        let expect = 1.0 / 0.7;
+        assert!((v[0] - expect).abs() < 1e-12);
+        assert!((v[1] - expect).abs() < 1e-12);
+        assert_eq!(v[2], 0.0);
+        // From the absorbing state nothing is visited.
+        assert_eq!(loopy_workflow().expected_visits(2).unwrap(), vec![0.0; 3]);
+    }
+
+    #[test]
+    fn expected_visits_require_an_absorbing_state() {
+        let c = repair_model(1.0, 1.0);
+        assert!(matches!(
+            c.expected_visits(0),
+            Err(ChainError::NoAbsorbingState)
+        ));
+    }
+
+    #[test]
+    fn expected_visits_detect_unreachable_absorption() {
+        // 1 and 2 form a closed cycle; 3 is absorbing, reachable from 0
+        // only. The first state that cannot absorb is named.
+        let jump = Matrix::from_nested(&[
+            &[0.0, 0.5, 0.0, 0.5],
+            &[0.0, 0.0, 1.0, 0.0],
+            &[0.0, 1.0, 0.0, 0.0],
+            &[0.0, 0.0, 0.0, 1.0],
+        ]);
+        let c = Ctmc::from_jump_chain(jump, vec![1.0, 1.0, 1.0, f64::INFINITY]).unwrap();
+        assert!(matches!(
+            c.expected_visits(0),
+            Err(ChainError::AbsorptionNotCertain { state: 1 })
+        ));
+    }
+
+    #[test]
+    fn expected_visits_validate_start() {
+        assert!(matches!(
+            loopy_workflow().expected_visits(9),
+            Err(ChainError::StateOutOfRange { state: 9, n: 3 })
+        ));
     }
 
     #[test]

@@ -1,15 +1,14 @@
-//! Discrete-time Markov chains and absorbing-chain analysis.
+//! Discrete-time Markov chains.
 //!
 //! The workflow CTMCs of the paper are analyzed through their *embedded
 //! jump chain* (which transition fires next, ignoring how long each state
 //! holds) and through the *uniformized chain* (Sec. 4.2.1). Both are
-//! discrete-time chains, so the machinery lives here: validation, state
-//! propagation, stationary distributions, and — central to the load model
-//! — the fundamental-matrix analysis of absorbing chains, which yields the
-//! exact expected number of visits to each state before absorption.
+//! discrete-time chains; this module validates them and provides state
+//! propagation and stationary distributions. The expected visits before
+//! absorption are [`crate::ctmc::Ctmc::expected_visits`].
 
 use crate::error::ChainError;
-use crate::linalg::{self, lu::LuDecomposition, Matrix};
+use crate::linalg::{self, Matrix};
 
 /// Tolerance used when validating that rows are probability distributions.
 pub const STOCHASTIC_TOLERANCE: f64 = 1e-9;
@@ -111,16 +110,6 @@ impl Dtmc {
         let sol = linalg::power_iteration(&self.p, 1e-13, 200_000)?;
         Ok(sol.x)
     }
-
-    /// Analysis of the chain as an absorbing chain.
-    ///
-    /// # Errors
-    /// * [`ChainError::NoAbsorbingState`] when no state is absorbing.
-    /// * [`ChainError::AbsorptionNotCertain`] when some transient state
-    ///   cannot reach any absorbing state.
-    pub fn absorbing_analysis(&self) -> Result<AbsorbingAnalysis, ChainError> {
-        AbsorbingAnalysis::new(self)
-    }
 }
 
 fn validate_stochastic(p: &Matrix) -> Result<usize, ChainError> {
@@ -144,176 +133,6 @@ fn validate_stochastic(p: &Matrix) -> Result<usize, ChainError> {
         }
     }
     Ok(n)
-}
-
-/// Fundamental-matrix analysis of an absorbing DTMC.
-///
-/// With transient states `T` and absorbing states `A`, the restriction of
-/// `P` to `T x T` is `Q`, and the fundamental matrix `N = (I - Q)^{-1}`
-/// gives the expected number of visits `N[i][j]` to transient state `j`
-/// when starting in transient state `i`, counting the start as a visit.
-#[derive(Debug, Clone)]
-pub struct AbsorbingAnalysis {
-    transient: Vec<usize>,
-    absorbing: Vec<usize>,
-    /// Fundamental matrix over transient states (in `transient` order).
-    fundamental: Matrix,
-    /// Restriction of `P` to transient rows and absorbing columns.
-    r: Matrix,
-}
-
-impl AbsorbingAnalysis {
-    fn new(chain: &Dtmc) -> Result<Self, ChainError> {
-        let n = chain.n();
-        let absorbing = chain.absorbing_states();
-        if absorbing.is_empty() {
-            return Err(ChainError::NoAbsorbingState);
-        }
-        let transient: Vec<usize> = (0..n).filter(|i| !absorbing.contains(i)).collect();
-        let t = transient.len();
-
-        let mut q = Matrix::zeros(t, t);
-        let mut r = Matrix::zeros(t, absorbing.len());
-        for (ti, &i) in transient.iter().enumerate() {
-            for (tj, &j) in transient.iter().enumerate() {
-                q[(ti, tj)] = chain.prob(i, j);
-            }
-            for (aj, &j) in absorbing.iter().enumerate() {
-                r[(ti, aj)] = chain.prob(i, j);
-            }
-        }
-
-        // N = (I - Q)^{-1}; a singular (I - Q) means some transient state
-        // never reaches absorption.
-        let mut i_minus_q = Matrix::identity(t);
-        for a in 0..t {
-            for b in 0..t {
-                i_minus_q[(a, b)] -= q[(a, b)];
-            }
-        }
-        let fundamental = match LuDecomposition::new(&i_minus_q) {
-            Ok(lu) => lu.inverse()?,
-            Err(_) => {
-                let state = first_non_absorbing_reach_failure(chain, &transient, &absorbing)
-                    .unwrap_or(transient[0]);
-                return Err(ChainError::AbsorptionNotCertain { state });
-            }
-        };
-        // Even when (I - Q) is numerically invertible, a transient state with
-        // no path to absorption shows up as a row of N whose absorption
-        // probabilities do not sum to 1; catch that explicitly.
-        if let Some(state) = first_non_absorbing_reach_failure(chain, &transient, &absorbing) {
-            return Err(ChainError::AbsorptionNotCertain { state });
-        }
-
-        Ok(AbsorbingAnalysis {
-            transient,
-            absorbing,
-            fundamental,
-            r,
-        })
-    }
-
-    /// Transient state indices (original numbering), row/column order of the
-    /// fundamental matrix.
-    pub fn transient_states(&self) -> &[usize] {
-        &self.transient
-    }
-
-    /// Absorbing state indices (original numbering).
-    pub fn absorbing_states(&self) -> &[usize] {
-        &self.absorbing
-    }
-
-    /// The fundamental matrix `N = (I - Q)^{-1}`.
-    pub fn fundamental_matrix(&self) -> &Matrix {
-        &self.fundamental
-    }
-
-    /// Expected number of visits to each state (original numbering) before
-    /// absorption, starting from `start`, counting the initial state as one
-    /// visit. Absorbing states report zero.
-    ///
-    /// # Errors
-    /// [`ChainError::StateOutOfRange`] for a bad or absorbing `start`
-    /// (starting in an absorbing state makes every count zero, which is
-    /// reported as an all-zero vector, not an error).
-    pub fn expected_visits(&self, start: usize) -> Result<Vec<f64>, ChainError> {
-        let n = self.transient.len() + self.absorbing.len();
-        if start >= n {
-            return Err(ChainError::StateOutOfRange { state: start, n });
-        }
-        let mut visits = vec![0.0; n];
-        if let Some(row) = self.transient.iter().position(|&s| s == start) {
-            for (col, &state) in self.transient.iter().enumerate() {
-                visits[state] = self.fundamental[(row, col)];
-            }
-        }
-        Ok(visits)
-    }
-
-    /// Expected number of steps until absorption from `start`.
-    ///
-    /// # Errors
-    /// As [`AbsorbingAnalysis::expected_visits`].
-    pub fn expected_steps_to_absorption(&self, start: usize) -> Result<f64, ChainError> {
-        Ok(self.expected_visits(start)?.iter().sum())
-    }
-
-    /// Probability of being absorbed in each absorbing state (original
-    /// numbering) when starting from `start`. `B = N·R`.
-    ///
-    /// # Errors
-    /// As [`AbsorbingAnalysis::expected_visits`].
-    pub fn absorption_probabilities(&self, start: usize) -> Result<Vec<f64>, ChainError> {
-        let n = self.transient.len() + self.absorbing.len();
-        if start >= n {
-            return Err(ChainError::StateOutOfRange { state: start, n });
-        }
-        let mut probs = vec![0.0; n];
-        match self.transient.iter().position(|&s| s == start) {
-            Some(row) => {
-                for (aj, &a) in self.absorbing.iter().enumerate() {
-                    let mut p = 0.0;
-                    for col in 0..self.transient.len() {
-                        p += self.fundamental[(row, col)] * self.r[(col, aj)];
-                    }
-                    probs[a] = p;
-                }
-            }
-            None => probs[start] = 1.0, // already absorbed
-        }
-        Ok(probs)
-    }
-}
-
-/// Returns a transient state from which no absorbing state is reachable,
-/// if any (breadth-first search over the support graph).
-fn first_non_absorbing_reach_failure(
-    chain: &Dtmc,
-    transient: &[usize],
-    absorbing: &[usize],
-) -> Option<usize> {
-    let n = chain.n();
-    // Backward reachability from the absorbing set.
-    let mut reaches = vec![false; n];
-    for &a in absorbing {
-        reaches[a] = true;
-    }
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for i in 0..n {
-            if reaches[i] {
-                continue;
-            }
-            if (0..n).any(|j| chain.prob(i, j) > STOCHASTIC_TOLERANCE && reaches[j]) {
-                reaches[i] = true;
-                changed = true;
-            }
-        }
-    }
-    transient.iter().copied().find(|&s| !reaches[s])
 }
 
 #[cfg(test)]
@@ -390,75 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn expected_visits_match_geometric_closed_form() {
-        // Starting at 0: visits to 0 form a geometric series with return
-        // probability 0.3, so E[visits 0] = 1/(1-0.3), E[visits 1] = same.
-        let c = simple_absorbing();
-        let a = c.absorbing_analysis().unwrap();
-        let v = a.expected_visits(0).unwrap();
-        let expect = 1.0 / 0.7;
-        assert!((v[0] - expect).abs() < 1e-12);
-        assert!((v[1] - expect).abs() < 1e-12);
-        assert_eq!(v[2], 0.0);
-    }
-
-    #[test]
-    fn expected_steps_sum_visits() {
-        let c = simple_absorbing();
-        let a = c.absorbing_analysis().unwrap();
-        let steps = a.expected_steps_to_absorption(0).unwrap();
-        assert!((steps - 2.0 / 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn absorption_probabilities_sum_to_one() {
-        // Two absorbing states, gambler's-ruin style.
-        let p = Matrix::from_nested(&[
-            &[1.0, 0.0, 0.0, 0.0],
-            &[0.4, 0.0, 0.6, 0.0],
-            &[0.0, 0.4, 0.0, 0.6],
-            &[0.0, 0.0, 0.0, 1.0],
-        ]);
-        let c = Dtmc::new(p).unwrap();
-        let a = c.absorbing_analysis().unwrap();
-        let probs = a.absorption_probabilities(1).unwrap();
-        assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        // Gambler's ruin with p=0.6 up, q=0.4 down, start 1 of 3:
-        // P(hit 3 before 0) = (1-(q/p)^1)/(1-(q/p)^3).
-        let ratio: f64 = 0.4 / 0.6;
-        let expect = (1.0 - ratio.powi(1)) / (1.0 - ratio.powi(3));
-        assert!((probs[3] - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn absorption_probabilities_from_absorbing_state_is_identity() {
-        let c = simple_absorbing();
-        let a = c.absorbing_analysis().unwrap();
-        let probs = a.absorption_probabilities(2).unwrap();
-        assert_eq!(probs, vec![0.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn analysis_requires_an_absorbing_state() {
-        let c = Dtmc::new(Matrix::from_nested(&[&[0.5, 0.5], &[0.5, 0.5]])).unwrap();
-        assert!(matches!(
-            c.absorbing_analysis(),
-            Err(ChainError::NoAbsorbingState)
-        ));
-    }
-
-    #[test]
-    fn analysis_detects_unreachable_absorption() {
-        // States 0 and 1 form a closed cycle; 2 is absorbing but unreachable.
-        let p = Matrix::from_nested(&[&[0.0, 1.0, 0.0], &[1.0, 0.0, 0.0], &[0.0, 0.0, 1.0]]);
-        let c = Dtmc::new(p).unwrap();
-        assert!(matches!(
-            c.absorbing_analysis(),
-            Err(ChainError::AbsorptionNotCertain { .. })
-        ));
-    }
-
-    #[test]
     fn stationary_distribution_of_ergodic_chain() {
         let c = Dtmc::new(Matrix::from_nested(&[&[0.9, 0.1], &[0.5, 0.5]])).unwrap();
         let pi = c.stationary_distribution().unwrap();
@@ -466,109 +216,8 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_queries_error() {
-        let c = simple_absorbing();
-        let a = c.absorbing_analysis().unwrap();
-        assert!(matches!(
-            a.expected_visits(9),
-            Err(ChainError::StateOutOfRange { state: 9, n: 3 })
-        ));
-        assert!(matches!(
-            a.absorption_probabilities(9),
-            Err(ChainError::StateOutOfRange { .. })
-        ));
-    }
-
-    #[test]
     fn default_labels_are_indexed() {
         let c = simple_absorbing();
         assert_eq!(c.labels(), &["s0".to_string(), "s1".into(), "s2".into()]);
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// Random absorbing chain: n transient states, each row mixes mass over
-    /// all states with guaranteed positive mass to the absorbing state.
-    fn absorbing_chain(n: usize) -> impl Strategy<Value = Dtmc> {
-        proptest::collection::vec(0.01f64..1.0, n * (n + 1)).prop_map(move |w| {
-            let total = n + 1;
-            let mut p = Matrix::zeros(total, total);
-            for i in 0..n {
-                let row = &w[i * (n + 1)..(i + 1) * (n + 1)];
-                let mut sum: f64 = row.iter().sum();
-                // Zero out the self-loop and renormalize.
-                sum -= row[i];
-                for j in 0..=n {
-                    if j != i {
-                        p[(i, j)] = row[j] / sum;
-                    }
-                }
-            }
-            p[(n, n)] = 1.0;
-            Dtmc::new(p).expect("constructed stochastic")
-        })
-    }
-
-    proptest! {
-        #[test]
-        fn visits_are_at_least_one_for_start_and_absorption_certain(c in absorbing_chain(5)) {
-            let a = c.absorbing_analysis().unwrap();
-            let v = a.expected_visits(0).unwrap();
-            // The start state is counted as a visit.
-            prop_assert!(v[0] >= 1.0 - 1e-9);
-            // Absorption probabilities sum to one.
-            let probs = a.absorption_probabilities(0).unwrap();
-            prop_assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-8);
-        }
-
-        #[test]
-        fn expected_steps_are_positive_and_finite(c in absorbing_chain(4)) {
-            let a = c.absorbing_analysis().unwrap();
-            for start in 0..4 {
-                let steps = a.expected_steps_to_absorption(start).unwrap();
-                prop_assert!(steps.is_finite());
-                prop_assert!(steps >= 1.0 - 1e-9);
-            }
-        }
-
-        #[test]
-        fn simulation_agrees_with_fundamental_matrix(c in absorbing_chain(3)) {
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-            let runs = 20_000;
-            let mut visit_counts = vec![0.0f64; c.n()];
-            for _ in 0..runs {
-                let mut s = 0usize;
-                let mut guard = 0;
-                while !c.is_absorbing(s) {
-                    visit_counts[s] += 1.0;
-                    let u: f64 = rng.gen();
-                    let mut acc = 0.0;
-                    let mut next = c.n() - 1;
-                    for j in 0..c.n() {
-                        acc += c.prob(s, j);
-                        if u < acc {
-                            next = j;
-                            break;
-                        }
-                    }
-                    s = next;
-                    guard += 1;
-                    if guard > 100_000 { break; }
-                }
-            }
-            let a = c.absorbing_analysis().unwrap();
-            let expect = a.expected_visits(0).unwrap();
-            for i in 0..3 {
-                let sim = visit_counts[i] / runs as f64;
-                // Monte-Carlo tolerance: generous but catches systematic bugs.
-                prop_assert!((sim - expect[i]).abs() < 0.15 * expect[i].max(0.5),
-                    "state {i}: sim {sim} vs exact {}", expect[i]);
-            }
-        }
     }
 }

@@ -7,10 +7,12 @@
 //! Weikum, Kraiss — EDBT 2000). It provides, dependency-free:
 //!
 //! * [`linalg`] — dense matrices, LU, power iteration, CSR matrices;
-//! * [`dtmc`] — discrete-time chains and absorbing-chain (fundamental
-//!   matrix) analysis;
+//! * [`dtmc`] — discrete-time chains: validation, state propagation,
+//!   stationary distributions;
 //! * [`ctmc`] — continuous-time chains in the paper's `(P, H)`
-//!   parameterization, generators, steady state, first-passage times;
+//!   parameterization, generators, steady state, first-passage times,
+//!   and the expected visits before absorption (one row of the
+//!   fundamental matrix, from one solve);
 //! * [`transient`] — uniformization, taboo probabilities, `z_max`
 //!   selection, Poisson-weighted transient distributions;
 //! * [`reward`] — Markov reward models (reward-until-absorption both via
@@ -50,11 +52,11 @@ pub mod transient;
 
 pub use checks::{lint_ctmc, lint_generator};
 pub use ctmc::{Ctmc, SteadyStateMethod};
-pub use dtmc::{AbsorbingAnalysis, Dtmc};
+pub use dtmc::Dtmc;
 pub use error::ChainError;
 pub use phase_type::{PhaseType, PhaseTypeError};
 pub use reward::{
-    reward_until_absorption_exact, reward_until_absorption_uniformized,
-    rewards_until_absorption_exact, steady_state_reward, TruncatedReward, TruncationOptions,
+    reward_until_absorption_exact, reward_until_absorption_uniformized, steady_state_reward,
+    TruncatedReward, TruncationOptions,
 };
 pub use transient::{AbsorptionSequence, SquaringTable, Uniformized};

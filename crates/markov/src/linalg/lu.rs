@@ -171,26 +171,6 @@ impl LuDecomposition {
         let n = self.n();
         (0..n).fold(self.perm_sign, |acc, i| acc * self.lu[(i, i)])
     }
-
-    /// Inverse of the factored matrix (column-by-column solves).
-    ///
-    /// # Errors
-    /// Propagates solve errors (cannot occur for a successfully factored
-    /// matrix, but kept for API uniformity).
-    pub fn inverse(&self) -> Result<Matrix, LuError> {
-        let n = self.n();
-        let mut inv = Matrix::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for c in 0..n {
-            e[c] = 1.0;
-            let col = self.solve(&e)?;
-            e[c] = 0.0;
-            for (r, v) in col.into_iter().enumerate() {
-                inv[(r, c)] = v;
-            }
-        }
-        Ok(inv)
-    }
 }
 
 /// Convenience one-shot solve of `A x = b` via LU.
@@ -274,23 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_times_matrix_is_identity() {
-        let a = Matrix::from_nested(&[&[4.0, 7.0, 2.0], &[3.0, 6.0, 1.0], &[2.0, 5.0, 3.0]]);
-        let inv = LuDecomposition::new(&a).unwrap().inverse().unwrap();
-        let prod = a.mul(&inv).unwrap();
-        for r in 0..3 {
-            for c in 0..3 {
-                let expected = if r == c { 1.0 } else { 0.0 };
-                assert!(
-                    (prod[(r, c)] - expected).abs() < 1e-10,
-                    "entry ({r},{c}) = {}",
-                    prod[(r, c)]
-                );
-            }
-        }
-    }
-
-    #[test]
     fn solves_moderately_sized_diagonally_dominant_system() {
         // Construct a 40x40 diagonally dominant system with known solution.
         let n = 40;
@@ -337,19 +300,6 @@ mod proptests {
             let b = m.mul_vec(&x).unwrap();
             let solved = solve(&m, &b).unwrap();
             prop_assert!(crate::linalg::relative_difference(&solved, &x) < 1e-8);
-        }
-
-        #[test]
-        fn inverse_round_trips(m in diag_dominant_matrix(6)) {
-            let lu = LuDecomposition::new(&m).unwrap();
-            let inv = lu.inverse().unwrap();
-            let prod = m.mul(&inv).unwrap();
-            for r in 0..6 {
-                for c in 0..6 {
-                    let expected = if r == c { 1.0 } else { 0.0 };
-                    prop_assert!((prod[(r, c)] - expected).abs() < 1e-8);
-                }
-            }
         }
     }
 }

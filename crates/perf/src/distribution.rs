@@ -58,7 +58,7 @@ impl TurnaroundDistribution {
         })
     }
 
-    /// Mean turnaround (from the first-passage analysis).
+    /// Mean turnaround `R_t` (from the workflow analysis).
     pub fn mean(&self) -> f64 {
         self.mean
     }

@@ -2,14 +2,14 @@
 //!
 //! Four stages:
 //!
-//! 1. **Turnaround time** `R_t` of each workflow type by first-passage
-//!    analysis of its CTMC ([`workflow::analyze_workflow`]).
+//! 1. **Turnaround time** `R_t` of each workflow type: one solve per
+//!    chart level gives the expected visits `v_i` to each state before
+//!    absorption, and `R_t = Σ_i v_i·H_i` ([`workflow::analyze_workflow`]).
 //! 2. **Load per instance** `r_{x,t}` — expected service requests per
 //!    server type — by a Markov reward model (same entry point; choose
 //!    exact or the paper's truncated uniformization via
-//!    [`workflow::RequestMethod`]). The exact route computes the
-//!    expected visits once per chart and dots them with each type's
-//!    load row.
+//!    [`workflow::RequestMethod`]). The exact route dots the same visits
+//!    with each type's load row, `r_{x,t} = Σ_i v_i·L_{x,i}`.
 //! 3. **Total load and maximum sustainable throughput** over the whole
 //!    workload mix ([`system::aggregate_load`],
 //!    [`system::max_sustainable_throughput`]).

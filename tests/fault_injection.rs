@@ -9,7 +9,10 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
+use wfms::avail::AvailError;
 use wfms::fault;
+use wfms::markov::ChainError;
+use wfms::perf::{analyze_workflow, AnalysisOptions, PerfError};
 use wfms::statechart::paper_section52_registry;
 use wfms::workloads::{enterprise_mix, enterprise_registry, ep_workflow, EP_DEFAULT_ARRIVAL_RATE};
 use wfms::{ConfigError, Configuration, ConfigurationTool, Goals, SearchOptions};
@@ -419,4 +422,56 @@ fn delay_and_disabled_faults_leave_results_bit_identical() {
         .unwrap();
     assert_eq!(disabled, baseline);
     assert_eq!(fault::fired("linalg.dense-lu"), 0);
+}
+
+/// The one visits solve per chart level passes the `linalg.dense-lu`
+/// failpoint: an injected singular factorization fails the analysis as
+/// an uncertain absorption from the first transient state, as the
+/// first-passage solve it replaced did.
+#[test]
+fn injected_lu_failure_fails_the_workflow_analysis() {
+    let _g = faults();
+    fault::configure("linalg.dense-lu", fault::FaultMode::Error, 1.0);
+    let err = analyze_workflow(
+        &ep_workflow(),
+        &paper_section52_registry(),
+        &AnalysisOptions::default(),
+    )
+    .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            PerfError::Chain(ChainError::AbsorptionNotCertain { state: 0 })
+        ),
+        "{err:?}"
+    );
+    assert!(fault::fired("linalg.dense-lu") >= 1);
+}
+
+/// Both availability failpoints fail a strict assessment with an error
+/// that names the site.
+#[test]
+fn injected_availability_failures_name_their_failpoint() {
+    let _g = faults();
+    let tool = ep_tool();
+    let goals = Goals::new(0.05, 0.9999).unwrap();
+    let config = Configuration::new(tool.registry(), vec![2, 2, 2]).unwrap();
+    let opts = SearchOptions::builder().strict(true).build();
+    for site in ["avail.steady-state", "engine.solution-cache-fill"] {
+        fault::clear();
+        fault::configure(site, fault::FaultMode::Error, 1.0);
+        let err = tool.engine(&goals, opts).unwrap().assess(&config);
+        assert!(
+            matches!(
+                &err,
+                Err(ConfigError::Avail(AvailError::FaultInjected { site: s })) if *s == site
+            ),
+            "{site}: {err:?}"
+        );
+        let text = err.unwrap_err().to_string();
+        assert!(
+            text.contains(&format!("fault injected at failpoint `{site}`")),
+            "{text}"
+        );
+    }
 }

@@ -319,7 +319,9 @@ impl Ctmc {
     /// * [`ChainError::AbsorptionNotCertain`] when some state other than
     ///   `target` is absorbing (its passage time would be infinite) or the
     ///   system is singular because `target` is unreachable.
-    /// * [`ChainError::Lu`] on any other factorization failure.
+    /// * [`ChainError::Lu`] on any other factorization failure, and on
+    ///   any failure of the empty system of a chain that is `target`
+    ///   alone.
     pub fn mean_first_passage(&self, target: usize) -> Result<Vec<f64>, ChainError> {
         let n = self.n();
         if target >= n {
@@ -343,9 +345,11 @@ impl Ctmc {
                 }
             }
         }
-        let x = lu::solve(&a, &b).map_err(|e| match e {
-            lu::LuError::Singular { .. } => ChainError::AbsorptionNotCertain { state: others[0] },
-            other => ChainError::Lu(other),
+        let x = lu::solve(&a, &b).map_err(|e| match (e, others.first()) {
+            (lu::LuError::Singular { .. }, Some(&state)) => {
+                ChainError::AbsorptionNotCertain { state }
+            }
+            (other, _) => ChainError::Lu(other),
         })?;
         debug_assert!(
             x.iter().all(|m| m.is_finite() && *m >= -1e-9),

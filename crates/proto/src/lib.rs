@@ -16,6 +16,20 @@
 //! newlines). Serialization is deterministic — object keys are ordered
 //! — so identical requests produce byte-identical response lines.
 //!
+//! ## Document forms
+//!
+//! [`Request`] and the params that carry the two spec documents
+//! ([`AssessParams`], [`RecommendParams`], [`LintParams`]) take the
+//! form of those values as a type parameter, [`Value`] by default.
+//! Clients build and send the `Value` form. The daemon decodes a
+//! request line as `Request<RawValue>` and the method's params as
+//! `AssessParams<RawValue>` (and so on): each [`RawValue`] keeps the
+//! exact text of its value, so a request whose documents match a warm
+//! tenant's builds no document at all. Both forms are one schema: the
+//! same fields, the same container names, and so the same error texts.
+//!
+//! [`RawValue`]: serde_json::RawValue
+//!
 //! ## Versioning
 //!
 //! Every envelope carries a `v` field, currently
@@ -129,9 +143,10 @@ pub fn is_retryable(kind: &str) -> bool {
 
 // ------------------------------------------------------------ envelope
 
-/// One request envelope: a line of JSON sent to the server.
+/// One request envelope: a line of JSON sent to the server. `P` is the
+/// form of `params` (see "Document forms" in the crate docs).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Request {
+pub struct Request<P = Value> {
     /// Protocol version; see [`PROTOCOL_VERSION`].
     pub v: u64,
     /// Client-chosen correlation id, echoed verbatim in the response.
@@ -142,12 +157,12 @@ pub struct Request {
     /// One of the `METHOD_*` constants.
     pub method: String,
     /// Method-specific parameters (see the `*Params` types).
-    pub params: Value,
+    pub params: P,
 }
 
-impl Request {
+impl<P> Request<P> {
     /// A version-current request with no id or tenant.
-    pub fn new(method: &str, params: Value) -> Request {
+    pub fn new(method: &str, params: P) -> Request<P> {
         Request {
             v: PROTOCOL_VERSION,
             id: None,
@@ -187,7 +202,7 @@ pub struct Response {
 
 impl Response {
     /// A success response answering `request`.
-    pub fn success(request: &Request, result: Value) -> Response {
+    pub fn success<P>(request: &Request<P>, result: Value) -> Response {
         Response {
             v: PROTOCOL_VERSION,
             id: request.id.clone(),
@@ -198,7 +213,7 @@ impl Response {
     }
 
     /// A failure response answering `request`.
-    pub fn failure(request: &Request, kind: &str, message: impl Into<String>) -> Response {
+    pub fn failure<P>(request: &Request<P>, kind: &str, message: impl Into<String>) -> Response {
         Response::failure_for_id(request.id.clone(), kind, message)
     }
 
@@ -234,7 +249,8 @@ pub struct PerTypeWait {
 
 /// Parameters of [`METHOD_ASSESS`]. The registry and workload ride as
 /// the same JSON values the on-disk `registry.json` / `workload.json`
-/// files hold; the remaining fields mirror the `wfms assess` flags
+/// files hold, in the form `D` (see "Document forms" in the crate
+/// docs); the remaining fields mirror the `wfms assess` flags
 /// one-to-one (absent = the CLI default).
 ///
 /// `epsilon`, `avail_backend`, `solver_tol` and `solver_max_iter` are
@@ -244,11 +260,11 @@ pub struct PerTypeWait {
 /// instead of having it silently ignored; only `null` (or absence) is
 /// accepted.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AssessParams {
+pub struct AssessParams<D = Value> {
     /// The server-type registry (the `registry.json` document).
-    pub registry: Value,
+    pub registry: D,
     /// The workflow repository (the `workload.json` document).
-    pub workload: Value,
+    pub workload: D,
     /// The replica vector to assess (`--config`).
     pub config: Vec<usize>,
     /// `--max-wait`, in minutes.
@@ -277,17 +293,18 @@ pub struct AssessParams {
 /// Parameters of [`METHOD_RECOMMEND`]; mirrors the `wfms recommend`
 /// flags, plus a `search` selector covering all four strategies (the
 /// CLI exposes greedy/exhaustive/annealing; the wire protocol adds
-/// branch-and-bound).
+/// branch-and-bound). The documents ride in the form `D`, as in
+/// [`AssessParams`].
 ///
 /// The removed engine switches of [`AssessParams`], plus
 /// `screen_epsilon`, `rank_moves` and `incremental`, are refused the
 /// same way when non-null.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RecommendParams {
+pub struct RecommendParams<D = Value> {
     /// The server-type registry (the `registry.json` document).
-    pub registry: Value,
+    pub registry: D,
     /// The workflow repository (the `workload.json` document).
-    pub workload: Value,
+    pub workload: D,
     /// Search strategy: `greedy` (default), `exhaustive`,
     /// `branch-and-bound`, or `annealing`.
     pub search: Option<String>,
@@ -329,13 +346,14 @@ pub struct RecommendParams {
     pub per_type_max_wait: Option<Vec<PerTypeWait>>,
 }
 
-/// Parameters of [`METHOD_LINT`]; mirrors the `wfms lint` flags.
+/// Parameters of [`METHOD_LINT`]; mirrors the `wfms lint` flags. The
+/// documents ride in the form `D`, as in [`AssessParams`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LintParams {
+pub struct LintParams<D = Value> {
     /// The server-type registry (the `registry.json` document).
-    pub registry: Value,
+    pub registry: D,
     /// The workflow repository (the `workload.json` document).
-    pub workload: Value,
+    pub workload: D,
     /// `--config`: an explicit replica vector to lint.
     pub config: Option<Vec<usize>>,
     /// `--max-wait`, in minutes.

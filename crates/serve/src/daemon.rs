@@ -43,6 +43,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use serde_json::RawValue;
 use wfms_proto::{
     Request, Response, ERR_BAD_REQUEST, ERR_DEADLINE_EXCEEDED, ERR_OVERLOADED, ERR_UNAVAILABLE,
     METHOD_SHUTDOWN,
@@ -536,7 +537,9 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
         if line.trim().is_empty() {
             continue;
         }
-        match serde_json::from_str::<Request>(&line) {
+        // The envelope pass: `params` stays the text it was sent as,
+        // and the method reads it (DESIGN.md §13, "Decoding").
+        match serde_json::from_str::<Request<RawValue>>(&line) {
             Ok(request) => {
                 let response = handle_request(shared, &request);
                 if request.method == METHOD_SHUTDOWN && response.ok {
@@ -570,7 +573,7 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
 
 /// Dispatches one request, honoring the `serve.handle` fault site and
 /// the optional per-request compute deadline.
-fn handle_request(shared: &Arc<Shared>, request: &Request) -> Response {
+fn handle_request(shared: &Arc<Shared>, request: &Request<RawValue>) -> Response {
     // The error mode of `serve.handle` panics on purpose: it is the
     // deterministic trigger for the worker watchdog (delay mode simply
     // slows the handler, which is what trips the compute deadline).

@@ -4,18 +4,27 @@
 //! [`wfms_proto::Response`]; the TCP daemon calls it per request line.
 //! Its `assess` and `recommend` are shells around the typed core of
 //! [`crate::tenant`], which the one-shot CLI calls in-process: decode
-//! the params, find the tenant by fingerprint, call the core, encode
-//! its answer. Tenant state — a warm [`Tenant`] whose engine's record
-//! and block caches amortize across requests — lives inside the
-//! handler, keyed by the client-supplied tenant id and bounded by an
-//! LRU cap.
+//! the params, find the tenant by its inputs, call the core, encode its
+//! answer. Tenant state — a warm [`Tenant`] whose engine's record and
+//! block caches amortize across requests — lives inside the handler,
+//! keyed by the client-supplied tenant id and bounded by an LRU cap.
+//!
+//! Every method reads its params as text ([`ParamsText`]). The daemon
+//! hands over the `Request<RawValue>` it decoded from the line, whose
+//! params text is lent as it stood; a `Request<Value>` built in memory
+//! renders its params once. The params decode with `RawValue`
+//! documents, so the registry and workload stay text: a tenant keeps
+//! the text it was built from, a request whose documents match it byte
+//! for byte is a warm hit that builds no document, and only a rebuild
+//! decodes the typed documents.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
+use serde_json::{RawValue, Value};
 
 use wfms_core::config::{Goals, SearchOptions};
 use wfms_core::{Configuration, ServerTypeRegistry, WorkflowSpec};
@@ -104,11 +113,44 @@ impl QueueTelemetry {
     }
 }
 
-/// A tenant-map slot: the tenant, the fingerprint of the inputs it was
-/// built from, and its last-use stamp for LRU eviction.
+/// The form of a request's `params` that [`Handler::handle`] reads.
+pub trait ParamsText {
+    /// The params as JSON text: a [`RawValue`] lends the text it was
+    /// read from, a [`Value`] renders itself compactly.
+    fn text(&self) -> Cow<'_, str>;
+}
+
+impl ParamsText for RawValue {
+    fn text(&self) -> Cow<'_, str> {
+        Cow::Borrowed(self.get())
+    }
+}
+
+impl ParamsText for Value {
+    fn text(&self) -> Cow<'_, str> {
+        Cow::Owned(self.to_string())
+    }
+}
+
+/// What a warm tenant was built from: the two documents' exact text,
+/// the goals and the search options. Two requests with equal inputs
+/// share one warm engine; the candidate `config` and the annealing seed
+/// are not inputs (cache entries are keyed by state vector and
+/// deterministic). Validated goals hold no NaN and no zero, so equal
+/// goals are equal bit for bit.
+#[derive(PartialEq)]
+struct TenantInputs {
+    registry: RawValue,
+    workload: RawValue,
+    goals: Goals,
+    opts: SearchOptions,
+}
+
+/// A tenant-map slot: the tenant, the inputs it was built from, and its
+/// last-use stamp for LRU eviction.
 struct TenantSlot {
     stamp: u64,
-    fingerprint: String,
+    inputs: TenantInputs,
     tenant: Arc<Tenant>,
 }
 
@@ -207,8 +249,10 @@ impl Handler {
     }
 
     /// Maps one request to its response. Never panics on malformed
-    /// input: every failure becomes a typed error payload.
-    pub fn handle(&self, request: &Request) -> Response {
+    /// input: every failure becomes a typed error payload. Both forms of
+    /// `params` run the same method code on the same text, so they get
+    /// the same answer.
+    pub fn handle<P: ParamsText>(&self, request: &Request<P>) -> Response {
         if request.v != PROTOCOL_VERSION {
             return Response::failure(
                 request,
@@ -239,9 +283,9 @@ impl Handler {
             }
         }
         let outcome = match request.method.as_str() {
-            METHOD_ASSESS => self.assess(request),
-            METHOD_RECOMMEND => self.recommend(request),
-            METHOD_LINT => self.lint(request),
+            METHOD_ASSESS => self.assess(tenant, &request.params.text()),
+            METHOD_RECOMMEND => self.recommend(tenant, &request.params.text()),
+            METHOD_LINT => self.lint(&request.params.text()),
             METHOD_PROFILE_SNAPSHOT => profile_snapshot(),
             METHOD_METRICS => self.metrics(),
             METHOD_HEALTH => self.health(),
@@ -276,8 +320,8 @@ impl Handler {
 
     // ------------------------------------------------------- methods
 
-    fn assess(&self, request: &Request) -> Result<Value, Failure> {
-        let params: AssessParams = decode_params(&request.params)?;
+    fn assess(&self, tenant: &str, params: &str) -> Result<Value, Failure> {
+        let params: AssessParams<RawValue> = decode_params(params)?;
         refuse_removed_fields(&[
             ("epsilon", params.epsilon.is_some()),
             ("avail_backend", params.avail_backend.is_some()),
@@ -290,13 +334,14 @@ impl Handler {
             params.min_availability,
             params.per_type_max_wait.as_deref(),
         )?;
-        let opts = search_options(None, params.strict.unwrap_or(false));
         let tenant = self.tenant(
-            tenant_key(request),
-            &params.registry,
-            &params.workload,
-            &goals,
-            opts,
+            tenant,
+            TenantInputs {
+                registry: params.registry,
+                workload: params.workload,
+                goals,
+                opts: search_options(None, params.strict.unwrap_or(false)),
+            },
         )?;
         let assessed = tenant.assess(params.config)?;
         encode(&AssessResult {
@@ -307,8 +352,8 @@ impl Handler {
         })
     }
 
-    fn recommend(&self, request: &Request) -> Result<Value, Failure> {
-        let params: RecommendParams = decode_params(&request.params)?;
+    fn recommend(&self, tenant: &str, params: &str) -> Result<Value, Failure> {
+        let params: RecommendParams<RawValue> = decode_params(params)?;
         refuse_removed_fields(&[
             ("epsilon", params.epsilon.is_some()),
             ("avail_backend", params.avail_backend.is_some()),
@@ -327,13 +372,14 @@ impl Handler {
         let search = params.search.as_deref().unwrap_or("greedy");
         // `params.jobs` is accepted and ignored: every search runs on
         // this worker's thread.
-        let opts = search_options(params.budget, params.strict.unwrap_or(false));
         let tenant = self.tenant(
-            tenant_key(request),
-            &params.registry,
-            &params.workload,
-            &goals,
-            opts,
+            tenant,
+            TenantInputs {
+                registry: params.registry,
+                workload: params.workload,
+                goals,
+                opts: search_options(params.budget, params.strict.unwrap_or(false)),
+            },
         )?;
         let result = tenant.recommend(search, params.seed)?;
         let configuration = Configuration::new(
@@ -351,8 +397,8 @@ impl Handler {
         })
     }
 
-    fn lint(&self, request: &Request) -> Result<Value, Failure> {
-        let params: LintParams = decode_params(&request.params)?;
+    fn lint(&self, params: &str) -> Result<Value, Failure> {
+        let params: LintParams<RawValue> = decode_params(params)?;
         let registry: ServerTypeRegistry = decode_doc("registry", &params.registry)?;
         let workload: WorkloadFile = decode_doc("workload", &params.workload)?;
         let mix: Vec<(WorkflowSpec, f64)> = workload
@@ -425,31 +471,23 @@ impl Handler {
     /// rebuild decodes the documents; the (potentially expensive) build
     /// runs outside the map lock, so slow cold starts never serialize
     /// other tenants.
-    fn tenant(
-        &self,
-        key: &str,
-        registry: &Value,
-        workload: &Value,
-        goals: &Goals,
-        opts: SearchOptions,
-    ) -> Result<Arc<Tenant>, Failure> {
-        let fingerprint = fingerprint(registry, workload, goals, &opts);
+    fn tenant(&self, key: &str, inputs: TenantInputs) -> Result<Arc<Tenant>, Failure> {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         if let Some(slot) = lock(&self.tenants).get_mut(key) {
-            if slot.fingerprint == fingerprint {
+            if slot.inputs == inputs {
                 slot.stamp = stamp;
                 return Ok(Arc::clone(&slot.tenant));
             }
         }
-        let registry: ServerTypeRegistry = decode_doc("registry", registry)?;
-        let workload: WorkloadFile = decode_doc("workload", workload)?;
+        let registry: ServerTypeRegistry = decode_doc("registry", &inputs.registry)?;
+        let workload: WorkloadFile = decode_doc("workload", &inputs.workload)?;
         let tool = workload.into_tool(registry).map_err(MethodError::Tool)?;
-        let built = Arc::new(Tenant::new(&tool, goals, opts)?);
+        let built = Arc::new(Tenant::new(&tool, &inputs.goals, inputs.opts)?);
         let mut tenants = lock(&self.tenants);
         // A racing request may have built the same state first; keep
         // theirs so both requests share one warm engine.
         if let Some(slot) = tenants.get_mut(key) {
-            if slot.fingerprint == fingerprint {
+            if slot.inputs == inputs {
                 slot.stamp = stamp;
                 return Ok(Arc::clone(&slot.tenant));
             }
@@ -458,7 +496,7 @@ impl Handler {
             key.to_string(),
             TenantSlot {
                 stamp,
-                fingerprint,
+                inputs,
                 tenant: Arc::clone(&built),
             },
         );
@@ -476,22 +514,7 @@ impl Handler {
     }
 }
 
-/// The engine-defining inputs, rendered canonically: two requests with
-/// equal fingerprints may share a warm engine (the candidate `config`
-/// and per-call annealing seed are deliberately excluded — cache
-/// entries are keyed by state vector and deterministic). Each document
-/// is rendered straight from the request's value.
-fn fingerprint(registry: &Value, workload: &Value, goals: &Goals, opts: &SearchOptions) -> String {
-    [
-        registry.to_string(),
-        workload.to_string(),
-        serde_json::to_string(goals).unwrap_or_default(),
-        serde_json::to_string(opts).unwrap_or_default(),
-    ]
-    .join("\u{1f}")
-}
-
-fn tenant_key(request: &Request) -> &str {
+fn tenant_key<P>(request: &Request<P>) -> &str {
     request.tenant.as_deref().unwrap_or(DEFAULT_TENANT)
 }
 
@@ -499,7 +522,7 @@ fn tenant_key(request: &Request) -> &str {
 /// document is decoded only when per-type goals ride the request, to
 /// resolve their server-type names; without them nothing is decoded.
 fn request_goals(
-    registry: &Value,
+    registry: &RawValue,
     max_wait: Option<f64>,
     min_availability: Option<f64>,
     per_type: Option<&[PerTypeWait]>,
@@ -532,15 +555,16 @@ fn refuse_removed_fields(fields: &[(&str, bool)]) -> Result<(), Failure> {
     }
 }
 
-/// Decodes request params from the request's own value (no copy of it).
-fn decode_params<T: for<'de> Deserialize<'de>>(params: &Value) -> Result<T, Failure> {
-    T::from_value(params).map_err(|e| Failure::new(ERR_INVALID_PARAMS, e.to_string()))
+/// Decodes request params from their text.
+fn decode_params<T: for<'de> Deserialize<'de>>(params: &str) -> Result<T, Failure> {
+    serde_json::from_str(params).map_err(|e| Failure::new(ERR_INVALID_PARAMS, e.to_string()))
 }
 
-/// Decodes an inline registry/workload document, labelling failures
-/// with which document was malformed.
-fn decode_doc<T: for<'de> Deserialize<'de>>(what: &str, doc: &Value) -> Result<T, Failure> {
-    T::from_value(doc).map_err(|e| Failure::new(ERR_INVALID_PARAMS, format!("{what}: {e}")))
+/// Decodes an inline registry/workload document from its text,
+/// labelling failures with which document was malformed.
+fn decode_doc<T: for<'de> Deserialize<'de>>(what: &str, doc: &RawValue) -> Result<T, Failure> {
+    serde_json::from_str(doc.get())
+        .map_err(|e| Failure::new(ERR_INVALID_PARAMS, format!("{what}: {e}")))
 }
 
 /// Serializes a result payload; serialization failures surface as

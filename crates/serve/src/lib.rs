@@ -23,7 +23,8 @@
 //! * [`Handler`] — the JSON methods. It maps a
 //!   [`wfms_proto::Request`] to a [`wfms_proto::Response`], holding one
 //!   warm tenant per client-supplied tenant id (LRU-bounded), and the
-//!   daemon calls it per request line.
+//!   daemon calls it per request line. It reads `params` as text
+//!   ([`ParamsText`]), lent from the line or rendered from a `Value`.
 //! * [`serve`] — the dependency-free line-JSON-over-TCP transport:
 //!   a bounded connection queue with backpressure (full queue ⇒ an
 //!   `overloaded` error response, never unbounded memory), a fixed
@@ -40,7 +41,7 @@ mod resilience;
 mod tenant;
 
 pub use daemon::{serve, ServeError, ServeOptions};
-pub use handler::{Handler, QueueTelemetry};
+pub use handler::{Handler, ParamsText, QueueTelemetry};
 pub use resilience::{Admission, BreakerPolicy, BreakerRegistry};
 pub use tenant::{
     build_goals, resolve_per_type_waits, search_options, Assessed, MethodError, Tenant,

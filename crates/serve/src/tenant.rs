@@ -5,7 +5,7 @@
 //! and [`Tenant::recommend`] answer from it with typed results. The
 //! one-shot CLI calls this core in-process on the documents it read from
 //! disk; the daemon's JSON methods ([`crate::Handler`]) decode their
-//! params, find the tenant by fingerprint, call the same core and encode
+//! params, find the tenant by its inputs, call the same core and encode
 //! its answer. Goal building, per-type resolution, the search dispatch
 //! and its defaults live here once, so both transports run one
 //! implementation of every method's semantics.
@@ -118,8 +118,8 @@ pub fn build_goals(
 /// Resolves named per-type waiting goals (`per_type_max_wait`) against
 /// `registry` into the index-keyed form [`Goals`] carries. Later entries
 /// for the same type override earlier ones; the result is index-sorted
-/// so equal goal sets fingerprint identically regardless of
-/// client-supplied order.
+/// so equal goal sets compare equal regardless of client-supplied
+/// order.
 ///
 /// # Errors
 /// [`MethodError::InvalidParams`] naming the first unknown server type

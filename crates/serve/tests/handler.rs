@@ -5,7 +5,7 @@
 
 use std::time::{Duration, Instant};
 
-use serde_json::Value;
+use serde_json::{RawValue, Value};
 use wfms_proto::{
     AssessResult, HealthResult, MetricsResult, PerTypeWait, Request, Response, ShutdownResult,
     ERR_INVALID_PARAMS, ERR_TOOL, ERR_UNAVAILABLE, ERR_UNKNOWN_METHOD, ERR_UNSUPPORTED_VERSION,
@@ -56,6 +56,24 @@ fn request(method: &str, tenant: &str, params: Value) -> Request {
     }
 }
 
+/// The daemon's form of a request: what it decodes from the line.
+fn from_line(line: &str) -> Request<RawValue> {
+    serde_json::from_str(line).expect("request line decodes")
+}
+
+/// A tenant's engine counters as `metrics` reports them: (hits, misses).
+fn cache_counts(handler: &Handler, tenant: &str) -> (u64, u64) {
+    let resp = handler.handle(&request(METHOD_METRICS, tenant, Value::Null));
+    let result: MetricsResult =
+        serde_json::from_value(resp.result.expect("result populated")).expect("typed result");
+    let gauges = result
+        .tenants
+        .iter()
+        .find(|g| g.tenant == tenant)
+        .expect("tenant is warm");
+    (gauges.cache_hits, gauges.cache_misses)
+}
+
 fn error_kind(response: &Response) -> &str {
     assert!(!response.ok, "expected a failure response");
     response
@@ -96,6 +114,106 @@ fn warm_repeat_is_byte_identical_and_hits_the_engine_cache() {
     assert!(result.turnarounds[0].p90_minutes >= result.turnarounds[0].mean_minutes);
 }
 
+/// A `Request<Value>` renders its params once and takes the daemon's
+/// text path: it answers byte for byte as the `Request<RawValue>`
+/// decoded from its compact line, cold or warm, clean or failed. Its
+/// documents render to the line's bytes, so the two forms share a warm
+/// tenant.
+#[test]
+fn value_and_line_forms_answer_alike_and_share_the_tenant() {
+    let recommend = obj(vec![
+        ("registry", spec("enterprise", "registry.json")),
+        ("workload", spec("enterprise", "workload.json")),
+        ("max_wait", json(0.05)),
+        ("min_availability", json(0.9999)),
+    ]);
+    let mut bad_config = assess_params("ep", &[2, 2, 2]);
+    if let Value::Object(map) = &mut bad_config {
+        map.insert("config".to_string(), Value::String("2,2,2".to_string()));
+    }
+    for (method, params) in [
+        (METHOD_ASSESS, assess_params("ep", &[2, 2, 3])),
+        (METHOD_ASSESS, assess_params("enterprise", &[2, 3, 2, 3, 2])),
+        (METHOD_RECOMMEND, recommend),
+        (METHOD_LINT, assess_params("ep", &[2, 2, 3])),
+        (METHOD_ASSESS, bad_config),
+        (METHOD_ASSESS, Value::Null),
+    ] {
+        let req = request(method, "acme", params);
+        let line = serde_json::to_string(&req).expect("serialize");
+        let answer = |handler: &Handler, by_value: bool| {
+            let response = if by_value {
+                handler.handle(&req)
+            } else {
+                handler.handle(&from_line(&line))
+            };
+            serde_json::to_string(&response).expect("serialize")
+        };
+        let by_value = answer(&Handler::new(1), true);
+        assert_eq!(answer(&Handler::new(1), false), by_value, "{method}");
+
+        let handler = Handler::new(1);
+        assert_eq!(answer(&handler, true), by_value, "{method}");
+        let ok = serde_json::from_str::<Response>(&by_value)
+            .expect("reply decodes")
+            .ok;
+        if method != METHOD_ASSESS || !ok {
+            continue;
+        }
+        let (hits, misses) = cache_counts(&handler, "acme");
+        assert_eq!(answer(&handler, false), by_value, "{method}");
+        let (warm_hits, warm_misses) = cache_counts(&handler, "acme");
+        assert!(
+            warm_hits > hits,
+            "the line form did not hit the warm tenant"
+        );
+        assert_eq!(warm_misses, misses, "the line form rebuilt the tenant");
+    }
+}
+
+/// The tenant keeps its documents' exact text. The same documents sent
+/// with other whitespace are other bytes: the tenant is rebuilt once,
+/// so its engine counts afresh, and the answer does not change. A
+/// repeat of those bytes is then a warm hit.
+#[test]
+fn respaced_documents_rebuild_the_tenant_once_and_answer_alike() {
+    let handler = Handler::new(2);
+    let req = request(METHOD_ASSESS, "acme", assess_params("ep", &[2, 2, 2]));
+    let compact = serde_json::to_string(&req).expect("serialize");
+    let respaced = serde_json::to_string_pretty(&req).expect("serialize");
+    let answer = |line: &str| {
+        let response = handler.handle(&from_line(line));
+        assert!(response.ok, "assess succeeds: {:?}", response.error);
+        serde_json::to_string(&response).expect("serialize")
+    };
+
+    let cold = answer(&compact);
+    let (cold_hits, cold_misses) = cache_counts(&handler, "acme");
+    assert_eq!(answer(&compact), cold);
+    let (warm_hits, warm_misses) = cache_counts(&handler, "acme");
+    assert!(warm_hits > cold_hits, "the compact repeat is a warm hit");
+    assert_eq!(warm_misses, cold_misses);
+
+    assert_eq!(
+        answer(&respaced),
+        cold,
+        "re-spaced documents changed the answer"
+    );
+    assert_eq!(
+        cache_counts(&handler, "acme"),
+        (cold_hits, cold_misses),
+        "re-spaced documents did not rebuild the tenant"
+    );
+    assert_eq!(handler.tenant_count(), 1, "the rebuild replaces the slot");
+
+    assert_eq!(answer(&respaced), cold);
+    assert_eq!(
+        cache_counts(&handler, "acme"),
+        (warm_hits, warm_misses),
+        "the re-spaced repeat is a warm hit"
+    );
+}
+
 #[test]
 fn changed_inputs_rebuild_the_tenant_engine_cold() {
     let handler = Handler::new(4);
@@ -106,7 +224,7 @@ fn changed_inputs_rebuild_the_tenant_engine_cold() {
     ));
     assert!(loose.ok);
 
-    // Same tenant, different goals: the fingerprint changes, so the
+    // Same tenant, different goals: the inputs change, so the
     // slot is rebuilt rather than silently answering from stale state.
     let mut params = assess_params("ep", &[2, 2, 2]);
     if let Value::Object(map) = &mut params {

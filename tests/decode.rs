@@ -4,9 +4,11 @@
 //! same text: the same value, compared by re-serialization, or the same
 //! error. The inputs are the example spec documents (whole, and broken
 //! in one place), generated workflow shapes, and the daemon's envelope
-//! and params lines.
+//! and params lines. The daemon's lines are also decoded with
+//! `RawValue` documents, as the daemon decodes them: the same errors,
+//! and spans that read as the values.
 
-use serde_json::Value;
+use serde_json::{RawValue, Value};
 use wfms_proto::{
     AssessParams, RecommendParams, Request, Response, METHOD_ASSESS, METHOD_RECOMMEND,
 };
@@ -28,6 +30,35 @@ macro_rules! agree {
             .map_err(|e| e.to_string());
         assert_eq!(direct, walked, "{}: {text:.200}", stringify!($t));
         usize::from(direct.is_ok())
+    }};
+}
+
+/// Asserts `$text` decodes as `$t<RawValue>` as it does as `$t` (whose
+/// documents are `Value`s): the same error, or each `$field` span reads
+/// as the `Value` the `Value` decode built there.
+macro_rules! spans_agree {
+    ($t:ident, $text:expr, $($field:ident),+) => {{
+        let text: &str = $text;
+        match (
+            serde_json::from_str::<$t<RawValue>>(text),
+            serde_json::from_str::<$t>(text),
+        ) {
+            (Ok(raw), Ok(value)) => {
+                $(assert_eq!(
+                    serde_json::from_str::<Value>(raw.$field.get()).unwrap(),
+                    value.$field,
+                    "{}.{}: {text:.200}",
+                    stringify!($t),
+                    stringify!($field)
+                );)+
+            }
+            (raw, value) => assert_eq!(
+                raw.map(drop).map_err(|e| e.to_string()),
+                value.map(drop).map_err(|e| e.to_string()),
+                "{}: {text:.200}",
+                stringify!($t)
+            ),
+        }
     }};
 }
 
@@ -116,10 +147,18 @@ fn wire_lines_decode_as_their_values_walk() {
         (METHOD_RECOMMEND, &recommend),
         (METHOD_ASSESS, &assess.replace("[2,2,2]", "[2,2]")),
         (METHOD_ASSESS, &assess.replace("[2,2,2]", "\"2,2,2\"")),
+        (METHOD_ASSESS, &assess.replace(r#""config":[2,2,2],"#, "")),
+        (METHOD_RECOMMEND, &recommend.replace("0.9999", "\"high\"")),
+        (METHOD_RECOMMEND, &format!("[{recommend}]")),
     ] {
+        match method {
+            METHOD_ASSESS => spans_agree!(AssessParams, params, registry, workload),
+            _ => spans_agree!(RecommendParams, params, registry, workload),
+        }
         let line =
             format!(r#"{{"v":1,"id":"d-1","tenant":"t","method":"{method}","params":{params}}}"#);
         assert_eq!(agree!(Request, &line), 1);
+        spans_agree!(Request, &line, params);
         let request: Request = serde_json::from_str(&line).unwrap();
         let response = serde_json::to_string(&handler.handle(&request)).unwrap();
         assert_eq!(agree!(Response, &response), 1);
@@ -131,5 +170,6 @@ fn wire_lines_decode_as_their_values_walk() {
         r#"{"v":1,"id":"x","method":"health","params":null,"v":"1"}"#,
     ] {
         assert_eq!(agree!(Request, line), 0);
+        spans_agree!(Request, line, params);
     }
 }

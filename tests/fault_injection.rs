@@ -11,7 +11,8 @@ use std::time::Duration;
 
 use wfms::avail::AvailError;
 use wfms::fault;
-use wfms::markov::ChainError;
+use wfms::markov::linalg::{LuError, Matrix};
+use wfms::markov::{ChainError, Ctmc};
 use wfms::perf::{analyze_workflow, AnalysisOptions, PerfError};
 use wfms::statechart::paper_section52_registry;
 use wfms::workloads::{enterprise_mix, enterprise_registry, ep_workflow, EP_DEFAULT_ARRIVAL_RATE};
@@ -446,6 +447,19 @@ fn injected_lu_failure_fails_the_workflow_analysis() {
         "{err:?}"
     );
     assert!(fault::fired("linalg.dense-lu") >= 1);
+}
+
+/// A chain that is its target alone solves an empty system. An
+/// injected singular factorization of it is the LU's own error, as
+/// `expected_visits` reports it on the same chain, not a panic.
+#[test]
+fn injected_lu_failure_on_a_one_state_chain_is_a_typed_error() {
+    let _g = faults();
+    fault::configure("linalg.dense-lu", fault::FaultMode::Error, 1.0);
+    let chain = Ctmc::from_jump_chain(Matrix::identity(1), vec![f64::INFINITY]).unwrap();
+    let expected = ChainError::Lu(LuError::Singular { column: 0 });
+    assert_eq!(chain.mean_first_passage(0), Err(expected.clone()));
+    assert_eq!(chain.expected_visits(0), Err(expected));
 }
 
 /// Both availability failpoints fail a strict assessment with an error

@@ -7,8 +7,9 @@
 //! [`BirthDeathBlock`] tabulates those two rate ladders for one server
 //! type once, so assembling the generator for a neighbouring candidate
 //! `Y + e_k` reuses the blocks of every unchanged type verbatim. The
-//! configuration-search engine caches blocks by `(type, Y_x)` and reads
-//! each type's stationary marginal from its block.
+//! configuration-search engine builds a block when it fills a type's
+//! `(type, Y_x)` record and keeps only the stationary marginal read
+//! from it.
 //!
 //! The tabulated rates are the *same float products* the direct
 //! generator assembly computes (`x as f64 * λ`, `failed as f64 * μ`),

@@ -42,7 +42,7 @@ pub const REQUIRED_STAGES: &[&str] = &[
 ];
 
 /// Counters `profile --check` requires to be nonzero: the engine-backed
-/// pass must actually replay from its caches (or the memoizing path is
+/// pass must actually replay from its records (or the memoizing path is
 /// silently broken), and the per-type fold must actually sum
 /// `(type, up-count)` terms (or the performability fold is silently
 /// skipped).
@@ -1558,14 +1558,19 @@ fn cmd_explain(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> 
         )?,
         None => writeln!(out, "  no goals configured")?,
     }
+    // The winner event duplicates an assessed event and carries no
+    // provenance of its own: show that assessment's.
+    let winner_at = winner.seq;
+    let cache = in_search
+        .iter()
+        .rev()
+        .filter(|e| e.seq < winner_at && e.outcome != journal::OUTCOME_QUARANTINE)
+        .find(|e| e.candidate == winner.candidate)
+        .map_or(&winner.cache, |e| &e.cache);
     writeln!(
         out,
-        "  cache: state {}h/{}m, block {}h/{}m, solution {}",
-        winner.cache.state_hits,
-        winner.cache.state_misses,
-        winner.cache.block_hits,
-        winner.cache.block_misses,
-        winner.cache.solution
+        "  cache: state {}h/{}m",
+        cache.state_hits, cache.state_misses
     )?;
     if let Some(d) = &winner.degradation {
         writeln!(

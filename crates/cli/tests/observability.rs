@@ -45,7 +45,7 @@ impl Drop for Cleanup {
     }
 }
 
-fn recommend_enterprise(journal: &Path) -> std::process::Output {
+fn recommend_enterprise(journal: &Path, extra: &[&str]) -> std::process::Output {
     wfms()
         .args([
             "recommend",
@@ -60,6 +60,7 @@ fn recommend_enterprise(journal: &Path) -> std::process::Output {
             "--journal",
             &journal.display().to_string(),
         ])
+        .args(extra)
         .output()
         .expect("run wfms")
 }
@@ -72,7 +73,7 @@ fn explain_replays_an_enterprise_recommendation_byte_stably() {
     let _cleanup = Cleanup(vec![j1.clone(), j2.clone()]);
 
     for journal in [&j1, &j2] {
-        let output = recommend_enterprise(journal);
+        let output = recommend_enterprise(journal, &[]);
         assert!(output.status.success(), "{output:?}");
     }
     // Two identical runs record byte-identical journals.
@@ -124,6 +125,29 @@ fn explain_replays_an_enterprise_recommendation_byte_stably() {
     assert_eq!(report["search"].as_str(), Some("greedy"));
     assert_eq!(report["winner"]["outcome"].as_str(), Some("winner"));
     assert!(report["binding_goal"].as_str().is_some());
+}
+
+/// The winner event duplicates the accepted assessment, so `explain`
+/// shows that assessment's record provenance: exhaustive search on
+/// enterprise reaches `[2, 2, 2, 2, 2]` with all five records replayed.
+#[test]
+fn explain_shows_the_winning_assessments_cache_provenance() {
+    let _serial = one_at_a_time();
+    let journal = tmp("explain-optimal.jsonl");
+    let _cleanup = Cleanup(vec![journal.clone()]);
+    let output = recommend_enterprise(&journal, &["--optimal"]);
+    assert!(output.status.success(), "{output:?}");
+    let output = wfms()
+        .args(["explain", "--journal", &journal.display().to_string()])
+        .output()
+        .expect("run wfms");
+    assert!(output.status.success(), "{output:?}");
+    let text = String::from_utf8(output.stdout).unwrap();
+    assert!(
+        text.contains("winner [2, 2, 2, 2, 2] (10 servers)"),
+        "{text}"
+    );
+    assert!(text.contains("\n  cache: state 5h/0m\n"), "{text}");
 }
 
 #[test]

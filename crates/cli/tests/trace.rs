@@ -75,6 +75,17 @@ fn assess_trace_json_covers_the_analysis_stages() {
     assert!(snapshot.counters["perf.mg1.evaluations"] > 0);
     assert!(snapshot.counters["config.assessments"] > 0);
     assert_eq!(snapshot.dropped_spans, 0);
+    // The recorder is on, so the `assess` span names its candidate.
+    let assess = snapshot
+        .spans
+        .iter()
+        .find(|s| s.name == "assess")
+        .expect("an assess span");
+    assert!(
+        matches!(assess.field("candidate"), Some(FieldValue::Str(c)) if c == "Y(2,2,3)"),
+        "{:?}",
+        assess.field("candidate")
+    );
 }
 
 #[test]

@@ -85,12 +85,12 @@ fn objective(assessment: &Assessment, goals: &Goals) -> f64 {
 }
 
 /// The Metropolis walk behind [`AssessmentEngine::annealing`],
-/// assessing candidates through the engine's caches. The walk is
+/// assessing candidates through the engine's records. The walk is
 /// sequential: each step depends on the previous accept/reject.
 ///
 /// Because the walk moves one ±1-replica coordinate at a time, every
 /// assessment after the first fills at most one new per-type record
-/// and replays the other `k−1` from the engine's record cache, with no
+/// and replays the other `k−1` from the engine's record map, with no
 /// annealing-specific code. The walk is deliberately
 /// *not* reordered by the closed-form move ranking
 /// ([`crate::moves`]): proposals are RNG-pinned, and reordering them

@@ -6,7 +6,7 @@
 //! scratch — yet neighbouring candidates (`Y` vs `Y + e_k`) share almost
 //! all of both. [`AssessmentEngine`] owns the search inputs
 //! ([`ServerTypeRegistry`], [`SystemLoad`], [`Goals`], [`SearchOptions`])
-//! and threads shared memo layers through all assessments.
+//! and threads one memo through all assessments.
 //!
 //! # Per-type records
 //!
@@ -21,17 +21,15 @@
 //! and one 1-D waiting-time sum per type
 //! ([`wfms_performability::fold_types`]) — `Σ_x (Y_x + 1)` single-type
 //! terms, never the `Π_x (Y_x + 1)` joint states. A record is a pure
-//! function of `(type, Y_x)`, so a one-replica move changes exactly one.
-//!
-//! A record fill reads its marginal from a second cache, the
-//! birth–death blocks ([`wfms_avail::BirthDeathBlock`]), also keyed by
-//! `(type, Y_x)`.
+//! function of `(type, Y_x)`, so a one-replica move changes exactly one,
+//! and the engine keeps every clean record it fills in one map, for
+//! its lifetime.
 //!
 //! # Determinism contract
 //!
 //! One thread per search: every search assesses its candidates in
 //! order on its caller's thread. Concurrent callers (the daemon's
-//! workers sharing a tenant engine) share caches of pure-function
+//! workers sharing a tenant engine) share a map of pure-function
 //! values, computed with exactly the same float operations as a fresh
 //! engine's, so a warm or shared engine answers bit-identically to a
 //! fresh one.
@@ -42,9 +40,8 @@
 //! `engine.cache-miss` count record lookups (one per type per
 //! candidate).
 
-// audit:allow-file(A006, reason = "the caches are keyed lookups (get/insert only, never iterated), so hash order never reaches results; bit-identity is asserted by tests/engine.rs")
-use std::collections::{BTreeMap, HashMap};
-use std::hash::Hash;
+// audit:allow-file(A006, reason = "the record map is a keyed lookup (get/insert only, never iterated), so hash order never reaches results; bit-identity is asserted by tests/engine.rs")
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -65,116 +62,18 @@ use crate::goals::{GoalCheck, Goals};
 use crate::journal;
 use crate::journal::CacheProvenance;
 use crate::search::{
-    availability_critical_type, enumerate_bounded, enumerate_compositions, goal_lower_bounds,
-    highest_utilization_type, minimum_stable_replicas, performability_critical_type,
-    record_candidate, QuarantinedCandidate, SearchOptions, SearchResult,
+    availability_critical_type, enumerate_bounded, goal_lower_bounds, highest_utilization_type,
+    minimum_stable_replicas, performability_critical_type, record_candidate, QuarantinedCandidate,
+    SearchOptions, SearchResult,
 };
 
-/// Locks a cache mutex, recovering from poisoning: the caches hold
-/// memoized values of pure functions, so a panicked worker can at most
-/// have skipped an insert — the map itself is never left mid-update.
+/// Locks the record map, recovering from poisoning: it holds memoized
+/// values of pure functions, so a panicked worker can at most have
+/// skipped an insert — the map itself is never left mid-update.
 fn lock_cache<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// A tick-stamped LRU map for the record cache: `get`
-/// refreshes recency, and `insert` at capacity evicts the
-/// least-recently-used entry (capacity `0` disables caching entirely,
-/// preserving the historical contract). A `BTreeMap` recency index
-/// keyed by a monotonic tick makes eviction `O(log n)`, so long
-/// searches never pin a cold working set the way the old
-/// fill-until-full policy did.
-///
-/// Eviction only changes *which* pure-function results stay resident —
-/// never their values — so assessments remain bit-identical at any
-/// capacity; under capacity pressure the hit/miss cache provenance in
-/// the decision journal can legitimately differ from an unbounded run.
-#[derive(Debug)]
-struct LruCache<K, V> {
-    map: HashMap<K, (Arc<V>, u64)>,
-    recency: BTreeMap<u64, K>,
-    capacity: usize,
-    tick: u64,
-}
-
-impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
-    fn with_capacity(capacity: usize) -> Self {
-        LruCache {
-            map: HashMap::new(),
-            recency: BTreeMap::new(),
-            capacity,
-            tick: 0,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn get<Q>(&mut self, key: &Q) -> Option<Arc<V>>
-    where
-        K: std::borrow::Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.tick += 1;
-        let tick = self.tick;
-        let entry = self.map.get_mut(key)?;
-        let previous = std::mem::replace(&mut entry.1, tick);
-        let value = entry.0.clone();
-        // Every resident entry has exactly one recency stamp; move it.
-        if let Some(k) = self.recency.remove(&previous) {
-            self.recency.insert(tick, k);
-        }
-        Some(value)
-    }
-
-    fn insert(&mut self, key: K, value: Arc<V>) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(previous) = self.map.get(&key).map(|(_, t)| *t) {
-            self.recency.remove(&previous);
-        } else if self.map.len() >= self.capacity {
-            if let Some((_, victim)) = self.recency.pop_first() {
-                self.map.remove(&victim);
-            }
-        }
-        self.recency.insert(tick, key.clone());
-        self.map.insert(key, (value, tick));
-    }
-}
-
-/// Per-assessment cache-provenance tally, threaded down the cache
-/// layers by [`AssessmentEngine::assess_with_provenance`]. All counting
-/// happens on the thread running that one assessment, so plain `Cell`s
-/// suffice.
-#[derive(Default)]
-struct CacheCounters {
-    state_hits: std::cell::Cell<u64>,
-    state_misses: std::cell::Cell<u64>,
-    block_hits: std::cell::Cell<u64>,
-    block_misses: std::cell::Cell<u64>,
-    solution_hit: std::cell::Cell<Option<bool>>,
-}
-
-impl CacheCounters {
-    fn provenance(&self) -> CacheProvenance {
-        CacheProvenance {
-            state_hits: self.state_hits.get(),
-            state_misses: self.state_misses.get(),
-            block_hits: self.block_hits.get(),
-            block_misses: self.block_misses.get(),
-            solution: match self.solution_hit.get() {
-                Some(true) => "hit".to_string(),
-                Some(false) => "miss".to_string(),
-                None => "unknown".to_string(),
-            },
-        }
-    }
 }
 
 /// One server type's share of an assessment at `Y_x` replicas:
@@ -206,7 +105,8 @@ impl TypeRecord {
 }
 
 /// What a fold made of one candidate: the performability report, the
-/// availability, and the graceful-degradation accounting.
+/// availability, the graceful-degradation accounting, and where its
+/// records came from.
 struct Folded {
     perf: Result<PerformabilityReport, PerformabilityError>,
     availability: f64,
@@ -214,17 +114,16 @@ struct Folded {
     failed: Vec<DegradedStateRecord>,
     /// The stationary mass those failures touch.
     charged_mass: f64,
+    provenance: CacheProvenance,
 }
 
-/// Entry counts and hit/miss totals of the engine's caches (see the
+/// Entry count and hit/miss totals of the engine's record map (see the
 /// module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Record entries: the `(type, Y_x)` records (type `x`'s marginal
     /// and its outcome at every up-count).
     pub state_entries: usize,
-    /// Birth–death-block entries (`(type, Y_x)` ladders).
-    pub block_entries: usize,
     /// Total record lookups answered from the cache (one lookup per
     /// type per candidate).
     pub hits: u64,
@@ -232,12 +131,12 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-/// The memoizing evaluation core. See the module docs for the cache
-/// layers and the determinism contract.
+/// The memoizing evaluation core. See the module docs for the record
+/// map and the determinism contract.
 ///
-/// An engine is cheap to construct (the caches start empty) and is
+/// An engine is cheap to construct (the map starts empty) and is
 /// `Sync`: one engine can serve concurrent assessments. All search
-/// methods share the caches, so e.g. a greedy probe followed by an
+/// methods share the records, so e.g. a greedy probe followed by an
 /// exhaustive validation pays the model solves only once.
 #[derive(Debug)]
 pub struct AssessmentEngine {
@@ -245,8 +144,7 @@ pub struct AssessmentEngine {
     load: SystemLoad,
     goals: Goals,
     options: SearchOptions,
-    records: Mutex<LruCache<(usize, usize), TypeRecord>>,
-    blocks: Mutex<HashMap<(usize, usize), Arc<BirthDeathBlock>>>,
+    records: Mutex<HashMap<(usize, usize), Arc<TypeRecord>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -254,7 +152,7 @@ pub struct AssessmentEngine {
 // The serving layer (`wfms-serve`) keeps one warm engine per tenant and
 // shares it across worker threads, so `Send + Sync` is a load-bearing
 // contract, not an accident of today's field types. Assert it at
-// compile time: swapping a cache for an `Rc` or a `RefCell` must fail
+// compile time: swapping the map for an `Rc` or a `RefCell` must fail
 // here, not in a downstream crate.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
@@ -282,8 +180,7 @@ impl AssessmentEngine {
             load: load.clone(),
             goals: goals.clone(),
             options,
-            records: Mutex::new(LruCache::with_capacity(options.state_cache_capacity)),
-            blocks: Mutex::new(HashMap::new()),
+            records: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         })
@@ -304,11 +201,10 @@ impl AssessmentEngine {
         &self.registry
     }
 
-    /// Current cache entry counts and lifetime hit/miss totals.
+    /// Current record count and lifetime hit/miss totals.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
             state_entries: lock_cache(&self.records).len(),
-            block_entries: lock_cache(&self.blocks).len(),
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
         }
@@ -328,67 +224,37 @@ impl AssessmentEngine {
         }
     }
 
-    // -- cache layers -----------------------------------------------------
-
-    /// The birth–death rate ladders for `replicas` servers of type `j`,
-    /// from the block cache. Tallies the lookup in `counters` only: the
-    /// engine totals count record lookups instead.
-    fn block(
-        &self,
-        j: usize,
-        replicas: usize,
-        counters: &CacheCounters,
-    ) -> Result<Arc<BirthDeathBlock>, ConfigError> {
-        if let Some(hit) = lock_cache(&self.blocks).get(&(j, replicas)) {
-            counters.block_hits.set(counters.block_hits.get() + 1);
-            return Ok(hit.clone());
-        }
-        counters.block_misses.set(counters.block_misses.get() + 1);
-        let st = self.registry.get(ServerTypeId(j))?;
-        let block = Arc::new(BirthDeathBlock::for_type(
-            st,
-            replicas,
-            RepairPolicy::Independent,
-        ));
-        lock_cache(&self.blocks).insert((j, replicas), block.clone());
-        Ok(block)
-    }
+    // -- records ----------------------------------------------------------
 
     /// The `k` per-type records of `config` (see the module docs), from
-    /// the record cache. A miss fills the record: the
-    /// `engine.solution-cache-fill` failpoint fires first (error fails
-    /// the candidate, NaN poisons the record's marginal), then the
-    /// marginal comes from the cached birth–death block and each
-    /// up-count's outcome from the single-type kernel. Only a clean
-    /// record is cached ([`TypeRecord::is_cacheable`]).
+    /// the record map, with their hits and misses. A miss fills the
+    /// record: the `engine.solution-cache-fill` failpoint fires first
+    /// (error fails the candidate, NaN poisons the record's marginal),
+    /// then the marginal comes from the type's birth–death block and
+    /// each up-count's outcome from the single-type kernel. Only a clean
+    /// record is kept ([`TypeRecord::is_cacheable`]).
     fn type_records(
         &self,
         config: &Configuration,
-        counters: &CacheCounters,
-    ) -> Result<Vec<Arc<TypeRecord>>, ConfigError> {
+    ) -> Result<(Vec<Arc<TypeRecord>>, CacheProvenance), ConfigError> {
         let mut records = Vec::with_capacity(config.k());
-        let (mut hits, mut misses) = (0, 0);
+        let mut provenance = CacheProvenance::default();
         for (x, &y) in config.as_slice().iter().enumerate() {
-            if let Some(hit) = lock_cache(&self.records).get(&(x, y)) {
-                hits += 1;
+            if let Some(hit) = lock_cache(&self.records).get(&(x, y)).cloned() {
+                provenance.state_hits += 1;
                 records.push(hit);
                 continue;
             }
-            misses += 1;
-            let record = Arc::new(self.fill_record(x, y, counters)?);
+            provenance.state_misses += 1;
+            let record = Arc::new(self.fill_record(x, y)?);
             if record.is_cacheable() {
                 lock_cache(&self.records).insert((x, y), record.clone());
             }
             records.push(record);
         }
-        self.record_hits(hits);
-        self.record_misses(misses);
-        counters.state_hits.set(counters.state_hits.get() + hits);
-        counters
-            .state_misses
-            .set(counters.state_misses.get() + misses);
-        counters.solution_hit.set(Some(misses == 0));
-        Ok(records)
+        self.record_hits(provenance.state_hits);
+        self.record_misses(provenance.state_misses);
+        Ok((records, provenance))
     }
 
     /// Computes type `x`'s record at `y` replicas (see
@@ -400,12 +266,7 @@ impl AssessmentEngine {
     /// [`SearchOptions::strict`] a failed evaluation fails the record;
     /// otherwise it is charged at the type's pessimistic cap
     /// ([`charged_type_outcome`]) and listed in the record's `failed`.
-    fn fill_record(
-        &self,
-        x: usize,
-        y: usize,
-        counters: &CacheCounters,
-    ) -> Result<TypeRecord, ConfigError> {
+    fn fill_record(&self, x: usize, y: usize) -> Result<TypeRecord, ConfigError> {
         let mut poison_marginal = false;
         match wfms_fault::point!("engine.solution-cache-fill") {
             Some(wfms_fault::Injection::Error) => {
@@ -416,12 +277,12 @@ impl AssessmentEngine {
             Some(wfms_fault::Injection::Nan) => poison_marginal = true,
             None => {}
         }
-        let block = self.block(x, y, counters)?;
+        let id = ServerTypeId(x);
+        let block = BirthDeathBlock::for_type(self.registry.get(id)?, y, RepairPolicy::Independent);
         let mut marginal = steady_state_marginal(&block)?;
         if poison_marginal {
             marginal[0] = f64::NAN;
         }
-        let id = ServerTypeId(x);
         let mut outcomes = Vec::with_capacity(y + 1);
         let mut failed = Vec::new();
         let mut cap = None;
@@ -466,7 +327,7 @@ impl AssessmentEngine {
     // -- assessment -------------------------------------------------------
 
     /// Evaluates `config` against the engine's goals, through the
-    /// caches: availability from the Sec. 5 model, waiting times from the
+    /// records: availability from the Sec. 5 model, waiting times from the
     /// Sec. 6 performability model. Cold and warm engines return
     /// field-for-field identical assessments (see the module docs).
     ///
@@ -489,18 +350,20 @@ impl AssessmentEngine {
         Ok(assessment)
     }
 
-    /// As [`assess`](Self::assess), additionally reporting where each
-    /// cache layer's answers came from — and emitting no journal event,
-    /// so searches can journal the decision (not the computation).
+    /// As [`assess`](Self::assess), additionally reporting how many of
+    /// the candidate's records the map answered and how many were
+    /// filled — and emitting no journal event, so searches can journal
+    /// the decision (not the computation).
     pub(crate) fn assess_with_provenance(
         &self,
         config: &Configuration,
     ) -> Result<(Assessment, CacheProvenance), ConfigError> {
-        let counters = CacheCounters::default();
         run_preflight(&self.registry, &self.load, Some(config.as_slice()))?;
         let mut obs_span = wfms_obs::span!("assess");
-        obs_span.record("candidate", format!("{config}"));
-        let folded = self.fold_exact(config, &counters)?;
+        if obs_span.is_recording() {
+            obs_span.record("candidate", format!("{config}"));
+        }
+        let folded = self.fold_exact(config)?;
         let availability = folded.availability;
         let downtime_minutes_per_year = (1.0 - availability) * MINUTES_PER_YEAR;
         let perf = match folded.perf {
@@ -592,7 +455,7 @@ impl AssessmentEngine {
                     availability_met,
                 },
             },
-            counters.provenance(),
+            folded.provenance,
         ))
     }
 
@@ -601,12 +464,8 @@ impl AssessmentEngine {
     /// of type `x` at up-count `u` touches every joint state with
     /// `X_x = u`, whose mass is `m_x[u]`; the failures of all types
     /// touch `1 − Π_x (1 − Σ_{failed u} m_x[u])`.
-    fn fold_exact(
-        &self,
-        config: &Configuration,
-        counters: &CacheCounters,
-    ) -> Result<Folded, ConfigError> {
-        let records = self.type_records(config, counters)?;
+    fn fold_exact(&self, config: &Configuration) -> Result<Folded, ConfigError> {
+        let (records, provenance) = self.type_records(config)?;
         wfms_obs::gauge("avail.state-space.size", config.system_state_count() as f64);
         let mut availability = 1.0;
         for record in &records {
@@ -638,6 +497,7 @@ impl AssessmentEngine {
             availability,
             failed,
             charged_mass: 1.0 - untouched,
+            provenance,
         })
     }
 
@@ -708,7 +568,7 @@ impl AssessmentEngine {
 
     /// The greedy minimum-cost search of Sec. 7.2, starting from the
     /// unreplicated configuration `Y = (1, …, 1)` and assessed through
-    /// the caches (see the [`crate::search`] module docs for the growth
+    /// the records (see the [`crate::search`] module docs for the growth
     /// rule). The candidate chain is inherently sequential.
     ///
     /// # Errors
@@ -797,41 +657,9 @@ impl AssessmentEngine {
     /// # Errors
     /// As [`AssessmentEngine::greedy`].
     pub fn exhaustive(&self) -> Result<SearchResult, ConfigError> {
-        let opts = &self.options;
-        let k = self.registry.len();
-        let mut obs_span = wfms_obs::span!("exhaustive-search", budget = opts.max_total_servers);
-        let mut trace = Vec::new();
-        let mut evaluations = 0;
-        let mut quarantined = Vec::new();
-        for cost in k..=opts.max_total_servers {
-            let mut candidates = Vec::new();
-            let mut current = vec![1usize; k];
-            enumerate_compositions(cost, k, &mut current, 0, &mut |replicas| {
-                candidates.push(replicas.to_vec());
-                Ok(())
-            })?;
-            if let Some(assessment) = self.evaluate_frontier(
-                "exhaustive",
-                candidates,
-                &mut trace,
-                &mut evaluations,
-                &mut quarantined,
-            )? {
-                obs_span.record("evaluations", evaluations as u64);
-                obs_span.record("cost", assessment.cost as u64);
-                journal::record_winner("exhaustive", &assessment, &self.goals);
-                return Ok(SearchResult {
-                    assessment,
-                    trace,
-                    evaluations,
-                    quarantined,
-                });
-            }
-        }
-        Err(ConfigError::GoalsUnreachable {
-            budget: opts.max_total_servers,
-            last_candidate: vec![1; k],
-        })
+        let budget = self.options.max_total_servers;
+        let obs_span = wfms_obs::span!("exhaustive-search", budget = budget);
+        self.cost_shells("exhaustive", vec![1; self.registry.len()], obs_span)
     }
 
     /// Branch-and-bound minimum-cost search — the other "full-fledged
@@ -844,26 +672,29 @@ impl AssessmentEngine {
     /// # Errors
     /// As [`AssessmentEngine::greedy`].
     pub fn branch_and_bound(&self) -> Result<SearchResult, ConfigError> {
-        let opts = &self.options;
-        let k = self.registry.len();
-        let lower = goal_lower_bounds(
-            &self.registry,
-            &self.load,
-            &self.goals,
-            opts.max_total_servers,
-        )?;
-        let lower_cost: usize = lower.iter().sum();
-        if lower_cost > opts.max_total_servers {
-            return Err(ConfigError::GoalsUnreachable {
-                budget: opts.max_total_servers,
-                last_candidate: lower,
-            });
-        }
-        let mut obs_span = wfms_obs::span!("bnb-search", budget = opts.max_total_servers);
+        let budget = self.options.max_total_servers;
+        let lower = goal_lower_bounds(&self.registry, &self.load, &self.goals, budget)?;
+        let obs_span = wfms_obs::span!("bnb-search", budget = budget);
+        self.cost_shells("bnb", lower, obs_span)
+    }
+
+    /// The loop both cost-optimal searches run: assesses every vector
+    /// `Y ≥ lower` shell by shell, in order of increasing total cost
+    /// (lexicographic within a shell), and returns the first that meets
+    /// the goals. Past the budget it fails with
+    /// [`ConfigError::GoalsUnreachable`] naming `lower`.
+    fn cost_shells(
+        &self,
+        search: &'static str,
+        lower: Vec<usize>,
+        mut obs_span: wfms_obs::Span<'static>,
+    ) -> Result<SearchResult, ConfigError> {
+        let budget = self.options.max_total_servers;
+        let k = lower.len();
         let mut trace = Vec::new();
         let mut evaluations = 0;
         let mut quarantined = Vec::new();
-        for cost in lower_cost..=opts.max_total_servers {
+        for cost in lower.iter().sum::<usize>()..=budget {
             let mut candidates = Vec::new();
             let mut current = lower.clone();
             enumerate_bounded(cost, k, &lower, &mut current, 0, &mut |replicas| {
@@ -871,7 +702,7 @@ impl AssessmentEngine {
                 Ok(())
             })?;
             if let Some(assessment) = self.evaluate_frontier(
-                "bnb",
+                search,
                 candidates,
                 &mut trace,
                 &mut evaluations,
@@ -879,7 +710,7 @@ impl AssessmentEngine {
             )? {
                 obs_span.record("evaluations", evaluations as u64);
                 obs_span.record("cost", assessment.cost as u64);
-                journal::record_winner("bnb", &assessment, &self.goals);
+                journal::record_winner(search, &assessment, &self.goals);
                 return Ok(SearchResult {
                     assessment,
                     trace,
@@ -889,7 +720,7 @@ impl AssessmentEngine {
             }
         }
         Err(ConfigError::GoalsUnreachable {
-            budget: opts.max_total_servers,
+            budget,
             last_candidate: lower,
         })
     }
@@ -967,17 +798,15 @@ mod tests {
         // One `(type, Y_x)` record per type.
         let after_first = engine.cache_stats();
         assert_eq!(after_first.state_entries, 3);
-        assert_eq!(after_first.block_entries, 3);
         assert_eq!(after_first.hits, 0);
         assert_eq!(after_first.misses, 3);
 
-        // A neighbouring candidate shares two of its three records (and
-        // blocks): a one-replica move changes exactly one record.
+        // A neighbouring candidate shares two of its three records: a
+        // one-replica move changes exactly one record.
         let b = Configuration::new(&reg, vec![2, 2, 3]).unwrap();
         engine.assess(&b).unwrap();
         let after_second = engine.cache_stats();
         assert_eq!(after_second.state_entries, 4);
-        assert_eq!(after_second.block_entries, 4);
         assert_eq!(after_second.hits, after_first.hits + 2);
         assert_eq!(after_second.misses, after_first.misses + 1);
 
@@ -999,60 +828,6 @@ mod tests {
         assert_eq!(engine.greedy().unwrap(), fresh_greedy);
         let fresh_exhaustive = fresh(&reg, &load, &goals).exhaustive().unwrap();
         assert_eq!(engine.exhaustive().unwrap(), fresh_exhaustive);
-    }
-
-    #[test]
-    fn capacity_zero_disables_caching_without_changing_results() {
-        let reg = paper_section52_registry();
-        let load = load_at(0.8, &reg);
-        let goals = Goals::new(0.01, 0.9999).unwrap();
-        let uncached_opts = SearchOptions::builder().state_cache_capacity(0).build();
-        let uncached = AssessmentEngine::new(&reg, &load, &goals, uncached_opts).unwrap();
-        let cached = AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default()).unwrap();
-        let config = Configuration::new(&reg, vec![2, 2, 2]).unwrap();
-        assert_eq!(
-            uncached.assess(&config).unwrap(),
-            cached.assess(&config).unwrap()
-        );
-        assert_eq!(uncached.cache_stats().state_entries, 0);
-    }
-
-    /// At capacity the record cache evicts the least recently used
-    /// records, so a candidate assessed after the cache filled stays
-    /// resident: three candidates fill nine records into a cache of
-    /// three, the three of `[3,3,3]` answer its re-assessment, and the
-    /// evicted `[1,1,1]` misses again.
-    #[test]
-    fn lru_keeps_recent_records_resident_beyond_capacity() {
-        let reg = paper_section52_registry();
-        let load = load_at(1.5, &reg);
-        let goals = Goals::new(0.01, 0.9999).unwrap();
-        let opts = SearchOptions::builder().state_cache_capacity(3).build();
-        let engine = AssessmentEngine::new(&reg, &load, &goals, opts).unwrap();
-        for y in [vec![1, 1, 1], vec![2, 2, 2], vec![3, 3, 3]] {
-            engine
-                .assess(&Configuration::new(&reg, y).unwrap())
-                .unwrap();
-        }
-        let filled = engine.cache_stats();
-        assert_eq!(filled.state_entries, 3, "capacity bound violated");
-        assert_eq!(filled.misses, 9);
-
-        let hot = Configuration::new(&reg, vec![3, 3, 3]).unwrap();
-        engine.assess(&hot).unwrap();
-        let warm = engine.cache_stats();
-        assert_eq!(
-            warm.misses, filled.misses,
-            "re-assessing the most recent candidate recomputed something"
-        );
-        assert_eq!(warm.hits, filled.hits + 3);
-
-        let cold = Configuration::new(&reg, vec![1, 1, 1]).unwrap();
-        engine.assess(&cold).unwrap();
-        assert!(
-            engine.cache_stats().misses > warm.misses,
-            "the least recently used candidate was never evicted"
-        );
     }
 
     #[test]
@@ -1177,6 +952,7 @@ mod tests {
             for (t, &y_t) in config.as_slice().iter().enumerate() {
                 let record = lock_cache(&engine.records)
                     .get(&(t, y_t))
+                    .cloned()
                     .expect("the engine caches every clean record");
                 for (up, outcome) in record.outcomes.iter().enumerate() {
                     let mut state = config.as_slice().to_vec();

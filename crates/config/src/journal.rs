@@ -8,7 +8,7 @@
 //! answers "why was each candidate accepted, rejected, or quarantined":
 //! per candidate it records the replica vector `Y`, cost, predicted
 //! availability and worst waiting time, the relative goal slacks, the
-//! engine-cache provenance of the assessment (record/block hit vs miss),
+//! engine-cache provenance of the assessment (its record hits and misses),
 //! the degradation summary, and the decision outcome with a stable
 //! reason name.
 //!
@@ -93,36 +93,15 @@ pub const EVENT_DECISION_WINNER: &str = "decision-winner";
 /// `dropped_decisions`, never silently lost.
 pub const DECISION_CAP: usize = 262_144;
 
-/// Where each cache answer of one assessment came from (see the engine
-/// module docs): the per-type `(type, Y_x)` records and the birth–death
-/// blocks behind them.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Where one assessment's per-type `(type, Y_x)` records came from (see
+/// the engine module docs): an assessed candidate's hits and misses sum
+/// to its `k` types. Quarantine and winner events carry zeros.
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CacheProvenance {
-    /// Per-type records answered from the cache.
+    /// Per-type records answered from the engine's record map.
     pub state_hits: u64,
     /// Per-type records filled.
     pub state_misses: u64,
-    /// Birth–death blocks answered from the cache (only a record fill
-    /// looks one up).
-    pub block_hits: u64,
-    /// Birth–death blocks that had to be built.
-    pub block_misses: u64,
-    /// `"hit"` when every record replayed from the cache, `"miss"` when
-    /// some record had to be filled, `"unknown"` when no record was
-    /// reached (quarantine before the lookup).
-    pub solution: String,
-}
-
-impl Default for CacheProvenance {
-    fn default() -> Self {
-        CacheProvenance {
-            state_hits: 0,
-            state_misses: 0,
-            block_hits: 0,
-            block_misses: 0,
-            solution: "unknown".to_string(),
-        }
-    }
 }
 
 /// Relative slack of each configured goal: positive means satisfied
@@ -539,7 +518,10 @@ mod tests {
             reason: REASON_GOALS_MET.to_string(),
             error: None,
             margins: GoalMargins::compute(&assessment, &goals),
-            cache: CacheProvenance::default(),
+            cache: CacheProvenance {
+                state_hits: 2,
+                state_misses: 1,
+            },
             degradation: Some(DegradationSummary {
                 failed_states: 2,
                 charged_mass: 4.627e-4,
@@ -553,6 +535,16 @@ mod tests {
         assert_eq!(jsonl.lines().count(), 2);
         let parsed = from_jsonl(&jsonl).unwrap();
         assert_eq!(parsed, snapshot);
+
+        // A journal written while the engine kept a block cache carries
+        // three more cache keys; it still decodes, to the same event.
+        let cache = r#""cache":{"state_hits":2,"state_misses":1}"#;
+        assert!(jsonl.contains(cache), "{jsonl}");
+        let older = jsonl.replace(
+            cache,
+            r#""cache":{"state_hits":2,"state_misses":1,"block_hits":0,"block_misses":1,"solution":"miss"}"#,
+        );
+        assert_eq!(from_jsonl(&older).unwrap(), snapshot);
     }
 
     #[test]

@@ -34,17 +34,14 @@ use crate::goals::Goals;
 /// assert!(opts.strict);
 /// ```
 ///
-/// `Default` is equivalent to the pre-engine behaviour: a budget of 64
-/// servers and an effectively unbounded record cache.
+/// `Default` is a budget of 64 servers in graceful mode. The engine's
+/// record map needs no knob: a record is a pure function of
+/// `(type, Y_x)`, so the engine keeps each one it fills.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SearchOptions {
     /// Maximum total number of servers (the cost budget). The search
     /// fails with [`ConfigError::GoalsUnreachable`] beyond it.
     pub max_total_servers: usize,
-    /// Maximum entries of the engine's record cache, the per-type
-    /// `(type, Y_x)` records; `0` disables it. Evicted records are
-    /// recomputed when a later candidate needs them.
-    pub state_cache_capacity: usize,
     /// Fail-fast mode: when `true`, any candidate-level model failure
     /// aborts the assessment or search immediately (the historical
     /// behaviour). When `false` (the default), the engine degrades
@@ -61,7 +58,6 @@ impl Default for SearchOptions {
     fn default() -> Self {
         SearchOptions {
             max_total_servers: 64,
-            state_cache_capacity: 65_536,
             strict: false,
         }
     }
@@ -95,13 +91,6 @@ impl SearchOptionsBuilder {
     /// it goes once the harness stops.
     #[must_use]
     pub fn jobs(self, _jobs: usize) -> Self {
-        self
-    }
-
-    /// Caps the record cache (`0` disables it).
-    #[must_use]
-    pub fn state_cache_capacity(mut self, entries: usize) -> Self {
-        self.opts.state_cache_capacity = entries;
         self
     }
 
@@ -356,33 +345,6 @@ pub(crate) fn enumerate_bounded(
     Ok(())
 }
 
-/// Enumerates all vectors of length `k` with entries ≥ 1 summing to
-/// `total`, calling `f` for each.
-pub(crate) fn enumerate_compositions(
-    total: usize,
-    k: usize,
-    current: &mut Vec<usize>,
-    index: usize,
-    f: &mut impl FnMut(&[usize]) -> Result<(), ConfigError>,
-) -> Result<(), ConfigError> {
-    if index == k - 1 {
-        let assigned: usize = current[..index].iter().sum();
-        if total > assigned {
-            current[index] = total - assigned;
-            f(current)?;
-        }
-        return Ok(());
-    }
-    let assigned: usize = current[..index].iter().sum();
-    let remaining_min = k - index - 1; // at least one each for the rest
-    let max_here = total.saturating_sub(assigned + remaining_min);
-    for v in 1..=max_here {
-        current[index] = v;
-        enumerate_compositions(total, k, current, index + 1, f)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -610,25 +572,32 @@ mod tests {
         ));
     }
 
+    /// A budget below the bound's cost assesses nothing and names the
+    /// bound as the last candidate.
     #[test]
     fn branch_and_bound_reports_unreachable_goals_early() {
         let reg = paper_section52_registry();
         let load = load_at(100.0, &reg);
         let goals = Goals::waiting_time_only(1.0).unwrap();
         let opts = SearchOptions::builder().max_total_servers(12).build();
-        assert!(matches!(
-            engine(&reg, &load, &goals, opts).branch_and_bound(),
-            Err(ConfigError::GoalsUnreachable { .. })
-        ));
+        let lower = goal_lower_bounds(&reg, &load, &goals, 12).unwrap();
+        assert!(lower.iter().sum::<usize>() > 12, "{lower:?}");
+        match engine(&reg, &load, &goals, opts).branch_and_bound() {
+            Err(ConfigError::GoalsUnreachable {
+                budget: 12,
+                last_candidate,
+            }) => assert_eq!(last_candidate, lower),
+            other => panic!("expected GoalsUnreachable, got {other:?}"),
+        }
     }
 
     #[test]
     fn composition_enumeration_counts_match() {
-        // Number of compositions of `total` into k positive parts is
-        // C(total-1, k-1).
+        // With an all-ones bound the vectors are the compositions of
+        // `total` into k positive parts: C(total-1, k-1) of them.
         let mut count = 0;
         let mut current = vec![1usize; 3];
-        enumerate_compositions(7, 3, &mut current, 0, &mut |_| {
+        enumerate_bounded(7, 3, &[1, 1, 1], &mut current, 0, &mut |_| {
             count += 1;
             Ok(())
         })
@@ -637,13 +606,13 @@ mod tests {
     }
 
     /// `strict` is `#[serde(default)]`: options written before it
-    /// existed still decode, as the default (graceful) mode.
+    /// existed still decode, as the default (graceful) mode, and so do
+    /// options that still carry the retired `state_cache_capacity` key.
     #[test]
     fn search_options_without_strict_decode_as_graceful() {
         let opts: SearchOptions =
             serde_json::from_str(r#"{"max_total_servers":64,"state_cache_capacity":10}"#).unwrap();
         assert_eq!(opts.max_total_servers, 64);
-        assert_eq!(opts.state_cache_capacity, 10);
         assert!(!opts.strict);
     }
 

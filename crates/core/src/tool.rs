@@ -192,8 +192,8 @@ impl ConfigurationTool {
 
     /// An [`AssessmentEngine`] over this tool's registry and the
     /// aggregate load of the registered workloads. The engine memoizes
-    /// per-type records and birth–death blocks across every assessment
-    /// and search run through it —
+    /// per-type records across every assessment and search run through
+    /// it —
     /// prefer one engine over repeated [`ConfigurationTool::assess`] /
     /// [`ConfigurationTool::recommend`] calls when probing many
     /// candidates or search strategies against the same goals.

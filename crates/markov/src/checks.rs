@@ -15,8 +15,7 @@
 
 use wfms_diag::{codes, Diagnostic, Diagnostics, Location};
 
-use crate::ctmc::Ctmc;
-use crate::dtmc::STOCHASTIC_TOLERANCE;
+use crate::ctmc::{Ctmc, STOCHASTIC_TOLERANCE};
 use crate::linalg::Matrix;
 
 /// Departure-rate spread beyond which a chain is flagged as stiff.

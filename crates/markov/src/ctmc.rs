@@ -14,9 +14,11 @@
 //! (embedded) chain `P = (p_ij)` plus the mean residence times `H = (H_i)`
 //! — and can equally be built from an infinitesimal generator `Q`.
 
-use crate::dtmc::{Dtmc, STOCHASTIC_TOLERANCE};
 use crate::error::ChainError;
 use crate::linalg::{self, lu, GaussSeidelOptions, Matrix};
+
+/// Tolerance used when validating that rows are probability distributions.
+pub const STOCHASTIC_TOLERANCE: f64 = 1e-9;
 
 /// A finite continuous-time Markov chain.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,11 +58,14 @@ impl Ctmc {
     /// have strictly positive finite residence times and no self-loop.
     ///
     /// # Errors
-    /// Shape/stochasticity errors per [`ChainError`], plus
-    /// [`ChainError::SelfLoop`] and [`ChainError::InvalidResidenceTime`].
+    /// * [`ChainError::NotSquare`] / [`ChainError::Empty`] on bad shapes.
+    /// * [`ChainError::NotStochastic`] when a jump row has negative
+    ///   entries or does not sum to one (tolerance
+    ///   [`STOCHASTIC_TOLERANCE`]).
+    /// * [`ChainError::LengthMismatch`], [`ChainError::SelfLoop`] and
+    ///   [`ChainError::InvalidResidenceTime`].
     pub fn from_jump_chain(jump: Matrix, residence: Vec<f64>) -> Result<Self, ChainError> {
-        let embedded = Dtmc::new(jump)?;
-        let n = embedded.n();
+        let n = validate_stochastic(&jump)?;
         if residence.len() != n {
             return Err(ChainError::LengthMismatch {
                 what: "residence times",
@@ -68,7 +73,6 @@ impl Ctmc {
                 actual: residence.len(),
             });
         }
-        let jump = embedded.transition_matrix().clone();
         for i in 0..n {
             let h = residence[i];
             if h == f64::INFINITY {
@@ -517,6 +521,31 @@ fn first_state_not_absorbed(jump: &Matrix, absorbing: &[usize]) -> Option<usize>
     reaches.iter().position(|&reached| !reached)
 }
 
+/// Checks that `p` is a non-empty square matrix whose rows are
+/// probability distributions, and returns its size.
+fn validate_stochastic(p: &Matrix) -> Result<usize, ChainError> {
+    if !p.is_square() {
+        return Err(ChainError::NotSquare { shape: p.shape() });
+    }
+    let n = p.rows();
+    if n == 0 {
+        return Err(ChainError::Empty);
+    }
+    for i in 0..n {
+        let row = p.row(i);
+        let sum: f64 = row.iter().sum();
+        if !(sum - 1.0).abs().le(&STOCHASTIC_TOLERANCE)
+            || row.iter().any(|&x| x < -STOCHASTIC_TOLERANCE)
+        {
+            return Err(ChainError::NotStochastic {
+                row: i,
+                row_sum: sum,
+            });
+        }
+    }
+    Ok(n)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -552,6 +581,26 @@ mod tests {
             Ctmc::from_jump_chain(jump, vec![1.0]),
             Err(ChainError::LengthMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn from_jump_chain_validates_stochastic_rows() {
+        let chain = |jump| Ctmc::from_jump_chain(jump, vec![1.0, f64::INFINITY]);
+        let bad = Matrix::from_nested(&[&[0.5, 0.4], &[0.0, 1.0]]);
+        assert!(matches!(
+            chain(bad),
+            Err(ChainError::NotStochastic { row: 0, .. })
+        ));
+        let neg = Matrix::from_nested(&[&[-0.1, 1.1], &[0.0, 1.0]]);
+        assert!(matches!(
+            chain(neg),
+            Err(ChainError::NotStochastic { row: 0, .. })
+        ));
+        assert!(matches!(
+            chain(Matrix::zeros(2, 3)),
+            Err(ChainError::NotSquare { .. })
+        ));
+        assert!(matches!(chain(Matrix::zeros(0, 0)), Err(ChainError::Empty)));
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! Weikum, Kraiss — EDBT 2000). It provides, dependency-free:
 //!
 //! * [`linalg`] — dense matrices, LU, power iteration, CSR matrices;
-//! * [`dtmc`] — discrete-time chains: validation, state propagation,
-//!   stationary distributions;
 //! * [`ctmc`] — continuous-time chains in the paper's `(P, H)`
 //!   parameterization, generators, steady state, first-passage times,
 //!   and the expected visits before absorption (one row of the
@@ -43,7 +41,6 @@
 
 pub mod checks;
 pub mod ctmc;
-pub mod dtmc;
 pub mod error;
 pub mod linalg;
 pub mod phase_type;
@@ -52,7 +49,6 @@ pub mod transient;
 
 pub use checks::{lint_ctmc, lint_generator};
 pub use ctmc::{Ctmc, SteadyStateMethod};
-pub use dtmc::Dtmc;
 pub use error::ChainError;
 pub use phase_type::{PhaseType, PhaseTypeError};
 pub use reward::{

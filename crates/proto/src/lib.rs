@@ -448,8 +448,6 @@ pub struct TenantGauges {
     pub tenant: String,
     /// Record entries: the engine's per-type `(type, Y_x)` records.
     pub state_entries: u64,
-    /// Entries in the birth–death block cache.
-    pub block_entries: u64,
     /// Lifetime engine cache hits (record lookups).
     pub cache_hits: u64,
     /// Lifetime engine cache misses, counted the same way.

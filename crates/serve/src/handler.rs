@@ -5,8 +5,8 @@
 //! Its `assess` and `recommend` are shells around the typed core of
 //! [`crate::tenant`], which the one-shot CLI calls in-process: decode
 //! the params, find the tenant by its inputs, call the core, encode its
-//! answer. Tenant state — a warm [`Tenant`] whose engine's record and
-//! block caches amortize across requests — lives inside the handler,
+//! answer. Tenant state — a warm [`Tenant`] whose engine's record map
+//! amortizes across requests — lives inside the handler,
 //! keyed by the client-supplied tenant id and bounded by an LRU cap.
 //!
 //! Every method reads its params as text ([`ParamsText`]). The daemon
@@ -435,7 +435,6 @@ impl Handler {
                 TenantGauges {
                     tenant: tenant.clone(),
                     state_entries: stats.state_entries as u64,
-                    block_entries: stats.block_entries as u64,
                     cache_hits: stats.hits,
                     cache_misses: stats.misses,
                 }

@@ -8,8 +8,8 @@
 //! administrator iterates over candidate configurations, goals, and
 //! what-if workloads against one fixed registry. A fresh process per
 //! question re-derives everything; a warm [`AssessmentEngine`] answers
-//! repeat questions from its caches (per-type records on the exact
-//! default path). This crate keeps engines warm:
+//! repeat questions from its per-type records. This crate keeps engines
+//! warm:
 //!
 //! * [`Tenant`] — the typed core: one engine plus each workflow's
 //!   analysis, built from typed documents and goals ([`build_goals`],

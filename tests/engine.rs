@@ -118,3 +118,49 @@ fn warm_engine_replays_searches_from_its_caches() {
     );
     assert!(after_warm.hits > after_cold.hits);
 }
+
+/// The order the cost-optimal searches share: on ep at goals first met
+/// by `[2, 2, 2]`, exhaustive search assesses every vector `Y ≥ 1` by
+/// increasing total cost, lexicographically within a cost, up to the
+/// winner.
+#[test]
+fn exhaustive_trace_walks_cost_shells_in_lexicographic_order() {
+    let (_, tool, goals) = scenarios().remove(0);
+    let result = tool
+        .engine(&goals, options())
+        .unwrap()
+        .exhaustive()
+        .unwrap();
+    assert_eq!(result.replicas(), [2, 2, 2]);
+
+    let mut expected = Vec::new();
+    'shells: for cost in 3.. {
+        for a in 1..=cost - 2 {
+            for b in 1..=cost - 1 - a {
+                expected.push(vec![a, b, cost - a - b]);
+                if expected.last().is_some_and(|y| y == &[2, 2, 2]) {
+                    break 'shells;
+                }
+            }
+        }
+    }
+    let trace: Vec<Vec<usize>> = result.trace.iter().map(|a| a.replicas.clone()).collect();
+    assert_eq!(trace, expected);
+    assert_eq!(result.evaluations, 16);
+}
+
+/// Exhaustive search on enterprise at goals 0.05 / 0.9999 assesses 203
+/// candidates and returns `[2, 2, 2, 2, 2]`.
+#[test]
+fn exhaustive_search_on_enterprise_takes_203_evaluations() {
+    let (_, tool, _) = scenarios().remove(1);
+    let goals = Goals::new(0.05, 0.9999).unwrap();
+    let result = tool
+        .engine(&goals, options())
+        .unwrap()
+        .exhaustive()
+        .unwrap();
+    assert_eq!(result.replicas(), [2, 2, 2, 2, 2]);
+    assert_eq!(result.evaluations, 203);
+    assert_eq!(result.trace.len(), 203);
+}

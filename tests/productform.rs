@@ -1,7 +1,7 @@
 //! The public surface of the assessment engine, whose availability is
 //! the product form `Π_x (1 − m_x[0])` over per-type birth–death
-//! marginals: the three search options, the record and block caches it
-//! reports, its construction errors, and its agreement with
+//! marginals: the two search options, the record map it reports, its
+//! construction errors, and its agreement with
 //! [`ProductFormModel`]. The numeric contracts (bit-identity to a fresh
 //! engine, the LU and joint-fold oracles) live in `wfms-config`'s unit
 //! tests and `tests/exact_path_grid.rs`.
@@ -25,7 +25,6 @@ fn engine_module_has_a_test_for_the_engine_level_contract() {
     // compile here.
     let opts = SearchOptions {
         max_total_servers: 64,
-        state_cache_capacity: 65_536,
         strict: false,
     };
     assert_eq!(opts, SearchOptions::default());
@@ -35,9 +34,9 @@ fn engine_module_has_a_test_for_the_engine_level_contract() {
     let engine = AssessmentEngine::new(tool.registry(), &load, &goals, opts).unwrap();
     let config = Configuration::uniform(tool.registry(), 2).unwrap();
     let assessment = engine.assess(&config).unwrap();
-    // One `(type, Y_x)` record and one block per server type.
+    // One `(type, Y_x)` record per server type.
     let stats = engine.cache_stats();
-    assert_eq!((stats.state_entries, stats.block_entries), (5, 5));
+    assert_eq!(stats.state_entries, 5);
     assert_eq!((stats.hits, stats.misses), (0, 5));
     // The same marginals, multiplied in the same order.
     let product = ProductFormModel::new(tool.registry(), &config).unwrap();

@@ -1,13 +1,17 @@
 //! Configuration-search benchmarks: the greedy heuristic versus the
-//! exhaustive baseline for the EP scenario. Each iteration builds a
-//! fresh engine, so every sample times a cold search.
+//! exhaustive baseline for the EP scenario, each iteration on a fresh
+//! engine, so every sample times a cold search; and the exhaustive
+//! search on enterprise (goals 0.05 / 0.9999, 203 candidates), cold on
+//! a fresh engine and warm on one engine, whose every record lookup
+//! after its first search is a hit.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use wfms_config::{AssessmentEngine, Goals, SearchOptions};
+use wfms_core::ConfigurationTool;
 use wfms_perf::{aggregate_load, analyze_workflow, AnalysisOptions, SystemLoad, WorkloadItem};
 use wfms_statechart::{paper_section52_registry, ServerTypeRegistry};
-use wfms_workloads::{ep_workflow, EP_DEFAULT_ARRIVAL_RATE};
+use wfms_workloads::{enterprise_mix, enterprise_registry, ep_workflow, EP_DEFAULT_ARRIVAL_RATE};
 
 fn setup() -> (ServerTypeRegistry, SystemLoad) {
     let reg = paper_section52_registry();
@@ -38,6 +42,25 @@ fn bench_search(c: &mut Criterion) {
     });
     group.bench_function("exhaustive_ep", |b| {
         b.iter(|| engine().exhaustive().expect("reachable"))
+    });
+
+    let mut enterprise = ConfigurationTool::new(enterprise_registry());
+    for (spec, rate) in enterprise_mix() {
+        enterprise
+            .add_workflow(spec, rate)
+            .expect("enterprise workflow");
+    }
+    let enterprise_load = enterprise.system_load().expect("enterprise load");
+    let enterprise_engine = || {
+        AssessmentEngine::new(enterprise.registry(), &enterprise_load, &goals, opts)
+            .expect("valid inputs")
+    };
+    group.bench_function("exhaustive_enterprise_cold", |b| {
+        b.iter(|| enterprise_engine().exhaustive().expect("reachable"))
+    });
+    let warm = enterprise_engine();
+    group.bench_function("exhaustive_enterprise_warm", |b| {
+        b.iter(|| warm.exhaustive().expect("reachable"))
     });
     group.finish();
 }

@@ -1558,19 +1558,10 @@ fn cmd_explain(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> 
         )?,
         None => writeln!(out, "  no goals configured")?,
     }
-    // The winner event duplicates an assessed event and carries no
-    // provenance of its own: show that assessment's.
-    let winner_at = winner.seq;
-    let cache = in_search
-        .iter()
-        .rev()
-        .filter(|e| e.seq < winner_at && e.outcome != journal::OUTCOME_QUARANTINE)
-        .find(|e| e.candidate == winner.candidate)
-        .map_or(&winner.cache, |e| &e.cache);
     writeln!(
         out,
         "  cache: state {}h/{}m",
-        cache.state_hits, cache.state_misses
+        winner.cache.state_hits, winner.cache.state_misses
     )?;
     if let Some(d) = &winner.degradation {
         writeln!(

@@ -127,9 +127,10 @@ fn explain_replays_an_enterprise_recommendation_byte_stably() {
     assert!(report["binding_goal"].as_str().is_some());
 }
 
-/// The winner event duplicates the accepted assessment, so `explain`
-/// shows that assessment's record provenance: exhaustive search on
-/// enterprise reaches `[2, 2, 2, 2, 2]` with all five records replayed.
+/// The winner event carries the accepted assessment's record
+/// provenance, and `explain` shows it in text and JSON alike: exhaustive
+/// search on enterprise reaches `[2, 2, 2, 2, 2]` with all five records
+/// replayed.
 #[test]
 fn explain_shows_the_winning_assessments_cache_provenance() {
     let _serial = one_at_a_time();
@@ -148,6 +149,20 @@ fn explain_shows_the_winning_assessments_cache_provenance() {
         "{text}"
     );
     assert!(text.contains("\n  cache: state 5h/0m\n"), "{text}");
+    let output = wfms()
+        .args([
+            "explain",
+            "--journal",
+            &journal.display().to_string(),
+            "--json",
+        ])
+        .output()
+        .expect("run wfms");
+    assert!(output.status.success(), "{output:?}");
+    let report: serde_json::Value =
+        serde_json::from_str(&String::from_utf8(output.stdout).unwrap()).expect("explain JSON");
+    assert_eq!(report["winner"]["cache"]["state_hits"].as_u64(), Some(5));
+    assert_eq!(report["winner"]["cache"]["state_misses"].as_u64(), Some(0));
 }
 
 #[test]

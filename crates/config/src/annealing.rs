@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use wfms_statechart::Configuration;
 
 use crate::assess::Assessment;
-use crate::engine::AssessmentEngine;
+use crate::engine::{AssessmentEngine, RecordTable};
 use crate::error::ConfigError;
 use crate::goals::Goals;
 use crate::journal;
@@ -90,7 +90,7 @@ fn objective(assessment: &Assessment, goals: &Goals) -> f64 {
 ///
 /// Because the walk moves one ±1-replica coordinate at a time, every
 /// assessment after the first fills at most one new per-type record
-/// and replays the other `k−1` from the engine's record map, with no
+/// and replays the other `k−1` from the walk's record table, with no
 /// annealing-specific code. The walk is deliberately
 /// *not* reordered by the closed-form move ranking
 /// ([`crate::moves`]): proposals are RNG-pinned, and reordering them
@@ -111,21 +111,17 @@ pub(crate) fn annealing_walk(
     let k = registry.len();
     let mut rng = StdRng::seed_from_u64(opts.seed);
 
+    let mut table = RecordTable::new(k);
     let mut current = Configuration::minimal(registry);
-    let (mut current_assessment, initial_provenance) = engine.assess_with_provenance(&current)?;
-    journal::record_assessed(
-        "annealing",
-        &current_assessment,
-        goals,
-        initial_provenance,
-        None,
-    );
-    let mut current_obj = objective(&current_assessment, goals);
+    let (initial, initial_provenance) = engine.assess_in(current.clone(), &mut table)?;
+    journal::record_assessed("annealing", &initial, goals, initial_provenance, None);
+    let mut current_obj = objective(&initial, goals);
     let mut evaluations = 1;
-    let mut trace = vec![current_assessment.clone()];
-    let mut best_feasible: Option<Assessment> = current_assessment
+    // The cheapest feasible assessment so far, with its provenance.
+    let mut best_feasible = initial
         .meets_goals()
-        .then(|| current_assessment.clone());
+        .then(|| (initial.clone(), initial_provenance));
+    let mut trace = vec![initial];
 
     let mut temperature = opts.initial_temperature;
     let mut accepted: u64 = 0;
@@ -152,7 +148,7 @@ pub(crate) fn annealing_walk(
             replicas[x] -= 1;
         }
         let candidate = Configuration::new(registry, replicas)?;
-        let (assessment, provenance) = match engine.assess_with_provenance(&candidate) {
+        let (assessment, provenance) = match engine.assess_in(candidate.clone(), &mut table) {
             Ok(assessed) => assessed,
             Err(e) if !strict && e.is_candidate_local() => {
                 // Quarantine the irrecoverable candidate and treat the
@@ -191,15 +187,14 @@ pub(crate) fn annealing_walk(
             accepted += 1;
             current = candidate;
             current_obj = obj;
-            current_assessment = assessment.clone();
-            trace.push(current_assessment.clone());
             if assessment.meets_goals()
                 && best_feasible
                     .as_ref()
-                    .is_none_or(|b| assessment.cost < b.cost)
+                    .is_none_or(|(best, _)| assessment.cost < best.cost)
             {
-                best_feasible = Some(assessment);
+                best_feasible = Some((assessment.clone(), provenance));
             }
+            trace.push(assessment);
         } else {
             rejected += 1;
         }
@@ -212,8 +207,8 @@ pub(crate) fn annealing_walk(
     wfms_obs::counter("config.annealing.accepted", accepted);
     wfms_obs::counter("config.annealing.rejected", rejected);
     match best_feasible {
-        Some(assessment) => {
-            journal::record_winner("annealing", &assessment, goals);
+        Some((assessment, provenance)) => {
+            journal::record_winner("annealing", &assessment, goals, provenance);
             Ok(SearchResult {
                 assessment,
                 trace,

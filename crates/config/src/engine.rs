@@ -25,6 +25,17 @@
 //! and the engine keeps every clean record it fills in one map, for
 //! its lifetime.
 //!
+//! # One table per search
+//!
+//! A search looks each `(type, Y_x)` up in the shared map once. Its
+//! record table keeps what that lookup resolved, indexed by type and
+//! `Y_x`, so every later lookup of the same record is an index and a
+//! borrow: no lock, no hash and no reference count per candidate. The
+//! table keeps exactly what the map keeps, the clean records, so it
+//! answers only lookups the map would have answered, and a record with a
+//! failed or non-finite evaluation is filled again, its failpoints firing,
+//! at every lookup, as it is without the table.
+//!
 //! # Determinism contract
 //!
 //! One thread per search: every search assesses its candidates in
@@ -42,6 +53,7 @@
 
 // audit:allow-file(A006, reason = "the record map is a keyed lookup (get/insert only, never iterated), so hash order never reaches results; bit-identity is asserted by tests/engine.rs")
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -78,7 +90,7 @@ fn lock_cache<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 /// One server type's share of an assessment at `Y_x` replicas:
 /// everything the per-type fold needs from type `x`.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct TypeRecord {
     /// The birth–death marginal `m_x[u]`, `u = 0..=Y_x`.
     marginal: Vec<f64>,
@@ -101,6 +113,38 @@ impl TypeRecord {
                 WaitingOutcome::Stable { waiting_time, .. } => waiting_time.is_finite(),
                 _ => true,
             })
+    }
+}
+
+/// One search's table of the records it has resolved (see the module
+/// docs): type `x`'s record at `Y_x = y` sits at `kept[x][y]` once the
+/// search's first lookup of `(x, y)` has gone through the record map.
+pub(crate) struct RecordTable {
+    kept: Vec<Vec<Option<Arc<TypeRecord>>>>,
+    /// Type `x`'s record of the candidate just resolved when it may not
+    /// be kept ([`TypeRecord::is_cacheable`]). It is read only where
+    /// `kept` has no record, so no later candidate reads it.
+    unkept: Vec<TypeRecord>,
+}
+
+impl RecordTable {
+    /// An empty table for `k` server types.
+    pub(crate) fn new(k: usize) -> Self {
+        RecordTable {
+            kept: vec![Vec::new(); k],
+            unkept: std::iter::repeat_with(TypeRecord::default)
+                .take(k)
+                .collect(),
+        }
+    }
+
+    /// Type `x`'s record at `y` replicas, of a candidate that
+    /// [`AssessmentEngine::resolve`] has just resolved.
+    fn record(&self, x: usize, y: usize) -> &TypeRecord {
+        match &self.kept[x][y] {
+            Some(record) => record,
+            None => &self.unkept[x],
+        }
     }
 }
 
@@ -226,39 +270,52 @@ impl AssessmentEngine {
 
     // -- records ----------------------------------------------------------
 
-    /// The `k` per-type records of `config` (see the module docs), from
-    /// the record map, with their hits and misses. A miss fills the
-    /// record: the `engine.solution-cache-fill` failpoint fires first
-    /// (error fails the candidate, NaN poisons the record's marginal),
-    /// then the marginal comes from the type's birth–death block and
-    /// each up-count's outcome from the single-type kernel. Only a clean
-    /// record is kept ([`TypeRecord::is_cacheable`]).
-    fn type_records(
+    /// Resolves the `k` per-type records of `replicas` (see the module
+    /// docs) into the search's `table`, with their hits and misses. The
+    /// table answers a record it holds; otherwise the record map does,
+    /// and a miss there fills the record: the `engine.solution-cache-fill`
+    /// failpoint fires first (error fails the candidate, NaN poisons the
+    /// record's marginal), then the marginal comes from the type's
+    /// birth–death block and each up-count's outcome from the single-type
+    /// kernel. Only a clean record ([`TypeRecord::is_cacheable`]) goes
+    /// into the map and the table; any other serves this candidate alone.
+    fn resolve(
         &self,
-        config: &Configuration,
-    ) -> Result<(Vec<Arc<TypeRecord>>, CacheProvenance), ConfigError> {
-        let mut records = Vec::with_capacity(config.k());
+        replicas: &[usize],
+        table: &mut RecordTable,
+    ) -> Result<CacheProvenance, ConfigError> {
         let mut provenance = CacheProvenance::default();
-        for (x, &y) in config.as_slice().iter().enumerate() {
+        for (x, &y) in replicas.iter().enumerate() {
+            let kept = &mut table.kept[x];
+            if kept.len() <= y {
+                kept.resize(y + 1, None);
+            }
+            if kept[y].is_some() {
+                provenance.state_hits += 1;
+                continue;
+            }
             if let Some(hit) = lock_cache(&self.records).get(&(x, y)).cloned() {
                 provenance.state_hits += 1;
-                records.push(hit);
+                kept[y] = Some(hit);
                 continue;
             }
             provenance.state_misses += 1;
-            let record = Arc::new(self.fill_record(x, y)?);
+            let record = self.fill_record(x, y)?;
             if record.is_cacheable() {
-                lock_cache(&self.records).insert((x, y), record.clone());
+                let record = Arc::new(record);
+                lock_cache(&self.records).insert((x, y), Arc::clone(&record));
+                kept[y] = Some(record);
+            } else {
+                table.unkept[x] = record;
             }
-            records.push(record);
         }
         self.record_hits(provenance.state_hits);
         self.record_misses(provenance.state_misses);
-        Ok((records, provenance))
+        Ok(provenance)
     }
 
     /// Computes type `x`'s record at `y` replicas (see
-    /// [`AssessmentEngine::type_records`]).
+    /// [`AssessmentEngine::resolve`]).
     ///
     /// Each up-count's evaluation passes the `engine.state-cache-fill`
     /// failpoint (error fails that one evaluation, NaN poisons its wait)
@@ -345,39 +402,42 @@ impl AssessmentEngine {
     /// journaled as a single-shot `assess` decision; the searches journal
     /// at their own consumption points instead.
     pub fn assess(&self, config: &Configuration) -> Result<Assessment, ConfigError> {
-        let (assessment, provenance) = self.assess_with_provenance(config)?;
+        let table = &mut RecordTable::new(self.registry.len());
+        let (assessment, provenance) = self.assess_in(config.clone(), table)?;
         journal::record_assessed("assess", &assessment, &self.goals, provenance, None);
         Ok(assessment)
     }
 
-    /// As [`assess`](Self::assess), additionally reporting how many of
-    /// the candidate's records the map answered and how many were
-    /// filled — and emitting no journal event, so searches can journal
-    /// the decision (not the computation).
-    pub(crate) fn assess_with_provenance(
+    /// As [`assess`](Self::assess), through the record `table` of a
+    /// search (or a fresh one), additionally reporting how many of the
+    /// candidate's records the map answered and how many were filled —
+    /// and emitting no journal event, so searches can journal the
+    /// decision (not the computation). The assessment keeps `config`'s
+    /// replica vector.
+    pub(crate) fn assess_in(
         &self,
-        config: &Configuration,
+        config: Configuration,
+        table: &mut RecordTable,
     ) -> Result<(Assessment, CacheProvenance), ConfigError> {
         run_preflight(&self.registry, &self.load, Some(config.as_slice()))?;
         let mut obs_span = wfms_obs::span!("assess");
         if obs_span.is_recording() {
             obs_span.record("candidate", format!("{config}"));
         }
-        let folded = self.fold_exact(config)?;
+        let folded = self.fold_exact(&config, table)?;
         let availability = folded.availability;
         let downtime_minutes_per_year = (1.0 - availability) * MINUTES_PER_YEAR;
-        let perf = match folded.perf {
-            Ok(report) => Some(report),
-            Err(PerformabilityError::NoServingStates) => None,
+        let (expected_waiting, max_expected_waiting, probability_saturated) = match folded.perf {
+            Ok(report) => {
+                let max_expected_waiting = report.max_expected_waiting();
+                (
+                    Some(report.expected_waiting),
+                    Some(max_expected_waiting),
+                    report.probability_saturated,
+                )
+            }
+            Err(PerformabilityError::NoServingStates) => (None, None, 1.0),
             Err(e) => return Err(e.into()),
-        };
-        let (expected_waiting, max_expected_waiting, probability_saturated) = match &perf {
-            Some(r) => (
-                Some(r.expected_waiting.clone()),
-                Some(r.max_expected_waiting()),
-                r.probability_saturated,
-            ),
-            None => (None, None, 1.0),
         };
 
         let goals = &self.goals;
@@ -440,10 +500,11 @@ impl AssessmentEngine {
             })
         };
 
+        let cost = config.total_servers();
         Ok((
             Assessment {
-                replicas: config.as_slice().to_vec(),
-                cost: config.total_servers(),
+                replicas: config.into_vec(),
+                cost,
                 availability,
                 downtime_minutes_per_year,
                 expected_waiting,
@@ -464,21 +525,31 @@ impl AssessmentEngine {
     /// of type `x` at up-count `u` touches every joint state with
     /// `X_x = u`, whose mass is `m_x[u]`; the failures of all types
     /// touch `1 − Π_x (1 − Σ_{failed u} m_x[u])`.
-    fn fold_exact(&self, config: &Configuration) -> Result<Folded, ConfigError> {
-        let (records, provenance) = self.type_records(config)?;
+    fn fold_exact(
+        &self,
+        config: &Configuration,
+        table: &mut RecordTable,
+    ) -> Result<Folded, ConfigError> {
+        let provenance = self.resolve(config.as_slice(), table)?;
         wfms_obs::gauge("avail.state-space.size", config.system_state_count() as f64);
+        let table = &*table;
+        let records = config
+            .as_slice()
+            .iter()
+            .enumerate()
+            .map(|(x, &y)| table.record(x, y));
         let mut availability = 1.0;
-        for record in &records {
+        for record in records.clone() {
             availability *= 1.0 - record.marginal[0];
         }
         let perf = fold_types(
             records
-                .iter()
+                .clone()
                 .map(|r| (r.marginal.as_slice(), r.outcomes.as_slice())),
         );
         let mut failed = Vec::new();
         let mut untouched = 1.0;
-        for ((x, record), (_, st)) in records.iter().enumerate().zip(self.registry.iter()) {
+        for ((x, record), (_, st)) in records.enumerate().zip(self.registry.iter()) {
             let mut failed_mass = 0.0;
             for (up, error) in &record.failed {
                 let mut state = config.as_slice().to_vec();
@@ -501,15 +572,6 @@ impl AssessmentEngine {
         })
     }
 
-    /// Assesses a raw replica vector.
-    fn assess_replicas(
-        &self,
-        replicas: &[usize],
-    ) -> Result<(Assessment, CacheProvenance), ConfigError> {
-        let config = Configuration::new(&self.registry, replicas.to_vec())?;
-        self.assess_with_provenance(&config)
-    }
-
     /// Quarantines one failed candidate: records it (with its error) so
     /// the search can keep going, mirroring the decision in the obs
     /// stream and the decision journal.
@@ -527,41 +589,6 @@ impl AssessmentEngine {
             replicas: replicas.to_vec(),
             error,
         });
-    }
-
-    /// Assesses frontier `candidates` in enumeration order and returns
-    /// the first goal-satisfying assessment; the candidates after it are
-    /// never assessed.
-    ///
-    /// A candidate whose assessment fails with a candidate-local error
-    /// (see [`ConfigError::is_candidate_local`]) is quarantined instead
-    /// of aborting the search, unless [`SearchOptions::strict`] is set.
-    fn evaluate_frontier(
-        &self,
-        search: &'static str,
-        candidates: Vec<Vec<usize>>,
-        trace: &mut Vec<Assessment>,
-        evaluations: &mut usize,
-        quarantined: &mut Vec<QuarantinedCandidate>,
-    ) -> Result<Option<Assessment>, ConfigError> {
-        for y in &candidates {
-            let (assessment, provenance) = match self.assess_replicas(y) {
-                Ok(assessed) => assessed,
-                Err(e) if !self.options.strict && e.is_candidate_local() => {
-                    self.quarantine(search, quarantined, y, &e);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            *evaluations += 1;
-            record_candidate(&assessment, assessment.meets_goals());
-            journal::record_assessed(search, &assessment, &self.goals, provenance, None);
-            trace.push(assessment.clone());
-            if assessment.meets_goals() {
-                return Ok(Some(assessment));
-            }
-        }
-        Ok(None)
     }
 
     // -- searches ---------------------------------------------------------
@@ -593,11 +620,12 @@ impl AssessmentEngine {
 
         let mut obs_span = wfms_obs::span!("greedy-search", budget = opts.max_total_servers);
         let mut config = Configuration::minimal(&self.registry);
+        let mut table = RecordTable::new(self.registry.len());
         let mut trace = Vec::new();
         let mut evaluations = 0;
         let mut quarantined = Vec::new();
         loop {
-            let (assessment, provenance) = match self.assess_with_provenance(&config) {
+            let (assessment, provenance) = match self.assess_in(config.clone(), &mut table) {
                 Ok(assessed) => assessed,
                 Err(e) if !opts.strict && e.is_candidate_local() => {
                     // Quarantine the irrecoverable candidate and keep
@@ -619,13 +647,14 @@ impl AssessmentEngine {
                 Err(e) => return Err(e),
             };
             evaluations += 1;
-            record_candidate(&assessment, assessment.meets_goals());
+            let accepted = assessment.meets_goals();
+            record_candidate(&assessment, accepted);
             journal::record_assessed("greedy", &assessment, &self.goals, provenance, None);
-            trace.push(assessment.clone());
-            if assessment.meets_goals() {
+            if accepted {
                 obs_span.record("evaluations", evaluations as u64);
                 obs_span.record("cost", assessment.cost as u64);
-                journal::record_winner("greedy", &assessment, &self.goals);
+                journal::record_winner("greedy", &assessment, &self.goals, provenance);
+                trace.push(assessment.clone());
                 return Ok(SearchResult {
                     assessment,
                     trace,
@@ -644,6 +673,7 @@ impl AssessmentEngine {
             } else {
                 availability_critical_type(&self.registry, &assessment.replicas)
             };
+            trace.push(assessment);
             config = config.with_added_replica(target)?;
         }
     }
@@ -680,9 +710,13 @@ impl AssessmentEngine {
 
     /// The loop both cost-optimal searches run: assesses every vector
     /// `Y ≥ lower` shell by shell, in order of increasing total cost
-    /// (lexicographic within a shell), and returns the first that meets
-    /// the goals. Past the budget it fails with
-    /// [`ConfigError::GoalsUnreachable`] naming `lower`.
+    /// (lexicographic within a shell), as [`enumerate_bounded`] yields
+    /// it, and returns the first that meets the goals. Past the budget it
+    /// fails with [`ConfigError::GoalsUnreachable`] naming `lower`.
+    ///
+    /// A candidate whose assessment fails with a candidate-local error
+    /// (see [`ConfigError::is_candidate_local`]) is quarantined instead
+    /// of aborting the search, unless [`SearchOptions::strict`] is set.
     fn cost_shells(
         &self,
         search: &'static str,
@@ -691,32 +725,49 @@ impl AssessmentEngine {
     ) -> Result<SearchResult, ConfigError> {
         let budget = self.options.max_total_servers;
         let k = lower.len();
+        let mut table = RecordTable::new(k);
         let mut trace = Vec::new();
         let mut evaluations = 0;
         let mut quarantined = Vec::new();
+        let mut current = lower.clone();
         for cost in lower.iter().sum::<usize>()..=budget {
-            let mut candidates = Vec::new();
-            let mut current = lower.clone();
-            enumerate_bounded(cost, k, &lower, &mut current, 0, &mut |replicas| {
-                candidates.push(replicas.to_vec());
-                Ok(())
-            })?;
-            if let Some(assessment) = self.evaluate_frontier(
-                search,
-                candidates,
-                &mut trace,
-                &mut evaluations,
-                &mut quarantined,
-            )? {
-                obs_span.record("evaluations", evaluations as u64);
-                obs_span.record("cost", assessment.cost as u64);
-                journal::record_winner(search, &assessment, &self.goals);
-                return Ok(SearchResult {
-                    assessment,
-                    trace,
-                    evaluations,
-                    quarantined,
-                });
+            let shell = enumerate_bounded(cost, k, &lower, &mut current, 0, &mut |replicas| {
+                let assessed = Configuration::new(&self.registry, replicas.to_vec())
+                    .map_err(ConfigError::from)
+                    .and_then(|config| self.assess_in(config, &mut table));
+                let (assessment, provenance) = match assessed {
+                    Ok(assessed) => assessed,
+                    Err(e) if !self.options.strict && e.is_candidate_local() => {
+                        self.quarantine(search, &mut quarantined, replicas, &e);
+                        return ControlFlow::Continue(());
+                    }
+                    Err(e) => return ControlFlow::Break(Err(e)),
+                };
+                evaluations += 1;
+                let accepted = assessment.meets_goals();
+                record_candidate(&assessment, accepted);
+                journal::record_assessed(search, &assessment, &self.goals, provenance, None);
+                let winner = accepted.then(|| assessment.clone());
+                trace.push(assessment);
+                match winner {
+                    Some(winner) => ControlFlow::Break(Ok((winner, provenance))),
+                    None => ControlFlow::Continue(()),
+                }
+            });
+            match shell {
+                ControlFlow::Continue(()) => {}
+                ControlFlow::Break(Err(e)) => return Err(e),
+                ControlFlow::Break(Ok((assessment, provenance))) => {
+                    obs_span.record("evaluations", evaluations as u64);
+                    obs_span.record("cost", assessment.cost as u64);
+                    journal::record_winner(search, &assessment, &self.goals, provenance);
+                    return Ok(SearchResult {
+                        assessment,
+                        trace,
+                        evaluations,
+                        quarantined,
+                    });
+                }
             }
         }
         Err(ConfigError::GoalsUnreachable {

@@ -95,10 +95,12 @@ pub const DECISION_CAP: usize = 262_144;
 
 /// Where one assessment's per-type `(type, Y_x)` records came from (see
 /// the engine module docs): an assessed candidate's hits and misses sum
-/// to its `k` types. Quarantine and winner events carry zeros.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// to its `k` types. A winner event carries the provenance of the
+/// assessment it names; a quarantine event carries zeros.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CacheProvenance {
-    /// Per-type records answered from the engine's record map.
+    /// Per-type records found already filled, in the search's record
+    /// table or the engine's record map.
     pub state_hits: u64,
     /// Per-type records filled.
     pub state_misses: u64,
@@ -387,16 +389,19 @@ pub(crate) fn record_quarantined(search: &'static str, replicas: &[usize], error
     });
 }
 
-/// Journals the terminal winner event of a search.
-pub(crate) fn record_winner(search: &'static str, assessment: &Assessment, goals: &Goals) {
-    if !is_enabled() {
-        return;
-    }
+/// Journals the terminal winner event of a search, with the
+/// provenance of the assessment the search returns.
+pub(crate) fn record_winner(
+    search: &'static str,
+    assessment: &Assessment,
+    goals: &Goals,
+    cache: CacheProvenance,
+) {
     record_assessed(
         search,
         assessment,
         goals,
-        CacheProvenance::default(),
+        cache,
         Some((OUTCOME_WINNER, REASON_GOALS_MET)),
     );
 }

@@ -16,6 +16,8 @@
 //! added replica improves both metrics, re-assessing between additions is
 //! exactly the interleaving the paper describes.
 
+use std::ops::ControlFlow;
+
 use serde::{Deserialize, Serialize};
 
 use wfms_perf::{type_waiting_time, SystemLoad};
@@ -318,22 +320,23 @@ pub fn goal_lower_bounds(
 }
 
 /// Enumerates all vectors of length `k` with `current[i] ≥ lower[i]`
-/// summing to `total`, calling `f` for each.
-pub(crate) fn enumerate_bounded(
+/// summing to `total`, lexicographically, calling `f` for each until it
+/// breaks.
+pub(crate) fn enumerate_bounded<B>(
     total: usize,
     k: usize,
     lower: &[usize],
-    current: &mut Vec<usize>,
+    current: &mut [usize],
     index: usize,
-    f: &mut impl FnMut(&[usize]) -> Result<(), ConfigError>,
-) -> Result<(), ConfigError> {
+    f: &mut impl FnMut(&[usize]) -> ControlFlow<B>,
+) -> ControlFlow<B> {
     if index == k - 1 {
         let assigned: usize = current[..index].iter().sum();
         if total >= assigned + lower[index] {
             current[index] = total - assigned;
             f(current)?;
         }
-        return Ok(());
+        return ControlFlow::Continue(());
     }
     let assigned: usize = current[..index].iter().sum();
     let remaining_min: usize = lower[index + 1..].iter().sum();
@@ -342,7 +345,7 @@ pub(crate) fn enumerate_bounded(
         current[index] = v;
         enumerate_bounded(total, k, lower, current, index + 1, f)?;
     }
-    Ok(())
+    ControlFlow::Continue(())
 }
 
 #[cfg(test)]
@@ -597,11 +600,11 @@ mod tests {
         // `total` into k positive parts: C(total-1, k-1) of them.
         let mut count = 0;
         let mut current = vec![1usize; 3];
-        enumerate_bounded(7, 3, &[1, 1, 1], &mut current, 0, &mut |_| {
+        let walked = enumerate_bounded(7, 3, &[1, 1, 1], &mut current, 0, &mut |_| {
             count += 1;
-            Ok(())
-        })
-        .unwrap();
+            ControlFlow::<()>::Continue(())
+        });
+        assert_eq!(walked, ControlFlow::Continue(()));
         assert_eq!(count, 15); // C(6,2)
     }
 

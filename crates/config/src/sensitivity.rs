@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 use wfms_perf::SystemLoad;
 use wfms_statechart::{Configuration, ServerType, ServerTypeRegistry};
 
-use crate::engine::AssessmentEngine;
+use crate::engine::{AssessmentEngine, RecordTable};
 use crate::error::ConfigError;
 use crate::goals::Goals;
 use crate::search::SearchOptions;
@@ -144,7 +144,8 @@ fn metrics(
         ..SearchOptions::default()
     };
     let engine = AssessmentEngine::new(registry, load, &goals, options)?;
-    let (assessment, _) = engine.assess_with_provenance(config)?;
+    let table = &mut RecordTable::new(registry.len());
+    let (assessment, _) = engine.assess_in(config.clone(), table)?;
     Ok((
         assessment.max_expected_waiting,
         1.0 - assessment.availability,

@@ -219,15 +219,20 @@ fn journal_replays_a_greedy_search_byte_stably() {
                 event.reason
             );
         }
-        // An assessed candidate looks up one record per server type.
-        if event.outcome != journal::OUTCOME_WINNER {
-            assert_eq!(
-                event.cache.state_hits + event.cache.state_misses,
-                3,
-                "cache provenance does not cover the three types: {event:?}"
-            );
-        }
+        // An assessed candidate looks up one record per server type, and
+        // the winner carries the provenance of the assessment it names.
+        assert_eq!(
+            event.cache.state_hits + event.cache.state_misses,
+            3,
+            "cache provenance does not cover the three types: {event:?}"
+        );
     }
+    let accepted = journal_a
+        .events
+        .iter()
+        .find(|e| e.outcome == journal::OUTCOME_ACCEPT)
+        .expect("greedy success accepts its winner");
+    assert_eq!(winner.cache, accepted.cache);
     // The climb from the stability floor rejects at least one candidate
     // before the winner at this load.
     assert!(

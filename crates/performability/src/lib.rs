@@ -528,7 +528,8 @@ where
         None => {}
     }
     let mut obs_span = wfms_obs::span!("performability");
-    let mut expected_waiting = Vec::new();
+    let types = types.into_iter();
+    let mut expected_waiting = Vec::with_capacity(types.size_hint().0);
     let mut probability_up = 1.0;
     let mut probability_serving = 1.0;
     let mut terms = 0;

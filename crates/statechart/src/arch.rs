@@ -374,6 +374,11 @@ impl Configuration {
         &self.replicas
     }
 
+    /// The raw replication vector `Y`, by value.
+    pub fn into_vec(self) -> Vec<usize> {
+        self.replicas
+    }
+
     /// Number of server types `k`.
     pub fn k(&self) -> usize {
         self.replicas.len()

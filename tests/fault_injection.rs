@@ -10,6 +10,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use wfms::avail::AvailError;
+use wfms::config::journal;
 use wfms::fault;
 use wfms::markov::linalg::{LuError, Matrix};
 use wfms::markov::{ChainError, Ctmc};
@@ -373,6 +374,50 @@ fn nan_poisoned_records_are_not_shared_with_later_candidates() {
             "{site}: a poisoned record outlived its candidate"
         );
     }
+}
+
+/// A search's record table keeps only clean records: a record charged
+/// for a failed evaluation serves the candidate that filled it and is
+/// filled again at its next lookup. Under a quarter of failing
+/// evaluations (seed 7), exhaustive search on enterprise charges 81
+/// failed evaluations over 41 candidates, each of which filled a record
+/// itself, and its winner, whose five records were filled clean by the
+/// time it is reached, is not degraded. A table that kept the charged
+/// records would degrade 202 candidates and the winner.
+#[test]
+fn a_search_never_reuses_a_charged_record() {
+    let _g = faults();
+    let tool = enterprise_tool();
+    let goals = Goals::new(0.05, 0.9999).unwrap();
+    fault::set_seed(7);
+    fault::configure(
+        "performability.evaluate-state",
+        fault::FaultMode::Error,
+        0.25,
+    );
+    journal::enable();
+    let result = tool
+        .engine(&goals, SearchOptions::default())
+        .unwrap()
+        .exhaustive();
+    journal::disable();
+    let events = journal::take().events;
+    let result = result.unwrap();
+    assert_eq!(result.replicas(), [2, 2, 2, 2, 2]);
+    assert_eq!(result.assessment.degradation, None);
+
+    let degraded: Vec<_> = events.iter().filter(|e| e.degradation.is_some()).collect();
+    for event in &degraded {
+        assert!(
+            event.cache.state_misses > 0,
+            "charged for a record it did not fill: {event:?}"
+        );
+    }
+    let failed: usize = degraded
+        .iter()
+        .filter_map(|e| e.degradation.map(|d| d.failed_states))
+        .sum();
+    assert_eq!((degraded.len(), failed), (41, 81));
 }
 
 /// Delay injection only adds latency: results are bit-identical to a

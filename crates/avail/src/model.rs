@@ -42,7 +42,6 @@ pub struct AvailabilityModel {
     config: Configuration,
     space: StateSpace,
     ctmc: Ctmc,
-    policy: RepairPolicy,
 }
 
 /// Safety cap on the dense state space: the generator is materialized as
@@ -162,7 +161,6 @@ impl AvailabilityModel {
             config: config.clone(),
             space,
             ctmc,
-            policy,
         })
     }
 
@@ -174,11 +172,6 @@ impl AvailabilityModel {
     /// The configuration this model was built for.
     pub fn configuration(&self) -> &Configuration {
         &self.config
-    }
-
-    /// The repair policy in effect.
-    pub fn repair_policy(&self) -> RepairPolicy {
-        self.policy
     }
 
     /// The availability CTMC itself.

@@ -1,10 +1,9 @@
 //! OBS-OVERHEAD — cost of the observability layer on the EXP-P1
 //! analytic path: the same workflow analysis and turnaround distribution
 //! with the global recorder disabled (the default everywhere) versus
-//! enabled, and with the timeline journal disabled versus enabled. The
-//! disabled cases must stay within noise (< 2 %) of the pre-obs
-//! baseline: every disabled span is a single relaxed atomic load, and
-//! the timeline adds exactly one more relaxed load per emission point.
+//! enabled with its span log (what `--trace` and `--timeline` record).
+//! The disabled case must stay within noise (< 2 %) of the pre-obs
+//! baseline: every disabled span is a single relaxed atomic load.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -38,24 +37,6 @@ fn bench_overhead(c: &mut Criterion) {
     });
     wfms_obs::disable();
     wfms_obs::global().reset();
-
-    // The disabled timeline must be indistinguishable from no timeline:
-    // its emission hook in every span is one relaxed atomic load.
-    wfms_obs::timeline::disable();
-    wfms_obs::timeline::reset();
-    group.bench_function("timeline_disabled", |b| b.iter(analysis_pass));
-
-    wfms_obs::timeline::enable();
-    group.bench_function("timeline_enabled", |b| {
-        b.iter(|| {
-            let p90 = analysis_pass();
-            // Drain so no track ever hits its event cap mid-measurement.
-            let _ = wfms_obs::timeline::take();
-            p90
-        })
-    });
-    wfms_obs::timeline::disable();
-    wfms_obs::timeline::reset();
 
     group.finish();
 }

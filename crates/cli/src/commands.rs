@@ -366,9 +366,9 @@ GLOBAL OPTIONS (every command)
   --trace[=text|json]  record an execution trace (spans, counters,
                        histograms) and print it to stderr
   --trace-out <file>   also write the trace snapshot as JSON to <file>
-  --timeline <file>    record a per-thread timeline of span begin/end
-                       and decision markers, written as Chrome Trace
-                       Format JSON (open in Perfetto / chrome://tracing)
+  --timeline <file>    write the trace's spans and decision markers as
+                       Chrome Trace Format JSON, one track per thread
+                       (open in Perfetto / chrome://tracing)
   --journal <file>     record the search decision journal as JSONL
                        (replay it with `wfms explain`)
   --trace-out-force    overwrite existing --trace-out/--timeline/
@@ -377,14 +377,15 @@ GLOBAL OPTIONS (every command)
 
 /// Runs one CLI invocation, writing the report to `out`.
 ///
-/// When `--trace` or `--trace-out` is given, the global observability
-/// recorder is enabled around the command and the resulting trace is
-/// rendered to stderr (`--trace`) and/or written as JSON to a file
-/// (`--trace-out`). `--timeline <file>` additionally enables the
-/// per-thread timeline journal and writes it as Chrome Trace Format
-/// JSON (open it in Perfetto); `--journal <file>` enables the search
-/// decision journal and writes it as JSONL (replay it with
-/// `wfms explain`). The command's own report still goes to `out`.
+/// When `--trace`, `--trace-out` or `--timeline` is given, the global
+/// observability recorder is enabled with its span log around the
+/// command, and the one trace it records is rendered to stderr
+/// (`--trace`), written as JSON to a file (`--trace-out`) and/or drawn
+/// as Chrome Trace Format JSON (`--timeline`; open it in Perfetto).
+/// `wfms profile` always records, since its report is read from the
+/// same trace. `--journal <file>` enables the search decision journal
+/// and writes it as JSONL (replay it with `wfms explain`). The
+/// command's own report still goes to `out`.
 ///
 /// None of the three file outputs overwrite an existing file unless
 /// `--trace-out-force` is given; the refusal happens before the command
@@ -415,8 +416,11 @@ pub fn run_command(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliErr
             }
         }
     }
-    let record_spans = trace.is_some() || trace_out.is_some();
-    if !record_spans && timeline_out.is_none() && journal_out.is_none() {
+    let record_spans = trace.is_some()
+        || trace_out.is_some()
+        || timeline_out.is_some()
+        || args.command == "profile";
+    if !record_spans && journal_out.is_none() {
         return dispatch(args, out);
     }
     let recorder = wfms_obs::global();
@@ -424,15 +428,17 @@ pub fn run_command(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliErr
         recorder.reset();
         recorder.enable();
     }
-    if timeline_out.is_some() {
-        wfms_obs::timeline::reset();
-        wfms_obs::timeline::enable();
-    }
     if journal_out.is_some() {
         journal::take();
         journal::enable();
     }
     let result = dispatch(args, out);
+    let write = |path: String, text: String| {
+        std::fs::write(&path, text).map_err(|e| CliError::Io {
+            path,
+            message: e.to_string(),
+        })
+    };
     if record_spans {
         recorder.disable();
         let snapshot = recorder.take();
@@ -442,27 +448,15 @@ pub fn run_command(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliErr
             None => {}
         }
         if let Some(path) = trace_out {
-            std::fs::write(&path, wfms_obs::to_json(&snapshot)).map_err(|e| CliError::Io {
-                path,
-                message: e.to_string(),
-            })?;
+            write(path, wfms_obs::to_json(&snapshot))?;
         }
-    }
-    if let Some(path) = timeline_out {
-        wfms_obs::timeline::disable();
-        let snapshot = wfms_obs::timeline::take();
-        std::fs::write(&path, wfms_obs::to_chrome_trace(&snapshot)).map_err(|e| CliError::Io {
-            path,
-            message: e.to_string(),
-        })?;
+        if let Some(path) = timeline_out {
+            write(path, wfms_obs::to_chrome_trace(&snapshot))?;
+        }
     }
     if let Some(path) = journal_out {
         journal::disable();
-        let snapshot = journal::take();
-        std::fs::write(&path, journal::to_jsonl(&snapshot)).map_err(|e| CliError::Io {
-            path,
-            message: e.to_string(),
-        })?;
+        write(path, journal::to_jsonl(&journal::take()))?;
     }
     result
 }
@@ -1097,9 +1091,6 @@ struct ProfileReport {
     wall_ms: f64,
     /// Spans the bounded recorder dropped (see `WFMS_OBS_SPAN_CAP`).
     dropped_spans: u64,
-    /// Timeline events dropped (see `WFMS_OBS_EVENT_CAP`); nonzero only
-    /// when `--timeline` is active.
-    dropped_events: u64,
     stages: Vec<wfms_obs::StageSummary>,
     /// Each stage's smallest per-run total over the runs that recorded
     /// it: the time the `--baseline` gate compares.
@@ -1283,22 +1274,23 @@ fn cmd_profile(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> 
 
     let options = SearchOptions::builder().strict(args.flag("strict")).build();
 
+    // `run_command` records every profile. The report reads the runs'
+    // part of that trace and leaves the trace whole for `--trace`,
+    // `--trace-out` and `--timeline`.
     let recorder = wfms_obs::global();
-    recorder.reset();
-    recorder.enable();
+    let start = recorder.snapshot();
     let started = std::time::Instant::now();
     let mut outcome = Ok(());
     let mut run_ends = Vec::with_capacity(runs);
     for _ in 0..runs {
         outcome = profile_once(&tool, &config, &goals, options);
-        run_ends.push(recorder.snapshot().spans.len());
+        run_ends.push(recorder.snapshot().spans.len() - start.spans.len());
         if outcome.is_err() {
             break;
         }
     }
-    recorder.disable();
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    let snapshot = recorder.take();
+    let snapshot = recorder.snapshot().since(&start);
     outcome?;
 
     if args.flag("check") {
@@ -1348,7 +1340,6 @@ fn cmd_profile(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> 
         configuration: config.as_slice().to_vec(),
         wall_ms,
         dropped_spans: snapshot.dropped_spans,
-        dropped_events: wfms_obs::timeline::snapshot().dropped_events(),
         stages,
         run_min_ns,
         counters: snapshot.counters.clone(),
@@ -1402,11 +1393,11 @@ fn cmd_profile(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> 
             )?;
         }
     }
-    if report.dropped_spans > 0 || report.dropped_events > 0 {
+    if report.dropped_spans > 0 {
         writeln!(
             out,
-            "  dropped: {} span(s), {} timeline event(s) (raise WFMS_OBS_SPAN_CAP / WFMS_OBS_EVENT_CAP)",
-            report.dropped_spans, report.dropped_events
+            "  dropped: {} span(s) (raise WFMS_OBS_SPAN_CAP)",
+            report.dropped_spans
         )?;
     }
     if let Some(entries) = &report.baseline {

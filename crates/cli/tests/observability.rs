@@ -189,12 +189,15 @@ fn timeline_writes_valid_chrome_trace_json() {
     assert!(output.status.success(), "{output:?}");
     let text = std::fs::read_to_string(&path).expect("timeline file written");
     let trace: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
-    assert_eq!(trace["otherData"]["dropped_events"].as_str(), Some("0"));
+    assert_eq!(trace["otherData"]["dropped_spans"].as_str(), Some("0"));
     let events = trace["traceEvents"].as_array().expect("traceEvents array");
     assert!(!events.is_empty());
     let phases: Vec<&str> = events.iter().map(|e| e["ph"].as_str().unwrap()).collect();
     assert!(phases.contains(&"M"), "no thread_name metadata: {phases:?}");
-    assert!(phases.contains(&"B") && phases.contains(&"E"), "{phases:?}");
+    assert!(phases.contains(&"X"), "{phases:?}");
+    for event in events.iter().filter(|e| e["ph"].as_str() == Some("X")) {
+        assert!(event["dur"].as_f64().is_some(), "{event:?}");
+    }
     let names: Vec<&str> = events.iter().map(|e| e["name"].as_str().unwrap()).collect();
     assert!(names.contains(&"assess"), "{names:?}");
 }

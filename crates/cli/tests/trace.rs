@@ -209,6 +209,84 @@ fn profile_json_is_machine_readable() {
     assert!(stages.contains(&"uniformize"), "{stages:?}");
 }
 
+/// `wfms profile` reads its report from the trace that `--trace`,
+/// `--trace-out` and `--timeline` write, without emptying it: all of
+/// them cover the profiled runs, and the report counts the same work
+/// with the flags as without them.
+#[test]
+fn profile_leaves_its_runs_in_the_trace_and_the_timeline() {
+    let timeline =
+        std::env::temp_dir().join(format!("wfms-profile-timeline-{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&timeline);
+    let profile = |extra: &[&str]| {
+        let output = wfms()
+            .args([
+                "profile",
+                "--registry",
+                &spec("registry.json"),
+                "--workload",
+                &spec("workload.json"),
+                "--runs",
+                "2",
+                "--json",
+            ])
+            .args(extra)
+            .output()
+            .expect("run wfms");
+        assert!(output.status.success(), "{output:?}");
+        let stdout = String::from_utf8(output.stdout).unwrap();
+        let report: serde_json::Value = serde_json::from_str(&stdout).expect("profile JSON");
+        (report, String::from_utf8(output.stderr).unwrap())
+    };
+    let counts = |report: &serde_json::Value| {
+        let stages: Vec<(String, u64)> = report["stages"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|s| {
+                (
+                    s["name"].as_str().unwrap().to_string(),
+                    s["count"].as_u64().unwrap(),
+                )
+            })
+            .collect();
+        (stages, report["counters"].clone())
+    };
+    let (plain, _) = profile(&[]);
+    let (traced, stderr) = profile(&["--trace=json", "--timeline", timeline.to_str().unwrap()]);
+    let timeline_text = std::fs::read_to_string(&timeline).expect("timeline written");
+    let _ = std::fs::remove_file(&timeline);
+    let mut plain_counts = counts(&plain);
+    let mut traced_counts = counts(&traced);
+    plain_counts.0.sort();
+    traced_counts.0.sort();
+    assert_eq!(plain_counts, traced_counts);
+
+    let trace = wfms_obs::from_json(&stderr).expect("a trace snapshot on stderr");
+    for (stage, count) in &traced_counts.0 {
+        assert_eq!(trace.span_count(stage) as u64, *count, "{stage}");
+    }
+    assert_eq!(
+        trace.span_count("spec-decode"),
+        2,
+        "the command's own spans stay"
+    );
+    assert_eq!(
+        trace.spans.len(),
+        trace.stages.iter().map(|s| s.count as usize).sum()
+    );
+
+    let timeline: serde_json::Value = serde_json::from_str(&timeline_text).expect("valid JSON");
+    let bars = timeline["traceEvents"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .filter(|e| e["ph"].as_str() == Some("X"))
+        .count();
+    assert_eq!(bars, trace.spans.len());
+    assert!(traced.get("dropped_events").is_none());
+}
+
 #[test]
 fn unknown_flags_exit_with_usage_error() {
     let output = wfms()

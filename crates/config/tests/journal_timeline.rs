@@ -1,18 +1,19 @@
 //! Integration tests for the observability contract of the search
-//! layer: the process-global timeline must survive two threads
-//! searching one shared engine with per-track monotonic, balanced
-//! events, enabling it must not perturb search results bit-wise, and
-//! the decision journal must replay a search byte-stably.
+//! layer: the global recorder's span log must survive two threads
+//! searching one shared engine with one well-nested track per thread,
+//! recording it must not perturb search results bit-wise, and the
+//! decision journal must replay a search byte-stably.
 //!
-//! The timeline and journal are process-global, so every test here
+//! The recorder and journal are process-global, so every test here
 //! serializes on one lock and restores the disabled state before
 //! returning.
 
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use wfms_config::journal;
 use wfms_config::{AssessmentEngine, Goals, SearchOptions, SearchResult};
-use wfms_obs::timeline::{self, TimelinePhase, TimelineSnapshot};
+use wfms_obs::TraceSnapshot;
 use wfms_perf::SystemLoad;
 use wfms_statechart::{paper_section52_registry, ServerTypeRegistry};
 
@@ -51,115 +52,119 @@ fn run_greedy() -> SearchResult {
     engine().greedy().unwrap()
 }
 
-/// Per-track invariants the Chrome-trace export relies on: timestamps
-/// never step backwards within a track, and Begin/End events nest (the
-/// depth never goes negative and every span opened on a track closes on
-/// that same track).
-fn assert_tracks_well_formed(snapshot: &TimelineSnapshot) {
-    for track in &snapshot.tracks {
-        let mut last_ts = 0u64;
-        let mut depth = 0i64;
-        for event in &track.events {
-            assert!(
-                event.ts_ns >= last_ts,
-                "track {} ({}): timestamp went backwards at {:?}",
-                track.track,
-                track.label,
-                event
-            );
-            last_ts = event.ts_ns;
-            match event.phase {
-                TimelinePhase::Begin => depth += 1,
-                TimelinePhase::End => {
-                    depth -= 1;
-                    assert!(
-                        depth >= 0,
-                        "track {} ({}): End without matching Begin at {:?}",
-                        track.track,
-                        track.label,
-                        event
-                    );
-                }
-                TimelinePhase::Instant => {}
+/// Records `work` in the global recorder's span log.
+fn recorded<T>(work: impl FnOnce() -> T) -> (T, TraceSnapshot) {
+    let recorder = wfms_obs::global();
+    recorder.reset();
+    recorder.enable();
+    let out = work();
+    recorder.disable();
+    (out, recorder.take())
+}
+
+/// What the Chrome-trace export relies on per track: the spans of each
+/// thread nest by containment, so a span that starts inside another
+/// ends inside it too.
+fn assert_tracks_well_formed(snapshot: &TraceSnapshot) {
+    let mut by_thread: BTreeMap<u64, Vec<(u64, u64, &str)>> = BTreeMap::new();
+    for span in &snapshot.spans {
+        by_thread.entry(span.thread).or_default().push((
+            span.start_ns,
+            span.start_ns + span.duration_ns,
+            &span.name,
+        ));
+    }
+    for (thread, mut spans) in by_thread {
+        spans.sort_by_key(|&(start, end, _)| (start, std::cmp::Reverse(end)));
+        let mut open: Vec<(u64, &str)> = Vec::new();
+        for (start, end, name) in spans {
+            while open
+                .last()
+                .is_some_and(|&(outer_end, _)| outer_end <= start)
+            {
+                open.pop();
             }
+            if let Some(&(outer_end, outer)) = open.last() {
+                assert!(
+                    end <= outer_end,
+                    "track {thread} ({}): {name} overlaps {outer}",
+                    snapshot.threads[thread as usize]
+                );
+            }
+            open.push((end, name));
         }
-        assert_eq!(
-            depth, 0,
-            "track {} ({}): {} span(s) left open",
-            track.track, track.label, depth
-        );
     }
 }
 
 #[test]
 fn timeline_survives_two_threads_searching_one_engine() {
     let _guard = lock();
-    timeline::reset();
-    timeline::enable();
     let _ = journal::take();
-    journal::enable(); // decision instants ride the timeline tracks
+    journal::enable(); // decision instants ride the span log's tracks
     let engine = engine();
-    let results: Vec<SearchResult> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..2)
-            .map(|_| scope.spawn(|| engine.exhaustive().unwrap()))
-            .collect();
-        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    let (results, snapshot) = recorded(|| {
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| scope.spawn(|| engine.exhaustive().unwrap()))
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap())
+                .collect::<Vec<SearchResult>>()
+        })
     });
     journal::disable();
     let _ = journal::take();
-    timeline::disable();
-    let snapshot = timeline::take();
-    timeline::reset();
 
     assert_eq!(results[0], results[1]);
     assert!(!results[0].assessment.replicas.is_empty());
-    assert_eq!(
-        snapshot.dropped_events(),
-        0,
-        "cap hit during a small search"
-    );
-    assert!(snapshot.event_count() > 0, "no timeline events recorded");
-    // Each searching thread registers its own track and holds its own
+    assert_eq!(snapshot.dropped_spans, 0, "cap hit during a small search");
+    // Each searching thread gets its own track and holds its own
     // `exhaustive-search` span.
-    assert!(
-        snapshot.tracks.len() >= 2,
-        "expected one track per searching thread, got {}",
-        snapshot.tracks.len()
-    );
-    assert_tracks_well_formed(&snapshot);
-
-    let names: Vec<&str> = snapshot
-        .tracks
+    let searches: Vec<u64> = snapshot
+        .spans
         .iter()
-        .flat_map(|t| t.events.iter().map(|e| e.name))
+        .filter(|s| s.name == "exhaustive-search")
+        .map(|s| s.thread)
         .collect();
-    assert!(names.contains(&"exhaustive-search"), "{names:?}");
-    assert!(names.contains(&"assess"), "{names:?}");
-    // Decision instants ride the same tracks as the assessment spans.
-    assert!(names.contains(&journal::EVENT_DECISION_WINNER), "{names:?}");
+    assert_eq!(searches.len(), 2);
+    assert_ne!(searches[0], searches[1], "one track per searching thread");
+    assert!(snapshot.threads.len() >= 2);
+    assert_tracks_well_formed(&snapshot);
+    assert!(snapshot.spans.iter().any(|s| s.name == "assess"));
+    // Decision instants ride the same tracks as the searches.
+    let winners: Vec<u64> = snapshot
+        .instants
+        .iter()
+        .filter(|i| i.name == journal::EVENT_DECISION_WINNER)
+        .map(|i| i.thread)
+        .collect();
+    assert_eq!(winners.len(), 2);
+    for thread in &searches {
+        assert!(winners.contains(thread), "{winners:?} vs {searches:?}");
+    }
 
     // The export of a multi-track run is valid Chrome Trace Format.
     let ctf = wfms_obs::to_chrome_trace(&snapshot);
     let parsed: serde_json::Value = serde_json::from_str(&ctf).expect("valid JSON");
     let events = parsed["traceEvents"].as_array().expect("traceEvents array");
-    assert!(events.len() > snapshot.tracks.len());
+    assert_eq!(
+        events.len(),
+        snapshot.threads.len() + snapshot.spans.len() + snapshot.instants.len()
+    );
 }
 
 #[test]
 fn timeline_mode_does_not_perturb_search_results() {
     let _guard = lock();
-    timeline::reset();
-    timeline::disable();
     let plain_exhaustive = run_exhaustive();
     let plain_greedy = run_greedy();
 
-    timeline::enable();
-    let recorded_exhaustive = run_exhaustive();
-    let recorded_greedy = run_greedy();
-    timeline::disable();
-    timeline::reset();
+    let ((recorded_exhaustive, recorded_greedy), snapshot) =
+        recorded(|| (run_exhaustive(), run_greedy()));
+    assert!(!snapshot.spans.is_empty());
 
-    // Bit-identity: recording the timeline must never change what the
+    // Bit-identity: recording the span log must never change what the
     // searches compute, only observe it.
     assert_eq!(plain_exhaustive, recorded_exhaustive);
     assert_eq!(plain_greedy, recorded_greedy);

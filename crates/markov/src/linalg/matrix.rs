@@ -149,19 +149,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutably borrows row `r` as a slice.
-    ///
-    /// # Panics
-    /// Panics when `r` is out of bounds.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        assert!(
-            r < self.rows,
-            "row index {r} out of bounds for {} rows",
-            self.rows
-        );
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Copies column `c` into a new vector.
     ///
     /// # Panics

@@ -18,24 +18,23 @@
 //!   single relaxed atomic load.
 //!
 //! Recording is **off by default**. The CLI enables it for
-//! `--trace[=text|json]` and `wfms profile`; the bench harness enables it
-//! to emit `BENCH_obs.json` stage metrics. Every closed span is folded
-//! into per-stage totals ([`StageSummary`], read by
-//! [`aggregate_stages`]); the span log of individual spans is optional.
-//! The CLI keeps it; the `wfms serve` daemon enables the recorder
-//! without it ([`Recorder::enable_without_span_log`]), so its memory
-//! stays flat.
+//! `--trace[=text|json]`, `--trace-out`, `--timeline` and `wfms
+//! profile`; the bench harness enables it to emit `BENCH_obs.json` stage
+//! metrics. Every closed span is folded into per-stage totals
+//! ([`StageSummary`], read by [`aggregate_stages`]); the span log of
+//! individual spans is optional. The CLI keeps it; the `wfms serve`
+//! daemon enables the recorder without it
+//! ([`Recorder::enable_without_span_log`]), so its memory stays flat.
 //!
-//! A second, independent layer — the [`timeline`] journal — records
-//! *when* each stage ran and on *which* thread: per-thread event buffers
-//! of span begin/end plus [`instant`] markers, exportable as Chrome
-//! Trace Format JSON ([`to_chrome_trace`]) viewable in Perfetto. It is
-//! also off by default (one relaxed atomic load per emission point when
-//! disabled), bounded per track, and discloses its `dropped_events`
-//! count; the CLI enables it for `--timeline <file>`. Only the global
-//! recorder's spans feed the timeline. The stable instant-event
-//! vocabulary lives in DESIGN.md §7 next to the decision-journal
-//! reasons.
+//! The span log also answers *when* each stage ran and on *which*
+//! thread: every logged span carries its start, duration and thread,
+//! and [`instant`] markers (the decision journal's `decision-*` events)
+//! enter the same log. [`to_chrome_trace`] draws it as Chrome Trace
+//! Format JSON with one track per thread, viewable in Perfetto; the CLI
+//! writes it for `--timeline <file>`. The log is bounded by
+//! `WFMS_OBS_SPAN_CAP` and discloses what it dropped as
+//! `dropped_spans`. The stable instant-event vocabulary lives in
+//! DESIGN.md §7 next to the decision-journal reasons.
 //!
 //! ## Stable stage names
 //!
@@ -131,14 +130,14 @@
 pub mod metrics;
 pub mod recorder;
 pub mod sink;
-pub mod timeline;
 
 pub use metrics::{histogram_bucket_bounds, histogram_bucket_index, HistogramSnapshot};
 pub use recorder::{
-    FieldValue, Recorder, Span, SpanField, SpanRecord, StageSummary, TraceSnapshot,
+    FieldValue, InstantRecord, Recorder, Span, SpanField, SpanRecord, StageSummary, TraceSnapshot,
 };
-pub use sink::{aggregate_stages, from_json, render_text, stage_run_minima, to_json};
-pub use timeline::{to_chrome_trace, TimelineEvent, TimelinePhase, TimelineSnapshot};
+pub use sink::{
+    aggregate_stages, from_json, render_text, stage_run_minima, to_chrome_trace, to_json,
+};
 
 use std::sync::OnceLock;
 
@@ -146,7 +145,7 @@ static GLOBAL: OnceLock<Recorder> = OnceLock::new();
 
 /// The process-wide recorder used by [`span!`] and the free helpers.
 pub fn global() -> &'static Recorder {
-    GLOBAL.get_or_init(Recorder::new_global)
+    GLOBAL.get_or_init(Recorder::new)
 }
 
 /// Turns global recording on.
@@ -189,17 +188,11 @@ pub fn histogram(name: &'static str, value: u64) {
     global().histogram(name, value);
 }
 
-/// Opens a span on the global recorder. Prefer the [`span!`] macro, which
-/// also records fields.
-pub fn span_named(name: &'static str) -> Span<'static> {
-    global().span(name)
-}
-
-/// Records a zero-duration marker on the current thread's timeline
-/// track (no-op while the [`timeline`] is disabled — one relaxed atomic
-/// load). Use the stable names from the DESIGN.md §7 vocabulary.
+/// Logs a zero-duration marker on the calling thread in the global
+/// recorder's span log (see [`Recorder::instant`]). Use the stable names
+/// from the DESIGN.md §7 vocabulary.
 pub fn instant(name: &'static str) {
-    timeline::instant(name);
+    global().instant(name);
 }
 
 /// Opens a named span on the global [`Recorder`], optionally recording

@@ -60,6 +60,31 @@ impl HistogramSnapshot {
             self.sum as f64 / self.count as f64
         }
     }
+
+    /// The values recorded after `before`, an earlier snapshot of the
+    /// same histogram: count, sum and buckets are the differences, `min`
+    /// and `max` those of the whole histogram.
+    pub(crate) fn grown_since(&self, before: &HistogramSnapshot) -> HistogramSnapshot {
+        let earlier = |index: u32| {
+            before
+                .buckets
+                .iter()
+                .find(|(i, _)| *i == index)
+                .map_or(0, |(_, n)| *n)
+        };
+        HistogramSnapshot {
+            count: self.count - before.count,
+            sum: self.sum.saturating_sub(before.sum),
+            min: self.min,
+            max: self.max,
+            buckets: self
+                .buckets
+                .iter()
+                .map(|&(index, n)| (index, n - earlier(index)))
+                .filter(|(_, n)| *n > 0)
+                .collect(),
+        }
+    }
 }
 
 #[derive(Debug, Clone)]

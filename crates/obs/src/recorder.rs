@@ -1,28 +1,30 @@
 //! Span recording: a thread-safe [`Recorder`] folding every closed span
 //! into per-stage totals ([`StageSummary`]), optionally keeping a log of
-//! nested, timed [`SpanRecord`]s, plus the metrics registry defined in
-//! [`crate::metrics`].
+//! nested, timed [`SpanRecord`]s and [`InstantRecord`] markers, plus the
+//! metrics registry defined in [`crate::metrics`].
 //!
 //! A [`Span`] is an RAII guard: it captures a monotonic start time when
 //! opened and, when dropped, adds its duration to its stage's totals
 //! and — while the span log is on — writes a [`SpanRecord`]. Nesting is
 //! tracked per thread — each thread keeps a stack of the span ids it
 //! currently has open, so spans opened on different threads never parent
-//! each other spuriously.
+//! each other spuriously. The log also names the thread of each entry,
+//! which is what gives the Chrome trace export
+//! ([`to_chrome_trace`](crate::to_chrome_trace)) one track per thread.
 //!
 //! The stage totals are keyed by the static stage name: once a stage has
 //! closed its first span, closing another allocates nothing. Without the
 //! span log a recorder's memory is bounded by its number of stage and
 //! metric names, however long it runs; that is how the `wfms serve`
-//! daemon records. The one-shot CLI keeps the log, which its `--trace`
-//! and `wfms profile` outputs need.
+//! daemon records. The one-shot CLI keeps the log, which its `--trace`,
+//! `--timeline` and `wfms profile` outputs need.
 //!
 //! When the recorder is disabled, opening a span is a single relaxed
 //! atomic load and the guard holds no data at all (the no-op sink).
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -31,11 +33,11 @@ use serde::{Deserialize, Serialize};
 use crate::metrics::{HistogramSnapshot, MetricsRegistry};
 
 /// Default cap on the span log; protects long search loops from
-/// unbounded memory growth. Spans past the cap are counted but dropped
-/// from the log (disclosed as `dropped_spans`); the stage totals keep
-/// counting them. Override per process with the `WFMS_OBS_SPAN_CAP`
-/// environment variable (read once, at first use), or per recorder with
-/// [`Recorder::with_span_cap`].
+/// unbounded memory growth. Spans and instants past the cap are counted
+/// but dropped from the log (disclosed as `dropped_spans`); the stage
+/// totals keep counting the spans. Override per process with the
+/// `WFMS_OBS_SPAN_CAP` environment variable (read once, at first use),
+/// or per recorder with [`Recorder::with_span_cap`].
 pub const SPAN_CAP: usize = 100_000;
 
 fn span_cap_from_env() -> usize {
@@ -141,6 +143,10 @@ pub struct SpanRecord {
     pub id: u64,
     /// Id of the enclosing span on the same thread, if any.
     pub parent: Option<u64>,
+    /// The thread that opened the span: an index into
+    /// [`TraceSnapshot::threads`].
+    #[serde(default)]
+    pub thread: u64,
     /// Stable stage name (see the crate docs for the naming scheme).
     pub name: String,
     /// Offset of the span open relative to the recorder epoch, in
@@ -160,6 +166,18 @@ impl SpanRecord {
             .find(|f| f.name == name)
             .map(|f| &f.value)
     }
+}
+
+/// A zero-duration marker in the span log (see
+/// [`Recorder::instant`]).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct InstantRecord {
+    /// Stable marker name (the DESIGN.md §7 instant vocabulary).
+    pub name: String,
+    /// Offset from the recorder epoch, in nanoseconds of monotonic time.
+    pub at_ns: u64,
+    /// The thread that fired it: an index into [`TraceSnapshot::threads`].
+    pub thread: u64,
 }
 
 /// Wall-time totals of one stage: every closed span with this name.
@@ -210,8 +228,17 @@ pub struct TraceSnapshot {
     /// The span log: completed spans in close order (children close
     /// before parents). Empty when the recorder ran without the log.
     pub spans: Vec<SpanRecord>,
-    /// Spans left out of the log because [`SPAN_CAP`] was reached.
+    /// Spans and instants left out of the log because [`SPAN_CAP`] was
+    /// reached.
     pub dropped_spans: u64,
+    /// The log's instant markers, in the order they fired.
+    #[serde(default)]
+    pub instants: Vec<InstantRecord>,
+    /// The name of each thread in the log, by thread index: the
+    /// thread's name at its first logged span or instant, or
+    /// `thread-<index>` when it had none.
+    #[serde(default)]
+    pub threads: Vec<String>,
     /// Per-stage totals over every closed span, logged or not, in name
     /// order.
     #[serde(default)]
@@ -228,6 +255,7 @@ impl TraceSnapshot {
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
+            && self.instants.is_empty()
             && self.stages.is_empty()
             && self.counters.is_empty()
             && self.gauges.is_empty()
@@ -242,13 +270,66 @@ impl TraceSnapshot {
             .find(|s| s.name == name)
             .map_or(0, |s| s.count as usize)
     }
+
+    /// What was recorded after `start`, an earlier snapshot of the same
+    /// recorder with nothing reset or taken in between: the spans and
+    /// instants logged since, the spans dropped since, and how much each
+    /// stage, counter and histogram grew. A stage or histogram that
+    /// `start` already held keeps the `min` and `max` of the whole
+    /// recording; the gauges are this snapshot's.
+    pub fn since(&self, start: &TraceSnapshot) -> TraceSnapshot {
+        let stages = self
+            .stages
+            .iter()
+            .filter_map(
+                |stage| match start.stages.iter().find(|s| s.name == stage.name) {
+                    None => Some(stage.clone()),
+                    Some(before) => (stage.count > before.count).then(|| StageSummary {
+                        count: stage.count - before.count,
+                        total_ns: stage.total_ns.saturating_sub(before.total_ns),
+                        ..stage.clone()
+                    }),
+                },
+            )
+            .collect();
+        let counters = self
+            .counters
+            .iter()
+            .filter_map(|(name, &value)| match start.counters.get(name) {
+                None => Some((name.clone(), value)),
+                Some(&before) => (value > before).then(|| (name.clone(), value - before)),
+            })
+            .collect();
+        let histograms =
+            self.histograms
+                .iter()
+                .filter_map(|(name, hist)| match start.histograms.get(name) {
+                    None => Some((name.clone(), hist.clone())),
+                    Some(before) => (hist.count > before.count)
+                        .then(|| (name.clone(), hist.grown_since(before))),
+                })
+                .collect();
+        TraceSnapshot {
+            spans: self.spans[start.spans.len()..].to_vec(),
+            dropped_spans: self.dropped_spans - start.dropped_spans,
+            instants: self.instants[start.instants.len()..].to_vec(),
+            threads: self.threads.clone(),
+            stages,
+            counters,
+            gauges: self.gauges.clone(),
+            histograms,
+        }
+    }
 }
 
 #[derive(Clone)]
 struct Inner {
     spans: Vec<SpanRecord>,
+    instants: Vec<InstantRecord>,
     dropped_spans: u64,
     next_id: u64,
+    /// `(thread number, name)` of each thread in the log, by index.
+    threads: Vec<(u64, String)>,
     stages: BTreeMap<&'static str, StageSummary>,
     metrics: MetricsRegistry,
 }
@@ -257,23 +338,64 @@ impl Inner {
     fn new() -> Self {
         Inner {
             spans: Vec::new(),
+            instants: Vec::new(),
             dropped_spans: 0,
             next_id: 0,
+            threads: Vec::new(),
             stages: BTreeMap::new(),
             metrics: MetricsRegistry::default(),
         }
+    }
+
+    /// The calling thread's index in the log, naming it on its first
+    /// entry.
+    fn thread_index(&mut self) -> u64 {
+        let number = thread_number();
+        let index = match self.threads.iter().position(|(n, _)| *n == number) {
+            Some(index) => index,
+            None => {
+                let index = self.threads.len();
+                let name = std::thread::current()
+                    .name()
+                    .map_or_else(|| format!("thread-{index}"), str::to_string);
+                self.threads.push((number, name));
+                index
+            }
+        };
+        index as u64
+    }
+
+    /// Whether one more span or instant fits in the log under `cap`;
+    /// one that does not is counted as dropped.
+    fn admit_to_log(&mut self, cap: usize) -> bool {
+        let room = self.spans.len() + self.instants.len() < cap;
+        if !room {
+            self.dropped_spans += 1;
+        }
+        room
     }
 
     fn export(self) -> TraceSnapshot {
         TraceSnapshot {
             spans: self.spans,
             dropped_spans: self.dropped_spans,
+            instants: self.instants,
+            threads: self.threads.into_iter().map(|(_, name)| name).collect(),
             stages: self.stages.into_values().collect(),
             counters: self.metrics.counters_snapshot(),
             gauges: self.metrics.gauges_snapshot(),
             histograms: self.metrics.histograms_snapshot(),
         }
     }
+}
+
+/// The calling thread's number, unique within the process.
+fn thread_number() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    thread_local! {
+        static NUMBER: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
+    }
+    NUMBER.with(|number| *number)
 }
 
 thread_local! {
@@ -333,10 +455,6 @@ pub struct Recorder {
     span_log: AtomicBool,
     epoch: Instant,
     span_cap: usize,
-    // Only the global recorder feeds the process-wide timeline journal
-    // (crate::timeline); local test recorders keep this false so their
-    // spans never leak into a concurrently recorded timeline.
-    timeline_hook: bool,
     inner: Mutex<Inner>,
 }
 
@@ -355,7 +473,6 @@ impl Recorder {
             span_log: AtomicBool::new(false),
             epoch: Instant::now(),
             span_cap: span_cap_from_env(),
-            timeline_hook: false,
             inner: Mutex::new(Inner::new()),
         }
     }
@@ -365,15 +482,6 @@ impl Recorder {
     pub fn with_span_cap(span_cap: usize) -> Self {
         let mut recorder = Self::new();
         recorder.span_cap = span_cap.max(1);
-        recorder
-    }
-
-    /// Creates the process-global recorder: identical to [`new`](Self::new)
-    /// except that its spans also emit timeline begin/end events while
-    /// [`crate::timeline`] is enabled.
-    pub(crate) fn new_global() -> Self {
-        let mut recorder = Self::new();
-        recorder.timeline_hook = true;
         recorder
     }
 
@@ -419,34 +527,24 @@ impl Recorder {
     }
 
     /// Opens a span. The returned guard records the span when dropped;
-    /// while the recorder is disabled the guard is inert. On the global
-    /// recorder the guard additionally emits timeline begin/end events
-    /// while [`crate::timeline`] is enabled — even when span recording
-    /// itself is off, so `--timeline` works without `--trace`.
+    /// while the recorder is disabled the guard is inert.
     pub fn span(&self, name: &'static str) -> Span<'_> {
-        let timeline = self.timeline_hook && crate::timeline::is_enabled();
-        if timeline {
-            crate::timeline::emit(name, crate::timeline::TimelinePhase::Begin);
-        }
-        let timeline = timeline.then_some(name);
         if !self.is_enabled() {
-            return Span {
-                active: None,
-                timeline,
-            };
+            return Span { active: None };
         }
         let logged = self.span_log.load(Ordering::Relaxed).then(|| {
-            let id = {
+            let (id, thread) = {
                 let mut inner = self.inner.lock().unwrap();
                 let id = inner.next_id;
                 inner.next_id += 1;
-                id
+                (id, inner.thread_index())
             };
             let parent = stack_top(self.key());
             stack_push(self.key(), id);
             LoggedSpan {
                 id,
                 parent,
+                thread,
                 fields: Vec::new(),
             }
         });
@@ -457,7 +555,25 @@ impl Recorder {
                 opened: Instant::now(),
                 logged,
             }),
-            timeline,
+        }
+    }
+
+    /// Logs a zero-duration marker on the calling thread. A no-op
+    /// unless the recorder is enabled with the span log; instants never
+    /// enter the stage totals.
+    pub fn instant(&self, name: &'static str) {
+        if !self.is_enabled() || !self.span_log.load(Ordering::Relaxed) {
+            return;
+        }
+        let at_ns = self.since_epoch(Instant::now());
+        let mut inner = self.inner.lock().unwrap();
+        let thread = inner.thread_index();
+        if inner.admit_to_log(self.span_cap) {
+            inner.instants.push(InstantRecord {
+                name: name.to_string(),
+                at_ns,
+                thread,
+            });
         }
     }
 
@@ -497,20 +613,23 @@ impl Recorder {
         std::mem::replace(&mut *inner, Inner::new()).export()
     }
 
+    /// Nanoseconds from the recorder epoch to `at`.
+    fn since_epoch(&self, at: Instant) -> u64 {
+        at.duration_since(self.epoch)
+            .as_nanos()
+            .min(u128::from(u64::MAX)) as u64
+    }
+
     fn finish_span(&self, span: ActiveSpan<'_>) {
         let duration_ns = span.opened.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         let record = span.logged.map(|logged| {
             stack_pop(self.key(), logged.id);
-            let start_ns = span
-                .opened
-                .duration_since(self.epoch)
-                .as_nanos()
-                .min(u128::from(u64::MAX)) as u64;
             SpanRecord {
                 id: logged.id,
                 parent: logged.parent,
+                thread: logged.thread,
                 name: span.name.to_string(),
-                start_ns,
+                start_ns: self.since_epoch(span.opened),
                 duration_ns,
                 fields: logged.fields,
             }
@@ -522,10 +641,8 @@ impl Recorder {
             .or_insert_with(|| StageSummary::empty(span.name))
             .add(duration_ns);
         if let Some(record) = record {
-            if inner.spans.len() < self.span_cap {
+            if inner.admit_to_log(self.span_cap) {
                 inner.spans.push(record);
-            } else {
-                inner.dropped_spans += 1;
             }
         }
     }
@@ -543,6 +660,7 @@ struct ActiveSpan<'a> {
 struct LoggedSpan {
     id: u64,
     parent: Option<u64>,
+    thread: u64,
     fields: Vec<SpanField>,
 }
 
@@ -550,10 +668,6 @@ struct LoggedSpan {
 /// [`span!`](crate::span) macro. Dropping the guard closes the span.
 pub struct Span<'a> {
     active: Option<ActiveSpan<'a>>,
-    // Set when this span owes the timeline an End event at drop time
-    // (independent of `active`: timeline emission also runs while the
-    // span recorder itself is disabled).
-    timeline: Option<&'static str>,
 }
 
 impl Span<'_> {
@@ -585,9 +699,6 @@ impl Drop for Span<'_> {
     fn drop(&mut self) {
         if let Some(active) = self.active.take() {
             active.recorder.finish_span(active);
-        }
-        if let Some(name) = self.timeline.take() {
-            crate::timeline::emit(name, crate::timeline::TimelinePhase::End);
         }
     }
 }

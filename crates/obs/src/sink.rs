@@ -1,5 +1,6 @@
-//! Trace sinks: text tree rendering, JSON export/import, and the
-//! per-stage view for `wfms profile` and the bench harness.
+//! Trace sinks: text tree rendering, JSON export/import, the Chrome
+//! Trace Format timeline, and the per-stage view for `wfms profile` and
+//! the bench harness.
 
 use std::collections::BTreeMap;
 
@@ -101,6 +102,46 @@ pub fn render_text(snapshot: &TraceSnapshot) -> String {
         }
     }
     out
+}
+
+/// Renders a snapshot's span log as Chrome Trace Format JSON (the
+/// object form with a `traceEvents` array), loadable at
+/// `ui.perfetto.dev`: one `thread_name` track per logged thread, each
+/// span as one complete (`X`) event and each instant as an `i` event on
+/// its thread's track. Times are microseconds with a nanosecond
+/// fraction. The log's `dropped_spans` is disclosed under `otherData`.
+pub fn to_chrome_trace(snapshot: &TraceSnapshot) -> String {
+    let quote = |text: &str| serde_json::to_string(text).expect("a string serialises");
+    let micros = |ns: u64| format!("{}.{:03}", ns / 1_000, ns % 1_000);
+    let threads = snapshot.threads.iter().enumerate().map(|(tid, name)| {
+        format!(
+            r#"{{"name":"thread_name","ph":"M","pid":1,"tid":{tid},"args":{{"name":{}}}}}"#,
+            quote(name)
+        )
+    });
+    let spans = snapshot.spans.iter().map(|span| {
+        format!(
+            r#"{{"name":{},"ph":"X","ts":{},"dur":{},"pid":1,"tid":{}}}"#,
+            quote(&span.name),
+            micros(span.start_ns),
+            micros(span.duration_ns),
+            span.thread
+        )
+    });
+    let instants = snapshot.instants.iter().map(|instant| {
+        format!(
+            r#"{{"name":{},"ph":"i","s":"t","ts":{},"pid":1,"tid":{}}}"#,
+            quote(&instant.name),
+            micros(instant.at_ns),
+            instant.thread
+        )
+    });
+    let events: Vec<String> = threads.chain(spans).chain(instants).collect();
+    format!(
+        r#"{{"displayTimeUnit":"ms","otherData":{{"dropped_spans":"{}"}},"traceEvents":[{}]}}"#,
+        snapshot.dropped_spans,
+        events.join(",")
+    )
 }
 
 /// The snapshot's stage totals, sorted by descending total wall time

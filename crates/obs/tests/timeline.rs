@@ -1,222 +1,197 @@
-//! Timeline journal contract: per-thread tracks, bounded buffers with
-//! disclosed drops, valid Chrome Trace Format export, and isolation
-//! from disabled recorders.
-//!
-//! The timeline is process-global, so every test here serializes on one
-//! mutex and resets the journal before recording.
+//! The timeline contract: the span log names the thread of each span
+//! and instant, keeps instants beside the spans, and draws as valid
+//! Chrome Trace Format with one track per thread, nested spans, and its
+//! drops disclosed.
 
-use std::sync::Mutex;
+use std::collections::BTreeMap;
 
-use wfms_obs::timeline;
-use wfms_obs::{TimelinePhase, TimelineSnapshot};
-
-static TIMELINE_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_timeline<T>(f: impl FnOnce() -> T) -> T {
-    let _guard = TIMELINE_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    timeline::reset();
-    timeline::enable();
-    let out = f();
-    timeline::disable();
-    timeline::reset();
-    out
-}
+use serde_json::Value;
+use wfms_obs::{Recorder, TraceSnapshot};
 
 #[test]
-fn disabled_timeline_records_nothing() {
-    let _guard = TIMELINE_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    timeline::reset();
-    assert!(!timeline::is_enabled());
-    wfms_obs::instant("decision-accept");
+fn instants_need_the_span_log() {
+    let recorder = Recorder::new();
+    recorder.instant("decision-accept");
     {
-        let _span = wfms_obs::span!("uniformize");
+        let _span = recorder.span("uniformize");
     }
-    assert!(timeline::take().is_empty());
+    assert!(recorder.snapshot().is_empty());
+
+    recorder.enable_without_span_log();
+    recorder.instant("decision-accept");
+    let snapshot = recorder.take();
+    assert!(snapshot.instants.is_empty());
+    assert!(snapshot.threads.is_empty());
 }
 
 #[test]
-fn global_spans_emit_begin_end_even_with_recorder_disabled() {
-    let snapshot = with_timeline(|| {
-        assert!(!wfms_obs::is_enabled(), "span recorder must stay disabled");
-        {
-            let _outer = wfms_obs::span!("uniformize");
-            let _inner = wfms_obs::span!("linear-solve");
-        }
-        wfms_obs::instant("decision-accept");
-        timeline::take()
-    });
-    let events: Vec<_> = snapshot
-        .tracks
-        .iter()
-        .flat_map(|t| t.events.iter())
-        .collect();
-    assert_eq!(events.len(), 5);
-    let phases: Vec<TimelinePhase> = events.iter().map(|e| e.phase).collect();
-    assert_eq!(
-        phases,
-        vec![
-            TimelinePhase::Begin,
-            TimelinePhase::Begin,
-            TimelinePhase::End,
-            TimelinePhase::End,
-            TimelinePhase::Instant,
-        ]
-    );
-    assert_eq!(events[0].name, "uniformize");
-    assert_eq!(events[1].name, "linear-solve");
-    assert_eq!(events[2].name, "linear-solve");
-    assert_eq!(events[3].name, "uniformize");
-    assert_eq!(snapshot.dropped_events(), 0);
-}
-
-#[test]
-fn local_recorders_never_feed_the_timeline() {
-    let snapshot = with_timeline(|| {
-        let recorder = wfms_obs::Recorder::new();
-        recorder.enable();
-        {
-            let _span = recorder.span("uniformize");
-        }
-        assert_eq!(recorder.take().spans.len(), 1);
-        timeline::take()
-    });
-    assert!(snapshot.is_empty());
-}
-
-#[test]
-fn per_track_timestamps_are_monotonic_and_threads_get_own_tracks() {
-    let snapshot = with_timeline(|| {
-        {
-            let _main = wfms_obs::span!("assess");
-        }
+fn each_thread_gets_its_own_labelled_track() {
+    let recorder = Recorder::new();
+    recorder.enable();
+    {
+        let _span = recorder.span("assess");
+    }
+    std::thread::scope(|scope| {
         std::thread::Builder::new()
             .name("worker-a".to_string())
-            .spawn(|| {
-                let _span = wfms_obs::span!("mg1-waiting");
-                wfms_obs::instant("decision-reject");
+            .spawn_scoped(scope, || {
+                let _span = recorder.span("mg1-waiting");
+                recorder.instant("decision-reject");
             })
-            .unwrap()
-            .join()
             .unwrap();
-        timeline::take()
     });
-    assert_eq!(snapshot.tracks.len(), 2);
-    let worker = snapshot
-        .tracks
+    std::thread::scope(|scope| {
+        scope.spawn(|| recorder.instant("decision-accept"));
+    });
+    let snapshot = recorder.take();
+    // Tracks are indexed in the order their threads first logged.
+    assert_eq!(snapshot.threads.len(), 3);
+    assert_eq!(snapshot.threads[1], "worker-a");
+    assert_eq!(snapshot.threads[2], "thread-2", "an unnamed thread");
+    let threads: Vec<(&str, u64)> = snapshot
+        .spans
         .iter()
-        .find(|t| t.label == "worker-a")
-        .expect("spawned thread gets its own labelled track");
-    assert_eq!(worker.events.len(), 3);
-    for track in &snapshot.tracks {
-        for pair in track.events.windows(2) {
-            assert!(pair[0].ts_ns <= pair[1].ts_ns, "per-track monotonicity");
-        }
+        .map(|s| (s.name.as_str(), s.thread))
+        .collect();
+    assert_eq!(threads, [("assess", 0), ("mg1-waiting", 1)]);
+    let instants: Vec<u64> = snapshot.instants.iter().map(|i| i.thread).collect();
+    assert_eq!(instants, [1, 2]);
+}
+
+#[test]
+fn drops_past_the_cap_are_disclosed() {
+    let recorder = Recorder::with_span_cap(3);
+    recorder.enable();
+    for _ in 0..2 {
+        let _span = recorder.span("assess");
     }
+    for _ in 0..3 {
+        recorder.instant("decision-reject");
+    }
+    let snapshot = recorder.take();
+    assert_eq!(snapshot.spans.len() + snapshot.instants.len(), 3);
+    assert_eq!(snapshot.dropped_spans, 2);
+    assert_eq!(snapshot.span_count("assess"), 2);
+    let trace: Value = serde_json::from_str(&wfms_obs::to_chrome_trace(&snapshot)).unwrap();
+    assert_eq!(trace["otherData"]["dropped_spans"].as_str(), Some("2"));
 }
 
-#[test]
-fn event_cap_drops_are_disclosed_not_silent() {
-    // The cap is read from the environment once per process, so drive
-    // the bounded-buffer path by emitting more events than the default
-    // cap would be impractical here; instead assert the accounting
-    // invariant: kept + dropped equals emitted.
-    let emitted = 1000_u64;
-    let snapshot = with_timeline(|| {
-        for _ in 0..emitted {
-            wfms_obs::instant("decision-reject");
-        }
-        timeline::take()
-    });
-    let kept: u64 = snapshot.tracks.iter().map(|t| t.events.len() as u64).sum();
-    assert_eq!(kept + snapshot.dropped_events(), emitted);
-}
-
-#[test]
-fn take_leaves_timeline_empty_but_tracks_reusable() {
-    with_timeline(|| {
-        wfms_obs::instant("decision-accept");
-        assert_eq!(timeline::take().event_count(), 1);
-        assert_eq!(timeline::take().event_count(), 0);
-        wfms_obs::instant("decision-accept");
-        assert_eq!(timeline::take().event_count(), 1);
-    });
-}
-
-/// Chrome Trace Format validity: the export must parse as JSON, carry a
-/// `traceEvents` array whose entries all have `name`/`ph`/`pid`/`tid`
-/// (and `ts` for non-metadata events), use only the B/E/i/M phases, and
-/// keep begin/end balanced per track — exactly what Perfetto needs to
-/// load the file.
-#[test]
-fn chrome_trace_export_is_valid_and_balanced() {
-    let snapshot = with_timeline(|| {
-        {
-            let _outer = wfms_obs::span!("assess");
-            let _inner = wfms_obs::span!("avail-steady-state");
-        }
-        wfms_obs::instant("decision-winner");
-        std::thread::spawn(|| {
-            let _span = wfms_obs::span!("performability");
-        })
-        .join()
-        .unwrap();
-        timeline::take()
-    });
-    assert_valid_chrome_trace(&snapshot);
-}
-
-fn assert_valid_chrome_trace(snapshot: &TimelineSnapshot) {
-    use serde_json::Value;
-    let json = wfms_obs::to_chrome_trace(snapshot);
-    let value: Value = serde_json::from_str(&json).expect("export parses as JSON");
-    let Value::Object(root) = &value else {
-        panic!("chrome trace root must be an object");
-    };
-    let Some(Value::Array(events)) = root.get("traceEvents") else {
-        panic!("chrome trace must carry a traceEvents array");
-    };
-    let expected = snapshot.event_count() + snapshot.tracks.len();
-    assert_eq!(events.len(), expected, "one entry per event plus metadata");
-    let mut depth_by_tid: std::collections::BTreeMap<String, i64> = Default::default();
-    for event in events {
-        let Value::Object(fields) = event else {
-            panic!("every trace event must be an object");
-        };
-        let ph = match fields.get("ph") {
-            Some(Value::String(ph)) => ph.as_str(),
-            other => panic!("missing/invalid ph: {other:?}"),
-        };
-        assert!(
-            matches!(ph, "B" | "E" | "i" | "M"),
-            "unexpected phase {ph:?}"
-        );
-        assert!(matches!(fields.get("name"), Some(Value::String(_))));
-        assert!(matches!(fields.get("pid"), Some(Value::Number(_))));
-        let tid = match fields.get("tid") {
-            Some(Value::Number(n)) => format!("{n:?}"),
-            other => panic!("missing/invalid tid: {other:?}"),
-        };
-        if ph != "M" {
-            assert!(
-                matches!(fields.get("ts"), Some(Value::Number(_))),
-                "timed events need a ts"
-            );
-        }
-        let depth = depth_by_tid.entry(tid).or_insert(0);
-        match ph {
-            "B" => *depth += 1,
-            "E" => {
-                *depth -= 1;
-                assert!(*depth >= 0, "E without matching B on a track");
+/// The spans of each thread nest by containment: a span that starts
+/// inside another ends inside it too.
+fn assert_nested_per_thread(snapshot: &TraceSnapshot) {
+    let mut by_thread: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
+    for span in &snapshot.spans {
+        by_thread
+            .entry(span.thread)
+            .or_default()
+            .push((span.start_ns, span.start_ns + span.duration_ns));
+    }
+    for (thread, mut spans) in by_thread {
+        spans.sort_by_key(|&(start, end)| (start, std::cmp::Reverse(end)));
+        let mut open: Vec<u64> = Vec::new();
+        for (start, end) in spans {
+            while open.last().is_some_and(|&outer_end| outer_end <= start) {
+                open.pop();
             }
-            _ => {}
+            if let Some(&outer_end) = open.last() {
+                assert!(end <= outer_end, "thread {thread}: spans overlap");
+            }
+            open.push(end);
         }
     }
-    for (tid, depth) in depth_by_tid {
-        assert_eq!(depth, 0, "unbalanced begin/end on track {tid}");
+}
+
+/// Chrome Trace Format validity: the export parses as JSON and carries
+/// a `traceEvents` array of one `thread_name` per thread, one `X` event
+/// per span and one `i` event per instant, each with `name`, `pid` and
+/// a `tid` naming a track, and `ts` (plus `dur` on `X`) in exact
+/// microseconds — what Perfetto needs to load the file.
+#[test]
+fn chrome_trace_export_is_valid_and_nests_per_track() {
+    let recorder = Recorder::new();
+    recorder.enable();
+    {
+        let _outer = recorder.span("assess");
+        let _inner = recorder.span("avail-steady-state");
+        recorder.instant("decision-winner");
     }
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let _outer = recorder.span("performability");
+            let _inner = recorder.span("mg1-waiting");
+        });
+    });
+    let snapshot = recorder.take();
+    assert_nested_per_thread(&snapshot);
+
+    let json = wfms_obs::to_chrome_trace(&snapshot);
+    let trace: Value = serde_json::from_str(&json).expect("export parses as JSON");
+    assert_eq!(trace["otherData"]["dropped_spans"].as_str(), Some("0"));
+    let events = trace["traceEvents"]
+        .as_array()
+        .expect("a traceEvents array");
+    assert_eq!(events.len(), 2 + 4 + 1, "tracks, spans and instants");
+    let mut phases: BTreeMap<&str, usize> = BTreeMap::new();
+    for event in events {
+        let ph = event["ph"].as_str().expect("every event has a phase");
+        *phases.entry(ph).or_default() += 1;
+        assert!(event["name"].as_str().is_some());
+        assert_eq!(event["pid"].as_u64(), Some(1));
+        let tid = event["tid"].as_u64().expect("every event has a tid");
+        assert!(
+            tid < snapshot.threads.len() as u64,
+            "tid {tid} names no track"
+        );
+        if ph != "M" {
+            assert!(event["ts"].as_f64().is_some(), "timed events need a ts");
+        }
+    }
+    assert_eq!(phases, BTreeMap::from([("M", 2), ("X", 4), ("i", 1)]));
+    let first = &snapshot.spans[0];
+    let exported = events
+        .iter()
+        .find(|e| e["ph"].as_str() == Some("X") && e["name"].as_str() == Some(&first.name))
+        .unwrap();
+    assert_eq!(
+        (exported["ts"].as_f64().unwrap() * 1e3).round() as u64,
+        first.start_ns
+    );
+    assert_eq!(
+        (exported["dur"].as_f64().unwrap() * 1e3).round() as u64,
+        first.duration_ns
+    );
+}
+
+/// The part of a trace recorded after a mark is what a fresh recording
+/// of the same work would hold, and the trace itself stays whole.
+#[test]
+fn since_a_mark_holds_only_what_came_after_it() {
+    let recorder = Recorder::new();
+    recorder.enable();
+    {
+        let _span = recorder.span("spec-decode");
+    }
+    recorder.counter("c", 2);
+    recorder.histogram("h", 3);
+    let start = recorder.snapshot();
+    {
+        let _span = recorder.span("assess");
+    }
+    recorder.counter("c", 5);
+    recorder.counter("d", 1);
+    recorder.histogram("h", 100);
+    recorder.instant("decision-winner");
+    let part = recorder.snapshot().since(&start);
+    assert_eq!(part.spans.len(), 1);
+    assert_eq!(part.spans[0].name, "assess");
+    assert_eq!(part.instants.len(), 1);
+    assert_eq!(part.stages.len(), 1);
+    assert_eq!(part.span_count("assess"), 1);
+    assert_eq!(
+        part.counters,
+        BTreeMap::from([("c".into(), 5), ("d".into(), 1)])
+    );
+    let h = &part.histograms["h"];
+    assert_eq!((h.count, h.sum, h.buckets.clone()), (1, 100, vec![(7, 1)]));
+    assert_eq!(recorder.take().spans.len(), 2);
 }

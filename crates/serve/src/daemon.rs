@@ -204,7 +204,10 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// lifetime without the span log, so the `metrics` and
 /// `profile-snapshot` methods serve live stage totals and counters
 /// (notably the engine's `engine.cache-hit`) while the daemon's memory
-/// stays flat however many requests it serves.
+/// stays flat however many requests it serves. A recorder that is
+/// already enabled (`wfms serve --trace`, `--timeline`) is left as it
+/// is, so the span log the command line asked for keeps each worker's
+/// spans on a track of its own.
 ///
 /// # Errors
 /// [`ServeError::Bind`] when the address cannot be bound;
@@ -222,8 +225,10 @@ pub fn serve(opts: &ServeOptions, out: &mut impl Write) -> Result<(), ServeError
     let queue_depth = opts.queue_depth.max(1);
     let workers = opts.workers.max(1);
 
-    wfms_obs::global().reset();
-    wfms_obs::global().enable_without_span_log();
+    if !wfms_obs::is_enabled() {
+        wfms_obs::global().reset();
+        wfms_obs::global().enable_without_span_log();
+    }
 
     let handler = Handler::new(tenants);
     handler.set_breaker_policy(BreakerPolicy {

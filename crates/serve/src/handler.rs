@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 use serde_json::{RawValue, Value};
 
 use wfms_core::config::{Goals, SearchOptions};
-use wfms_core::{Configuration, ServerTypeRegistry, WorkflowSpec};
+use wfms_core::{ConfigError, Configuration, ServerTypeRegistry, WorkflowSpec};
 use wfms_proto::{
     AssessParams, AssessResult, HealthResult, LintParams, LintResult, MetricsResult, PerTypeWait,
     ProfileSnapshotResult, QueueGauges, RecommendParams, RecommendResult, Request, Response,
@@ -47,6 +47,9 @@ use crate::tenant::{
 struct Failure {
     kind: &'static str,
     message: String,
+    /// The search ran and no configuration meets the goals: an answer
+    /// about the tenant's inputs, not a fault of the tenant's.
+    no_winner: bool,
 }
 
 impl Failure {
@@ -54,6 +57,7 @@ impl Failure {
         Failure {
             kind,
             message: message.into(),
+            no_winner: false,
         }
     }
 }
@@ -64,7 +68,16 @@ impl From<MethodError> for Failure {
             MethodError::Tool(_) => ERR_TOOL,
             MethodError::InvalidParams(_) => ERR_INVALID_PARAMS,
         };
-        Failure::new(kind, e.to_string())
+        let no_winner = matches!(
+            e,
+            MethodError::Tool(
+                ConfigError::GoalsUnreachable { .. } | ConfigError::LoadUnsustainable { .. }
+            )
+        );
+        Failure {
+            no_winner,
+            ..Failure::new(kind, e.to_string())
+        }
     }
 }
 
@@ -300,7 +313,11 @@ impl Handler {
         };
         if guarded {
             match &outcome {
-                Ok(_) => self.breakers.note_success(tenant),
+                // A search that finds no winner has answered.
+                Ok(_)
+                | Err(Failure {
+                    no_winner: true, ..
+                }) => self.breakers.note_success(tenant),
                 // Only handler-work failures trip the breaker; envelope
                 // problems (unknown method, bad version) never reach
                 // here for guarded methods.

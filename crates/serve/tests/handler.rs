@@ -573,6 +573,39 @@ fn open_breaker_sheds_fast_and_recovers_through_the_half_open_probe() {
     );
 }
 
+/// A search that finds no configuration within its budget has answered
+/// the tenant, and that answer is no fault of the tenant's: five of
+/// them leave a threshold-5 breaker closed for the next request.
+#[test]
+fn a_search_without_a_winner_does_not_open_the_breaker() {
+    let handler = Handler::new(4);
+    handler.set_breaker_policy(BreakerPolicy {
+        threshold: 5,
+        cooldown: Duration::from_secs(60),
+    });
+    let out_of_budget = obj(vec![
+        ("registry", spec("ep", "registry.json")),
+        ("workload", spec("ep", "workload.json")),
+        ("max_wait", json(0.05)),
+        ("min_availability", json(0.9999)),
+        ("budget", json(3)),
+    ]);
+    for _ in 0..5 {
+        let resp = handler.handle(&request(METHOD_RECOMMEND, "acme", out_of_budget.clone()));
+        assert_eq!(error_kind(&resp), ERR_TOOL);
+        assert!(
+            error_message_of(&resp).starts_with("goals not reachable within a budget of 3 servers"),
+            "{resp:?}"
+        );
+    }
+    let resp = handler.handle(&request(
+        METHOD_ASSESS,
+        "acme",
+        assess_params("ep", &[2, 2, 2]),
+    ));
+    assert!(resp.ok, "the tenant is still served: {:?}", resp.error);
+}
+
 fn error_message_of(response: &Response) -> String {
     response
         .error
